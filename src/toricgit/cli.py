@@ -24,7 +24,7 @@ from .cox import (
     round_trip,
     verify_globally_defined,
 )
-from .fans import SizeGuardError, is_complete, is_simplicial
+from .fans import is_complete, is_simplicial
 from .oracles import oracle_verify_quotient
 from .problemfile import (
     MonomialSpec,
@@ -580,16 +580,10 @@ def main(argv=None):
         else:
             problem = load_problem(args.file)
             lines, payload, code = HANDLERS[command](problem, args)
-    except ProblemFileError as e:
-        lines = [f"input error: {e}"]
-        return _emit(args, command, input_name, lines, {"error": str(e)}, 2)
     except BoundExceededError as e:
         message = f"Hilbert-basis bound too small; the certified bound is {e.needed}"
         lines = [f"input error: {message}"]
         return _emit(args, command, input_name, lines, {"error": message}, 2)
-    except SizeGuardError as e:
-        lines = [f"input error: {e}"]
-        return _emit(args, command, input_name, lines, {"error": str(e)}, 2)
     except ValueError as e:
         lines = [f"input error: {e}"]
         return _emit(args, command, input_name, lines, {"error": str(e)}, 2)

@@ -4,6 +4,10 @@ A cone is stored with both minimal generator and facet-normal lists, each in a
 canonical form (primitive vectors, rays reduced modulo the lineality lattice,
 lexicographically sorted), so structural equality is cone equality and
 dualizing is literally swapping the two lists.
+
+Faces are read off generator-facet incidences: a face shares the cone's
+lineality lattice, so its canonical generators are the cone's generators on
+which the facets through it vanish.
 """
 from __future__ import annotations
 
@@ -211,40 +215,43 @@ class Cone:
             p = tuple(a + b for a, b in zip(p, g))
         return p
 
-    def faces(self):
-        """All faces, self and the minimal (lineality) face included."""
-        if self._faces is not None:
-            return self._faces
-        seen = {self}
-        frontier = [self]
+    def face_generators(self):
+        """Generator tuples of all faces (self and the lineality face included):
+        the generators cut by facet zero sets until no new set appears."""
+        found = {self.generators}
+        frontier = [self.generators]
         while frontier:
             nxt = []
-            for c in frontier:
-                for phi in c.facets:
-                    cut = Cone.from_inequalities(c.facets + (vneg(phi),), self.ambient)
-                    if cut not in seen:
-                        seen.add(cut)
+            for gens in frontier:
+                for phi in self.facets:
+                    cut = tuple(g for g in gens if dot(phi, g) == 0)
+                    if cut not in found:
+                        found.add(cut)
                         nxt.append(cut)
             frontier = nxt
-        out = tuple(sorted(seen, key=lambda c: (c.dim(), c.generators)))
-        object.__setattr__(self, "_faces", out)
-        return out
+        return found
+
+    def faces(self):
+        """All faces as cones, sorted by (dim, generators)."""
+        if self._faces is None:
+            out = [Cone.from_generators(g, self.ambient) for g in self.face_generators()]
+            out.sort(key=lambda c: (c.dim(), c.generators))
+            object.__setattr__(self, "_faces", tuple(out))
+        return self._faces
+
+    def carrier_generators(self, points):
+        """Generators of the smallest face holding the given points of the
+        cone: those on which every facet vanishing at all the points vanishes."""
+        tight = [phi for phi in self.facets if all(dot(phi, p) == 0 for p in points)]
+        return tuple(g for g in self.generators if all(dot(phi, g) == 0 for phi in tight))
 
     def is_face_of(self, other):
-        """True iff self is a face of other (self = other meets a supporting
-        hyperplane through the facets tight on self)."""
+        """True iff other contains self and self is its own carrier face there."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        if not other.contains_cone(self):
-            return False
-        tight = [
-            phi
-            for phi in other.facets
-            if all(dot(phi, g) == 0 for g in self.generators)
-        ]
-        extra = tuple(vneg(phi) for phi in tight)
-        cut = Cone.from_inequalities(other.facets + extra, self.ambient)
-        return cut == self
+        return other.contains_cone(self) and (
+            other.carrier_generators(self.generators) == self.generators
+        )
 
     def contains_in_relative_interior(self, v):
         """True iff v lies strictly inside every facet not vanishing on the cone."""

@@ -376,7 +376,7 @@ def verify_globally_defined(
                 ka, kb = rng.choice(keys), rng.choice(keys)
                 pa, pb = _orbit_point(ka, n, rng), _orbit_point(kb, n, rng)
                 if not any(
-                    _value(m.section, pa) != 0 and _value(m.section, pb) != 0
+                    m.section.evaluate(pa) != 0 and m.section.evaluate(pb) != 0
                     for m in members
                 ):
                     coverage = False
@@ -395,7 +395,3 @@ def verify_globally_defined(
         sampled=not all_monomial,
         witness_family=witness,
     )
-
-
-def _value(section, point):
-    return section.evaluate(point)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .cones import Cone
-from .intlat import IntMatrix, primitive, smith_normal_form, solve_rational
+from .intlat import IntMatrix, matrix_rank, primitive, smith_normal_form, solve_rational
 
 ConeKey = frozenset
 
@@ -87,14 +87,12 @@ class Fan:
         if self._keys is None:
             found = {frozenset()}
             for top in self.max_cones:
-                for face in self.cone(top).faces():
-                    found.add(frozenset(i for i in top if face.contains(self.rays[i])))
-            keys = tuple(sorted(found, key=lambda k: (self.cone(k).dim(), sorted(k))))
+                for gens in self.cone(top).face_generators():
+                    found.add(frozenset(i for i in top if self.rays[i] in gens))
+            rank = {k: matrix_rank([self.rays[i] for i in k], self.rank) for k in found}
+            keys = tuple(sorted(found, key=lambda k: (rank[k], sorted(k))))
             object.__setattr__(self, "_keys", keys)
         return self._keys
-
-    def has_cone(self, key):
-        return frozenset(key) in set(self.cone_keys())
 
     def faces_of(self, key):
         """Keys of all faces of a fan cone (valid fans: key inclusion)."""
@@ -186,9 +184,6 @@ class SubfanSelection:
     def __repr__(self):
         return f"SubfanSelection({sorted(sorted(k) for k in self.keys)})"
 
-    def sorted_keys(self):
-        return sorted(self.keys, key=lambda k: (len(k), sorted(k)))
-
     def union(self, other):
         return SubfanSelection(self.fan, self.keys | other.keys)
 
@@ -266,11 +261,15 @@ def orbit_poset(fan):
 
 
 def limit_of_generic_point(fan, v):
-    """Key of the cone holding v in its relative interior; None if outside."""
+    """Key of the cone holding v in its relative interior, None if outside:
+    the carrier face of v in the first maximal cone holding v."""
     v = tuple(v)
-    for k in fan.cone_keys():
-        if fan.cone(k).contains_in_relative_interior(v):
-            return k
+    if not any(v):
+        return frozenset()
+    for top in fan.max_cones:
+        if fan.cone(top).contains(v):
+            gens = fan.cone(top).carrier_generators([v])
+            return frozenset(i for i in top if fan.rays[i] in gens)
     return None
 
 

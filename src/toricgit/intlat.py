@@ -31,10 +31,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -156,11 +152,6 @@ class IntMatrix:
 
     def rank(self):
         return sum(1 for d in smith_normal_form(self).diag if d != 0)
-
-
-def stack_rows(matrices_or_rows, cols):
-    """IntMatrix from an iterable of row vectors."""
-    return IntMatrix(tuple(tuple(r) for r in matrices_or_rows), cols=cols)
 
 
 @dataclass(frozen=True)
@@ -349,10 +340,6 @@ class Sublattice:
 
     def contains_lattice(self, other):
         return all(self.contains(r) for r in other.basis.entries)
-
-    def spans_same_space(self, other):
-        """Equality of the spanned rational subspaces."""
-        return saturate(self).basis == saturate(other).basis
 
 
 def kernel_lattice(A):

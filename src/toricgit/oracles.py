@@ -340,12 +340,7 @@ def oracle_verify_quotient(q, bound=None):
             )
     faces = set()
     for img_key, ck in charts:
-        fkey = ("o_pfaces", ck, lbar.basis)
-        got = act._cache.get(fkey)
-        if got is None:
-            got = img[ck].faces()
-            act._cache[fkey] = got
-        faces.update(got)
+        faces.update(img[ck].faces())
     carrier = {}
     for t in sorted(sel.keys, key=_keysort):
         pt = pf.matvec(fan.cone(t).relative_interior_point())

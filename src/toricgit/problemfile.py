@@ -3,16 +3,16 @@
 A problem file is a JSON document with integer leaves describing a fan
 together with optional subtorus generators, symmetry matrices, named
 open selections, and named section families.  Parsing is strict: every
-violation raises ProblemFileError carrying the offending field path (or
-the line for malformed JSON), which the command front end turns into an
-input-error exit.
+violation, a non-fan included, raises ProblemFileError carrying the
+offending field path (or the line for malformed JSON), which the command
+front end turns into an input-error exit.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fans import Fan, SubfanSelection
+from .fans import Fan, SubfanSelection, validate_fan
 
 FORMAT_NAME = "toricgit-problem"
 FORMAT_VERSION = 1
@@ -179,6 +179,9 @@ def parse_problem(text):
         fan = Fan(rank, rays, cones)
     except ValueError as e:
         raise ProblemFileError("rays/max_cones", str(e)) from None
+    problems = validate_fan(fan).problems
+    if problems:
+        _fail("rays/max_cones", problems[0])
 
     subtorus = ()
     if "subtorus" in doc:

@@ -261,7 +261,8 @@ def _good_quotient(selection, act):
     orbit_map = {}
     for t in keys:
         okey = limit_of_generic_point(qfan, timg[t].relative_interior_point())
-        assert okey is not None
+        if okey is None:
+            raise RuntimeError(f"cone {sorted(t)} has no orbit image in the quotient fan")
         orbit_map[t] = okey
     chart_map = {
         frozenset(ray_index[g] for g in timg[s].generators): s for s in chart_family

@@ -134,6 +134,22 @@ class TestCheck:
         assert code == 2
         assert "line 2" in out
 
+    def test_non_fan_is_rejected_before_any_verdict(self, run, write):
+        # the quadrant [0, 1] contains the maximal cone [0, 2]
+        doc = {
+            "format": "toricgit-problem",
+            "version": 1,
+            "rank": 2,
+            "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
+            "max_cones": [[0, 1], [0, 2], [1, 3]],
+        }
+        path = write(doc)
+        for argv in (("check", path), ("quotient", path, "--selection", "all")):
+            code, out = run(*argv)
+            assert code == 2
+            assert "input error: rays/max_cones:" in out
+            assert "[0, 1], [0, 2]" in out
+
 
 class TestQuotient:
     def test_punctured_plane_modulo_diagonal(self, run, write):

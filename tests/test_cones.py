@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 
 from toricgit.cones import BoundExceededError, Cone, hilbert_basis, monoid_generators
+from toricgit.fans import Fan, limit_of_generic_point, validate_fan
 from toricgit.intlat import IntMatrix, dot
 
 
@@ -204,6 +205,123 @@ class TestFaces:
             c = Cone.from_generators([tuple(r) for r in basis[:k]], d)
             assert c.is_simplicial()
             assert len(c.faces()) == 2 ** k
+
+
+def reference_faces(cone):
+    """Faces by one double-description cut per (face, facet) pair."""
+    seen = {cone}
+    frontier = [cone]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for phi in c.facets:
+                neg = tuple(-x for x in phi)
+                cut = Cone.from_inequalities(c.facets + (neg,), cone.ambient)
+                if cut not in seen:
+                    seen.add(cut)
+                    nxt.append(cut)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda c: (c.dim(), c.generators)))
+
+
+def reference_is_face_of(a, b):
+    """Cut b by the negated facets tight on a; a is a face iff that gives a."""
+    if not b.contains_cone(a):
+        return False
+    tight = [phi for phi in b.facets if all(dot(phi, g) == 0 for g in a.generators)]
+    extra = tuple(tuple(-x for x in phi) for phi in tight)
+    return Cone.from_inequalities(b.facets + extra, a.ambient) == a
+
+
+def reference_cone_keys(fan):
+    found = {frozenset()}
+    for top in fan.max_cones:
+        for face in reference_faces(fan.cone(top)):
+            found.add(frozenset(i for i in top if face.contains(fan.rays[i])))
+    return tuple(sorted(found, key=lambda k: (fan.cone(k).dim(), sorted(k))))
+
+
+def reference_limit(fan, keys, v):
+    """First key, in cone_keys order, holding v in its relative interior."""
+    return next(
+        (k for k in keys if fan.cone(k).contains_in_relative_interior(v)), None
+    )
+
+
+def cube_facet_fan(signs):
+    """Cones over the facets x_axis = sign of [-1, 1]^3 (four rays each)."""
+    corners = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+    used = [r for r in corners if any(r[axis] == s for axis, s in signs)]
+    cones = [[i for i, r in enumerate(used) if r[axis] == s] for axis, s in signs]
+    return Fan(3, used, cones)
+
+
+P3 = Fan(
+    3,
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+)
+CUBE_FACETS = cube_facet_fan([(0, 1), (1, 1)])
+# a 3-dimensional cone with five rays beside a 4-dimensional simplicial one:
+# sorting keys by their number of rays would put the larger cone first
+PENTAGON_AND_SIMPLEX = Fan(
+    4,
+    [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0),
+     (0, 0, -1, 1), (1, 0, -1, 1), (0, 1, -1, 1), (0, 0, -1, 2)],
+    [[0, 1, 2, 3, 4], [5, 6, 7, 8]],
+)
+
+
+class TestFacesAgainstDoubleDescription:
+    """The incidence routines against the per-cut double description."""
+
+    def random_cones(self, rng):
+        cube = cube_facet_fan([(axis, s) for axis in range(3) for s in (1, -1)])
+        cones = [cube.cone(top) for top in cube.max_cones]
+        for _ in range(70):
+            d = rng.randint(1, 4)
+            vecs = random_vectors(rng, rng.randint(0, 6), d, -3, 3)
+            if rng.random() < 0.5:
+                cones.append(Cone.from_generators(vecs, d))
+            else:
+                cones.append(Cone.from_inequalities(vecs, d))
+        return cones
+
+    def test_faces_and_is_face_of(self):
+        rng = random.Random(20021101)
+        cones = self.random_cones(rng)
+        assert any(not c.is_pointed() and c.facets for c in cones)
+        assert any(c.is_pointed() and not c.is_simplicial() for c in cones)
+        for c in cones:
+            ref = reference_faces(c)
+            got = c.faces()
+            assert got == ref
+            assert [f.facets for f in got] == [f.facets for f in ref]
+            d = c.ambient
+            candidates = list(ref)
+            for _ in range(6):
+                sub = [g for g in c.generators if rng.random() < 0.5]
+                candidates.append(Cone.from_generators(sub, d))
+            candidates.append(Cone.from_generators(random_vectors(rng, 2, d, -2, 2), d))
+            candidates.append(Cone.zero(d))
+            for a in candidates:
+                assert a.is_face_of(c) == reference_is_face_of(a, c), (a, c)
+
+    @pytest.mark.parametrize(
+        "fan",
+        [P3, CUBE_FACETS, PENTAGON_AND_SIMPLEX],
+        ids=["P3", "cube_facets", "pentagon_and_simplex"],
+    )
+    def test_cone_keys_and_limits(self, fan):
+        assert validate_fan(fan).valid
+        keys = reference_cone_keys(fan)
+        assert fan.cone_keys() == keys
+        rng = random.Random(4242)
+        points = [(0,) * fan.rank]
+        points += [fan.cone(k).relative_interior_point() for k in keys]
+        points += random_vectors(rng, 150, fan.rank, -3, 3)
+        for v in points:
+            assert limit_of_generic_point(fan, v) == reference_limit(fan, keys, v), v
 
 
 class TestImageAndQueries:
