@@ -1,16 +1,18 @@
 """Batch front door: file ingestion, command dispatch, deterministic reports.
 
-Every run prints one human-readable text report to stdout and, with
---out PREFIX, also writes PREFIX.txt and PREFIX.json (the structured
-document).  Both formats carry a version header.  Exit codes: 0 when all
-checks pass, 1 when a mathematical verdict is negative, 2 on input
-errors, with the offending line or field named in the report.  All
-sampling is seeded and reports are byte-identical for identical input
-and flags.
+Each command fills one `Report` (text lines, JSON body, exit code); a fact
+both formats carry is added in one call with its line and its field.  The
+text goes to stdout and, with --out PREFIX, to PREFIX.txt beside the JSON
+document PREFIX.json; both carry a version header.  Exit codes: 0 when all
+checks pass, 1 when a mathematical verdict is negative, 2 on input errors,
+with the offending line or field named in the report.  All sampling is
+seeded and reports are byte-identical for identical input and flags.
 """
 
 import argparse
 import json
+import math
+import os
 import sys
 
 from .cones import BoundExceededError
@@ -24,7 +26,7 @@ from .cox import (
     round_trip,
     verify_globally_defined,
 )
-from .fans import is_complete, is_simplicial
+from .fans import is_complete, is_simplicial, key_order
 from .oracles import oracle_verify_quotient
 from .problemfile import (
     MonomialSpec,
@@ -40,7 +42,6 @@ from .quotients import (
 )
 from .symmetry import (
     GroupActionData,
-    SymmetryGroup,
     eq1_crosscheck,
     generate_symmetry_group,
     verify_corollary,
@@ -56,13 +57,41 @@ DEFAULT_SEED = 20260817
 RESULT_WORDS = {0: "pass", 1: "negative", 2: "input error"}
 
 
+class Report:
+    """Text lines, JSON body and exit code of one command run."""
+
+    def __init__(self, exit_code=0):
+        self.lines = []
+        self.body = {}
+        self.exit_code = exit_code
+
+    def add(self, *lines, **fields):
+        """One fact: its text lines (None adds no line) and its JSON fields."""
+        self.lines.extend(line for line in lines if line is not None)
+        self.body.update(fields)
+
+    def flag(self, label, **field):
+        """A yes/no fact: `label: yes` or `label: no`, and one boolean field."""
+        (value,) = field.values()
+        self.add(f"{label}: {_yes(value)}", **field)
+
+    def rows(self, field, rows):
+        """A JSON list `field` from (text line, item) pairs, one per item."""
+        rows = list(rows)
+        self.lines.extend(line for line, _ in rows)
+        self.body[field] = [item for _, item in rows]
+
+
+def _yes(flag):
+    return "yes" if flag else "no"
+
+
 def _fmt_key(key):
     return "[" + ",".join(str(i) for i in sorted(key)) + "]"
 
 
 def _fmt_keys(keys):
-    ordered = sorted(keys, key=lambda k: (len(k), sorted(k)))
-    return "{" + ",".join(_fmt_key(k) for k in ordered) + "}"
+    return "{" + ",".join(_fmt_key(k) for k in sorted(keys, key=key_order)) + "}"
 
 
 def _fmt_vec(v):
@@ -70,414 +99,314 @@ def _fmt_vec(v):
 
 
 def _key_list(keys):
-    return [sorted(k) for k in sorted(keys, key=lambda k: (len(k), sorted(k)))]
+    return [sorted(k) for k in sorted(keys, key=key_order)]
 
 
-def _fan_lines(fan):
+def _add_fan(rep, fan, prefix, field):
     rays = ", ".join(_fmt_vec(r) for r in fan.rays)
     cones = ", ".join(_fmt_key(c) for c in fan.max_cones)
-    return [
-        f"fan: rank {fan.rank}, {len(fan.rays)} rays, "
+    rep.add(
+        f"{prefix}fan: rank {fan.rank}, {len(fan.rays)} rays, "
         f"{len(fan.max_cones)} maximal cones",
-        f"rays: {rays}" if fan.rays else "rays: none",
-        f"maximal cones: {cones}" if fan.max_cones else "maximal cones: none",
-    ]
+        f"{prefix}rays: {rays or 'none'}",
+        f"{prefix}maximal cones: {cones or 'none'}",
+        **{field: {
+            "rank": fan.rank,
+            "rays": fan.rays,
+            "max_cones": _key_list(fan.max_cones),
+        }},
+    )
 
 
-def _fan_payload(fan):
-    return {
-        "rank": fan.rank,
-        "rays": [list(r) for r in fan.rays],
-        "max_cones": _key_list(fan.max_cones),
-    }
-
-
-def _action_for(problem):
+def _action(rep, problem):
     act = normalize_action(problem.fan, problem.subtorus)
-    notes = []
     if not act.input_saturated:
-        notes.append(
+        rep.add(
             "note: subtorus generators spanned a non-saturated lattice; "
             "the saturation is used"
         )
-    return act, notes
+    return act
 
 
-def _sym_for(problem):
-    if problem.symmetries:
-        return generate_symmetry_group(problem.fan, problem.symmetries)
-    return SymmetryGroup.trivial(problem.fan)
+def _group_data(rep, problem):
+    """The subtorus action and the symmetry group acting together."""
+    act = _action(rep, problem)
+    return GroupActionData(act, generate_symmetry_group(problem.fan, problem.symmetries))
 
 
-def cmd_check(problem, args):
+def cmd_check(rep, problem, args):
     fan = problem.fan
-    complete = is_complete(fan)
-    simplicial = is_simplicial(fan)
-    lines = _fan_lines(fan)
-    lines.append(f"complete: {'yes' if complete else 'no'}")
-    lines.append(f"simplicial: {'yes' if simplicial else 'no'}")
-    lines.append(f"subtorus generators: {len(problem.subtorus)}")
-    lines.append(f"symmetry matrices: {len(problem.symmetries)}")
-    lines.append(f"named selections: {', '.join(sorted(problem.selections)) or 'none'}")
-    lines.append(f"named families: {', '.join(sorted(problem.families)) or 'none'}")
-    payload = {
-        "fan": _fan_payload(fan),
-        "complete": complete,
-        "simplicial": simplicial,
-        "selections": sorted(problem.selections),
-        "families": sorted(problem.families),
-    }
-    return lines, payload, 0
+    _add_fan(rep, fan, "", "fan")
+    rep.flag("complete", complete=is_complete(fan))
+    rep.flag("simplicial", simplicial=is_simplicial(fan))
+    rep.add(f"subtorus generators: {len(problem.subtorus)}")
+    rep.add(f"symmetry matrices: {len(problem.symmetries)}")
+    selections = sorted(problem.selections)
+    rep.add(f"named selections: {', '.join(selections) or 'none'}", selections=selections)
+    families = sorted(problem.families)
+    rep.add(f"named families: {', '.join(families) or 'none'}", families=families)
 
 
-def cmd_quotient(problem, args):
-    act, lines = _action_for(problem)
+def cmd_quotient(rep, problem, args):
+    act = _action(rep, problem)
     sel = select(problem, args.selection)
-    lines.append(f"selection: {args.selection} = {_fmt_keys(sel.keys)}")
-    lines.append(f"subtorus rank: {act.cochar.rank}")
+    rep.add(f"selection: {args.selection} = {_fmt_keys(sel.keys)}")
+    rep.add(f"subtorus rank: {act.cochar.rank}")
     q = good_quotient(sel, act)
     if isinstance(q, Obstruction):
-        lines.append(f"verdict: no good quotient ({q.kind})")
-        lines.append(f"reason: {q.detail}")
-        payload = {
-            "verdict": "obstructed",
-            "kind": q.kind,
-            "detail": q.detail,
-        }
-        return lines, payload, 1
-    lines.append("verdict: good quotient exists")
-    lines.extend("target " + text for text in _fan_lines(q.fan))
-    for img_key in sorted(q.chart_map, key=lambda k: (len(k), sorted(k))):
-        lines.append(
-            f"chart: target cone {_fmt_key(img_key)} from source cone "
-            f"{_fmt_key(q.chart_map[img_key])}"
-        )
-    for t in sorted(sel.keys, key=lambda k: (len(k), sorted(k))):
-        lines.append(f"orbit map: {_fmt_key(t)} -> {_fmt_key(q.orbit_map[t])}")
-    lines.append(f"geometric: {'yes' if q.geometric else 'no'}")
+        rep.add(f"verdict: no good quotient ({q.kind})", verdict="obstructed", kind=q.kind)
+        rep.add(f"reason: {q.detail}", detail=q.detail)
+        rep.exit_code = 1
+        return
+    rep.add("verdict: good quotient exists", verdict="good")
+    _add_fan(rep, q.fan, "target ", "target_fan")
+    rep.rows("charts", [
+        (f"chart: target cone {_fmt_key(img)} from source cone {_fmt_key(src)}",
+         {"target": sorted(img), "source": sorted(src)})
+        for img, src in sorted(q.chart_map.items(), key=lambda kv: key_order(kv[0]))
+    ])
+    rep.rows("orbit_map", [
+        (f"orbit map: {_fmt_key(t)} -> {_fmt_key(q.orbit_map[t])}",
+         {"source": sorted(t), "target": sorted(q.orbit_map[t])})
+        for t in sorted(sel.keys, key=key_order)
+    ])
+    rep.flag("geometric", geometric=q.geometric)
     problems = oracle_verify_quotient(q, args.bound)
-    if problems:
-        lines.append("certificate: FAILED")
-        lines.extend(f"  {p}" for p in problems)
-    else:
-        lines.append("certificate: clean (chart functions verified)")
-    payload = {
-        "verdict": "good",
-        "target_fan": _fan_payload(q.fan),
-        "charts": [
-            {"target": sorted(k), "source": sorted(v)}
-            for k, v in sorted(
-                q.chart_map.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-            )
-        ],
-        "orbit_map": [
-            {"source": sorted(t), "target": sorted(q.orbit_map[t])}
-            for t in sorted(sel.keys, key=lambda k: (len(k), sorted(k)))
-        ],
-        "geometric": q.geometric,
-        "certificate_problems": list(problems),
-    }
-    return lines, payload, 1 if problems else 0
+    rep.add(
+        "certificate: " + ("FAILED" if problems else "clean (chart functions verified)"),
+        *(f"  {p}" for p in problems),
+        certificate_problems=problems,
+    )
+    rep.exit_code = 1 if problems else 0
 
 
-def cmd_enumerate_maximal(problem, args):
-    act, lines = _action_for(problem)
+def cmd_enumerate_maximal(rep, problem, args):
+    act = _action(rep, problem)
     subsets = t_maximal_subsets(problem.fan, act, k=args.k, limit=args.max_subsets)
-    lines.append(f"subtorus rank: {act.cochar.rank}")
-    lines.append(f"variant: k={args.k}")
-    lines.append(f"maximal subsets with good quotient: {len(subsets)}")
+    rep.add(f"subtorus rank: {act.cochar.rank}")
+    rep.add(f"variant: k={args.k}", k=args.k)
+    rep.add(f"maximal subsets with good quotient: {len(subsets)}", count=len(subsets))
     ordered = sorted(
         (u.keys for u in subsets),
         key=lambda keys: (len(keys), sorted(sorted(k) for k in keys)),
     )
-    for keys in ordered:
-        lines.append(f"  {_fmt_keys(keys)}")
-    payload = {
-        "k": args.k,
-        "count": len(subsets),
-        "subsets": [_key_list(keys) for keys in ordered],
-    }
-    return lines, payload, 0
+    rep.rows("subsets", [(f"  {_fmt_keys(keys)}", _key_list(keys)) for keys in ordered])
 
 
-def cmd_cox(problem, args):
+def _isotropy_text(free, torsion):
+    if free:
+        return f"infinite (free rank {free})"
+    return f"finite of order {math.prod(torsion)}" if torsion else "trivial"
+
+
+def cmd_cox(rep, problem, args):
     fan = problem.fan
     pres = cox_presentation(fan)
     torsion = ",".join(str(m) for m in pres.torsion_factors)
-    lines = [
+    rep.add(
         f"class group: free rank {pres.class_rank}"
         + (f", torsion factors ({torsion})" if pres.torsion_factors else ""),
         f"coordinates: {len(fan.rays)} (one per ray)",
-    ]
+        class_rank=pres.class_rank,
+        torsion_factors=pres.torsion_factors,
+    )
+    weights = []
     for i, w in enumerate(pres.weights()):
         tor = tuple(row[i] % mod for mod, row in pres.torsion_rows)
         tortext = f" torsion {_fmt_vec(tor)}" if tor else ""
-        lines.append(f"weight of coordinate {i}: {_fmt_vec(w)}{tortext}")
-    lines.append(f"relevant selection: {len(pres.relevant.keys)} coordinate faces")
-    iso_payload = []
-    for key in sorted(fan.max_cones, key=lambda k: (len(k), sorted(k))):
-        free, tors = isotropy_at(pres, frozenset(key))
-        if free == 0 and not tors:
-            desc = "trivial"
-        elif free == 0:
-            order = 1
-            for m in tors:
-                order *= m
-            desc = f"finite of order {order}"
-        else:
-            desc = f"infinite (free rank {free})"
-        lines.append(f"isotropy at chart {_fmt_key(key)}: {desc}")
-        iso_payload.append(
-            {"chart": sorted(key), "free_rank": free, "torsion": list(tors)}
-        )
+        weights.append((f"weight of coordinate {i}: {_fmt_vec(w)}{tortext}", w))
+    rep.rows("weights", weights)
+    faces = len(pres.relevant.keys)
+    rep.add(f"relevant selection: {faces} coordinate faces", relevant_faces=faces)
+    isotropy = []
+    for key in sorted(fan.max_cones, key=key_order):
+        free, tors = isotropy_at(pres, key)
+        isotropy.append((
+            f"isotropy at chart {_fmt_key(key)}: {_isotropy_text(free, tors)}",
+            {"chart": sorted(key), "free_rank": free, "torsion": tors},
+        ))
+    rep.rows("isotropy", isotropy)
     rt = round_trip(pres, fan.full_selection())
-    lines.append(
-        "round trip: "
-        + ("reproduces the fan" if rt.ok else f"FAILED ({rt.detail})")
+    rep.add(
+        "round trip: " + ("reproduces the fan" if rt.ok else f"FAILED ({rt.detail})"),
+        f"round trip geometric: {_yes(rt.geometric)}" if rt.ok else None,
+        round_trip_ok=rt.ok,
+        round_trip_detail=rt.detail,
     )
-    if rt.ok:
-        lines.append(f"round trip geometric: {'yes' if rt.geometric else 'no'}")
-    exit_code = 0 if rt.ok else 1
-    payload = {
-        "class_rank": pres.class_rank,
-        "torsion_factors": list(pres.torsion_factors),
-        "weights": [list(w) for w in pres.weights()],
-        "relevant_faces": len(pres.relevant.keys),
-        "isotropy": iso_payload,
-        "round_trip_ok": rt.ok,
-        "round_trip_detail": rt.detail,
-    }
-
-    if args.family is not None:
-        if args.family not in problem.families:
-            raise ProblemFileError(
-                f"families.{args.family}",
-                f"unknown family; available: {', '.join(sorted(problem.families)) or 'none'}",
-            )
-        sections = []
-        for spec in problem.families[args.family]:
-            if isinstance(spec, MonomialSpec):
-                sections.append(canonical_section(pres, spec.exponents))
-            else:
-                sections.append(
-                    PolynomialSection(spec.terms, declared_weight=spec.weight)
-                )
-        lifted = lift_open(pres, fan.full_selection())
-        report = verify_globally_defined(
-            pres,
-            lifted,
-            sections,
-            subtorus_generators=problem.subtorus,
-            seed=args.seed,
+    rep.exit_code = 0 if rt.ok else 1
+    if args.family is None:
+        return
+    if args.family not in problem.families:
+        raise ProblemFileError(
+            f"families.{args.family}",
+            f"unknown family; available: {', '.join(sorted(problem.families)) or 'none'}",
         )
-        lines.append(f"family: {args.family} ({len(sections)} sections)")
-        members_payload = []
-        for i, member in enumerate(report.members):
-            parts = [
-                "homogeneous" if member.homogeneous else "NOT homogeneous",
-                "affine locus"
-                if member.affine
-                else ("affine undecided" if member.affine is None else "NON-affine locus"),
-                "contained" if member.contained else "NOT contained",
-            ]
-            lines.append(f"section {i}: " + ", ".join(parts) + f" ({member.detail})")
-            members_payload.append(
-                {
-                    "homogeneous": member.homogeneous,
-                    "affine": member.affine,
-                    "contained": member.contained,
-                    "detail": member.detail,
-                }
-            )
-        if report.coverage:
-            lines.append("coverage: every point pair shares a member's affine locus")
-        else:
-            a, b = report.coverage_witness
-            lines.append(
-                "coverage: FAILED, no common member for orbits "
-                f"{_fmt_key(a)} and {_fmt_key(b)}"
-            )
-        if report.sampled:
-            lines.append("note: verdicts rely on seeded point sampling")
-        lines.append(
-            "witness family: " + ("yes" if report.witness_family else "no")
-        )
-        payload["family"] = {
-            "name": args.family,
-            "members": members_payload,
-            "coverage": report.coverage,
-            "sampled": report.sampled,
-            "witness_family": report.witness_family,
-        }
-        if not report.witness_family:
-            exit_code = 1
-    return lines, payload, exit_code
+    sections = [
+        canonical_section(pres, spec.exponents)
+        if isinstance(spec, MonomialSpec)
+        else PolynomialSection(spec.terms, declared_weight=spec.weight)
+        for spec in problem.families[args.family]
+    ]
+    report = verify_globally_defined(
+        pres,
+        lift_open(pres, fan.full_selection()),
+        sections,
+        subtorus_generators=problem.subtorus,
+        seed=args.seed,
+    )
+    family = Report()
+    family.add(f"family: {args.family} ({len(sections)} sections)", name=args.family)
+    family.rows("members", [
+        (f"section {i}: "
+         + ("homogeneous" if m.homogeneous else "NOT homogeneous") + ", "
+         + ("affine locus" if m.affine else
+            "affine undecided" if m.affine is None else "NON-affine locus") + ", "
+         + ("contained" if m.contained else "NOT contained") + f" ({m.detail})",
+         {"homogeneous": m.homogeneous, "affine": m.affine,
+          "contained": m.contained, "detail": m.detail})
+        for i, m in enumerate(report.members)
+    ])
+    if report.coverage:
+        coverage = "every point pair shares a member's affine locus"
+    else:
+        a, b = report.coverage_witness
+        coverage = f"FAILED, no common member for orbits {_fmt_key(a)} and {_fmt_key(b)}"
+    family.add(f"coverage: {coverage}", coverage=report.coverage)
+    family.add(
+        "note: verdicts rely on seeded point sampling" if report.sampled else None,
+        sampled=report.sampled,
+    )
+    family.flag("witness family", witness_family=report.witness_family)
+    rep.add(*family.lines, family=family.body)
+    if not report.witness_family:
+        rep.exit_code = 1
 
 
-def cmd_w_set(problem, args):
-    act, lines = _action_for(problem)
-    sym = _sym_for(problem)
-    data = GroupActionData(act, sym)
+def cmd_w_set(rep, problem, args):
+    data = _group_data(rep, problem)
     sel = select(problem, args.selection)
     w = w_set(sel, data)
-    lines.append(f"selection: {args.selection} = {_fmt_keys(sel.keys)}")
-    lines.append(f"symmetry group order: {len(sym)}")
-    lines.append(f"translate intersection: {_fmt_keys(w.keys)}")
-    payload = {
-        "selection": _key_list(sel.keys),
-        "group_order": len(sym),
-        "w_set": _key_list(w.keys),
-    }
-    return lines, payload, 0
-
-
-def cmd_verify_theorem(problem, args):
-    act, lines = _action_for(problem)
-    sym = _sym_for(problem)
-    data = GroupActionData(act, sym)
-    sel = select(problem, args.selection)
-    lines.append(f"selection: {args.selection} = {_fmt_keys(sel.keys)}")
-    lines.append(f"symmetry group order: {len(sym)}")
-    report = verify_theorem_conclusions(sel, data, limit=args.max_subsets)
-    if report.refused:
-        lines.append(f"refused: {report.diagnosis}")
-        payload = {"refused": True, "diagnosis": report.diagnosis}
-        return lines, payload, 1
-    lines.append(f"translate intersection W: {_fmt_keys(report.w_keys)}")
-    lines.append(f"W open in the selection: {'yes' if report.open_in_source else 'no'}")
-    lines.append(
-        "good quotient of W: "
-        + ("exists" if report.quotient_exists else f"fails ({report.quotient_detail})")
+    rep.add(
+        f"selection: {args.selection} = {_fmt_keys(sel.keys)}",
+        selection=_key_list(sel.keys),
     )
-    if report.saturated_in_input is None:
-        lines.append("saturation of W in the selection: not applicable")
-    else:
-        lines.append(
-            "saturation of W in the selection: "
-            + ("yes" if report.saturated_in_input else "no")
-        )
+    rep.add(f"symmetry group order: {len(data.sym)}", group_order=len(data.sym))
+    rep.add(f"translate intersection: {_fmt_keys(w.keys)}", w_set=_key_list(w.keys))
+
+
+def cmd_verify_theorem(rep, problem, args):
+    data = _group_data(rep, problem)
+    sel = select(problem, args.selection)
+    rep.add(f"selection: {args.selection} = {_fmt_keys(sel.keys)}")
+    rep.add(f"symmetry group order: {len(data.sym)}")
+    report = verify_theorem_conclusions(sel, data, limit=args.max_subsets)
+    rep.exit_code = 0 if report.conclusions_hold() else 1
+    if report.refused:
+        rep.add(f"refused: {report.diagnosis}", refused=True, diagnosis=report.diagnosis)
+        return
+    rep.add(
+        f"translate intersection W: {_fmt_keys(report.w_keys)}",
+        refused=False,
+        w_keys=report.w_keys,
+    )
+    rep.flag("W open in the selection", open_in_source=report.open_in_source)
+    rep.add(
+        "good quotient of W: "
+        + ("exists" if report.quotient_exists else f"fails ({report.quotient_detail})"),
+        quotient_exists=report.quotient_exists,
+    )
+    saturated = report.saturated_in_input
+    rep.add(
+        "saturation of W in the selection: "
+        + ("not applicable" if saturated is None else _yes(saturated)),
+        saturated_in_input=saturated,
+    )
     if report.orbit_classes is not None:
         classes = "; ".join(
-            "{" + ",".join("[" + ",".join(map(str, k)) + "]" for k in cls) + "}"
-            for cls in report.orbit_classes
+            "{" + ",".join(_fmt_key(k) for k in cls) + "}" for cls in report.orbit_classes
         )
-        lines.append(f"composite orbit classes: {classes}")
-    if report.caveat:
-        lines.append(f"caveat: {report.caveat}")
-    holds = report.conclusions_hold()
-    lines.append(f"conclusions hold: {'yes' if holds else 'no'}")
-    payload = {
-        "refused": False,
-        "w_keys": [list(k) for k in report.w_keys],
-        "open_in_source": report.open_in_source,
-        "quotient_exists": report.quotient_exists,
-        "saturated_in_input": report.saturated_in_input,
-        "caveat": report.caveat,
-        "conclusions_hold": holds,
-    }
-    return lines, payload, 0 if holds else 1
+        rep.add(f"composite orbit classes: {classes}")
+    rep.add(f"caveat: {report.caveat}" if report.caveat else None, caveat=report.caveat)
+    rep.flag("conclusions hold", conclusions_hold=report.conclusions_hold())
 
 
-def cmd_verify_corollary(problem, args):
-    act, lines = _action_for(problem)
-    sym = _sym_for(problem)
-    data = GroupActionData(act, sym)
+def cmd_verify_corollary(rep, problem, args):
+    data = _group_data(rep, problem)
     report = verify_corollary(problem.fan, data, limit=args.max_subsets)
-    lines.append(f"symmetry group order: {len(sym)}")
-    lines.append(f"torus-maximal subsets checked: {len(report.maximal_reports)}")
-    maximal_payload = []
-    for keys, sub in report.maximal_reports:
-        holds = sub.conclusions_hold()
-        lines.append(
-            f"  maximal {_fmt_keys(map(frozenset, keys))}: "
-            + ("conclusions hold" if holds else (sub.diagnosis or "conclusions fail"))
-        )
-        maximal_payload.append({"keys": [list(k) for k in keys], "holds": holds})
-    lines.append(f"invariant good subsets checked: {len(report.invariant_reports)}")
-    invariant_payload = []
-    for v_keys, host, saturated in report.invariant_reports:
-        host_text = (
-            f"inside W of {_fmt_keys(map(frozenset, host))}" if host else "no host"
-        )
-        lines.append(
-            f"  invariant {_fmt_keys(map(frozenset, v_keys))}: {host_text}, "
-            + ("saturated" if saturated else "NOT saturated")
-        )
-        invariant_payload.append(
-            {
-                "keys": [list(k) for k in v_keys],
-                "host": [list(k) for k in host] if host else None,
-                "saturated": saturated,
-            }
-        )
-    lines.append(f"all statements verified: {'yes' if report.all_pass else 'no'}")
-    payload = {
-        "maximal": maximal_payload,
-        "invariant": invariant_payload,
-        "all_pass": report.all_pass,
-    }
-    return lines, payload, 0 if report.all_pass else 1
+    rep.add(f"symmetry group order: {len(data.sym)}")
+    rep.add(f"torus-maximal subsets checked: {len(report.maximal_reports)}")
+    rep.rows("maximal", [
+        (f"  maximal {_fmt_keys(keys)}: "
+         + ("conclusions hold" if sub.conclusions_hold()
+            else (sub.diagnosis or "conclusions fail")),
+         {"keys": keys, "holds": sub.conclusions_hold()})
+        for keys, sub in report.maximal_reports
+    ])
+    rep.add(f"invariant good subsets checked: {len(report.invariant_reports)}")
+    rep.rows("invariant", [
+        (f"  invariant {_fmt_keys(keys)}: "
+         + (f"inside W of {_fmt_keys(host)}" if host else "no host") + ", "
+         + ("saturated" if saturated else "NOT saturated"),
+         {"keys": keys, "host": host or None, "saturated": saturated})
+        for keys, host, saturated in report.invariant_reports
+    ])
+    rep.flag("all statements verified", all_pass=report.all_pass)
+    rep.exit_code = 0 if report.all_pass else 1
 
 
-def cmd_eq1_check(problem, args):
-    act, lines = _action_for(problem)
-    sym = _sym_for(problem)
-    data = GroupActionData(act, sym)
+def cmd_eq1_check(rep, problem, args):
+    data = _group_data(rep, problem)
     outer = select(problem, args.selection)
     inner = select(problem, args.inner)
-    lines.append(f"outer selection: {args.selection} = {_fmt_keys(outer.keys)}")
-    lines.append(f"inner selection: {args.inner} = {_fmt_keys(inner.keys)}")
-    report = eq1_crosscheck(outer, inner, data)
-    if not report.hypothesis_ok:
-        lines.append(f"hypotheses fail: {report.diagnosis}")
-        payload = {"hypothesis_ok": False, "diagnosis": report.diagnosis}
-        return lines, payload, 1
-    lines.append(
-        f"largest saturated subset inside inner: {_fmt_keys(map(frozenset, report.u_keys))}"
+    rep.add(
+        f"outer selection: {args.selection} = {_fmt_keys(outer.keys)}",
+        f"inner selection: {args.inner} = {_fmt_keys(inner.keys)}",
     )
-    lines.append(f"left side: {_fmt_keys(map(frozenset, report.left))}")
-    lines.append(f"right side: {_fmt_keys(map(frozenset, report.right))}")
-    lines.append(f"sides equal: {'yes' if report.equal else 'no'}")
+    report = eq1_crosscheck(outer, inner, data)
+    rep.exit_code = 0 if report.holds() else 1
+    if not report.hypothesis_ok:
+        rep.add(
+            f"hypotheses fail: {report.diagnosis}",
+            hypothesis_ok=False,
+            diagnosis=report.diagnosis,
+        )
+        return
+    rep.add(
+        f"largest saturated subset inside inner: {_fmt_keys(report.u_keys)}",
+        hypothesis_ok=True,
+        u_keys=report.u_keys,
+    )
+    rep.add(f"left side: {_fmt_keys(report.left)}", left=report.left)
+    rep.add(f"right side: {_fmt_keys(report.right)}", right=report.right)
+    rep.flag("sides equal", equal=report.equal)
     if report.witness is not None:
-        lines.append(f"first differing key: {_fmt_key(report.witness)}")
-    payload = {
-        "hypothesis_ok": True,
-        "u_keys": [list(k) for k in report.u_keys],
-        "left": [list(k) for k in report.left],
-        "right": [list(k) for k in report.right],
-        "equal": report.equal,
-    }
-    return lines, payload, 0 if report.holds() else 1
+        rep.add(f"first differing key: {_fmt_key(report.witness)}")
 
 
-def cmd_oracle_sweep(args):
+def cmd_oracle_sweep(rep, problem, args):
     result = run_sweep(seed=args.seed, limit=args.max_subsets, bound=args.bound)
-    lines = [
+    rep.add(
         f"corpus: {result.fans} fans, {result.actions} actions",
-        f"selections checked: {result.selections}",
-        f"good quotients certified: {result.goods}",
-        f"staged pairs: {result.staged_pairs}",
-        f"saturation comparisons: {result.saturation_checks}",
-        f"removed-piece identity checks: {result.eq1_checks}",
-    ]
+        fans=result.fans,
+        actions=result.actions,
+    )
+    for label, field in (
+        ("selections checked", "selections"),
+        ("good quotients certified", "goods"),
+        ("staged pairs", "staged_pairs"),
+        ("saturation comparisons", "saturation_checks"),
+        ("removed-piece identity checks", "eq1_checks"),
+    ):
+        rep.add(f"{label}: {getattr(result, field)}", **{field: getattr(result, field)})
     failures = result.failures()
+    rep.add(failures=failures)
     for leg in sorted(failures):
-        entries = failures[leg]
-        lines.append(f"{leg.replace('_', ' ')}: {len(entries)}")
-        lines.extend(f"  {entry}" for entry in entries)
-    lines.append(f"sweep clean: {'yes' if result.clean() else 'no'}")
-    payload = {
-        "fans": result.fans,
-        "actions": result.actions,
-        "selections": result.selections,
-        "goods": result.goods,
-        "staged_pairs": result.staged_pairs,
-        "saturation_checks": result.saturation_checks,
-        "eq1_checks": result.eq1_checks,
-        "failures": {leg: list(entries) for leg, entries in failures.items()},
-        "clean": result.clean(),
-    }
-    return lines, payload, 0 if result.clean() else 1
+        rep.add(
+            f"{leg.replace('_', ' ')}: {len(failures[leg])}",
+            *(f"  {entry}" for entry in failures[leg]),
+        )
+    rep.flag("sweep clean", clean=result.clean())
+    rep.exit_code = 0 if result.clean() else 1
 
 
 HANDLERS = {
@@ -489,6 +418,7 @@ HANDLERS = {
     "verify-theorem": cmd_verify_theorem,
     "verify-corollary": cmd_verify_corollary,
     "eq1-check": cmd_eq1_check,
+    "oracle-sweep": cmd_oracle_sweep,
 }
 
 
@@ -499,95 +429,80 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
+    def command(name, help, file=True, bound=False, max_subsets=False):
+        p = sub.add_parser(name, help=help)
+        if file:
             p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--bound", type=int, default=None,
-                       help="Hilbert-basis box guard")
-        p.add_argument("--max-subsets", type=int, default=2 ** 20,
-                       help="enumeration guard")
+        if bound:
+            p.add_argument("--bound", type=int, default=None,
+                           help="Hilbert-basis box guard")
+        if max_subsets:
+            p.add_argument("--max-subsets", type=int, default=2 ** 20,
+                           help="enumeration guard")
         p.add_argument("--out", default=None, metavar="PREFIX",
                        help="write PREFIX.txt and PREFIX.json")
+        return p
 
-    p = sub.add_parser("check", help="fan validation, completeness, simpliciality")
-    common(p)
-    p = sub.add_parser("quotient", help="good quotient of a named selection")
-    common(p)
+    command("check", "fan validation, completeness, simpliciality")
+    p = command("quotient", "good quotient of a named selection", bound=True)
     p.add_argument("--selection", default="all")
-    p = sub.add_parser("enumerate-maximal", help="torus-maximal good subsets")
-    common(p)
+    p = command("enumerate-maximal", "torus-maximal good subsets", max_subsets=True)
     p.add_argument("--k", type=int, choices=(1, 2), default=1)
-    p = sub.add_parser("cox", help="quasitorus presentation and witnesses")
-    common(p)
+    p = command("cox", "quasitorus presentation and witnesses")
     p.add_argument("--family", default=None)
-    p = sub.add_parser("w-set", help="intersection of symmetry translates")
-    common(p)
+    p = command("w-set", "intersection of symmetry translates")
     p.add_argument("--selection", default="all")
-    p = sub.add_parser("verify-theorem", help="conclusion checker for one selection")
-    common(p)
+    p = command("verify-theorem", "conclusion checker for one selection", max_subsets=True)
     p.add_argument("--selection", default="all")
-    p = sub.add_parser("verify-corollary", help="both corollary sweeps")
-    common(p)
-    p = sub.add_parser("eq1-check", help="removed-piece identity crosscheck")
-    common(p)
+    command("verify-corollary", "both corollary sweeps", max_subsets=True)
+    p = command("eq1-check", "removed-piece identity crosscheck")
     p.add_argument("--selection", default="all", help="outer selection")
     p.add_argument("--inner", required=True)
-    p = sub.add_parser("oracle-sweep", help="brute-force corpus cross-check")
-    common(p, with_file=False)
+    command("oracle-sweep", "brute-force corpus cross-check", file=False,
+            bound=True, max_subsets=True)
     return parser
 
 
-def _emit(args, command, input_name, lines, payload, exit_code):
-    text_lines = [
-        TEXT_HEADER,
-        f"command: {command}",
-        f"input: {input_name}",
-        f"seed: {args.seed}",
-        "",
-    ]
-    text_lines.extend(lines)
-    text_lines.append("")
-    text_lines.append(f"result: {RESULT_WORDS[exit_code]}")
-    text = "\n".join(text_lines) + "\n"
-    document = {
-        "report_format": JSON_FORMAT,
-        "report_version": JSON_VERSION,
-        "command": command,
-        "input": input_name,
+def _emit(args, rep, out):
+    head = {
+        "command": args.command,
+        "input": getattr(args, "file", None) or "(builtin corpus)",
         "seed": args.seed,
-        "body": payload,
-        "result": RESULT_WORDS[exit_code],
-        "exit_code": exit_code,
     }
+    result = RESULT_WORDS[rep.exit_code]
+    lines = [TEXT_HEADER, *(f"{name}: {value}" for name, value in head.items()), ""]
+    text = "\n".join(lines + rep.lines + ["", f"result: {result}"]) + "\n"
+    document = dict(head, report_format=JSON_FORMAT, report_version=JSON_VERSION)
+    document.update(body=rep.body, result=result, exit_code=rep.exit_code)
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out + ".txt", "w", encoding="utf-8") as handle:
+    if out:
+        with open(out + ".txt", "w", encoding="utf-8") as handle:
             handle.write(text)
-        with open(args.out + ".json", "w", encoding="utf-8") as handle:
+        with open(out + ".json", "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return exit_code
+    return rep.exit_code
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    command = args.command
-    input_name = getattr(args, "file", None) or "(builtin corpus)"
+    out = args.out
+    rep = Report()
     try:
-        if command == "oracle-sweep":
-            lines, payload, code = cmd_oracle_sweep(args)
-        else:
-            problem = load_problem(args.file)
-            lines, payload, code = HANDLERS[command](problem, args)
-    except BoundExceededError as e:
-        message = f"Hilbert-basis bound too small; the certified bound is {e.needed}"
-        lines = [f"input error: {message}"]
-        return _emit(args, command, input_name, lines, {"error": message}, 2)
-    except ValueError as e:
-        lines = [f"input error: {e}"]
-        return _emit(args, command, input_name, lines, {"error": str(e)}, 2)
-    return _emit(args, command, input_name, lines, payload, code)
+        folder = os.path.dirname(out or "") or "."
+        if not os.path.isdir(folder):
+            out = None
+            raise ValueError(f"--out {args.out}: directory {folder} does not exist")
+        problem = load_problem(args.file) if "file" in args else None
+        HANDLERS[args.command](rep, problem, args)
+    except (BoundExceededError, ValueError) as e:
+        message = str(e)
+        if isinstance(e, BoundExceededError):
+            message = f"Hilbert-basis bound too small; the certified bound is {e.needed}"
+        rep = Report(exit_code=2)
+        rep.add(f"input error: {message}", error=message)
+    return _emit(args, rep, out)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .oracles import (
 )
 from .quotients import (
     Obstruction,
-    enumerate_good_subsets,
     good_quotient,
     max_saturated_inside,
     normalize_action,

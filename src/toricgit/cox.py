@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .cones import Cone
 from .fans import Fan, SubfanSelection, limit_of_generic_point
 from .intlat import (
     IntMatrix,

@@ -10,13 +10,17 @@ face of tau) are surfaced through key inclusion.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from .cones import Cone
 from .intlat import IntMatrix, matrix_rank, primitive, smith_normal_form, solve_rational
 
 ConeKey = frozenset
+
+
+def key_order(key):
+    """Sort key for cone keys: smaller cones first, then by ray indices."""
+    return (len(key), sorted(key))
 
 
 class SizeGuardError(ValueError):
@@ -338,8 +342,7 @@ def fan_automorphisms(fan):
         return (FanAutomorphism(fan, IntMatrix.identity(0)),)
     basis_idx = None
     for cand in combinations(range(n), d):
-        rows = IntMatrix(tuple(fan.rays[i] for i in cand), cols=d)
-        if rows.rank() == d:
+        if matrix_rank([fan.rays[i] for i in cand], d) == d:
             basis_idx = cand
             break
     if basis_idx is None:

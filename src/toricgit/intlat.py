@@ -150,9 +150,6 @@ class IntMatrix:
     def is_unimodular(self):
         return self.rows == self.cols and abs(self.det()) == 1
 
-    def rank(self):
-        return sum(1 for d in smith_normal_form(self).diag if d != 0)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:

@@ -15,7 +15,7 @@ may shortcut through the code paths it is meant to audit.
 from itertools import combinations
 
 from .cones import Cone, monoid_generators
-from .fans import SubfanSelection, enumerate_open_subsets
+from .fans import SubfanSelection, enumerate_open_subsets, key_order
 from .intlat import (
     Sublattice,
     dot,
@@ -24,10 +24,6 @@ from .intlat import (
     vneg,
     vsub,
 )
-
-
-def _keysort(key):
-    return (len(key), sorted(key))
 
 
 def _image(act, key):
@@ -86,7 +82,7 @@ def chart_family(selection, act):
     if cached is not None:
         return cached[0]
     fan = selection.fan
-    keys = sorted(selection.keys, key=_keysort)
+    keys = sorted(selection.keys, key=key_order)
     fibers = {}
     cands = []
     for k in keys:
@@ -167,7 +163,7 @@ def brute_t_maximal(fan, act, limit=2 ** 20):
             u.keys < v.keys and oracle_saturated(u, v, act) for v in goods
         )
     ]
-    out.sort(key=lambda u: sorted(u.keys, key=_keysort))
+    out.sort(key=lambda u: sorted(u.keys, key=key_order))
     return out
 
 
@@ -308,7 +304,7 @@ def oracle_verify_quotient(q, bound=None):
         problems.append("stored projection disagrees with the recomputed one")
     img = {t: _split_image(act, t, lbar, pf) for t in sel.keys}
 
-    charts = sorted(q.chart_map.items(), key=lambda kv: _keysort(kv[1]))
+    charts = sorted(q.chart_map.items(), key=lambda kv: key_order(kv[1]))
     fibers = {}
     for img_key, ck in charts:
         if img[ck] != q.fan.cone(img_key):
@@ -329,7 +325,7 @@ def oracle_verify_quotient(q, bound=None):
             )
     covered = frozenset().union(*fibers.values()) if fibers else frozenset()
     if covered != sel.keys:
-        missing = sorted(sel.keys - covered, key=_keysort)[0]
+        missing = sorted(sel.keys - covered, key=key_order)[0]
         problems.append(f"cone {sorted(missing)} is covered by no chart")
     for (ka, a), (kb, b) in combinations(charts, 2):
         meet = img[a].intersect(img[b])
@@ -342,7 +338,7 @@ def oracle_verify_quotient(q, bound=None):
     for img_key, ck in charts:
         faces.update(img[ck].faces())
     carrier = {}
-    for t in sorted(sel.keys, key=_keysort):
+    for t in sorted(sel.keys, key=key_order):
         pt = pf.matvec(fan.cone(t).relative_interior_point())
         found = {f for f in faces if f.contains_in_relative_interior(pt)}
         if len(found) != 1:

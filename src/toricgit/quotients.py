@@ -14,19 +14,20 @@ failure there certifies that no family exists.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fans import Fan, SubfanSelection, enumerate_open_subsets, limit_of_generic_point
+from .fans import (
+    Fan,
+    SubfanSelection,
+    enumerate_open_subsets,
+    key_order,
+    limit_of_generic_point,
+)
 from .intlat import (
-    IntMatrix,
     Sublattice,
     kernel_lattice,
     quotient_lattice_map,
     right_inverse_of_surjection,
     saturate,
 )
-
-
-def _keysort(key):
-    return (len(key), sorted(key))
 
 
 class SubtorusAction:
@@ -163,7 +164,7 @@ def good_quotient(selection, act):
 
 def _good_quotient(selection, act):
     fan = selection.fan
-    keys = sorted(selection.keys, key=_keysort)
+    keys = sorted(selection.keys, key=key_order)
     if not keys:
         empty = Fan(act.proj.rows, [], [])
         return QuotientFan(
@@ -422,7 +423,7 @@ def staged_quotient(selection, act_small, act_large):
             first, second, direct, equal=False, consistent=False,
             detail="target fans have different maximal cones",
         )
-    for t in sorted(selection.keys, key=_keysort):
+    for t in sorted(selection.keys, key=key_order):
         staged_key = second.orbit_map[first.orbit_map[t]]
         if frozenset(to_direct[i] for i in staged_key) != direct.orbit_map[t]:
             return StagedComparison(
@@ -445,7 +446,7 @@ def remark_suite(q):
     unions and intersections."""
     violations = []
     fan = q.source.fan
-    keys = sorted(q.source.keys, key=_keysort)
+    keys = sorted(q.source.keys, key=key_order)
     o = q.orbit_map
     qkeys = q.fan.cone_keys()
     up = {t: frozenset(k for k in keys if t <= k) for t in keys}

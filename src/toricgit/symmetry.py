@@ -18,6 +18,7 @@ from .fans import (
     SubfanSelection,
     is_complete,
     is_simplicial,
+    key_order,
 )
 from .intlat import IntMatrix, right_inverse_of_surjection
 from .quotients import (
@@ -182,7 +183,7 @@ def _composite_saturation(q, data, subset):
 def _orbit_partition(keys, automorphisms):
     seen = set()
     orbits = []
-    for k in sorted(keys, key=lambda k: (len(k), sorted(k))):
+    for k in sorted(keys, key=key_order):
         if k in seen:
             continue
         orbit = {g.apply_key(k) for g in automorphisms}
@@ -380,7 +381,7 @@ def eq1_crosscheck(xprime, x, data):
     difference = left ^ right
     witness = None
     if difference:
-        witness = tuple(sorted(min(difference, key=lambda k: (len(k), sorted(k)))))
+        witness = tuple(sorted(min(difference, key=key_order)))
     return Eq1Report(
         hypothesis_ok=True,
         diagnosis="",

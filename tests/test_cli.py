@@ -1,10 +1,17 @@
 """Command front end: report layout, verdicts, exit codes, file output."""
 
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from toricgit import cli
 from toricgit.cli import main
+from toricgit.corpus import SweepResult
 
 
 def p1_doc():
@@ -55,6 +62,17 @@ def p2_doc():
                 {"polynomial": [[1, [0, 1, 0]], [1, [0, 0, 1]]]},
             ],
         },
+    }
+
+
+def non_fan_doc():
+    # the quadrant [0, 1] contains the maximal cone [0, 2]
+    return {
+        "format": "toricgit-problem",
+        "version": 1,
+        "rank": 2,
+        "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
+        "max_cones": [[0, 1], [0, 2], [1, 3]],
     }
 
 
@@ -135,15 +153,7 @@ class TestCheck:
         assert "line 2" in out
 
     def test_non_fan_is_rejected_before_any_verdict(self, run, write):
-        # the quadrant [0, 1] contains the maximal cone [0, 2]
-        doc = {
-            "format": "toricgit-problem",
-            "version": 1,
-            "rank": 2,
-            "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
-            "max_cones": [[0, 1], [0, 2], [1, 3]],
-        }
-        path = write(doc)
+        path = write(non_fan_doc())
         for argv in (("check", path), ("quotient", path, "--selection", "all")):
             code, out = run(*argv)
             assert code == 2
@@ -313,3 +323,107 @@ class TestDeterminism:
         _, second = run("cox", path, "--family", "witnesses", "--seed", "2")
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("seed:")]
         assert strip(first) == strip(second)
+
+
+class TestOptions:
+    def test_flags_a_command_does_not_read_are_rejected(self, run, write):
+        path = write(p1_doc())
+        for flag in ("--bound", "--max-subsets"):
+            with pytest.raises(SystemExit) as exc:
+                run("check", path, flag, "3")
+            assert exc.value.code == 2
+
+    def test_out_into_a_missing_directory(self, run, write, tmp_path):
+        prefix = str(tmp_path / "no" / "such" / "x")
+        code, out = run("check", write(p1_doc()), "--out", prefix)
+        assert code == 2
+        assert f"input error: --out {prefix}:" in out
+        assert out.rstrip().endswith("result: input error")
+        assert not (tmp_path / "no").exists()
+
+
+# Report branches that the shipped problem files do not reach.  The expected
+# exit code, stdout and JSON file of each case were recorded with the earlier
+# cli.py, which built every command's text lines and JSON payload separately;
+# they pin both renderings byte for byte.
+PINNED = Path(__file__).with_name("cli_pinned.json")
+
+
+def non_saturated_doc():
+    doc = c2_doc()
+    doc["subtorus"] = [[2, 2]]
+    return doc
+
+
+PINNED_CASES = {
+    "theorem-refused": (p1_doc, ["verify-theorem", "problem.json", "--selection", "all"]),
+    "eq1-hypotheses-fail": (
+        c2_doc,
+        ["eq1-check", "problem.json", "--selection", "punctured", "--inner", "all"],
+    ),
+    "bound-zero": (
+        c2_doc,
+        ["quotient", "problem.json", "--selection", "punctured", "--bound", "0"],
+    ),
+    "non-fan": (non_fan_doc, ["check", "problem.json"]),
+    "unknown-selection": (c2_doc, ["quotient", "problem.json", "--selection", "nope"]),
+    "empty-selection": (c2_doc, ["quotient", "problem.json", "--selection", "empty"]),
+    "cox-no-family": (p2_doc, ["cox", "problem.json"]),
+    "cox-coords": (p2_doc, ["cox", "problem.json", "--family", "coords"]),
+    "saturation-note": (
+        non_saturated_doc,
+        ["quotient", "problem.json", "--selection", "punctured"],
+    ),
+    "enumerate-k2": (p2_doc, ["enumerate-maximal", "problem.json", "--k", "2"]),
+    "sweep-clean": (None, ["oracle-sweep", "--seed", "5"]),
+    "sweep-failures": (None, ["oracle-sweep", "--seed", "6"]),
+}
+
+
+def fake_sweep(seed, limit, bound):
+    """A small sweep result; seed 6 has failures in two legs."""
+    failures = dict.fromkeys(
+        ("verdict_disagreements", "certificate_failures", "remark_violations",
+         "tmax_mismatches", "staged_inconsistencies", "saturation_mismatches",
+         "eq1_failures", "theorem_failures"),
+        (),
+    )
+    if seed == 6:
+        failures["certificate_failures"] = ("P1 a=(1) keys=[[], [0]]: chart fails",)
+        failures["eq1_failures"] = (
+            "P1xP1 a=(1,1) outer=[[]] inner=[]: sides differ",
+            "P1xP1 a=(1,1) reflected outer=[[]] inner=[]: sides differ",
+        )
+    return SweepResult(
+        seed=seed, fans=2, actions=3, selections=17, goods=9, staged_pairs=4,
+        saturation_checks=5, eq1_checks=6, elapsed=0.25, **failures,
+    )
+
+
+def pinned_report(name, workdir):
+    """Exit code, stdout and written JSON report of one pinned case, run in
+    `workdir` so that the report names its problem file the same way on
+    every machine."""
+    make_doc, argv = PINNED_CASES[name]
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        if make_doc is not None:
+            Path("problem.json").write_text(json.dumps(make_doc()), encoding="utf-8")
+        buf = io.StringIO()
+        with mock.patch.object(cli, "run_sweep", fake_sweep), \
+                contextlib.redirect_stdout(buf):
+            code = cli.main(argv + ["--out", "report"])
+        return {
+            "exit": code,
+            "text": buf.getvalue(),
+            "json": Path("report.json").read_text(encoding="utf-8"),
+        }
+    finally:
+        os.chdir(previous)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_pinned_report(name, tmp_path):
+    expected = json.loads(PINNED.read_text(encoding="utf-8"))[name]
+    assert pinned_report(name, tmp_path) == expected
