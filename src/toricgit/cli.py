@@ -494,6 +494,9 @@ def main(argv=None):
         if not os.path.isdir(folder):
             out = None
             raise ValueError(f"--out {args.out}: directory {folder} does not exist")
+        if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
+            out = None
+            raise ValueError(f"--out {args.out}: names a directory, not a file prefix")
         problem = load_problem(args.file) if "file" in args else None
         HANDLERS[args.command](rep, problem, args)
     except (BoundExceededError, ValueError) as e:

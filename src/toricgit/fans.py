@@ -37,7 +37,7 @@ class FanValidation:
 class Fan:
     """Finite fan in Z^rank; empty max-cone list encodes the bare torus."""
 
-    __slots__ = ("rank", "rays", "max_cones", "_cones", "_keys")
+    __slots__ = ("rank", "rays", "max_cones", "_cones", "_keys", "_faces_of")
 
     def __init__(self, rank, rays, max_cones):
         rank = int(rank)
@@ -60,6 +60,7 @@ class Fan:
         object.__setattr__(self, "max_cones", tuple(sorted(cones, key=sorted)))
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_keys", None)
+        object.__setattr__(self, "_faces_of", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
@@ -101,7 +102,11 @@ class Fan:
     def faces_of(self, key):
         """Keys of all faces of a fan cone (valid fans: key inclusion)."""
         key = frozenset(key)
-        return tuple(k for k in self.cone_keys() if k <= key)
+        got = self._faces_of.get(key)
+        if got is None:
+            got = tuple(k for k in self.cone_keys() if k <= key)
+            self._faces_of[key] = got
+        return got
 
     def selection(self, keys):
         return SubfanSelection(self, keys)

@@ -9,6 +9,28 @@ the chart's faces, and every cone of U maps into some chart image.  The
 search is closed-form: within the eligible chart set the image determines
 the chart, so the inclusion-maximal-image charts are forced, and a
 failure there certifies that no family exists.
+
+None of the facts this criterion reads depends on the selection, so each
+action keeps one ImageTable over its fan's cones, indexed in key_order,
+with bit rows `below[i]` (the cones whose images img[i] contains),
+`above[i]` (those whose images contain img[i]), `lin_le[i]` (those whose
+lineality lattices lin[i] contains) and `faces[i]`.  A selection is a
+mask M, and the criterion is mask algebra on it:
+
+- the common lineality cone lbar is the first i in M with
+  lin_le[i] & M == M; without one, the first incomparable pair is the
+  obstruction;
+- i is a chart iff it is in lbar's lineality class and
+  below[i] & M == faces[i];
+- the chart family is the charts i with above[i] & C == 1 << i, where C
+  is the chart mask;
+- a cone t is covered iff above[t] meets the family; the witnesses of an
+  uncovered cone (its maximal image m, and a cone of M in m's image that
+  is not a face of m) are the lowest bits of the matching masks.
+
+Every scan runs in ascending index order, which is key_order, so the
+witnesses are those of a pairwise scan over the sorted selection.  Only a
+good selection's quotient fan is then built cone by cone.
 """
 
 from dataclasses import dataclass
@@ -31,9 +53,13 @@ from .intlat import (
 
 
 class SubtorusAction:
-    """Subtorus with saturated cocharacter lattice L and projection N -> N/L."""
+    """Subtorus with saturated cocharacter lattice L and projection N -> N/L.
 
-    __slots__ = ("fan", "cochar", "proj", "input_saturated", "_cache")
+    `_table` holds the engine's ImageTable, built on first use; `_cache`
+    is the oracles' own memo, which the engine never reads.
+    """
+
+    __slots__ = ("fan", "cochar", "proj", "input_saturated", "_table", "_cache")
 
     def __init__(self, fan, cochar, proj, input_saturated=True):
         if not cochar.saturated:
@@ -42,6 +68,7 @@ class SubtorusAction:
         object.__setattr__(self, "cochar", cochar)
         object.__setattr__(self, "proj", proj)
         object.__setattr__(self, "input_saturated", bool(input_saturated))
+        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -67,18 +94,118 @@ class SubtorusAction:
     def is_full(self):
         return self.cochar.rank == self.fan.rank
 
+    def image_table(self):
+        """The engine's ImageTable for this action, built on first use."""
+        if self._table is None:
+            object.__setattr__(self, "_table", ImageTable(self.fan, self.proj))
+        return self._table
+
     def image_cone(self, key):
-        got = self._cache.get(("img", key))
+        table = self.image_table()
+        i = table.index[frozenset(key)]
+        table.fill(1 << i)
+        return table.img[i]
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ImageTable:
+    """Everything the chart criterion reads about one action's fan cones.
+
+    Cone i is the i-th fan key in key_order and bit i of a mask.  Per
+    cone: the image `img[i]`, its lineality lattice `lin[i]` with class id
+    `cls[i]` (equal ids for equal lattices), and `faces[i]`; per ordered
+    pair, bit j of the rows `below[i]`, `above[i]` and `lin_le[i]` (each
+    row holds its own bit).  Facts are computed on first need:
+    `fill(mask)` makes those of the cones in mask and of every pair among
+    them known, so each image containment is decided at most once per
+    action and a cone no selection reaches is never projected.  The table
+    also memoizes whether two chart images meet in a face, the split
+    images per lineality class, and the engine's results.
+    """
+
+    __slots__ = (
+        "fan", "proj", "keys", "index", "img", "lin", "cls", "faces",
+        "below", "above", "lin_le", "known", "classes", "meets", "split",
+        "results", "goods", "tmax",
+    )
+
+    def __init__(self, fan, proj):
+        keys = tuple(sorted(fan.cone_keys(), key=key_order))
+        n = len(keys)
+        self.fan = fan
+        self.proj = proj
+        self.keys = keys
+        self.index = {k: i for i, k in enumerate(keys)}
+        self.img = [None] * n
+        self.lin = [None] * n
+        self.cls = [None] * n
+        self.faces = [0] * n
+        self.below = [1 << i for i in range(n)]
+        self.above = [1 << i for i in range(n)]
+        self.lin_le = [1 << i for i in range(n)]
+        self.known = [1 << i for i in range(n)]
+        self.classes = {}  # lineality basis -> class id
+        self.meets = {}  # (a, b) -> do img[a] and img[b] meet in a face of both
+        self.split = {}  # class id -> (q2, q2 @ proj, {i: split image})
+        self.results = {}  # selection keys -> QuotientFan or Obstruction
+        self.goods = {}  # limit -> enumerate_good_subsets
+        self.tmax = {}  # limit -> t_maximal_subsets
+
+    def mask(self, keys):
+        return sum(1 << self.index[k] for k in keys)
+
+    def fill(self, mask):
+        """Compute every fact about the cones of mask and their pairs."""
+        fan = self.fan
+        for i in _bits(mask):
+            if self.img[i] is None:
+                key = self.keys[i]
+                self.img[i] = fan.cone(key).image(self.proj)
+                self.lin[i] = self.img[i].lineality_lattice()
+                self.cls[i] = self.classes.setdefault(self.lin[i].basis, len(self.classes))
+                self.faces[i] = self.mask(fan.faces_of(key))
+        for i in _bits(mask):
+            for j in _bits(mask & ~self.known[i]):
+                if self.img[i].contains_cone(self.img[j]):
+                    self.below[i] |= 1 << j
+                    self.above[j] |= 1 << i
+                if self.lin[i].contains_lattice(self.lin[j]):
+                    self.lin_le[i] |= 1 << j
+            self.known[i] |= mask
+
+    def meet_is_face(self, a, b):
+        got = self.meets.get((a, b))
         if got is None:
-            got = self.fan.cone(key).image(self.proj)
-            self._cache[("img", key)] = got
+            meet = self.img[a].intersect(self.img[b]).generators
+            # the meet lies in both images, so it is a face of one exactly
+            # when it is its own carrier face there (Cone.is_face_of)
+            got = all(
+                self.img[i].carrier_generators(meet) == meet for i in (a, b)
+            )
+            self.meets[(a, b)] = got
         return got
 
-    def split_image_cone(self, key, q2):
-        got = self._cache.get(("split", key, q2))
+    def split_projection(self, lbar):
+        """(q2, q2 @ proj, split images by index), where q2 divides out the
+        lineality lattice of cone lbar; shared by its lineality class."""
+        got = self.split.get(self.cls[lbar])
         if got is None:
-            got = self.fan.cone(key).image(q2 @ self.proj)
-            self._cache[("split", key, q2)] = got
+            q2 = quotient_lattice_map(self.lin[lbar])
+            got = self.split[self.cls[lbar]] = (q2, q2 @ self.proj, {})
+        return got
+
+    def split_image(self, i, lbar):
+        _, proj_full, images = self.split_projection(lbar)
+        got = images.get(i)
+        if got is None:
+            got = images[i] = self.fan.cone(self.keys[i]).image(proj_full)
         return got
 
 
@@ -154,18 +281,16 @@ def good_quotient(selection, act):
     """QuotientFan for the selection, or an Obstruction naming a witness."""
     if act.fan != selection.fan:
         raise ValueError("action and selection live on different fans")
-    cached = act._cache.get(("gq", selection.keys))
-    if cached is not None:
-        return cached
-    result = _good_quotient(selection, act)
-    act._cache[("gq", selection.keys)] = result
-    return result
+    table = act.image_table()
+    got = table.results.get(selection.keys)
+    if got is None:
+        got = table.results[selection.keys] = _good_quotient(selection, act, table)
+    return got
 
 
-def _good_quotient(selection, act):
+def _good_quotient(selection, act, table):
     fan = selection.fan
-    keys = sorted(selection.keys, key=key_order)
-    if not keys:
+    if not selection.keys:
         empty = Fan(act.proj.rows, [], [])
         return QuotientFan(
             selection,
@@ -178,80 +303,83 @@ def _good_quotient(selection, act):
             orbit_map={},
             geometric=True,
         )
-    img = {k: act.image_cone(k) for k in keys}
-    lin = {k: img[k].lineality_lattice() for k in keys}
-    lbar_key = next(
-        (k for k in keys if all(lin[k].contains_lattice(lin[j]) for j in keys)), None
-    )
-    if lbar_key is None:
+    sel = table.mask(selection.keys)
+    table.fill(sel)
+    order = list(_bits(sel))
+    key = table.keys
+    below, above, faces, cls = table.below, table.above, table.faces, table.cls
+    lbar = next((i for i in order if table.lin_le[i] & sel == sel), None)
+    if lbar is None:
         a, b = next(
-            (a, b)
-            for a, b in combinations(keys, 2)
-            if not lin[a].contains_lattice(lin[b])
-            and not lin[b].contains_lattice(lin[a])
+            (
+                (a, b)
+                for a, b in combinations(order, 2)
+                if not (table.lin_le[a] >> b) & 1 and not (table.lin_le[b] >> a) & 1
+            ),
+            (None, None),
         )
+        if a is None:
+            raise RuntimeError(
+                f"lineality spaces of the images from cone {sorted(key[order[0]])} "
+                "on are pairwise comparable but have no largest element"
+            )
         return Obstruction(
             "mixed-lineality",
-            f"images of {sorted(a)} and {sorted(b)} have incomparable lineality spaces",
-            (a, b),
+            f"images of {sorted(key[a])} and {sorted(key[b])} "
+            "have incomparable lineality spaces",
+            (key[a], key[b]),
         )
-    lbar = lin[lbar_key]
 
-    charts = []
-    for k in keys:
-        if lin[k].basis != lbar.basis:
-            continue
-        fiber = {t for t in keys if img[k].contains_cone(img[t])}
-        if fiber == set(fan.faces_of(k)):
-            charts.append(k)
-    chart_family = [
-        k
-        for k in charts
-        if not any(j != k and img[j].contains_cone(img[k]) for j in charts)
-    ]
+    charts = 0
+    for i in order:
+        if cls[i] == cls[lbar] and below[i] & sel == faces[i]:
+            charts |= 1 << i
+    family = [i for i in _bits(charts) if above[i] & charts == 1 << i]
+    covered = sum(1 << i for i in family)
 
-    for t in keys:
-        if any(img[s].contains_cone(img[t]) for s in chart_family):
+    for t in order:
+        if above[t] & covered:
             continue
         m = next(
-            m
-            for m in keys
-            if img[m].contains_cone(img[t])
-            and not any(
-                img[j].contains_cone(img[m]) and not img[m].contains_cone(img[j])
-                for j in keys
-            )
+            (m for m in _bits(above[t] & sel) if not above[m] & sel & ~below[m]), None
         )
-        if lin[m].basis != lbar.basis:
+        if m is None:
+            raise RuntimeError(
+                f"the image of cone {sorted(key[t])} lies in no maximal image"
+            )
+        if cls[m] != cls[lbar]:
             return Obstruction(
                 "mixed-lineality",
-                f"the maximal image of {sorted(m)} drops the common lineality space",
-                (m, lbar_key),
+                f"the maximal image of {sorted(key[m])} drops the common lineality space",
+                (key[m], key[lbar]),
             )
-        bad = next(
-            tp
-            for tp in keys
-            if img[m].contains_cone(img[tp]) and tp not in set(fan.faces_of(m))
-        )
+        strays = below[m] & sel & ~faces[m]
+        if not strays:
+            raise RuntimeError(
+                f"cone {sorted(key[m])} has a maximal image but is no chart "
+                "and no cone maps into it beyond its faces"
+            )
+        bad = key[(strays & -strays).bit_length() - 1]
         return Obstruction(
             "chart-fiber",
-            f"cone {sorted(bad)} maps into the image of {sorted(m)} "
+            f"cone {sorted(bad)} maps into the image of {sorted(key[m])} "
             "but is not a face of it",
-            (m, bad),
+            (key[m], bad),
         )
 
-    for a, b in combinations(chart_family, 2):
-        meet = img[a].intersect(img[b])
-        if not (meet.is_face_of(img[a]) and meet.is_face_of(img[b])):
+    for a, b in combinations(family, 2):
+        if not table.meet_is_face(a, b):
             return Obstruction(
                 "non-fan-images",
-                f"images of charts {sorted(a)} and {sorted(b)} do not meet in a face",
-                (a, b),
+                f"images of charts {sorted(key[a])} and {sorted(key[b])} "
+                "do not meet in a face",
+                (key[a], key[b]),
             )
 
-    q2 = quotient_lattice_map(lbar)
-    proj_full = q2 @ act.proj
-    timg = {k: act.split_image_cone(k, q2) for k in keys}
+    q2, proj_full, _ = table.split_projection(lbar)
+    keys = [key[i] for i in order]
+    chart_family = [key[i] for i in family]
+    timg = {key[i]: table.split_image(i, lbar) for i in order}
     rays = sorted({g for s in chart_family for g in timg[s].generators})
     ray_index = {g: i for i, g in enumerate(rays)}
     qfan = Fan(
@@ -278,7 +406,7 @@ def _good_quotient(selection, act):
     return QuotientFan(
         selection,
         act,
-        lbar,
+        table.lin[lbar],
         proj_full,
         qfan,
         charts=tuple(chart_family),
@@ -305,15 +433,14 @@ def is_saturated(inner, outer, act):
 
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
     """All face-closed selections admitting a good quotient."""
-    cached = act._cache.get(("goods", limit))
-    if cached is None:
-        cached = [
+    goods = act.image_table().goods
+    if limit not in goods:
+        goods[limit] = [
             sel
             for sel in enumerate_open_subsets(fan, limit)
             if isinstance(good_quotient(sel, act), QuotientFan)
         ]
-        act._cache[("goods", limit)] = cached
-    return list(cached)
+    return list(goods[limit])
 
 
 def t_maximal_subsets(fan, act, k=1, limit=2 ** 20):
@@ -325,16 +452,15 @@ def t_maximal_subsets(fan, act, k=1, limit=2 ** 20):
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    cached = act._cache.get(("tmax", limit))
-    if cached is None:
+    tmax = act.image_table().tmax
+    if limit not in tmax:
         goods = enumerate_good_subsets(fan, act, limit)
-        cached = [
+        tmax[limit] = [
             u
             for u in goods
             if not any(u.keys < v.keys and is_saturated(u, v, act) for v in goods)
         ]
-        act._cache[("tmax", limit)] = cached
-    return list(cached)
+    return list(tmax[limit])
 
 
 def max_saturated_inside(outer, inner, act):

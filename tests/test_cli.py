@@ -341,6 +341,18 @@ class TestOptions:
         assert out.rstrip().endswith("result: input error")
         assert not (tmp_path / "no").exists()
 
+    def test_out_naming_a_directory(self, run, write, tmp_path):
+        path = write(p1_doc())
+        folder = tmp_path / "outdir"
+        folder.mkdir()
+        for prefix in (str(folder) + os.sep, str(folder)):
+            code, out = run("check", path, "--out", prefix)
+            assert code == 2
+            assert f"input error: --out {prefix}: names a directory" in out
+            assert out.rstrip().endswith("result: input error")
+        assert list(folder.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "problem.json"]
+
 
 # Report branches that the shipped problem files do not reach.  The expected
 # exit code, stdout and JSON file of each case were recorded with the earlier

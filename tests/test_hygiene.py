@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is referenced."""
+"""Source hygiene: every name a package module imports is referenced, and
+only the oracles touch an action's `_cache` memo."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,24 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def cache_touches(source):
+    """Lines that read or write an attribute named `_cache`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_cache")
+
+
+def test_the_scan_finds_a_cache_touch():
+    source = (
+        "x = act._cache.get(key)\nact._cache[key] = 1\n"
+        "object.__setattr__(act, '_cache', {})\ny = act.cache\n"
+    )
+    assert cache_touches(source) == [1, 2]
+
+
+# The engine keeps its memos in the action's image table; `_cache` is left
+# to the oracles, so they stay independent of the code they audit.
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "oracles.py"])
+def test_only_the_oracles_touch_the_action_cache(module):
+    assert cache_touches((PACKAGE / module).read_text(encoding="utf-8")) == []

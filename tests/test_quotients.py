@@ -1,9 +1,20 @@
 """Good-quotient tests: frozen examples, saturation, maximality, staging."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
-from toricgit.fans import Fan, SubfanSelection, enumerate_open_subsets, validate_fan
-from toricgit.intlat import IntMatrix
+from toricgit.cones import Cone
+from toricgit.fans import (
+    Fan,
+    SubfanSelection,
+    enumerate_open_subsets,
+    key_order,
+    limit_of_generic_point,
+    validate_fan,
+)
+from toricgit.intlat import IntMatrix, Sublattice, quotient_lattice_map
 from toricgit.quotients import (
     Obstruction,
     QuotientFan,
@@ -265,3 +276,236 @@ class TestRemarkSuite:
         q = good_quotient(SubfanSelection(C2, []), diag_action())
         assert isinstance(q, QuotientFan)
         assert remark_suite(q) == ()
+
+
+# The engine before the image table, kept as the reference for the mask
+# algebra: every fact is recomputed pairwise on the selection's own cones,
+# and the scans run in key_order, which is the table's index order.
+def pairwise_good_quotient(selection, act, images):
+    fan = selection.fan
+    keys = sorted(selection.keys, key=key_order)
+    if not keys:
+        return QuotientFan(
+            selection, act, Sublattice.from_rows(act.proj.rows, []), act.proj,
+            Fan(act.proj.rows, [], []), charts=(), chart_map={}, orbit_map={},
+            geometric=True,
+        )
+    for k in keys:
+        if k not in images:
+            images[k] = fan.cone(k).image(act.proj)
+    img = {k: images[k] for k in keys}
+    lin = {k: img[k].lineality_lattice() for k in keys}
+    lbar_key = next(
+        (k for k in keys if all(lin[k].contains_lattice(lin[j]) for j in keys)), None
+    )
+    if lbar_key is None:
+        a, b = next(
+            (a, b)
+            for a, b in combinations(keys, 2)
+            if not lin[a].contains_lattice(lin[b])
+            and not lin[b].contains_lattice(lin[a])
+        )
+        return Obstruction(
+            "mixed-lineality",
+            f"images of {sorted(a)} and {sorted(b)} have incomparable lineality spaces",
+            (a, b),
+        )
+    lbar = lin[lbar_key]
+    charts = []
+    for k in keys:
+        if lin[k].basis != lbar.basis:
+            continue
+        fiber = {t for t in keys if img[k].contains_cone(img[t])}
+        if fiber == set(fan.faces_of(k)):
+            charts.append(k)
+    chart_family = [
+        k
+        for k in charts
+        if not any(j != k and img[j].contains_cone(img[k]) for j in charts)
+    ]
+    for t in keys:
+        if any(img[s].contains_cone(img[t]) for s in chart_family):
+            continue
+        m = next(
+            m
+            for m in keys
+            if img[m].contains_cone(img[t])
+            and not any(
+                img[j].contains_cone(img[m]) and not img[m].contains_cone(img[j])
+                for j in keys
+            )
+        )
+        if lin[m].basis != lbar.basis:
+            return Obstruction(
+                "mixed-lineality",
+                f"the maximal image of {sorted(m)} drops the common lineality space",
+                (m, lbar_key),
+            )
+        bad = next(
+            tp
+            for tp in keys
+            if img[m].contains_cone(img[tp]) and tp not in set(fan.faces_of(m))
+        )
+        return Obstruction(
+            "chart-fiber",
+            f"cone {sorted(bad)} maps into the image of {sorted(m)} "
+            "but is not a face of it",
+            (m, bad),
+        )
+    for a, b in combinations(chart_family, 2):
+        meet = img[a].intersect(img[b])
+        if not (meet.is_face_of(img[a]) and meet.is_face_of(img[b])):
+            return Obstruction(
+                "non-fan-images",
+                f"images of charts {sorted(a)} and {sorted(b)} do not meet in a face",
+                (a, b),
+            )
+    q2 = quotient_lattice_map(lbar)
+    proj_full = q2 @ act.proj
+    timg = {k: fan.cone(k).image(proj_full) for k in keys}
+    rays = sorted({g for s in chart_family for g in timg[s].generators})
+    ray_index = {g: i for i, g in enumerate(rays)}
+    qfan = Fan(
+        q2.rows,
+        rays,
+        [frozenset(ray_index[g] for g in timg[s].generators) for s in chart_family],
+    )
+    orbit_map = {
+        t: limit_of_generic_point(qfan, timg[t].relative_interior_point()) for t in keys
+    }
+    chart_map = {
+        frozenset(ray_index[g] for g in timg[s].generators): s for s in chart_family
+    }
+    geometric = True
+    for s in chart_family:
+        sfaces = fan.faces_of(s)
+        mapped = [orbit_map[f] for f in sfaces]
+        top = frozenset(ray_index[g] for g in timg[s].generators)
+        if len(set(mapped)) != len(sfaces) or set(mapped) != set(qfan.faces_of(top)):
+            geometric = False
+    return QuotientFan(
+        selection, act, lbar, proj_full, qfan, charts=tuple(chart_family),
+        chart_map=chart_map, orbit_map=orbit_map, geometric=geometric,
+    )
+
+
+def projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return rays, [[j for j in range(n + 1) if j != i] for i in range(n + 1)]
+
+
+P3_RAYS, P3_CONES = projective_space(3)
+P4_RAYS, P4_CONES = projective_space(4)
+# cones over the facets x = 1 and y = 1 of the cube [-1, 1]^3: four rays each
+CUBE_RAYS = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)
+             if x == 1 or y == 1]
+CUBE_FACETS = [[i for i, r in enumerate(CUBE_RAYS) if r[axis] == 1] for axis in (0, 1)]
+
+# Together these reach every verdict branch: chart-fiber everywhere,
+# non-fan-images on P3 with (1,2,3), on the cube facets and on the P4 cone
+# with a line (rank-3 target, where the meet of two chart images can be a
+# face of one image only), and both mixed-lineality branches (incomparable
+# lineality spaces, and a maximal image dropping the common one) on the
+# two cases with rank-2 targets that follow.
+DIFFERENTIAL_CASES = {
+    "p2_diagonal": (Fan(2, P2.rays, P2.max_cones), [(1, 1)]),
+    "p3_123": (Fan(3, P3_RAYS, P3_CONES), [(1, 2, 3)]),
+    "p3_1m10": (Fan(3, P3_RAYS, P3_CONES), [(1, -1, 0)]),
+    "cube_two_facets": (Fan(3, CUBE_RAYS, CUBE_FACETS), [(1, 2, 3)]),
+    "p4_cone_line": (Fan(4, P4_RAYS, [P4_CONES[4]]), [(-2, 1, 0, -1)]),
+    "p3_two_cones_110": (Fan(3, P3_RAYS, [P3_CONES[1], P3_CONES[3]]), [(1, 1, 0)]),
+    "p4_cone_rank2": (Fan(4, P4_RAYS, [P4_CONES[4]]), [(1, 0, 0, 1), (0, 1, 1, 0)]),
+}
+
+
+def verdict(result):
+    """Everything a caller can read off a result, as comparable data."""
+    if isinstance(result, Obstruction):
+        branch = result.kind
+        if branch == "mixed-lineality":
+            branch += "/pair" if result.detail.startswith("images") else "/maximal"
+        return branch, (result.kind, result.detail, result.witness)
+    return "quotient", (
+        result.charts,
+        result.chart_map,
+        result.orbit_map,
+        result.geometric,
+        result.fan.rays,
+        result.fan.max_cones,
+        result.pre_lineality,
+        result.proj_full,
+    )
+
+
+class TestDifferentialAgainstPairwiseEngine:
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_every_selection_matches(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        act = normalize_action(fan, gens)
+        images = {}
+        for sel in enumerate_open_subsets(fan):
+            got = good_quotient(sel, act)
+            want = pairwise_good_quotient(sel, act, images)
+            assert type(got) is type(want), sel
+            assert verdict(got) == verdict(want), sel
+
+    def test_the_cases_reach_every_branch(self):
+        branches = Counter()
+        for fan, gens in DIFFERENTIAL_CASES.values():
+            act = normalize_action(fan, gens)
+            branches.update(
+                verdict(good_quotient(sel, act))[0] for sel in enumerate_open_subsets(fan)
+            )
+        assert set(branches) == {
+            "quotient", "chart-fiber", "non-fan-images",
+            "mixed-lineality/pair", "mixed-lineality/maximal",
+        }
+
+
+NINE_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def test_image_containment_is_decided_at_most_once_per_pair(monkeypatch):
+    fan = Fan(2, NINE_RAYS, [[i, (i + 1) % 9] for i in range(9)])
+    act = normalize_action(fan, [(1, 2)])
+    n = len(fan.cone_keys())
+    calls = 0
+    contains_cone = Cone.contains_cone
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return contains_cone(self, other)
+
+    monkeypatch.setattr(Cone, "contains_cone", counted)
+    assert len(enumerate_good_subsets(fan, act)) > 0
+    assert n == 19 and calls <= n * n
+
+
+def forge_none_is_a_chart(table, full):
+    table.faces = [full] * len(table.keys)
+
+
+def forge_no_maximal_image(table, full):
+    forge_none_is_a_chart(table, full)
+    table.below = [1 << i for i in range(len(table.keys))]
+
+
+def forge_cyclic_lineality(table, full):
+    # each lattice contains the next one only: pairwise comparable, no largest
+    table.lin_le = [1 << i | 1 << (i + 1) % 3 for i in range(3)]
+
+
+@pytest.mark.parametrize("forge, message", [
+    (forge_none_is_a_chart, r"cone \[\] has a maximal image but is no chart"),
+    (forge_no_maximal_image, r"the image of cone \[\] lies in no maximal image"),
+    (forge_cyclic_lineality, r"images from cone \[\] on are pairwise comparable"),
+])
+def test_broken_table_invariants_raise_named_errors(forge, message):
+    act = normalize_action(P1, [(1,)])
+    table = act.image_table()
+    full = table.mask(P1.cone_keys())
+    table.fill(full)
+    forge(table, full)
+    with pytest.raises(RuntimeError, match=message):
+        good_quotient(P1.full_selection(), act)
