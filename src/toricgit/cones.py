@@ -35,6 +35,13 @@ class BoundExceededError(Exception):
         self.needed = needed
 
 
+class SizeGuardError(ValueError):
+    """Exponential enumeration refused before it starts: it would exceed its guard."""
+
+
+HILBERT_BOX_LIMIT = 2 ** 20  # lattice points a Hilbert-basis box may hold
+
+
 def dd_solve(ineqs, ambient):
     """Minimal generators of {x : a.x >= 0 for all a in ineqs}.
 
@@ -267,11 +274,12 @@ class Cone:
 def hilbert_basis(cone, bound=None):
     """Minimal generating set of the monoid cone ∩ Z^d, for pointed cones.
 
-    Enumerates lattice points in the box [-bound, bound]^d.  A sum of the
-    absolute coordinates of the extreme rays certifies the box (every
-    irreducible element is a subconvex combination of at most d extreme rays);
-    bound=None uses that certificate, a smaller explicit bound raises
-    BoundExceededError carrying the certified value.
+    Enumerates lattice points in the box [-need, need]^d, where need, a sum
+    of the absolute coordinates of the extreme rays, certifies the box (every
+    irreducible element is a subconvex combination of at most d extreme rays).
+    An explicit bound below need raises BoundExceededError carrying need; a
+    larger one changes nothing.  A certified box of more than
+    HILBERT_BOX_LIMIT points raises SizeGuardError before any point is built.
     """
     if cone.lineality_rank:
         raise ValueError("Hilbert basis requires a pointed cone")
@@ -281,15 +289,16 @@ def hilbert_basis(cone, bound=None):
     need = max(
         sum(abs(g[j]) for g in cone.generators) for j in range(d)
     )
-    if bound is None:
-        bound = need
-    elif need > bound:
+    if bound is not None and need > bound:
         raise BoundExceededError(need)
+    box = (2 * need + 1) ** d
+    if box > HILBERT_BOX_LIMIT:
+        raise SizeGuardError(f"Hilbert-basis box of {box} points exceeds {HILBERT_BOX_LIMIT}")
     weight = cone.dual().relative_interior_point()
     points = []
     stack = [()]
     for _ in range(d):
-        stack = [p + (x,) for p in stack for x in range(-bound, bound + 1)]
+        stack = [p + (x,) for p in stack for x in range(-need, need + 1)]
     for p in stack:
         if any(p) and cone.contains(p):
             points.append(p)

@@ -12,8 +12,14 @@ face of tau) are surfaced through key inclusion.
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .cones import Cone
-from .intlat import IntMatrix, matrix_rank, primitive, smith_normal_form, solve_rational
+from .cones import Cone, SizeGuardError
+from .intlat import (
+    IntMatrix,
+    matrix_rank,
+    primitive,
+    right_inverse_of_surjection,
+    smith_normal_form,
+)
 
 ConeKey = frozenset
 
@@ -21,10 +27,6 @@ ConeKey = frozenset
 def key_order(key):
     """Sort key for cone keys: smaller cones first, then by ray indices."""
     return (len(key), sorted(key))
-
-
-class SizeGuardError(ValueError):
-    """Enumeration would exceed the configured subset guard."""
 
 
 @dataclass(frozen=True)
@@ -258,17 +260,6 @@ def enumerate_open_subsets(fan, limit=2 ** 20):
     return [SubfanSelection(fan, ideal) for ideal in ideals]
 
 
-def orbit_poset(fan):
-    """Pairs (sigma, tau): the orbit of tau lies in the orbit closure of sigma."""
-    keys = fan.cone_keys()
-    return tuple(
-        (a, b)
-        for a in keys
-        for b in keys
-        if a <= b
-    )
-
-
 def limit_of_generic_point(fan, v):
     """Key of the cone holding v in its relative interior, None if outside:
     the carrier face of v in the first maximal cone holding v."""
@@ -330,9 +321,7 @@ class FanAutomorphism:
         return FanAutomorphism(self.fan, self.matrix @ other.matrix)
 
     def inverse(self):
-        from .intlat import unimodular_inverse
-
-        return FanAutomorphism(self.fan, unimodular_inverse(self.matrix))
+        return FanAutomorphism(self.fan, right_inverse_of_surjection(self.matrix))
 
     def is_identity(self):
         return self.matrix == IntMatrix.identity(self.fan.rank)
@@ -352,22 +341,19 @@ def fan_automorphisms(fan):
             break
     if basis_idx is None:
         raise ValueError("rays do not span the ambient space")
-    source = IntMatrix.from_columns([fan.rays[i] for i in basis_idx], rows=d)
-    source_t = source.transpose()
+    # m @ source == target; source = left^-1 diag right^-1, so
+    # m = target @ right @ diag^-1 @ left, integral iff target @ right is
+    # divisible column by column by diag
+    snf = smith_normal_form(IntMatrix.from_columns([fan.rays[i] for i in basis_idx], rows=d))
     found = []
     for targets in permutations(range(n), d):
-        target = IntMatrix.from_columns([fan.rays[i] for i in targets], rows=d)
-        rows = []
-        ok = True
-        for i in range(d):
-            sol = solve_rational(source_t, target.row(i))
-            if sol is None or any(x.denominator != 1 for x in sol):
-                ok = False
-                break
-            rows.append(tuple(int(x) for x in sol))
-        if not ok:
+        scaled = IntMatrix.from_columns([fan.rays[i] for i in targets], rows=d) @ snf.right
+        if any(x % q for row in scaled.entries for x, q in zip(row, snf.diag)):
             continue
-        m = IntMatrix(tuple(rows), cols=d)
+        m = IntMatrix(
+            tuple(tuple(x // q for x, q in zip(row, snf.diag)) for row in scaled.entries),
+            cols=d,
+        ) @ snf.left
         if not m.is_unimodular():
             continue
         try:

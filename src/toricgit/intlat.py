@@ -1,13 +1,15 @@
-"""Exact integer linear algebra: Smith form, kernels, saturations, quotient maps.
+"""Exact integer linear algebra: Hermite and Smith forms, kernels, saturations,
+quotient maps.
 
-Everything works over plain Python integers (arbitrary precision) and
-fractions.Fraction; no floating point anywhere.  Vectors are tuples read as
-column vectors, matrices act on the left.
+Everything works over plain Python integers (arbitrary precision); no
+fractions and no floating point anywhere.  Ranks, inverses, kernels and
+solutions all come from the two integer normal forms, `hermite_rows` and
+`smith_normal_form`.  Vectors are tuples read as column vectors, matrices act
+on the left.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -162,15 +164,6 @@ class SmithDecomposition:
     diag: tuple
     right: IntMatrix
 
-    def diagonal_matrix(self, rows, cols):
-        return IntMatrix(
-            tuple(
-                tuple(self.diag[i] if i == j and i < len(self.diag) else 0 for j in range(cols))
-                for i in range(rows)
-            ),
-            cols=cols,
-        )
-
 
 def smith_normal_form(A):
     """Smith decomposition of an integer matrix.
@@ -308,19 +301,19 @@ class Sublattice:
 
     ambient: int
     basis: IntMatrix
-    saturated: bool
 
     @classmethod
     def from_rows(cls, ambient, rows):
-        hb = hermite_rows(rows, ambient)
-        basis = IntMatrix(hb, cols=ambient)
-        snf = smith_normal_form(basis) if hb else None
-        sat = all(d == 1 for d in snf.diag if d != 0) if snf else True
-        return cls(ambient, basis, sat)
+        return cls(ambient, IntMatrix(hermite_rows(rows, ambient), cols=ambient))
 
     @property
     def rank(self):
         return self.basis.rows
+
+    @property
+    def saturated(self):
+        """Z^ambient / L is torsion-free: every invariant factor is 1."""
+        return all(d == 1 for d in smith_normal_form(self.basis).diag)
 
     def contains(self, v):
         """Integer membership via Hermite reduction."""
@@ -343,9 +336,7 @@ def kernel_lattice(A):
     """Saturated sublattice {v in Z^cols : A v = 0}."""
     snf = smith_normal_form(A)
     r = sum(1 for d in snf.diag if d != 0)
-    rows = tuple(snf.right.column(j) for j in range(r, A.cols))
-    lat = Sublattice.from_rows(A.cols, rows)
-    return Sublattice(lat.ambient, lat.basis, True)
+    return Sublattice.from_rows(A.cols, (snf.right.column(j) for j in range(r, A.cols)))
 
 
 def saturate(L):
@@ -355,11 +346,10 @@ def saturate(L):
     saturated by construction.
     """
     if L.rank == 0:
-        return Sublattice(L.ambient, L.basis, True)
+        return L
     perp = kernel_lattice(L.basis)
     if perp.rank == 0:
-        full = IntMatrix.identity(L.ambient)
-        return Sublattice(L.ambient, full, True)
+        return Sublattice(L.ambient, IntMatrix.identity(L.ambient))
     return kernel_lattice(perp.basis)
 
 
@@ -369,12 +359,12 @@ def quotient_lattice_map(L):
     Raises ValueError for an unsaturated input (the quotient would have
     torsion, which a lattice map cannot carry).
     """
-    if not L.saturated:
-        raise ValueError("quotient by an unsaturated sublattice has torsion")
     n, k = L.ambient, L.rank
     if k == 0:
         return IntMatrix.identity(n)
     snf = smith_normal_form(L.basis.transpose())  # columns span L
+    if any(d != 1 for d in snf.diag):
+        raise ValueError("quotient by an unsaturated sublattice has torsion")
     # left @ basis^T has only the first k rows nonzero; the lower rows of left
     # therefore kill L, stay surjective, and have kernel exactly L.
     pi_rows = snf.left.entries[k:]
@@ -390,33 +380,6 @@ def cokernel_diagnostics(A):
     return A.rows - len(nonzero), torsion
 
 
-def unimodular_inverse(M):
-    """Exact inverse of a unimodular integer matrix."""
-    n = M.rows
-    if M.cols != n:
-        raise ValueError("not square")
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(M.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return IntMatrix(out, cols=n)
-
-
 def right_inverse_of_surjection(A):
     """Integer section s with A @ s == identity, for surjective A."""
     m, n = A.rows, A.cols
@@ -430,50 +393,6 @@ def right_inverse_of_surjection(A):
     return snf.right @ block @ snf.left
 
 
-def solve_rational(A, b):
-    """One rational solution x of A x = b, or None."""
-    m, n = A.rows, A.cols
-    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.entries)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    return tuple(x)
-
-
 def matrix_rank(rows, cols):
-    """Rank of a list of integer row vectors (fraction-free)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col]
-        work[rank] = [x / inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    """Rank of a list of integer row vectors: the length of their Hermite basis."""
+    return len(hermite_rows(rows, cols))

@@ -195,6 +195,17 @@ class TestQuotient:
         assert code == 2
         assert "certified bound is 1" in out
 
+    def test_a_bound_above_the_certificate_changes_nothing(self, run, tmp_path):
+        # the box enumerated is the certified one, so a huge bound costs nothing
+        problem = str(Path(__file__).resolve().parent.parent / "inputs" / "p2.json")
+        reports = []
+        for bound in ("3", "100000"):
+            prefix = str(tmp_path / f"bound{bound}")
+            code, out = run("quotient", problem, "--bound", bound, "--out", prefix)
+            reports.append((code, out, Path(prefix + ".json").read_bytes()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+
 
 class TestEnumerateMaximal:
     def test_projective_line(self, run, write):

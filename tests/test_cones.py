@@ -12,7 +12,14 @@ from math import gcd
 
 import pytest
 
-from toricgit.cones import BoundExceededError, Cone, hilbert_basis, monoid_generators
+from toricgit.cones import (
+    BoundExceededError,
+    Cone,
+    SizeGuardError,
+    hilbert_basis,
+    monoid_generators,
+)
+from toricgit import fans
 from toricgit.fans import Fan, limit_of_generic_point, validate_fan
 from toricgit.intlat import IntMatrix, dot
 
@@ -384,6 +391,26 @@ class TestHilbertBasis:
         assert set(hilbert_basis(c, bound=exc.value.needed)) == set(
             hilbert_basis(c, bound=None)
         )
+
+    def test_explicit_bound_above_the_certificate_changes_nothing(self):
+        c = Cone.from_generators([(1, 0), (1, 3)], 2)
+        assert hilbert_basis(c, bound=10 ** 6) == hilbert_basis(c)
+
+    def test_oversized_box_is_refused_before_enumeration(self, monkeypatch):
+        # need = 51 on the last coordinate: a box of 103^3 > 2^20 points
+        c = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 0, 51)], 3)
+
+        def enumerated(*args):
+            raise AssertionError("the box was enumerated")
+
+        monkeypatch.setattr(Cone, "dual", enumerated)
+        monkeypatch.setattr(Cone, "contains", enumerated)
+        with pytest.raises(SizeGuardError, match="1092727 points"):
+            hilbert_basis(c)
+        with pytest.raises(SizeGuardError):
+            hilbert_basis(c, bound=51)
+        assert issubclass(SizeGuardError, ValueError)
+        assert fans.SizeGuardError is SizeGuardError
 
     def test_non_pointed_rejected(self):
         half = Cone.from_inequalities([(1, 0)], 2)

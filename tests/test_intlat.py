@@ -17,7 +17,6 @@ from toricgit.intlat import (
     right_inverse_of_surjection,
     saturate,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -43,6 +42,13 @@ def minor_gcd_diag(A):
     return tuple(out)
 
 
+def diagonal(diag, rows, cols):
+    """The rows x cols matrix with diag on its main diagonal."""
+    return IntMatrix(
+        [[diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)], cols=cols
+    )
+
+
 def test_smith_diag_examples():
     assert smith_normal_form(IntMatrix([[2, 0], [0, 3]])).diag == (1, 6)
     assert smith_normal_form(IntMatrix([[1, 2], [3, 4]])).diag == (1, 2)
@@ -51,7 +57,7 @@ def test_smith_diag_examples():
 def test_smith_decomposition_reconstructs():
     A = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     snf = smith_normal_form(A)
-    assert snf.left @ A @ snf.right == snf.diagonal_matrix(A.rows, A.cols)
+    assert snf.left @ A @ snf.right == diagonal(snf.diag, A.rows, A.cols)
     assert snf.left.is_unimodular() and snf.right.is_unimodular()
 
 
@@ -62,7 +68,7 @@ def test_smith_random_sweep_against_minor_gcd_oracle():
         n = rng.randint(1, 5)
         A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         snf = smith_normal_form(A)
-        assert snf.left @ A @ snf.right == snf.diagonal_matrix(m, n), (trial, A)
+        assert snf.left @ A @ snf.right == diagonal(snf.diag, m, n), (trial, A)
         assert abs(snf.left.det()) == 1 and abs(snf.right.det()) == 1, (trial, A)
         nonzero = [d for d in snf.diag if d != 0]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])), (trial, A)
@@ -150,7 +156,9 @@ def test_hermite_rows_canonical():
 
 def test_unimodular_inverse_and_right_inverse():
     U = IntMatrix([[2, 1], [1, 1]])
-    assert U @ unimodular_inverse(U) == IntMatrix.identity(2)
+    inv = right_inverse_of_surjection(U)
+    assert inv == IntMatrix([[1, -1], [-1, 2]])
+    assert U @ inv == inv @ U == IntMatrix.identity(2)
     A = IntMatrix([[1, 0, 2], [0, 1, -1]])
     s = right_inverse_of_surjection(A)
     assert A @ s == IntMatrix.identity(2)

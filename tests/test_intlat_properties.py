@@ -1,0 +1,146 @@
+"""Hypothesis properties of the integer normal forms, with sympy as an
+independent reference for invariant factors and ranks.
+
+Every property is derandomized and runs on small matrices (at most 4 x 4,
+entries in [-9, 9]), so a run tests the same examples each time.
+"""
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
+from toricgit.fans import Fan, fan_automorphisms
+from toricgit.intlat import (
+    IntMatrix,
+    Sublattice,
+    matrix_rank,
+    right_inverse_of_surjection,
+    smith_normal_form,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    return IntMatrix(
+        [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+@st.composite
+def unimodular(draw, n=None):
+    """A product of random elementary integer row operations on the identity."""
+    if n is None:
+        n = draw(st.integers(1, 4))
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            c = draw(st.integers(-3, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix(rows, cols=n)
+
+
+def reference_smith(A):
+    """sympy's Smith normal form of A."""
+    return IntMatrix(sympy_smith(sympy.Matrix(A.entries), domain=sympy.ZZ).tolist(), cols=A.cols)
+
+
+def reference_diag(A):
+    """sympy's invariant factors, min(rows, cols) of them."""
+    return tuple(reference_smith(A).row(i)[i] for i in range(min(A.rows, A.cols)))
+
+
+@PROPERTY
+@given(matrices())
+def test_smith_decomposition_against_sympy(A):
+    snf = smith_normal_form(A)
+    assert snf.left @ A @ snf.right == reference_smith(A)
+    assert snf.diag == reference_diag(A)
+    assert snf.left.is_unimodular() and snf.right.is_unimodular()
+    nonzero = [d for d in snf.diag if d != 0]
+    assert all(d > 0 for d in nonzero)
+    assert nonzero == list(snf.diag[: len(nonzero)])  # zeros come last
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+@PROPERTY
+@given(matrices())
+def test_matrix_rank_against_sympy(A):
+    assert matrix_rank(A.entries, A.cols) == sympy.Matrix(A.entries).rank()
+
+
+@PROPERTY
+@given(matrices())
+def test_saturated_iff_every_invariant_factor_is_one(A):
+    # the rows of A span L; L is saturated iff Z^n / L is torsion-free
+    lattice = Sublattice.from_rows(A.cols, A.entries)
+    assert lattice.saturated == all(d in (0, 1) for d in reference_diag(A))
+
+
+@PROPERTY
+@given(unimodular())
+def test_right_inverse_of_a_unimodular_matrix_is_its_inverse(U):
+    inv = right_inverse_of_surjection(U)
+    identity = IntMatrix.identity(U.rows)
+    assert inv @ U == identity
+    assert U @ inv == identity
+
+
+@PROPERTY
+@given(matrices())
+def test_a_section_exists_iff_the_map_is_onto(A):
+    onto = A.rows <= A.cols and all(d == 1 for d in reference_diag(A))
+    if onto:
+        assert A @ right_inverse_of_surjection(A) == IntMatrix.identity(A.rows)
+    else:
+        with pytest.raises(ValueError):
+            right_inverse_of_surjection(A)
+
+
+FANS = (
+    Fan(1, [(1,), (-1,)], [{0}, {1}]),
+    Fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}]),
+    Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}]),
+    Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [{0, 2}, {0, 3}, {1, 2}, {1, 3}]),
+    Fan(2, [(1, 0), (1, 2)], [{0, 1}]),
+    Fan(
+        3,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
+    ),
+    Fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [{0, 1, 2, 3}]),
+)
+
+
+@st.composite
+def moved_fans(draw):
+    """A fan of FANS carried by a random unimodular change of coordinates."""
+    fan = draw(st.sampled_from(FANS))
+    U = draw(unimodular(fan.rank))
+    return Fan(fan.rank, [U.matvec(r) for r in fan.rays], fan.max_cones)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(moved_fans())
+def test_fan_automorphisms_form_a_group(fan):
+    autos = fan_automorphisms(fan)
+    found = set(autos)
+    assert len(found) == len(autos)
+    assert any(a.is_identity() for a in autos)
+    for a in autos:
+        assert a.inverse() in found
+        assert a.compose(a.inverse()).is_identity()
+        for b in autos:
+            assert a.compose(b) in found
