@@ -5,8 +5,10 @@ both formats carry is added in one call with its line and its field.  The
 text goes to stdout and, with --out PREFIX, to PREFIX.txt beside the JSON
 document PREFIX.json; both carry a version header.  Exit codes: 0 when all
 checks pass, 1 when a mathematical verdict is negative, 2 on input errors,
-with the offending line or field named in the report.  All sampling is
-seeded and reports are byte-identical for identical input and flags.
+with the offending line or field named in the report, and 3 when the
+library fails an invariant check of its own (a RuntimeError).  All
+sampling is seeded and reports are byte-identical for identical input
+and flags.
 """
 
 import argparse
@@ -54,7 +56,7 @@ JSON_FORMAT = "toricgit-report"
 JSON_VERSION = 1
 DEFAULT_SEED = 20260817
 
-RESULT_WORDS = {0: "pass", 1: "negative", 2: "input error"}
+RESULT_WORDS = {0: "pass", 1: "negative", 2: "input error", 3: "internal error"}
 
 
 class Report:
@@ -171,7 +173,7 @@ def cmd_quotient(rep, problem, args):
         for t in sorted(sel.keys, key=key_order)
     ])
     rep.flag("geometric", geometric=q.geometric)
-    problems = oracle_verify_quotient(q, args.bound)
+    problems = oracle_verify_quotient(q, act, args.bound)
     rep.add(
         "certificate: " + ("FAILED" if problems else "clean (chart functions verified)"),
         *(f"  {p}" for p in problems),
@@ -182,7 +184,7 @@ def cmd_quotient(rep, problem, args):
 
 def cmd_enumerate_maximal(rep, problem, args):
     act = _action(rep, problem)
-    subsets = t_maximal_subsets(problem.fan, act, k=args.k, limit=args.max_subsets)
+    subsets = t_maximal_subsets(problem.fan, act, limit=args.max_subsets)
     rep.add(f"subtorus rank: {act.cochar.rank}")
     rep.add(f"variant: k={args.k}", k=args.k)
     rep.add(f"maximal subsets with good quotient: {len(subsets)}", count=len(subsets))
@@ -505,6 +507,9 @@ def main(argv=None):
             message = f"Hilbert-basis bound too small; the certified bound is {e.needed}"
         rep = Report(exit_code=2)
         rep.add(f"input error: {message}", error=message)
+    except RuntimeError as e:
+        rep = Report(exit_code=3)
+        rep.add(f"internal error: {e}", error=str(e))
     return _emit(args, rep, out)
 
 

@@ -18,6 +18,7 @@ from math import gcd
 from .fans import Fan, enumerate_open_subsets
 from .oracles import (
     brute_max_saturated_inside,
+    brute_t_maximal,
     oracle_good_quotient,
     oracle_verify_quotient,
 )
@@ -159,13 +160,14 @@ def run_sweep(
     Legs, per fan and action: engine verdicts against exhaustive family
     search on every face-closed selection, with a definition-level
     certificate recheck and the set-calculus suite on every good
-    quotient; torus-maximal families for both variant parameters; staged
-    quotients against direct ones on sampled selections for every nested
-    pair of corpus subtori; engine maximal-saturated subsets against the
-    brute-force union on sampled pairs; the removed-piece identity on
-    sampled invariant pairs; and the conclusion checker on every maximal
-    set under the trivial symmetry group, plus the central reflection
-    where the fan allows it.
+    quotient; engine torus-maximal families against the brute-force
+    filter (both variants coincide, see quotients.t_maximal_subsets);
+    staged quotients against direct ones on sampled selections for every
+    nested pair of corpus subtori; engine maximal-saturated subsets
+    against the brute-force union on sampled pairs; the removed-piece
+    identity on sampled invariant pairs; and the conclusion checker on
+    every maximal set under the trivial symmetry group, plus the central
+    reflection where the fan allows it.
     """
     start = time.time()
     rng = random.Random(seed)
@@ -207,23 +209,23 @@ def run_sweep(
                 if not engine_good:
                     continue
                 goods.append(sel)
-                for problem in oracle_verify_quotient(engine, bound):
+                for problem in oracle_verify_quotient(engine, act, bound):
                     certificate_failures.append(
                         f"{tag} keys={sorted(map(sorted, sel.keys))}: {problem}"
                     )
-                for violation in remark_suite(engine):
+                for violation in remark_suite(engine, act):
                     remark_violations.append(
                         f"{tag} keys={sorted(map(sorted, sel.keys))}: {violation}"
                     )
             goods_total += len(goods)
 
-            tmax1 = [u.keys for u in t_maximal_subsets(fan, act, k=1, limit=limit)]
-            tmax2 = [u.keys for u in t_maximal_subsets(fan, act, k=2, limit=limit)]
-            if tmax1 != tmax2:
-                tmax_mismatches.append(f"{tag}: variant parameters disagree")
+            tmax = t_maximal_subsets(fan, act, limit=limit)
+            brute = {u.keys for u in brute_t_maximal(fan, act, limit)}
+            if {u.keys for u in tmax} != brute:
+                tmax_mismatches.append(f"{tag}: torus-maximal subsets disagree")
 
             data = GroupActionData(act, SymmetryGroup.trivial(fan))
-            for u in t_maximal_subsets(fan, act, limit=limit):
+            for u in tmax:
                 report = verify_theorem_conclusions(u, data, limit=limit)
                 if report.refused or not report.conclusions_hold():
                     theorem_failures.append(

@@ -7,6 +7,12 @@ open subsets correspond to face-closed cone selections, closed invariant
 sets to up-closed ones; both directions of the orbit-cone dictionary
 (orbit of tau lies in the closure of the orbit of sigma iff sigma is a
 face of tau) are surfaced through key inclusion.
+
+Each fan numbers its cones in key_order (`Fan.numbering`), a value-only
+numbering that equal fans share: a set of cones is the mask with bit i
+for cone i, and `Fan.face_mask(i)`, built on first use, holds the faces
+of cone i.  A SubfanSelection carries its `mask` beside its `keys`; face
+closure, enumeration and the quotient engine read masks.
 """
 
 from dataclasses import dataclass
@@ -29,6 +35,14 @@ def key_order(key):
     return (len(key), sorted(key))
 
 
+def bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FanValidation:
     valid: bool
@@ -39,7 +53,7 @@ class FanValidation:
 class Fan:
     """Finite fan in Z^rank; empty max-cone list encodes the bare torus."""
 
-    __slots__ = ("rank", "rays", "max_cones", "_cones", "_keys", "_faces_of")
+    __slots__ = ("rank", "rays", "max_cones", "_cones", "_keys", "_numbering", "_faces")
 
     def __init__(self, rank, rays, max_cones):
         rank = int(rank)
@@ -62,7 +76,8 @@ class Fan:
         object.__setattr__(self, "max_cones", tuple(sorted(cones, key=sorted)))
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_keys", None)
-        object.__setattr__(self, "_faces_of", {})
+        object.__setattr__(self, "_numbering", None)
+        object.__setattr__(self, "_faces", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
@@ -101,14 +116,27 @@ class Fan:
             object.__setattr__(self, "_keys", keys)
         return self._keys
 
-    def faces_of(self, key):
-        """Keys of all faces of a fan cone (valid fans: key inclusion)."""
-        key = frozenset(key)
-        got = self._faces_of.get(key)
+    def numbering(self):
+        """(keys, bit): the cones in key_order and each key's bit in a mask."""
+        if self._numbering is None:
+            keys = tuple(sorted(self.cone_keys(), key=key_order))
+            object.__setattr__(self, "_faces", [None] * len(keys))
+            bit = {k: i for i, k in enumerate(keys)}
+            object.__setattr__(self, "_numbering", (keys, bit))
+        return self._numbering
+
+    def face_mask(self, i):
+        """Mask of the faces of cone i, which all precede it in key_order."""
+        keys, _ = self.numbering()
+        got = self._faces[i]
         if got is None:
-            got = tuple(k for k in self.cone_keys() if k <= key)
-            self._faces_of[key] = got
+            got = self._faces[i] = sum(1 << j for j in range(i + 1) if keys[j] <= keys[i])
         return got
+
+    def faces_of(self, key):
+        """Keys of all faces of a fan cone, read off its face mask."""
+        keys, bit = self.numbering()
+        return tuple(keys[j] for j in bits(self.face_mask(bit[frozenset(key)])))
 
     def selection(self, keys):
         return SubfanSelection(self, keys)
@@ -150,38 +178,40 @@ def validate_fan(fan):
     return FanValidation(not problems, tuple(problems), witness)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class SubfanSelection:
-    """Face-closed set of fan cones: a torus-invariant open subset."""
+    """Face-closed set of fan cones (a torus-invariant open subset) and its mask."""
 
-    __slots__ = ("fan", "keys")
+    fan: Fan
+    keys: frozenset
+    mask: int
 
     def __init__(self, fan, keys):
         keys = frozenset(frozenset(k) for k in keys)
-        all_keys = set(fan.cone_keys())
+        _, bit = fan.numbering()
+        try:
+            mask = sum(1 << bit[k] for k in keys)
+        except KeyError as e:
+            raise ValueError(f"{sorted(e.args[0])} is not a cone of the fan") from None
         for k in keys:
-            if k not in all_keys:
-                raise ValueError(f"{sorted(k)} is not a cone of the fan")
-        for k in keys:
-            for f in fan.faces_of(k):
-                if f not in keys:
-                    raise ValueError(
-                        f"selection not face-closed: {sorted(k)} without {sorted(f)}"
-                    )
+            if fan.face_mask(bit[k]) & ~mask:
+                f = next(f for f in fan.cone_keys() if f <= k and f not in keys)
+                raise ValueError(
+                    f"selection not face-closed: {sorted(k)} without {sorted(f)}"
+                )
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "mask", mask)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SubfanSelection is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubfanSelection)
-            and self.fan == other.fan
-            and self.keys == other.keys
-        )
-
-    def __hash__(self):
-        return hash((self.fan, self.keys))
+    @classmethod
+    def _of_mask(cls, fan, mask):
+        """The selection of a mask known to be face-closed, unchecked."""
+        keys, _ = fan.numbering()
+        sel = object.__new__(cls)
+        object.__setattr__(sel, "fan", fan)
+        object.__setattr__(sel, "keys", frozenset(keys[i] for i in bits(mask)))
+        object.__setattr__(sel, "mask", mask)
+        return sel
 
     def __contains__(self, key):
         return frozenset(key) in self.keys
@@ -190,16 +220,19 @@ class SubfanSelection:
         return len(self.keys)
 
     def __le__(self, other):
-        return self.keys <= other.keys
+        return not self.mask & ~other.mask
+
+    def __lt__(self, other):
+        return self.mask != other.mask and self <= other
 
     def __repr__(self):
         return f"SubfanSelection({sorted(sorted(k) for k in self.keys)})"
 
     def union(self, other):
-        return SubfanSelection(self.fan, self.keys | other.keys)
+        return SubfanSelection._of_mask(self.fan, self.mask | other.mask)
 
     def intersection(self, other):
-        return SubfanSelection(self.fan, self.keys & other.keys)
+        return SubfanSelection._of_mask(self.fan, self.mask & other.mask)
 
 
 def is_complete(fan):
@@ -213,8 +246,8 @@ def is_complete(fan):
         return False
     ridge_owners = {}
     for t in tops:
-        for k in fan.faces_of(t):
-            if fan.cone(k).dim() == fan.rank - 1:
+        for k in fan.cone_keys():
+            if k <= t and fan.cone(k).dim() == fan.rank - 1:
                 ridge_owners.setdefault(k, []).append(t)
     if not ridge_owners or any(len(v) != 2 for v in ridge_owners.values()):
         return False
@@ -249,15 +282,15 @@ def is_smooth(fan):
 
 def enumerate_open_subsets(fan, limit=2 ** 20):
     """All face-closed selections, i.e. order ideals of the cone poset."""
-    keys = fan.cone_keys()
-    ideals = [frozenset()]
-    for k in keys:
-        below = frozenset(f for f in fan.cone_keys() if f < k)
-        grown = [ideal | {k} for ideal in ideals if below <= ideal]
-        ideals = ideals + grown
+    _, bit = fan.numbering()
+    ideals = [0]
+    for k in fan.cone_keys():
+        i = bit[k]
+        below = fan.face_mask(i) ^ 1 << i
+        ideals += [ideal | 1 << i for ideal in ideals if ideal & below == below]
         if len(ideals) > limit:
             raise SizeGuardError(f"more than {limit} open subsets")
-    return [SubfanSelection(fan, ideal) for ideal in ideals]
+    return [SubfanSelection._of_mask(fan, ideal) for ideal in ideals]
 
 
 def limit_of_generic_point(fan, v):

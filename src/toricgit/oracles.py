@@ -281,9 +281,10 @@ def _chart_ring_matches(act, ck, lbar, pf, bound):
     return got
 
 
-def oracle_verify_quotient(q, bound=None):
-    """Recheck a quotient certificate from the definitions; returns the
-    discrepancies found, empty when everything matches.
+def oracle_verify_quotient(q, act, bound=None):
+    """Recheck a quotient certificate of the action act from the
+    definitions; returns the discrepancies found, empty when everything
+    matches.
 
     Verifies, per chart: the image cone by the double-dual route, and the
     chart's invariant functions against the target chart's functions as
@@ -296,7 +297,6 @@ def oracle_verify_quotient(q, bound=None):
     """
     problems = []
     sel = q.source
-    act = q.action
     fan = sel.fan
     pf = q.proj_full
     lbar = q.pre_lineality

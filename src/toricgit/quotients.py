@@ -11,17 +11,18 @@ the chart, so the inclusion-maximal-image charts are forced, and a
 failure there certifies that no family exists.
 
 None of the facts this criterion reads depends on the selection, so each
-action keeps one ImageTable over its fan's cones, indexed in key_order,
+action keeps one ImageTable over its fan's cones, numbered as in the fans
+module (cone i is bit i of a selection mask, `Fan.face_mask(i)` its faces),
 with bit rows `below[i]` (the cones whose images img[i] contains),
-`above[i]` (those whose images contain img[i]), `lin_le[i]` (those whose
-lineality lattices lin[i] contains) and `faces[i]`.  A selection is a
-mask M, and the criterion is mask algebra on it:
+`above[i]` (those whose images contain img[i]) and `lin_le[i]` (those
+whose lineality lattices lin[i] contains).  A selection is its mask M,
+and the criterion is mask algebra on it:
 
 - the common lineality cone lbar is the first i in M with
   lin_le[i] & M == M; without one, the first incomparable pair is the
   obstruction;
 - i is a chart iff it is in lbar's lineality class and
-  below[i] & M == faces[i];
+  below[i] & M == face_mask(i);
 - the chart family is the charts i with above[i] & C == 1 << i, where C
   is the chart mask;
 - a cone t is covered iff above[t] meets the family; the witnesses of an
@@ -39,6 +40,7 @@ from itertools import combinations
 from .fans import (
     Fan,
     SubfanSelection,
+    bits,
     enumerate_open_subsets,
     key_order,
     limit_of_generic_point,
@@ -102,83 +104,68 @@ class SubtorusAction:
 
     def image_cone(self, key):
         table = self.image_table()
-        i = table.index[frozenset(key)]
+        _, bit = self.fan.numbering()
+        i = bit[frozenset(key)]
         table.fill(1 << i)
         return table.img[i]
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class ImageTable:
     """Everything the chart criterion reads about one action's fan cones.
 
-    Cone i is the i-th fan key in key_order and bit i of a mask.  Per
-    cone: the image `img[i]`, its lineality lattice `lin[i]` with class id
-    `cls[i]` (equal ids for equal lattices), and `faces[i]`; per ordered
-    pair, bit j of the rows `below[i]`, `above[i]` and `lin_le[i]` (each
-    row holds its own bit).  Facts are computed on first need:
-    `fill(mask)` makes those of the cones in mask and of every pair among
-    them known, so each image containment is decided at most once per
-    action and a cone no selection reaches is never projected.  The table
-    also memoizes whether two chart images meet in a face, the split
-    images per lineality class, and the engine's results.
+    Cone i is the fan's cone i (Fan.numbering).  Per cone: the image
+    `img[i]` and its lineality lattice `lin[i]` with class id `cls[i]`
+    (equal ids for equal lattices); per ordered pair, bit j of the rows
+    `below[i]`, `above[i]` and `lin_le[i]` (each row holds its own bit).
+    `fill(mask)` projects the cones of mask not yet `seen` and relates
+    each to every seen cone, so each image containment is decided at most
+    once per action and a cone no selection reaches is never projected.
+    The table also memoizes whether two chart images meet in a face, the
+    split images per lineality class, and the engine's results.
     """
 
     __slots__ = (
-        "fan", "proj", "keys", "index", "img", "lin", "cls", "faces",
-        "below", "above", "lin_le", "known", "classes", "meets", "split",
-        "results", "goods", "tmax",
+        "fan", "proj", "img", "lin", "cls", "below", "above", "lin_le",
+        "seen", "classes", "meets", "split", "results", "goods", "tmax",
     )
 
     def __init__(self, fan, proj):
-        keys = tuple(sorted(fan.cone_keys(), key=key_order))
+        keys, _ = fan.numbering()
         n = len(keys)
         self.fan = fan
         self.proj = proj
-        self.keys = keys
-        self.index = {k: i for i, k in enumerate(keys)}
         self.img = [None] * n
         self.lin = [None] * n
         self.cls = [None] * n
-        self.faces = [0] * n
         self.below = [1 << i for i in range(n)]
         self.above = [1 << i for i in range(n)]
         self.lin_le = [1 << i for i in range(n)]
-        self.known = [1 << i for i in range(n)]
+        self.seen = 0
         self.classes = {}  # lineality basis -> class id
         self.meets = {}  # (a, b) -> do img[a] and img[b] meet in a face of both
         self.split = {}  # class id -> (q2, q2 @ proj, {i: split image})
-        self.results = {}  # selection keys -> QuotientFan or Obstruction
+        self.results = {}  # selection mask -> QuotientFan or Obstruction
         self.goods = {}  # limit -> enumerate_good_subsets
         self.tmax = {}  # limit -> t_maximal_subsets
 
-    def mask(self, keys):
-        return sum(1 << self.index[k] for k in keys)
-
     def fill(self, mask):
-        """Compute every fact about the cones of mask and their pairs."""
-        fan = self.fan
-        for i in _bits(mask):
-            if self.img[i] is None:
-                key = self.keys[i]
-                self.img[i] = fan.cone(key).image(self.proj)
-                self.lin[i] = self.img[i].lineality_lattice()
-                self.cls[i] = self.classes.setdefault(self.lin[i].basis, len(self.classes))
-                self.faces[i] = self.mask(fan.faces_of(key))
-        for i in _bits(mask):
-            for j in _bits(mask & ~self.known[i]):
-                if self.img[i].contains_cone(self.img[j]):
-                    self.below[i] |= 1 << j
-                    self.above[j] |= 1 << i
-                if self.lin[i].contains_lattice(self.lin[j]):
-                    self.lin_le[i] |= 1 << j
-            self.known[i] |= mask
+        """Project the unseen cones of mask; relate each to every seen cone."""
+        new = mask & ~self.seen
+        if not new:
+            return
+        keys, _ = self.fan.numbering()
+        for i in bits(new):
+            self.img[i] = self.fan.cone(keys[i]).image(self.proj)
+            self.lin[i] = self.img[i].lineality_lattice()
+            self.cls[i] = self.classes.setdefault(self.lin[i].basis, len(self.classes))
+            for j in bits(self.seen):
+                for a, b in ((i, j), (j, i)):
+                    if self.img[a].contains_cone(self.img[b]):
+                        self.below[a] |= 1 << b
+                        self.above[b] |= 1 << a
+                    if self.lin[a].contains_lattice(self.lin[b]):
+                        self.lin_le[a] |= 1 << b
+            self.seen |= 1 << i
 
     def meet_is_face(self, a, b):
         got = self.meets.get((a, b))
@@ -205,7 +192,8 @@ class ImageTable:
         _, proj_full, images = self.split_projection(lbar)
         got = images.get(i)
         if got is None:
-            got = images[i] = self.fan.cone(self.keys[i]).image(proj_full)
+            keys, _ = self.fan.numbering()
+            got = images[i] = self.fan.cone(keys[i]).image(proj_full)
         return got
 
 
@@ -226,45 +214,18 @@ class Obstruction:
     witness: tuple | None = None
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class QuotientFan:
     """A good quotient: target fan, chart cones, and the orbit map."""
 
-    __slots__ = (
-        "source",
-        "action",
-        "pre_lineality",
-        "proj_full",
-        "fan",
-        "charts",
-        "chart_map",
-        "orbit_map",
-        "geometric",
-    )
-
-    def __init__(
-        self,
-        source,
-        action,
-        pre_lineality,
-        proj_full,
-        fan,
-        charts,
-        chart_map,
-        orbit_map,
-        geometric,
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "pre_lineality", pre_lineality)
-        object.__setattr__(self, "proj_full", proj_full)
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "chart_map", chart_map)
-        object.__setattr__(self, "orbit_map", orbit_map)
-        object.__setattr__(self, "geometric", geometric)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientFan is immutable")
+    source: SubfanSelection
+    pre_lineality: Sublattice
+    proj_full: object  # IntMatrix from N onto the target lattice
+    fan: Fan
+    charts: tuple
+    chart_map: dict
+    orbit_map: dict
+    geometric: bool
 
     @property
     def target_rank(self):
@@ -282,19 +243,19 @@ def good_quotient(selection, act):
     if act.fan != selection.fan:
         raise ValueError("action and selection live on different fans")
     table = act.image_table()
-    got = table.results.get(selection.keys)
+    got = table.results.get(selection.mask)
     if got is None:
-        got = table.results[selection.keys] = _good_quotient(selection, act, table)
+        got = table.results[selection.mask] = _good_quotient(selection, act, table)
     return got
 
 
 def _good_quotient(selection, act, table):
-    fan = selection.fan
-    if not selection.keys:
+    fan = table.fan
+    sel = selection.mask
+    if not sel:
         empty = Fan(act.proj.rows, [], [])
         return QuotientFan(
             selection,
-            act,
             Sublattice.from_rows(act.proj.rows, []),
             act.proj,
             empty,
@@ -303,11 +264,10 @@ def _good_quotient(selection, act, table):
             orbit_map={},
             geometric=True,
         )
-    sel = table.mask(selection.keys)
     table.fill(sel)
-    order = list(_bits(sel))
-    key = table.keys
-    below, above, faces, cls = table.below, table.above, table.faces, table.cls
+    order = list(bits(sel))
+    key, _ = fan.numbering()
+    below, above, faces, cls = table.below, table.above, fan.face_mask, table.cls
     lbar = next((i for i in order if table.lin_le[i] & sel == sel), None)
     if lbar is None:
         a, b = next(
@@ -332,16 +292,16 @@ def _good_quotient(selection, act, table):
 
     charts = 0
     for i in order:
-        if cls[i] == cls[lbar] and below[i] & sel == faces[i]:
+        if cls[i] == cls[lbar] and below[i] & sel == faces(i):
             charts |= 1 << i
-    family = [i for i in _bits(charts) if above[i] & charts == 1 << i]
+    family = [i for i in bits(charts) if above[i] & charts == 1 << i]
     covered = sum(1 << i for i in family)
 
     for t in order:
         if above[t] & covered:
             continue
         m = next(
-            (m for m in _bits(above[t] & sel) if not above[m] & sel & ~below[m]), None
+            (m for m in bits(above[t] & sel) if not above[m] & sel & ~below[m]), None
         )
         if m is None:
             raise RuntimeError(
@@ -353,7 +313,7 @@ def _good_quotient(selection, act, table):
                 f"the maximal image of {sorted(key[m])} drops the common lineality space",
                 (key[m], key[lbar]),
             )
-        strays = below[m] & sel & ~faces[m]
+        strays = below[m] & sel & ~faces(m)
         if not strays:
             raise RuntimeError(
                 f"cone {sorted(key[m])} has a maximal image but is no chart "
@@ -405,7 +365,6 @@ def _good_quotient(selection, act, table):
             geometric = False
     return QuotientFan(
         selection,
-        act,
         table.lin[lbar],
         proj_full,
         qfan,
@@ -443,22 +402,21 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
     return list(goods[limit])
 
 
-def t_maximal_subsets(fan, act, k=1, limit=2 ** 20):
+def t_maximal_subsets(fan, act, limit=2 ** 20):
     """Selections with good quotient not properly saturated in a larger one.
 
-    The k=2 variant adds the requirement that any two points of the
-    quotient share an affine neighbourhood; quotient spaces here are
-    toric, where that holds automatically, so both variants coincide.
+    The 2-maximal variant also asks any two quotient points to share an
+    affine neighbourhood.  Quotients here are toric, and toric varieties
+    have that property (J. Włodarczyk, "Embeddings in toric varieties and
+    prevarieties", J. Algebraic Geom. 2 (1993)), so the variants coincide.
     """
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
     tmax = act.image_table().tmax
     if limit not in tmax:
         goods = enumerate_good_subsets(fan, act, limit)
         tmax[limit] = [
             u
             for u in goods
-            if not any(u.keys < v.keys and is_saturated(u, v, act) for v in goods)
+            if not any(u < v and is_saturated(u, v, act) for v in goods)
         ]
     return list(tmax[limit])
 
@@ -561,9 +519,9 @@ def staged_quotient(selection, act_small, act_large):
     )
 
 
-def remark_suite(q):
-    """Set-calculus checks on a good quotient via its orbit map:
-    (i) images of closed invariant sets are closed, (ii) disjoint closed
+def remark_suite(q, act):
+    """Set-calculus checks on a good quotient q by the action act via its
+    orbit map: (i) images of closed invariant sets are closed, (ii) disjoint closed
     invariant sets have disjoint images, (iii) saturated opens map to
     opens restricting to good quotients, (iv) the trace of a saturated
     open on a closed invariant set is saturated there.  Closed sets are
@@ -607,7 +565,7 @@ def remark_suite(q):
             violations.append("(iii) a saturated open does not map onto its image")
             continue
         try:
-            sub = good_quotient(SubfanSelection(fan, pre), q.action)
+            sub = good_quotient(SubfanSelection(fan, pre), act)
         except ValueError:
             violations.append(
                 "(iii) preimage of an open image set is not an open selection"

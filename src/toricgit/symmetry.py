@@ -230,7 +230,7 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
     act = data.act
     if fan != act.fan:
         raise ValueError("selection lives on a different fan")
-    maximal = {u.keys for u in t_maximal_subsets(fan, act, k=2, limit=limit)}
+    maximal = {u.keys for u in t_maximal_subsets(fan, act, limit=limit)}
     if selection.keys not in maximal:
         q = good_quotient(selection, act)
         if isinstance(q, Obstruction):
@@ -300,7 +300,7 @@ def verify_corollary(fan, data, limit=2 ** 20):
         raise ValueError("fan is not complete")
     if not is_simplicial(fan):
         raise ValueError("fan is not simplicial")
-    maximal = t_maximal_subsets(fan, act, k=2, limit=limit)
+    maximal = t_maximal_subsets(fan, act, limit=limit)
     maximal_reports = tuple(
         (_sorted_keys(u.keys), verify_theorem_conclusions(u, data, limit=limit))
         for u in maximal

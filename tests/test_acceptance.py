@@ -148,7 +148,12 @@ def test_criterion_04_criterion_oracle_equivalence(sweep):
 
 def test_criterion_05_both_maximality_variants_coincide(sweep):
     ok = not sweep.tmax_mismatches
-    verdict(5, ok, "both maximality variants produce identical lists corpus-wide")
+    verdict(
+        5,
+        ok,
+        "engine torus-maximal subsets match the brute-force filter corpus-wide "
+        "(one list serves both maximality variants)",
+    )
 
 
 def test_criterion_06_remark_suite(sweep):

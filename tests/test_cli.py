@@ -320,6 +320,25 @@ class TestFileOutput:
         assert doc["exit_code"] == 2
         assert "error" in doc["body"]
 
+    def test_internal_failures_exit_3_with_both_reports(self, run, write, tmp_path):
+        def broken(selection, act):
+            raise RuntimeError("the image of cone [] lies in no maximal image")
+
+        prefix = str(tmp_path / "internal")
+        with mock.patch.object(cli, "good_quotient", broken):
+            code, out = run(
+                "quotient", write(c2_doc()), "--selection", "punctured", "--out", prefix
+            )
+        assert code == 3
+        lines = out.splitlines()
+        assert "internal error: the image of cone [] lies in no maximal image" in lines
+        assert lines[-1] == "result: internal error"
+        assert (tmp_path / "internal.txt").read_text(encoding="utf-8") == out
+        doc = json.loads((tmp_path / "internal.json").read_text(encoding="utf-8"))
+        assert doc["exit_code"] == 3
+        assert doc["result"] == "internal error"
+        assert doc["body"]["error"] == "the image of cone [] lies in no maximal image"
+
 
 class TestDeterminism:
     def test_sampled_verdicts_are_reproducible(self, run, write):

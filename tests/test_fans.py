@@ -90,6 +90,10 @@ class TestCompleteness:
         assert is_complete(POINT)
         assert not is_complete(TORUS2)
 
+    def test_a_maximal_cone_that_is_no_cone_key(self):
+        # ray 2 is interior, so the maximal key is missing from cone_keys()
+        assert not is_complete(Fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}]))
+
     def test_sampling_oracle(self):
         rng = random.Random(20260817)
         for fan in COMPLETE + INCOMPLETE:
@@ -161,6 +165,139 @@ class TestOpenSubsets:
                     if all(all(f in chosen for f in fan.faces_of(k)) for k in chosen):
                         count += 1
             assert len(enumerate_open_subsets(fan)) == count
+
+
+P3 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+         [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}])
+# cones over the facets x = 1 and y = 1 of the cube [-1, 1]^3: four rays each
+CUBE_RAYS = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)
+             if x == 1 or y == 1]
+CUBE_TWO_FACETS = Fan(
+    3, CUBE_RAYS, [[i for i, r in enumerate(CUBE_RAYS) if r[axis] == 1] for axis in (0, 1)]
+)
+# a 3-cone over a pentagon and a simplicial 4-cone meeting at the origin:
+# the 4-cone (four rays) precedes the pentagon (five rays) in key_order but
+# follows it in the rank order of cone_keys()
+PENTAGON_AND_SIMPLEX = Fan(
+    4,
+    [(1, 0, 1, 0), (1, 1, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0),
+     (1, 0, -1, 0), (0, 1, -1, 0), (0, 0, -1, 1), (0, 0, -1, -1)],
+    [range(5), range(5, 9)],
+)
+MASK_FANS = [P3, CUBE_TWO_FACETS, PENTAGON_AND_SIMPLEX]
+
+
+# Selections as key sets, the way they were checked and enumerated before
+# they carried masks; the mask routines must reproduce them exactly.
+def set_based_faces(fan, key):
+    return tuple(k for k in fan.cone_keys() if k <= key)
+
+
+def set_based_open_subsets(fan):
+    ideals = [frozenset()]
+    for k in fan.cone_keys():
+        below = frozenset(f for f in fan.cone_keys() if f < k)
+        ideals = ideals + [ideal | {k} for ideal in ideals if below <= ideal]
+    return ideals
+
+
+def set_based_rejection(fan, keys):
+    """The ValueError text of the set-based check, None if it accepts."""
+    keys = frozenset(frozenset(k) for k in keys)
+    all_keys = set(fan.cone_keys())
+    for k in keys:
+        if k not in all_keys:
+            return f"{sorted(k)} is not a cone of the fan"
+    for k in keys:
+        for f in set_based_faces(fan, k):
+            if f not in keys:
+                return f"selection not face-closed: {sorted(k)} without {sorted(f)}"
+    return None
+
+
+def seeded_key_sets(fan, rng, count):
+    """Random cone sets, their face closures, and sets with a non-cone key."""
+    keys = fan.cone_keys()
+    rays = range(len(fan.rays))
+    for _ in range(count):
+        chosen = rng.sample(keys, rng.randint(0, len(keys)))
+        yield chosen
+        yield sorted({f for k in chosen for f in set_based_faces(fan, k)}, key=sorted)
+        stray = frozenset(rng.sample(rays, rng.randint(2, len(rays))))
+        yield chosen + [stray]
+
+
+def mask_of(fan, keys):
+    _, bit = fan.numbering()
+    return sum(1 << bit[k] for k in keys)
+
+
+class TestConeNumbering:
+    def test_the_orders_differ_on_the_rank_four_fan(self):
+        assert validate_fan(PENTAGON_AND_SIMPLEX).valid
+        keys, _ = PENTAGON_AND_SIMPLEX.numbering()
+        assert list(keys) != list(PENTAGON_AND_SIMPLEX.cone_keys())
+
+    @pytest.mark.parametrize("fan", MASK_FANS)
+    def test_numbering_is_key_order_and_depends_only_on_the_value(self, fan):
+        keys, bit = fan.numbering()
+        assert list(keys) == sorted(fan.cone_keys(), key=lambda k: (len(k), sorted(k)))
+        assert all(bit[k] == i for i, k in enumerate(keys))
+        same = Fan(fan.rank, fan.rays, reversed(fan.max_cones))
+        assert same.numbering() == (keys, bit)
+
+    @pytest.mark.parametrize("fan", MASK_FANS)
+    def test_face_masks_are_key_inclusion(self, fan):
+        keys, _ = fan.numbering()
+        for i, key in enumerate(keys):
+            assert fan.face_mask(i) == mask_of(fan, set_based_faces(fan, key))
+            assert set(fan.faces_of(key)) == set(set_based_faces(fan, key))
+
+    @pytest.mark.parametrize("fan", MASK_FANS)
+    def test_enumeration_matches_the_set_based_order(self, fan):
+        got = enumerate_open_subsets(fan)
+        assert [sel.keys for sel in got] == set_based_open_subsets(fan)
+        assert all(sel.mask == mask_of(fan, sel.keys) for sel in got)
+
+    @pytest.mark.parametrize("fan", MASK_FANS)
+    def test_selection_check_matches_the_set_based_check(self, fan):
+        rng = random.Random(len(fan.cone_keys()))
+        accepted = rejected = 0
+        for keys in seeded_key_sets(fan, rng, 60):
+            want = set_based_rejection(fan, keys)
+            if want is None:
+                sel = SubfanSelection(fan, keys)
+                assert sel.mask == mask_of(fan, sel.keys)
+                accepted += 1
+            else:
+                with pytest.raises(ValueError) as caught:
+                    SubfanSelection(fan, keys)
+                assert str(caught.value) == want
+                rejected += 1
+        assert accepted and rejected
+
+    def test_the_missing_face_named_follows_the_listing_order(self):
+        # the 5-cone over a pentagon and two more rays has a five-ray 3-face
+        # and four-ray 4-faces, which key_order and cone_keys() list in
+        # opposite orders; only the 5-cone misses faces here
+        fan = Fan(5, [(1, 0, 1, 0, 0), (1, 1, 1, 0, 0), (0, 1, 1, 0, 0), (-1, 0, 1, 0, 0),
+                      (0, -1, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)], [range(7)])
+        pentagon, top = frozenset(range(5)), frozenset(range(7))
+        keys = [k for k in fan.cone_keys()
+                if not pentagon <= k < top and k != frozenset({0, 1, 5, 6})]
+        want = set_based_rejection(fan, keys)
+        assert want == "selection not face-closed: [0, 1, 2, 3, 4, 5, 6] without [0, 1, 2, 3, 4]"
+        with pytest.raises(ValueError) as caught:
+            SubfanSelection(fan, keys)
+        assert str(caught.value) == want
+
+    def test_union_and_intersection_carry_masks(self):
+        opens = enumerate_open_subsets(CUBE_TWO_FACETS)
+        for u, v in zip(opens[::7], opens[3::11]):
+            assert u.union(v) == SubfanSelection(CUBE_TWO_FACETS, u.keys | v.keys)
+            assert u.union(v).mask == u.mask | v.mask
+            assert u.intersection(v).keys == u.keys & v.keys
+            assert u.intersection(v).mask == u.mask & v.mask
 
 
 class TestOrbits:
