@@ -30,8 +30,11 @@ and the criterion is mask algebra on it:
   is not a face of m) are the lowest bits of the matching masks.
 
 Every scan runs in ascending index order, which is key_order, so the
-witnesses are those of a pairwise scan over the sorted selection.  Only a
-good selection's quotient fan is then built cone by cone.
+witnesses are those of a pairwise scan over the sorted selection.  A good
+selection's quotient is read off the family's split images: the target
+rays are their generators, and the orbit image of t is the carrier face
+of t's split image in the lowest family chart covering t.  No cone of the
+target fan is built.
 """
 
 from dataclasses import dataclass
@@ -43,7 +46,6 @@ from .fans import (
     bits,
     enumerate_open_subsets,
     key_order,
-    limit_of_generic_point,
 )
 from .intlat import (
     Sublattice,
@@ -101,13 +103,6 @@ class SubtorusAction:
         if self._table is None:
             object.__setattr__(self, "_table", ImageTable(self.fan, self.proj))
         return self._table
-
-    def image_cone(self, key):
-        table = self.image_table()
-        _, bit = self.fan.numbering()
-        i = bit[frozenset(key)]
-        table.fill(1 << i)
-        return table.img[i]
 
 
 class ImageTable:
@@ -337,42 +332,49 @@ def _good_quotient(selection, act, table):
             )
 
     q2, proj_full, _ = table.split_projection(lbar)
-    keys = [key[i] for i in order]
-    chart_family = [key[i] for i in family]
-    timg = {key[i]: table.split_image(i, lbar) for i in order}
-    rays = sorted({g for s in chart_family for g in timg[s].generators})
+    timg = {i: table.split_image(i, lbar) for i in order}
+    rays = sorted({g for s in family for g in timg[s].generators})
     ray_index = {g: i for i, g in enumerate(rays)}
-    qfan = Fan(
-        q2.rows,
-        rays,
-        [frozenset(ray_index[g] for g in timg[s].generators) for s in chart_family],
-    )
-    orbit_map = {}
-    for t in keys:
-        okey = limit_of_generic_point(qfan, timg[t].relative_interior_point())
-        if okey is None:
-            raise RuntimeError(f"cone {sorted(t)} has no orbit image in the quotient fan")
-        orbit_map[t] = okey
-    chart_map = {
-        frozenset(ray_index[g] for g in timg[s].generators): s for s in chart_family
-    }
+
+    def target_key(gens):
+        return frozenset(ray_index[g] for g in gens)
+
+    # the family's images meet in common faces, so the carrier face of t's
+    # image is the same target cone in every chart covering t
+    orbit = {}
+    for t in order:
+        s = next(bits(above[t] & covered))
+        orbit[t] = target_key(
+            timg[s].carrier_generators([timg[t].relative_interior_point()])
+        )
+    chart_map = {target_key(timg[s].generators): key[s] for s in family}
     geometric = True
-    for s in chart_family:
-        sfaces = fan.faces_of(s)
-        mapped = [orbit_map[f] for f in sfaces]
-        top = frozenset(ray_index[g] for g in timg[s].generators)
-        if len(set(mapped)) != len(sfaces) or set(mapped) != set(qfan.faces_of(top)):
+    for s in family:
+        mapped = {orbit[f] for f in bits(faces(s))}
+        if len(mapped) != faces(s).bit_count() or mapped != {
+            target_key(g) for g in timg[s].face_generators()
+        }:
             geometric = False
     return QuotientFan(
         selection,
         table.lin[lbar],
         proj_full,
-        qfan,
-        charts=tuple(chart_family),
+        Fan(q2.rows, rays, chart_map.keys()),
+        charts=tuple(key[s] for s in family),
         chart_map=chart_map,
-        orbit_map=orbit_map,
+        orbit_map={key[t]: orbit[t] for t in order},
         geometric=geometric,
     )
+
+
+def _outer_quotient(inner, outer, act):
+    """The good quotient of outer, for an inner selection inside it."""
+    if not inner.keys <= outer.keys:
+        raise ValueError("inner selection must lie inside the outer one")
+    q = good_quotient(outer, act)
+    if isinstance(q, Obstruction):
+        raise ValueError("outer selection admits no good quotient")
+    return q
 
 
 def is_saturated(inner, outer, act):
@@ -381,11 +383,7 @@ def is_saturated(inner, outer, act):
     A cone of outer belongs to the preimage as soon as its orbit-image
     cone coincides with that of a cone of inner.
     """
-    if not inner.keys <= outer.keys:
-        raise ValueError("inner selection must lie inside the outer one")
-    q = good_quotient(outer, act)
-    if isinstance(q, Obstruction):
-        raise ValueError("outer selection admits no good quotient")
+    q = _outer_quotient(inner, outer, act)
     inside = {q.orbit_map[t] for t in inner.keys}
     return all(t in inner.keys for t in outer.keys if q.orbit_map[t] in inside)
 
@@ -427,11 +425,7 @@ def max_saturated_inside(outer, inner, act):
     Removes every cone sharing its orbit-image cone with the complement
     of inner.
     """
-    if not inner.keys <= outer.keys:
-        raise ValueError("inner selection must lie inside the outer one")
-    q = good_quotient(outer, act)
-    if isinstance(q, Obstruction):
-        raise ValueError("outer selection admits no good quotient")
+    q = _outer_quotient(inner, outer, act)
     bad = {q.orbit_map[b] for b in outer.keys - inner.keys}
     kept = {t for t in outer.keys if q.orbit_map[t] not in bad}
     return SubfanSelection(outer.fan, kept)

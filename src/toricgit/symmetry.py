@@ -141,14 +141,19 @@ def translate(gamma, selection):
     )
 
 
+def _translates_meet(keys, sym):
+    """The cone keys lying in every symmetry translate of keys."""
+    meet = set(keys)
+    for gamma in sym:
+        meet &= {gamma.apply_key(k) for k in keys}
+    return meet
+
+
 def w_set(selection, data):
     """Intersection of all symmetry translates of the selection."""
     if selection.fan != data.sym.fan:
         raise ValueError("selection lives on a different fan")
-    keys = set(selection.keys)
-    for gamma in data.sym:
-        keys &= {gamma.apply_key(k) for k in selection.keys}
-    return SubfanSelection(selection.fan, keys)
+    return SubfanSelection(selection.fan, _translates_meet(selection.keys, data.sym))
 
 
 def _invariant(data, keys):
@@ -373,10 +378,7 @@ def eq1_crosscheck(xprime, x, data):
     u = max_saturated_inside(xprime, x, act)
     left = set(w_set(u, data).keys)
     w_outer = set(w_set(xprime, data).keys)
-    removed = set(xprime.keys) - set(x.keys)
-    w_removed = set(removed)
-    for gamma in data.sym:
-        w_removed &= {gamma.apply_key(k) for k in removed}
+    w_removed = _translates_meet(xprime.keys - x.keys, data.sym)
     right = w_outer - _composite_saturation(q, data, w_removed)
     difference = left ^ right
     witness = None

@@ -118,12 +118,9 @@ class TestGoodQuotient:
         q = good_quotient(c2_punctured(), act)
         assert validate_fan(q.fan).valid
         fan = q.source.fan
+        image = {t: fan.cone(t).image(act.proj) for t in q.source.keys}
         for chart in q.charts:
-            fiber = {
-                t
-                for t in q.source.keys
-                if act.image_cone(chart).contains_cone(act.image_cone(t))
-            }
+            fiber = {t for t in q.source.keys if image[chart].contains_cone(image[t])}
             assert fiber == set(fan.faces_of(chart))
 
     def test_results_are_cached(self):
@@ -478,6 +475,23 @@ def test_image_containment_is_decided_at_most_once_per_pair(monkeypatch):
     monkeypatch.setattr(Cone, "contains_cone", counted)
     assert len(enumerate_good_subsets(fan, act)) > 0
     assert n == 19 and calls <= n * n
+
+
+def test_quotient_fans_are_read_off_the_image_table(monkeypatch):
+    # orbit images and the geometric flag come from the source fan's split
+    # images, so no cone of a target fan is built
+    fan = Fan(3, P3_RAYS, P3_CONES)
+    act = normalize_action(fan, [(1, 2, 3)])
+    built_on = Counter()
+    cone = Fan.cone
+
+    def spied(self, key):
+        built_on["source" if self is fan else "other"] += 1
+        return cone(self, key)
+
+    monkeypatch.setattr(Fan, "cone", spied)
+    assert len(enumerate_good_subsets(fan, act)) > 0
+    assert built_on["source"] > 0 and built_on["other"] == 0
 
 
 # the face masks live on the fan, so each case forges a fresh copy of P1
