@@ -8,8 +8,22 @@ dualizing is literally swapping the two lists.
 Faces are read off generator-facet incidences: a face shares the cone's
 lineality lattice, so its canonical generators are the cone's generators on
 which the facets through it vanish.
+
+Canonical cones are interned by value.  `Cone.from_generators` and
+`Cone.from_inequalities` look their input up under the key (route, ambient,
+set of primitive nonzero input vectors), route "g" or "i", and run double
+description only on a miss.  The canonical form is a pure function of that
+key (double description reads each input only through its primitive vector,
+and the result is sorted), so a hit returns exactly what a fresh run would,
+lazily filled slots included.  The routes stay apart: one vector set read as
+generators and read as inequalities gives two mutually dual cones.  Values
+are held weakly: a cone lives as long as some fan, table, memo or face list
+holds it, so memory stays bounded without a size setting and work that
+builds fresh objects starts cold.
 """
 from __future__ import annotations
+
+import weakref
 
 from .intlat import (
     IntMatrix,
@@ -119,10 +133,29 @@ def _canonical_generators(lin_rows, rays, ambient):
     return tuple(sorted(gens))
 
 
+_INTERNED = weakref.WeakValueDictionary()  # (route, ambient, vectors) -> Cone
+
+
+def _interned(route, vectors, ambient):
+    """The canonical cone generated by (route "g") or cut out by (route "i")
+    the vectors, from the interner or from two double descriptions."""
+    vectors = [tuple(int(x) for x in v) for v in vectors if any(v)]
+    key = (route, ambient, frozenset(primitive(v) for v in vectors))
+    cone = _INTERNED.get(key)
+    if cone is None:
+        # the first run reads the vectors as inequalities and yields the
+        # other list; the second run reads that list back
+        other = _canonical_generators(*dd_solve(vectors, ambient), ambient)
+        own = _canonical_generators(*dd_solve(other, ambient), ambient)
+        cone = Cone(ambient, own, other) if route == "g" else Cone(ambient, other, own)
+        _INTERNED[key] = cone
+    return cone
+
+
 class Cone:
     """Rational polyhedral cone with synchronized generator/facet lists."""
 
-    __slots__ = ("ambient", "generators", "facets", "_faces", "_lin")
+    __slots__ = ("ambient", "generators", "facets", "_faces", "_lin", "__weakref__")
 
     def __init__(self, ambient, generators, facets):
         # internal: inputs must already be canonical (use the classmethods)
@@ -137,21 +170,11 @@ class Cone:
 
     @classmethod
     def from_generators(cls, vectors, ambient):
-        vectors = [tuple(int(x) for x in v) for v in vectors if any(v)]
-        dual_lin, dual_rays = dd_solve(vectors, ambient)
-        facets = _canonical_generators(dual_lin, dual_rays, ambient)
-        prim_lin, prim_rays = dd_solve(facets, ambient)
-        generators = _canonical_generators(prim_lin, prim_rays, ambient)
-        return cls(ambient, generators, facets)
+        return _interned("g", vectors, ambient)
 
     @classmethod
     def from_inequalities(cls, ineqs, ambient):
-        ineqs = [tuple(int(x) for x in a) for a in ineqs if any(a)]
-        prim_lin, prim_rays = dd_solve(ineqs, ambient)
-        generators = _canonical_generators(prim_lin, prim_rays, ambient)
-        dual_lin, dual_rays = dd_solve(generators, ambient)
-        facets = _canonical_generators(dual_lin, dual_rays, ambient)
-        return cls(ambient, generators, facets)
+        return _interned("i", ineqs, ambient)
 
     @classmethod
     def zero(cls, ambient):

@@ -69,12 +69,21 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
+    def _of(cls, entries, cols):
+        """Internal: entries already a tuple of int tuples, each of width cols."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
+        return cls._of(tuple((0,) * cols for _ in range(rows)), cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -92,7 +101,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self):
-        return IntMatrix(tuple(self.column(j) for j in range(self.cols)), cols=self.rows)
+        return IntMatrix._of(tuple(self.column(j) for j in range(self.cols)), self.rows)
 
     def matvec(self, v):
         if len(v) != self.cols:
@@ -105,9 +114,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         cols = tuple(other.column(j) for j in range(other.cols))
-        return IntMatrix(
+        return IntMatrix._of(
             tuple(tuple(dot(row, col) for col in cols) for row in self.entries),
-            cols=other.cols,
+            other.cols,
         )
 
     def __eq__(self, other):
@@ -254,7 +263,9 @@ def smith_normal_form(A):
             row_neg(t)
         t += 1
     diag = tuple(D[i][i] for i in range(min(m, n)))
-    return SmithDecomposition(IntMatrix(L, cols=m), diag, IntMatrix(R, cols=n))
+    return SmithDecomposition(
+        IntMatrix._of(tuple(map(tuple, L)), m), diag, IntMatrix._of(tuple(map(tuple, R)), n)
+    )
 
 
 def hermite_rows(rows, cols):
@@ -304,7 +315,10 @@ class Sublattice:
 
     @classmethod
     def from_rows(cls, ambient, rows):
-        return cls(ambient, IntMatrix(hermite_rows(rows, ambient), cols=ambient))
+        basis = hermite_rows(rows, ambient)
+        if any(len(r) != ambient for r in basis):
+            raise ValueError("cols does not match row width")
+        return cls(ambient, IntMatrix._of(basis, ambient))
 
     @property
     def rank(self):
@@ -368,8 +382,7 @@ def quotient_lattice_map(L):
     # left @ basis^T has only the first k rows nonzero; the lower rows of left
     # therefore kill L, stay surjective, and have kernel exactly L.
     pi_rows = snf.left.entries[k:]
-    pi = IntMatrix(hermite_rows(pi_rows, n), cols=n)
-    return pi
+    return IntMatrix._of(hermite_rows(pi_rows, n), n)
 
 
 def cokernel_diagnostics(A):
@@ -387,8 +400,8 @@ def right_inverse_of_surjection(A):
     if any(d != 1 for d in snf.diag) or len(snf.diag) < m:
         raise ValueError("matrix is not a lattice surjection")
     # A = left^-1 [I 0] right^-1, so s = right [I; 0] left
-    block = IntMatrix(
-        tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(n)), cols=m
+    block = IntMatrix._of(
+        tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(n)), m
     )
     return snf.right @ block @ snf.left
 

@@ -9,7 +9,9 @@ families are found by exhaustive search over all eligible subsets, orbit
 identifications come from carrier faces of interior points, and affine
 chart rings are compared as monoids via Hilbert bases.  Randomized sweeps
 then cross-check the engine against these recomputations; nothing here
-may shortcut through the code paths it is meant to audit.
+may shortcut through the code paths it is meant to audit.  The oracles do
+share the interner of canonical cones (see `cones`): it maps an input
+vector set to its canonical cone, which is representation, not a verdict.
 """
 
 from itertools import combinations
@@ -266,6 +268,19 @@ def _split_image(act, t, lbar, pf):
     return got
 
 
+def _split_images_meet_in_a_face(act, a, b, lbar, pf):
+    """Do the split images of two charts meet in a common face?  Cached per
+    chart pair and lineality split."""
+    key = ("o_meet", a, b, lbar.basis)
+    got = act._cache.get(key)
+    if got is None:
+        ia, ib = _split_image(act, a, lbar, pf), _split_image(act, b, lbar, pf)
+        meet = ia.intersect(ib)
+        got = meet.is_face_of(ia) and meet.is_face_of(ib)
+        act._cache[key] = got
+    return got
+
+
 def _chart_ring_matches(act, ck, lbar, pf, bound):
     """Do the chart's invariant functions generate the same monoid as the
     target chart's functions?  Cached per chart and lineality split."""
@@ -328,8 +343,7 @@ def oracle_verify_quotient(q, act, bound=None):
         missing = sorted(sel.keys - covered, key=key_order)[0]
         problems.append(f"cone {sorted(missing)} is covered by no chart")
     for (ka, a), (kb, b) in combinations(charts, 2):
-        meet = img[a].intersect(img[b])
-        if not (meet.is_face_of(img[a]) and meet.is_face_of(img[b])):
+        if not _split_images_meet_in_a_face(act, a, b, lbar, pf):
             problems.append(
                 f"images of charts {sorted(a)} and {sorted(b)} do not meet "
                 "in a common face"

@@ -348,13 +348,15 @@ def _good_quotient(selection, act, table):
             timg[s].carrier_generators([timg[t].relative_interior_point()])
         )
     chart_map = {target_key(timg[s].generators): key[s] for s in family}
-    geometric = True
-    for s in family:
-        mapped = {orbit[f] for f in bits(faces(s))}
-        if len(mapped) != faces(s).bit_count() or mapped != {
-            target_key(g) for g in timg[s].face_generators()
-        }:
-            geometric = False
+    # the orbit images of a chart's faces are always exactly the faces of its
+    # image: a face F of the image, cut out by a supporting functional l, is
+    # the image of the chart's face cut out by l after the projection, and
+    # that face's interior maps onto F's interior, so its carrier face is F.
+    # Only distinctness can fail.
+    geometric = all(
+        len({orbit[f] for f in bits(faces(s))}) == faces(s).bit_count()
+        for s in family
+    )
     return QuotientFan(
         selection,
         table.lin[lbar],

@@ -6,6 +6,7 @@ are enumerated as kernel lines of inequality subsets using Fraction
 Gaussian elimination, then filtered by feasibility.
 """
 
+import gc
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,12 +17,14 @@ from toricgit.cones import (
     BoundExceededError,
     Cone,
     SizeGuardError,
+    _canonical_generators,
+    dd_solve,
     hilbert_basis,
     monoid_generators,
 )
-from toricgit import fans
+from toricgit import cones, corpus, fans
 from toricgit.fans import Fan, limit_of_generic_point, validate_fan
-from toricgit.intlat import IntMatrix, dot
+from toricgit.intlat import IntMatrix, dot, vscale
 
 
 def frac_kernel_basis(rows, d):
@@ -461,3 +464,88 @@ def _in_monoid(p, gens, cone):
         and _in_monoid(tuple(a - b for a, b in zip(p, g)), gens, cone)
         for g in gens
     )
+
+
+def direct_lists(route, vectors, d):
+    """(generators, facets) by two double descriptions, with no interner."""
+    vectors = [tuple(v) for v in vectors if any(v)]
+    other = _canonical_generators(*dd_solve(vectors, d), d)
+    own = _canonical_generators(*dd_solve(other, d), d)
+    return (own, other) if route == "g" else (other, own)
+
+
+def variants(rng, vectors):
+    """The same input vector set, permuted, duplicated, zero-padded and with
+    some vectors scaled by positive integers."""
+    d = len(vectors[0])
+    permuted = rng.sample(vectors, len(vectors))
+    duplicated = vectors + rng.sample(vectors, max(1, len(vectors) // 2))
+    padded = [(0,) * d] + vectors + [(0,) * d]
+    scaled = [vscale(rng.randint(1, 4), v) for v in vectors]
+    return [permuted, duplicated, padded, scaled]
+
+
+class TestInterner:
+    BUILD = {"g": Cone.from_generators, "i": Cone.from_inequalities}
+
+    @pytest.mark.parametrize("route", ["g", "i"])
+    def test_equal_inputs_share_one_cone(self, route):
+        rng = random.Random(8 if route == "g" else 9)
+        build = self.BUILD[route]
+        for _ in range(30):
+            d = rng.choice([2, 3])
+            vectors = random_vectors(rng, rng.randint(1, 5), d, -3, 3)
+            if not any(any(v) for v in vectors):
+                continue
+            held = build(vectors, d)
+            assert (held.generators, held.facets) == direct_lists(route, vectors, d)
+            for other in variants(rng, vectors):
+                assert build(other, d) is held
+                assert (held.generators, held.facets) == direct_lists(route, other, d)
+
+    def test_generators_and_inequalities_never_alias(self):
+        rng = random.Random(10)
+        sets = [[(1, 0), (0, 1)], [(1, 0)], []]
+        sets += [random_vectors(rng, 3, 2, -3, 3) for _ in range(10)]
+        for vectors in sets:
+            spanned = Cone.from_generators(vectors, 2)
+            cut = Cone.from_inequalities(vectors, 2)
+            assert spanned is not cut
+            assert cut == spanned.dual()
+
+    def test_dropping_the_last_holder_empties_the_entry(self):
+        gc.collect()
+        gc.disable()
+        try:
+            before = set(cones._INTERNED.keys())
+            held = Cone.from_generators([(977, 1, 0), (0, 983, 1)], 3)
+            added = set(cones._INTERNED.keys()) - before
+            assert len(added) == 1
+            assert Cone.from_generators([(0, 983, 1), (977, 1, 0)], 3) is held
+            del held
+            assert not added & set(cones._INTERNED.keys())
+        finally:
+            gc.enable()
+
+    def test_each_sweep_pass_starts_cold(self, monkeypatch):
+        # a strong cache would make the second pass run no double description
+        runs = [0]
+        solve = cones.dd_solve
+
+        def counting(*args):
+            runs[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(cones, "dd_solve", counting)
+        counts = []
+        for _ in range(2):
+            p112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
+            gc.collect()
+            gc.disable()
+            try:
+                runs[0] = 0
+                assert corpus.run_sweep(fans=[p112]).clean()
+                counts.append(runs[0])
+            finally:
+                gc.enable()
+        assert counts[0] == counts[1] <= 1100

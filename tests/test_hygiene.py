@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is referenced, and
-only the oracles touch an action's `_cache` memo."""
+"""Source hygiene: every name a package module imports is referenced, only
+the oracles touch an action's `_cache` memo, and only `cones` calls the
+`Cone` constructor."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,29 @@ def test_the_scan_finds_a_cache_touch():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "oracles.py"])
 def test_only_the_oracles_touch_the_action_cache(module):
     assert cache_touches((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def cone_constructor_calls(source):
+    """Lines that call `Cone(...)` or `<module>.Cone(...)` directly."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Cone")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Cone")
+        )
+    )
+
+
+def test_the_scan_finds_a_cone_constructor_call():
+    source = (
+        "a = Cone(2, g, f)\nb = cones.Cone(2, g, f)\n"
+        "c = Cone.from_generators(g, 2)\nd = isinstance(x, Cone)\n"
+    )
+    assert cone_constructor_calls(source) == [1, 2]
+
+
+# Every canonical cone outside `cones` goes through the interned classmethods,
+# so one vector set never gets a second double description while it is held.
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cones.py"])
+def test_only_cones_calls_the_cone_constructor(module):
+    assert cone_constructor_calls((PACKAGE / module).read_text(encoding="utf-8")) == []
