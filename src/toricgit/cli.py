@@ -488,7 +488,7 @@ def _emit(args, rep, out):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     out = args.out
     rep = Report()
     try:
@@ -499,6 +499,8 @@ def main(argv=None):
         if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
             out = None
             raise ValueError(f"--out {args.out}: names a directory, not a file prefix")
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         problem = load_problem(args.file) if "file" in args else None
         HANDLERS[args.command](rep, problem, args)
     except (BoundExceededError, ValueError) as e:

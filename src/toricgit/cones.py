@@ -198,8 +198,14 @@ class Cone:
         return "Cone(ambient=%d, generators=%r)" % (self.ambient, list(self.generators))
 
     def dual(self):
-        """Swap the two canonical lists; an exact involution."""
-        return Cone(self.ambient, self.facets, self.generators)
+        """Swap the two canonical lists; an exact involution.  The result is
+        the interned cone generated by the facets, so every dual of one value
+        is one object with one set of lazy memos."""
+        key = ("g", self.ambient, frozenset(self.facets))
+        cone = _INTERNED.get(key)
+        if cone is None:
+            cone = _INTERNED[key] = Cone(self.ambient, self.facets, self.generators)
+        return cone
 
     def lineality_lattice(self):
         if self._lin is None:
@@ -262,12 +268,15 @@ class Cone:
         return found
 
     def faces(self):
-        """All faces as cones, sorted by (dim, generators)."""
+        """All faces as cones, sorted by (dim, generators), so the cone itself
+        comes last.  Only the proper faces are stored: an interned cone that
+        held itself would outlive its last holder until a cyclic collection."""
         if self._faces is None:
-            out = [Cone.from_generators(g, self.ambient) for g in self.face_generators()]
+            out = [Cone.from_generators(g, self.ambient)
+                   for g in self.face_generators() if g != self.generators]
             out.sort(key=lambda c: (c.dim(), c.generators))
             object.__setattr__(self, "_faces", tuple(out))
-        return self._faces
+        return self._faces + (self,)
 
     def carrier_generators(self, points):
         """Generators of the smallest face holding the given points of the

@@ -36,7 +36,7 @@ from .symmetry import (
     SymmetryGroup,
     eq1_crosscheck,
     generate_symmetry_group,
-    translate,
+    is_invariant,
     verify_theorem_conclusions,
 )
 
@@ -252,38 +252,23 @@ def run_sweep(
                             f"inner={sorted(map(sorted, inner.keys))}"
                         )
 
-            for outer in rng.sample(goods, min(2, len(goods))):
-                inners = [s for s in opens if s.keys <= outer.keys]
-                for inner in rng.sample(inners, min(eq1_samples, len(inners))):
-                    eq1_checks += 1
-                    report = eq1_crosscheck(outer, inner, data)
-                    if not report.holds():
-                        eq1_failures.append(
-                            f"{tag} outer={sorted(map(sorted, outer.keys))} "
-                            f"inner={sorted(map(sorted, inner.keys))}: "
-                            f"{report.diagnosis or 'sides differ'}"
-                        )
+            legs = [("", data)]
             if symmetric:
                 sym = generate_symmetry_group(fan, [negation])
-                sdata = GroupActionData(act, sym)
-                invariant = [
-                    u
-                    for u in goods
-                    if all(translate(g, u).keys == u.keys for g in sym)
-                ]
+                legs.append(("reflected ", GroupActionData(act, sym)))
+            for label, gdata in legs:
+                invariant = [u for u in goods if is_invariant(gdata, u.keys)]
                 for outer in rng.sample(invariant, min(2, len(invariant))):
                     inners = [
-                        s
-                        for s in opens
-                        if s.keys <= outer.keys
-                        and all(translate(g, s).keys == s.keys for g in sym)
+                        s for s in opens
+                        if s.keys <= outer.keys and is_invariant(gdata, s.keys)
                     ]
                     for inner in rng.sample(inners, min(eq1_samples, len(inners))):
                         eq1_checks += 1
-                        report = eq1_crosscheck(outer, inner, sdata)
+                        report = eq1_crosscheck(outer, inner, gdata)
                         if not report.holds():
                             eq1_failures.append(
-                                f"{tag} reflected "
+                                f"{tag} {label}"
                                 f"outer={sorted(map(sorted, outer.keys))} "
                                 f"inner={sorted(map(sorted, inner.keys))}: "
                                 f"{report.diagnosis or 'sides differ'}"

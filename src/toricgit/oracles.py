@@ -12,8 +12,15 @@ then cross-check the engine against these recomputations; nothing here
 may shortcut through the code paths it is meant to audit.  The oracles do
 share the interner of canonical cones (see `cones`): it maps an input
 vector set to its canonical cone, which is representation, not a verdict.
+
+Memo rule: a helper that remembers its results is wrapped in `_memo`, which
+keeps one table per helper in the action's `_cache`, keyed by every
+argument the value depends on (the projection itself, never a stand-in for
+it).  Nothing else touches `_cache`, so a verdict cannot depend on what the
+action was asked before.
 """
 
+from functools import wraps
 from itertools import combinations
 
 from .cones import Cone, monoid_generators
@@ -27,44 +34,72 @@ from .intlat import (
     vsub,
 )
 
-
-def _image(act, key):
-    """Image of a fan cone under the projection, via the double dual."""
-    got = act._cache.get(("o_img", key))
-    if got is None:
-        rows = [act.proj.matvec(g) for g in act.fan.cone(key).generators]
-        got = Cone.from_inequalities(rows, act.proj.rows).dual()
-        act._cache[("o_img", key)] = got
-    return got
+_MISSING = object()
 
 
-def _img_contains(act, a, b):
-    got = act._cache.get(("o_cont", a, b))
-    if got is None:
-        got = _image(act, a).contains_cone(_image(act, b))
-        act._cache[("o_cont", a, b)] = got
-    return got
+def _memo(fn):
+    """Remember fn(act, *args) in act._cache, in one table per helper keyed
+    by the tuple of the other arguments."""
+
+    @wraps(fn)
+    def remembered(act, *args):
+        table = act._cache.get(fn)
+        if table is None:
+            table = act._cache[fn] = {}
+        got = table.get(args, _MISSING)
+        if got is _MISSING:
+            got = table[args] = fn(act, *args)
+        return got
+
+    return remembered
 
 
+@_memo
+def _image(act, key, proj):
+    """Image of a fan cone under the projection proj, via the double dual."""
+    rows = [proj.matvec(g) for g in act.fan.cone(key).generators]
+    return Cone.from_inequalities(rows, proj.rows).dual()
+
+
+@_memo
+def _contains(act, a, b, proj):
+    """Does the image of cone a under proj contain the image of cone b?"""
+    return _image(act, a, proj).contains_cone(_image(act, b, proj))
+
+
+def _fiber(act, k, keys, proj):
+    """The cones among keys whose images lie in the image of cone k."""
+    return frozenset(t for t in keys if _contains(act, k, t, proj))
+
+
+@_memo
+def _meet_is_face(act, a, b, proj):
+    """Do the images of two cones under proj meet in a common face?"""
+    ia, ib = _image(act, a, proj), _image(act, b, proj)
+    meet = ia.intersect(ib)
+    return meet.is_face_of(ia) and meet.is_face_of(ib)
+
+
+@_memo
 def _pair_compatible(act, a, b):
     """Do the two images share a lineality space and meet in a common face
     once it is split off?"""
-    got = act._cache.get(("o_pair", a, b))
-    if got is not None:
-        return got
-    ia, ib = _image(act, a), _image(act, b)
-    la, lb = ia.lineality_lattice(), ib.lineality_lattice()
-    if la.basis != lb.basis:
-        ok = False
-    else:
-        q2 = quotient_lattice_map(la)
-        sa = Cone.from_generators([q2.matvec(g) for g in ia.generators], q2.rows)
-        sb = Cone.from_generators([q2.matvec(g) for g in ib.generators], q2.rows)
-        meet = sa.intersect(sb)
-        ok = meet.is_face_of(sa) and meet.is_face_of(sb)
-    act._cache[("o_pair", a, b)] = ok
-    act._cache[("o_pair", b, a)] = ok
-    return ok
+    lin = _image(act, a, act.proj).lineality_lattice()
+    if lin.basis != _image(act, b, act.proj).lineality_lattice().basis:
+        return False
+    return _meet_is_face(act, a, b, quotient_lattice_map(lin) @ act.proj)
+
+
+def _carriers(act, charts, keys, proj):
+    """Carrier face of each cone's relative-interior point among the faces of
+    the charts' images under proj; None where it is not unique."""
+    faces = {f for k in charts for f in _image(act, k, proj).faces()}
+    out = {}
+    for t in keys:
+        pt = proj.matvec(act.fan.cone(t).relative_interior_point())
+        found = [f for f in faces if f.contains_in_relative_interior(pt)]
+        out[t] = found[0] if len(found) == 1 else None
+    return out
 
 
 def chart_family(selection, act):
@@ -80,35 +115,28 @@ def chart_family(selection, act):
     """
     if act.fan != selection.fan:
         raise ValueError("action and selection live on different fans")
-    cached = act._cache.get(("o_fam", selection.keys))
-    if cached is not None:
-        return cached[0]
-    fan = selection.fan
-    keys = sorted(selection.keys, key=key_order)
+    return _chart_family(act, selection.keys)
+
+
+@_memo
+def _chart_family(act, keys):
     fibers = {}
-    cands = []
-    for k in keys:
-        fiber = frozenset(t for t in keys if _img_contains(act, k, t))
-        if fiber == frozenset(fan.faces_of(k)):
-            cands.append(k)
+    for k in sorted(keys, key=key_order):
+        fiber = _fiber(act, k, keys, act.proj)
+        if fiber == frozenset(act.fan.faces_of(k)):
             fibers[k] = fiber
-    family = None
-    union = frozenset().union(*(fibers[k] for k in cands)) if cands else frozenset()
-    if union == selection.keys:
-        if all(_pair_compatible(act, a, b) for a, b in combinations(cands, 2)):
-            family = tuple(cands)
-        else:
-            for size in range(1, len(cands) + 1):
-                for sub in combinations(cands, size):
-                    if frozenset().union(*(fibers[k] for k in sub)) != selection.keys:
-                        continue
-                    if all(_pair_compatible(act, a, b) for a, b in combinations(sub, 2)):
-                        family = sub
-                        break
-                if family is not None:
-                    break
-    act._cache[("o_fam", selection.keys)] = (family,)
-    return family
+    cands = tuple(fibers)
+    if frozenset().union(*fibers.values()) != keys:
+        return None
+    if all(_pair_compatible(act, a, b) for a, b in combinations(cands, 2)):
+        return cands
+    for size in range(1, len(cands) + 1):
+        for sub in combinations(cands, size):
+            if frozenset().union(*(fibers[k] for k in sub)) == keys and all(
+                _pair_compatible(act, a, b) for a, b in combinations(sub, 2)
+            ):
+                return sub
+    return None
 
 
 def oracle_good_quotient(selection, act):
@@ -123,23 +151,17 @@ def oracle_orbit_labels(selection, act):
     identified in the quotient.  Labels are cones in the unsplit target, so
     they are comparable across different inner selections of one quotient.
     """
-    cached = act._cache.get(("o_lab", selection.keys))
-    if cached is not None:
-        return dict(cached)
     family = chart_family(selection, act)
     if family is None:
         raise ValueError("selection admits no good quotient")
-    faces = set()
-    for k in family:
-        faces.update(_image(act, k).faces())
-    labels = {}
-    for t in selection.keys:
-        pt = act.proj.matvec(selection.fan.cone(t).relative_interior_point())
-        carriers = {f for f in faces if f.contains_in_relative_interior(pt)}
-        if len(carriers) != 1:
-            raise RuntimeError("carrier face of an orbit cone is not unique")
-        labels[t] = carriers.pop()
-    act._cache[("o_lab", selection.keys)] = tuple(labels.items())
+    return dict(_orbit_labels(act, selection.keys, family))
+
+
+@_memo
+def _orbit_labels(act, keys, family):
+    labels = _carriers(act, family, keys, act.proj)
+    if None in labels.values():
+        raise RuntimeError("carrier face of an orbit cone is not unique")
     return labels
 
 
@@ -257,43 +279,15 @@ def invariant_monoid_generators(cone, cochar, bound=None):
     return monoid_generators(cone.dual().intersect(perp_cone), bound)
 
 
-def _split_image(act, t, lbar, pf):
-    # image under the lineality-split projection, cached per split
-    key = ("o_pimg", t, lbar.basis)
-    got = act._cache.get(key)
-    if got is None:
-        rows = [pf.matvec(g) for g in act.fan.cone(t).generators]
-        got = Cone.from_inequalities(rows, pf.rows).dual()
-        act._cache[key] = got
-    return got
-
-
-def _split_images_meet_in_a_face(act, a, b, lbar, pf):
-    """Do the split images of two charts meet in a common face?  Cached per
-    chart pair and lineality split."""
-    key = ("o_meet", a, b, lbar.basis)
-    got = act._cache.get(key)
-    if got is None:
-        ia, ib = _split_image(act, a, lbar, pf), _split_image(act, b, lbar, pf)
-        meet = ia.intersect(ib)
-        got = meet.is_face_of(ia) and meet.is_face_of(ib)
-        act._cache[key] = got
-    return got
-
-
-def _chart_ring_matches(act, ck, lbar, pf, bound):
+@_memo
+def _chart_ring_matches(act, ck, proj, bound):
     """Do the chart's invariant functions generate the same monoid as the
-    target chart's functions?  Cached per chart and lineality split."""
-    key = ("o_ring", ck, lbar.basis, bound)
-    got = act._cache.get(key)
-    if got is None:
-        upstairs = invariant_monoid_generators(act.fan.cone(ck), act.cochar, bound)
-        downstairs = monoid_generators(_split_image(act, ck, lbar, pf).dual(), bound)
-        pft = pf.transpose()
-        pulled = [tuple(pft.matvec(w)) for w in downstairs]
-        got = mutually_generate(upstairs, pulled, act.fan.rank)
-        act._cache[key] = got
-    return got
+    functions of its image under proj?"""
+    upstairs = invariant_monoid_generators(act.fan.cone(ck), act.cochar, bound)
+    downstairs = monoid_generators(_image(act, ck, proj).dual(), bound)
+    pt = proj.transpose()
+    pulled = [tuple(pt.matvec(w)) for w in downstairs]
+    return mutually_generate(upstairs, pulled, act.fan.rank)
 
 
 def oracle_verify_quotient(q, act, bound=None):
@@ -314,60 +308,50 @@ def oracle_verify_quotient(q, act, bound=None):
     sel = q.source
     fan = sel.fan
     pf = q.proj_full
-    lbar = q.pre_lineality
-    if quotient_lattice_map(lbar) @ act.proj != pf:
+    if quotient_lattice_map(q.pre_lineality) @ act.proj != pf:
         problems.append("stored projection disagrees with the recomputed one")
-    img = {t: _split_image(act, t, lbar, pf) for t in sel.keys}
 
     charts = sorted(q.chart_map.items(), key=lambda kv: key_order(kv[1]))
     fibers = {}
     for img_key, ck in charts:
-        if img[ck] != q.fan.cone(img_key):
+        if _image(act, ck, pf) != q.fan.cone(img_key):
             problems.append(
                 f"image of chart {sorted(ck)} disagrees with the target cone"
             )
-        if not _chart_ring_matches(act, ck, lbar, pf, bound):
+        if not _chart_ring_matches(act, ck, pf, bound):
             problems.append(
                 f"invariant functions of chart {sorted(ck)} do not match the "
                 "target chart functions"
             )
-        fiber = frozenset(t for t in sel.keys if img[ck].contains_cone(img[t]))
-        fibers[ck] = fiber
-        if fiber != frozenset(fan.faces_of(ck)):
+        fibers[ck] = _fiber(act, ck, sel.keys, pf)
+        if fibers[ck] != frozenset(fan.faces_of(ck)):
             problems.append(
                 f"cones mapping into the image of chart {sorted(ck)} are not "
                 "exactly its faces"
             )
-    covered = frozenset().union(*fibers.values()) if fibers else frozenset()
+    covered = frozenset().union(*fibers.values())
     if covered != sel.keys:
         missing = sorted(sel.keys - covered, key=key_order)[0]
         problems.append(f"cone {sorted(missing)} is covered by no chart")
     for (ka, a), (kb, b) in combinations(charts, 2):
-        if not _split_images_meet_in_a_face(act, a, b, lbar, pf):
+        if not _meet_is_face(act, a, b, pf):
             problems.append(
                 f"images of charts {sorted(a)} and {sorted(b)} do not meet "
                 "in a common face"
             )
-    faces = set()
-    for img_key, ck in charts:
-        faces.update(img[ck].faces())
-    carrier = {}
+    carrier = _carriers(act, [ck for _, ck in charts], sel.keys, pf)
     for t in sorted(sel.keys, key=key_order):
-        pt = pf.matvec(fan.cone(t).relative_interior_point())
-        found = {f for f in faces if f.contains_in_relative_interior(pt)}
-        if len(found) != 1:
+        if carrier[t] is None:
             problems.append(f"cone {sorted(t)} has no unique carrier face")
-            continue
-        carrier[t] = found.pop()
-        if q.fan.cone(q.orbit_map[t]) != carrier[t]:
+        elif q.fan.cone(q.orbit_map[t]) != carrier[t]:
             problems.append(
                 f"orbit image of cone {sorted(t)} disagrees with its carrier face"
             )
     geometric = True
     for img_key, ck in charts:
         sfaces = fan.faces_of(ck)
-        mapped = {carrier[f] for f in sfaces if f in carrier}
-        if len(mapped) != len(sfaces) or mapped != set(img[ck].faces()):
+        mapped = {carrier.get(f) for f in sfaces} - {None}
+        if len(mapped) != len(sfaces) or mapped != set(_image(act, ck, pf).faces()):
             geometric = False
     if geometric != q.geometric:
         problems.append(

@@ -156,7 +156,8 @@ def w_set(selection, data):
     return SubfanSelection(selection.fan, _translates_meet(selection.keys, data.sym))
 
 
-def _invariant(data, keys):
+def is_invariant(data, keys):
+    """Does every symmetry of the group map the key set onto itself?"""
     return all(
         {gamma.apply_key(k) for k in keys} == set(keys) for gamma in data.sym
     )
@@ -312,7 +313,7 @@ def verify_corollary(fan, data, limit=2 ** 20):
     )
     invariant_reports = []
     for v in enumerate_good_subsets(fan, act, limit):
-        if not _invariant(data, v.keys):
+        if not is_invariant(data, v.keys):
             continue
         hosts = [u for u in maximal if v.keys <= w_set(u, data).keys]
         if not hosts:
@@ -370,7 +371,7 @@ def eq1_crosscheck(xprime, x, data):
             False, f"outer selection admits no good quotient: {q.detail}",
             None, None, None, None, None,
         )
-    if not _invariant(data, xprime.keys) or not _invariant(data, x.keys):
+    if not is_invariant(data, xprime.keys) or not is_invariant(data, x.keys):
         return Eq1Report(
             False, "selections are not symmetry-invariant",
             None, None, None, None, None,

@@ -356,12 +356,17 @@ class TestDeterminism:
 
 
 class TestOptions:
-    def test_flags_a_command_does_not_read_are_rejected(self, run, write):
+    def test_flags_a_command_does_not_read_are_rejected(self, run, write, tmp_path):
         path = write(p1_doc())
         for flag in ("--bound", "--max-subsets"):
-            with pytest.raises(SystemExit) as exc:
-                run("check", path, flag, "3")
-            assert exc.value.code == 2
+            prefix = tmp_path / flag.strip("-")
+            code, out = run("check", path, flag, "3", "--out", str(prefix))
+            assert code == 2
+            assert f"input error: unrecognized arguments: {flag} 3" in out
+            assert out.rstrip().endswith("result: input error")
+            assert Path(f"{prefix}.txt").read_text(encoding="utf-8") == out
+            document = json.loads(Path(f"{prefix}.json").read_text(encoding="utf-8"))
+            assert document["exit_code"] == 2
 
     def test_out_into_a_missing_directory(self, run, write, tmp_path):
         prefix = str(tmp_path / "no" / "such" / "x")

@@ -115,6 +115,14 @@ class TestDual:
         assert Cone.zero(2).dual() == Cone.full(2)
         assert Cone.full(2).dual() == Cone.zero(2)
 
+    def test_dual_is_the_interned_cone_of_the_facets(self):
+        rng = random.Random(20261018)
+        for _ in range(30):
+            d = rng.randint(1, 3)
+            c = Cone.from_generators(random_vectors(rng, rng.randint(0, 4), d), d)
+            assert c.dual() is c.dual()
+            assert c.dual() is Cone.from_generators(c.facets, c.ambient)
+
     def test_involution_random_sweep(self):
         rng = random.Random(20260817)
         for _ in range(300):
@@ -524,6 +532,21 @@ class TestInterner:
             assert Cone.from_generators([(0, 983, 1), (977, 1, 0)], 3) is held
             del held
             assert not added & set(cones._INTERNED.keys())
+        finally:
+            gc.enable()
+
+    def test_faces_keep_no_reference_to_their_cone(self):
+        # the cone's own key is its canonical generator set, so a stored
+        # self-face would be a cycle that only the cyclic collector breaks
+        key = ("g", 2, frozenset({(5, 7), (3, 11)}))
+        gc.collect()
+        gc.disable()
+        try:
+            held = Cone.from_generators([(5, 7), (3, 11)], 2)
+            assert held.faces()[-1] is held
+            assert cones._INTERNED.get(key) is held
+            del held
+            assert key not in cones._INTERNED
         finally:
             gc.enable()
 

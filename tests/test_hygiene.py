@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is referenced, only
-the oracles touch an action's `_cache` memo, and only `cones` calls the
-`Cone` constructor."""
+the oracles touch an action's `_cache` memo and only through `_memo`, and
+only `cones` calls the `Cone` constructor."""
 
 import ast
 from pathlib import Path
@@ -60,6 +60,22 @@ def test_the_scan_finds_a_cache_touch():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "oracles.py"])
 def test_only_the_oracles_touch_the_action_cache(module):
     assert cache_touches((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def memo_body_lines(source):
+    """Line span of the oracles' `_memo` decorator."""
+    memo = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_memo")
+    return range(memo.lineno, memo.end_lineno + 1)
+
+
+# Inside the oracles every memo goes through `_memo`, one table per helper
+# keyed by its arguments, so no hand-written string-tagged key comes back.
+def test_only_the_memo_decorator_touches_the_cache_in_the_oracles():
+    source = (PACKAGE / "oracles.py").read_text(encoding="utf-8")
+    touches = cache_touches(source)
+    assert touches
+    assert [line for line in touches if line not in memo_body_lines(source)] == []
 
 
 def cone_constructor_calls(source):

@@ -7,6 +7,7 @@ import pytest
 
 from toricgit.cox import cox_presentation, lift_open, quasitorus_action
 from toricgit.fans import Fan, enumerate_open_subsets
+from toricgit.intlat import IntMatrix
 from toricgit.oracles import (
     brute_max_saturated_inside,
     brute_t_maximal,
@@ -248,3 +249,29 @@ class TestQuotientCertificates:
         )
         problems = oracle_verify_quotient(fake, act)
         assert any("geometric" in p for p in problems)
+
+
+class TestMemoHistory:
+    """A verdict on a certificate must not depend on what the action was
+    asked before: every memo is keyed by all that its value depends on."""
+
+    @pytest.mark.parametrize("fan", [C2, P2], ids=["C2", "P2"])
+    def test_negated_projection_gives_the_same_problems_fresh_and_warm(self, fan):
+        checked = 0
+        for sel in enumerate_open_subsets(fan):
+            q = good_quotient(sel, normalize_action(fan, [(1, 1)]))
+            if isinstance(q, Obstruction) or not q.proj_full.rows:
+                continue  # negating a map onto a point changes nothing
+            negated = IntMatrix([[-x for x in row] for row in q.proj_full.entries])
+            bad = QuotientFan(
+                q.source, q.pre_lineality, negated, q.fan,
+                charts=q.charts, chart_map=q.chart_map, orbit_map=q.orbit_map,
+                geometric=q.geometric,
+            )
+            fresh = oracle_verify_quotient(bad, normalize_action(fan, [(1, 1)]))
+            warm = normalize_action(fan, [(1, 1)])
+            assert oracle_verify_quotient(q, warm) == ()
+            assert oracle_verify_quotient(bad, warm) == fresh
+            assert fresh
+            checked += 1
+        assert checked >= 3
