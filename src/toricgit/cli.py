@@ -5,13 +5,15 @@ both formats carry is added in one call with its line and its field.  The
 text goes to stdout and, with --out PREFIX, to PREFIX.txt beside the JSON
 document PREFIX.json; both carry a version header.  Exit codes: 0 when all
 checks pass, 1 when a mathematical verdict is negative, 2 on input errors,
-with the offending line or field named in the report, and 3 when the
-library fails an invariant check of its own (a RuntimeError).  All
-sampling is seeded and reports are byte-identical for identical input
-and flags.
+with the offending line or field named in the report (a command line that
+argparse rejects included), and 3 when the library fails an invariant check
+of its own (a RuntimeError).  All sampling is seeded and reports are
+byte-identical for identical input and flags.  The parser is built once per
+process, on the first call of `main`.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -424,8 +426,21 @@ HANDLERS = {
 }
 
 
+class _CommandLineError(ValueError):
+    """A command line that argparse rejects, reported as an input error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers share this class, so every rejection reaches main's report
+    def error(self, message):
+        raise _CommandLineError(message)
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built on first use and shared by every call
+    of `main` in the process."""
+    parser = _Parser(
         prog="toricgit",
         description="Exact good quotients of subtorus actions on toric varieties.",
     )
@@ -466,12 +481,7 @@ def build_parser():
     return parser
 
 
-def _emit(args, rep, out):
-    head = {
-        "command": args.command,
-        "input": getattr(args, "file", None) or "(builtin corpus)",
-        "seed": args.seed,
-    }
+def _emit(head, rep, out):
     result = RESULT_WORDS[rep.exit_code]
     lines = [TEXT_HEADER, *(f"{name}: {value}" for name, value in head.items()), ""]
     text = "\n".join(lines + rep.lines + ["", f"result: {result}"]) + "\n"
@@ -487,8 +497,26 @@ def _emit(args, rep, out):
     return rep.exit_code
 
 
+def _input_error(message):
+    rep = Report(exit_code=2)
+    rep.add(f"input error: {message}", error=message)
+    return rep
+
+
 def main(argv=None):
-    args, unknown = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args, unknown = build_parser().parse_known_args(argv)
+    except _CommandLineError as e:
+        # --out was not read either, so the report goes to stdout only
+        head = {"command": argv[0] if argv else "(none)", "input": "(unparsed)",
+                "seed": DEFAULT_SEED}
+        return _emit(head, _input_error(str(e)), None)
+    head = {
+        "command": args.command,
+        "input": getattr(args, "file", None) or "(builtin corpus)",
+        "seed": args.seed,
+    }
     out = args.out
     rep = Report()
     try:
@@ -503,16 +531,14 @@ def main(argv=None):
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         problem = load_problem(args.file) if "file" in args else None
         HANDLERS[args.command](rep, problem, args)
-    except (BoundExceededError, ValueError) as e:
-        message = str(e)
-        if isinstance(e, BoundExceededError):
-            message = f"Hilbert-basis bound too small; the certified bound is {e.needed}"
-        rep = Report(exit_code=2)
-        rep.add(f"input error: {message}", error=message)
+    except BoundExceededError as e:
+        rep = _input_error(f"Hilbert-basis bound too small; the certified bound is {e.needed}")
+    except ValueError as e:
+        rep = _input_error(str(e))
     except RuntimeError as e:
         rep = Report(exit_code=3)
         rep.add(f"internal error: {e}", error=str(e))
-    return _emit(args, rep, out)
+    return _emit(head, rep, out)
 
 
 if __name__ == "__main__":

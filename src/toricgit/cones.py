@@ -5,6 +5,13 @@ canonical form (primitive vectors, rays reduced modulo the lineality lattice,
 lexicographically sorted), so structural equality is cone equality and
 dualizing is literally swapping the two lists.
 
+Splitting off the lineality costs two Smith forms.  The first gives the
+kernel of the lineality rows, whose Hermite basis q is the quotient map by
+the saturated lineality lattice (Hermite bases are unique).  The second, of
+q, gives both that lattice, as the kernel of q, and the section that lifts
+the reduced rays.  A cone's lineality lattice needs no Smith form at all: it
+is spanned by the +- pairs of its canonical generators.
+
 Faces are read off generator-facet incidences: a face shares the cone's
 lineality lattice, so its canonical generators are the cone's generators on
 which the facets through it vanish.
@@ -34,7 +41,7 @@ from .intlat import (
     primitive,
     quotient_lattice_map,
     right_inverse_of_surjection,
-    saturate,
+    split_surjection,
     vneg,
     vscale,
     vsub,
@@ -114,22 +121,20 @@ def dd_solve(ineqs, ambient):
 def _canonical_generators(lin_rows, rays, ambient):
     """Canonical generator tuple: saturated lineality basis as +- pairs plus
     extreme rays reduced modulo the lineality lattice."""
-    lat = saturate(Sublattice.from_rows(ambient, lin_rows))
+    if not lin_rows:
+        return tuple(sorted({primitive(r) for r in rays if any(r)}))
+    # q, the Hermite basis of the annihilator of the lineality rows, is the
+    # quotient map by their saturated lattice (see the module docstring)
+    q = kernel_lattice(IntMatrix(lin_rows, cols=ambient)).basis
+    lat, s = split_surjection(q)
     gens = set()
-    if lat.rank:
-        q = quotient_lattice_map(lat)
-        s = right_inverse_of_surjection(q)
-        for b in lat.basis.entries:
-            gens.add(tuple(b))
-            gens.add(vneg(b))
-        for r in rays:
-            w = primitive(q.matvec(r))
-            if any(w):
-                gens.add(s.matvec(w))
-    else:
-        for r in rays:
-            if any(r):
-                gens.add(primitive(r))
+    for b in lat.basis.entries:
+        gens.add(b)
+        gens.add(vneg(b))
+    for r in rays:
+        w = primitive(q.matvec(r))
+        if any(w):
+            gens.add(s.matvec(w))
     return tuple(sorted(gens))
 
 
@@ -208,8 +213,14 @@ class Cone:
         return cone
 
     def lineality_lattice(self):
+        """The saturated lattice of the lineality space, read off the
+        generators: g and -g both occur exactly when g is a lineality basis
+        vector of the canonical list."""
         if self._lin is None:
-            lat = kernel_lattice(IntMatrix(self.facets, cols=self.ambient))
+            gens = set(self.generators)
+            lat = Sublattice.from_rows(
+                self.ambient, [g for g in self.generators if vneg(g) in gens]
+            )
             object.__setattr__(self, "_lin", lat)
         return self._lin
 

@@ -21,6 +21,7 @@ from itertools import combinations, permutations
 from .cones import Cone, SizeGuardError
 from .intlat import (
     IntMatrix,
+    dot,
     matrix_rank,
     primitive,
     right_inverse_of_surjection,
@@ -104,11 +105,25 @@ class Fan:
             self._cones[key] = got
         return got
 
+    def _interior_rays(self, key):
+        """Rays of cone `key` that span no face of it: none in a fan.  A ray
+        spans a face exactly when the cone is pointed and the ray is one of
+        its canonical generators; a cone that is not pointed has no ray
+        faces."""
+        c = self.cone(key)
+        return [i for i in key if not (c.is_pointed() and self.rays[i] in c.generators)]
+
     def cone_keys(self):
-        """All cones of the fan as ray-index keys, sorted by (dim, indices)."""
+        """All cones of the fan as ray-index keys, sorted by (dim, indices).
+
+        Raises ValueError when a maximal cone has an interior ray: its key
+        would be no face key, so the listing would drop it."""
         if self._keys is None:
             found = {frozenset()}
             for top in self.max_cones:
+                interior = self._interior_rays(top)
+                if interior:
+                    raise ValueError(f"ray {interior[0]} is interior to cone {sorted(top)}")
                 for gens in self.cone(top).face_generators():
                     found.add(frozenset(i for i in top if self.rays[i] in gens))
             rank = {k: matrix_rank([self.rays[i] for i in k], self.rank) for k in found}
@@ -156,10 +171,8 @@ def validate_fan(fan):
     for key, c in zip(fan.max_cones, cones):
         if not c.is_pointed():
             problems.append(f"cone {sorted(key)} is not strongly convex")
-        for i in key:
-            ray = Cone.from_generators([fan.rays[i]], fan.rank)
-            if not ray.is_face_of(c):
-                problems.append(f"ray {i} is interior to cone {sorted(key)}")
+        for i in fan._interior_rays(key):
+            problems.append(f"ray {i} is interior to cone {sorted(key)}")
     used = set().union(*fan.max_cones) if fan.max_cones else set()
     for i in range(len(fan.rays)):
         if i not in used:
@@ -244,11 +257,13 @@ def is_complete(fan):
     tops = list(fan.max_cones)
     if any(fan.cone(t).dim() != fan.rank for t in tops):
         return False
+    # the ridges of a full-dimensional cone are its facets, each cut out by
+    # one facet normal
     ridge_owners = {}
     for t in tops:
-        for k in fan.cone_keys():
-            if k <= t and fan.cone(k).dim() == fan.rank - 1:
-                ridge_owners.setdefault(k, []).append(t)
+        for phi in fan.cone(t).facets:
+            k = frozenset(i for i in t if dot(phi, fan.rays[i]) == 0)
+            ridge_owners.setdefault(k, []).append(t)
     if not ridge_owners or any(len(v) != 2 for v in ridge_owners.values()):
         return False
     seen = {tops[0]}

@@ -272,7 +272,15 @@ def hermite_rows(rows, cols):
     """Canonical basis (row-style Hermite form) of the lattice spanned by rows.
 
     Pivots positive, entries above each pivot reduced into [0, pivot).
-    Zero rows are dropped, so equal lattices give equal tuples.
+    Zero rows are dropped, so equal lattices give equal tuples: the Hermite
+    normal form is unique (H. Cohen, A Course in Computational Algebraic
+    Number Theory, GTM 138, section 2.4).
+
+    The reduction above the pivots runs top-down.  Row i is zero left of
+    its pivot, so reducing an upper row by row i touches only columns from
+    pivot i on and keeps every column already reduced by rows above i.
+    Bottom-up, reducing by row 1 would undo the reduction by row 2 of the
+    column of pivot 2, and the result would depend on the input rows.
     """
     work = [list(r) for r in rows if any(x != 0 for x in r)]
     basis = []
@@ -295,8 +303,8 @@ def hermite_rows(rows, cols):
                 p[j] = -p[j]
         basis.append(p)
         work = [r for r in work if r is not p and any(x != 0 for x in r)]
-    # reduce entries above each pivot into [0, pivot)
-    for i in reversed(range(len(basis))):
+    # reduce entries above each pivot into [0, pivot), top-down
+    for i in range(len(basis)):
         pivot_col = next(j for j in range(cols) if basis[i][j] != 0)
         for k in range(i):
             q = basis[k][pivot_col] // basis[i][pivot_col]
@@ -393,8 +401,9 @@ def cokernel_diagnostics(A):
     return A.rows - len(nonzero), torsion
 
 
-def right_inverse_of_surjection(A):
-    """Integer section s with A @ s == identity, for surjective A."""
+def _section(A):
+    """(s, right): an integer section s of the lattice surjection A
+    (A @ s == identity) and the right factor of the Smith form it came from."""
     m, n = A.rows, A.cols
     snf = smith_normal_form(A)
     if any(d != 1 for d in snf.diag) or len(snf.diag) < m:
@@ -403,7 +412,20 @@ def right_inverse_of_surjection(A):
     block = IntMatrix._of(
         tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(n)), m
     )
-    return snf.right @ block @ snf.left
+    return snf.right @ block @ snf.left, snf.right
+
+
+def right_inverse_of_surjection(A):
+    """Integer section s with A @ s == identity, for surjective A."""
+    return _section(A)[0]
+
+
+def split_surjection(A):
+    """Kernel lattice and integer section of a lattice surjection A, both
+    read off one Smith form: the last n - m columns of its right factor span
+    the kernel."""
+    s, right = _section(A)
+    return Sublattice.from_rows(A.cols, (right.column(j) for j in range(A.rows, A.cols))), s
 
 
 def matrix_rank(rows, cols):

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -182,6 +184,19 @@ class TestQuotient:
         code, out = run("quotient", write(doc), "--selection", "punctured")
         assert code == 0
         assert "non-saturated lattice; the saturation is used" in out
+
+    def test_no_saturation_note_for_a_saturated_span(self, run, write):
+        doc = {
+            "format": "toricgit-problem",
+            "version": 1,
+            "rank": 4,
+            "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
+            "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]],
+            "subtorus": [[1, 0, -3, 0], [0, 1, 1, 0], [0, 0, 2, 1]],
+        }
+        code, out = run("quotient", write(doc))
+        assert "subtorus rank: 3" in out
+        assert "non-saturated" not in out
 
     def test_unknown_selection(self, run, write):
         code, out = run("quotient", write(c2_doc()), "--selection", "nope")
@@ -387,6 +402,50 @@ class TestOptions:
             assert out.rstrip().endswith("result: input error")
         assert list(folder.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "problem.json"]
+
+
+class TestCommandLine:
+    def test_unknown_command_is_an_input_error(self, run, write):
+        code, out = run("frob", write(p1_doc()))
+        assert code == 2
+        assert out.startswith("toricgit report v1\ncommand: frob\n")
+        assert "input error: argument command: invalid choice: 'frob'" in out
+        assert out.rstrip().endswith("result: input error")
+
+    def test_missing_required_flag_is_an_input_error(self, run, write):
+        code, out = run("eq1-check", write(p1_doc()))
+        assert code == 2
+        assert out.startswith("toricgit report v1\ncommand: eq1-check\n")
+        assert "input error: the following arguments are required: --inner" in out
+        assert out.rstrip().endswith("result: input error")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: toricgit")
+
+    def test_the_parser_is_built_once_per_process(self, run, write):
+        cli.build_parser.cache_clear()
+        path = write(p1_doc())
+        run("check", path)
+        run("cox", path)
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_consecutive_calls_match_separate_processes(self, run, write):
+        calls = [
+            ["check", write(p1_doc())],
+            ["frob", "problem.json"],
+            ["quotient", write(c2_doc(), "c2.json"), "--selection", "punctured"],
+        ]
+        in_process = [run(*argv) for argv in calls]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for argv, (code, out) in zip(calls, in_process):
+            alone = subprocess.run(
+                [sys.executable, "-m", "toricgit.cli", *argv],
+                capture_output=True, text=True, env=env, check=False, timeout=120,
+            )
+            assert (alone.returncode, alone.stdout) == (code, out)
 
 
 # Report branches that the shipped problem files do not reach.  The expected

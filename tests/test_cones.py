@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricgit.cones import (
     BoundExceededError,
@@ -24,7 +26,18 @@ from toricgit.cones import (
 )
 from toricgit import cones, corpus, fans
 from toricgit.fans import Fan, limit_of_generic_point, validate_fan
-from toricgit.intlat import IntMatrix, dot, vscale
+from toricgit.intlat import (
+    IntMatrix,
+    Sublattice,
+    dot,
+    kernel_lattice,
+    primitive,
+    quotient_lattice_map,
+    right_inverse_of_surjection,
+    saturate,
+    vneg,
+    vscale,
+)
 
 
 def frac_kernel_basis(rows, d):
@@ -572,3 +585,119 @@ class TestInterner:
             finally:
                 gc.enable()
         assert counts[0] == counts[1] <= 1100
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def four_smith_canonical_generators(lin_rows, rays, ambient):
+    """Reference canonical form: saturate the lineality lattice by a double
+    kernel, then take its quotient map and that map's section, each from a
+    Smith form of its own (four in all)."""
+    lat = saturate(Sublattice.from_rows(ambient, lin_rows))
+    gens = set()
+    if lat.rank:
+        q = quotient_lattice_map(lat)
+        s = right_inverse_of_surjection(q)
+        for b in lat.basis.entries:
+            gens.add(tuple(b))
+            gens.add(vneg(b))
+        for r in rays:
+            w = primitive(q.matvec(r))
+            if any(w):
+                gens.add(s.matvec(w))
+    else:
+        for r in rays:
+            if any(r):
+                gens.add(primitive(r))
+    return tuple(sorted(gens))
+
+
+@st.composite
+def split_inputs(draw):
+    """Lineality rows and rays in Z^d for d <= 6, in any position."""
+    d = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(-4, 4)] * d)
+    lin_rows = draw(st.lists(vector, max_size=d))
+    rays = draw(st.lists(vector, max_size=6))
+    return lin_rows, rays, d
+
+
+class TestDifferentialAgainstFourSmithSplit:
+    @PROPERTY
+    @given(split_inputs())
+    # a three-row quotient map, where a Hermite form that depends on its
+    # input rows would give the two routes different sections
+    @example(([(-3, 1, -3, -3, 1), (-4, -5, 1, -1, -3)], [(-3, 3, 2, -4, -6)], 5))
+    def test_random_inputs(self, inputs):
+        assert _canonical_generators(*inputs) == four_smith_canonical_generators(*inputs)
+
+    def test_double_description_outputs(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            d = rng.randint(2, 4)
+            vectors = random_vectors(rng, rng.randint(1, 5), d, -3, 3)
+            lin, rays = dd_solve(vectors, d)
+            assert _canonical_generators(lin, rays, d) == (
+                four_smith_canonical_generators(lin, rays, d)
+            )
+
+
+@st.composite
+def cones_and_points(draw):
+    """A cone by either route in Z^d, d <= 4, and up to three of its points,
+    each a nonnegative combination of its generators."""
+    d = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=5))
+    build = draw(st.sampled_from((Cone.from_generators, Cone.from_inequalities)))
+    c = build(vectors, d)
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        point = (0,) * d
+        for g in c.generators:
+            k = draw(st.integers(0, 2))
+            point = tuple(x + k * y for x, y in zip(point, g))
+        points.append(point)
+    return c, points
+
+
+class TestConeProperties:
+    @PROPERTY
+    @given(cones_and_points())
+    def test_lineality_read_off_the_generators(self, drawn):
+        c, _ = drawn
+        assert c.lineality_lattice() == kernel_lattice(IntMatrix(c.facets, cols=c.ambient))
+
+    @PROPERTY
+    @given(cones_and_points())
+    def test_dual_is_an_involution_on_interned_cones(self, drawn):
+        # x is filed under its input vectors, dual() looks cones up under
+        # their canonical generators, so c is the object it returns
+        x, _ = drawn
+        c = Cone.from_generators(x.generators, x.ambient)
+        assert c == x
+        assert x.dual().dual() is c
+        assert c.dual().dual() is c
+        assert Cone.from_generators(c.generators, c.ambient) is c
+
+    @PROPERTY
+    @given(cones_and_points())
+    def test_faces_are_closed_under_taking_faces(self, drawn):
+        c, _ = drawn
+        faces = set(c.faces())
+        assert all(set(f.faces()) <= faces for f in faces)
+
+    @PROPERTY
+    @given(cones_and_points())
+    def test_carrier_generators_are_minimal(self, drawn):
+        # the carrier is a face holding every point, and a face without any
+        # one of its generators loses a point
+        c, points = drawn
+        carrier = c.carrier_generators(points)
+        face = Cone.from_generators(carrier, c.ambient)
+        assert face.generators == carrier and face.is_face_of(c)
+        assert all(face.contains(p) for p in points)
+        for g in carrier:
+            for other in c.faces():
+                if g not in other.generators:
+                    assert not all(other.contains(p) for p in points)

@@ -61,6 +61,31 @@ class TestConstructionAndValidation:
         assert not report.valid
         assert any("strongly convex" in p for p in report.problems)
 
+    @pytest.mark.parametrize("fan, problems", [
+        (Fan(2, [(1, 0), (0, 1), (1, 1), (-1, 1)], [{0, 1}, {2, 3}]),
+         ("cones [0, 1] and [2, 3] intersect in a non-face",)),
+        (Fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}]),
+         ("ray 2 is interior to cone [0, 1, 2]",)),
+        (Fan(1, [(1,), (-1,)], [{0, 1}]),
+         ("cone [0, 1] is not strongly convex",
+          "ray 0 is interior to cone [0, 1]", "ray 1 is interior to cone [0, 1]")),
+        (Fan(2, [(1, 0), (0, 1)], [{0}]), ("ray 1 occurs in no maximal cone",)),
+        (Fan(2, [(1, 0), (0, 1), (1, 1), (-1, -1)], [{0, 1}, {0, 2}, {1, 3}]),
+         ("maximal cone contains another: [0, 1], [0, 2]",)),
+        # a half-plane: not pointed, so none of its rays spans a face
+        (Fan(2, [(1, 0), (-1, 0), (0, 1)], [{0, 1, 2}]),
+         ("cone [0, 1, 2] is not strongly convex",
+          "ray 0 is interior to cone [0, 1, 2]", "ray 1 is interior to cone [0, 1, 2]",
+          "ray 2 is interior to cone [0, 1, 2]")),
+    ])
+    def test_problem_messages(self, fan, problems):
+        assert validate_fan(fan).problems == problems
+
+    def test_cone_keys_refuses_a_maximal_cone_with_an_interior_ray(self):
+        fan = Fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
+        with pytest.raises(ValueError, match=r"^ray 2 is interior to cone \[0, 1, 2\]$"):
+            fan.cone_keys()
+
     def test_unused_ray_reported(self):
         fan = Fan(2, [(1, 0), (0, 1)], [{0}])
         assert not validate_fan(fan).valid
@@ -91,7 +116,8 @@ class TestCompleteness:
         assert not is_complete(TORUS2)
 
     def test_a_maximal_cone_that_is_no_cone_key(self):
-        # ray 2 is interior, so the maximal key is missing from cone_keys()
+        # ray 2 is interior, so cone_keys() refuses this non-fan, and the
+        # ridges read off the facets of the quadrant are unpaired
         assert not is_complete(Fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}]))
 
     def test_sampling_oracle(self):

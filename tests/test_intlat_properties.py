@@ -2,7 +2,8 @@
 independent reference for invariant factors and ranks.
 
 Every property is derandomized and runs on small matrices (at most 4 x 4,
-entries in [-9, 9]), so a run tests the same examples each time.
+or 6 x 6 for the Hermite and quotient-map properties, entries in [-9, 9]),
+so a run tests the same examples each time.
 """
 
 import pytest
@@ -15,9 +16,14 @@ from toricgit.fans import Fan, fan_automorphisms
 from toricgit.intlat import (
     IntMatrix,
     Sublattice,
+    hermite_rows,
+    kernel_lattice,
     matrix_rank,
+    quotient_lattice_map,
     right_inverse_of_surjection,
+    saturate,
     smith_normal_form,
+    split_surjection,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -27,6 +33,17 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 def matrices(draw):
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    return IntMatrix(
+        [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+@st.composite
+def wide_matrices(draw):
+    """Up to six rows in Z^d for d <= 6."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
     entry = st.integers(-9, 9)
     return IntMatrix(
         [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols=cols
@@ -90,6 +107,23 @@ def test_saturated_iff_every_invariant_factor_is_one(A):
 
 
 @PROPERTY
+@given(wide_matrices(), st.data())
+def test_hermite_basis_is_canonical(A, data):
+    # a fixed point, and one basis for every spanning set of the lattice
+    basis = hermite_rows(A.entries, A.cols)
+    assert hermite_rows(basis, A.cols) == basis
+    U = data.draw(unimodular(A.rows))
+    assert hermite_rows((U @ A).entries, A.cols) == basis
+
+
+@PROPERTY
+@given(wide_matrices())
+def test_quotient_map_of_the_saturation_is_the_annihilator_basis(A):
+    L = Sublattice.from_rows(A.cols, A.entries)
+    assert quotient_lattice_map(saturate(L)).entries == kernel_lattice(L.basis).basis.entries
+
+
+@PROPERTY
 @given(unimodular())
 def test_right_inverse_of_a_unimodular_matrix_is_its_inverse(U):
     inv = right_inverse_of_surjection(U)
@@ -104,6 +138,9 @@ def test_a_section_exists_iff_the_map_is_onto(A):
     onto = A.rows <= A.cols and all(d == 1 for d in reference_diag(A))
     if onto:
         assert A @ right_inverse_of_surjection(A) == IntMatrix.identity(A.rows)
+        kernel, section = split_surjection(A)
+        assert kernel == kernel_lattice(A)
+        assert section == right_inverse_of_surjection(A)
     else:
         with pytest.raises(ValueError):
             right_inverse_of_surjection(A)

@@ -54,6 +54,12 @@ class TestNormalizeAction:
         assert act.cochar.basis.entries == ((1, 1),)
         assert not act.input_saturated
 
+    def test_a_saturated_rank_three_span_is_recognised(self):
+        # three Hermite rows: the saturation's basis must come out identical
+        p4 = Fan(4, P4_RAYS, P4_CONES)
+        act = normalize_action(p4, [(1, 0, -3, 0), (0, 1, 1, 0), (0, 0, 2, 1)])
+        assert act.input_saturated
+
     def test_full_torus(self):
         act = normalize_action(C2, [(1, 0), (0, 1)])
         assert act.proj.rows == 0 and act.is_full()
