@@ -512,11 +512,15 @@ def main(argv=None):
         head = {"command": argv[0] if argv else "(none)", "input": "(unparsed)",
                 "seed": DEFAULT_SEED}
         return _emit(head, _input_error(str(e)), None)
-    head = {
-        "command": args.command,
-        "input": getattr(args, "file", None) or "(builtin corpus)",
-        "seed": args.seed,
-    }
+    source = getattr(args, "file", None) or "(builtin corpus)"
+    # argparse reads the value of an unknown flag placed before the problem
+    # file as the file, so the file names the input only if no unknown
+    # argument precedes its last occurrence
+    if unknown and "file" in args and (
+        len(argv) - 1 - argv[::-1].index(args.file) > argv.index(unknown[0])
+    ):
+        source = "(unparsed)"
+    head = {"command": args.command, "input": source, "seed": args.seed}
     out = args.out
     rep = Report()
     try:

@@ -158,14 +158,6 @@ def canonical_section(pres, exponents):
     return MonomialSection(exponents, pres.degree(exponents))
 
 
-def upstairs_zero_set(pres, section, within=None):
-    """Coordinate faces of the open set upstairs on which the monomial
-    vanishes identically."""
-    within = pres.relevant if within is None else within
-    supp = section.support()
-    return frozenset(key for key in within.keys if key & supp)
-
-
 def image_zero_set(pres, section):
     """Downstairs cones in the support of the divisor: the union of orbit
     closures of the supported rays."""

@@ -16,7 +16,7 @@ closure, enumeration and the quotient engine read masks.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .cones import Cone, SizeGuardError
 from .intlat import (
@@ -25,7 +25,6 @@ from .intlat import (
     matrix_rank,
     primitive,
     right_inverse_of_surjection,
-    smith_normal_form,
 )
 
 ConeKey = frozenset
@@ -283,18 +282,6 @@ def is_simplicial(fan):
     return all(fan.cone(t).is_simplicial() for t in fan.max_cones)
 
 
-def is_smooth(fan):
-    """Every cone is spanned by part of a lattice basis."""
-    for t in fan.max_cones:
-        c = fan.cone(t)
-        if not c.is_simplicial():
-            return False
-        rows = IntMatrix(tuple(fan.rays[i] for i in sorted(t)), cols=fan.rank)
-        if any(x != 1 for x in smith_normal_form(rows).diag):
-            return False
-    return True
-
-
 def enumerate_open_subsets(fan, limit=2 ** 20):
     """All face-closed selections, i.e. order ideals of the cone poset."""
     _, bit = fan.numbering()
@@ -373,40 +360,3 @@ class FanAutomorphism:
 
     def is_identity(self):
         return self.matrix == IntMatrix.identity(self.fan.rank)
-
-
-def fan_automorphisms(fan):
-    """All lattice automorphisms preserving the fan, found by lifting
-    assignments of a spanning ray subset to candidate image rays."""
-    d = fan.rank
-    n = len(fan.rays)
-    if d == 0:
-        return (FanAutomorphism(fan, IntMatrix.identity(0)),)
-    basis_idx = None
-    for cand in combinations(range(n), d):
-        if matrix_rank([fan.rays[i] for i in cand], d) == d:
-            basis_idx = cand
-            break
-    if basis_idx is None:
-        raise ValueError("rays do not span the ambient space")
-    # m @ source == target; source = left^-1 diag right^-1, so
-    # m = target @ right @ diag^-1 @ left, integral iff target @ right is
-    # divisible column by column by diag
-    snf = smith_normal_form(IntMatrix.from_columns([fan.rays[i] for i in basis_idx], rows=d))
-    found = []
-    for targets in permutations(range(n), d):
-        scaled = IntMatrix.from_columns([fan.rays[i] for i in targets], rows=d) @ snf.right
-        if any(x % q for row in scaled.entries for x, q in zip(row, snf.diag)):
-            continue
-        m = IntMatrix(
-            tuple(tuple(x // q for x, q in zip(row, snf.diag)) for row in scaled.entries),
-            cols=d,
-        ) @ snf.left
-        if not m.is_unimodular():
-            continue
-        try:
-            found.append(FanAutomorphism(fan, m))
-        except ValueError:
-            continue
-    found.sort(key=lambda a: a.matrix.entries)
-    return tuple(found)

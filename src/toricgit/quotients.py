@@ -35,6 +35,22 @@ selection's quotient is read off the family's split images: the target
 rays are their generators, and the orbit image of t is the carrier face
 of t's split image in the lowest family chart covering t.  No cone of the
 target fan is built.
+
+The engine's own form of the orbit map is the fibre masks
+`QuotientFan.fibres`, numbered from the orbit images as they are found:
+fibres[t] holds the selected cones with t's orbit image.  Saturation is
+mask algebra on them.  The saturation of a mask A inside the selection
+is the OR of the fibres of A's cones, so A is saturated exactly when
+that OR is A, and the largest saturated selection inside B removes the
+saturation of the cones outside B.
+
+The host of a good selection u is the first good selection, in
+enumeration order, that properly contains u and in which u is saturated;
+the T-maximal selections are the goods without one.  The candidates come
+from a superset index over the goods: bit j of holders[c] is set when the
+j-th good selection holds cone c, so the AND of holders over u's cones
+holds exactly the goods that contain u.  Each action memoizes the host of
+every good selection in its table.
 """
 
 from dataclasses import dataclass
@@ -52,7 +68,7 @@ from .intlat import (
     kernel_lattice,
     quotient_lattice_map,
     right_inverse_of_surjection,
-    saturate,
+    split_surjection,
 )
 
 
@@ -116,12 +132,13 @@ class ImageTable:
     each to every seen cone, so each image containment is decided at most
     once per action and a cone no selection reaches is never projected.
     The table also memoizes whether two chart images meet in a face, the
-    split images per lineality class, and the engine's results.
+    split images per lineality class, the engine's results, the good
+    selections, and the host of each good selection.
     """
 
     __slots__ = (
         "fan", "proj", "img", "lin", "cls", "below", "above", "lin_le",
-        "seen", "classes", "meets", "split", "results", "goods", "tmax",
+        "seen", "classes", "meets", "split", "results", "goods", "hosts",
     )
 
     def __init__(self, fan, proj):
@@ -141,7 +158,7 @@ class ImageTable:
         self.split = {}  # class id -> (q2, q2 @ proj, {i: split image})
         self.results = {}  # selection mask -> QuotientFan or Obstruction
         self.goods = {}  # limit -> enumerate_good_subsets
-        self.tmax = {}  # limit -> t_maximal_subsets
+        self.hosts = {}  # good selection mask -> its host selection, or None
 
     def fill(self, mask):
         """Project the unseen cones of mask; relate each to every seen cone."""
@@ -195,8 +212,10 @@ class ImageTable:
 def normalize_action(fan, generators):
     """Subtorus action from cocharacter generators; the span is saturated."""
     raw = Sublattice.from_rows(fan.rank, generators)
-    lat = saturate(raw)
-    proj = quotient_lattice_map(lat)
+    # the canonical kernel basis of the generators' span is the quotient map
+    # by its saturation, and that map's kernel is the saturation
+    proj = kernel_lattice(raw.basis).basis
+    lat = split_surjection(proj)[0]
     return SubtorusAction(fan, lat, proj, input_saturated=raw.basis == lat.basis)
 
 
@@ -211,7 +230,8 @@ class Obstruction:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class QuotientFan:
-    """A good quotient: target fan, chart cones, and the orbit map."""
+    """A good quotient: target fan, chart cones, and the orbit map, both
+    by cone key and as fibre masks over the source fan's numbering."""
 
     source: SubfanSelection
     pre_lineality: Sublattice
@@ -220,6 +240,7 @@ class QuotientFan:
     charts: tuple
     chart_map: dict
     orbit_map: dict
+    fibres: dict  # cone index -> mask of the selected cones with its orbit image
     geometric: bool
 
     @property
@@ -257,6 +278,7 @@ def _good_quotient(selection, act, table):
             charts=(),
             chart_map={},
             orbit_map={},
+            fibres={},
             geometric=True,
         )
     table.fill(sel)
@@ -347,15 +369,18 @@ def _good_quotient(selection, act, table):
         orbit[t] = target_key(
             timg[s].carrier_generators([timg[t].relative_interior_point()])
         )
+    fibre = {}
+    for t in order:
+        fibre[orbit[t]] = fibre.get(orbit[t], 0) | 1 << t
+    fibres = {t: fibre[orbit[t]] for t in order}
     chart_map = {target_key(timg[s].generators): key[s] for s in family}
     # the orbit images of a chart's faces are always exactly the faces of its
     # image: a face F of the image, cut out by a supporting functional l, is
     # the image of the chart's face cut out by l after the projection, and
     # that face's interior maps onto F's interior, so its carrier face is F.
-    # Only distinctness can fail.
+    # Only distinctness can fail: no two faces of a chart may share a fibre.
     geometric = all(
-        len({orbit[f] for f in bits(faces(s))}) == faces(s).bit_count()
-        for s in family
+        fibres[f] & faces(s) == 1 << f for s in family for f in bits(faces(s))
     )
     return QuotientFan(
         selection,
@@ -365,18 +390,27 @@ def _good_quotient(selection, act, table):
         charts=tuple(key[s] for s in family),
         chart_map=chart_map,
         orbit_map={key[t]: orbit[t] for t in order},
+        fibres=fibres,
         geometric=geometric,
     )
 
 
 def _outer_quotient(inner, outer, act):
     """The good quotient of outer, for an inner selection inside it."""
-    if not inner.keys <= outer.keys:
+    if inner.mask & ~outer.mask:
         raise ValueError("inner selection must lie inside the outer one")
     q = good_quotient(outer, act)
     if isinstance(q, Obstruction):
         raise ValueError("outer selection admits no good quotient")
     return q
+
+
+def _saturation(q, mask):
+    """The cones of q's source sharing an orbit image with a cone of mask."""
+    sat = 0
+    for t in bits(mask):
+        sat |= q.fibres[t]
+    return sat
 
 
 def is_saturated(inner, outer, act):
@@ -386,8 +420,7 @@ def is_saturated(inner, outer, act):
     cone coincides with that of a cone of inner.
     """
     q = _outer_quotient(inner, outer, act)
-    inside = {q.orbit_map[t] for t in inner.keys}
-    return all(t in inner.keys for t in outer.keys if q.orbit_map[t] in inside)
+    return _saturation(q, inner.mask) == inner.mask
 
 
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
@@ -403,22 +436,36 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
 
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):
-    """Selections with good quotient not properly saturated in a larger one.
+    """Selections with good quotient not properly saturated in a larger one:
+    the good selections without a host.
 
     The 2-maximal variant also asks any two quotient points to share an
     affine neighbourhood.  Quotients here are toric, and toric varieties
     have that property (J. Włodarczyk, "Embeddings in toric varieties and
     prevarieties", J. Algebraic Geom. 2 (1993)), so the variants coincide.
     """
-    tmax = act.image_table().tmax
-    if limit not in tmax:
-        goods = enumerate_good_subsets(fan, act, limit)
-        tmax[limit] = [
-            u
-            for u in goods
-            if not any(u < v and is_saturated(u, v, act) for v in goods)
-        ]
-    return list(tmax[limit])
+    goods = enumerate_good_subsets(fan, act, limit)
+    table = act.image_table()
+    hosts = table.hosts
+    if any(u.mask not in hosts for u in goods):
+        holders = [0] * len(table.img)
+        for j, v in enumerate(goods):
+            for c in bits(v.mask):
+                holders[c] |= 1 << j
+        everyone = (1 << len(goods)) - 1
+        for k, u in enumerate(goods):
+            larger = everyone & ~(1 << k)
+            for c in bits(u.mask):
+                larger &= holders[c]
+            hosts[u.mask] = next(
+                (
+                    goods[j]
+                    for j in bits(larger)
+                    if _saturation(table.results[goods[j].mask], u.mask) == u.mask
+                ),
+                None,
+            )
+    return [u for u in goods if hosts[u.mask] is None]
 
 
 def max_saturated_inside(outer, inner, act):
@@ -428,9 +475,8 @@ def max_saturated_inside(outer, inner, act):
     of inner.
     """
     q = _outer_quotient(inner, outer, act)
-    bad = {q.orbit_map[b] for b in outer.keys - inner.keys}
-    kept = {t for t in outer.keys if q.orbit_map[t] not in bad}
-    return SubfanSelection(outer.fan, kept)
+    removed = _saturation(q, outer.mask & ~inner.mask)
+    return SubfanSelection._of_mask(outer.fan, outer.mask & ~removed)
 
 
 @dataclass(frozen=True)

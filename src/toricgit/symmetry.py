@@ -132,15 +132,6 @@ class GroupActionData:
                     )
 
 
-def translate(gamma, selection):
-    """Image of an open selection under a fan symmetry."""
-    if gamma.fan != selection.fan:
-        raise ValueError("symmetry acts on a different fan")
-    return SubfanSelection(
-        selection.fan, [gamma.apply_key(k) for k in selection.keys]
-    )
-
-
 def _translates_meet(keys, sym):
     """The cone keys lying in every symmetry translate of keys."""
     meet = set(keys)
@@ -236,17 +227,14 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
     act = data.act
     if fan != act.fan:
         raise ValueError("selection lives on a different fan")
-    maximal = {u.keys for u in t_maximal_subsets(fan, act, limit=limit)}
-    if selection.keys not in maximal:
+    maximal = {u.mask for u in t_maximal_subsets(fan, act, limit=limit)}
+    if selection.mask not in maximal:
         q = good_quotient(selection, act)
         if isinstance(q, Obstruction):
             diagnosis = f"selection admits no good quotient: {q.detail}"
         else:
-            larger = next(
-                v
-                for v in enumerate_good_subsets(fan, act, limit)
-                if selection.keys < v.keys and is_saturated(selection, v, act)
-            )
+            # t_maximal_subsets has recorded the host of every good selection
+            larger = act.image_table().hosts[selection.mask]
             diagnosis = (
                 "selection is properly saturated inside the larger good subset "
                 f"{sorted(sorted(k) for k in larger.keys)}"

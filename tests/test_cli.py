@@ -383,6 +383,17 @@ class TestOptions:
             document = json.loads(Path(f"{prefix}.json").read_text(encoding="utf-8"))
             assert document["exit_code"] == 2
 
+    def test_a_flag_before_the_file_does_not_take_its_place(self, run, write):
+        path = write(p1_doc())
+        for flag in ("--bound", "--max-subsets"):
+            code, out = run("check", flag, "3", path)
+            assert code == 2
+            lines = out.splitlines()
+            assert lines[:3] == ["toricgit report v1", "command: check", "input: (unparsed)"]
+            assert "input: 3" not in lines
+            assert f"input error: unrecognized arguments: {flag} {path}" in lines
+            assert lines[-1] == "result: input error"
+
     def test_out_into_a_missing_directory(self, run, write, tmp_path):
         prefix = str(tmp_path / "no" / "such" / "x")
         code, out = run("check", write(p1_doc()), "--out", prefix)

@@ -16,7 +16,6 @@ from toricgit.cox import (
     lift_open,
     quasitorus_action,
     round_trip,
-    upstairs_zero_set,
     verify_globally_defined,
     zero_set_identity_holds,
 )
@@ -159,7 +158,6 @@ class TestSections:
         pres = cox_presentation(P2)
         s = canonical_section(pres, (1, 0, 0))
         assert s.degree == ((1,), ())
-        assert upstairs_zero_set(pres, s) == {fs(0), fs(0, 1), fs(0, 2)}
         assert image_zero_set(pres, s) == {fs(0), fs(0, 1), fs(0, 2)}
 
     def test_image_is_union_of_supported_ray_closures(self):

@@ -1,11 +1,14 @@
 """Source hygiene: every name a package module imports is referenced, only
-the oracles touch an action's `_cache` memo and only through `_memo`, and
-only `cones` calls the `Cone` constructor."""
+the oracles touch an action's `_cache` memo and only through `_memo`, only
+`cones` calls the `Cone` constructor, and every public definition is used
+inside the package or exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import toricgit
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricgit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -102,3 +105,47 @@ def test_the_scan_finds_a_cone_constructor_call():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cones.py"])
 def test_only_cones_calls_the_cone_constructor(module):
     assert cone_constructor_calls((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources, exported):
+    """Public top-level functions, classes and constants of the modules
+    (module name -> source) that no expression of any module refers to and
+    `exported` does not list; a name or the last part of an attribute chain
+    refers to a definition of that name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in names
+                      if not name.startswith("_") and name not in referenced | exported]
+    return sorted(found)
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    sources = {
+        "a": "LIMIT = 3\nKEPT = 4\ndef used():\n    return KEPT\ndef dead():\n    pass\n"
+             "def _private():\n    pass\nclass Exported:\n    pass\n",
+        "b": "from .a import used\nfrom .a import dead\nx = used() + m.LIMIT\n",
+    }
+    assert unreferenced_definitions(sources, {"Exported"}) == ["a.dead"]
+
+
+# Library code that nothing in the package calls is either exported on
+# purpose or dead; the names `__init__` imports count only through `__all__`.
+def test_every_public_definition_is_referenced_or_exported():
+    sources = {module.removesuffix(".py"): (PACKAGE / module).read_text(encoding="utf-8")
+               for module in MODULES}
+    assert unreferenced_definitions(sources, set(toricgit.__all__)) == []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
-from toricgit.fans import Fan, fan_automorphisms
+from toricgit.fans import Fan
 from toricgit.intlat import (
     IntMatrix,
     Sublattice,
@@ -25,6 +25,7 @@ from toricgit.intlat import (
     smith_normal_form,
     split_surjection,
 )
+from toricgit.quotients import normalize_action
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -146,38 +147,22 @@ def test_a_section_exists_iff_the_map_is_onto(A):
             right_inverse_of_surjection(A)
 
 
-FANS = (
-    Fan(1, [(1,), (-1,)], [{0}, {1}]),
-    Fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}]),
-    Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}]),
-    Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [{0, 2}, {0, 3}, {1, 2}, {1, 3}]),
-    Fan(2, [(1, 0), (1, 2)], [{0, 1}]),
-    Fan(
-        3,
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-        [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
-    ),
-    Fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [{0, 1, 2, 3}]),
-)
-
-
 @st.composite
-def moved_fans(draw):
-    """A fan of FANS carried by a random unimodular change of coordinates."""
-    fan = draw(st.sampled_from(FANS))
-    U = draw(unimodular(fan.rank))
-    return Fan(fan.rank, [U.matvec(r) for r in fan.rays], fan.max_cones)
+def generator_sets(draw):
+    """Subtorus generators: 0 to d + 1 rows in Z^d for d <= 4, so the span
+    runs from the zero lattice to full rank, saturated or not."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, cols + 1))
+    entry = st.integers(-9, 9)
+    return cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
-@given(moved_fans())
-def test_fan_automorphisms_form_a_group(fan):
-    autos = fan_automorphisms(fan)
-    found = set(autos)
-    assert len(found) == len(autos)
-    assert any(a.is_identity() for a in autos)
-    for a in autos:
-        assert a.inverse() in found
-        assert a.compose(a.inverse()).is_identity()
-        for b in autos:
-            assert a.compose(b) in found
+@PROPERTY
+@given(generator_sets())
+def test_normalize_action_reads_the_saturation_off_the_annihilator_basis(case):
+    # two Smith forms, against the saturation and its quotient map
+    cols, generators = case
+    saturation = saturate(Sublattice.from_rows(cols, generators))
+    act = normalize_action(Fan(cols, [], []), generators)
+    assert act.proj == quotient_lattice_map(saturation)
+    assert act.cochar.basis == saturation.basis

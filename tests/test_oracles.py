@@ -2,6 +2,7 @@
 recomputations, plus unit tests for the recomputation primitives."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -231,22 +232,14 @@ class TestQuotientCertificates:
         q = good_quotient(punctured_plane(), act)
         om = dict(q.orbit_map)
         om[frozenset({0})], om[frozenset({1})] = om[frozenset({1})], om[frozenset({0})]
-        fake = QuotientFan(
-            q.source, q.pre_lineality, q.proj_full, q.fan,
-            charts=q.charts, chart_map=q.chart_map, orbit_map=om,
-            geometric=q.geometric,
-        )
+        fake = replace(q, orbit_map=om)
         problems = oracle_verify_quotient(fake, act)
         assert any("carrier" in p for p in problems)
 
     def test_tampered_geometric_flag_detected(self):
         act = normalize_action(C2, [(1, 1)])
         q = good_quotient(punctured_plane(), act)
-        fake = QuotientFan(
-            q.source, q.pre_lineality, q.proj_full, q.fan,
-            charts=q.charts, chart_map=q.chart_map, orbit_map=q.orbit_map,
-            geometric=not q.geometric,
-        )
+        fake = replace(q, geometric=not q.geometric)
         problems = oracle_verify_quotient(fake, act)
         assert any("geometric" in p for p in problems)
 
@@ -263,11 +256,7 @@ class TestMemoHistory:
             if isinstance(q, Obstruction) or not q.proj_full.rows:
                 continue  # negating a map onto a point changes nothing
             negated = IntMatrix([[-x for x in row] for row in q.proj_full.entries])
-            bad = QuotientFan(
-                q.source, q.pre_lineality, negated, q.fan,
-                charts=q.charts, chart_map=q.chart_map, orbit_map=q.orbit_map,
-                geometric=q.geometric,
-            )
+            bad = replace(q, proj_full=negated)
             fresh = oracle_verify_quotient(bad, normalize_action(fan, [(1, 1)]))
             warm = normalize_action(fan, [(1, 1)])
             assert oracle_verify_quotient(q, warm) == ()

@@ -28,6 +28,7 @@ from toricgit.quotients import (
     staged_quotient,
     t_maximal_subsets,
 )
+from toricgit.symmetry import GroupActionData, SymmetryGroup, verify_theorem_conclusions
 
 P1 = Fan(1, [(1,), (-1,)], [{0}, {1}])
 A1 = Fan(1, [(1,)], [{0}])
@@ -289,7 +290,7 @@ def pairwise_good_quotient(selection, act, images):
         return QuotientFan(
             selection, Sublattice.from_rows(act.proj.rows, []), act.proj,
             Fan(act.proj.rows, [], []), charts=(), chart_map={}, orbit_map={},
-            geometric=True,
+            fibres={}, geometric=True,
         )
     for k in keys:
         if k not in images:
@@ -384,9 +385,14 @@ def pairwise_good_quotient(selection, act, images):
         top = frozenset(ray_index[g] for g in timg[s].generators)
         if len(set(mapped)) != len(sfaces) or set(mapped) != set(qfan.faces_of(top)):
             geometric = False
+    _, bit = fan.numbering()
+    fibres = {
+        bit[t]: sum(1 << bit[u] for u in keys if orbit_map[u] == orbit_map[t])
+        for t in keys
+    }
     return QuotientFan(
         selection, lbar, proj_full, qfan, charts=tuple(chart_family),
-        chart_map=chart_map, orbit_map=orbit_map, geometric=geometric,
+        chart_map=chart_map, orbit_map=orbit_map, fibres=fibres, geometric=geometric,
     )
 
 
@@ -430,6 +436,7 @@ def verdict(result):
         result.charts,
         result.chart_map,
         result.orbit_map,
+        result.fibres,
         result.geometric,
         result.fan.rays,
         result.fan.max_cones,
@@ -461,6 +468,107 @@ class TestDifferentialAgainstPairwiseEngine:
             "quotient", "chart-fiber", "non-fan-images",
             "mixed-lineality/pair", "mixed-lineality/maximal",
         }
+
+
+# The saturation routines before fibre masks, kept as the reference: they
+# compare orbit-map key sets, and the T-maximal scan tests every pair of
+# good selections.
+def keyset_outer_quotient(inner, outer, act):
+    if not inner.keys <= outer.keys:
+        raise ValueError("inner selection must lie inside the outer one")
+    q = good_quotient(outer, act)
+    if isinstance(q, Obstruction):
+        raise ValueError("outer selection admits no good quotient")
+    return q
+
+
+def keyset_is_saturated(inner, outer, act):
+    q = keyset_outer_quotient(inner, outer, act)
+    inside = {q.orbit_map[t] for t in inner.keys}
+    return all(t in inner.keys for t in outer.keys if q.orbit_map[t] in inside)
+
+
+def keyset_max_saturated_inside(outer, inner, act):
+    q = keyset_outer_quotient(inner, outer, act)
+    bad = {q.orbit_map[b] for b in outer.keys - inner.keys}
+    return SubfanSelection(outer.fan, {t for t in outer.keys if q.orbit_map[t] not in bad})
+
+
+def pairwise_t_maximal(fan, act):
+    goods = enumerate_good_subsets(fan, act)
+    return [
+        u for u in goods
+        if not any(u.keys < v.keys and keyset_is_saturated(u, v, act) for v in goods)
+    ]
+
+
+class TestSaturationAgainstKeySets:
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_every_good_pair(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        act = normalize_action(fan, gens)
+        goods = enumerate_good_subsets(fan, act)
+        pairs = [(u, v) for u in goods for v in goods if u.keys <= v.keys]
+        assert len(pairs) > len(goods)
+        for u, v in pairs:
+            assert is_saturated(u, v, act) == keyset_is_saturated(u, v, act), (u, v)
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_every_open_inside_a_good_outer(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        act = normalize_action(fan, gens)
+        opens = enumerate_open_subsets(fan)
+        for outer in enumerate_good_subsets(fan, act):
+            for inner in opens:
+                if inner.keys <= outer.keys:
+                    got = max_saturated_inside(outer, inner, act)
+                    want = keyset_max_saturated_inside(outer, inner, act)
+                    assert (got.keys, got.mask) == (want.keys, want.mask), (outer, inner)
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_t_maximal_lists(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        got = t_maximal_subsets(fan, normalize_action(fan, gens))
+        want = pairwise_t_maximal(fan, normalize_action(fan, gens))
+        assert [u.keys for u in got] == [u.keys for u in want]
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_refusals_name_the_first_host(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        act = normalize_action(fan, gens)
+        data = GroupActionData(act, SymmetryGroup.trivial(fan))
+        goods = enumerate_good_subsets(fan, act)
+        maximal = {u.keys for u in pairwise_t_maximal(fan, act)}
+        for u in goods:
+            if u.keys in maximal:
+                continue
+            host = next(v for v in goods
+                        if u.keys < v.keys and keyset_is_saturated(u, v, act))
+            report = verify_theorem_conclusions(u, data)
+            assert report.refused
+            assert report.diagnosis == (
+                "selection is properly saturated inside the larger good subset "
+                f"{sorted(sorted(k) for k in host.keys)}"
+            )
+
+
+def test_t_maximal_subsets_compares_no_selection_pairs(monkeypatch):
+    # the host search reads supersets off an index over the goods, so no
+    # pair of selections is ordered
+    fan = Fan(3, P3_RAYS, P3_CONES)
+    act = normalize_action(fan, [(1, 2, 3)])
+    assert enumerate_good_subsets(fan, act)
+    calls = 0
+    lt = SubfanSelection.__lt__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return lt(self, other)
+
+    monkeypatch.setattr(SubfanSelection, "__lt__", counted)
+    assert t_maximal_subsets(fan, act)
+    assert calls == 0
 
 
 NINE_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
