@@ -12,7 +12,9 @@ Each fan numbers its cones in key_order (`Fan.numbering`), a value-only
 numbering that equal fans share: a set of cones is the mask with bit i
 for cone i, and `Fan.face_mask(i)`, built on first use, holds the faces
 of cone i.  A SubfanSelection carries its `mask` beside its `keys`; face
-closure, enumeration and the quotient engine read masks.
+closure, enumeration and the quotient engine read masks; the engine and
+the oracles enumerate bare ideal masks (`_open_masks`) and build a
+selection only for a mask they keep.
 """
 
 from dataclasses import dataclass
@@ -146,6 +148,14 @@ class Fan:
         if got is None:
             got = self._faces[i] = sum(1 << j for j in range(i + 1) if keys[j] <= keys[i])
         return got
+
+    def face_masks(self):
+        """The face masks of all cones by index: the fan's own list, which
+        readers must not change."""
+        keys, _ = self.numbering()
+        for i in range(len(keys)):
+            self.face_mask(i)
+        return self._faces
 
     def faces_of(self, key):
         """Keys of all faces of a fan cone, read off its face mask."""
@@ -284,15 +294,26 @@ def is_simplicial(fan):
 
 def enumerate_open_subsets(fan, limit=2 ** 20):
     """All face-closed selections, i.e. order ideals of the cone poset."""
+    return [SubfanSelection._of_mask(fan, ideal) for ideal in _open_masks(fan, limit)]
+
+
+def _open_masks(fan, limit, within=-1):
+    """Masks of the order ideals inside the face-closed mask `within` (all
+    of them by default), in the order of enumerate_open_subsets; more than
+    limit of them raise SizeGuardError.  The cones outside `within` are
+    skipped, which drops exactly the ideals not inside it, since every
+    face of a cone of `within` is in `within`."""
     _, bit = fan.numbering()
     ideals = [0]
     for k in fan.cone_keys():
         i = bit[k]
+        if not within >> i & 1:
+            continue
         below = fan.face_mask(i) ^ 1 << i
         ideals += [ideal | 1 << i for ideal in ideals if ideal & below == below]
         if len(ideals) > limit:
             raise SizeGuardError(f"more than {limit} open subsets")
-    return [SubfanSelection._of_mask(fan, ideal) for ideal in ideals]
+    return ideals
 
 
 def limit_of_generic_point(fan, v):

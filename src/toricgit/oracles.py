@@ -24,7 +24,7 @@ from functools import wraps
 from itertools import combinations
 
 from .cones import Cone, monoid_generators
-from .fans import SubfanSelection, enumerate_open_subsets, key_order
+from .fans import SubfanSelection, _open_masks, enumerate_open_subsets, key_order
 from .intlat import (
     Sublattice,
     dot,
@@ -192,12 +192,17 @@ def brute_t_maximal(fan, act, limit=2 ** 20):
 
 
 def brute_max_saturated_inside(outer, inner, act, limit=2 ** 20):
-    """Union of all saturated face-closed subsets of outer lying in inner."""
+    """Union of all saturated face-closed subsets of outer lying in inner.
+
+    Only the order ideals inside inner are enumerated: inner is face-closed,
+    so they are exactly the face-closed subsets lying in it.
+    """
     if not inner.keys <= outer.keys:
         raise ValueError("inner selection must lie inside the outer one")
     best = frozenset()
-    for sub in enumerate_open_subsets(outer.fan, limit):
-        if sub.keys <= inner.keys and oracle_saturated(sub, outer, act):
+    for ideal in _open_masks(outer.fan, limit, inner.mask):
+        sub = SubfanSelection._of_mask(outer.fan, ideal)
+        if oracle_saturated(sub, outer, act):
             best = best | sub.keys
     return SubfanSelection(outer.fan, best)
 

@@ -21,20 +21,34 @@ and the criterion is mask algebra on it:
 - the common lineality cone lbar is the first i in M with
   lin_le[i] & M == M; without one, the first incomparable pair is the
   obstruction;
-- i is a chart iff it is in lbar's lineality class and
+- i is a chart iff it is in lbar's lineality class (the table keeps a
+  mask of each class, so only those cones are scanned) and
   below[i] & M == face_mask(i);
 - the chart family is the charts i with above[i] & C == 1 << i, where C
   is the chart mask;
-- a cone t is covered iff above[t] meets the family; the witnesses of an
-  uncovered cone (its maximal image m, and a cone of M in m's image that
-  is not a face of m) are the lowest bits of the matching masks.
+- the uncovered cones are M & ~(OR of below[s] over the family); the
+  witnesses of the lowest one (its maximal image m, and a cone of M in
+  m's image that is not a face of m) are the lowest bits of the matching
+  masks.
 
 Every scan runs in ascending index order, which is key_order, so the
 witnesses are those of a pairwise scan over the sorted selection.  A good
 selection's quotient is read off the family's split images: the target
 rays are their generators, and the orbit image of t is the carrier face
 of t's split image in the lowest family chart covering t.  No cone of the
-target fan is built.
+target fan is built.  That carrier face depends only on the lineality
+class, t and the chart, so the table memoizes it under those three, as it
+does the chart meets and the split images.
+
+The criterion is one routine, `_decide(table, mask)`, that works on cone
+indices only: it returns lbar and the chart family of a good mask, or an
+obstruction code and the indices of its two witnesses.  `_render` turns
+that into the QuotientFan or the Obstruction text, and `good_quotient`
+is render after decide.  `enumerate_good_subsets` decides each order
+ideal on its bare mask and renders only the good ones, so selections,
+quotients and obstruction text are built only for what a caller keeps;
+a rejected ideal leaves no memo entry, and `good_quotient` decides it
+again when asked.
 
 The engine's own form of the orbit map is the fibre masks
 `QuotientFan.fibres`, numbered from the orbit images as they are found:
@@ -59,8 +73,8 @@ from itertools import combinations
 from .fans import (
     Fan,
     SubfanSelection,
+    _open_masks,
     bits,
-    enumerate_open_subsets,
     key_order,
 )
 from .intlat import (
@@ -130,15 +144,18 @@ class ImageTable:
     `below[i]`, `above[i]` and `lin_le[i]` (each row holds its own bit).
     `fill(mask)` projects the cones of mask not yet `seen` and relates
     each to every seen cone, so each image containment is decided at most
-    once per action and a cone no selection reaches is never projected.
-    The table also memoizes whether two chart images meet in a face, the
-    split images per lineality class, the engine's results, the good
-    selections, and the host of each good selection.
+    once per action and a cone no selection reaches is never projected;
+    `members[c]` masks the seen cones of lineality class c.  The table
+    also memoizes whether two chart images meet in a face, the split
+    images and orbit-image carrier faces per lineality class, the
+    quotients and asked-for verdicts, the good selections, and the host
+    of each good selection.
     """
 
     __slots__ = (
-        "fan", "proj", "img", "lin", "cls", "below", "above", "lin_le",
-        "seen", "classes", "meets", "split", "results", "goods", "hosts",
+        "fan", "proj", "faces", "img", "lin", "cls", "below", "above", "lin_le",
+        "seen", "classes", "members", "meets", "split", "carriers",
+        "results", "goods", "hosts",
     )
 
     def __init__(self, fan, proj):
@@ -146,6 +163,7 @@ class ImageTable:
         n = len(keys)
         self.fan = fan
         self.proj = proj
+        self.faces = fan.face_masks()
         self.img = [None] * n
         self.lin = [None] * n
         self.cls = [None] * n
@@ -154,9 +172,13 @@ class ImageTable:
         self.lin_le = [1 << i for i in range(n)]
         self.seen = 0
         self.classes = {}  # lineality basis -> class id
+        self.members = []  # class id -> mask of the seen cones in the class
         self.meets = {}  # (a, b) -> do img[a] and img[b] meet in a face of both
         self.split = {}  # class id -> (q2, q2 @ proj, {i: split image})
-        self.results = {}  # selection mask -> QuotientFan or Obstruction
+        self.carriers = {}  # (class id, t, s) -> carrier face, see carrier()
+        # selection mask -> QuotientFan for every good selection decided,
+        # Obstruction only for a mask good_quotient was asked about
+        self.results = {}
         self.goods = {}  # limit -> enumerate_good_subsets
         self.hosts = {}  # good selection mask -> its host selection, or None
 
@@ -169,7 +191,10 @@ class ImageTable:
         for i in bits(new):
             self.img[i] = self.fan.cone(keys[i]).image(self.proj)
             self.lin[i] = self.img[i].lineality_lattice()
-            self.cls[i] = self.classes.setdefault(self.lin[i].basis, len(self.classes))
+            c = self.cls[i] = self.classes.setdefault(self.lin[i].basis, len(self.classes))
+            if c == len(self.members):
+                self.members.append(0)
+            self.members[c] |= 1 << i
             for j in bits(self.seen):
                 for a, b in ((i, j), (j, i)):
                     if self.img[a].contains_cone(self.img[b]):
@@ -206,6 +231,19 @@ class ImageTable:
         if got is None:
             keys, _ = self.fan.numbering()
             got = images[i] = self.fan.cone(keys[i]).image(proj_full)
+        return got
+
+    def carrier(self, t, s, lbar):
+        """Generators of the carrier face, in the split image of chart s, of
+        the split image of cone t, split by lbar's lineality class: t's
+        orbit image when s is t's family chart."""
+        key = (self.cls[lbar], t, s)
+        got = self.carriers.get(key)
+        if got is None:
+            point = self.split_image(t, lbar).relative_interior_point()
+            got = self.carriers[key] = self.split_image(s, lbar).carrier_generators(
+                [point]
+            )
         return got
 
 
@@ -261,19 +299,100 @@ def good_quotient(selection, act):
     table = act.image_table()
     got = table.results.get(selection.mask)
     if got is None:
-        got = table.results[selection.mask] = _good_quotient(selection, act, table)
+        decision = _decide(table, selection.mask)
+        got = table.results[selection.mask] = _render(table, selection, decision)
     return got
 
 
-def _good_quotient(selection, act, table):
-    fan = table.fan
-    sel = selection.mask
+# obstruction code -> (kind, detail over the sorted keys of witnesses a, b)
+_OBSTRUCTIONS = (
+    ("mixed-lineality", "images of {0} and {1} have incomparable lineality spaces"),
+    ("mixed-lineality", "the maximal image of {0} drops the common lineality space"),
+    ("chart-fiber", "cone {1} maps into the image of {0} but is not a face of it"),
+    ("non-fan-images", "images of charts {0} and {1} do not meet in a face"),
+)
+_INCOMPARABLE, _DROPPED, _CHART_FIBER, _NON_FAN = range(len(_OBSTRUCTIONS))
+
+
+def _decide(table, sel):
+    """The chart criterion on the selection mask sel, in cone indices only:
+    (None, lbar, family) for a good selection, with lbar its common
+    lineality cone and family its chart family ascending, or (code, a, b)
+    for the obstruction _OBSTRUCTIONS[code] with witness cones a and b."""
     if not sel:
-        empty = Fan(act.proj.rows, [], [])
+        return None, None, ()
+    table.fill(sel)
+    below, above, lin_le, faces = table.below, table.above, table.lin_le, table.faces
+    for lbar in bits(sel):
+        if lin_le[lbar] & sel == sel:
+            break
+    else:
+        for a, b in combinations(bits(sel), 2):
+            if not (lin_le[a] >> b) & 1 and not (lin_le[b] >> a) & 1:
+                return _INCOMPARABLE, a, b
+        keys, _ = table.fan.numbering()
+        first = keys[(sel & -sel).bit_length() - 1]
+        raise RuntimeError(
+            f"lineality spaces of the images from cone {sorted(first)} "
+            "on are pairwise comparable but have no largest element"
+        )
+
+    charts = 0
+    for i in bits(sel & table.members[table.cls[lbar]]):
+        if below[i] & sel == faces[i]:
+            charts |= 1 << i
+    family = tuple(i for i in bits(charts) if above[i] & charts == 1 << i)
+    reach = 0
+    for s in family:
+        reach |= below[s]
+    uncovered = sel & ~reach
+    if uncovered:
+        t = (uncovered & -uncovered).bit_length() - 1
+        for m in bits(above[t] & sel):
+            if not above[m] & sel & ~below[m]:
+                break
+        else:
+            keys, _ = table.fan.numbering()
+            raise RuntimeError(
+                f"the image of cone {sorted(keys[t])} lies in no maximal image"
+            )
+        if table.cls[m] != table.cls[lbar]:
+            return _DROPPED, m, lbar
+        strays = below[m] & sel & ~faces[m]
+        if not strays:
+            keys, _ = table.fan.numbering()
+            raise RuntimeError(
+                f"cone {sorted(keys[m])} has a maximal image but is no chart "
+                "and no cone maps into it beyond its faces"
+            )
+        return _CHART_FIBER, m, (strays & -strays).bit_length() - 1
+
+    for a, b in combinations(family, 2):
+        if not table.meet_is_face(a, b):
+            return _NON_FAN, a, b
+    return None, lbar, family
+
+
+def _render(table, selection, decision):
+    """The Obstruction or the QuotientFan that _decide's decision names."""
+    code, a, b = decision
+    if code is not None:
+        keys, _ = table.fan.numbering()
+        kind, detail = _OBSTRUCTIONS[code]
+        return Obstruction(
+            kind, detail.format(sorted(keys[a]), sorted(keys[b])), (keys[a], keys[b])
+        )
+    return _quotient(table, selection, a, b)
+
+
+def _quotient(table, selection, lbar, family):
+    proj = table.proj
+    if not selection.mask:
+        empty = Fan(proj.rows, [], [])
         return QuotientFan(
             selection,
-            Sublattice.from_rows(act.proj.rows, []),
-            act.proj,
+            Sublattice.from_rows(proj.rows, []),
+            proj,
             empty,
             charts=(),
             chart_map={},
@@ -281,115 +400,44 @@ def _good_quotient(selection, act, table):
             fibres={},
             geometric=True,
         )
-    table.fill(sel)
-    order = list(bits(sel))
-    key, _ = fan.numbering()
-    below, above, faces, cls = table.below, table.above, fan.face_mask, table.cls
-    lbar = next((i for i in order if table.lin_le[i] & sel == sel), None)
-    if lbar is None:
-        a, b = next(
-            (
-                (a, b)
-                for a, b in combinations(order, 2)
-                if not (table.lin_le[a] >> b) & 1 and not (table.lin_le[b] >> a) & 1
-            ),
-            (None, None),
-        )
-        if a is None:
-            raise RuntimeError(
-                f"lineality spaces of the images from cone {sorted(key[order[0]])} "
-                "on are pairwise comparable but have no largest element"
-            )
-        return Obstruction(
-            "mixed-lineality",
-            f"images of {sorted(key[a])} and {sorted(key[b])} "
-            "have incomparable lineality spaces",
-            (key[a], key[b]),
-        )
-
-    charts = 0
-    for i in order:
-        if cls[i] == cls[lbar] and below[i] & sel == faces(i):
-            charts |= 1 << i
-    family = [i for i in bits(charts) if above[i] & charts == 1 << i]
-    covered = sum(1 << i for i in family)
-
-    for t in order:
-        if above[t] & covered:
-            continue
-        m = next(
-            (m for m in bits(above[t] & sel) if not above[m] & sel & ~below[m]), None
-        )
-        if m is None:
-            raise RuntimeError(
-                f"the image of cone {sorted(key[t])} lies in no maximal image"
-            )
-        if cls[m] != cls[lbar]:
-            return Obstruction(
-                "mixed-lineality",
-                f"the maximal image of {sorted(key[m])} drops the common lineality space",
-                (key[m], key[lbar]),
-            )
-        strays = below[m] & sel & ~faces(m)
-        if not strays:
-            raise RuntimeError(
-                f"cone {sorted(key[m])} has a maximal image but is no chart "
-                "and no cone maps into it beyond its faces"
-            )
-        bad = key[(strays & -strays).bit_length() - 1]
-        return Obstruction(
-            "chart-fiber",
-            f"cone {sorted(bad)} maps into the image of {sorted(key[m])} "
-            "but is not a face of it",
-            (key[m], bad),
-        )
-
-    for a, b in combinations(family, 2):
-        if not table.meet_is_face(a, b):
-            return Obstruction(
-                "non-fan-images",
-                f"images of charts {sorted(key[a])} and {sorted(key[b])} "
-                "do not meet in a face",
-                (key[a], key[b]),
-            )
-
+    keys, _ = table.fan.numbering()
+    above, faces = table.above, table.faces
     q2, proj_full, _ = table.split_projection(lbar)
-    timg = {i: table.split_image(i, lbar) for i in order}
-    rays = sorted({g for s in family for g in timg[s].generators})
+    chart_gens = [table.split_image(s, lbar).generators for s in family]
+    rays = sorted({g for gens in chart_gens for g in gens})
     ray_index = {g: i for i, g in enumerate(rays)}
-
-    def target_key(gens):
-        return frozenset(ray_index[g] for g in gens)
+    covered = sum(1 << s for s in family)
 
     # the family's images meet in common faces, so the carrier face of t's
     # image is the same target cone in every chart covering t
     orbit = {}
-    for t in order:
-        s = next(bits(above[t] & covered))
-        orbit[t] = target_key(
-            timg[s].carrier_generators([timg[t].relative_interior_point()])
-        )
     fibre = {}
-    for t in order:
-        fibre[orbit[t]] = fibre.get(orbit[t], 0) | 1 << t
-    fibres = {t: fibre[orbit[t]] for t in order}
-    chart_map = {target_key(timg[s].generators): key[s] for s in family}
+    for t in bits(selection.mask):
+        cover = above[t] & covered
+        s = (cover & -cover).bit_length() - 1
+        o = orbit[t] = frozenset(ray_index[g] for g in table.carrier(t, s, lbar))
+        fibre[o] = fibre.get(o, 0) | 1 << t
+    fibres = {t: fibre[o] for t, o in orbit.items()}
+    chart_map = {
+        frozenset(ray_index[g] for g in gens): keys[s]
+        for s, gens in zip(family, chart_gens)
+    }
     # the orbit images of a chart's faces are always exactly the faces of its
     # image: a face F of the image, cut out by a supporting functional l, is
     # the image of the chart's face cut out by l after the projection, and
     # that face's interior maps onto F's interior, so its carrier face is F.
     # Only distinctness can fail: no two faces of a chart may share a fibre.
     geometric = all(
-        fibres[f] & faces(s) == 1 << f for s in family for f in bits(faces(s))
+        fibres[f] & faces[s] == 1 << f for s in family for f in bits(faces[s])
     )
     return QuotientFan(
         selection,
         table.lin[lbar],
         proj_full,
         Fan(q2.rows, rays, chart_map.keys()),
-        charts=tuple(key[s] for s in family),
+        charts=tuple(keys[s] for s in family),
         chart_map=chart_map,
-        orbit_map={key[t]: orbit[t] for t in order},
+        orbit_map={keys[t]: o for t, o in orbit.items()},
         fibres=fibres,
         geometric=geometric,
     )
@@ -424,15 +472,30 @@ def is_saturated(inner, outer, act):
 
 
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
-    """All face-closed selections admitting a good quotient."""
-    goods = act.image_table().goods
-    if limit not in goods:
-        goods[limit] = [
-            sel
-            for sel in enumerate_open_subsets(fan, limit)
-            if isinstance(good_quotient(sel, act), QuotientFan)
-        ]
-    return list(goods[limit])
+    """All face-closed selections admitting a good quotient.
+
+    Each order ideal is decided on its bare mask; only a good one becomes
+    a selection, with its quotient kept in the action's table, so a
+    rejected ideal leaves no selection, message or memo entry behind.
+    """
+    if act.fan != fan:
+        raise ValueError("action and selection live on different fans")
+    table = act.image_table()
+    if limit not in table.goods:
+        results = table.results
+        goods = []
+        for mask in _open_masks(fan, limit):
+            q = results.get(mask)
+            if q is None:
+                decision = _decide(table, mask)
+                if decision[0] is not None:
+                    continue
+                selection = SubfanSelection._of_mask(fan, mask)
+                q = results[mask] = _render(table, selection, decision)
+            if isinstance(q, QuotientFan):
+                goods.append(q.source)
+        table.goods[limit] = goods
+    return list(table.goods[limit])
 
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):

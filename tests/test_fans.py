@@ -10,6 +10,7 @@ from toricgit.fans import (
     FanAutomorphism,
     SizeGuardError,
     SubfanSelection,
+    _open_masks,
     enumerate_open_subsets,
     is_complete,
     is_simplicial,
@@ -277,6 +278,16 @@ class TestConeNumbering:
         got = enumerate_open_subsets(fan)
         assert [sel.keys for sel in got] == set_based_open_subsets(fan)
         assert all(sel.mask == mask_of(fan, sel.keys) for sel in got)
+
+    @pytest.mark.parametrize("fan", MASK_FANS)
+    def test_ideals_inside_a_selection_are_the_filtered_enumeration(self, fan):
+        # skipping the cones outside a face-closed mask keeps exactly the
+        # ideals inside it, in the order of the full enumeration
+        opens = enumerate_open_subsets(fan)
+        for inner in opens[:: max(1, len(opens) // 12)] + [opens[-1]]:
+            want = [u.mask for u in opens if not u.mask & ~inner.mask]
+            assert _open_masks(fan, 2 ** 20, inner.mask) == want
+        assert _open_masks(fan, 2 ** 20) == [u.mask for u in opens]
 
     @pytest.mark.parametrize("fan", MASK_FANS)
     def test_selection_check_matches_the_set_based_check(self, fan):

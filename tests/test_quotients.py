@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from toricgit.cones import Cone
+from toricgit import quotients
+from toricgit.cones import Cone, SizeGuardError
 from toricgit.fans import (
     Fan,
     SubfanSelection,
@@ -468,6 +469,78 @@ class TestDifferentialAgainstPairwiseEngine:
             "quotient", "chart-fiber", "non-fan-images",
             "mixed-lineality/pair", "mixed-lineality/maximal",
         }
+
+
+class TestEnumerationRouteAgainstSelections:
+    # enumerate_good_subsets decides bare ideal masks and keeps only the
+    # goods; good_quotient decides one selection at a time
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_goods_are_the_selections_with_a_quotient(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        goods = enumerate_good_subsets(fan, normalize_action(fan, gens))
+        fresh = normalize_action(fan, gens)
+        want = [
+            sel for sel in enumerate_open_subsets(fan)
+            if isinstance(good_quotient(sel, fresh), QuotientFan)
+        ]
+        assert [(u.keys, u.mask) for u in goods] == [(u.keys, u.mask) for u in want]
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_verdicts_after_enumeration_match_the_pairwise_engine(self, case):
+        # rejected masks left no memo entry and are decided again here
+        fan, gens = DIFFERENTIAL_CASES[case]
+        act = normalize_action(fan, gens)
+        assert enumerate_good_subsets(fan, act)
+        images = {}
+        for sel in enumerate_open_subsets(fan):
+            got = good_quotient(sel, act)
+            want = pairwise_good_quotient(sel, act, images)
+            assert type(got) is type(want), sel
+            assert verdict(got) == verdict(want), sel
+
+
+def test_enumeration_builds_selections_only_for_goods(monkeypatch):
+    fan = Fan(3, P3_RAYS, P3_CONES)
+    act = normalize_action(fan, [(1, 2, 3)])
+    assert len(enumerate_open_subsets(fan)) == 167
+    built = Counter()
+    of_mask = SubfanSelection._of_mask.__func__
+    obstruction_init = Obstruction.__init__
+
+    def counted_of_mask(cls, fan, mask):
+        built["selection"] += 1
+        return of_mask(cls, fan, mask)
+
+    def counted_obstruction(self, *args, **kwargs):
+        built["obstruction"] += 1
+        obstruction_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubfanSelection, "_of_mask", classmethod(counted_of_mask))
+    monkeypatch.setattr(Obstruction, "__init__", counted_obstruction)
+    goods = enumerate_good_subsets(fan, act)
+    assert len(goods) == 70
+    assert built == {"selection": 70}
+
+
+@pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
+def test_listings_reject_a_fan_other_than_the_actions(listing):
+    act = normalize_action(P2, [(1, 1)])
+    with pytest.raises(ValueError, match="^action and selection live on different fans$"):
+        listing(P1, act)
+
+
+@pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
+def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeypatch):
+    with pytest.raises(SizeGuardError) as expected:
+        enumerate_open_subsets(P2, limit=4)
+    act = normalize_action(P2, [(1, 1)])
+    decided = []
+    monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
+    with pytest.raises(SizeGuardError) as got:
+        listing(P2, act, limit=4)
+    assert str(got.value) == str(expected.value) == "more than 4 open subsets"
+    table = act.image_table()
+    assert decided == [] and table.results == {} and table.seen == 0
 
 
 # The saturation routines before fibre masks, kept as the reference: they
