@@ -33,6 +33,7 @@ from .fans import (
     is_simplicial,
 )
 from .intlat import IntMatrix, Sublattice
+from .oracles import oracle_orbit_labels, oracle_saturated
 from .quotients import (
     Obstruction,
     QuotientFan,
@@ -89,6 +90,8 @@ __all__ = [
     "max_saturated_inside",
     "monoid_generators",
     "normalize_action",
+    "oracle_orbit_labels",
+    "oracle_saturated",
     "quasitorus_action",
     "remark_suite",
     "round_trip",

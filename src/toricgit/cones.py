@@ -249,6 +249,16 @@ class Cone:
             raise ValueError("ambient mismatch")
         return Cone.from_inequalities(self.facets + other.facets, self.ambient)
 
+    def meet_generators(self, other):
+        """Canonical generators of the intersection with other, from one
+        double description of the stacked facets: `intersect(other)
+        .generators` without the second run that builds the facet list."""
+        if self.ambient != other.ambient:
+            raise ValueError("ambient mismatch")
+        return _canonical_generators(
+            *dd_solve(self.facets + other.facets, self.ambient), self.ambient
+        )
+
     def image(self, pi):
         """Image cone under an integer matrix Z^ambient -> Z^rows."""
         if pi.cols != self.ambient:

@@ -191,8 +191,10 @@ def validate_fan(fan):
             problems.append(f"maximal cone contains another: {sorted(ka)}, {sorted(kb)}")
             witness = witness or (ka, kb)
             continue
-        meet = a.intersect(b)
-        if not (meet.is_face_of(a) and meet.is_face_of(b)):
+        # the meet lies in both cones, so it is a face of one exactly when
+        # it is its own carrier face there (Cone.is_face_of)
+        meet = a.meet_generators(b)
+        if not all(c.carrier_generators(meet) == meet for c in (a, b)):
             problems.append(
                 f"cones {sorted(ka)} and {sorted(kb)} intersect in a non-face"
             )

@@ -10,8 +10,21 @@ identifications come from carrier faces of interior points, and affine
 chart rings are compared as monoids via Hilbert bases.  Randomized sweeps
 then cross-check the engine against these recomputations; nothing here
 may shortcut through the code paths it is meant to audit.  The oracles do
-share the interner of canonical cones (see `cones`): it maps an input
-vector set to its canonical cone, which is representation, not a verdict.
+share the interner of canonical cones (see `cones`) and the fan's cone
+numbering (`Fan.numbering`, cone i is bit i of a mask): both are
+representation, not verdicts.
+
+Each geometric fact is computed once per action and projection, by the
+definition-level route: the image of a cone (`_image`); the mask of the
+fan cones whose images lie in the image of cone k (`_contents`, each pair
+decided by `contains_cone`); whether two images meet in a common face;
+the face of chart k's image whose relative interior holds the image of
+cone t's interior point (`_carrier`); and, per chart, its invariant
+monoid and the ring check against its image.  Everything per selection
+is then set algebra on masks over the numbering: a chart's fiber is the
+selection mask AND its contents mask, coverage is one OR, the orbit
+labels of a good selection are classes of cones, one mask per label, and
+saturation asks whether a mask is a union of those classes.
 
 Memo rule: a helper that remembers its results is wrapped in `_memo`, which
 keeps one table per helper in the action's `_cache`, keyed by every
@@ -24,7 +37,7 @@ from functools import wraps
 from itertools import combinations
 
 from .cones import Cone, monoid_generators
-from .fans import SubfanSelection, _open_masks, enumerate_open_subsets, key_order
+from .fans import SubfanSelection, _open_masks, bits, key_order
 from .intlat import (
     Sublattice,
     dot,
@@ -55,21 +68,22 @@ def _memo(fn):
 
 
 @_memo
-def _image(act, key, proj):
-    """Image of a fan cone under the projection proj, via the double dual."""
-    rows = [proj.matvec(g) for g in act.fan.cone(key).generators]
+def _image(act, i, proj):
+    """Image of fan cone i under the projection proj, via the double dual."""
+    keys, _ = act.fan.numbering()
+    rows = [proj.matvec(g) for g in act.fan.cone(keys[i]).generators]
     return Cone.from_inequalities(rows, proj.rows).dual()
 
 
 @_memo
-def _contains(act, a, b, proj):
-    """Does the image of cone a under proj contain the image of cone b?"""
-    return _image(act, a, proj).contains_cone(_image(act, b, proj))
-
-
-def _fiber(act, k, keys, proj):
-    """The cones among keys whose images lie in the image of cone k."""
-    return frozenset(t for t in keys if _contains(act, k, t, proj))
+def _contents(act, k, proj):
+    """Mask of the fan cones whose images under proj lie in the image of
+    cone k."""
+    outer = _image(act, k, proj)
+    keys, _ = act.fan.numbering()
+    return sum(
+        1 << t for t in range(len(keys)) if outer.contains_cone(_image(act, t, proj))
+    )
 
 
 @_memo
@@ -81,25 +95,56 @@ def _meet_is_face(act, a, b, proj):
 
 
 @_memo
+def _split_projection(act, lin):
+    """The action's projection followed by the quotient map by lin."""
+    return quotient_lattice_map(lin) @ act.proj
+
+
+@_memo
 def _pair_compatible(act, a, b):
     """Do the two images share a lineality space and meet in a common face
     once it is split off?"""
     lin = _image(act, a, act.proj).lineality_lattice()
     if lin.basis != _image(act, b, act.proj).lineality_lattice().basis:
         return False
-    return _meet_is_face(act, a, b, quotient_lattice_map(lin) @ act.proj)
+    return _meet_is_face(act, a, b, _split_projection(act, lin))
 
 
-def _carriers(act, charts, keys, proj):
-    """Carrier face of each cone's relative-interior point among the faces of
-    the charts' images under proj; None where it is not unique."""
-    faces = {f for k in charts for f in _image(act, k, proj).faces()}
+@_memo
+def _carrier(act, t, k, proj):
+    """The face of cone k's image under proj whose relative interior holds
+    the image of cone t's relative-interior point; None outside the image."""
+    keys, _ = act.fan.numbering()
+    pt = proj.matvec(act.fan.cone(keys[t]).relative_interior_point())
+    return next(
+        (f for f in _image(act, k, proj).faces() if f.contains_in_relative_interior(pt)),
+        None,
+    )
+
+
+def _carriers(act, charts, mask, proj):
+    """Carrier face of each cone of mask, by index, among the faces of the
+    charts' images under proj; None where it is not unique.
+
+    The relative interiors of a cone's faces partition the cone, so the
+    image point of t lies in the relative interior of at most one face of
+    each chart image, `_carrier`'s.  Faces are interned cones, equal
+    exactly when they are the same face, so the faces of all chart images
+    holding the point in their relative interiors are exactly the distinct
+    per-chart carriers, and the carrier is unique exactly when one remains.
+    """
     out = {}
-    for t in keys:
-        pt = proj.matvec(act.fan.cone(t).relative_interior_point())
-        found = [f for f in faces if f.contains_in_relative_interior(pt)]
-        out[t] = found[0] if len(found) == 1 else None
+    for t in bits(mask):
+        found = {_carrier(act, t, k, proj) for k in charts} - {None}
+        out[t] = found.pop() if len(found) == 1 else None
     return out
+
+
+def _union(masks):
+    got = 0
+    for m in masks:
+        got |= m
+    return got
 
 
 def chart_family(selection, act):
@@ -115,24 +160,29 @@ def chart_family(selection, act):
     """
     if act.fan != selection.fan:
         raise ValueError("action and selection live on different fans")
-    return _chart_family(act, selection.keys)
+    family = _chart_family(act, selection.mask)
+    if family is None:
+        return None
+    keys, _ = act.fan.numbering()
+    return tuple(keys[k] for k in family)
 
 
 @_memo
-def _chart_family(act, keys):
+def _chart_family(act, mask):
+    """The chart family of a selection mask, as ascending cone indices."""
     fibers = {}
-    for k in sorted(keys, key=key_order):
-        fiber = _fiber(act, k, keys, act.proj)
-        if fiber == frozenset(act.fan.faces_of(k)):
+    for k in bits(mask):
+        fiber = mask & _contents(act, k, act.proj)
+        if fiber == act.fan.face_mask(k):
             fibers[k] = fiber
     cands = tuple(fibers)
-    if frozenset().union(*fibers.values()) != keys:
+    if _union(fibers.values()) != mask:
         return None
     if all(_pair_compatible(act, a, b) for a, b in combinations(cands, 2)):
         return cands
     for size in range(1, len(cands) + 1):
         for sub in combinations(cands, size):
-            if frozenset().union(*(fibers[k] for k in sub)) == keys and all(
+            if _union(fibers[k] for k in sub) == mask and all(
                 _pair_compatible(act, a, b) for a, b in combinations(sub, 2)
             ):
                 return sub
@@ -151,40 +201,59 @@ def oracle_orbit_labels(selection, act):
     identified in the quotient.  Labels are cones in the unsplit target, so
     they are comparable across different inner selections of one quotient.
     """
-    family = chart_family(selection, act)
-    if family is None:
+    keys, _ = act.fan.numbering()
+    return {
+        keys[t]: label
+        for label, members in _label_classes(selection, act).items()
+        for t in bits(members)
+    }
+
+
+def _label_classes(selection, act):
+    """The orbit-label classes of a good selection: label -> mask of the
+    selected cones carrying it."""
+    if chart_family(selection, act) is None:
         raise ValueError("selection admits no good quotient")
-    return dict(_orbit_labels(act, selection.keys, family))
+    return _orbit_labels(act, selection.mask)
 
 
 @_memo
-def _orbit_labels(act, keys, family):
-    labels = _carriers(act, family, keys, act.proj)
-    if None in labels.values():
-        raise RuntimeError("carrier face of an orbit cone is not unique")
-    return labels
+def _orbit_labels(act, mask):
+    """Label -> mask of its cones, for a mask with a chart family."""
+    labels = _carriers(act, _chart_family(act, mask), mask, act.proj)
+    classes = {}
+    for t, label in labels.items():
+        if label is None:
+            raise RuntimeError("carrier face of an orbit cone is not unique")
+        classes[label] = classes.get(label, 0) | 1 << t
+    return classes
+
+
+def _is_union_of(classes, mask):
+    """Does every class meeting mask lie inside it?"""
+    return all(not c & mask or not c & ~mask for c in classes.values())
 
 
 def oracle_saturated(inner, outer, act):
     """Is inner a union of full orbit-label classes of outer?"""
-    if not inner.keys <= outer.keys:
+    if inner.mask & ~outer.mask:
         raise ValueError("inner selection must lie inside the outer one")
-    labels = oracle_orbit_labels(outer, act)
-    inside = {labels[t] for t in inner.keys}
-    return all(t in inner.keys for t in outer.keys if labels[t] in inside)
+    return _is_union_of(_label_classes(outer, act), inner.mask)
 
 
 def brute_t_maximal(fan, act, limit=2 ** 20):
     """Subsets with good quotient, maximal against saturated inclusion,
     found by filtering every face-closed subset."""
-    goods = [
-        u for u in enumerate_open_subsets(fan, limit) if oracle_good_quotient(u, act)
-    ]
+    ideals = _open_masks(fan, limit)
+    if act.fan != fan:
+        raise ValueError("action and selection live on different fans")
+    goods = [u for u in ideals if _chart_family(act, u) is not None]
     out = [
-        u
+        SubfanSelection._of_mask(fan, u)
         for u in goods
         if not any(
-            u.keys < v.keys and oracle_saturated(u, v, act) for v in goods
+            u != v and not u & ~v and _is_union_of(_orbit_labels(act, v), u)
+            for v in goods
         )
     ]
     out.sort(key=lambda u: sorted(u.keys, key=key_order))
@@ -195,16 +264,16 @@ def brute_max_saturated_inside(outer, inner, act, limit=2 ** 20):
     """Union of all saturated face-closed subsets of outer lying in inner.
 
     Only the order ideals inside inner are enumerated: inner is face-closed,
-    so they are exactly the face-closed subsets lying in it.
+    so they are exactly the face-closed subsets lying in it, and their
+    union is again face-closed.
     """
-    if not inner.keys <= outer.keys:
+    if inner.mask & ~outer.mask:
         raise ValueError("inner selection must lie inside the outer one")
-    best = frozenset()
-    for ideal in _open_masks(outer.fan, limit, inner.mask):
-        sub = SubfanSelection._of_mask(outer.fan, ideal)
-        if oracle_saturated(sub, outer, act):
-            best = best | sub.keys
-    return SubfanSelection(outer.fan, best)
+    ideals = _open_masks(outer.fan, limit, inner.mask)
+    classes = _label_classes(outer, act)
+    return SubfanSelection._of_mask(
+        outer.fan, _union(u for u in ideals if _is_union_of(classes, u))
+    )
 
 
 def _lineality_generated(gens, lin, ambient):
@@ -285,14 +354,22 @@ def invariant_monoid_generators(cone, cochar, bound=None):
 
 
 @_memo
-def _chart_ring_matches(act, ck, proj, bound):
-    """Do the chart's invariant functions generate the same monoid as the
+def _invariant_generators(act, k, bound):
+    """Generators of the cocharacter-invariant functions on chart k."""
+    keys, _ = act.fan.numbering()
+    return invariant_monoid_generators(act.fan.cone(keys[k]), act.cochar, bound)
+
+
+@_memo
+def _chart_ring_matches(act, k, proj, bound):
+    """Do chart k's invariant functions generate the same monoid as the
     functions of its image under proj?"""
-    upstairs = invariant_monoid_generators(act.fan.cone(ck), act.cochar, bound)
-    downstairs = monoid_generators(_image(act, ck, proj).dual(), bound)
+    downstairs = monoid_generators(_image(act, k, proj).dual(), bound)
     pt = proj.transpose()
     pulled = [tuple(pt.matvec(w)) for w in downstairs]
-    return mutually_generate(upstairs, pulled, act.fan.rank)
+    return mutually_generate(
+        _invariant_generators(act, k, bound), pulled, act.fan.rank
+    )
 
 
 def oracle_verify_quotient(q, act, bound=None):
@@ -312,51 +389,58 @@ def oracle_verify_quotient(q, act, bound=None):
     problems = []
     sel = q.source
     fan = sel.fan
+    if act.fan != fan:
+        raise ValueError("action and selection live on different fans")
+    keys, bit = fan.numbering()
     pf = q.proj_full
-    if quotient_lattice_map(q.pre_lineality) @ act.proj != pf:
+    if _split_projection(act, q.pre_lineality) != pf:
         problems.append("stored projection disagrees with the recomputed one")
 
     charts = sorted(q.chart_map.items(), key=lambda kv: key_order(kv[1]))
-    fibers = {}
+    covered = 0
     for img_key, ck in charts:
-        if _image(act, ck, pf) != q.fan.cone(img_key):
+        k = bit[ck]
+        if _image(act, k, pf) != q.fan.cone(img_key):
             problems.append(
                 f"image of chart {sorted(ck)} disagrees with the target cone"
             )
-        if not _chart_ring_matches(act, ck, pf, bound):
+        if not _chart_ring_matches(act, k, pf, bound):
             problems.append(
                 f"invariant functions of chart {sorted(ck)} do not match the "
                 "target chart functions"
             )
-        fibers[ck] = _fiber(act, ck, sel.keys, pf)
-        if fibers[ck] != frozenset(fan.faces_of(ck)):
+        fiber = sel.mask & _contents(act, k, pf)
+        covered |= fiber
+        if fiber != fan.face_mask(k):
             problems.append(
                 f"cones mapping into the image of chart {sorted(ck)} are not "
                 "exactly its faces"
             )
-    covered = frozenset().union(*fibers.values())
-    if covered != sel.keys:
-        missing = sorted(sel.keys - covered, key=key_order)[0]
+    uncovered = sel.mask & ~covered
+    if uncovered:
+        missing = keys[(uncovered & -uncovered).bit_length() - 1]
         problems.append(f"cone {sorted(missing)} is covered by no chart")
     for (ka, a), (kb, b) in combinations(charts, 2):
-        if not _meet_is_face(act, a, b, pf):
+        if not _meet_is_face(act, bit[a], bit[b], pf):
             problems.append(
                 f"images of charts {sorted(a)} and {sorted(b)} do not meet "
                 "in a common face"
             )
-    carrier = _carriers(act, [ck for _, ck in charts], sel.keys, pf)
-    for t in sorted(sel.keys, key=key_order):
-        if carrier[t] is None:
-            problems.append(f"cone {sorted(t)} has no unique carrier face")
-        elif q.fan.cone(q.orbit_map[t]) != carrier[t]:
+    carrier = _carriers(act, [bit[ck] for _, ck in charts], sel.mask, pf)
+    for t, found in carrier.items():
+        if found is None:
+            problems.append(f"cone {sorted(keys[t])} has no unique carrier face")
+        elif q.fan.cone(q.orbit_map[keys[t]]) != found:
             problems.append(
-                f"orbit image of cone {sorted(t)} disagrees with its carrier face"
+                f"orbit image of cone {sorted(keys[t])} disagrees with its "
+                "carrier face"
             )
     geometric = True
     for img_key, ck in charts:
-        sfaces = fan.faces_of(ck)
+        k = bit[ck]
+        sfaces = list(bits(fan.face_mask(k)))
         mapped = {carrier.get(f) for f in sfaces} - {None}
-        if len(mapped) != len(sfaces) or mapped != set(_image(act, ck, pf).faces()):
+        if len(mapped) != len(sfaces) or mapped != set(_image(act, k, pf).faces()):
             geometric = False
     if geometric != q.geometric:
         problems.append(

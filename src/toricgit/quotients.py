@@ -147,14 +147,15 @@ class ImageTable:
     once per action and a cone no selection reaches is never projected;
     `members[c]` masks the seen cones of lineality class c.  The table
     also memoizes whether two chart images meet in a face, the split
-    images and orbit-image carrier faces per lineality class, the
-    quotients and asked-for verdicts, the good selections, and the host
-    of each good selection.
+    images and orbit-image carrier faces per lineality class, one Fan per
+    distinct quotient target, so equal targets share its cone lists and
+    cones (see target()), the quotients and asked-for verdicts, the good
+    selections, and the host of each good selection.
     """
 
     __slots__ = (
         "fan", "proj", "faces", "img", "lin", "cls", "below", "above", "lin_le",
-        "seen", "classes", "members", "meets", "split", "carriers",
+        "seen", "classes", "members", "meets", "split", "carriers", "targets",
         "results", "goods", "hosts",
     )
 
@@ -176,6 +177,7 @@ class ImageTable:
         self.meets = {}  # (a, b) -> do img[a] and img[b] meet in a face of both
         self.split = {}  # class id -> (q2, q2 @ proj, {i: split image})
         self.carriers = {}  # (class id, t, s) -> carrier face, see carrier()
+        self.targets = {}  # (rank, rays, nonzero chart keys) -> Fan, see target()
         # selection mask -> QuotientFan for every good selection decided,
         # Obstruction only for a mask good_quotient was asked about
         self.results = {}
@@ -207,7 +209,7 @@ class ImageTable:
     def meet_is_face(self, a, b):
         got = self.meets.get((a, b))
         if got is None:
-            meet = self.img[a].intersect(self.img[b]).generators
+            meet = self.img[a].meet_generators(self.img[b])
             # the meet lies in both images, so it is a face of one exactly
             # when it is its own carrier face there (Cone.is_face_of)
             got = all(
@@ -231,6 +233,16 @@ class ImageTable:
         if got is None:
             keys, _ = self.fan.numbering()
             got = images[i] = self.fan.cone(keys[i]).image(proj_full)
+        return got
+
+    def target(self, rank, rays, cones):
+        """The target Fan(rank, rays, cones), one per distinct fan: rays a
+        sorted tuple, cones a frozenset of keys, where the zero cone's key,
+        which a Fan drops, adds nothing."""
+        key = (rank, rays, cones - {frozenset()})
+        got = self.targets.get(key)
+        if got is None:
+            got = self.targets[key] = Fan(rank, rays, cones)
         return got
 
     def carrier(self, t, s, lbar):
@@ -388,12 +400,11 @@ def _render(table, selection, decision):
 def _quotient(table, selection, lbar, family):
     proj = table.proj
     if not selection.mask:
-        empty = Fan(proj.rows, [], [])
         return QuotientFan(
             selection,
             Sublattice.from_rows(proj.rows, []),
             proj,
-            empty,
+            table.target(proj.rows, (), frozenset()),
             charts=(),
             chart_map={},
             orbit_map={},
@@ -404,7 +415,7 @@ def _quotient(table, selection, lbar, family):
     above, faces = table.above, table.faces
     q2, proj_full, _ = table.split_projection(lbar)
     chart_gens = [table.split_image(s, lbar).generators for s in family]
-    rays = sorted({g for gens in chart_gens for g in gens})
+    rays = tuple(sorted({g for gens in chart_gens for g in gens}))
     ray_index = {g: i for i, g in enumerate(rays)}
     covered = sum(1 << s for s in family)
 
@@ -434,7 +445,7 @@ def _quotient(table, selection, lbar, family):
         selection,
         table.lin[lbar],
         proj_full,
-        Fan(q2.rows, rays, chart_map.keys()),
+        table.target(q2.rows, rays, frozenset(chart_map)),
         charts=tuple(keys[s] for s in family),
         chart_map=chart_map,
         orbit_map={keys[t]: o for t, o in orbit.items()},

@@ -187,6 +187,7 @@ class TestIntersect:
             a = Cone.from_generators(random_vectors(rng, rng.randint(1, 5), d), d)
             b = Cone.from_generators(random_vectors(rng, rng.randint(1, 5), d), d)
             c = a.intersect(b)
+            assert a.meet_generators(b) == c.generators
             pts = random_vectors(rng, 100, d, -6, 6)
             for p in pts:
                 if c.contains(p):

@@ -3,12 +3,15 @@ recomputations, plus unit tests for the recomputation primitives."""
 
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from test_quotients import DIFFERENTIAL_CASES
 
+from toricgit.cones import Cone
 from toricgit.cox import cox_presentation, lift_open, quasitorus_action
-from toricgit.fans import Fan, enumerate_open_subsets
-from toricgit.intlat import IntMatrix
+from toricgit.fans import Fan, enumerate_open_subsets, key_order
+from toricgit.intlat import IntMatrix, quotient_lattice_map
 from toricgit.oracles import (
     brute_max_saturated_inside,
     brute_t_maximal,
@@ -264,3 +267,99 @@ class TestMemoHistory:
             assert fresh
             checked += 1
         assert checked >= 3
+
+
+# The oracles before they moved onto the cone numbering, kept as the
+# reference: fibers, coverage and carriers on frozensets of cone keys, each
+# image containment decided per (chart, cone) and each carrier found by
+# scanning the union of the chart images' faces.
+class KeySetOracles:
+    def __init__(self, act):
+        self.act = act
+        self.images = {}
+        self.compatible = {}
+
+    def image(self, key, proj):
+        if (key, proj) not in self.images:
+            rows = [proj.matvec(g) for g in self.act.fan.cone(key).generators]
+            self.images[key, proj] = Cone.from_inequalities(rows, proj.rows).dual()
+        return self.images[key, proj]
+
+    def pair_compatible(self, a, b):
+        if (a, b) not in self.compatible:
+            proj = self.act.proj
+            lin = self.image(a, proj).lineality_lattice()
+            got = lin.basis == self.image(b, proj).lineality_lattice().basis
+            if got:
+                split = quotient_lattice_map(lin) @ proj
+                ia, ib = self.image(a, split), self.image(b, split)
+                meet = ia.intersect(ib)
+                got = meet.is_face_of(ia) and meet.is_face_of(ib)
+            self.compatible[a, b] = got
+        return self.compatible[a, b]
+
+    def chart_family(self, keys):
+        proj = self.act.proj
+        fibers = {}
+        for k in sorted(keys, key=key_order):
+            ik = self.image(k, proj)
+            fiber = frozenset(t for t in keys if ik.contains_cone(self.image(t, proj)))
+            if fiber == frozenset(self.act.fan.faces_of(k)):
+                fibers[k] = fiber
+        cands = tuple(fibers)
+        if frozenset().union(*fibers.values()) != keys:
+            return None
+        if all(self.pair_compatible(a, b) for a, b in combinations(cands, 2)):
+            return cands
+        for size in range(1, len(cands) + 1):
+            for sub in combinations(cands, size):
+                if frozenset().union(*(fibers[k] for k in sub)) == keys and all(
+                    self.pair_compatible(a, b) for a, b in combinations(sub, 2)
+                ):
+                    return sub
+        return None
+
+    def carriers(self, charts, keys, proj):
+        faces = {f for k in charts for f in self.image(k, proj).faces()}
+        out = {}
+        for t in keys:
+            pt = proj.matvec(self.act.fan.cone(t).relative_interior_point())
+            found = [f for f in faces if f.contains_in_relative_interior(pt)]
+            out[t] = found[0] if len(found) == 1 else None
+        return out
+
+
+def keyset_saturated(inner, outer, labels):
+    inside = {labels[t] for t in inner.keys}
+    return all(t in inner.keys for t in outer.keys if labels[t] in inside)
+
+
+class TestDifferentialAgainstKeySets:
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_families_labels_and_saturation(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        act = normalize_action(fan, gens)
+        reference = KeySetOracles(normalize_action(fan, gens))
+        opens = enumerate_open_subsets(fan)
+        goods = 0
+        for outer in opens:
+            family = reference.chart_family(outer.keys)
+            assert chart_family(outer, act) == family, outer
+            if family is None:
+                continue
+            goods += 1
+            labels = reference.carriers(family, outer.keys, act.proj)
+            assert oracle_orbit_labels(outer, act) == labels, outer
+            for inner in opens:
+                if inner <= outer:
+                    want = keyset_saturated(inner, outer, labels)
+                    assert oracle_saturated(inner, outer, act) == want, (inner, outer)
+        assert 0 < goods < len(opens)
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_brute_maximal_sets_are_the_engines(self, case):
+        fan, gens = DIFFERENTIAL_CASES[case]
+        brute = brute_t_maximal(fan, normalize_action(fan, gens))
+        engine = t_maximal_subsets(fan, normalize_action(fan, gens))
+        assert sorted(u.mask for u in brute) == sorted(u.mask for u in engine)
+        assert {u.keys for u in brute} == {u.keys for u in engine}

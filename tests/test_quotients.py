@@ -499,6 +499,22 @@ class TestEnumerationRouteAgainstSelections:
             assert verdict(got) == verdict(want), sel
 
 
+@pytest.mark.parametrize("case", ["p3_123", "cube_two_facets"])
+def test_equal_targets_share_one_fan(case):
+    fan, gens = DIFFERENTIAL_CASES[case]
+    act = normalize_action(fan, gens)
+    images = {}
+    targets = {}
+    goods = enumerate_good_subsets(fan, act)
+    for sel in goods:
+        q = good_quotient(sel, act)
+        assert verdict(q) == verdict(pairwise_good_quotient(sel, act, images)), sel
+        targets.setdefault((q.fan.rank, q.fan.rays, q.fan.max_cones), []).append(q.fan)
+    assert len(targets) < len(goods)
+    for fans in targets.values():
+        assert all(f is fans[0] for f in fans)
+
+
 def test_enumeration_builds_selections_only_for_goods(monkeypatch):
     fan = Fan(3, P3_RAYS, P3_CONES)
     act = normalize_action(fan, [(1, 2, 3)])
