@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 
 from .fans import Fan, SubfanSelection, limit_of_generic_point
 from .intlat import (
@@ -268,13 +269,39 @@ def _lift_section(pres):
     return right_inverse_of_surjection(pres.ray_map)
 
 
+_NONZERO = tuple(x for x in range(-5, 6) if x)
+
+
 def _orbit_point(key, n, rng):
+    """A seeded point of the orbit of the cone key, as (numerator,
+    denominator) pairs: zero exactly at the coordinates of key."""
     return tuple(
-        Fraction(0)
-        if i in key
-        else Fraction(rng.choice([x for x in range(-5, 6) if x]), rng.randint(1, 4))
+        (0, 1) if i in key else (rng.choice(_NONZERO), rng.randint(1, 4))
         for i in range(n)
     )
+
+
+def _nonzero_at(section, key, point):
+    """Is the section nonzero at point, an orbit point of the cone key?
+
+    A monomial is nonzero there exactly when its support misses key.  A
+    polynomial is evaluated in integers: every term is multiplied by the
+    common denominator of the coefficients and by each coordinate's
+    denominator to its largest exponent in the polynomial, a positive
+    factor that leaves the sign of the sum alone."""
+    if isinstance(section, MonomialSection):
+        return not key & section.support()
+    coeffs = [Fraction(c) for c, _ in section.terms]
+    scale = lcm(*(c.denominator for c in coeffs))
+    top = [max(col) for col in zip(*(e for _, e in section.terms))]
+    total = 0
+    for c, (_, exponents) in zip(coeffs, section.terms):
+        value = c.numerator * (scale // c.denominator)
+        for (num, den), a, t in zip(point, exponents, top):
+            if t:
+                value *= num ** a * den ** (t - a)
+        total += value
+    return total != 0
 
 
 def verify_globally_defined(
@@ -326,10 +353,8 @@ def verify_globally_defined(
             contained = True
             for key in sorted(pres.relevant.keys - lifted.keys, key=sorted):
                 points = [_orbit_point(key, n, rng) for _ in range(3)]
-                points.append(
-                    tuple(Fraction(0 if i in key else 1) for i in range(n))
-                )
-                if any(section.evaluate(p) != 0 for p in points):
+                points.append(tuple((0 if i in key else 1, 1) for i in range(n)))
+                if any(_nonzero_at(section, key, p) for p in points):
                     contained = False
                     break
             members.append(
@@ -367,7 +392,7 @@ def verify_globally_defined(
                 ka, kb = rng.choice(keys), rng.choice(keys)
                 pa, pb = _orbit_point(ka, n, rng), _orbit_point(kb, n, rng)
                 if not any(
-                    m.section.evaluate(pa) != 0 and m.section.evaluate(pb) != 0
+                    _nonzero_at(m.section, ka, pa) and _nonzero_at(m.section, kb, pb)
                     for m in members
                 ):
                     coverage = False

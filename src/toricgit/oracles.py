@@ -243,10 +243,11 @@ def oracle_saturated(inner, outer, act):
 
 def brute_t_maximal(fan, act, limit=2 ** 20):
     """Subsets with good quotient, maximal against saturated inclusion,
-    found by filtering every face-closed subset."""
-    ideals = _open_masks(fan, limit)
+    found by filtering every face-closed subset; sorted by the ascending
+    index lists of their cones, which is key order."""
     if act.fan != fan:
         raise ValueError("action and selection live on different fans")
+    ideals = _open_masks(fan, limit)
     goods = [u for u in ideals if _chart_family(act, u) is not None]
     out = [
         SubfanSelection._of_mask(fan, u)
@@ -256,7 +257,7 @@ def brute_t_maximal(fan, act, limit=2 ** 20):
             for v in goods
         )
     ]
-    out.sort(key=lambda u: sorted(u.keys, key=key_order))
+    out.sort(key=lambda u: list(bits(u.mask)))
     return out
 
 

@@ -44,11 +44,34 @@ The criterion is one routine, `_decide(table, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
 obstruction code and the indices of its two witnesses.  `_render` turns
 that into the QuotientFan or the Obstruction text, and `good_quotient`
-is render after decide.  `enumerate_good_subsets` decides each order
-ideal on its bare mask and renders only the good ones, so selections,
-quotients and obstruction text are built only for what a caller keeps;
-a rejected ideal leaves no memo entry, and `good_quotient` decides it
-again when asked.
+is render after decide.  `enumerate_good_subsets` decides only the order
+ideals that can be good (below) on their bare masks and renders only the
+good ones, so selections, quotients and obstruction text are built only
+for what a caller keeps; a rejected ideal leaves no memo entry, and
+`good_quotient` decides it again when asked.
+
+An open set with a good quotient is covered by saturated affine charts
+(J. Święcicka, "Quotients of toric varieties by actions of subtori",
+Colloq. Math. 81 (1999)); in the fan, a good selection is the face
+closure of its chart family.  Take a good mask U with family F.  Every
+cone of U lies below a chart of F, and the cones of U below a chart are
+its faces, so U is the face closure of F.  No member of F lies below
+another, so F is exactly the set of maximal cones of U.  So any two
+members a and b of F
+1. lie in one lineality class (cls[a] == cls[b]);
+2. are not faces of one another;
+3. have images not containing one another (bit b of below[a] and bit a
+   of below[b] are clear);
+4. have below[a] & faces[b] & ~faces[a] == 0, and the same with a and b
+   swapped, since the cones of U below a are a's faces.
+`_family_closures` collects the face closures of the sets of cones
+satisfying 1-4 pairwise, so every good mask is among them, and
+`enumerate_good_subsets` skips every other ideal as bad; `_decide`
+remains the only verdict.  Each such set is an antichain under faces
+(2), so it is the set of maximal cones of its closure, and the clique
+search, which extends a set only by higher indices and ANDs the
+pairwise rows, visits each closure once and never makes more closures
+than there are ideals.
 
 The engine's own form of the orbit map is the fibre masks
 `QuotientFan.fibres`, numbered from the orbit images as they are found:
@@ -482,22 +505,58 @@ def is_saturated(inner, outer, act):
     return _saturation(q, inner.mask) == inner.mask
 
 
+def _family_closures(table):
+    """The face closures of the sets of cones that pass the pairwise chart
+    family tests of the module docstring, a set that holds every good
+    mask.  Reads every cone's row, so the table must be filled."""
+    n = len(table.img)
+    faces, below, cls = table.faces, table.below, table.cls
+    compat = [0] * n
+    for a, b in combinations(range(n), 2):
+        if (
+            cls[a] == cls[b]
+            and not ((faces[a] | below[a]) >> b | (faces[b] | below[b]) >> a) & 1
+            and not below[a] & faces[b] & ~faces[a]
+            and not below[b] & faces[a] & ~faces[b]
+        ):
+            compat[a] |= 1 << b
+            compat[b] |= 1 << a
+    # a clique grows only by higher indices, so each is visited once
+    closures = set()
+    stack = [(0, (1 << n) - 1)]
+    while stack:
+        closure, extend = stack.pop()
+        closures.add(closure)
+        for a in bits(extend):
+            stack.append((closure | faces[a], extend & compat[a] & -(2 << a)))
+    return closures
+
+
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
     """All face-closed selections admitting a good quotient.
 
-    Each order ideal is decided on its bare mask; only a good one becomes
-    a selection, with its quotient kept in the action's table, so a
-    rejected ideal leaves no selection, message or memo entry behind.
+    The order ideals come in enumeration order; one that is not the face
+    closure of a candidate chart family (`_family_closures`) cannot be
+    good and is skipped, and every other one is decided on its bare mask.
+    Only a good one becomes a selection, with its quotient kept in the
+    action's table, so a rejected ideal leaves no selection, message or
+    memo entry behind.
     """
     if act.fan != fan:
         raise ValueError("action and selection live on different fans")
     table = act.image_table()
     if limit not in table.goods:
         results = table.results
+        candidates = None
         goods = []
         for mask in _open_masks(fan, limit):
             q = results.get(mask)
             if q is None:
+                if candidates is None:
+                    table.fill((1 << len(table.img)) - 1)
+                    candidates = _family_closures(table)
+                if mask not in candidates:
+                    continue
                 decision = _decide(table, mask)
                 if decision[0] is not None:
                     continue

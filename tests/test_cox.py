@@ -1,6 +1,7 @@
 """Quasitorus presentation: grading, relevant opens, sections, round trip."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ import sympy
 from toricgit.cox import (
     MonomialSection,
     PolynomialSection,
+    _nonzero_at,
+    _orbit_point,
     canonical_section,
     cox_presentation,
     image_zero_set,
@@ -190,6 +193,43 @@ class TestSections:
         assert s.evaluate((2, Fraction(1, 2), 7)) == Fraction(1, 2)
         p = PolynomialSection(((1, (1, 0)), (-1, (0, 1))))
         assert p.evaluate((Fraction(2, 3), Fraction(1, 3))) == Fraction(1, 3)
+
+    def test_nonzero_at_orbit_points_matches_evaluation(self):
+        # seeded sections against seeded orbit points; half of the
+        # polynomials get the constant term that makes them vanish there
+        rng = random.Random(20261018)
+        n = 3
+        checked = Counter()
+        for _ in range(300):
+            key = frozenset(i for i in range(n) if rng.random() < 0.3)
+            point = _orbit_point(key, n, rng)
+            assert all((num == 0) == (i in key) for i, (num, _) in enumerate(point))
+            exact = tuple(Fraction(num, den) for num, den in point)
+            exponents = tuple(rng.randint(0, 2) for _ in range(n))
+            sections = [MonomialSection(exponents, ((0,), ()))]
+            terms = tuple(
+                (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                 tuple(rng.randint(0, 2) for _ in range(n)))
+                for _ in range(rng.randint(1, 3))
+            )
+            sections.append(PolynomialSection(terms))
+            value = sections[-1].evaluate(exact)
+            sections.append(PolynomialSection(terms + ((-value, (0,) * n),)))
+            for section in sections:
+                want = section.evaluate(exact) != 0
+                assert _nonzero_at(section, key, point) == want, (section, key, point)
+                checked[want] += 1
+        assert checked[True] > 100 and checked[False] > 100
+
+    def test_orbit_points_keep_the_seeded_draws(self):
+        key, n = fs(1), 4
+        a, b = random.Random(5), random.Random(5)
+        drawn = [
+            Fraction(0) if i in key
+            else Fraction(b.choice([x for x in range(-5, 6) if x]), b.randint(1, 4))
+            for i in range(n)
+        ]
+        assert [Fraction(num, den) for num, den in _orbit_point(key, n, a)] == drawn
 
 
 class TestLiftAndRoundTrip:

@@ -152,6 +152,18 @@ class TestBruteForceSearches:
         }
         assert brute == {u.keys for u in t_maximal_subsets(A1, act)}
 
+    def test_maximal_sets_come_in_key_order(self):
+        fan, gens = DIFFERENTIAL_CASES["p3_123"]
+        brute = brute_t_maximal(fan, normalize_action(fan, gens))
+        order = [[key_order(k) for k in sorted(u.keys, key=key_order)] for u in brute]
+        assert len(order) == 7 and order == sorted(order)
+
+    def test_maximal_sets_reject_a_fan_other_than_the_actions(self):
+        # the fan check comes before the enumeration and its guard
+        act = normalize_action(P2, [(1, 1)])
+        with pytest.raises(ValueError, match="^action and selection live on different fans$"):
+            brute_t_maximal(P1XP1, act, limit=1)
+
     def test_max_saturated_inside_plane(self):
         act = normalize_action(C2, [(1, 1)])
         outer = C2.full_selection()

@@ -11,6 +11,7 @@ from toricgit.cones import Cone, SizeGuardError
 from toricgit.fans import (
     Fan,
     SubfanSelection,
+    _open_masks,
     enumerate_open_subsets,
     key_order,
     limit_of_generic_point,
@@ -471,12 +472,26 @@ class TestDifferentialAgainstPairwiseEngine:
         }
 
 
+NINE_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
+P1_CUBED_RAYS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+P1_CUBED_CONES = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+# beyond the differential cases: a surface fan where almost every ideal
+# fails as chart-fiber, and a rank-3 fan where the chart family
+# candidates outnumber the goods
+ENUMERATION_CASES = {
+    **DIFFERENTIAL_CASES,
+    "nine_ray_12": (Fan(2, NINE_RAYS, [[i, (i + 1) % 9] for i in range(9)]), [(1, 2)]),
+    "p1_cubed_123": (Fan(3, P1_CUBED_RAYS, P1_CUBED_CONES), [(1, 2, 3)]),
+}
+
+
 class TestEnumerationRouteAgainstSelections:
     # enumerate_good_subsets decides bare ideal masks and keeps only the
     # goods; good_quotient decides one selection at a time
-    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
     def test_goods_are_the_selections_with_a_quotient(self, case):
-        fan, gens = DIFFERENTIAL_CASES[case]
+        fan, gens = ENUMERATION_CASES[case]
         goods = enumerate_good_subsets(fan, normalize_action(fan, gens))
         fresh = normalize_action(fan, gens)
         want = [
@@ -497,6 +512,35 @@ class TestEnumerationRouteAgainstSelections:
             want = pairwise_good_quotient(sel, act, images)
             assert type(got) is type(want), sel
             assert verdict(got) == verdict(want), sel
+
+    @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+    def test_candidates_lie_between_the_goods_and_the_ideals(self, case):
+        fan, gens = ENUMERATION_CASES[case]
+        act = normalize_action(fan, gens)
+        goods = {u.mask for u in enumerate_good_subsets(fan, act)}
+        table = act.image_table()
+        candidates = quotients._family_closures(table)
+        ideals = set(_open_masks(fan, 2 ** 20))
+        assert goods <= candidates <= ideals
+        if case == "p1_cubed_123":
+            assert len(goods) == 917 and len(candidates) == 1107
+
+    def test_enumeration_decides_only_the_candidates(self, monkeypatch):
+        # the pass over every ideal decided 5,779 of them here
+        fan, gens = ENUMERATION_CASES["nine_ray_12"]
+        act = normalize_action(fan, gens)
+        assert len(_open_masks(fan, 2 ** 20)) == 5779
+        decide = quotients._decide
+        calls = 0
+
+        def counted(table, mask):
+            nonlocal calls
+            calls += 1
+            return decide(table, mask)
+
+        monkeypatch.setattr(quotients, "_decide", counted)
+        assert len(enumerate_good_subsets(fan, act)) == 70
+        assert calls == 70
 
 
 @pytest.mark.parametrize("case", ["p3_123", "cube_two_facets"])
@@ -658,9 +702,6 @@ def test_t_maximal_subsets_compares_no_selection_pairs(monkeypatch):
     monkeypatch.setattr(SubfanSelection, "__lt__", counted)
     assert t_maximal_subsets(fan, act)
     assert calls == 0
-
-
-NINE_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
 def test_image_containment_is_decided_at_most_once_per_pair(monkeypatch):
