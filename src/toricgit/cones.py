@@ -259,6 +259,13 @@ class Cone:
             *dd_solve(self.facets + other.facets, self.ambient), self.ambient
         )
 
+    def meets_in_face(self, other):
+        """True iff the intersection with other is a face of both cones.
+        The meet lies in both, so it is a face of one exactly when it is
+        its own carrier face there (see is_face_of)."""
+        meet = self.meet_generators(other)
+        return all(c.carrier_generators(meet) == meet for c in (self, other))
+
     def image(self, pi):
         """Image cone under an integer matrix Z^ambient -> Z^rows."""
         if pi.cols != self.ambient:

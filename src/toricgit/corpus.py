@@ -7,6 +7,9 @@ weighted projective plane; the actions are the trivial subtorus, every
 primitive line with small entries, and the full torus.  The sweep runs
 the closed-form engine against the definition-level recomputations over
 all face-closed selections and reports every discrepancy it finds.
+
+Each leg is named once, in LEGS; `SweepResult.legs` maps it to its
+failure lines.  Selections are compared and filtered on their masks.
 """
 
 import random
@@ -108,6 +111,19 @@ def _negation_symmetric(fan):
     return all(tuple(-x for x in r) in rays for r in fan.rays)
 
 
+# the sweep's legs, in report order; each collects its failure lines
+LEGS = (
+    "verdict_disagreements", "certificate_failures", "remark_violations",
+    "tmax_mismatches", "staged_inconsistencies", "saturation_mismatches",
+    "eq1_failures", "theorem_failures",
+)
+# sampled checks per fan and action: staged selections per nested pair,
+# saturation inners per outer, removed-piece inners per invariant outer
+STAGED_SAMPLES = 12
+SATURATION_SAMPLES = 5
+EQ1_SAMPLES = 3
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Outcome of one verification sweep; clean() means no leg failed."""
@@ -120,41 +136,21 @@ class SweepResult:
     staged_pairs: int
     saturation_checks: int
     eq1_checks: int
-    verdict_disagreements: tuple
-    certificate_failures: tuple
-    remark_violations: tuple
-    tmax_mismatches: tuple
-    staged_inconsistencies: tuple
-    saturation_mismatches: tuple
-    eq1_failures: tuple
-    theorem_failures: tuple
+    legs: dict  # leg name -> tuple of failure lines, in LEGS order
     elapsed: float
 
     def failures(self):
-        return {
-            "verdict_disagreements": self.verdict_disagreements,
-            "certificate_failures": self.certificate_failures,
-            "remark_violations": self.remark_violations,
-            "tmax_mismatches": self.tmax_mismatches,
-            "staged_inconsistencies": self.staged_inconsistencies,
-            "saturation_mismatches": self.saturation_mismatches,
-            "eq1_failures": self.eq1_failures,
-            "theorem_failures": self.theorem_failures,
-        }
+        return dict(self.legs)
 
     def clean(self):
-        return all(not v for v in self.failures().values())
+        return not any(self.legs.values())
 
 
-def run_sweep(
-    seed=20260817,
-    fans=None,
-    staged_samples=12,
-    saturation_samples=5,
-    eq1_samples=3,
-    limit=2 ** 20,
-    bound=None,
-):
+def _keys(sel):
+    return sorted(map(sorted, sel.keys))
+
+
+def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
     """Cross-check the engine on the corpus; deterministic for a seed.
 
     Legs, per fan and action: engine verdicts against exhaustive family
@@ -175,14 +171,7 @@ def run_sweep(
         fans = corpus_fans()
     selections = goods_total = actions_total = staged_pairs = 0
     saturation_checks = eq1_checks = 0
-    verdict_disagreements = []
-    certificate_failures = []
-    remark_violations = []
-    tmax_mismatches = []
-    staged_inconsistencies = []
-    saturation_mismatches = []
-    eq1_failures = []
-    theorem_failures = []
+    legs = {leg: [] for leg in LEGS}
 
     for index, fan in enumerate(fans):
         opens = enumerate_open_subsets(fan, limit)
@@ -201,76 +190,74 @@ def run_sweep(
                 engine = good_quotient(sel, act)
                 engine_good = not isinstance(engine, Obstruction)
                 if engine_good != oracle_good_quotient(sel, act):
-                    verdict_disagreements.append(
-                        f"{tag} keys={sorted(map(sorted, sel.keys))}: "
-                        f"engine={engine_good}"
+                    legs["verdict_disagreements"].append(
+                        f"{tag} keys={_keys(sel)}: engine={engine_good}"
                     )
                     continue
                 if not engine_good:
                     continue
                 goods.append(sel)
                 for problem in oracle_verify_quotient(engine, act, bound):
-                    certificate_failures.append(
-                        f"{tag} keys={sorted(map(sorted, sel.keys))}: {problem}"
+                    legs["certificate_failures"].append(
+                        f"{tag} keys={_keys(sel)}: {problem}"
                     )
                 for violation in remark_suite(engine, act):
-                    remark_violations.append(
-                        f"{tag} keys={sorted(map(sorted, sel.keys))}: {violation}"
+                    legs["remark_violations"].append(
+                        f"{tag} keys={_keys(sel)}: {violation}"
                     )
             goods_total += len(goods)
 
             tmax = t_maximal_subsets(fan, act, limit=limit)
-            brute = {u.keys for u in brute_t_maximal(fan, act, limit)}
-            if {u.keys for u in tmax} != brute:
-                tmax_mismatches.append(f"{tag}: torus-maximal subsets disagree")
+            brute = {u.mask for u in brute_t_maximal(fan, act, limit)}
+            if {u.mask for u in tmax} != brute:
+                legs["tmax_mismatches"].append(f"{tag}: torus-maximal subsets disagree")
 
             data = GroupActionData(act, SymmetryGroup.trivial(fan))
             for u in tmax:
                 report = verify_theorem_conclusions(u, data, limit=limit)
                 if report.refused or not report.conclusions_hold():
-                    theorem_failures.append(
-                        f"{tag} keys={sorted(map(sorted, u.keys))}: "
+                    legs["theorem_failures"].append(
+                        f"{tag} keys={_keys(u)}: "
                         f"{report.diagnosis or 'conclusions fail'}"
                     )
 
             outers = []
             full = fan.full_selection()
-            if any(g.keys == full.keys for g in goods):
+            if any(g.mask == full.mask for g in goods):
                 outers.append(full)
             outers.extend(rng.sample(goods, min(2, len(goods))))
             for outer in outers:
                 inners = [
-                    s for s in opens if s.keys <= outer.keys and len(s.keys) <= 9
+                    s for s in opens
+                    if not s.mask & ~outer.mask and s.mask.bit_count() <= 9
                 ]
-                for inner in rng.sample(inners, min(saturation_samples, len(inners))):
+                for inner in rng.sample(inners, min(SATURATION_SAMPLES, len(inners))):
                     saturation_checks += 1
-                    want = max_saturated_inside(outer, inner, act).keys
-                    got = brute_max_saturated_inside(outer, inner, act, limit).keys
+                    want = max_saturated_inside(outer, inner, act).mask
+                    got = brute_max_saturated_inside(outer, inner, act, limit).mask
                     if want != got:
-                        saturation_mismatches.append(
-                            f"{tag} outer={sorted(map(sorted, outer.keys))} "
-                            f"inner={sorted(map(sorted, inner.keys))}"
+                        legs["saturation_mismatches"].append(
+                            f"{tag} outer={_keys(outer)} inner={_keys(inner)}"
                         )
 
-            legs = [("", data)]
+            groups = [("", data)]
             if symmetric:
                 sym = generate_symmetry_group(fan, [negation])
-                legs.append(("reflected ", GroupActionData(act, sym)))
-            for label, gdata in legs:
-                invariant = [u for u in goods if is_invariant(gdata, u.keys)]
+                groups.append(("reflected ", GroupActionData(act, sym)))
+            for label, gdata in groups:
+                invariant = [u for u in goods if is_invariant(gdata, u.mask)]
                 for outer in rng.sample(invariant, min(2, len(invariant))):
                     inners = [
                         s for s in opens
-                        if s.keys <= outer.keys and is_invariant(gdata, s.keys)
+                        if not s.mask & ~outer.mask and is_invariant(gdata, s.mask)
                     ]
-                    for inner in rng.sample(inners, min(eq1_samples, len(inners))):
+                    for inner in rng.sample(inners, min(EQ1_SAMPLES, len(inners))):
                         eq1_checks += 1
                         report = eq1_crosscheck(outer, inner, gdata)
                         if not report.holds():
-                            eq1_failures.append(
+                            legs["eq1_failures"].append(
                                 f"{tag} {label}"
-                                f"outer={sorted(map(sorted, outer.keys))} "
-                                f"inner={sorted(map(sorted, inner.keys))}: "
+                                f"outer={_keys(outer)} inner={_keys(inner)}: "
                                 f"{report.diagnosis or 'sides differ'}"
                             )
 
@@ -283,12 +270,12 @@ def run_sweep(
         for small, large in pairs:
             staged_pairs += 1
             tag = _tag(index, fan, large)
-            for sel in rng.sample(opens, min(staged_samples, len(opens))):
+            for sel in rng.sample(opens, min(STAGED_SAMPLES, len(opens))):
                 comparison = staged_quotient(sel, small, large)
                 if not comparison.consistent:
-                    staged_inconsistencies.append(
+                    legs["staged_inconsistencies"].append(
                         f"{tag} via L=[{','.join(str(b) for b in small.cochar.basis.entries)}] "
-                        f"keys={sorted(map(sorted, sel.keys))}: {comparison.detail}"
+                        f"keys={_keys(sel)}: {comparison.detail}"
                     )
 
     return SweepResult(
@@ -300,13 +287,6 @@ def run_sweep(
         staged_pairs=staged_pairs,
         saturation_checks=saturation_checks,
         eq1_checks=eq1_checks,
-        verdict_disagreements=tuple(verdict_disagreements),
-        certificate_failures=tuple(certificate_failures),
-        remark_violations=tuple(remark_violations),
-        tmax_mismatches=tuple(tmax_mismatches),
-        staged_inconsistencies=tuple(staged_inconsistencies),
-        saturation_mismatches=tuple(saturation_mismatches),
-        eq1_failures=tuple(eq1_failures),
-        theorem_failures=tuple(theorem_failures),
+        legs={leg: tuple(lines) for leg, lines in legs.items()},
         elapsed=time.time() - start,
     )

@@ -304,9 +304,11 @@ def _nonzero_at(section, key, point):
     return total != 0
 
 
-def verify_globally_defined(
-    pres, lifted, family, subtorus_generators=(), seed=20260817, samples=100
-):
+# point pairs drawn for the sampled coverage check
+COVERAGE_SAMPLES = 100
+
+
+def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=20260817):
     """Witness-family report: per section, homogeneity for the subtorus,
     affineness of its nonvanishing locus, and containment in the open
     set; plus coverage of point pairs by common members.  Monomial
@@ -388,7 +390,7 @@ def verify_globally_defined(
         coverage = True
         keys = sorted(lifted.keys, key=sorted)
         if keys:
-            for _ in range(samples):
+            for _ in range(COVERAGE_SAMPLES):
                 ka, kb = rng.choice(keys), rng.choice(keys)
                 pa, pb = _orbit_point(ka, n, rng), _orbit_point(kb, n, rng)
                 if not any(

@@ -153,8 +153,9 @@ class Fan:
         """The face masks of all cones by index: the fan's own list, which
         readers must not change."""
         keys, _ = self.numbering()
-        for i in range(len(keys)):
-            self.face_mask(i)
+        if None in self._faces:
+            for i in range(len(keys)):
+                self.face_mask(i)
         return self._faces
 
     def faces_of(self, key):
@@ -191,10 +192,7 @@ def validate_fan(fan):
             problems.append(f"maximal cone contains another: {sorted(ka)}, {sorted(kb)}")
             witness = witness or (ka, kb)
             continue
-        # the meet lies in both cones, so it is a face of one exactly when
-        # it is its own carrier face there (Cone.is_face_of)
-        meet = a.meet_generators(b)
-        if not all(c.carrier_generators(meet) == meet for c in (a, b)):
+        if not a.meets_in_face(b):
             problems.append(
                 f"cones {sorted(ka)} and {sorted(kb)} intersect in a non-face"
             )
@@ -373,6 +371,12 @@ class FanAutomorphism:
 
     def apply_key(self, key):
         return frozenset(self.ray_perm[i] for i in key)
+
+    def apply_mask(self, mask):
+        """Image of a mask over the fan's numbering: bit i goes to the
+        index of apply_key(keys[i])."""
+        keys, bit = self.fan.numbering()
+        return sum(1 << bit[self.apply_key(keys[i])] for i in bits(mask))
 
     def compose(self, other):
         """self after other."""

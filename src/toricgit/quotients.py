@@ -232,13 +232,7 @@ class ImageTable:
     def meet_is_face(self, a, b):
         got = self.meets.get((a, b))
         if got is None:
-            meet = self.img[a].meet_generators(self.img[b])
-            # the meet lies in both images, so it is a face of one exactly
-            # when it is its own carrier face there (Cone.is_face_of)
-            got = all(
-                self.img[i].carrier_generators(meet) == meet for i in (a, b)
-            )
-            self.meets[(a, b)] = got
+            got = self.meets[(a, b)] = self.img[a].meets_in_face(self.img[b])
         return got
 
     def split_projection(self, lbar):
@@ -310,8 +304,7 @@ class QuotientFan:
     pre_lineality: Sublattice
     proj_full: object  # IntMatrix from N onto the target lattice
     fan: Fan
-    charts: tuple
-    chart_map: dict
+    chart_map: dict  # target chart cone -> source chart cone, in key order
     orbit_map: dict
     fibres: dict  # cone index -> mask of the selected cones with its orbit image
     geometric: bool
@@ -323,7 +316,7 @@ class QuotientFan:
     def __repr__(self):
         return (
             f"QuotientFan(target_rank={self.target_rank}, "
-            f"charts={[sorted(c) for c in self.charts]})"
+            f"charts={[sorted(c) for c in self.chart_map.values()]})"
         )
 
 
@@ -428,7 +421,6 @@ def _quotient(table, selection, lbar, family):
             Sublattice.from_rows(proj.rows, []),
             proj,
             table.target(proj.rows, (), frozenset()),
-            charts=(),
             chart_map={},
             orbit_map={},
             fibres={},
@@ -469,7 +461,6 @@ def _quotient(table, selection, lbar, family):
         table.lin[lbar],
         proj_full,
         table.target(q2.rows, rays, frozenset(chart_map)),
-        charts=tuple(keys[s] for s in family),
         chart_map=chart_map,
         orbit_map={keys[t]: o for t, o in orbit.items()},
         fibres=fibres,
@@ -601,6 +592,12 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     return [u for u in goods if hosts[u.mask] is None]
 
 
+def host_of(selection, act, limit=2 ** 20):
+    """The host of a good selection, None when it is T-maximal."""
+    t_maximal_subsets(selection.fan, act, limit)
+    return act.image_table().hosts[selection.mask]
+
+
 def max_saturated_inside(outer, inner, act):
     """Largest saturated selection of outer contained in inner.
 
@@ -702,64 +699,67 @@ def remark_suite(q, act):
     open on a closed invariant set is saturated there.  Closed sets are
     exercised through single-cone orbit closures and saturated opens
     through principal image ideals, which generate all instances by
-    unions and intersections."""
+    unions and intersections.
+
+    Every set is a mask: source cones over the source fan's numbering,
+    orbit images over the target's.  An orbit closure is the up-set of a
+    cone in the face masks, and (ii) and (iv) are saturation by q's
+    fibres; a saturated open is the preimage of an image ideal."""
     violations = []
-    fan = q.source.fan
-    keys = sorted(q.source.keys, key=key_order)
-    o = q.orbit_map
-    qkeys = q.fan.cone_keys()
-    up = {t: frozenset(k for k in keys if t <= k) for t in keys}
-    qup = {c: frozenset(k for k in qkeys if c <= k) for c in qkeys}
-    for t in keys:
-        image = {o[a] for a in up[t]}
-        hull = set().union(*(qup[c] for c in image))
-        if hull != image:
+    fan, sel = q.source.fan, q.source.mask
+    keys, _ = fan.numbering()
+    faces = fan.face_masks()
+    qkeys, qbit = q.fan.numbering()
+    qfaces = q.fan.face_masks()
+    cones = tuple(bits(sel))
+    img = {t: 1 << qbit[q.orbit_map[keys[t]]] for t in cones}
+    up = {t: sum(1 << k for k in cones if faces[k] >> t & 1) for t in cones}
+
+    def image(mask):
+        return sum({img[a] for a in bits(mask)})
+
+    for t in cones:
+        closure = image(up[t])
+        # closed: no target cone outside the closure has a face inside it
+        if any(f & closure for d, f in enumerate(qfaces) if not closure >> d & 1):
             violations.append(
-                f"(i) image of the orbit closure of {sorted(t)} is not closed"
+                f"(i) image of the orbit closure of {sorted(keys[t])} is not closed"
             )
-    for t, s in combinations(keys, 2):
-        if up[t].isdisjoint(up[s]):
-            if not {o[a] for a in up[t]}.isdisjoint({o[a] for a in up[s]}):
-                violations.append(
-                    f"(ii) disjoint orbit closures of {sorted(t)} and {sorted(s)} "
-                    "have overlapping images"
-                )
-    # orbit images, not cone_keys: the empty selection has no orbits even
-    # though the degenerate target fan still carries its zero cone
-    ikeys = frozenset(o.values())
+    saturated_up = {t: _saturation(q, up[t]) for t in cones}
+    for t, s in combinations(cones, 2):
+        if not up[t] & up[s] and saturated_up[t] & up[s]:
+            violations.append(
+                f"(ii) disjoint orbit closures of {sorted(keys[t])} and "
+                f"{sorted(keys[s])} have overlapping images"
+            )
+    # orbit images, not all target cones: the empty selection has no orbits
+    # even though the degenerate target fan still carries its zero cone
+    images = image(sel)
     principal_opens = sorted(
-        {frozenset(), ikeys}
-        | {frozenset(k for k in ikeys if k <= c) for c in ikeys},
-        key=lambda g: (len(g), sorted(sorted(k) for k in g)),
+        {0, images} | {qfaces[c] & images for c in bits(images)},
+        key=lambda g: (g.bit_count(), sorted(sorted(qkeys[c]) for c in bits(g))),
     )
     preimages = []
     for g in principal_opens:
-        pre = frozenset(t for t in keys if o[t] in g)
+        pre = sum(1 << t for t, c in img.items() if g & c)
         preimages.append(pre)
-        if {o[t] for t in pre} != g:
-            violations.append("(iii) a saturated open does not map onto its image")
-            continue
-        try:
-            sub = good_quotient(SubfanSelection(fan, pre), act)
-        except ValueError:
+        if any(faces[t] & ~pre for t in bits(pre)):
             violations.append(
                 "(iii) preimage of an open image set is not an open selection"
             )
             continue
+        sub = good_quotient(SubfanSelection._of_mask(fan, pre), act)
         if isinstance(sub, Obstruction):
             violations.append(
                 "(iii) restriction to a saturated open is not a good quotient: "
                 f"{sub.detail}"
             )
-    for t in keys:
+    for t in cones:
         for pre in preimages:
             trace = up[t] & pre
-            trace_images = {o[a] for a in trace}
-            for a in up[t]:
-                if o[a] in trace_images and a not in trace:
-                    violations.append(
-                        f"(iv) trace of a saturated open on the orbit closure of "
-                        f"{sorted(t)} is not saturated there"
-                    )
-                    break
+            if _saturation(q, trace) & up[t] != trace:
+                violations.append(
+                    f"(iv) trace of a saturated open on the orbit closure of "
+                    f"{sorted(keys[t])} is not saturated there"
+                )
     return tuple(violations)

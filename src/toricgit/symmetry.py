@@ -9,6 +9,11 @@ torus-saturation inside the input, the induced finite action on the
 quotient fan, a sweep over all torus-maximal subsets of a complete
 simplicial fan, and the fan-level identity relating W-sets before and
 after removing a closed invariant piece.
+
+Sets of source cones are masks over `Fan.numbering`, as in the engine:
+a W-set is the AND of the translates (`FanAutomorphism.apply_mask`), and
+the first differing cone is the lowest bit, which is key_order.  The
+induced action and the composite fiber classes act on the target fan.
 """
 
 from dataclasses import dataclass
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from .fans import (
     FanAutomorphism,
     SubfanSelection,
+    bits,
     is_complete,
     is_simplicial,
     key_order,
@@ -26,6 +32,7 @@ from .quotients import (
     QuotientFan,
     enumerate_good_subsets,
     good_quotient,
+    host_of,
     is_saturated,
     max_saturated_inside,
     t_maximal_subsets,
@@ -132,26 +139,26 @@ class GroupActionData:
                     )
 
 
-def _translates_meet(keys, sym):
-    """The cone keys lying in every symmetry translate of keys."""
-    meet = set(keys)
+def _translates_meet(mask, sym):
+    """The cones lying in every symmetry translate of the mask."""
+    meet = mask
     for gamma in sym:
-        meet &= {gamma.apply_key(k) for k in keys}
+        meet &= gamma.apply_mask(mask)
     return meet
 
 
 def w_set(selection, data):
-    """Intersection of all symmetry translates of the selection."""
+    """Intersection of all symmetry translates of the selection (each is
+    face-closed, so the intersection is)."""
     if selection.fan != data.sym.fan:
         raise ValueError("selection lives on a different fan")
-    return SubfanSelection(selection.fan, _translates_meet(selection.keys, data.sym))
+    meet = _translates_meet(selection.mask, data.sym)
+    return SubfanSelection._of_mask(selection.fan, meet)
 
 
-def is_invariant(data, keys):
-    """Does every symmetry of the group map the key set onto itself?"""
-    return all(
-        {gamma.apply_key(k) for k in keys} == set(keys) for gamma in data.sym
-    )
+def is_invariant(data, mask):
+    """Does every symmetry of the group map the mask onto itself?"""
+    return all(gamma.apply_mask(mask) == mask for gamma in data.sym)
 
 
 def induced_symmetry(q, gamma):
@@ -171,10 +178,13 @@ def composite_fiber_classes(q, data):
     }
 
 
-def _composite_saturation(q, data, subset):
+def _composite_saturation(q, data, mask):
+    """Mask of the cones of q's source in the composite fiber class of a
+    cone of mask."""
     classes = composite_fiber_classes(q, data)
-    hit = {classes[t] for t in subset}
-    return {t for t in q.source.keys if classes[t] in hit}
+    keys, _ = q.source.fan.numbering()
+    hit = {classes[keys[t]] for t in bits(mask)}
+    return sum(1 << t for t in bits(q.source.mask) if classes[keys[t]] in hit)
 
 
 def _orbit_partition(keys, automorphisms):
@@ -233,8 +243,7 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
         if isinstance(q, Obstruction):
             diagnosis = f"selection admits no good quotient: {q.detail}"
         else:
-            # t_maximal_subsets has recorded the host of every good selection
-            larger = act.image_table().hosts[selection.mask]
+            larger = host_of(selection, act, limit)
             diagnosis = (
                 "selection is properly saturated inside the larger good subset "
                 f"{sorted(sorted(k) for k in larger.keys)}"
@@ -299,22 +308,21 @@ def verify_corollary(fan, data, limit=2 ** 20):
         (_sorted_keys(u.keys), verify_theorem_conclusions(u, data, limit=limit))
         for u in maximal
     )
+    w_sets = [w_set(u, data) for u in maximal]
     invariant_reports = []
     for v in enumerate_good_subsets(fan, act, limit):
-        if not is_invariant(data, v.keys):
+        if not is_invariant(data, v.mask):
             continue
-        hosts = [u for u in maximal if v.keys <= w_set(u, data).keys]
-        if not hosts:
+        k = next((k for k, w in enumerate(w_sets) if v <= w), None)
+        if k is None:
             invariant_reports.append((_sorted_keys(v.keys), None, False))
             continue
-        host = hosts[0]
-        w = w_set(host, data)
-        q = good_quotient(w, act)
+        q = good_quotient(w_sets[k], act)
         saturated = isinstance(q, QuotientFan) and (
-            _composite_saturation(q, data, v.keys) == set(v.keys)
+            _composite_saturation(q, data, v.mask) == v.mask
         )
         invariant_reports.append(
-            (_sorted_keys(v.keys), _sorted_keys(host.keys), saturated)
+            (_sorted_keys(v.keys), _sorted_keys(maximal[k].keys), saturated)
         )
     all_pass = all(r.conclusions_hold() for _, r in maximal_reports) and all(
         found is not None and saturated
@@ -348,7 +356,7 @@ def eq1_crosscheck(xprime, x, data):
     act = data.act
     if xprime.fan != act.fan:
         raise ValueError("selection lives on a different fan")
-    if not x.keys <= xprime.keys:
+    if not x <= xprime:
         return Eq1Report(
             False, "inner selection is not contained in the outer one",
             None, None, None, None, None,
@@ -359,26 +367,24 @@ def eq1_crosscheck(xprime, x, data):
             False, f"outer selection admits no good quotient: {q.detail}",
             None, None, None, None, None,
         )
-    if not is_invariant(data, xprime.keys) or not is_invariant(data, x.keys):
+    if not is_invariant(data, xprime.mask) or not is_invariant(data, x.mask):
         return Eq1Report(
             False, "selections are not symmetry-invariant",
             None, None, None, None, None,
         )
     u = max_saturated_inside(xprime, x, act)
-    left = set(w_set(u, data).keys)
-    w_outer = set(w_set(xprime, data).keys)
-    w_removed = _translates_meet(xprime.keys - x.keys, data.sym)
-    right = w_outer - _composite_saturation(q, data, w_removed)
+    left = w_set(u, data).mask
+    w_removed = _translates_meet(xprime.mask & ~x.mask, data.sym)
+    right = w_set(xprime, data).mask & ~_composite_saturation(q, data, w_removed)
     difference = left ^ right
-    witness = None
-    if difference:
-        witness = tuple(sorted(min(difference, key=key_order)))
+    keys, _ = xprime.fan.numbering()
+    first = next(bits(difference), None)
     return Eq1Report(
         hypothesis_ok=True,
         diagnosis="",
         u_keys=_sorted_keys(u.keys),
-        left=_sorted_keys(left),
-        right=_sorted_keys(right),
+        left=_sorted_keys(keys[i] for i in bits(left)),
+        right=_sorted_keys(keys[i] for i in bits(right)),
         equal=not difference,
-        witness=witness,
+        witness=None if first is None else tuple(sorted(keys[first])),
     )

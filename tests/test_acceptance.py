@@ -134,8 +134,8 @@ def test_criterion_04_criterion_oracle_equivalence(sweep):
         and sweep.actions == 192
         and sweep.selections > 10000
         and sweep.goods > 1000
-        and not sweep.verdict_disagreements
-        and not sweep.certificate_failures
+        and not sweep.legs["verdict_disagreements"]
+        and not sweep.legs["certificate_failures"]
         and sweep.elapsed < 300.0
     )
     verdict(
@@ -147,7 +147,7 @@ def test_criterion_04_criterion_oracle_equivalence(sweep):
 
 
 def test_criterion_05_both_maximality_variants_coincide(sweep):
-    ok = not sweep.tmax_mismatches
+    ok = not sweep.legs["tmax_mismatches"]
     verdict(
         5,
         ok,
@@ -157,14 +157,14 @@ def test_criterion_05_both_maximality_variants_coincide(sweep):
 
 
 def test_criterion_06_remark_suite(sweep):
-    ok = sweep.goods > 0 and not sweep.remark_violations
+    ok = sweep.goods > 0 and not sweep.legs["remark_violations"]
     verdict(
         6, ok, f"remark identities hold on all {sweep.goods} certified quotients"
     )
 
 
 def test_criterion_07_staged_and_direct_quotients(sweep):
-    ok = sweep.staged_pairs > 0 and not sweep.staged_inconsistencies
+    ok = sweep.staged_pairs > 0 and not sweep.legs["staged_inconsistencies"]
     verdict(
         7,
         ok,
@@ -176,8 +176,8 @@ def test_criterion_08_saturation_and_removed_piece(sweep):
     ok = (
         sweep.saturation_checks > 0
         and sweep.eq1_checks > 0
-        and not sweep.saturation_mismatches
-        and not sweep.eq1_failures
+        and not sweep.legs["saturation_mismatches"]
+        and not sweep.legs["eq1_failures"]
     )
     verdict(
         8,
@@ -232,7 +232,7 @@ def test_criterion_09_quasitorus_presentations():
 
 
 def test_criterion_10_theorem_checker(sweep):
-    corpus_ok = not sweep.theorem_failures
+    corpus_ok = not sweep.legs["theorem_failures"]
 
     p1 = projective_line()
     act = normalize_action(p1, [(1,)])

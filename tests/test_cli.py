@@ -13,7 +13,7 @@ import pytest
 
 from toricgit import cli
 from toricgit.cli import main
-from toricgit.corpus import SweepResult
+from toricgit.corpus import LEGS, SweepResult
 
 
 def p1_doc():
@@ -499,21 +499,16 @@ PINNED_CASES = {
 
 def fake_sweep(seed, limit, bound):
     """A small sweep result; seed 6 has failures in two legs."""
-    failures = dict.fromkeys(
-        ("verdict_disagreements", "certificate_failures", "remark_violations",
-         "tmax_mismatches", "staged_inconsistencies", "saturation_mismatches",
-         "eq1_failures", "theorem_failures"),
-        (),
-    )
+    legs = dict.fromkeys(LEGS, ())
     if seed == 6:
-        failures["certificate_failures"] = ("P1 a=(1) keys=[[], [0]]: chart fails",)
-        failures["eq1_failures"] = (
+        legs["certificate_failures"] = ("P1 a=(1) keys=[[], [0]]: chart fails",)
+        legs["eq1_failures"] = (
             "P1xP1 a=(1,1) outer=[[]] inner=[]: sides differ",
             "P1xP1 a=(1,1) reflected outer=[[]] inner=[]: sides differ",
         )
     return SweepResult(
         seed=seed, fans=2, actions=3, selections=17, goods=9, staged_pairs=4,
-        saturation_checks=5, eq1_checks=6, elapsed=0.25, **failures,
+        saturation_checks=5, eq1_checks=6, legs=legs, elapsed=0.25,
     )
 
 

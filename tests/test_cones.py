@@ -180,6 +180,13 @@ class TestIntersect:
     def test_with_full_space(self):
         assert QUADRANT.intersect(Cone.full(2)) == QUADRANT
 
+    def test_meets_in_face(self):
+        upper = Cone.from_generators([(1, 1), (0, 1)], 2)
+        left = Cone.from_generators([(0, 1), (-1, 0)], 2)
+        assert QUADRANT.meets_in_face(left)  # the common ray
+        assert not QUADRANT.meets_in_face(upper)  # upper is no face of QUADRANT
+        assert not upper.meets_in_face(QUADRANT)
+
     def test_membership_sampling(self):
         rng = random.Random(1111)
         for _ in range(40):
@@ -188,6 +195,7 @@ class TestIntersect:
             b = Cone.from_generators(random_vectors(rng, rng.randint(1, 5), d), d)
             c = a.intersect(b)
             assert a.meet_generators(b) == c.generators
+            assert a.meets_in_face(b) == (c.is_face_of(a) and c.is_face_of(b))
             pts = random_vectors(rng, 100, d, -6, 6)
             for p in pts:
                 if c.contains(p):

@@ -86,3 +86,22 @@ class TestSweep:
         b = run_sweep(seed=2, fans=fans)
         assert a.clean() and b.clean()
         assert a.selections == b.selections
+
+    def test_failures_list_the_legs_in_report_order(self):
+        p1, _ = named_fans()
+        result = run_sweep(fans=[p1])
+        failures = result.failures()
+        assert list(failures) == [
+            "verdict_disagreements",
+            "certificate_failures",
+            "remark_violations",
+            "tmax_mismatches",
+            "staged_inconsistencies",
+            "saturation_mismatches",
+            "eq1_failures",
+            "theorem_failures",
+        ]
+        assert all(lines == () for lines in failures.values())
+        # a fresh dict each time, so a caller cannot change the result
+        failures["eq1_failures"] = ("changed",)
+        assert result.failures()["eq1_failures"] == () and result.clean()

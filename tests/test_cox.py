@@ -337,7 +337,7 @@ class TestWitnessFamilies:
             PolynomialSection(((1, (1, 0)), (-1, (0, 1))), declared_weight=(1,)),
         ]
         report = verify_globally_defined(
-            pres, lifted, family, subtorus_generators=[(1, 1)], seed=7, samples=100
+            pres, lifted, family, subtorus_generators=[(1, 1)], seed=7
         )
         assert report.sampled
         assert report.members[2].homogeneous

@@ -1,5 +1,6 @@
 """Good-quotient tests: frozen examples, saturation, maximality, staging."""
 
+import dataclasses
 import gc
 from collections import Counter
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 
 from toricgit import quotients
 from toricgit.cones import Cone, SizeGuardError
+from toricgit.corpus import actions_for, corpus_fans
 from toricgit.fans import (
     Fan,
     SubfanSelection,
@@ -84,7 +86,7 @@ class TestGoodQuotient:
         assert isinstance(q, QuotientFan)
         assert q.fan == Fan(1, [(-1,), (1,)], [{0}, {1}])
         assert q.target_rank == 1
-        assert set(q.charts) == {R0, R1}
+        assert tuple(q.chart_map.values()) == (R0, R1)
         assert q.geometric
         # the two source rays land on the two opposite quotient rays
         assert {q.orbit_map[R0], q.orbit_map[R1]} == {frozenset({0}), frozenset({1})}
@@ -98,7 +100,7 @@ class TestGoodQuotient:
         q = good_quotient(C2.full_selection(), diag_action())
         assert isinstance(q, QuotientFan)
         assert q.target_rank == 0
-        assert q.charts == (TOP,)
+        assert tuple(q.chart_map.values()) == (TOP,)
         assert not q.geometric
 
     def test_complete_p1_by_full_torus_obstructed(self):
@@ -113,7 +115,7 @@ class TestGoodQuotient:
     def test_empty_selection(self):
         q = good_quotient(C2.empty_selection(), diag_action())
         assert isinstance(q, QuotientFan)
-        assert q.charts == () and q.orbit_map == {}
+        assert q.chart_map == {} and q.orbit_map == {}
 
     def test_trivial_action_is_identity(self):
         for sel in enumerate_open_subsets(P2):
@@ -128,7 +130,7 @@ class TestGoodQuotient:
         assert validate_fan(q.fan).valid
         fan = q.source.fan
         image = {t: fan.cone(t).image(act.proj) for t in q.source.keys}
-        for chart in q.charts:
+        for chart in q.chart_map.values():
             fiber = {t for t in q.source.keys if image[chart].contains_cone(image[t])}
             assert fiber == set(fan.faces_of(chart))
 
@@ -291,7 +293,7 @@ def pairwise_good_quotient(selection, act, images):
     if not keys:
         return QuotientFan(
             selection, Sublattice.from_rows(act.proj.rows, []), act.proj,
-            Fan(act.proj.rows, [], []), charts=(), chart_map={}, orbit_map={},
+            Fan(act.proj.rows, [], []), chart_map={}, orbit_map={},
             fibres={}, geometric=True,
         )
     for k in keys:
@@ -393,7 +395,7 @@ def pairwise_good_quotient(selection, act, images):
         for t in keys
     }
     return QuotientFan(
-        selection, lbar, proj_full, qfan, charts=tuple(chart_family),
+        selection, lbar, proj_full, qfan,
         chart_map=chart_map, orbit_map=orbit_map, fibres=fibres, geometric=geometric,
     )
 
@@ -435,8 +437,7 @@ def verdict(result):
             branch += "/pair" if result.detail.startswith("images") else "/maximal"
         return branch, (result.kind, result.detail, result.witness)
     return "quotient", (
-        result.charts,
-        result.chart_map,
+        list(result.chart_map.items()),  # the charts in key order
         result.orbit_map,
         result.fibres,
         result.geometric,
@@ -781,3 +782,116 @@ def test_dropped_fan_and_action_are_freed_without_a_cyclic_collection():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# remark_suite before masks, kept as the reference: orbit closures and image
+# ideals are key sets, and a preimage is validated by SubfanSelection
+def keyset_remark_suite(q, act):
+    violations = []
+    fan = q.source.fan
+    keys = sorted(q.source.keys, key=key_order)
+    o = q.orbit_map
+    qkeys = q.fan.cone_keys()
+    up = {t: frozenset(k for k in keys if t <= k) for t in keys}
+    qup = {c: frozenset(k for k in qkeys if c <= k) for c in qkeys}
+    for t in keys:
+        image = {o[a] for a in up[t]}
+        hull = set().union(*(qup[c] for c in image))
+        if hull != image:
+            violations.append(
+                f"(i) image of the orbit closure of {sorted(t)} is not closed"
+            )
+    for t, s in combinations(keys, 2):
+        if up[t].isdisjoint(up[s]):
+            if not {o[a] for a in up[t]}.isdisjoint({o[a] for a in up[s]}):
+                violations.append(
+                    f"(ii) disjoint orbit closures of {sorted(t)} and {sorted(s)} "
+                    "have overlapping images"
+                )
+    ikeys = frozenset(o.values())
+    principal_opens = sorted(
+        {frozenset(), ikeys}
+        | {frozenset(k for k in ikeys if k <= c) for c in ikeys},
+        key=lambda g: (len(g), sorted(sorted(k) for k in g)),
+    )
+    preimages = []
+    for g in principal_opens:
+        pre = frozenset(t for t in keys if o[t] in g)
+        preimages.append(pre)
+        if {o[t] for t in pre} != g:
+            violations.append("(iii) a saturated open does not map onto its image")
+            continue
+        try:
+            sub = good_quotient(SubfanSelection(fan, pre), act)
+        except ValueError:
+            violations.append(
+                "(iii) preimage of an open image set is not an open selection"
+            )
+            continue
+        if isinstance(sub, Obstruction):
+            violations.append(
+                "(iii) restriction to a saturated open is not a good quotient: "
+                f"{sub.detail}"
+            )
+    for t in keys:
+        for pre in preimages:
+            trace = up[t] & pre
+            trace_images = {o[a] for a in trace}
+            for a in up[t]:
+                if o[a] in trace_images and a not in trace:
+                    violations.append(
+                        f"(iv) trace of a saturated open on the orbit closure of "
+                        f"{sorted(t)} is not saturated there"
+                    )
+                    break
+    return tuple(violations)
+
+
+def with_one_image_moved(q):
+    """q with the orbit image of its last source cone moved to the last
+    other target cone, fibres to match; None when there is nothing to move."""
+    keys, bit = q.source.fan.numbering()
+    qkeys, _ = q.fan.numbering()
+    if not q.source.mask or len(qkeys) < 2:
+        return None
+    t = keys[q.source.mask.bit_length() - 1]
+    orbit_map = dict(q.orbit_map)
+    orbit_map[t] = [c for c in qkeys if c != orbit_map[t]][-1]
+    fibres = {
+        bit[u]: sum(1 << bit[v] for v in orbit_map if orbit_map[v] == orbit_map[u])
+        for u in orbit_map
+    }
+    return dataclasses.replace(q, orbit_map=orbit_map, fibres=fibres)
+
+
+def remark_actions(case):
+    """(fan, action) pairs of a differential case, or of a corpus fan with
+    every corpus action."""
+    if case in DIFFERENTIAL_CASES:
+        fan, gens = DIFFERENTIAL_CASES[case]
+        return [(fan, normalize_action(fan, gens))]
+    rays = {"corpus_p1xp1": {(1, 0), (-1, 0), (0, 1), (0, -1)},
+            "corpus_p112": {(1, 0), (0, 1), (-1, -2)}}[case]
+    fan = next(f for f in corpus_fans() if set(f.rays) == rays)
+    return [(fan, act) for act in actions_for(fan)]
+
+
+class TestRemarkSuiteAgainstKeySets:
+    @pytest.mark.parametrize(
+        "case", sorted(DIFFERENTIAL_CASES) + ["corpus_p112", "corpus_p1xp1"]
+    )
+    def test_every_good_quotient_and_a_moved_copy(self, case):
+        statements = Counter()
+        for fan, act in remark_actions(case):
+            for sel in enumerate_good_subsets(fan, act):
+                q = good_quotient(sel, act)
+                assert remark_suite(q, act) == keyset_remark_suite(q, act) == (), sel
+                moved = with_one_image_moved(q)
+                if moved is not None:
+                    got = remark_suite(moved, act)
+                    assert got == keyset_remark_suite(moved, act), sel
+                    statements.update(v.split(" ", 1)[0] for v in got)
+        # the suite can fail: a moved orbit image breaks (i)-(iii).  (iv)
+        # cannot fail, since every preimage of an image set is a union of
+        # fibres, and so is its trace on any set of cones.
+        assert set(statements) == {"(i)", "(ii)", "(iii)"}

@@ -4,23 +4,34 @@ import random
 
 import pytest
 
-from toricgit.fans import Fan, FanAutomorphism, SubfanSelection, enumerate_open_subsets
+from toricgit.fans import (
+    Fan,
+    FanAutomorphism,
+    SubfanSelection,
+    enumerate_open_subsets,
+    key_order,
+)
 from toricgit.intlat import IntMatrix
 from toricgit.quotients import (
+    Obstruction,
     QuotientFan,
     enumerate_good_subsets,
     good_quotient,
     is_saturated,
+    max_saturated_inside,
     normalize_action,
     t_maximal_subsets,
 )
+from toricgit import symmetry
 from toricgit.symmetry import (
+    Eq1Report,
     GroupActionData,
     SymmetryGroup,
     composite_fiber_classes,
     eq1_crosscheck,
     generate_symmetry_group,
     induced_symmetry,
+    is_invariant,
     verify_corollary,
     verify_theorem_conclusions,
     w_set,
@@ -387,3 +398,182 @@ class TestEq1Crosscheck:
                 assert report.holds(), (sorted(map(sorted, xprime.keys)), report.witness)
                 checked += 1
         assert checked >= 10
+
+
+# The W-set routines before masks, kept as the reference: translates,
+# invariance, the removed-piece identity and the corollary's host search
+# all compare key sets.
+def keyset_translates_meet(keys, sym):
+    meet = set(keys)
+    for gamma in sym:
+        meet &= {gamma.apply_key(k) for k in keys}
+    return meet
+
+
+def keyset_w_set(selection, data):
+    return SubfanSelection(selection.fan, keyset_translates_meet(selection.keys, data.sym))
+
+
+def keyset_is_invariant(data, keys):
+    return all({gamma.apply_key(k) for k in keys} == set(keys) for gamma in data.sym)
+
+
+def keyset_composite_saturation(q, data, subset):
+    classes = symmetry.composite_fiber_classes(q, data)
+    hit = {classes[t] for t in subset}
+    return {t for t in q.source.keys if classes[t] in hit}
+
+
+def sorted_keys(keys):
+    return tuple(sorted(tuple(sorted(k)) for k in keys))
+
+
+def keyset_eq1_crosscheck(xprime, x, data):
+    act = data.act
+    if not x.keys <= xprime.keys:
+        return Eq1Report(
+            False, "inner selection is not contained in the outer one",
+            None, None, None, None, None,
+        )
+    q = good_quotient(xprime, act)
+    if isinstance(q, Obstruction):
+        return Eq1Report(
+            False, f"outer selection admits no good quotient: {q.detail}",
+            None, None, None, None, None,
+        )
+    if not keyset_is_invariant(data, xprime.keys) or not keyset_is_invariant(data, x.keys):
+        return Eq1Report(
+            False, "selections are not symmetry-invariant",
+            None, None, None, None, None,
+        )
+    u = max_saturated_inside(xprime, x, act)
+    left = set(keyset_w_set(u, data).keys)
+    w_outer = set(keyset_w_set(xprime, data).keys)
+    w_removed = keyset_translates_meet(xprime.keys - x.keys, data.sym)
+    right = w_outer - keyset_composite_saturation(q, data, w_removed)
+    difference = left ^ right
+    witness = None
+    if difference:
+        witness = tuple(sorted(min(difference, key=key_order)))
+    return Eq1Report(
+        hypothesis_ok=True,
+        diagnosis="",
+        u_keys=sorted_keys(u.keys),
+        left=sorted_keys(left),
+        right=sorted_keys(right),
+        equal=not difference,
+        witness=witness,
+    )
+
+
+def keyset_invariant_reports(fan, data):
+    act = data.act
+    maximal = t_maximal_subsets(fan, act)
+    reports = []
+    for v in enumerate_good_subsets(fan, act):
+        if not keyset_is_invariant(data, v.keys):
+            continue
+        hosts = [u for u in maximal if v.keys <= keyset_w_set(u, data).keys]
+        if not hosts:
+            reports.append((sorted_keys(v.keys), None, False))
+            continue
+        host = hosts[0]
+        q = good_quotient(keyset_w_set(host, data), act)
+        saturated = isinstance(q, QuotientFan) and (
+            keyset_composite_saturation(q, data, v.keys) == set(v.keys)
+        )
+        reports.append((sorted_keys(v.keys), sorted_keys(host.keys), saturated))
+    return tuple(reports)
+
+
+P3 = Fan(
+    3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}],
+)
+SWAP2 = ((0, 1), (1, 0))  # with ROT3, all of S3 on the rays of P2
+SWAP3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+CYCLE3 = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+
+KEYSET_CASES = {
+    "p2_s3_trivial_torus": (P2, [], [ROT3, SWAP2]),
+    "p2_s3_full_torus": (P2, [(1, 0), (0, 1)], [ROT3, SWAP2]),
+    "p1xp1_flip": (P1XP1, [(1, 0)], [FLIP_FIRST]),
+    # the maximal torus of SL3 acting through the first three coordinates
+    "p3_sum_zero_s3": (P3, [(1, -1, 0), (0, 1, -1)], [SWAP3, CYCLE3]),
+}
+
+
+def keyset_case(case):
+    fan, gens, matrices = KEYSET_CASES[case]
+    data = GroupActionData(
+        normalize_action(fan, gens), generate_symmetry_group(fan, matrices)
+    )
+    return fan, data, enumerate_open_subsets(fan)
+
+
+class TestMaskRoutinesAgainstKeySets:
+    def test_the_groups(self):
+        assert [len(keyset_case(c)[1].sym) for c in sorted(KEYSET_CASES)] == [2, 6, 6, 6]
+
+    @pytest.mark.parametrize("case", sorted(KEYSET_CASES))
+    def test_translates_w_sets_and_invariance(self, case):
+        fan, data, opens = keyset_case(case)
+        _, bit = fan.numbering()
+        for sel in opens:
+            for gamma in data.sym:
+                moved = {gamma.apply_key(k) for k in sel.keys}
+                assert gamma.apply_mask(sel.mask) == sum(1 << bit[k] for k in moved)
+            w = w_set(sel, data)
+            want = keyset_w_set(sel, data)
+            assert (w.keys, w.mask) == (want.keys, want.mask), sel
+            assert is_invariant(data, sel.mask) == keyset_is_invariant(data, sel.keys)
+
+    @pytest.mark.parametrize("case", sorted(KEYSET_CASES))
+    def test_eq1_crosscheck(self, case):
+        fan, data, opens = keyset_case(case)
+        rng = random.Random(20260817)
+        goods = enumerate_good_subsets(fan, data.act)
+        outers = goods + rng.sample(opens, min(10, len(opens)))
+        verdicts = set()
+        for xprime in outers:
+            inners = [x for x in opens if x <= xprime]
+            inners += rng.sample(opens, min(3, len(opens)))
+            for x in rng.sample(inners, min(30, len(inners))):
+                got = eq1_crosscheck(xprime, x, data)
+                assert got == keyset_eq1_crosscheck(xprime, x, data), (xprime, x)
+                verdicts.add(got.diagnosis.split(" ", 1)[0] if got.diagnosis else got.equal)
+        assert True in verdicts and "selections" in verdicts
+
+    def test_eq1_witness_on_forged_fiber_classes(self, monkeypatch):
+        # the identity holds on every case, so the sides are made to differ
+        # by giving each cone a composite fiber class of its own
+        monkeypatch.setattr(
+            symmetry, "composite_fiber_classes", lambda q, data: {t: t for t in q.source.keys}
+        )
+        witnesses = 0
+        for case in sorted(KEYSET_CASES):
+            fan, data, opens = keyset_case(case)
+            for xprime in enumerate_good_subsets(fan, data.act):
+                for x in opens:
+                    if x <= xprime:
+                        got = eq1_crosscheck(xprime, x, data)
+                        assert got == keyset_eq1_crosscheck(xprime, x, data), (xprime, x)
+                        witnesses += got.witness is not None
+        assert witnesses
+
+    @pytest.mark.parametrize("case", sorted(KEYSET_CASES))
+    def test_verify_corollary(self, case):
+        fan, data, _ = keyset_case(case)
+        report = verify_corollary(fan, data)
+        assert report.invariant_reports == keyset_invariant_reports(fan, data)
+        for keys, theorem in report.maximal_reports:
+            u = SubfanSelection(fan, keys)
+            assert theorem.w_keys == sorted_keys(keyset_w_set(u, data).keys)
+
+    def test_the_sum_zero_plane_fails_as_measured(self):
+        # six of the thirteen maximal sets fail (i) on saturation (ROADMAP)
+        fan, data, _ = keyset_case("p3_sum_zero_s3")
+        report = verify_corollary(fan, data)
+        failing = [r for _, r in report.maximal_reports if not r.conclusions_hold()]
+        assert (len(report.maximal_reports), len(failing)) == (13, 6)
+        assert all(r.saturated_in_input is False for r in failing)
