@@ -44,11 +44,11 @@ The criterion is one routine, `_decide(table, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
 obstruction code and the indices of its two witnesses.  `_render` turns
 that into the QuotientFan or the Obstruction text, and `good_quotient`
-is render after decide.  `enumerate_good_subsets` decides only the order
-ideals that can be good (below) on their bare masks and renders only the
-good ones, so selections, quotients and obstruction text are built only
-for what a caller keeps; a rejected ideal leaves no memo entry, and
-`good_quotient` decides it again when asked.
+is render after decide, memoized for the selections it is asked about,
+so only those get a quotient fan.  `enumerate_good_subsets` decides only
+the order ideals that can be good (below) on their bare masks and keeps
+a good one as its fibre masks (below) and a selection; a rejected ideal
+leaves no memo entry.
 
 An open set with a good quotient is covered by saturated affine charts
 (J. Święcicka, "Quotients of toric varieties by actions of subtori",
@@ -73,13 +73,16 @@ search, which extends a set only by higher indices and ANDs the
 pairwise rows, visits each closure once and never makes more closures
 than there are ideals.
 
-The engine's own form of the orbit map is the fibre masks
-`QuotientFan.fibres`, numbered from the orbit images as they are found:
-fibres[t] holds the selected cones with t's orbit image.  Saturation is
-mask algebra on them.  The saturation of a mask A inside the selection
-is the OR of the fibres of A's cones, so A is saturated exactly when
-that OR is A, and the largest saturated selection inside B removes the
-saturation of the cones outside B.
+The engine's own form of the orbit map is the fibre masks, one routine
+`_fibres(table, mask, lbar, family)` for both the table's fibre record
+and `QuotientFan.fibres`: it groups the cones of a good mask by their
+orbit images, the memoized carrier faces above, so fibres[t] holds the
+selected cones with t's orbit image.  Saturation is mask algebra on
+them and reads the fibre record only, so it renders no quotient.  The
+saturation of a mask A inside the selection is the OR of the fibres of
+A's cones, so A is saturated exactly when that OR is A, and the largest
+saturated selection inside B removes the saturation of the cones
+outside B.
 
 The host of a good selection u is the first good selection, in
 enumeration order, that properly contains u and in which u is saturated;
@@ -170,16 +173,18 @@ class ImageTable:
     once per action and a cone no selection reaches is never projected;
     `members[c]` masks the seen cones of lineality class c.  The table
     also memoizes whether two chart images meet in a face, the split
-    images and orbit-image carrier faces per lineality class, one Fan per
-    distinct quotient target, so equal targets share its cone lists and
-    cones (see target()), the quotients and asked-for verdicts, the good
-    selections, and the host of each good selection.
+    images and orbit-image carrier faces per lineality class, the fibre
+    masks of every good selection decided (the enumeration keeps its goods
+    only so), the verdicts `good_quotient` was asked for, one Fan per
+    distinct quotient target among those, so equal targets share its cone
+    lists and cones (see target()), the good selections, and the host of
+    each good selection.
     """
 
     __slots__ = (
         "fan", "proj", "faces", "img", "lin", "cls", "below", "above", "lin_le",
-        "seen", "classes", "members", "meets", "split", "carriers", "targets",
-        "results", "goods", "hosts",
+        "seen", "classes", "members", "meets", "split", "carriers", "fibres",
+        "targets", "results", "goods", "hosts",
     )
 
     def __init__(self, fan, proj):
@@ -200,10 +205,9 @@ class ImageTable:
         self.meets = {}  # (a, b) -> do img[a] and img[b] meet in a face of both
         self.split = {}  # class id -> (q2, q2 @ proj, {i: split image})
         self.carriers = {}  # (class id, t, s) -> carrier face, see carrier()
+        self.fibres = {}  # good selection mask -> its fibre masks, see _fibres()
         self.targets = {}  # (rank, rays, nonzero chart keys) -> Fan, see target()
-        # selection mask -> QuotientFan for every good selection decided,
-        # Obstruction only for a mask good_quotient was asked about
-        self.results = {}
+        self.results = {}  # selection mask -> verdict, for masks good_quotient was asked
         self.goods = {}  # limit -> enumerate_good_subsets
         self.hosts = {}  # good selection mask -> its host selection, or None
 
@@ -320,15 +324,21 @@ class QuotientFan:
         )
 
 
+def _table(fan, act):
+    if act.fan != fan:
+        raise ValueError("action and selection live on different fans")
+    return act.image_table()
+
+
 def good_quotient(selection, act):
     """QuotientFan for the selection, or an Obstruction naming a witness."""
-    if act.fan != selection.fan:
-        raise ValueError("action and selection live on different fans")
-    table = act.image_table()
+    table = _table(selection.fan, act)
     got = table.results.get(selection.mask)
     if got is None:
         decision = _decide(table, selection.mask)
         got = table.results[selection.mask] = _render(table, selection, decision)
+        if decision[0] is None:
+            table.fibres.setdefault(selection.mask, got.fibres)
     return got
 
 
@@ -427,23 +437,12 @@ def _quotient(table, selection, lbar, family):
             geometric=True,
         )
     keys, _ = table.fan.numbering()
-    above, faces = table.above, table.faces
+    faces = table.faces
     q2, proj_full, _ = table.split_projection(lbar)
     chart_gens = [table.split_image(s, lbar).generators for s in family]
     rays = tuple(sorted({g for gens in chart_gens for g in gens}))
     ray_index = {g: i for i, g in enumerate(rays)}
-    covered = sum(1 << s for s in family)
-
-    # the family's images meet in common faces, so the carrier face of t's
-    # image is the same target cone in every chart covering t
-    orbit = {}
-    fibre = {}
-    for t in bits(selection.mask):
-        cover = above[t] & covered
-        s = (cover & -cover).bit_length() - 1
-        o = orbit[t] = frozenset(ray_index[g] for g in table.carrier(t, s, lbar))
-        fibre[o] = fibre.get(o, 0) | 1 << t
-    fibres = {t: fibre[o] for t, o in orbit.items()}
+    carriers, fibres = _fibres(table, selection.mask, lbar, family)
     chart_map = {
         frozenset(ray_index[g] for g in gens): keys[s]
         for s, gens in zip(family, chart_gens)
@@ -462,27 +461,55 @@ def _quotient(table, selection, lbar, family):
         proj_full,
         table.target(q2.rows, rays, frozenset(chart_map)),
         chart_map=chart_map,
-        orbit_map={keys[t]: o for t, o in orbit.items()},
+        orbit_map={
+            keys[t]: frozenset(ray_index[g] for g in c) for t, c in carriers.items()
+        },
         fibres=fibres,
         geometric=geometric,
     )
 
 
-def _outer_quotient(inner, outer, act):
-    """The good quotient of outer, for an inner selection inside it."""
+def _fibres(table, mask, lbar, family):
+    """(carriers, fibres) of a good mask that _decide gave lbar and family:
+    carriers[t] generates t's orbit image, read in the lowest family chart
+    covering t (the images meet in common faces, so any would do), and
+    fibres[t] masks the cones of mask with that orbit image."""
+    above = table.above
+    covered = sum(1 << s for s in family)
+    carriers, fibre = {}, {}
+    for t in bits(mask):
+        cover = above[t] & covered
+        c = carriers[t] = table.carrier(t, (cover & -cover).bit_length() - 1, lbar)
+        fibre[c] = fibre.get(c, 0) | 1 << t
+    return carriers, {t: fibre[c] for t, c in carriers.items()}
+
+
+def _recorded_fibres(table, mask):
+    """The fibre record of mask, which decides mask when not yet recorded;
+    None, and no record, when mask has no good quotient."""
+    got = table.fibres.get(mask)
+    if got is None:
+        code, lbar, family = _decide(table, mask)
+        if code is None:
+            got = table.fibres[mask] = _fibres(table, mask, lbar, family)[1]
+    return got
+
+
+def _outer_fibres(inner, outer, act):
+    """The fibre record of outer, for an inner selection inside it."""
     if inner.mask & ~outer.mask:
         raise ValueError("inner selection must lie inside the outer one")
-    q = good_quotient(outer, act)
-    if isinstance(q, Obstruction):
+    fibres = _recorded_fibres(_table(outer.fan, act), outer.mask)
+    if fibres is None:
         raise ValueError("outer selection admits no good quotient")
-    return q
+    return fibres
 
 
-def _saturation(q, mask):
-    """The cones of q's source sharing an orbit image with a cone of mask."""
+def _saturation(fibres, mask):
+    """The cones sharing an orbit image with a cone of mask, by fibres."""
     sat = 0
     for t in bits(mask):
-        sat |= q.fibres[t]
+        sat |= fibres[t]
     return sat
 
 
@@ -492,8 +519,7 @@ def is_saturated(inner, outer, act):
     A cone of outer belongs to the preimage as soon as its orbit-image
     cone coincides with that of a cone of inner.
     """
-    q = _outer_quotient(inner, outer, act)
-    return _saturation(q, inner.mask) == inner.mask
+    return _saturation(_outer_fibres(inner, outer, act), inner.mask) == inner.mask
 
 
 def _family_closures(table):
@@ -528,33 +554,25 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
 
     The order ideals come in enumeration order; one that is not the face
     closure of a candidate chart family (`_family_closures`) cannot be
-    good and is skipped, and every other one is decided on its bare mask.
-    Only a good one becomes a selection, with its quotient kept in the
-    action's table, so a rejected ideal leaves no selection, message or
-    memo entry behind.
+    good and is skipped, and every other one not yet decided is decided on
+    its bare mask.  Only a good one becomes a selection, with its fibre
+    masks kept in the action's table and no quotient fan built, so a
+    rejected ideal leaves no selection, message or memo entry behind.
     """
-    if act.fan != fan:
-        raise ValueError("action and selection live on different fans")
-    table = act.image_table()
+    table = _table(fan, act)
     if limit not in table.goods:
-        results = table.results
         candidates = None
         goods = []
         for mask in _open_masks(fan, limit):
-            q = results.get(mask)
-            if q is None:
+            if mask not in table.fibres:
+                if mask in table.results:  # asked for, and bad
+                    continue
                 if candidates is None:
                     table.fill((1 << len(table.img)) - 1)
                     candidates = _family_closures(table)
-                if mask not in candidates:
+                if mask not in candidates or _recorded_fibres(table, mask) is None:
                     continue
-                decision = _decide(table, mask)
-                if decision[0] is not None:
-                    continue
-                selection = SubfanSelection._of_mask(fan, mask)
-                q = results[mask] = _render(table, selection, decision)
-            if isinstance(q, QuotientFan):
-                goods.append(q.source)
+            goods.append(SubfanSelection._of_mask(fan, mask))
         table.goods[limit] = goods
     return list(table.goods[limit])
 
@@ -585,7 +603,7 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
                 (
                     goods[j]
                     for j in bits(larger)
-                    if _saturation(table.results[goods[j].mask], u.mask) == u.mask
+                    if _saturation(table.fibres[goods[j].mask], u.mask) == u.mask
                 ),
                 None,
             )
@@ -604,8 +622,7 @@ def max_saturated_inside(outer, inner, act):
     Removes every cone sharing its orbit-image cone with the complement
     of inner.
     """
-    q = _outer_quotient(inner, outer, act)
-    removed = _saturation(q, outer.mask & ~inner.mask)
+    removed = _saturation(_outer_fibres(inner, outer, act), outer.mask & ~inner.mask)
     return SubfanSelection._of_mask(outer.fan, outer.mask & ~removed)
 
 
@@ -725,7 +742,7 @@ def remark_suite(q, act):
             violations.append(
                 f"(i) image of the orbit closure of {sorted(keys[t])} is not closed"
             )
-    saturated_up = {t: _saturation(q, up[t]) for t in cones}
+    saturated_up = {t: _saturation(q.fibres, up[t]) for t in cones}
     for t, s in combinations(cones, 2):
         if not up[t] & up[s] and saturated_up[t] & up[s]:
             violations.append(
@@ -757,7 +774,7 @@ def remark_suite(q, act):
     for t in cones:
         for pre in preimages:
             trace = up[t] & pre
-            if _saturation(q, trace) & up[t] != trace:
+            if _saturation(q.fibres, trace) & up[t] != trace:
                 violations.append(
                     f"(iv) trace of a saturated open on the orbit closure of "
                     f"{sorted(keys[t])} is not saturated there"

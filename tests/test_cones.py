@@ -7,9 +7,13 @@ Gaussian elimination, then filtered by feasibility.
 """
 
 import gc
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +28,7 @@ from toricgit.cones import (
     hilbert_basis,
     monoid_generators,
 )
-from toricgit import cones, corpus, fans
+from toricgit import cones, fans
 from toricgit.fans import Fan, limit_of_generic_point, validate_fan
 from toricgit.intlat import (
     IntMatrix,
@@ -572,27 +576,41 @@ class TestInterner:
         finally:
             gc.enable()
 
-    def test_each_sweep_pass_starts_cold(self, monkeypatch):
-        # a strong cache would make the second pass run no double description
-        runs = [0]
-        solve = cones.dd_solve
+    def test_each_sweep_pass_starts_cold(self):
+        # a strong cache would make the second pass run no double description.
+        # The passes run in a fresh interpreter: cones that other test modules
+        # keep alive stay interned, and the first pass would fill their lazy
+        # members with cones the second pass then finds.
+        script = """
+import gc
+from toricgit import cones, corpus
+from toricgit.fans import Fan
 
-        def counting(*args):
-            runs[0] += 1
-            return solve(*args)
+runs = [0]
+solve = cones.dd_solve
 
-        monkeypatch.setattr(cones, "dd_solve", counting)
-        counts = []
-        for _ in range(2):
-            p112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
-            gc.collect()
-            gc.disable()
-            try:
-                runs[0] = 0
-                assert corpus.run_sweep(fans=[p112]).clean()
-                counts.append(runs[0])
-            finally:
-                gc.enable()
+def counting(*args):
+    runs[0] += 1
+    return solve(*args)
+
+cones.dd_solve = counting
+for _ in range(2):
+    p112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
+    gc.collect()
+    gc.disable()
+    runs[0] = 0
+    clean = corpus.run_sweep(fans=[p112]).clean()
+    gc.enable()
+    print(int(clean), runs[0])
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(cones.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        passes = [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+        assert [clean for clean, _ in passes] == [1, 1]
+        counts = [runs for _, runs in passes]
         assert counts[0] == counts[1] <= 1100
 
 

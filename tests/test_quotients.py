@@ -583,6 +583,69 @@ def test_enumeration_builds_selections_only_for_goods(monkeypatch):
     assert built == {"selection": 70}
 
 
+def count_constructions(monkeypatch, *classes):
+    """Counter of the instances of each class built from now on."""
+    built = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    return built
+
+
+def test_listings_build_no_quotient_fan(monkeypatch):
+    fan = Fan(4, P4_RAYS, P4_CONES)
+    act = normalize_action(fan, [(1, 2, 3, 4)])
+    built = count_constructions(monkeypatch, Fan, QuotientFan)
+    assert len(enumerate_good_subsets(fan, act)) == 2644
+    assert len(t_maximal_subsets(fan, act)) == 9
+    assert built == {}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+def test_saturation_over_goods_builds_no_quotient_fan(case, monkeypatch):
+    # on a fresh action, so each outer selection is decided on the way
+    fan, gens = ENUMERATION_CASES[case]
+    goods = enumerate_good_subsets(fan, normalize_action(fan, gens))
+    act = normalize_action(fan, gens)
+    built = count_constructions(monkeypatch, Fan, QuotientFan)
+    for outer in goods:
+        for inner in goods:
+            if inner <= outer:
+                max_saturated_inside(outer, inner, act)
+    assert built == {}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+def test_goods_render_on_demand_as_on_a_fresh_action(case):
+    fan, gens = ENUMERATION_CASES[case]
+    warm = normalize_action(fan, gens)
+    goods = enumerate_good_subsets(fan, warm)
+    record = dict(warm.image_table().fibres)
+    assert set(record) == {u.mask for u in goods}
+    fresh = normalize_action(fan, gens)
+    for u in goods:
+        q = good_quotient(u, warm)
+        want = good_quotient(u, fresh)
+        assert isinstance(q, QuotientFan) and isinstance(want, QuotientFan), u
+        assert (q.chart_map, q.orbit_map, q.fibres, q.geometric) == (
+            want.chart_map, want.orbit_map, want.fibres, want.geometric
+        ), u
+        assert (q.fan.rays, q.fan.max_cones, q.pre_lineality, q.proj_full) == (
+            want.fan.rays, want.fan.max_cones, want.pre_lineality, want.proj_full
+        ), u
+        assert record[u.mask] == q.fibres, u
+        assert good_quotient(u, warm) is q
+
+
 @pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
 def test_listings_reject_a_fan_other_than_the_actions(listing):
     act = normalize_action(P2, [(1, 1)])
@@ -602,6 +665,7 @@ def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeyp
     assert str(got.value) == str(expected.value) == "more than 4 open subsets"
     table = act.image_table()
     assert decided == [] and table.results == {} and table.seen == 0
+    assert table.fibres == {}
 
 
 # The saturation routines before fibre masks, kept as the reference: they
