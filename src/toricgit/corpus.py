@@ -229,7 +229,7 @@ def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
             for outer in outers:
                 inners = [
                     s for s in opens
-                    if not s.mask & ~outer.mask and s.mask.bit_count() <= 9
+                    if s <= outer and s.mask.bit_count() <= 9
                 ]
                 for inner in rng.sample(inners, min(SATURATION_SAMPLES, len(inners))):
                     saturation_checks += 1
@@ -249,7 +249,7 @@ def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
                 for outer in rng.sample(invariant, min(2, len(invariant))):
                     inners = [
                         s for s in opens
-                        if not s.mask & ~outer.mask and is_invariant(gdata, s.mask)
+                        if s <= outer and is_invariant(gdata, s.mask)
                     ]
                     for inner in rng.sample(inners, min(EQ1_SAMPLES, len(inners))):
                         eq1_checks += 1

@@ -5,15 +5,17 @@ of affine n-space (n = number of rays) by the quasitorus dual to the
 divisor class group.  The grading of the coordinate ring by that group
 is the cokernel of the ray-pairing map; the open subset upstairs is the
 union of coordinate charts indexed by the cones of the fan.  Monomials
-are the canonical sections of effective invariant divisors; polynomial
-sections are supported for witness checking but verified only by seeded
-point sampling, since their zero sets are not unions of orbits.
+are the canonical sections of effective invariant divisors, and their
+witness verdicts are exact.  Polynomial sections are supported for witness
+checking too, but their zero sets are not unions of orbits, so their
+verdicts rest on seeded orbit points, all drawn inside
+`verify_globally_defined` from the generator its `seed` argument seeds.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 
 from .fans import Fan, SubfanSelection, limit_of_generic_point
@@ -32,9 +34,9 @@ from .intlat import (
 from .quotients import Obstruction, SubtorusAction, good_quotient
 
 
-def _subsets(key):
-    items = sorted(key)
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+def _faces(keys):
+    """Every coordinate face of the coordinate cones keys."""
+    return {frozenset(s) for k in keys for r in range(len(k) + 1) for s in combinations(k, r)}
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,6 @@ def cox_presentation(fan):
         [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)],
         [frozenset(range(n))] if n else [],
     )
-    relevant_keys = {
-        frozenset(s) for top in fan.max_cones for s in _subsets(top)
-    } | {frozenset()}
     return CoxPresentation(
         fan=fan,
         orthant_fan=orthant,
@@ -127,7 +126,7 @@ def cox_presentation(fan):
         torsion_rows=torsion_rows,
         class_rank=class_rank,
         torsion_factors=torsion_factors,
-        relevant=SubfanSelection(orthant, relevant_keys),
+        relevant=SubfanSelection(orthant, _faces(fan.max_cones) | {frozenset()}),
         h_cochar=kernel_lattice(ray_map),
     )
 
@@ -144,10 +143,7 @@ def lift_open(pres, selection):
     inside the coordinate cone of some selected cone."""
     if selection.fan != pres.fan:
         raise ValueError("selection does not live on the presentation's fan")
-    keys = set()
-    for key in selection.keys:
-        keys.update(frozenset(s) for s in _subsets(key))
-    return SubfanSelection(pres.orthant_fan, keys)
+    return SubfanSelection(pres.orthant_fan, _faces(selection.keys))
 
 
 def canonical_section(pres, exponents):
@@ -265,10 +261,6 @@ class WitnessReport:
     witness_family: bool
 
 
-def _lift_section(pres):
-    return right_inverse_of_surjection(pres.ray_map)
-
-
 _NONZERO = tuple(x for x in range(-5, 6) if x)
 
 
@@ -279,6 +271,11 @@ def _orbit_point(key, n, rng):
         (0, 1) if i in key else (rng.choice(_NONZERO), rng.randint(1, 4))
         for i in range(n)
     )
+
+
+def _unit_point(key, n):
+    """The point of the orbit of the cone key with every other coordinate 1."""
+    return tuple((0 if i in key else 1, 1) for i in range(n))
 
 
 def _nonzero_at(section, key, point):
@@ -311,105 +308,78 @@ COVERAGE_SAMPLES = 100
 def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=20260817):
     """Witness-family report: per section, homogeneity for the subtorus,
     affineness of its nonvanishing locus, and containment in the open
-    set; plus coverage of point pairs by common members.  Monomial
-    families are decided combinatorially; any polynomial member switches
-    coverage and containment to seeded rational sampling."""
+    set; plus coverage of point pairs by common members.
+
+    Each vanishing question is one `_nonzero_at` call, exact for a
+    monomial, so a monomial's verdicts draw nothing; affineness is decided
+    for monomials only.  A polynomial is contained if it vanishes at three
+    seeded points and the unit point of the orbit of every relevant cone
+    outside the open set.  Coverage takes every ordered pair of orbits for
+    a monomial family, and otherwise COVERAGE_SAMPLES seeded point pairs,
+    marking the report sampled.  All draws come from one generator seeded
+    by seed: containment points member by member, then coverage pairs."""
     if lifted.fan != pres.orthant_fan:
         raise ValueError("the open set must be a selection on the coordinate fan")
+    family = tuple(family)
+    if not all(isinstance(s, (MonomialSection, PolynomialSection)) for s in family):
+        raise ValueError("family members must be sections")
     n = len(pres.fan.rays)
     lat = saturate(Sublattice.from_rows(pres.fan.rank, subtorus_generators))
-    section_of_quotient = _lift_section(pres)
-    lifts = [section_of_quotient.matvec(b) for b in lat.basis.entries]
-
-    def weight(exponents):
-        return tuple(dot(exponents, v) for v in lifts)
-
+    lift = right_inverse_of_surjection(pres.ray_map)
+    lifts = [lift.matvec(b) for b in lat.basis.entries]
     rng = random.Random(seed)
-    members = []
-    all_monomial = True
-    for section in family:
-        if isinstance(section, MonomialSection):
-            supp = section.support()
-            nonzero = frozenset(k for k in lifted.keys if not k & supp)
-            hull = frozenset(chain.from_iterable(nonzero)) if nonzero else frozenset()
-            affine = bool(nonzero) and hull in nonzero
-            contained = all(
-                k in lifted.keys for k in pres.relevant.keys if not k & supp
-            )
-            members.append(
-                SectionVerdict(
-                    section,
-                    homogeneous=True,
-                    affine=affine,
-                    contained=contained,
-                    detail="combinatorial",
-                )
-            )
-        elif isinstance(section, PolynomialSection):
-            all_monomial = False
-            weights = {weight(e) for _, e in section.terms}
-            homogeneous = len(weights) <= 1 and (
-                section.declared_weight is None
-                or set(weights) <= {tuple(section.declared_weight)}
-            )
-            contained = True
-            for key in sorted(pres.relevant.keys - lifted.keys, key=sorted):
-                points = [_orbit_point(key, n, rng) for _ in range(3)]
-                points.append(tuple((0 if i in key else 1, 1) for i in range(n)))
-                if any(_nonzero_at(section, key, p) for p in points):
-                    contained = False
-                    break
-            members.append(
-                SectionVerdict(
-                    section,
-                    homogeneous=homogeneous,
-                    affine=None,
-                    contained=contained,
-                    detail="not combinatorially decidable; sampled",
-                )
-            )
-        else:
-            raise ValueError("family members must be sections")
+    sampled = any(isinstance(s, PolynomialSection) for s in family)
+    outside = sorted(pres.relevant.keys - lifted.keys, key=sorted)
 
-    coverage_witness = None
-    if all_monomial:
-        keys = sorted(lifted.keys, key=sorted)
-        coverage = True
-        for a in keys:
-            for b in keys:
-                if not any(
-                    not (a & m.section.support()) and not (b & m.section.support())
-                    for m in members
-                ):
-                    coverage = False
-                    coverage_witness = (a, b)
-                    break
-            if not coverage:
+    members = []
+    for section in family:
+        exact = isinstance(section, MonomialSection)
+        exponents = [section.exponents] if exact else [e for _, e in section.terms]
+        declared = None if exact else section.declared_weight
+        weights = {tuple(dot(e, v) for v in lifts) for e in exponents}
+        contained = True
+        for key in outside:
+            points = [] if exact else [_orbit_point(key, n, rng) for _ in range(3)]
+            points.append(_unit_point(key, n))
+            if any(_nonzero_at(section, key, p) for p in points):
+                contained = False
                 break
-    else:
-        coverage = True
-        keys = sorted(lifted.keys, key=sorted)
-        if keys:
-            for _ in range(COVERAGE_SAMPLES):
-                ka, kb = rng.choice(keys), rng.choice(keys)
-                pa, pb = _orbit_point(ka, n, rng), _orbit_point(kb, n, rng)
-                if not any(
-                    _nonzero_at(m.section, ka, pa) and _nonzero_at(m.section, kb, pb)
-                    for m in members
-                ):
-                    coverage = False
-                    coverage_witness = (ka, kb)
-                    break
-    witness = (
-        coverage
-        and all(m.homogeneous for m in members)
-        and all(m.affine is not False for m in members)
-        and all(m.contained for m in members)
+        affine = None
+        if exact:
+            nonzero = [k for k in lifted.keys if _nonzero_at(section, k, _unit_point(k, n))]
+            affine = frozenset().union(*nonzero) in nonzero
+        members.append(
+            SectionVerdict(
+                section,
+                homogeneous=len(weights) <= 1
+                and (declared is None or weights <= {tuple(declared)}),
+                affine=affine,
+                contained=contained,
+                detail="combinatorial" if exact else "not combinatorially decidable; sampled",
+            )
+        )
+
+    keys = sorted(lifted.keys, key=sorted)
+
+    def drawn_pairs():
+        for _ in range(COVERAGE_SAMPLES if keys else 0):
+            ka, kb = rng.choice(keys), rng.choice(keys)
+            yield ka, _orbit_point(ka, n, rng), kb, _orbit_point(kb, n, rng)
+
+    pairs = drawn_pairs() if sampled else (
+        (a, _unit_point(a, n), b, _unit_point(b, n)) for a in keys for b in keys
     )
+    coverage_witness = None
+    for ka, pa, kb, pb in pairs:
+        if not any(_nonzero_at(s, ka, pa) and _nonzero_at(s, kb, pb) for s in family):
+            coverage_witness = (ka, kb)
+            break
+    coverage = coverage_witness is None
     return WitnessReport(
         members=tuple(members),
         coverage=coverage,
         coverage_witness=coverage_witness,
-        sampled=not all_monomial,
-        witness_family=witness,
+        sampled=sampled,
+        witness_family=coverage
+        and all(m.homogeneous and m.affine is not False and m.contained for m in members),
     )

@@ -241,19 +241,27 @@ class SubfanSelection:
     def __len__(self):
         return len(self.keys)
 
+    def _same_fan(self, other):
+        """Bit i names the same cone in both masks only on one fan."""
+        if self.fan is not other.fan and self.fan != other.fan:
+            raise ValueError("selections live on different fans")
+
     def __le__(self, other):
+        self._same_fan(other)
         return not self.mask & ~other.mask
 
     def __lt__(self, other):
-        return self.mask != other.mask and self <= other
+        return self <= other and self.mask != other.mask
 
     def __repr__(self):
         return f"SubfanSelection({sorted(sorted(k) for k in self.keys)})"
 
     def union(self, other):
+        self._same_fan(other)
         return SubfanSelection._of_mask(self.fan, self.mask | other.mask)
 
     def intersection(self, other):
+        self._same_fan(other)
         return SubfanSelection._of_mask(self.fan, self.mask & other.mask)
 
 

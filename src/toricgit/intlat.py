@@ -82,10 +82,6 @@ class IntMatrix:
         return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
-    def zero(cls, rows, cols):
-        return cls._of(tuple((0,) * cols for _ in range(rows)), cols)
-
-    @classmethod
     def from_columns(cls, columns, rows=None):
         columns = tuple(tuple(c) for c in columns)
         if columns:

@@ -236,7 +236,7 @@ def _is_union_of(classes, mask):
 
 def oracle_saturated(inner, outer, act):
     """Is inner a union of full orbit-label classes of outer?"""
-    if inner.mask & ~outer.mask:
+    if not inner <= outer:
         raise ValueError("inner selection must lie inside the outer one")
     return _is_union_of(_label_classes(outer, act), inner.mask)
 
@@ -268,7 +268,7 @@ def brute_max_saturated_inside(outer, inner, act, limit=2 ** 20):
     so they are exactly the face-closed subsets lying in it, and their
     union is again face-closed.
     """
-    if inner.mask & ~outer.mask:
+    if not inner <= outer:
         raise ValueError("inner selection must lie inside the outer one")
     ideals = _open_masks(outer.fan, limit, inner.mask)
     classes = _label_classes(outer, act)

@@ -354,7 +354,7 @@ def eq1_crosscheck(xprime, x, data):
     inside x equals the W-set of xprime minus the composite-fiber
     saturation of the W-set of the removed closed piece."""
     act = data.act
-    if xprime.fan != act.fan:
+    if xprime.fan != act.fan or x.fan != act.fan:
         raise ValueError("selection lives on a different fan")
     if not x <= xprime:
         return Eq1Report(

@@ -3,13 +3,18 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 import sympy
 
 from toricgit.cox import (
+    COVERAGE_SAMPLES,
     MonomialSection,
     PolynomialSection,
+    SectionVerdict,
+    WitnessReport,
     _nonzero_at,
     _orbit_point,
     canonical_section,
@@ -22,8 +27,15 @@ from toricgit.cox import (
     verify_globally_defined,
     zero_set_identity_holds,
 )
-from toricgit.fans import Fan, SubfanSelection
-from toricgit.intlat import IntMatrix
+from toricgit.fans import Fan, SubfanSelection, key_order
+from toricgit.intlat import (
+    IntMatrix,
+    Sublattice,
+    dot,
+    right_inverse_of_surjection,
+    saturate,
+)
+from toricgit.problemfile import MonomialSpec, load_problem
 from toricgit.quotients import good_quotient
 
 P1 = Fan(1, [(1,), (-1,)], [{0}, {1}])
@@ -392,3 +404,223 @@ class TestWitnessFamilies:
         pres = cox_presentation(P2)
         with pytest.raises(ValueError):
             verify_globally_defined(pres, P2.full_selection(), [])
+
+
+def two_path_verify_globally_defined(
+    pres, lifted, family, subtorus_generators=(), seed=20260817
+):
+    """The previous form of verify_globally_defined, kept as the reference:
+    monomial families are decided combinatorially, and any polynomial
+    member switches coverage and containment to seeded rational sampling."""
+    if lifted.fan != pres.orthant_fan:
+        raise ValueError("the open set must be a selection on the coordinate fan")
+    n = len(pres.fan.rays)
+    lat = saturate(Sublattice.from_rows(pres.fan.rank, subtorus_generators))
+    section_of_quotient = right_inverse_of_surjection(pres.ray_map)
+    lifts = [section_of_quotient.matvec(b) for b in lat.basis.entries]
+
+    def weight(exponents):
+        return tuple(dot(exponents, v) for v in lifts)
+
+    rng = random.Random(seed)
+    members = []
+    all_monomial = True
+    for section in family:
+        if isinstance(section, MonomialSection):
+            supp = section.support()
+            nonzero = frozenset(k for k in lifted.keys if not k & supp)
+            hull = frozenset(chain.from_iterable(nonzero)) if nonzero else frozenset()
+            affine = bool(nonzero) and hull in nonzero
+            contained = all(
+                k in lifted.keys for k in pres.relevant.keys if not k & supp
+            )
+            members.append(
+                SectionVerdict(
+                    section,
+                    homogeneous=True,
+                    affine=affine,
+                    contained=contained,
+                    detail="combinatorial",
+                )
+            )
+        elif isinstance(section, PolynomialSection):
+            all_monomial = False
+            weights = {weight(e) for _, e in section.terms}
+            homogeneous = len(weights) <= 1 and (
+                section.declared_weight is None
+                or set(weights) <= {tuple(section.declared_weight)}
+            )
+            contained = True
+            for key in sorted(pres.relevant.keys - lifted.keys, key=sorted):
+                points = [_orbit_point(key, n, rng) for _ in range(3)]
+                points.append(tuple((0 if i in key else 1, 1) for i in range(n)))
+                if any(_nonzero_at(section, key, p) for p in points):
+                    contained = False
+                    break
+            members.append(
+                SectionVerdict(
+                    section,
+                    homogeneous=homogeneous,
+                    affine=None,
+                    contained=contained,
+                    detail="not combinatorially decidable; sampled",
+                )
+            )
+        else:
+            raise ValueError("family members must be sections")
+
+    coverage_witness = None
+    if all_monomial:
+        keys = sorted(lifted.keys, key=sorted)
+        coverage = True
+        for a in keys:
+            for b in keys:
+                if not any(
+                    not (a & m.section.support()) and not (b & m.section.support())
+                    for m in members
+                ):
+                    coverage = False
+                    coverage_witness = (a, b)
+                    break
+            if not coverage:
+                break
+    else:
+        coverage = True
+        keys = sorted(lifted.keys, key=sorted)
+        if keys:
+            for _ in range(COVERAGE_SAMPLES):
+                ka, kb = rng.choice(keys), rng.choice(keys)
+                pa, pb = _orbit_point(ka, n, rng), _orbit_point(kb, n, rng)
+                if not any(
+                    _nonzero_at(m.section, ka, pa) and _nonzero_at(m.section, kb, pb)
+                    for m in members
+                ):
+                    coverage = False
+                    coverage_witness = (ka, kb)
+                    break
+    witness = (
+        coverage
+        and all(m.homogeneous for m in members)
+        and all(m.affine is not False for m in members)
+        and all(m.contained for m in members)
+    )
+    return WitnessReport(
+        members=tuple(members),
+        coverage=coverage,
+        coverage_witness=coverage_witness,
+        sampled=not all_monomial,
+        witness_family=witness,
+    )
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+
+
+def shipped_families(pres, name):
+    """The section families of a shipped problem file, built as the cox
+    command builds them."""
+    return {
+        label: [
+            canonical_section(pres, spec.exponents)
+            if isinstance(spec, MonomialSpec)
+            else PolynomialSection(spec.terms, declared_weight=spec.weight)
+            for spec in specs
+        ]
+        for label, specs in load_problem(str(INPUTS / name)).families.items()
+    }
+
+
+def coordinate_families(pres):
+    """The shipped families' shape on any fan: the coordinates, and the
+    coordinates with the sum of every pair of them."""
+    n = len(pres.fan.rays)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    coordinates = [canonical_section(pres, e) for e in unit]
+    sums = [PolynomialSection(((1, a), (1, b))) for a, b in combinations(unit, 2)]
+    return {"coordinates": coordinates, "witnesses": coordinates + sums}
+
+
+def extra_families(pres):
+    """The chart monomials (each the product of the coordinates outside a
+    maximal cone) with their sum, and monomials beside a polynomial with a
+    declared weight, an inhomogeneous one, and a constant one."""
+    n = len(pres.fan.rays)
+    e = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    square = tuple(2 * a for a in e[1])
+    charts = [
+        canonical_section(pres, [int(i not in top) for i in range(n)])
+        for top in sorted(pres.fan.max_cones, key=key_order)
+    ]
+    return {
+        "charts": charts + [PolynomialSection(tuple((1, c.exponents) for c in charts))],
+        "declared": [
+            canonical_section(pres, e[0]),
+            PolynomialSection(((1, e[0]), (-1, e[1])), declared_weight=(1,)),
+        ],
+        "inhomogeneous": [
+            canonical_section(pres, e[1]),
+            PolynomialSection(((1, e[0]), (Fraction(1, 2), square))),
+        ],
+        "constant": [
+            canonical_section(pres, e[-1]),
+            PolynomialSection(((3, (0,) * n),)),
+        ],
+    }
+
+
+WITNESS_CASES = {
+    "p2": (P2, "p2.json"),
+    "p112": (P112, "p112.json"),
+    "p1xp1": (P1XP1, None),
+    "c2": (C2, None),
+}
+
+
+def lifts_of(pres):
+    """Lifts of the full, punctured (first chart removed), one-chart, torus
+    and empty selections."""
+    fan = pres.fan
+    top = min(fan.max_cones, key=key_order)
+    selections = {
+        "full": fan.full_selection(),
+        "punctured": SubfanSelection(fan, [k for k in fan.cone_keys() if k != top]),
+        "one chart": SubfanSelection(fan, [k for k in fan.cone_keys() if k <= top]),
+        "torus": SubfanSelection(fan, [frozenset()]),
+        "empty": fan.empty_selection(),
+    }
+    return {name: lift_open(pres, sel) for name, sel in selections.items()}
+
+
+class TestOnePathAgainstTwoPaths:
+    @pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+    def test_whole_reports_agree(self, case):
+        fan, shipped = WITNESS_CASES[case]
+        pres = cox_presentation(fan)
+        families = shipped_families(pres, shipped) if shipped else coordinate_families(pres)
+        families.update(extra_families(pres))
+        seen = Counter()
+        for lifted in lifts_of(pres).values():
+            for family in families.values():
+                for subtorus in ((), [(1, 1)]):
+                    for seed in range(1, 21):
+                        want = two_path_verify_globally_defined(
+                            pres, lifted, family, subtorus, seed
+                        )
+                        got = verify_globally_defined(
+                            pres, lifted, family, subtorus, seed
+                        )
+                        assert got == want, (case, lifted, family, subtorus, seed)
+                        seen[got.sampled, got.coverage, got.witness_family] += 1
+        # both pair sources, each with both coverage verdicts, and families
+        # that are and are not witness families
+        assert {(s, c) for s, c, _ in seen} == {
+            (True, True), (True, False), (False, True), (False, False)
+        }
+        assert {w for _, _, w in seen} == {True, False}
+
+    def test_members_are_checked_before_any_verdict(self):
+        pres = cox_presentation(P2)
+        lifted = lift_open(pres, P2.full_selection())
+        family = [canonical_section(pres, (1, 0, 0)), (1, 0, 0)]
+        with pytest.raises(ValueError, match="family members must be sections"):
+            verify_globally_defined(pres, lifted, iter(family))

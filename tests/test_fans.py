@@ -252,6 +252,31 @@ def mask_of(fan, keys):
     return sum(1 << bit[k] for k in keys)
 
 
+class TestSelectionsOfAnotherFan:
+    # bit i names different cones on different fans: the P2 mask of
+    # {(), (2)} is 0b1001, which on C2 would be {(), (0,1)}
+    OTHER = SubfanSelection(P2, [frozenset(), frozenset({2})])
+
+    @pytest.mark.parametrize("compare", [
+        lambda a, b: a <= b,
+        lambda a, b: a < b,
+        lambda a, b: a.union(b),
+        lambda a, b: a.intersection(b),
+    ], ids=["le", "lt", "union", "intersection"])
+    def test_mask_algebra_rejects_another_fan(self, compare):
+        with pytest.raises(ValueError, match="different fans"):
+            compare(self.OTHER, C2.full_selection())
+        with pytest.raises(ValueError, match="different fans"):
+            compare(C2.full_selection(), self.OTHER)
+
+    def test_an_equal_fan_is_the_same_fan(self):
+        twin = Fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 2}, {1, 2}, {0, 1}])
+        inner = SubfanSelection(twin, [frozenset(), frozenset({2})])
+        assert inner <= P2.full_selection() and inner < P2.full_selection()
+        assert inner.union(P2.full_selection()) == P2.full_selection()
+        assert inner.intersection(self.OTHER).keys == self.OTHER.keys
+
+
 class TestConeNumbering:
     def test_the_orders_differ_on_the_rank_four_fan(self):
         assert validate_fan(PENTAGON_AND_SIMPLEX).valid

@@ -131,6 +131,18 @@ class TestSaturationOracle:
         with pytest.raises(ValueError):
             oracle_saturated(other, chart, act)
 
+    def test_rejects_an_inner_selection_of_another_fan(self):
+        act = normalize_action(C2, [(1, 1)])
+        inner = P2.selection([frozenset(), frozenset({2})])
+        with pytest.raises(ValueError, match="different fans"):
+            oracle_saturated(inner, C2.full_selection(), act)
+
+    def test_brute_search_rejects_an_inner_selection_of_another_fan(self):
+        act = normalize_action(C2, [(1, 1)])
+        inner = P2.selection([frozenset(), frozenset({2})])
+        with pytest.raises(ValueError, match="different fans"):
+            brute_max_saturated_inside(C2.full_selection(), inner, act)
+
 
 class TestBruteForceSearches:
     def test_projective_line_maximal_sets(self):

@@ -25,6 +25,7 @@ from toricgit.quotients import (
     QuotientFan,
     enumerate_good_subsets,
     good_quotient,
+    host_of,
     is_saturated,
     max_saturated_inside,
     normalize_action,
@@ -160,6 +161,11 @@ class TestSaturation:
         chart = SubfanSelection(C2, [Z, R0])
         assert is_saturated(chart, c2_punctured(), diag_action())
 
+    def test_rejects_an_inner_selection_of_another_fan(self):
+        inner = SubfanSelection(P2, [Z, frozenset({2})])
+        with pytest.raises(ValueError, match="different fans"):
+            is_saturated(inner, C2.full_selection(), diag_action())
+
     def test_requires_containment_and_quotient(self):
         act = normalize_action(P1, [(1,)])
         plus = SubfanSelection(P1, [Z, R0])
@@ -212,6 +218,12 @@ class TestTMaximal:
         got = t_maximal_subsets(P2, act)
         assert len(got) == 1 and got[0] == P2.full_selection()
 
+    def test_host_of_a_selection_without_good_quotient(self):
+        act = normalize_action(P1, [(1,)])
+        with pytest.raises(ValueError, match="selection admits no good quotient"):
+            host_of(P1.full_selection(), act)
+        assert host_of(SubfanSelection(P1, [Z]), act) is None
+
 
 class TestMaxSaturatedInside:
     def test_a1_torus_window(self):
@@ -231,6 +243,11 @@ class TestMaxSaturatedInside:
             c2_punctured(), SubfanSelection(C2, [Z, R1]), diag_action()
         )
         assert got.keys == frozenset({Z, R1})
+
+    def test_rejects_an_inner_selection_of_another_fan(self):
+        inner = SubfanSelection(P2, [Z, frozenset({2})])
+        with pytest.raises(ValueError, match="different fans"):
+            max_saturated_inside(C2.full_selection(), inner, diag_action())
 
 
 class TestStaged:

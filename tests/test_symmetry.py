@@ -349,6 +349,13 @@ class TestEq1Crosscheck:
             assert report.holds(), report.witness
             assert report.left == report.u_keys
 
+    def test_inner_selection_of_another_fan_rejected(self):
+        act = normalize_action(C2, [(1, 1)])
+        data = GroupActionData(act, SymmetryGroup.trivial(C2))
+        inner = SubfanSelection(P2, [fs(), fs(2)])
+        with pytest.raises(ValueError, match="selection lives on a different fan"):
+            eq1_crosscheck(C2.full_selection(), inner, data)
+
     def test_containment_hypothesis_enforced(self):
         data = p1_full_torus_data(sym=SymmetryGroup.trivial(P1))
         xprime = SubfanSelection(P1, [fs(), fs(0)])
