@@ -160,10 +160,11 @@ def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
     filter (both variants coincide, see quotients.t_maximal_subsets);
     staged quotients against direct ones on sampled selections for every
     nested pair of corpus subtori; engine maximal-saturated subsets
-    against the brute-force union on sampled pairs; the removed-piece
-    identity on sampled invariant pairs; and the conclusion checker on
-    every maximal set under the trivial symmetry group, plus the central
-    reflection where the fan allows it.
+    against the brute-force union on sampled pairs; the conclusion
+    checker on every maximal set under the trivial symmetry group; and
+    the removed-piece identity on sampled invariant pairs, under the
+    trivial group and also under the central reflection where the fan
+    allows it.
     """
     start = time.time()
     rng = random.Random(seed)

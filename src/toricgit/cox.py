@@ -3,13 +3,15 @@
 The variety is exhibited as a good quotient of an open invariant subset
 of affine n-space (n = number of rays) by the quasitorus dual to the
 divisor class group.  The grading of the coordinate ring by that group
-is the cokernel of the ray-pairing map; the open subset upstairs is the
-union of coordinate charts indexed by the cones of the fan.  Monomials
-are the canonical sections of effective invariant divisors, and their
-witness verdicts are exact.  Polynomial sections are supported for witness
-checking too, but their zero sets are not unions of orbits, so their
-verdicts rest on seeded orbit points, all drawn inside
-`verify_globally_defined` from the generator its `seed` argument seeds.
+is the cokernel of the ray-pairing map; the grading, its torsion and the
+cocharacters of the quasitorus's torus part all come from one Smith form
+of the ray matrix.  The open subset upstairs is the union of coordinate
+charts indexed by the cones of the fan.  Monomials are the canonical
+sections of effective invariant divisors, and their witness verdicts are
+exact.  Polynomial sections are supported for witness checking too, but
+their zero sets are not unions of orbits, so their verdicts rest on
+seeded orbit points, all drawn inside `verify_globally_defined` from the
+generator its `seed` argument seeds.
 """
 
 import random
@@ -25,7 +27,6 @@ from .intlat import (
     cokernel_diagnostics,
     dot,
     kernel_lattice,
-    matrix_rank,
     quotient_lattice_map,
     right_inverse_of_surjection,
     saturate,
@@ -99,19 +100,23 @@ class PolynomialSection:
 
 
 def cox_presentation(fan):
-    """Grading, relevant open subset, and quasitorus data of a fan."""
+    """Grading, relevant open subset, and quasitorus data of a fan.
+
+    Everything is read off one Smith form L·R·U = D of the n×d ray matrix
+    R.  The rays span iff D has d nonzero entries.  Rows d.. of L then
+    span the ray relations {a : a·R = 0}: a = z·L kills R iff z·D = 0,
+    iff z is zero in its first d entries.  The relations are the
+    annihilator of the saturated image of M, so their Hermite basis is
+    the free part of the grading, and they are ker(Z^n -> N), so the same
+    lattice is H's cocharacters.  Row i < d of L gives the torsion residue
+    modulo D_i, nontrivial iff D_i > 1.
+    """
     n, d = len(fan.rays), fan.rank
-    if matrix_rank(fan.rays, d) != d:
-        raise ValueError("rays do not span the ambient space")
     ray_matrix = IntMatrix(fan.rays, cols=d)
-    ray_map = ray_matrix.transpose()
-    image = Sublattice.from_rows(n, [ray_matrix.column(j) for j in range(d)])
-    free_rows = quotient_lattice_map(saturate(image))
     snf = smith_normal_form(ray_matrix)
-    torsion_rows = tuple(
-        (snf.diag[i], snf.left.row(i)) for i in range(len(snf.diag)) if snf.diag[i] > 1
-    )
-    class_rank, torsion_factors = cokernel_diagnostics(ray_matrix)
+    if len(snf.diag) < d or not all(snf.diag):
+        raise ValueError("rays do not span the ambient space")
+    h_cochar = Sublattice.from_rows(n, snf.left.entries[d:])
     orthant = Fan(
         n,
         [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)],
@@ -121,13 +126,15 @@ def cox_presentation(fan):
         fan=fan,
         orthant_fan=orthant,
         ray_matrix=ray_matrix,
-        ray_map=ray_map,
-        free_rows=free_rows,
-        torsion_rows=torsion_rows,
-        class_rank=class_rank,
-        torsion_factors=torsion_factors,
+        ray_map=ray_matrix.transpose(),
+        free_rows=h_cochar.basis,
+        torsion_rows=tuple(
+            (m, snf.left.row(i)) for i, m in enumerate(snf.diag) if m > 1
+        ),
+        class_rank=n - d,
+        torsion_factors=tuple(m for m in snf.diag if m > 1),
         relevant=SubfanSelection(orthant, _faces(fan.max_cones) | {frozenset()}),
-        h_cochar=kernel_lattice(ray_map),
+        h_cochar=h_cochar,
     )
 
 

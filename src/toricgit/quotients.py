@@ -116,7 +116,8 @@ class SubtorusAction:
     """Subtorus with saturated cocharacter lattice L and projection N -> N/L.
 
     `_table` holds the engine's ImageTable, built on first use; `_cache`
-    is the oracles' own memo, which the engine never reads.
+    is the oracles' own memo, which the engine never reads.  Since each
+    action carries its own tables, actions compare by identity.
     """
 
     __slots__ = ("fan", "cochar", "proj", "input_saturated", "_table", "_cache")
@@ -133,17 +134,6 @@ class SubtorusAction:
 
     def __setattr__(self, name, value):
         raise AttributeError("SubtorusAction is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubtorusAction)
-            and self.fan == other.fan
-            and self.cochar.basis == other.cochar.basis
-            and self.proj == other.proj
-        )
-
-    def __hash__(self):
-        return hash((self.fan, self.cochar.basis, self.proj))
 
     def __repr__(self):
         return f"SubtorusAction(rank {self.cochar.rank} in Z^{self.fan.rank})"

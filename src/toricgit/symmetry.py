@@ -44,7 +44,14 @@ def _sorted_keys(keys):
 
 
 class SymmetryGroup:
-    """Finite group of fan automorphisms; group axioms are validated."""
+    """Finite group of fan automorphisms; group axioms are validated.
+
+    Closure under inverses needs no check of its own.  The elements are
+    invertible maps, so for each a the map x -> a∘x is injective; when the
+    finite set holds the identity and is closed under composition, that
+    map is a bijection of the set onto itself, and the x it sends to the
+    identity is a's inverse.
+    """
 
     __slots__ = ("fan", "elements")
 
@@ -59,8 +66,6 @@ class SymmetryGroup:
         if IntMatrix.identity(fan.rank) not in by_matrix:
             raise ValueError("identity element missing")
         for a in elements:
-            if a.inverse().matrix not in by_matrix:
-                raise ValueError("group not closed under inverse")
             for b in elements:
                 if a.compose(b).matrix not in by_matrix:
                     raise ValueError("group not closed under composition")
@@ -71,16 +76,6 @@ class SymmetryGroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetryGroup is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymmetryGroup)
-            and self.fan == other.fan
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return hash((self.fan, self.elements))
 
     def __len__(self):
         return len(self.elements)
@@ -97,26 +92,30 @@ class SymmetryGroup:
 
 
 def generate_symmetry_group(fan, matrices, limit=4096):
-    """Close a list of fan-preserving matrices into a SymmetryGroup."""
-    elements = {IntMatrix.identity(fan.rank): FanAutomorphism(
-        fan, IntMatrix.identity(fan.rank)
-    )}
-    frontier = []
-    for m in matrices:
-        auto = FanAutomorphism(fan, IntMatrix(tuple(tuple(r) for r in m), cols=fan.rank))
-        if auto.matrix not in elements:
-            elements[auto.matrix] = auto
-            frontier.append(auto)
+    """Close a list of fan-preserving matrices into a SymmetryGroup.
+
+    Breadth-first from the identity, composing each new element with the
+    generators only.  That reaches every product of generators, and in a
+    finite group each inverse is one: g has finite order k, so g^-1 is
+    g^(k-1).
+    """
+    gens = [
+        FanAutomorphism(fan, IntMatrix(tuple(tuple(r) for r in m), cols=fan.rank))
+        for m in matrices
+    ]
+    identity = FanAutomorphism(fan, IntMatrix.identity(fan.rank))
+    elements = {identity.matrix: identity}
+    frontier = [identity]
     while frontier:
         fresh = []
-        for a in list(elements.values()):
-            for b in frontier:
-                for c in (a.compose(b), b.compose(a), b.inverse()):
-                    if c.matrix not in elements:
-                        elements[c.matrix] = c
-                        fresh.append(c)
-                        if len(elements) > limit:
-                            raise ValueError("symmetry group exceeds the size limit")
+        for a in frontier:
+            for g in gens:
+                c = a.compose(g)
+                if c.matrix not in elements:
+                    elements[c.matrix] = c
+                    fresh.append(c)
+                    if len(elements) > limit:
+                        raise ValueError("symmetry group exceeds the size limit")
         frontier = fresh
     return SymmetryGroup(fan, elements.values())
 

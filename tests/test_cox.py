@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations
 from pathlib import Path
@@ -9,10 +10,13 @@ from pathlib import Path
 import pytest
 import sympy
 
+from toricgit import cox, intlat
+from toricgit.corpus import corpus_fans
 from toricgit.cox import (
     COVERAGE_SAMPLES,
     MonomialSection,
     PolynomialSection,
+    RoundTrip,
     SectionVerdict,
     WitnessReport,
     _nonzero_at,
@@ -31,9 +35,13 @@ from toricgit.fans import Fan, SubfanSelection, key_order
 from toricgit.intlat import (
     IntMatrix,
     Sublattice,
+    cokernel_diagnostics,
     dot,
+    kernel_lattice,
+    quotient_lattice_map,
     right_inverse_of_surjection,
     saturate,
+    smith_normal_form,
 )
 from toricgit.problemfile import MonomialSpec, load_problem
 from toricgit.quotients import good_quotient
@@ -44,6 +52,12 @@ P2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
 P112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
 P1XP1 = Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [{0, 2}, {0, 3}, {1, 2}, {1, 3}])
 HALFQ = Fan(2, [(1, 0), (1, 2)], [{0, 1}])  # rays span an index-2 sublattice
+# complete, with class group Z + Z/3: the rays span an index-3 sublattice
+TORSION = Fan(2, [(2, 1), (-1, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
+P3 = Fan(
+    3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}],
+)
 
 
 def fs(*items):
@@ -116,8 +130,84 @@ class TestGrading:
             assert pres.class_rank == pres.free_rows.rows
 
     def test_nonspanning_rays_rejected(self):
-        with pytest.raises(ValueError):
-            cox_presentation(Fan(2, [(1, 0)], [{0}]))
+        # fewer rays than the rank, and enough rays spanning only a line
+        for fan in (Fan(2, [(1, 0)], [{0}]), Fan(2, [(1, 0), (-1, 0)], [{0}, {1}])):
+            with pytest.raises(ValueError, match="rays do not span the ambient space"):
+                cox_presentation(fan)
+
+    def test_torsion_grading_of_a_complete_fan(self):
+        pres = cox_presentation(TORSION)
+        assert (pres.class_rank, pres.torsion_factors) == (1, (3,))
+        assert pres.weights() == ((1,), (1,), (1,))
+        assert [pres.degree(e)[1] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] == [
+            (1,), (2,), (0,)
+        ]
+
+
+def reference_lattice_fields(fan):
+    """The presentation's lattice fields as they were computed before one
+    Smith form served them all, kept as the reference: the free grading is
+    the quotient map of the saturated image of M, the class rank and
+    torsion come from the cokernel, and H's cocharacters are the kernel of
+    the ray map."""
+    n, d = len(fan.rays), fan.rank
+    ray_matrix = IntMatrix(fan.rays, cols=d)
+    image = Sublattice.from_rows(n, [ray_matrix.column(j) for j in range(d)])
+    snf = smith_normal_form(ray_matrix)
+    class_rank, torsion_factors = cokernel_diagnostics(ray_matrix)
+    free_rows = quotient_lattice_map(saturate(image))
+    return {
+        "free_rows": free_rows,
+        "torsion_rows": tuple(
+            (snf.diag[i], snf.left.row(i))
+            for i in range(len(snf.diag)) if snf.diag[i] > 1
+        ),
+        "class_rank": class_rank,
+        "torsion_factors": torsion_factors,
+        "h_cochar": kernel_lattice(ray_matrix.transpose()),
+        "weights": tuple(tuple(free_rows.column(i)) for i in range(n)),
+    }
+
+
+def presentation_fans():
+    return (P1, C2, P2, P112, P1XP1, HALFQ, TORSION, P3) + tuple(corpus_fans())
+
+
+class TestOneSmithForm:
+    def test_fields_match_the_reference_route(self):
+        for fan in presentation_fans():
+            pres = cox_presentation(fan)
+            got = {
+                "free_rows": pres.free_rows,
+                "torsion_rows": pres.torsion_rows,
+                "class_rank": pres.class_rank,
+                "torsion_factors": pres.torsion_factors,
+                "h_cochar": pres.h_cochar,
+                "weights": pres.weights(),
+            }
+            assert got == reference_lattice_fields(fan), fan.rays
+
+    def test_one_smith_form_and_no_other_lattice_route(self, monkeypatch):
+        fans = presentation_fans()
+        calls = []
+        smith = intlat.smith_normal_form
+
+        def counted(matrix):
+            calls.append(matrix)
+            return smith(matrix)
+
+        def forbidden(*args):
+            raise AssertionError("cox_presentation left its one Smith form")
+
+        for module in (intlat, cox):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+            for name in ("saturate", "quotient_lattice_map", "cokernel_diagnostics",
+                         "kernel_lattice"):
+                monkeypatch.setattr(module, name, forbidden)
+        for fan in fans:
+            calls.clear()
+            cox_presentation(fan)
+            assert len(calls) == 1, fan.rays
 
 
 class TestRelevantSelection:
@@ -289,6 +379,59 @@ class TestLiftAndRoundTrip:
         q = good_quotient(lifted, quasitorus_action(pres))
         assert q.fan.rank == 1
         assert len(q.fan.max_cones) == 2
+
+
+def negated(matrix):
+    return IntMatrix([[-x for x in row] for row in matrix.entries])
+
+
+class TestRoundTripFailures:
+    """Each failure return of round_trip, forced by one forged input."""
+
+    def test_lift_without_good_quotient(self):
+        # the antidiagonal acting on the punctured plane glues its two axes
+        pres = cox_presentation(P1)
+        forged = replace(pres, h_cochar=Sublattice.from_rows(2, [(1, -1)]))
+        assert round_trip(forged, P1.full_selection()) == RoundTrip(
+            False, False,
+            "lift has no good quotient: cone [1] maps into the image of [0] "
+            "but is not a face of it",
+        )
+
+    def test_projection_kernel_differs(self, monkeypatch):
+        real = cox.good_quotient
+        monkeypatch.setattr(
+            cox, "good_quotient",
+            lambda sel, act: replace(real(sel, act), proj_full=IntMatrix([[1, 0]])),
+        )
+        pres = cox_presentation(P1)
+        assert round_trip(pres, P1.full_selection()) == RoundTrip(
+            False, True, "projection kernel differs from the quasitorus part"
+        )
+
+    def test_recovered_ray_not_a_fan_ray(self):
+        pres = cox_presentation(P2)
+        forged = replace(pres, ray_map=negated(pres.ray_map))
+        assert round_trip(forged, P2.full_selection()) == RoundTrip(
+            False, True, "recovered ray is not a fan ray"
+        )
+
+    def test_chart_not_its_own_coordinate_face(self):
+        # negation swaps the two rays of the line, so each chart lands on the other
+        pres = cox_presentation(P1)
+        forged = replace(pres, ray_map=negated(pres.ray_map))
+        assert round_trip(forged, P1.full_selection()) == RoundTrip(
+            False, True, "chart of [1] is not its own coordinate face"
+        )
+
+    def test_maximal_cones_not_recovered(self, monkeypatch):
+        real = cox.lift_open
+        chart = SubfanSelection(P2, [fs(), fs(0), fs(1), fs(0, 1)])
+        monkeypatch.setattr(cox, "lift_open", lambda pres, sel: real(pres, chart))
+        pres = cox_presentation(P2)
+        assert round_trip(pres, P2.full_selection()) == RoundTrip(
+            False, True, "maximal cones are not recovered"
+        )
 
 
 class TestWitnessFamilies:

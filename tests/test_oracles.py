@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from test_quotients import DIFFERENTIAL_CASES
 
+from toricgit import oracles
 from toricgit.cones import Cone
 from toricgit.cox import cox_presentation, lift_open, quasitorus_action
 from toricgit.fans import Fan, enumerate_open_subsets, key_order
@@ -269,6 +270,59 @@ class TestQuotientCertificates:
         fake = replace(q, geometric=not q.geometric)
         problems = oracle_verify_quotient(fake, act)
         assert any("geometric" in p for p in problems)
+
+
+class TestCertificateFailures:
+    """Each problem oracle_verify_quotient reports, forced on the punctured
+    plane's quotient by the diagonal, whose two charts swap rays, by one
+    patched helper or one forged field."""
+
+    def verify(self, q=None):
+        act = normalize_action(C2, [(1, 1)])
+        if q is None:
+            q = good_quotient(punctured_plane(), act)
+        return oracle_verify_quotient(q, act)
+
+    def test_ring_mismatch(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_chart_ring_matches", lambda *args: False)
+        assert self.verify() == tuple(
+            f"invariant functions of chart [{i}] do not match the target chart functions"
+            for i in (0, 1)
+        )
+
+    def test_fibre_not_the_chart_faces(self, monkeypatch):
+        everything = punctured_plane().mask
+        monkeypatch.setattr(oracles, "_contents", lambda *args: everything)
+        assert self.verify() == tuple(
+            f"cones mapping into the image of chart [{i}] are not exactly its faces"
+            for i in (0, 1)
+        )
+
+    def test_uncovered_cone(self):
+        q = good_quotient(punctured_plane(), normalize_action(C2, [(1, 1)]))
+        charts = {img: ck for img, ck in q.chart_map.items() if ck != frozenset({0})}
+        assert self.verify(replace(q, chart_map=charts)) == (
+            "cone [0] is covered by no chart",
+            "cone [0] has no unique carrier face",
+        )
+
+    def test_meet_not_a_face(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_meet_is_face", lambda *args: False)
+        assert self.verify() == (
+            "images of charts [0] and [1] do not meet in a common face",
+        )
+
+    def test_no_unique_carrier(self, monkeypatch):
+        real = oracles._carriers
+
+        def lost(act, charts, mask, proj):
+            return {**real(act, charts, mask, proj), 1: None}
+
+        monkeypatch.setattr(oracles, "_carriers", lost)
+        assert self.verify() == (
+            "cone [0] has no unique carrier face",
+            "geometric flag is True but the face-bijection test says False",
+        )
 
 
 class TestMemoHistory:

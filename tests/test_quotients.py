@@ -280,6 +280,55 @@ class TestStaged:
             )
 
 
+def forged_staged(monkeypatch, forge):
+    """staged_quotient on P2 by two trivial actions, with forge applied to
+    the direct quotient only."""
+    small, large = normalize_action(P2, []), normalize_action(P2, [])
+    real = quotients.good_quotient
+
+    def direct_forged(sel, act):
+        q = real(sel, act)
+        return forge(q) if act is large else q
+
+    monkeypatch.setattr(quotients, "good_quotient", direct_forged)
+    return staged_quotient(P2.full_selection(), small, large)
+
+
+class TestStagedFailures:
+    """Each failure return of staged_quotient, forced by one forged direct
+    quotient; unforged, the two routes agree."""
+
+    def test_unforged_targets_agree(self, monkeypatch):
+        assert forged_staged(monkeypatch, lambda q: q).detail == "targets agree"
+
+    @pytest.mark.parametrize("field, value, detail", [
+        ("proj_full", IntMatrix([[1, 0]]),
+         "composite and direct projections have different kernels"),
+        ("proj_full", IntMatrix([[2, 0], [0, 2]]),
+         "no unimodular identification of the targets"),
+        ("fan", Fan(2, [(-1, 0), (0, -1), (1, 1)], [{0, 1}, {1, 2}, {0, 2}]),
+         "target fans have different rays"),
+        ("fan", Fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}]),
+         "target fans have different maximal cones"),
+    ], ids=["kernels", "unimodular", "rays", "maximal cones"])
+    def test_forged_target(self, monkeypatch, field, value, detail):
+        rep = forged_staged(
+            monkeypatch, lambda q: dataclasses.replace(q, **{field: value})
+        )
+        assert (rep.equal, rep.consistent, rep.detail) == (False, False, detail)
+
+    def test_orbit_maps_disagree(self, monkeypatch):
+        def swapped(q):
+            om = dict(q.orbit_map)
+            om[R0], om[R1] = om[R1], om[R0]
+            return dataclasses.replace(q, orbit_map=om)
+
+        rep = forged_staged(monkeypatch, swapped)
+        assert (rep.equal, rep.consistent, rep.detail) == (
+            False, False, "orbit maps disagree at cone [0]"
+        )
+
+
 class TestRemarkSuite:
     def test_no_violations_on_frozen_quotients(self):
         cases = [

@@ -1,9 +1,11 @@
 """Symmetry groups, W-sets, and the theorem/corollary/identity checkers."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from toricgit.corpus import _negation_symmetric, corpus_fans
 from toricgit.fans import (
     Fan,
     FanAutomorphism,
@@ -12,6 +14,7 @@ from toricgit.fans import (
     key_order,
 )
 from toricgit.intlat import IntMatrix
+from toricgit.problemfile import load_problem
 from toricgit.quotients import (
     Obstruction,
     QuotientFan,
@@ -45,6 +48,7 @@ P1XP1 = Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [{0, 2}, {0, 3}, {1, 2}, {1, 
 
 NEG1 = ((-1,),)
 ROT3 = ((0, -1), (1, -1))  # cycles the three rays of P2
+SWAP2 = ((0, 1), (1, 0))  # with ROT3, all of S3 on the rays of P2
 FLIP_FIRST = ((-1, 0), (0, 1))  # negates the first P1 factor
 
 
@@ -86,7 +90,7 @@ class TestSymmetryGroup:
     def test_closure_required(self):
         ident = FanAutomorphism(P2, IntMatrix.identity(2))
         rot = FanAutomorphism(P2, IntMatrix(ROT3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="group not closed under composition"):
             SymmetryGroup(P2, [ident, rot])  # rot squared is missing
 
     def test_duplicates_rejected(self):
@@ -98,9 +102,75 @@ class TestSymmetryGroup:
         with pytest.raises(ValueError):
             generate_symmetry_group(P2, [ROT3], limit=2)
 
+    def test_infinite_closure_stops_at_the_size_limit(self):
+        # a shear fixing the only ray has infinite order
+        ray = Fan(2, [(1, 0)], [{0}])
+        with pytest.raises(ValueError, match="symmetry group exceeds the size limit"):
+            generate_symmetry_group(ray, [((1, 1), (0, 1))], limit=8)
+
     def test_nonpreserving_matrix_rejected(self):
         with pytest.raises(ValueError):
             generate_symmetry_group(P2, [((1, 1), (0, 1))])
+
+
+def closure_with_inverses(fan, matrices):
+    """generate_symmetry_group's element matrices as they were closed before
+    the closure from the identity, kept as the reference: every element is
+    composed with each new one on both sides, and new ones are inverted."""
+    identity = FanAutomorphism(fan, IntMatrix.identity(fan.rank))
+    elements = {identity.matrix: identity}
+    frontier = []
+    for m in matrices:
+        auto = FanAutomorphism(fan, IntMatrix(m))
+        if auto.matrix not in elements:
+            elements[auto.matrix] = auto
+            frontier.append(auto)
+    while frontier:
+        fresh = []
+        for a in list(elements.values()):
+            for b in frontier:
+                for c in (a.compose(b), b.compose(a), b.inverse()):
+                    if c.matrix not in elements:
+                        elements[c.matrix] = c
+                        fresh.append(c)
+        frontier = fresh
+    return sorted(m.entries for m in elements)
+
+
+def generator_cases():
+    """(fan, generator matrices): the shipped problem files with symmetries,
+    S3 on P2, and the negation of every negation-symmetric corpus fan."""
+    cases = []
+    for path in sorted((Path(__file__).parent.parent / "inputs").glob("*.json")):
+        problem = load_problem(path)
+        if problem.symmetries:
+            cases.append((problem.fan, problem.symmetries))
+    cases.append((P2, [ROT3, SWAP2]))
+    for fan in corpus_fans():
+        if _negation_symmetric(fan):
+            d = fan.rank
+            negation = [[-1 if i == j else 0 for j in range(d)] for i in range(d)]
+            cases.append((fan, [negation]))
+    return cases
+
+
+class TestClosureFromTheIdentity:
+    def test_elements_match_the_reference_closure(self):
+        cases = generator_cases()
+        assert len(cases) >= 5
+        for fan, matrices in cases:
+            group = generate_symmetry_group(fan, matrices)
+            assert [e.matrix.entries for e in group] == closure_with_inverses(
+                fan, matrices
+            ), fan.rays
+
+    def test_no_inverse_is_built(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("an inverse was built")
+
+        monkeypatch.setattr(FanAutomorphism, "inverse", forbidden)
+        for fan, matrices in generator_cases():
+            generate_symmetry_group(fan, matrices)
 
 
 class TestGroupActionData:
@@ -278,6 +348,25 @@ class TestCorollaryChecker:
         assert not report.all_pass
         failing = [item for _, item in report.maximal_reports if not item.conclusions_hold()]
         assert failing  # the two affine charts fail saturation
+
+    def test_invariant_good_outside_every_w_set_has_no_host(self, monkeypatch):
+        # only the torus is offered as torus-maximal, so the invariant goods
+        # beyond it find no W-set to sit in
+        monkeypatch.setattr(
+            symmetry, "t_maximal_subsets",
+            lambda fan, act, limit: [SubfanSelection(fan, [fs()])],
+        )
+        data = GroupActionData(
+            normalize_action(P2, []), generate_symmetry_group(P2, [ROT3])
+        )
+        report = verify_corollary(P2, data)
+        assert report.invariant_reports == (
+            ((), ((),), True),
+            (((),), ((),), True),
+            (((), (0,), (1,), (2,)), None, False),
+            (((), (0,), (0, 1), (0, 2), (1,), (1, 2), (2,)), None, False),
+        )
+        assert not report.all_pass
 
     def test_incomplete_fan_rejected(self):
         data = GroupActionData(normalize_action(C2, []), SymmetryGroup.trivial(C2))
@@ -497,7 +586,6 @@ P3 = Fan(
     3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
     [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}],
 )
-SWAP2 = ((0, 1), (1, 0))  # with ROT3, all of S3 on the rays of P2
 SWAP3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 CYCLE3 = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 
