@@ -349,9 +349,9 @@ def cmd_verify_corollary(rep, problem, args):
     rep.add(f"invariant good subsets checked: {len(report.invariant_reports)}")
     rep.rows("invariant", [
         (f"  invariant {_fmt_keys(keys)}: "
-         + (f"inside W of {_fmt_keys(host)}" if host else "no host") + ", "
+         + f"inside W of {_fmt_keys(host)}, "
          + ("saturated" if saturated else "NOT saturated"),
-         {"keys": keys, "host": host or None, "saturated": saturated})
+         {"keys": keys, "host": host, "saturated": saturated})
         for keys, host, saturated in report.invariant_reports
     ])
     rep.flag("all statements verified", all_pass=report.all_pass)

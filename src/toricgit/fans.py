@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cones import Cone, SizeGuardError
-from .intlat import (
-    IntMatrix,
-    dot,
-    matrix_rank,
-    primitive,
-    right_inverse_of_surjection,
-)
+from .intlat import dot, matrix_rank, primitive
 
 ConeKey = frozenset
 
@@ -364,16 +358,6 @@ class FanAutomorphism:
     def __setattr__(self, name, value):
         raise AttributeError("FanAutomorphism is immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FanAutomorphism)
-            and self.fan == other.fan
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.fan, self.matrix))
-
     def __repr__(self):
         return f"FanAutomorphism({self.matrix.entries})"
 
@@ -389,9 +373,3 @@ class FanAutomorphism:
     def compose(self, other):
         """self after other."""
         return FanAutomorphism(self.fan, self.matrix @ other.matrix)
-
-    def inverse(self):
-        return FanAutomorphism(self.fan, right_inverse_of_surjection(self.matrix))
-
-    def is_identity(self):
-        return self.matrix == IntMatrix.identity(self.fan.rank)

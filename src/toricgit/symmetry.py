@@ -13,7 +13,38 @@ after removing a closed invariant piece.
 Sets of source cones are masks over `Fan.numbering`, as in the engine:
 a W-set is the AND of the translates (`FanAutomorphism.apply_mask`), and
 the first differing cone is the lowest bit, which is key_order.  The
-induced action and the composite fiber classes act on the target fan.
+checkers never act on a target fan: every quotient they ask about has an
+invariant source, and there the finite action on the quotient is read
+off the source cones through the orbit map.
+
+(a) Saturation.  `GroupActionData` checks that each symmetry γ preserves
+the cocharacter lattice L, so γ permutes the images of the cones of an
+invariant selection and their lineality spaces.  The common lineality
+space of the selection is the unique largest of those, so γ fixes it,
+and γ descends to the target lattice: proj_full∘γ = γ̄∘proj_full for a
+unimodular γ̄ permuting the chart images, an automorphism of the
+quotient fan.  So the orbit image of a translate is the translate of
+the orbit image, o(γ·t) = γ̄·o(t).  The composite fibre of
+a cone t (the cones whose orbit image lies in the symmetry orbit of
+o(t)) is then the union of the subtorus fibres of the translates γ·t,
+and for an invariant mask M those translates lie in M.  The composite
+saturation of an invariant M is therefore the subtorus saturation
+`_saturation(q.fibres, M)`.  Every mask the checkers saturate is
+invariant: the corollary's invariant good subsets, and eq1's removed
+piece, a meet of translates.
+
+(b) Orbit classes.  A T-maximal U is not empty, since the empty
+selection has the host {()}, so U and each of its translates hold the
+zero cone, and so does W(U).  Every cone of the quotient fan of W is a
+face of a chart image, which is the orbit image of a face of that chart
+(`quotients._quotient`).  By (a) the orbit of o(t) under the induced
+action is {o(γ·t)}, so the orbit classes are the sets
+{q.orbit_map[γ·t] : γ} over the cones t of W.
+
+(c) Hosts.  Follow `host_of` from an invariant good v to a T-maximal
+U ⊇ v; each host properly contains the last, so the chain ends.  Then
+v = γ·v ⊆ γ·U for every γ, so v ⊆ W(U): every invariant good subset
+sits inside some W-set.
 """
 
 from dataclasses import dataclass
@@ -24,12 +55,12 @@ from .fans import (
     bits,
     is_complete,
     is_simplicial,
-    key_order,
 )
-from .intlat import IntMatrix, right_inverse_of_surjection
+from .intlat import IntMatrix
 from .quotients import (
     Obstruction,
     QuotientFan,
+    _saturation,
     enumerate_good_subsets,
     good_quotient,
     host_of,
@@ -160,42 +191,13 @@ def is_invariant(data, mask):
     return all(gamma.apply_mask(mask) == mask for gamma in data.sym)
 
 
-def induced_symmetry(q, gamma):
-    """Automorphism of the quotient fan induced by a symmetry permuting
-    the source selection and preserving the subtorus."""
-    section = right_inverse_of_surjection(q.proj_full)
-    return FanAutomorphism(q.fan, (q.proj_full @ gamma.matrix) @ section)
-
-
-def composite_fiber_classes(q, data):
-    """Fiber class of each source cone under the composite quotient: the
-    symmetry orbit of its subtorus orbit-image."""
-    induced = [induced_symmetry(q, gamma) for gamma in data.sym]
-    return {
-        t: frozenset(g.apply_key(q.orbit_map[t]) for g in induced)
+def _orbit_classes(q, sym):
+    """The orbits of the induced action on the cones of q's quotient fan,
+    read off q's nonempty invariant source by (b) of the module docstring."""
+    return tuple(sorted({
+        _sorted_keys({q.orbit_map[g.apply_key(t)] for g in sym})
         for t in q.source.keys
-    }
-
-
-def _composite_saturation(q, data, mask):
-    """Mask of the cones of q's source in the composite fiber class of a
-    cone of mask."""
-    classes = composite_fiber_classes(q, data)
-    keys, _ = q.source.fan.numbering()
-    hit = {classes[keys[t]] for t in bits(mask)}
-    return sum(1 << t for t in bits(q.source.mask) if classes[keys[t]] in hit)
-
-
-def _orbit_partition(keys, automorphisms):
-    seen = set()
-    orbits = []
-    for k in sorted(keys, key=key_order):
-        if k in seen:
-            continue
-        orbit = {g.apply_key(k) for g in automorphisms}
-        seen |= orbit
-        orbits.append(_sorted_keys(orbit))
-    return tuple(sorted(orbits))
+    }))
 
 
 _DISCONNECTED_CAVEAT = (
@@ -229,8 +231,8 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
     The input must be torus-maximal for the subtorus action; anything
     else is refused with a diagnosis.  The report also carries the
     induced finite action on the quotient fan as an orbit partition,
-    modelling the composite quotient, and a caveat when the symmetry
-    part is nontrivial.
+    read off W's cones by (b) of the module docstring, and a caveat when
+    the symmetry part is nontrivial.
     """
     fan = selection.fan
     act = data.act
@@ -263,10 +265,6 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
     exists = isinstance(q, QuotientFan)
     detail = "good quotient exists" if exists else f"obstructed: {q.detail}"
     saturated = is_saturated(w, selection, act)
-    orbit_classes = None
-    if exists:
-        induced = [induced_symmetry(q, gamma) for gamma in data.sym]
-        orbit_classes = _orbit_partition(q.fan.cone_keys(), induced)
     return TheoremReport(
         refused=False,
         diagnosis="",
@@ -275,7 +273,7 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
         quotient_exists=exists,
         quotient_detail=detail,
         saturated_in_input=saturated,
-        orbit_classes=orbit_classes,
+        orbit_classes=_orbit_classes(q, data.sym) if exists else None,
         caveat="" if data.sym.is_trivial() else _DISCONNECTED_CAVEAT,
     )
 
@@ -283,7 +281,7 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
 @dataclass(frozen=True)
 class CorollaryReport:
     maximal_reports: tuple  # (sorted U keys, TheoremReport) pairs
-    invariant_reports: tuple  # (sorted V keys, sorted U keys or None, saturated)
+    invariant_reports: tuple  # (sorted V keys, sorted U keys, saturated)
     all_pass: bool
 
 
@@ -291,9 +289,10 @@ def verify_corollary(fan, data, limit=2 ** 20):
     """Sweep of both corollary statements over a complete simplicial fan.
 
     (i) every torus-maximal subset gets the theorem verdicts on its
-    W-set; (ii) every symmetry-invariant good subset must sit inside
-    some W-set and be saturated there for the composite fibers, i.e. for
-    symmetry orbits of subtorus fibers.
+    W-set; (ii) every symmetry-invariant good subset must be saturated
+    in the first W-set that holds it, one exists by (c) of the module
+    docstring, and for an invariant subset that saturation is the
+    subtorus one by (a).
     """
     act = data.act
     if fan != act.fan or fan != data.sym.fan:
@@ -312,20 +311,16 @@ def verify_corollary(fan, data, limit=2 ** 20):
     for v in enumerate_good_subsets(fan, act, limit):
         if not is_invariant(data, v.mask):
             continue
-        k = next((k for k, w in enumerate(w_sets) if v <= w), None)
-        if k is None:
-            invariant_reports.append((_sorted_keys(v.keys), None, False))
-            continue
+        k = next(k for k, w in enumerate(w_sets) if v <= w)
         q = good_quotient(w_sets[k], act)
         saturated = isinstance(q, QuotientFan) and (
-            _composite_saturation(q, data, v.mask) == v.mask
+            _saturation(q.fibres, v.mask) == v.mask
         )
         invariant_reports.append(
             (_sorted_keys(v.keys), _sorted_keys(maximal[k].keys), saturated)
         )
     all_pass = all(r.conclusions_hold() for _, r in maximal_reports) and all(
-        found is not None and saturated
-        for _, found, saturated in invariant_reports
+        saturated for _, _, saturated in invariant_reports
     )
     return CorollaryReport(
         maximal_reports=maximal_reports,
@@ -351,7 +346,17 @@ class Eq1Report:
 def eq1_crosscheck(xprime, x, data):
     """Fan-level identity: the W-set of the largest saturated subset
     inside x equals the W-set of xprime minus the composite-fiber
-    saturation of the W-set of the removed closed piece."""
+    saturation of the W-set of the removed closed piece.
+
+    Once the hypotheses hold the identity cannot fail, under any finite
+    group.  Write sat for the saturation in xprime.  By (a) of the module
+    docstring sat is equivariant, γ·sat(A) = sat(γ·A), and it is the
+    composite saturation on invariant masks.  xprime and x are invariant,
+    so the removed piece xprime ∖ x is, and so are sat(xprime ∖ x) and
+    u = xprime ∖ sat(xprime ∖ x).  An invariant mask is its own W-set,
+    so the left side is u, and the right side is
+    xprime ∖ sat(xprime ∖ x) = u as well.
+    """
     act = data.act
     if xprime.fan != act.fan or x.fan != act.fan:
         raise ValueError("selection lives on a different fan")
@@ -374,7 +379,7 @@ def eq1_crosscheck(xprime, x, data):
     u = max_saturated_inside(xprime, x, act)
     left = w_set(u, data).mask
     w_removed = _translates_meet(xprime.mask & ~x.mask, data.sym)
-    right = w_set(xprime, data).mask & ~_composite_saturation(q, data, w_removed)
+    right = w_set(xprime, data).mask & ~_saturation(q.fibres, w_removed)
     difference = left ^ right
     keys, _ = xprime.fan.numbering()
     first = next(bits(difference), None)

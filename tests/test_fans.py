@@ -17,7 +17,7 @@ from toricgit.fans import (
     limit_of_generic_point,
     validate_fan,
 )
-from toricgit.intlat import IntMatrix
+from toricgit.intlat import IntMatrix, right_inverse_of_surjection
 from toricgit.symmetry import generate_symmetry_group
 
 P1 = Fan(1, [(1,), (-1,)], [{0}, {1}])
@@ -396,12 +396,14 @@ class TestAutomorphisms:
     def test_closed_under_composition_and_inverse(self):
         for fan, gens in AUTOMORPHISM_GENERATORS:
             autos = generate_symmetry_group(fan, gens).elements
-            pool = set(autos)
+            pool = {a.matrix for a in autos}
+            identity = IntMatrix.identity(fan.rank)
             for a, b in product(autos, repeat=2):
-                assert a.compose(b) in pool
+                assert a.compose(b).matrix in pool
             for a in autos:
-                assert a.inverse() in pool
-                assert a.compose(a.inverse()).is_identity()
+                inverse = right_inverse_of_surjection(a.matrix)
+                assert inverse in pool
+                assert a.matrix @ inverse == identity
 
     def test_key_action(self):
         swap = FanAutomorphism(P1, IntMatrix(((-1,),)))
@@ -416,4 +418,4 @@ class TestAutomorphisms:
 
     def test_point_fan(self):
         autos = generate_symmetry_group(POINT, []).elements
-        assert len(autos) == 1 and autos[0].is_identity()
+        assert len(autos) == 1 and autos[0].matrix == IntMatrix.identity(0)

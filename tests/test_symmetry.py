@@ -1,23 +1,28 @@
 """Symmetry groups, W-sets, and the theorem/corollary/identity checkers."""
 
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
-from toricgit.corpus import _negation_symmetric, corpus_fans
+from test_quotients import ENUMERATION_CASES
+from toricgit.corpus import _negation_symmetric, actions_for, corpus_fans
 from toricgit.fans import (
     Fan,
     FanAutomorphism,
     SubfanSelection,
+    bits,
     enumerate_open_subsets,
+    is_complete,
     key_order,
 )
-from toricgit.intlat import IntMatrix
+from toricgit.intlat import IntMatrix, right_inverse_of_surjection
 from toricgit.problemfile import load_problem
 from toricgit.quotients import (
     Obstruction,
     QuotientFan,
+    _saturation,
     enumerate_good_subsets,
     good_quotient,
     is_saturated,
@@ -27,13 +32,13 @@ from toricgit.quotients import (
 )
 from toricgit import symmetry
 from toricgit.symmetry import (
+    CorollaryReport,
     Eq1Report,
     GroupActionData,
     SymmetryGroup,
-    composite_fiber_classes,
+    TheoremReport,
     eq1_crosscheck,
     generate_symmetry_group,
-    induced_symmetry,
     is_invariant,
     verify_corollary,
     verify_theorem_conclusions,
@@ -54,6 +59,14 @@ FLIP_FIRST = ((-1, 0), (0, 1))  # negates the first P1 factor
 
 def fs(*items):
     return frozenset(items)
+
+
+def inverse(gamma):
+    return FanAutomorphism(gamma.fan, right_inverse_of_surjection(gamma.matrix))
+
+
+def is_identity(gamma):
+    return gamma.matrix == IntMatrix.identity(gamma.fan.rank)
 
 
 def p1_sym():
@@ -129,7 +142,7 @@ def closure_with_inverses(fan, matrices):
         fresh = []
         for a in list(elements.values()):
             for b in frontier:
-                for c in (a.compose(b), b.compose(a), b.inverse()):
+                for c in (a.compose(b), b.compose(a), inverse(b)):
                     if c.matrix not in elements:
                         elements[c.matrix] = c
                         fresh.append(c)
@@ -165,10 +178,11 @@ class TestClosureFromTheIdentity:
             ), fan.rays
 
     def test_no_inverse_is_built(self, monkeypatch):
-        def forbidden(self):
-            raise AssertionError("an inverse was built")
+        # every inverse or section is read off a Smith form
+        def forbidden(A):
+            raise AssertionError("a Smith form was computed")
 
-        monkeypatch.setattr(FanAutomorphism, "inverse", forbidden)
+        monkeypatch.setattr("toricgit.intlat.smith_normal_form", forbidden)
         for fan, matrices in generator_cases():
             generate_symmetry_group(fan, matrices)
 
@@ -215,7 +229,7 @@ class TestTranslate:
     def test_involutive_with_inverse(self):
         rot = FanAutomorphism(P2, IntMatrix(ROT3))
         for sel in enumerate_open_subsets(P2):
-            assert translate(rot.inverse(), translate(rot, sel)).keys == sel.keys
+            assert translate(inverse(rot), translate(rot, sel)).keys == sel.keys
 
 
 class TestWSet:
@@ -349,25 +363,6 @@ class TestCorollaryChecker:
         failing = [item for _, item in report.maximal_reports if not item.conclusions_hold()]
         assert failing  # the two affine charts fail saturation
 
-    def test_invariant_good_outside_every_w_set_has_no_host(self, monkeypatch):
-        # only the torus is offered as torus-maximal, so the invariant goods
-        # beyond it find no W-set to sit in
-        monkeypatch.setattr(
-            symmetry, "t_maximal_subsets",
-            lambda fan, act, limit: [SubfanSelection(fan, [fs()])],
-        )
-        data = GroupActionData(
-            normalize_action(P2, []), generate_symmetry_group(P2, [ROT3])
-        )
-        report = verify_corollary(P2, data)
-        assert report.invariant_reports == (
-            ((), ((),), True),
-            (((),), ((),), True),
-            (((), (0,), (1,), (2,)), None, False),
-            (((), (0,), (0, 1), (0, 2), (1,), (1, 2), (2,)), None, False),
-        )
-        assert not report.all_pass
-
     def test_incomplete_fan_rejected(self):
         data = GroupActionData(normalize_action(C2, []), SymmetryGroup.trivial(C2))
         with pytest.raises(ValueError):
@@ -375,11 +370,12 @@ class TestCorollaryChecker:
 
 
 class TestInducedAction:
+    # the induced action on the quotient fan, by the reference route below
     def test_negation_descends_to_the_torus_quotient(self):
         act = normalize_action(P1, [])
         q = good_quotient(SubfanSelection(P1, [fs()]), act)
         neg = FanAutomorphism(P1, IntMatrix(NEG1))
-        induced = induced_symmetry(q, neg)
+        induced = reference_induced_symmetry(q, neg)
         assert induced.matrix == IntMatrix(NEG1)
 
     def test_first_factor_flip_is_trivial_downstairs(self):
@@ -387,14 +383,14 @@ class TestInducedAction:
         sel = SubfanSelection(P1XP1, [fs(), fs(2), fs(3)])
         q = good_quotient(sel, data.act)
         assert isinstance(q, QuotientFan)
-        flip = next(g for g in data.sym if not g.is_identity())
-        assert induced_symmetry(q, flip).is_identity()
+        flip = next(g for g in data.sym if not is_identity(g))
+        assert is_identity(reference_induced_symmetry(q, flip))
 
     def test_composite_classes_group_symmetry_orbits(self):
         data = p1xp1_data()
         sel = SubfanSelection(P1XP1, [fs(), fs(2), fs(3)])
         q = good_quotient(sel, data.act)
-        classes = composite_fiber_classes(q, data)
+        classes = reference_composite_fiber_classes(q, data)
         assert classes[fs(2)] != classes[fs(3)]
         assert classes[fs()] != classes[fs(2)]
 
@@ -402,7 +398,7 @@ class TestInducedAction:
         data = p1xp1_data()
         sel = SubfanSelection(P1XP1, [fs(), fs(2), fs(3)])
         q = good_quotient(sel, data.act)
-        classes = composite_fiber_classes(q, data)
+        classes = reference_composite_fiber_classes(q, data)
         keys = list(sel.keys)
         for t in keys:
             for s in keys:
@@ -515,7 +511,7 @@ def keyset_is_invariant(data, keys):
 
 
 def keyset_composite_saturation(q, data, subset):
-    classes = symmetry.composite_fiber_classes(q, data)
+    classes = reference_composite_fiber_classes(q, data)
     hit = {classes[t] for t in subset}
     return {t for t in q.source.keys if classes[t] in hit}
 
@@ -524,7 +520,7 @@ def sorted_keys(keys):
     return tuple(sorted(tuple(sorted(k)) for k in keys))
 
 
-def keyset_eq1_crosscheck(xprime, x, data):
+def keyset_eq1_crosscheck(xprime, x, data, saturation=keyset_composite_saturation):
     act = data.act
     if not x.keys <= xprime.keys:
         return Eq1Report(
@@ -546,7 +542,7 @@ def keyset_eq1_crosscheck(xprime, x, data):
     left = set(keyset_w_set(u, data).keys)
     w_outer = set(keyset_w_set(xprime, data).keys)
     w_removed = keyset_translates_meet(xprime.keys - x.keys, data.sym)
-    right = w_outer - keyset_composite_saturation(q, data, w_removed)
+    right = w_outer - saturation(q, data, w_removed)
     difference = left ^ right
     witness = None
     if difference:
@@ -641,10 +637,14 @@ class TestMaskRoutinesAgainstKeySets:
 
     def test_eq1_witness_on_forged_fiber_classes(self, monkeypatch):
         # the identity holds on every case, so the sides are made to differ
-        # by giving each cone a composite fiber class of its own
-        monkeypatch.setattr(
-            symmetry, "composite_fiber_classes", lambda q, data: {t: t for t in q.source.keys}
-        )
+        # by giving each cone of the outer quotient a fibre of its own
+        def forged(selection, act):
+            q = good_quotient(selection, act)
+            if isinstance(q, QuotientFan):
+                q = dataclasses.replace(q, fibres={t: 1 << t for t in q.fibres})
+            return q
+
+        monkeypatch.setattr(symmetry, "good_quotient", forged)
         witnesses = 0
         for case in sorted(KEYSET_CASES):
             fan, data, opens = keyset_case(case)
@@ -652,7 +652,10 @@ class TestMaskRoutinesAgainstKeySets:
                 for x in opens:
                     if x <= xprime:
                         got = eq1_crosscheck(xprime, x, data)
-                        assert got == keyset_eq1_crosscheck(xprime, x, data), (xprime, x)
+                        want = keyset_eq1_crosscheck(
+                            xprime, x, data, saturation=lambda q, data, subset: subset
+                        )
+                        assert got == want, (xprime, x)
                         witnesses += got.witness is not None
         assert witnesses
 
@@ -672,3 +675,266 @@ class TestMaskRoutinesAgainstKeySets:
         failing = [r for _, r in report.maximal_reports if not r.conclusions_hold()]
         assert (len(report.maximal_reports), len(failing)) == (13, 6)
         assert all(r.saturated_in_input is False for r in failing)
+
+
+# The composite quotient as the checkers modelled it on the target fan,
+# kept as the reference: each symmetry induces an automorphism of the
+# quotient fan, one Smith-form section each; a cone's composite fiber
+# class is the induced orbit of its orbit image; the theorem's orbit
+# classes partition the target cones; and the corollary reports an
+# invariant good subset outside every W-set as having no host
+# (keyset_invariant_reports above).
+def reference_induced_symmetry(q, gamma):
+    section = right_inverse_of_surjection(q.proj_full)
+    return FanAutomorphism(q.fan, (q.proj_full @ gamma.matrix) @ section)
+
+
+def reference_composite_fiber_classes(q, data):
+    induced = [reference_induced_symmetry(q, gamma) for gamma in data.sym]
+    return {
+        t: frozenset(g.apply_key(q.orbit_map[t]) for g in induced)
+        for t in q.source.keys
+    }
+
+
+def reference_composite_saturation(q, data, mask):
+    classes = reference_composite_fiber_classes(q, data)
+    keys, _ = q.source.fan.numbering()
+    hit = {classes[keys[t]] for t in bits(mask)}
+    return sum(1 << t for t in bits(q.source.mask) if classes[keys[t]] in hit)
+
+
+def reference_orbit_partition(keys, automorphisms):
+    seen = set()
+    orbits = []
+    for k in sorted(keys, key=key_order):
+        if k in seen:
+            continue
+        orbit = {g.apply_key(k) for g in automorphisms}
+        seen |= orbit
+        orbits.append(sorted_keys(orbit))
+    return tuple(sorted(orbits))
+
+
+def reference_theorem_report(u, data):
+    """verify_theorem_conclusions on a T-maximal u, with the orbit classes
+    taken on the quotient fan."""
+    act = data.act
+    w = w_set(u, data)
+    q = good_quotient(w, act)
+    exists = isinstance(q, QuotientFan)
+    orbit_classes = None
+    if exists:
+        induced = [reference_induced_symmetry(q, gamma) for gamma in data.sym]
+        orbit_classes = reference_orbit_partition(q.fan.cone_keys(), induced)
+    return TheoremReport(
+        refused=False,
+        diagnosis="",
+        w_keys=sorted_keys(w.keys),
+        open_in_source=True,
+        quotient_exists=exists,
+        quotient_detail="good quotient exists" if exists else f"obstructed: {q.detail}",
+        saturated_in_input=is_saturated(w, u, act),
+        orbit_classes=orbit_classes,
+        caveat="" if data.sym.is_trivial() else symmetry._DISCONNECTED_CAVEAT,
+    )
+
+
+def reference_corollary_report(fan, data):
+    maximal_reports = tuple(
+        (sorted_keys(u.keys), reference_theorem_report(u, data))
+        for u in t_maximal_subsets(fan, data.act)
+    )
+    invariant_reports = keyset_invariant_reports(fan, data)
+    all_pass = all(r.conclusions_hold() for _, r in maximal_reports) and all(
+        found is not None and saturated for _, found, saturated in invariant_reports
+    )
+    return CorollaryReport(maximal_reports, invariant_reports, all_pass)
+
+
+def negation(rank):
+    return [[-1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+
+def negation_cases():
+    """The negation group on each negation-symmetric corpus fan, with each
+    of the fan's actions."""
+    cases = {}
+    for i, fan in enumerate(corpus_fans()):
+        if _negation_symmetric(fan):
+            for j, act in enumerate(actions_for(fan)):
+                cases[f"corpus{i}_action{j}"] = (fan, act.cochar.basis.entries)
+    return cases
+
+
+NEGATION_CASES = negation_cases()
+
+
+def reference_case(case):
+    """(fan, data, opens) of a keyset case or a negation case."""
+    if case in KEYSET_CASES:
+        return keyset_case(case)
+    fan, gens = NEGATION_CASES[case]
+    data = GroupActionData(
+        normalize_action(fan, gens), generate_symmetry_group(fan, [negation(fan.rank)])
+    )
+    return fan, data, enumerate_open_subsets(fan)
+
+
+REFERENCE_CASES = sorted(KEYSET_CASES) + sorted(NEGATION_CASES)
+
+
+def invariant_eq1_pairs(data, opens):
+    """(xprime, x): every invariant good xprime with every invariant open x
+    inside it, the pairs that meet eq1's hypotheses."""
+    invariant = [x for x in opens if is_invariant(data, x.mask)]
+    for xprime in enumerate_good_subsets(data.act.fan, data.act):
+        if is_invariant(data, xprime.mask):
+            for x in invariant:
+                if x <= xprime:
+                    yield xprime, x
+
+
+def _translates_join(mask, sym):
+    join = 0
+    for gamma in sym:
+        join |= gamma.apply_mask(mask)
+    return join
+
+
+def invariant_masks(q, data, rng, cap=256):
+    """Unions of symmetry orbits of the cones of q's invariant source: all
+    of them for at most eight orbits, else a seeded sample of cap."""
+    orbits = sorted({
+        _translates_join(1 << t, data.sym) for t in bits(q.source.mask)
+    })
+    if len(orbits) <= 8:
+        picks = range(1 << len(orbits))
+    else:
+        picks = [rng.getrandbits(len(orbits)) for _ in range(cap)]
+    for pick in picks:
+        yield sum(orbit for i, orbit in enumerate(orbits) if pick >> i & 1)
+
+
+class TestSourceRouteAgainstReference:
+    def test_the_cases(self):
+        assert len(NEGATION_CASES) == 42
+        for case in NEGATION_CASES:
+            fan, data, _ = reference_case(case)
+            assert len(data.sym) == 2 and is_complete(fan)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_theorem_reports(self, case):
+        fan, data, _ = reference_case(case)
+        for u in t_maximal_subsets(fan, data.act):
+            assert verify_theorem_conclusions(u, data) == reference_theorem_report(u, data)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_corollary_reports(self, case):
+        fan, data, _ = reference_case(case)
+        report = verify_corollary(fan, data)
+        assert report == reference_corollary_report(fan, data)
+        # (c): every invariant good subset has a host
+        assert all(found is not None for _, found, _ in report.invariant_reports)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_eq1_reports(self, case):
+        _, data, opens = reference_case(case)
+        checked = 0
+        for xprime, x in invariant_eq1_pairs(data, opens):
+            got = eq1_crosscheck(xprime, x, data)
+            assert got == keyset_eq1_crosscheck(xprime, x, data), (xprime, x)
+            # the identity cannot fail once the hypotheses hold
+            assert got.hypothesis_ok and got.equal
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_composite_saturation_of_invariant_masks(self, case):
+        # (a): the induced action commutes with the orbit map, and on an
+        # invariant mask the composite saturation is the fibre saturation
+        _, data, _ = reference_case(case)
+        rng = random.Random(20260817)
+        for w in enumerate_good_subsets(data.act.fan, data.act):
+            if not w.mask or not is_invariant(data, w.mask):
+                continue
+            q = good_quotient(w, data.act)
+            for gamma in data.sym:
+                induced = reference_induced_symmetry(q, gamma)
+                for t in w.keys:
+                    assert q.orbit_map[gamma.apply_key(t)] == induced.apply_key(
+                        q.orbit_map[t]
+                    )
+            for mask in invariant_masks(q, data, rng):
+                assert _saturation(q.fibres, mask) == reference_composite_saturation(
+                    q, data, mask
+                )
+
+    @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+    def test_orbit_classes_under_the_trivial_group(self, case):
+        # (b) with one element: the target cones are the orbit images
+        fan, gens = ENUMERATION_CASES[case]
+        act = normalize_action(fan, gens)
+        trivial = SymmetryGroup.trivial(fan)
+        for u in enumerate_good_subsets(fan, act):
+            if u.mask:
+                q = good_quotient(u, act)
+                induced = [reference_induced_symmetry(q, g) for g in trivial]
+                assert symmetry._orbit_classes(q, trivial) == reference_orbit_partition(
+                    q.fan.cone_keys(), induced
+                )
+
+    def test_the_checkers_build_no_automorphism_off_the_source_fan(self, monkeypatch):
+        built = []
+        init = FanAutomorphism.__init__
+
+        def recording(self, fan, matrix):
+            built.append(fan)
+            init(self, fan, matrix)
+
+        monkeypatch.setattr(FanAutomorphism, "__init__", recording)
+        for case in sorted(KEYSET_CASES):
+            fan, data, opens = keyset_case(case)
+            assert built  # the group's elements
+            built.clear()
+            for u in t_maximal_subsets(fan, data.act):
+                verify_theorem_conclusions(u, data)
+            verify_corollary(fan, data)
+            for xprime, x in invariant_eq1_pairs(data, opens):
+                eq1_crosscheck(xprime, x, data)
+            assert [f for f in built if f is not fan] == []
+
+
+CUBE = Fan(
+    3,
+    [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)],
+    [
+        [i for i in range(8) if (i >> (2 - axis) & 1) == side]
+        for axis in range(3)
+        for side in (0, 1)
+    ],
+)
+
+
+class TestInputBoundaries:
+    def test_group_element_of_another_fan(self):
+        with pytest.raises(ValueError, match="^element acts on a different fan$"):
+            SymmetryGroup(P2, [FanAutomorphism(P1, IntMatrix.identity(1))])
+
+    def test_w_set_of_another_fan(self):
+        with pytest.raises(ValueError, match="^selection lives on a different fan$"):
+            w_set(SubfanSelection(P2, [fs()]), p1_full_torus_data())
+
+    def test_theorem_on_another_fan(self):
+        with pytest.raises(ValueError, match="^selection lives on a different fan$"):
+            verify_theorem_conclusions(SubfanSelection(P2, [fs()]), p1_full_torus_data())
+
+    def test_corollary_on_another_fan(self):
+        with pytest.raises(ValueError, match="^group data lives on a different fan$"):
+            verify_corollary(P2, p1_full_torus_data())
+
+    def test_corollary_on_the_complete_cube_fan(self):
+        assert is_complete(CUBE) and all(len(c) == 4 for c in CUBE.max_cones)
+        data = GroupActionData(normalize_action(CUBE, []), SymmetryGroup.trivial(CUBE))
+        with pytest.raises(ValueError, match="^fan is not simplicial$"):
+            verify_corollary(CUBE, data)
