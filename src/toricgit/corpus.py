@@ -166,7 +166,7 @@ def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
     trivial group and also under the central reflection where the fan
     allows it.
     """
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     if fans is None:
         fans = corpus_fans()
@@ -289,5 +289,5 @@ def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
         saturation_checks=saturation_checks,
         eq1_checks=eq1_checks,
         legs={leg: tuple(lines) for leg, lines in legs.items()},
-        elapsed=time.time() - start,
+        elapsed=time.perf_counter() - start,
     )

@@ -30,7 +30,13 @@ Memo rule: a helper that remembers its results is wrapped in `_memo`, which
 keeps one table per helper in the action's `_cache`, keyed by every
 argument the value depends on (the projection itself, never a stand-in for
 it).  Nothing else touches `_cache`, so a verdict cannot depend on what the
-action was asked before.
+action was asked before.  A cone a helper builds is a memo value, so it
+lives as long as the action: the interner holds cones weakly, and a cone
+no memo held would die at once and cost a fresh double description each
+time it came up again.  So the inequality cone behind an image
+(`_image_dual`), the meet of two images (`_meet`), the cone of functionals
+vanishing on the cocharacters (`_perp_cone`) and its meet with a chart's
+dual (`_invariant_cone`) each have a helper of their own.
 """
 
 from functools import wraps
@@ -68,11 +74,18 @@ def _memo(fn):
 
 
 @_memo
-def _image(act, i, proj):
-    """Image of fan cone i under the projection proj, via the double dual."""
+def _image_dual(act, i, proj):
+    """The cone cut out by the images of fan cone i's generators under proj:
+    the dual of their image."""
     keys, _ = act.fan.numbering()
     rows = [proj.matvec(g) for g in act.fan.cone(keys[i]).generators]
-    return Cone.from_inequalities(rows, proj.rows).dual()
+    return Cone.from_inequalities(rows, proj.rows)
+
+
+@_memo
+def _image(act, i, proj):
+    """Image of fan cone i under the projection proj, via the double dual."""
+    return _image_dual(act, i, proj).dual()
 
 
 @_memo
@@ -87,11 +100,18 @@ def _contents(act, k, proj):
 
 
 @_memo
+def _meet(act, a, b, proj):
+    """Intersection of the images of two cones under proj."""
+    return _image(act, a, proj).intersect(_image(act, b, proj))
+
+
+@_memo
 def _meet_is_face(act, a, b, proj):
     """Do the images of two cones under proj meet in a common face?"""
-    ia, ib = _image(act, a, proj), _image(act, b, proj)
-    meet = ia.intersect(ib)
-    return meet.is_face_of(ia) and meet.is_face_of(ib)
+    meet = _meet(act, a, b, proj)
+    return meet.is_face_of(_image(act, a, proj)) and meet.is_face_of(
+        _image(act, b, proj)
+    )
 
 
 @_memo
@@ -341,35 +361,39 @@ def mutually_generate(gens_a, gens_b, ambient):
     )
 
 
-def invariant_monoid_generators(cone, cochar, bound=None):
-    """Generators of the monoid of cocharacter-invariant lattice functionals
-    that are nonnegative on the cone."""
-    d = cone.ambient
-    perp = kernel_lattice(cochar.basis)
+@_memo
+def _perp_cone(act):
+    """The lattice functionals vanishing on the cocharacters, as a cone."""
     gens = []
-    for b in perp.basis.entries:
+    for b in kernel_lattice(act.cochar.basis).basis.entries:
         gens.append(tuple(b))
         gens.append(vneg(b))
-    perp_cone = Cone.from_generators(gens, d)
-    return monoid_generators(cone.dual().intersect(perp_cone), bound)
+    return Cone.from_generators(gens, act.fan.rank)
 
 
 @_memo
-def _invariant_generators(act, k, bound):
-    """Generators of the cocharacter-invariant functions on chart k."""
+def _invariant_cone(act, k):
+    """The cocharacter-invariant functionals nonnegative on chart k."""
     keys, _ = act.fan.numbering()
-    return invariant_monoid_generators(act.fan.cone(keys[k]), act.cochar, bound)
+    return act.fan.cone(keys[k]).dual().intersect(_perp_cone(act))
+
+
+@_memo
+def invariant_monoid_generators(act, k, bound):
+    """Generators of the monoid of cocharacter-invariant lattice functionals
+    that are nonnegative on chart k."""
+    return monoid_generators(_invariant_cone(act, k), bound)
 
 
 @_memo
 def _chart_ring_matches(act, k, proj, bound):
     """Do chart k's invariant functions generate the same monoid as the
     functions of its image under proj?"""
-    downstairs = monoid_generators(_image(act, k, proj).dual(), bound)
+    downstairs = monoid_generators(_image_dual(act, k, proj), bound)
     pt = proj.transpose()
     pulled = [tuple(pt.matvec(w)) for w in downstairs]
     return mutually_generate(
-        _invariant_generators(act, k, bound), pulled, act.fan.rank
+        invariant_monoid_generators(act, k, bound), pulled, act.fan.rank
     )
 
 

@@ -576,11 +576,20 @@ class TestInterner:
         finally:
             gc.enable()
 
+    @staticmethod
+    def run_fresh(script):
+        """stdout lines of script, split into integers, from a fresh
+        interpreter: cones that other test modules keep alive stay interned,
+        and a sweep would find them and fill their lazy members."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cones.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        return [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+
     def test_each_sweep_pass_starts_cold(self):
-        # a strong cache would make the second pass run no double description.
-        # The passes run in a fresh interpreter: cones that other test modules
-        # keep alive stay interned, and the first pass would fill their lazy
-        # members with cones the second pass then finds.
+        # a strong cache would make the second pass run no double description
         script = """
 import gc
 from toricgit import cones, corpus
@@ -603,16 +612,53 @@ for _ in range(2):
     gc.enable()
     print(int(clean), runs[0])
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(cones.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, check=True, timeout=300,
-        )
-        passes = [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+        passes = self.run_fresh(script)
         assert [clean for clean, _ in passes] == [1, 1]
         counts = [runs for _, runs in passes]
-        assert counts[0] == counts[1] <= 1100
+        assert counts[0] == counts[1] <= 317
 
+    # Keys a sweep may still miss on after their first build: 3 per fan
+    # from the cones `mutually_generate` builds of its two generator lists
+    # and 3 from the pointed image `monoid_generators` takes.  Both are
+    # functions of plain vectors, with no action to hold what they build.
+    SWEEP_REBUILD_RESIDUE = 6
+
+    def test_no_cone_is_built_twice_in_a_sweep(self):
+        # every cone an oracle helper builds is a memo value on the action,
+        # so it stays interned for the whole sweep
+        script = """
+import gc
+from collections import Counter
+from toricgit import cones, corpus
+from toricgit.fans import Fan
+from toricgit.intlat import primitive
+
+misses = Counter()
+interned = cones._interned
+
+def counting(route, vectors, ambient):
+    vectors = [tuple(int(x) for x in v) for v in vectors if any(v)]
+    key = (route, ambient, frozenset(primitive(v) for v in vectors))
+    if key not in cones._INTERNED:
+        misses[key] += 1
+    return interned(route, vectors, ambient)
+
+cones._interned = counting
+six = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+for fan in (
+    Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}]),
+    Fan(2, six, [{i, (i + 1) % 6} for i in range(6)]),
+):
+    gc.collect()
+    gc.disable()
+    misses.clear()
+    clean = corpus.run_sweep(fans=[fan]).clean()
+    gc.enable()
+    print(int(clean), sum(misses.values()) - len(misses))
+"""
+        passes = self.run_fresh(script)
+        assert [clean for clean, _ in passes] == [1, 1]
+        assert max(rebuilt for _, rebuilt in passes) <= self.SWEEP_REBUILD_RESIDUE
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 

@@ -25,6 +25,7 @@ from toricgit.oracles import (
     oracle_verify_quotient,
 )
 from toricgit.quotients import (
+    ImageTable,
     Obstruction,
     QuotientFan,
     good_quotient,
@@ -223,8 +224,9 @@ class TestMonoidComparison:
 
     def test_invariant_monoid_of_ray_chart(self):
         act = normalize_action(C2, [(1, 1)])
-        sigma = C2.cone(frozenset({0}))
-        assert invariant_monoid_generators(sigma, act.cochar) == ((1, -1),)
+        _, bit = C2.numbering()
+        sigma = bit[frozenset({0})]
+        assert invariant_monoid_generators(act, sigma, None) == ((1, -1),)
 
 
 class TestQuotientCertificates:
@@ -323,6 +325,54 @@ class TestCertificateFailures:
             "cone [0] has no unique carrier face",
             "geometric flag is True but the face-bijection test says False",
         )
+
+
+SIX_RAYS = Fan(
+    2,
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [{i, (i + 1) % 6} for i in range(6)],
+)
+
+
+def oracle_answers(fan, act, opens, quotients):
+    """Every oracle verdict on the fan: per ideal, per good quotient, the
+    torus-maximal masks, and the brute union per good outer and ideal inside."""
+    goods = [s for s in opens if oracle_good_quotient(s, act)]
+    return (
+        [oracle_good_quotient(s, act) for s in opens],
+        [oracle_verify_quotient(q, act) for q in quotients],
+        [u.mask for u in brute_t_maximal(fan, act)],
+        [brute_max_saturated_inside(o, i, act).mask
+         for o in goods for i in opens if i <= o],
+    )
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an oracle went through an engine route")
+
+
+class TestIndependence:
+    """The oracles answer alike with the engine's image table and the cones'
+    one-pass meet routines made to raise: they reach neither."""
+
+    @pytest.mark.parametrize("fan", [P1XP1, SIX_RAYS], ids=["P1xP1", "six-ray"])
+    @pytest.mark.parametrize(
+        "gens", [[], [(1, 2)], [(1, 0), (0, 1)]], ids=["trivial", "(1,2)", "torus"]
+    )
+    def test_same_answers_without_the_engine_routes(self, fan, gens, monkeypatch):
+        opens = enumerate_open_subsets(fan)
+        engine = normalize_action(fan, gens)
+        quotients = [q for q in (good_quotient(s, engine) for s in opens)
+                     if not isinstance(q, Obstruction)]
+        want = oracle_answers(fan, normalize_action(fan, gens), opens, quotients)
+        assert want[1] == [()] * len(quotients)
+        cold = normalize_action(fan, gens)
+        monkeypatch.setattr(ImageTable, "fill", refuse)
+        monkeypatch.setattr(Cone, "meets_in_face", refuse)
+        monkeypatch.setattr(Cone, "meet_generators", refuse)
+        with pytest.raises(AssertionError, match="engine route"):
+            good_quotient(fan.full_selection(), normalize_action(fan, gens))
+        assert oracle_answers(fan, cold, opens, quotients) == want
 
 
 class TestMemoHistory:
