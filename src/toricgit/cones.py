@@ -27,6 +27,21 @@ generators and read as inequalities gives two mutually dual cones.  Values
 are held weakly: a cone lives as long as some fan, table, memo or face list
 holds it, so memory stays bounded without a size setting and work that
 builds fresh objects starts cold.
+
+A miss on linearly independent inputs costs one double description.  The
+first run returns a basis `lin` of {x : v.x = 0 for every input v}, the
+kernel of the input matrix, so the inputs span a space of rank
+`ambient - len(lin)`.  When that rank equals the number k of distinct
+primitive inputs, the k inputs are linearly independent: no two are
+parallel or opposite, and none is a combination of the others.  Then the
+cone they generate is pointed (x and -x in it would give a nonnegative
+combination of the inputs, not all coefficients zero, summing to zero)
+and simplicial, its extreme rays are exactly the inputs (none is a
+nonnegative combination of the others), and its canonical list is the
+sorted primitive inputs, the key's own vector set.  The second run would compute that very list:
+on route "g" it is the generator list, on route "i" the facet list (the
+dual of {x : v.x >= 0} is the cone the v generate).  Dependent inputs
+still take both runs.
 """
 from __future__ import annotations
 
@@ -143,15 +158,20 @@ _INTERNED = weakref.WeakValueDictionary()  # (route, ambient, vectors) -> Cone
 
 def _interned(route, vectors, ambient):
     """The canonical cone generated by (route "g") or cut out by (route "i")
-    the vectors, from the interner or from two double descriptions."""
+    the vectors, from the interner or from at most two double descriptions."""
     vectors = [tuple(int(x) for x in v) for v in vectors if any(v)]
     key = (route, ambient, frozenset(primitive(v) for v in vectors))
     cone = _INTERNED.get(key)
     if cone is None:
         # the first run reads the vectors as inequalities and yields the
-        # other list; the second run reads that list back
-        other = _canonical_generators(*dd_solve(vectors, ambient), ambient)
-        own = _canonical_generators(*dd_solve(other, ambient), ambient)
+        # other list; the second run reads that list back, unless the
+        # inputs are linearly independent (see the module docstring)
+        lin, rays = dd_solve(vectors, ambient)
+        other = _canonical_generators(lin, rays, ambient)
+        if len(key[2]) == ambient - len(lin):
+            own = tuple(sorted(key[2]))
+        else:
+            own = _canonical_generators(*dd_solve(other, ambient), ambient)
         cone = Cone(ambient, own, other) if route == "g" else Cone(ambient, other, own)
         _INTERNED[key] = cone
     return cone

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 
 def vgcd(v):
     """gcd of the entries of a vector, 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive(v):
@@ -30,7 +28,8 @@ def primitive(v):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    """Exact pairing; the entries may be integers or Fractions."""
+    return sum(map(mul, a, b))
 
 
 def vsub(a, b):

@@ -15,8 +15,26 @@ action keeps one ImageTable over its fan's cones, numbered as in the fans
 module (cone i is bit i of a selection mask, `Fan.face_mask(i)` its faces),
 with bit rows `below[i]` (the cones whose images img[i] contains),
 `above[i]` (those whose images contain img[i]) and `lin_le[i]` (those
-whose lineality lattices lin[i] contains).  A selection is its mask M,
-and the criterion is mask algebra on it:
+whose lineality lattices lin[i] contains).
+
+The table reads the fan's rays, not its cones.  Every ray is projected
+once per action, img[i] is the cone generated by the images of cone i's
+rays, and `inside[i]` masks the rays whose images lie in img[i].  Since
+img[j] is generated by the images of j's rays, img[i] contains img[j]
+exactly when all of j's rays are in inside[i], so each bit of below and
+above is a subset test of two ray masks.  Equal lattices share a class,
+and containment of lineality lattices is decided once per pair of
+classes.  The ray image is the image of the fan cone: a linear map sends
+the cone generated by some vectors onto the cone generated by their
+images, and the rays of a key generate the same cone as the canonical
+generators of `Fan.cone(key)`.  So the two images are equal cones on any
+fan, even one where a ray lies inside a cone and so is not among that
+cone's canonical generators.  On a fan whose cones `cone_keys` lists,
+every cone's rays are its canonical generators, so both images have the
+same interner key and are one object.  No cone of the fan is built
+beyond the maximal ones that `cone_keys` reads.
+
+A selection is its mask M, and the criterion is mask algebra on it:
 
 - the common lineality cone lbar is the first i in M with
   lin_le[i] & M == M; without one, the first incomparable pair is the
@@ -96,6 +114,7 @@ every good selection in its table.
 from dataclasses import dataclass
 from itertools import combinations
 
+from .cones import Cone
 from .fans import (
     Fan,
     SubfanSelection,
@@ -154,27 +173,35 @@ class SubtorusAction:
 class ImageTable:
     """Everything the chart criterion reads about one action's fan cones.
 
-    Cone i is the fan's cone i (Fan.numbering).  Per cone: the image
-    `img[i]` and its lineality lattice `lin[i]` with class id `cls[i]`
-    (equal ids for equal lattices); per ordered pair, bit j of the rows
-    `below[i]`, `above[i]` and `lin_le[i]` (each row holds its own bit).
-    `fill(mask)` projects the cones of mask not yet `seen` and relates
-    each to every seen cone, so each image containment is decided at most
-    once per action and a cone no selection reaches is never projected;
-    `members[c]` masks the seen cones of lineality class c.  The table
-    also memoizes whether two chart images meet in a face, the split
-    images and orbit-image carrier faces per lineality class, the fibre
-    masks of every good selection decided (the enumeration keeps its goods
-    only so), the verdicts `good_quotient` was asked for, one Fan per
-    distinct quotient target among those, so equal targets share its cone
-    lists and cones (see target()), the good selections, and the host of
-    each good selection.
+    Cone i is the fan's cone i (Fan.numbering), and `ray_masks[i]` masks
+    its rays.  Each ray is projected once (`ray_img`).  Per cone: the image
+    `img[i]`, generated by its rays' images; the mask `inside[i]` of the
+    rays whose images lie in img[i]; img[i]'s lineality lattice `lin[i]`
+    with class id `cls[i]` (equal ids for equal lattices).  Per class c:
+    its lattice `class_lin[c]`, the mask `class_le[c]` of the classes whose
+    lattices it contains, and the mask `members[c]` of the seen cones in
+    it.  Per ordered pair, bit j of the rows `below[i]`, `above[i]` and
+    `lin_le[i]` (each row holds its own bit).  `fill(mask)` projects the
+    cones of mask not yet `seen` and relates each to every seen cone by
+    bit tests: img[i] contains img[j] iff ray_masks[j] lies in inside[i],
+    and lin[i] contains lin[j] iff class_le[cls[i]] holds cls[j].  So a
+    cone costs one image and one membership test per ray outside it, a
+    pair of classes one lattice comparison, and a cone no selection
+    reaches is never projected.  The table also memoizes whether two chart
+    images meet in a face, the split images (generated, like img, by the
+    images of the rays) and orbit-image carrier faces per lineality class,
+    the fibre masks of every good selection decided (the enumeration keeps
+    its goods only so), the verdicts `good_quotient` was asked for, one Fan
+    per distinct quotient target among those, so equal targets share its
+    cone lists and cones (see target()), the good selections, and the host
+    of each good selection.
     """
 
     __slots__ = (
-        "fan", "proj", "faces", "img", "lin", "cls", "below", "above", "lin_le",
-        "seen", "classes", "members", "meets", "split", "carriers", "fibres",
-        "targets", "results", "goods", "hosts",
+        "fan", "proj", "faces", "ray_img", "ray_masks", "img", "lin", "cls",
+        "inside", "below", "above", "lin_le", "seen", "classes", "class_lin",
+        "class_le", "members", "meets", "split", "carriers", "fibres", "targets",
+        "results", "goods", "hosts",
     )
 
     def __init__(self, fan, proj):
@@ -183,14 +210,19 @@ class ImageTable:
         self.fan = fan
         self.proj = proj
         self.faces = fan.face_masks()
+        self.ray_img = [proj.matvec(r) for r in fan.rays]
+        self.ray_masks = [sum(1 << r for r in k) for k in keys]
         self.img = [None] * n
         self.lin = [None] * n
         self.cls = [None] * n
+        self.inside = [0] * n
         self.below = [1 << i for i in range(n)]
         self.above = [1 << i for i in range(n)]
         self.lin_le = [1 << i for i in range(n)]
         self.seen = 0
         self.classes = {}  # lineality basis -> class id
+        self.class_lin = []  # class id -> its lineality lattice
+        self.class_le = []  # class id -> mask of the class ids its lattice contains
         self.members = []  # class id -> mask of the seen cones in the class
         self.meets = {}  # (a, b) -> do img[a] and img[b] meet in a face of both
         self.split = {}  # class id -> (q2 @ proj, {i: split image})
@@ -207,21 +239,49 @@ class ImageTable:
         if not new:
             return
         keys, _ = self.fan.numbering()
+        rank, ray_img = self.proj.rows, self.ray_img
+        rays, inside, cls, class_le = self.ray_masks, self.inside, self.cls, self.class_le
+        below, above, lin_le = self.below, self.above, self.lin_le
         for i in bits(new):
-            self.img[i] = self.fan.cone(keys[i]).image(self.proj)
-            self.lin[i] = self.img[i].lineality_lattice()
-            c = self.cls[i] = self.classes.setdefault(self.lin[i].basis, len(self.classes))
-            if c == len(self.members):
-                self.members.append(0)
+            img = self.img[i] = Cone.from_generators(
+                [ray_img[r] for r in sorted(keys[i])], rank
+            )
+            inside[i] = rays[i] | sum(
+                1 << r for r, v in enumerate(ray_img)
+                if not rays[i] >> r & 1 and img.contains(v)
+            )
+            lin = self.lin[i] = img.lineality_lattice()
+            c = self.classes.get(lin.basis)
+            if c is None:
+                c = self._new_class(lin)
+            cls[i] = c
             self.members[c] |= 1 << i
             for j in bits(self.seen):
-                for a, b in ((i, j), (j, i)):
-                    if self.img[a].contains_cone(self.img[b]):
-                        self.below[a] |= 1 << b
-                        self.above[b] |= 1 << a
-                    if self.lin[a].contains_lattice(self.lin[b]):
-                        self.lin_le[a] |= 1 << b
+                if not rays[j] & ~inside[i]:
+                    below[i] |= 1 << j
+                    above[j] |= 1 << i
+                if not rays[i] & ~inside[j]:
+                    below[j] |= 1 << i
+                    above[i] |= 1 << j
+                if class_le[c] >> cls[j] & 1:
+                    lin_le[i] |= 1 << j
+                if class_le[cls[j]] >> c & 1:
+                    lin_le[j] |= 1 << i
             self.seen |= 1 << i
+
+    def _new_class(self, lin):
+        """The id of a new lineality class with lattice lin, compared once
+        with the lattice of every earlier class."""
+        c = self.classes[lin.basis] = len(self.class_lin)
+        self.members.append(0)
+        self.class_le.append(1 << c)
+        for d, other in enumerate(self.class_lin):
+            if lin.contains_lattice(other):
+                self.class_le[c] |= 1 << d
+            if other.contains_lattice(lin):
+                self.class_le[d] |= 1 << c
+        self.class_lin.append(lin)
+        return c
 
     def meet_is_face(self, a, b):
         got = self.meets.get((a, b))
@@ -243,7 +303,10 @@ class ImageTable:
         got = images.get(i)
         if got is None:
             keys, _ = self.fan.numbering()
-            got = images[i] = self.fan.cone(keys[i]).image(proj_full)
+            got = images[i] = Cone.from_generators(
+                [proj_full.matvec(self.fan.rays[r]) for r in sorted(keys[i])],
+                proj_full.rows,
+            )
         return got
 
     def target(self, rank, rays, cones):

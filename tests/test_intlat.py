@@ -1,6 +1,7 @@
 """Exact lattice algebra: frozen examples plus randomized oracle sweeps."""
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -9,6 +10,7 @@ from toricgit.intlat import (
     IntMatrix,
     Sublattice,
     cokernel_diagnostics,
+    dot,
     hermite_rows,
     kernel_lattice,
     matrix_rank,
@@ -17,6 +19,7 @@ from toricgit.intlat import (
     right_inverse_of_surjection,
     saturate,
     smith_normal_form,
+    vgcd,
 )
 
 
@@ -168,3 +171,19 @@ def test_primitive():
     assert primitive((4, -6)) == (2, -3)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((0, -5)) == (0, -1)
+
+
+def test_vgcd():
+    assert vgcd((4, -6, 10)) == 2
+    assert vgcd((-7,)) == 7
+    assert vgcd((0, 0)) == 0
+    assert vgcd(()) == 0
+    assert vgcd((0, -3, 0)) == 3
+
+
+def test_dot_is_exact_on_integers_and_fractions():
+    assert dot((3, -4, 5), (1, 2, -3)) == -20
+    assert dot((), ()) == 0
+    assert dot((10 ** 30, 1), (10 ** 30, -1)) == 10 ** 60 - 1
+    half = dot((1, -1), (Fraction(1, 2), Fraction(1, 3)))
+    assert half == Fraction(1, 6) and isinstance(half, Fraction)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -14,7 +15,9 @@ from toricgit.fans import (
     Fan,
     SubfanSelection,
     _open_masks,
+    bits,
     enumerate_open_subsets,
+    is_complete,
     key_order,
     limit_of_generic_point,
     validate_fan,
@@ -867,6 +870,117 @@ def test_quotient_fans_are_read_off_the_image_table(monkeypatch):
     monkeypatch.setattr(Fan, "cone", spied)
     assert len(enumerate_good_subsets(fan, act)) > 0
     assert built_on["source"] > 0 and built_on["other"] == 0
+
+
+def pairwise_fill(table, mask):
+    """ImageTable.fill before ray masks, kept as the reference: a cone's
+    image is the image of its fan cone, and every pair of cones has both
+    containments decided on the cones and lattices themselves."""
+    new = mask & ~table.seen
+    if not new:
+        return
+    keys, _ = table.fan.numbering()
+    for i in bits(new):
+        table.img[i] = table.fan.cone(keys[i]).image(table.proj)
+        table.lin[i] = table.img[i].lineality_lattice()
+        c = table.cls[i] = table.classes.setdefault(table.lin[i].basis, len(table.classes))
+        if c == len(table.members):
+            table.members.append(0)
+        table.members[c] |= 1 << i
+        for j in bits(table.seen):
+            for a, b in ((i, j), (j, i)):
+                if table.img[a].contains_cone(table.img[b]):
+                    table.below[a] |= 1 << b
+                    table.above[b] |= 1 << a
+                if table.lin[a].contains_lattice(table.lin[b]):
+                    table.lin_le[a] |= 1 << b
+        table.seen |= 1 << i
+
+
+# the complete fan over the faces of the cube [-1, 1]^3: six 4-ray facets
+FULL_CUBE_RAYS = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+FULL_CUBE_FACETS = [
+    [i for i, r in enumerate(FULL_CUBE_RAYS) if r[axis] == sign]
+    for axis in range(3) for sign in (1, -1)
+]
+TABLE_CASES = {
+    **ENUMERATION_CASES,
+    "p4_1234": (Fan(4, P4_RAYS, P4_CONES), [(1, 2, 3, 4)]),
+    "full_cube_123": (Fan(3, FULL_CUBE_RAYS, FULL_CUBE_FACETS), [(1, 2, 3)]),
+}
+TABLE_FIELDS = ("img", "lin", "cls", "members", "below", "above", "lin_le")
+
+
+class TestRayMaskTable:
+    def test_the_full_cube_is_a_complete_fan(self):
+        fan, _ = TABLE_CASES["full_cube_123"]
+        assert validate_fan(fan).valid and is_complete(fan)
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_fill_matches_the_pairwise_fill(self, case):
+        # filled incrementally from random sub-masks, then from the full mask
+        fan, gens = TABLE_CASES[case]
+        act = normalize_action(fan, gens)
+        table = act.image_table()
+        reference = quotients.ImageTable(fan, act.proj)
+        n = len(table.img)
+        rng = random.Random(f"table {case}")
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(4)]
+        for mask in masks + [(1 << n) - 1]:
+            table.fill(mask)
+            pairwise_fill(reference, mask)
+            assert table.seen == reference.seen
+            for field in TABLE_FIELDS:
+                assert getattr(table, field) == getattr(reference, field), field
+        # on a fan the ray images and the fan-cone images share interner keys
+        assert all(a is b for a, b in zip(table.img, reference.img))
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_listings_match_the_pairwise_fill(self, case, monkeypatch):
+        fan, gens = TABLE_CASES[case]
+
+        def listings():
+            act = normalize_action(fan, gens)
+            goods = enumerate_good_subsets(fan, act)
+            return (
+                [u.mask for u in goods],
+                [u.mask for u in t_maximal_subsets(fan, act)],
+                [getattr(host_of(u, act), "mask", None) for u in goods],
+            )
+
+        got = listings()
+        monkeypatch.setattr(quotients.ImageTable, "fill", pairwise_fill)
+        assert got == listings()
+
+    def test_enumeration_tests_rays_and_builds_maximal_fan_cones_only(self, monkeypatch):
+        # one membership test per cone and ray outside it, no cone
+        # containment, and no fan cone beyond those cone_keys reads; the
+        # pairwise fill made 314 membership tests here
+        fan = Fan(2, NINE_RAYS, [[i, (i + 1) % 9] for i in range(9)])
+        act = normalize_action(fan, [(1, 2)])
+        calls = Counter()
+        built = set()
+        contains, contains_cone, cone = Cone.contains, Cone.contains_cone, Fan.cone
+
+        def counted_contains(self, v):
+            calls["contains"] += 1
+            return contains(self, v)
+
+        def counted_contains_cone(self, other):
+            calls["contains_cone"] += 1
+            return contains_cone(self, other)
+
+        def spied(self, key):
+            built.add(frozenset(key))
+            return cone(self, key)
+
+        monkeypatch.setattr(Cone, "contains", counted_contains)
+        monkeypatch.setattr(Cone, "contains_cone", counted_contains_cone)
+        monkeypatch.setattr(Fan, "cone", spied)
+        assert len(enumerate_good_subsets(fan, act)) == 70
+        assert len(fan.cone_keys()) == 19 and len(fan.rays) == 9
+        assert calls["contains_cone"] == 0 and calls["contains"] <= 19 * 9
+        assert built and built <= set(fan.max_cones)
 
 
 # the face masks live on the fan, so each case forges a fresh copy of P1
