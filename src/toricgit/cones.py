@@ -14,7 +14,16 @@ is spanned by the +- pairs of its canonical generators.
 
 Faces are read off generator-facet incidences: a face shares the cone's
 lineality lattice, so its canonical generators are the cone's generators on
-which the facets through it vanish.
+which the facets through it vanish.  A cone keeps its face generator tuples
+and, filled on first use, each face's rank, so fans whose maximal cones are
+interned list their cones without a Hermite reduction per face.
+
+A cone also keeps whether it meets another cone in a common face
+(`meets_in_face`), and the other cone keeps the same verdict.  Each keys it
+by the other's ambient and canonical generators: a value that names the
+cone without holding it, so the memo adds no reference between cones.  The
+ambient belongs in the key, since the zero cone has the generators () in
+every ambient.
 
 Canonical cones are interned by value.  `Cone.from_generators` and
 `Cone.from_inequalities` look their input up under the key (route, ambient,
@@ -180,7 +189,10 @@ def _interned(route, vectors, ambient):
 class Cone:
     """Rational polyhedral cone with synchronized generator/facet lists."""
 
-    __slots__ = ("ambient", "generators", "facets", "_faces", "_lin", "__weakref__")
+    __slots__ = (
+        "ambient", "generators", "facets", "_faces", "_face_ranks", "_lin", "_meets",
+        "__weakref__",
+    )
 
     def __init__(self, ambient, generators, facets):
         # internal: inputs must already be canonical (use the classmethods)
@@ -188,7 +200,9 @@ class Cone:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_face_ranks", None)  # face generators -> rank
         object.__setattr__(self, "_lin", None)
+        object.__setattr__(self, "_meets", {})  # (ambient, generators) -> verdict
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
@@ -282,9 +296,18 @@ class Cone:
     def meets_in_face(self, other):
         """True iff the intersection with other is a face of both cones.
         The meet lies in both, so it is a face of one exactly when it is
-        its own carrier face there (see is_face_of)."""
-        meet = self.meet_generators(other)
-        return all(c.carrier_generators(meet) == meet for c in (self, other))
+        its own carrier face there (see is_face_of).  The verdict is
+        symmetric and is kept on both cones, each keyed by the other's
+        ambient and generators, which name it but do not hold it."""
+        if self.ambient != other.ambient:
+            raise ValueError("ambient mismatch")
+        got = self._meets.get((other.ambient, other.generators))
+        if got is None:
+            meet = self.meet_generators(other)
+            got = all(c.carrier_generators(meet) == meet for c in (self, other))
+            self._meets[(other.ambient, other.generators)] = got
+            other._meets[(self.ambient, self.generators)] = got
+        return got
 
     def image(self, pi):
         """Image cone under an integer matrix Z^ambient -> Z^rows."""
@@ -301,29 +324,41 @@ class Cone:
 
     def face_generators(self):
         """Generator tuples of all faces (self and the lineality face included):
-        the generators cut by facet zero sets until no new set appears."""
-        found = {self.generators}
-        frontier = [self.generators]
-        while frontier:
-            nxt = []
-            for gens in frontier:
-                for phi in self.facets:
-                    cut = tuple(g for g in gens if dot(phi, g) == 0)
-                    if cut not in found:
-                        found.add(cut)
-                        nxt.append(cut)
-            frontier = nxt
-        return found
+        the generators cut by facet zero sets until no new set appears.
+        Computed once per cone; the tuples key the face ranks."""
+        if self._face_ranks is None:
+            found = {self.generators: None}
+            frontier = [self.generators]
+            while frontier:
+                nxt = []
+                for gens in frontier:
+                    for phi in self.facets:
+                        cut = tuple(g for g in gens if dot(phi, g) == 0)
+                        if cut not in found:
+                            found[cut] = None
+                            nxt.append(cut)
+                frontier = nxt
+            object.__setattr__(self, "_face_ranks", found)
+        return self._face_ranks.keys()
+
+    def face_rank(self, gens):
+        """Dimension of the face with generator tuple gens, one of
+        face_generators(); decided on first use and kept."""
+        self.face_generators()
+        got = self._face_ranks[gens]
+        if got is None:
+            got = self._face_ranks[gens] = matrix_rank(gens, self.ambient)
+        return got
 
     def faces(self):
         """All faces as cones, sorted by (dim, generators), so the cone itself
         comes last.  Only the proper faces are stored: an interned cone that
         held itself would outlive its last holder until a cyclic collection."""
         if self._faces is None:
-            out = [Cone.from_generators(g, self.ambient)
+            out = [(self.face_rank(g), Cone.from_generators(g, self.ambient))
                    for g in self.face_generators() if g != self.generators]
-            out.sort(key=lambda c: (c.dim(), c.generators))
-            object.__setattr__(self, "_faces", tuple(out))
+            out.sort(key=lambda rc: (rc[0], rc[1].generators))
+            object.__setattr__(self, "_faces", tuple(c for _, c in out))
         return self._faces + (self,)
 
     def carrier_generators(self, points):

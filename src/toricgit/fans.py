@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cones import Cone, SizeGuardError
-from .intlat import dot, matrix_rank, primitive
+from .intlat import dot, primitive
 
 ConeKey = frozenset
 
@@ -49,7 +49,9 @@ class FanValidation:
 class Fan:
     """Finite fan in Z^rank; empty max-cone list encodes the bare torus."""
 
-    __slots__ = ("rank", "rays", "max_cones", "_cones", "_keys", "_numbering", "_faces")
+    __slots__ = (
+        "rank", "rays", "max_cones", "_cones", "_keys", "_numbering", "_faces", "_ups",
+    )
 
     def __init__(self, rank, rays, max_cones):
         rank = int(rank)
@@ -74,6 +76,7 @@ class Fan:
         object.__setattr__(self, "_keys", None)
         object.__setattr__(self, "_numbering", None)
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_ups", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
@@ -112,17 +115,23 @@ class Fan:
         """All cones of the fan as ray-index keys, sorted by (dim, indices).
 
         Raises ValueError when a maximal cone has an interior ray: its key
-        would be no face key, so the listing would drop it."""
+        would be no face key, so the listing would drop it.  Otherwise every
+        maximal cone is pointed with its rays as canonical generators, so a
+        key's rays are its face's generators, and the key's rank is the face
+        rank that the maximal cone keeps (`Cone.face_rank`): a fan whose
+        maximal cones are already interned reduces no key."""
         if self._keys is None:
-            found = {frozenset()}
+            rank = {frozenset(): 0}
             for top in self.max_cones:
                 interior = self._interior_rays(top)
                 if interior:
                     raise ValueError(f"ray {interior[0]} is interior to cone {sorted(top)}")
-                for gens in self.cone(top).face_generators():
-                    found.add(frozenset(i for i in top if self.rays[i] in gens))
-            rank = {k: matrix_rank([self.rays[i] for i in k], self.rank) for k in found}
-            keys = tuple(sorted(found, key=lambda k: (rank[k], sorted(k))))
+                cone = self.cone(top)
+                for gens in cone.face_generators():
+                    key = frozenset(i for i in top if self.rays[i] in gens)
+                    if key not in rank:
+                        rank[key] = cone.face_rank(gens)
+            keys = tuple(sorted(rank, key=lambda k: (rank[k], sorted(k))))
             object.__setattr__(self, "_keys", keys)
         return self._keys
 
@@ -151,6 +160,19 @@ class Fan:
             for i in range(len(keys)):
                 self.face_mask(i)
         return self._faces
+
+    def up_masks(self):
+        """The up-set masks of all cones by index, the transpose of the face
+        masks: bit j of the i-th is set when cone i is a face of cone j.
+        The fan's own list, which readers must not change."""
+        if self._ups is None:
+            faces = self.face_masks()
+            ups = [0] * len(faces)
+            for j, f in enumerate(faces):
+                for i in bits(f):
+                    ups[i] |= 1 << j
+            object.__setattr__(self, "_ups", ups)
+        return self._ups
 
     def faces_of(self, key):
         """Keys of all faces of a fan cone, read off its face mask."""

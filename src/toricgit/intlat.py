@@ -9,7 +9,7 @@ on the left.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
 
@@ -45,9 +45,10 @@ def vneg(v):
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major.  The hash is computed on first
+    use and kept, since matrices serve as memo keys."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, entries, cols=None):
         entries = tuple(tuple(int(x) for x in row) for row in entries)
@@ -63,6 +64,7 @@ class IntMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -74,6 +76,7 @@ class IntMatrix:
         object.__setattr__(m, "entries", entries)
         object.__setattr__(m, "rows", len(entries))
         object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_hash", None)
         return m
 
     @classmethod
@@ -122,7 +125,9 @@ class IntMatrix:
         )
 
     def __hash__(self):
-        return hash((self.cols, self.entries))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.cols, self.entries)))
+        return self._hash
 
     def __repr__(self):
         return "IntMatrix(%r)" % (list(list(r) for r in self.entries),)
@@ -311,10 +316,12 @@ def hermite_rows(rows, cols):
 
 @dataclass(frozen=True)
 class Sublattice:
-    """Sublattice of Z^ambient spanned by the rows of basis (a Hermite basis)."""
+    """Sublattice of Z^ambient spanned by the rows of basis (a Hermite basis).
+    Whether it is saturated is decided once, on first use."""
 
     ambient: int
     basis: IntMatrix
+    _saturated: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, ambient, rows):
@@ -330,7 +337,11 @@ class Sublattice:
     @property
     def saturated(self):
         """Z^ambient / L is torsion-free: every invariant factor is 1."""
-        return all(d == 1 for d in smith_normal_form(self.basis).diag)
+        if self._saturated is None:
+            object.__setattr__(
+                self, "_saturated", all(d == 1 for d in smith_normal_form(self.basis).diag)
+            )
+        return self._saturated
 
     def contains(self, v):
         """Integer membership via Hermite reduction."""

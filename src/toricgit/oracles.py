@@ -264,19 +264,31 @@ def oracle_saturated(inner, outer, act):
 def brute_t_maximal(fan, act, limit=2 ** 20):
     """Subsets with good quotient, maximal against saturated inclusion,
     found by filtering every face-closed subset; sorted by the ascending
-    index lists of their cones, which is key order."""
+    index lists of their cones, which is key order.
+
+    A good u is dropped when some other good v contains it (`not u & ~v`)
+    and u is a union of v's orbit-label classes.  The goods containing u
+    come from a superset index: bit j of holders[c] is set when the j-th
+    good holds cone c, so the AND of holders over u's cones has bit j
+    exactly when u & ~goods[j] is empty.  So each u meets only its
+    supersets, not every good, and the filter keeps the same goods.
+    """
     if act.fan != fan:
         raise ValueError("action and selection live on different fans")
     ideals = _open_masks(fan, limit)
     goods = [u for u in ideals if _chart_family(act, u) is not None]
-    out = [
-        SubfanSelection._of_mask(fan, u)
-        for u in goods
-        if not any(
-            u != v and not u & ~v and _is_union_of(_orbit_labels(act, v), u)
-            for v in goods
-        )
-    ]
+    holders = [0] * len(fan.numbering()[0])
+    for j, v in enumerate(goods):
+        for c in bits(v):
+            holders[c] |= 1 << j
+    everyone = (1 << len(goods)) - 1
+    out = []
+    for k, u in enumerate(goods):
+        larger = everyone & ~(1 << k)
+        for c in bits(u):
+            larger &= holders[c]
+        if not any(_is_union_of(_orbit_labels(act, goods[j]), u) for j in bits(larger)):
+            out.append(SubfanSelection._of_mask(fan, u))
     out.sort(key=lambda u: list(bits(u.mask)))
     return out
 

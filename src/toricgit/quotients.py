@@ -56,7 +56,9 @@ rays are their generators, and the orbit image of t is the carrier face
 of t's split image in the lowest family chart covering t.  No cone of the
 target fan is built.  That carrier face depends only on the lineality
 class, t and the chart, so the table memoizes it under those three, as it
-does the chart meets and the split images.
+does the split images.  Whether two chart images meet in a face is kept
+on the interned image cones themselves (`Cone.meets_in_face`), so every
+table, and every selection, that meets the same two images shares it.
 
 The criterion is one routine, `_decide(table, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
@@ -109,6 +111,18 @@ from a superset index over the goods: bit j of holders[c] is set when the
 j-th good selection holds cone c, so the AND of holders over u's cones
 holds exactly the goods that contain u.  Each action memoizes the host of
 every good selection in its table.
+
+A staged quotient by nested subtori (A. A'Campo-Neuen and J. Hausen,
+Tohoku Math. J. 51 (1999)) reads three lattice facts, and the smaller
+action's table keeps each of them once per distinct value: the residual
+action on the first-stage target (its cocharacter lattice, projection and
+saturation flag), the kernel and section of the composite projection, and
+the kernel of the direct projection.  Their keys are IntMatrix values,
+never actions: a key holding the larger action would make a cycle from
+that action through its table and back, which only the cyclic collector
+frees, and would keep the dead action's cones interned.  The residual
+action itself is built afresh for each comparison around the kept lattice
+facts.
 """
 
 from dataclasses import dataclass
@@ -126,7 +140,6 @@ from .intlat import (
     Sublattice,
     kernel_lattice,
     quotient_lattice_map,
-    right_inverse_of_surjection,
     split_surjection,
 )
 
@@ -187,21 +200,26 @@ class ImageTable:
     and lin[i] contains lin[j] iff class_le[cls[i]] holds cls[j].  So a
     cone costs one image and one membership test per ray outside it, a
     pair of classes one lattice comparison, and a cone no selection
-    reaches is never projected.  The table also memoizes whether two chart
-    images meet in a face, the split images (generated, like img, by the
-    images of the rays) and orbit-image carrier faces per lineality class,
-    the fibre masks of every good selection decided (the enumeration keeps
-    its goods only so), the verdicts `good_quotient` was asked for, one Fan
-    per distinct quotient target among those, so equal targets share its
-    cone lists and cones (see target()), the good selections, and the host
-    of each good selection.
+    reaches is never projected.  The table also memoizes the split images
+    (generated, like img, by the images of the rays) and orbit-image
+    carrier faces per lineality class, the fibre masks of every good
+    selection decided (the enumeration keeps its goods only so), the
+    verdicts `good_quotient` was asked for, one Fan per distinct quotient
+    target among those, so equal targets share its cone lists and cones
+    (see target()), the good selections, and the host of each good
+    selection.  Whether two images meet in a face is no table fact: the
+    interned image cones keep it (`Cone.meets_in_face`).  For the staged
+    quotients that start with this action, the table keeps the residual
+    action's lattices, the composite projection's kernel and section and
+    the direct projection's kernel, each keyed by IntMatrix values and
+    never by an action (see the module docstring).
     """
 
     __slots__ = (
         "fan", "proj", "faces", "ray_img", "ray_masks", "img", "lin", "cls",
         "inside", "below", "above", "lin_le", "seen", "classes", "class_lin",
-        "class_le", "members", "meets", "split", "carriers", "fibres", "targets",
-        "results", "goods", "hosts",
+        "class_le", "members", "split", "carriers", "fibres", "targets",
+        "results", "goods", "hosts", "residuals", "composites", "kernels",
     )
 
     def __init__(self, fan, proj):
@@ -224,7 +242,6 @@ class ImageTable:
         self.class_lin = []  # class id -> its lineality lattice
         self.class_le = []  # class id -> mask of the class ids its lattice contains
         self.members = []  # class id -> mask of the seen cones in the class
-        self.meets = {}  # (a, b) -> do img[a] and img[b] meet in a face of both
         self.split = {}  # class id -> (q2 @ proj, {i: split image})
         self.carriers = {}  # (class id, t, s) -> carrier face, see carrier()
         self.fibres = {}  # good selection mask -> its fibre masks, see _fibres()
@@ -232,6 +249,10 @@ class ImageTable:
         self.results = {}  # selection mask -> verdict, for masks good_quotient was asked
         self.goods = {}  # limit -> enumerate_good_subsets
         self.hosts = {}  # good selection mask -> its host selection, or None
+        # staged quotients with this action first, keyed by IntMatrix values
+        self.residuals = {}  # (proj_full, larger cochar basis) -> see residual()
+        self.composites = {}  # composite projection -> (kernel, section)
+        self.kernels = {}  # direct projection -> kernel lattice
 
     def fill(self, mask):
         """Project the unseen cones of mask; relate each to every seen cone."""
@@ -283,12 +304,6 @@ class ImageTable:
         self.class_lin.append(lin)
         return c
 
-    def meet_is_face(self, a, b):
-        got = self.meets.get((a, b))
-        if got is None:
-            got = self.meets[(a, b)] = self.img[a].meets_in_face(self.img[b])
-        return got
-
     def split_projection(self, lbar):
         """(q2 @ proj, split images by index), where q2 divides out the
         lineality lattice of cone lbar; shared by its lineality class."""
@@ -319,6 +334,32 @@ class ImageTable:
             got = self.targets[key] = Fan(rank, rays, cones)
         return got
 
+    def residual(self, proj_full, basis):
+        """(cochar, proj, input_saturated) of the residual action on a first
+        stage quotient with projection proj_full, by the larger subtorus
+        whose cocharacter basis is basis: `normalize_action` on the images."""
+        key = (proj_full, basis)
+        got = self.residuals.get(key)
+        if got is None:
+            got = self.residuals[key] = _normalized(
+                proj_full.rows, [proj_full.matvec(b) for b in basis.entries]
+            )
+        return got
+
+    def composite(self, proj):
+        """(kernel, section) of a composite stage projection, a surjection."""
+        got = self.composites.get(proj)
+        if got is None:
+            got = self.composites[proj] = split_surjection(proj)
+        return got
+
+    def kernel(self, proj):
+        """Kernel lattice of a direct projection, surjective or not."""
+        got = self.kernels.get(proj)
+        if got is None:
+            got = self.kernels[proj] = kernel_lattice(proj)
+        return got
+
     def carrier(self, t, s, lbar):
         """Generators of the carrier face, in the split image of chart s, of
         the split image of cone t, split by lbar's lineality class: t's
@@ -335,12 +376,18 @@ class ImageTable:
 
 def normalize_action(fan, generators):
     """Subtorus action from cocharacter generators; the span is saturated."""
-    raw = Sublattice.from_rows(fan.rank, generators)
+    return SubtorusAction(fan, *_normalized(fan.rank, generators))
+
+
+def _normalized(rank, generators):
+    """(cochar, proj, input_saturated) of the action of the generators' span
+    on a fan of the given rank."""
+    raw = Sublattice.from_rows(rank, generators)
     # the canonical kernel basis of the generators' span is the quotient map
     # by its saturation, and that map's kernel is the saturation
     proj = kernel_lattice(raw.basis).basis
     lat = split_surjection(proj)[0]
-    return SubtorusAction(fan, lat, proj, input_saturated=raw.basis == lat.basis)
+    return lat, proj, raw.basis == lat.basis
 
 
 @dataclass(frozen=True)
@@ -459,7 +506,7 @@ def _decide(table, sel):
         return _CHART_FIBER, m, (strays & -strays).bit_length() - 1
 
     for a, b in combinations(family, 2):
-        if not table.meet_is_face(a, b):
+        if not table.img[a].meets_in_face(table.img[b]):
             return _NON_FAN, a, b
     return None, lbar, family
 
@@ -709,9 +756,9 @@ def staged_quotient(selection, act_small, act_large):
             consistent=isinstance(direct, Obstruction),
             detail="no first-stage quotient",
         )
-    residual = normalize_action(
-        first.fan,
-        [first.proj_full.matvec(b) for b in act_large.cochar.basis.entries],
+    table = act_small.image_table()
+    residual = SubtorusAction(
+        first.fan, *table.residual(first.proj_full, act_large.cochar.basis)
     )
     second = good_quotient(first.fan.full_selection(), residual)
     if isinstance(second, Obstruction) or isinstance(direct, Obstruction):
@@ -724,13 +771,13 @@ def staged_quotient(selection, act_small, act_large):
             consistent=both_fail,
             detail="consistent nonexistence" if both_fail else "one side exists",
         )
-    composite = second.proj_full @ first.proj_full
-    if kernel_lattice(composite).basis != kernel_lattice(direct.proj_full).basis:
+    kernel, section = table.composite(second.proj_full @ first.proj_full)
+    if kernel.basis != table.kernel(direct.proj_full).basis:
         return StagedComparison(
             first, second, direct, equal=False, consistent=False,
             detail="composite and direct projections have different kernels",
         )
-    phi = direct.proj_full @ right_inverse_of_surjection(composite)
+    phi = direct.proj_full @ section
     if not phi.is_unimodular():
         return StagedComparison(
             first, second, direct, equal=False, consistent=False,
@@ -776,8 +823,13 @@ def remark_suite(q, act):
 
     Every set is a mask: source cones over the source fan's numbering,
     orbit images over the target's.  An orbit closure is the up-set of a
-    cone in the face masks, and (ii) is saturation by q's fibres; a
-    saturated open is the preimage of an image ideal.
+    cone (`Fan.up_masks`); a set of target cones is closed when it holds
+    the up-set of each of its cones; (ii) is saturation by q's fibres; and
+    a saturated open is the preimage of an image ideal, whose verdict
+    comes from the action's table without a selection when `good_quotient`
+    already decided it.  The violations come in the order of the principal
+    opens (by size, then keys), which are sorted only when one of them
+    violates.
 
     The remark's last statement, that the trace P & C of a saturated open
     P on a closed invariant set C is saturated in C, is not checked, as it
@@ -789,21 +841,24 @@ def remark_suite(q, act):
     each cone lies in its own fibre."""
     violations = []
     fan, sel = q.source.fan, q.source.mask
+    table = _table(fan, act)
     keys, _ = fan.numbering()
     faces = fan.face_masks()
     qkeys, qbit = q.fan.numbering()
-    qfaces = q.fan.face_masks()
+    qup = q.fan.up_masks()
+    up = [u & sel for u in fan.up_masks()]
     cones = tuple(bits(sel))
     img = {t: 1 << qbit[q.orbit_map[keys[t]]] for t in cones}
-    up = {t: sum(1 << k for k in cones if faces[k] >> t & 1) for t in cones}
 
     def image(mask):
-        return sum({img[a] for a in bits(mask)})
+        got = 0
+        for a in bits(mask):
+            got |= img[a]
+        return got
 
     for t in cones:
         closure = image(up[t])
-        # closed: no target cone outside the closure has a face inside it
-        if any(f & closure for d, f in enumerate(qfaces) if not closure >> d & 1):
+        if any(qup[c] & ~closure for c in bits(closure)):
             violations.append(
                 f"(i) image of the orbit closure of {sorted(keys[t])} is not closed"
             )
@@ -817,21 +872,22 @@ def remark_suite(q, act):
     # orbit images, not all target cones: the empty selection has no orbits
     # even though the degenerate target fan still carries its zero cone
     images = image(sel)
-    principal_opens = sorted(
-        {0, images} | {qfaces[c] & images for c in bits(images)},
-        key=lambda g: (g.bit_count(), sorted(sorted(qkeys[c]) for c in bits(g))),
-    )
-    for g in principal_opens:
+    qfaces = q.fan.face_masks()
+    failed = {}
+    for g in {0, images} | {qfaces[c] & images for c in bits(images)}:
         pre = sum(1 << t for t, c in img.items() if g & c)
         if any(faces[t] & ~pre for t in bits(pre)):
-            violations.append(
-                "(iii) preimage of an open image set is not an open selection"
-            )
+            failed[g] = "(iii) preimage of an open image set is not an open selection"
             continue
-        sub = good_quotient(SubfanSelection._of_mask(fan, pre), act)
+        sub = table.results.get(pre)
+        if sub is None:
+            sub = good_quotient(SubfanSelection._of_mask(fan, pre), act)
         if isinstance(sub, Obstruction):
-            violations.append(
+            failed[g] = (
                 "(iii) restriction to a saturated open is not a good quotient: "
                 f"{sub.detail}"
             )
+    violations.extend(failed[g] for g in sorted(
+        failed, key=lambda g: (g.bit_count(), sorted(sorted(qkeys[c]) for c in bits(g)))
+    ))
     return tuple(violations)

@@ -589,23 +589,23 @@ class TestInterner:
         )
         return [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
 
-    def test_each_sweep_pass_starts_cold(self):
-        # a strong cache would make the second pass run no double description
-        script = """
+    # two default-seed P(1,1,2) sweeps on fresh objects, each printing
+    # whether it is clean and how often module.name ran in it
+    COLD_PASSES = """
 import gc
-from toricgit import cones, corpus
+from toricgit import corpus, {module}
 from toricgit.fans import Fan
 
 runs = [0]
-solve = cones.dd_solve
+real = {module}.{name}
 
 def counting(*args):
     runs[0] += 1
-    return solve(*args)
+    return real(*args)
 
-cones.dd_solve = counting
+{module}.{name} = counting
 for _ in range(2):
-    p112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
+    p112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{{0, 1}}, {{1, 2}}, {{0, 2}}])
     gc.collect()
     gc.disable()
     runs[0] = 0
@@ -613,10 +613,42 @@ for _ in range(2):
     gc.enable()
     print(int(clean), runs[0])
 """
-        passes = self.run_fresh(script)
+
+    def cold_pass_counts(self, module, name):
+        passes = self.run_fresh(self.COLD_PASSES.format(module=module, name=name))
         assert [clean for clean, _ in passes] == [1, 1]
-        counts = [runs for _, runs in passes]
-        assert counts[0] == counts[1] <= 272
+        return [runs for _, runs in passes]
+
+    def test_each_sweep_pass_starts_cold(self):
+        # a strong cache would make the second pass run no double description
+        counts = self.cold_pass_counts("cones", "dd_solve")
+        assert counts[0] == counts[1] <= 192
+
+    def test_each_sweep_pass_runs_the_same_smith_forms(self):
+        # the staged quotients' lattice facts live on the actions' tables,
+        # so a second pass on fresh objects recomputes every one of them
+        counts = self.cold_pass_counts("intlat", "smith_normal_form")
+        assert counts[0] == counts[1] <= 526
+
+    def test_a_sweep_leaves_no_action_in_cyclic_garbage(self):
+        # memo keys are values: a key holding an action would make a cycle
+        # from the action through its table, found here as saved garbage
+        script = """
+import gc
+from toricgit import corpus
+from toricgit.fans import Fan
+from toricgit.quotients import ImageTable, SubtorusAction
+
+p112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
+gc.collect()
+gc.disable()
+gc.set_debug(gc.DEBUG_SAVEALL)
+clean = corpus.run_sweep(fans=[p112]).clean()
+gc.collect()
+held = [o for o in gc.garbage if isinstance(o, (SubtorusAction, ImageTable))]
+print(int(clean), len(held))
+"""
+        assert self.run_fresh(script) == [(1, 0)]
 
     # Keys a sweep may still miss on after their first build: 3 per fan
     # from the cones `mutually_generate` builds of its two generator lists

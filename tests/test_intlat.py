@@ -187,3 +187,48 @@ def test_dot_is_exact_on_integers_and_fractions():
     assert dot((10 ** 30, 1), (10 ** 30, -1)) == 10 ** 60 - 1
     half = dot((1, -1), (Fraction(1, 2), Fraction(1, 3)))
     assert half == Fraction(1, 6) and isinstance(half, Fraction)
+
+
+def test_equal_matrices_hash_equal_however_built():
+    # the hash is kept after its first use, so it must not depend on the route
+    a = IntMatrix([[1, 2, 0], [0, -1, 3]])
+    b = IntMatrix._of(((1, 2, 0), (0, -1, 3)), 3)
+    c = IntMatrix.identity(2) @ a
+    d = IntMatrix([[1, 0], [2, -1], [0, 3]]).transpose()
+    e = a @ IntMatrix.identity(3)
+    for m in (a, b, c, d, e):
+        assert m == a and hash(m) == hash(a) == hash((3, a.entries))
+    assert len({a, b, c, d, e}) == 1
+    # empty matrices of different widths stay apart
+    assert hash(IntMatrix([], cols=2)) == hash((2, ()))
+    assert IntMatrix([], cols=2) != IntMatrix([], cols=3)
+
+
+@pytest.mark.parametrize("name", ["entries", "rows", "cols", "_hash"])
+def test_matrices_stay_immutable_with_a_kept_hash(name):
+    m = IntMatrix([[1, 2], [3, 4]])
+    hash(m)
+    with pytest.raises(AttributeError):
+        setattr(m, name, None)
+    assert m.entries == ((1, 2), (3, 4)) and hash(m) == hash((2, m.entries))
+
+
+def test_saturation_is_decided_once_per_lattice(monkeypatch):
+    from toricgit import intlat
+
+    calls = 0
+    smith = intlat.smith_normal_form
+
+    def counted(A):
+        nonlocal calls
+        calls += 1
+        return smith(A)
+
+    monkeypatch.setattr(intlat, "smith_normal_form", counted)
+    fine = Sublattice.from_rows(3, [(1, 1, 0), (0, 1, 1)])
+    coarse = Sublattice.from_rows(2, [(2, 0)])
+    assert [fine.saturated, coarse.saturated] * 2 == [True, False] * 2
+    assert calls == 2
+    # the kept flag is no part of the value
+    assert fine == Sublattice.from_rows(3, [(1, 2, 1), (0, 1, 1)])
+    assert hash(coarse) == hash(Sublattice.from_rows(2, [(-2, 0)]))

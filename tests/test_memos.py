@@ -1,0 +1,156 @@
+"""Facts kept on interned cones, against the routines that recompute them.
+
+`Fan.cone_keys` reads face generator tuples and face ranks that the
+maximal cones keep, and `Cone.meets_in_face` keeps its verdict on both
+cones.  The references below are the unmemoized routines, so a memo that
+a cone carries over from an earlier fan or table cannot change an answer.
+"""
+
+from itertools import combinations_with_replacement
+
+import pytest
+from test_quotients import TABLE_CASES
+
+from toricgit import cones
+from toricgit.cones import Cone
+from toricgit.corpus import actions_for, corpus_fans
+from toricgit.fans import Fan
+from toricgit.intlat import dot, matrix_rank
+from toricgit.quotients import enumerate_good_subsets, good_quotient, normalize_action
+
+SIX_RAYS = next(f for f in corpus_fans() if len(f.rays) == 6)
+
+
+def recomputed_cone_keys(fan):
+    """`Fan.cone_keys` with faces cut afresh from the facets and one rank
+    per key from the key's rays."""
+    found = {frozenset()}
+    for top in fan.max_cones:
+        interior = fan._interior_rays(top)
+        if interior:
+            raise ValueError(f"ray {interior[0]} is interior to cone {sorted(top)}")
+        cone = fan.cone(top)
+        faces = {cone.generators}
+        frontier = [cone.generators]
+        while frontier:
+            nxt = []
+            for gens in frontier:
+                for phi in cone.facets:
+                    cut = tuple(g for g in gens if dot(phi, g) == 0)
+                    if cut not in faces:
+                        faces.add(cut)
+                        nxt.append(cut)
+            frontier = nxt
+        for gens in faces:
+            found.add(frozenset(i for i in top if fan.rays[i] in gens))
+    rank = {k: matrix_rank([fan.rays[i] for i in k], fan.rank) for k in found}
+    return tuple(sorted(found, key=lambda k: (rank[k], sorted(k))))
+
+
+def recomputed_meets_in_face(a, b):
+    meet = a.meet_generators(b)
+    return all(c.carrier_generators(meet) == meet for c in (a, b))
+
+
+def fresh(fan):
+    return Fan(fan.rank, fan.rays, fan.max_cones)
+
+
+FANS = {f"corpus{i}": fan for i, fan in enumerate(corpus_fans())}
+FANS.update({case: fan for case, (fan, _) in TABLE_CASES.items()})
+
+
+def trivial_targets():
+    """The target fans of the good selections on the six-ray fan under the
+    trivial subtorus, where every selection is good."""
+    act = normalize_action(SIX_RAYS, [])
+    return [
+        good_quotient(sel, act).fan for sel in enumerate_good_subsets(SIX_RAYS, act)
+    ]
+
+
+class TestConeKeys:
+    @pytest.mark.parametrize("case", sorted(FANS))
+    def test_fresh_and_warm_fans(self, case):
+        fan = FANS[case]
+        want = recomputed_cone_keys(fresh(fan))
+        assert fresh(fan).cone_keys() == want
+        # a second equal fan reads the ranks its maximal cones now keep
+        assert fresh(fan).cone_keys() == want
+        assert fan.cone_keys() == want
+
+    def test_target_fans_of_the_trivial_subtorus_on_six_rays(self):
+        targets = trivial_targets()
+        assert len({(t.rays, t.max_cones) for t in targets}) > 1
+        for target in targets:
+            want = recomputed_cone_keys(target)
+            assert target.cone_keys() == want, target
+            assert fresh(target).cone_keys() == want, target
+
+    def test_interned_charts_need_no_hermite_reduction(self, monkeypatch):
+        fan = FANS["full_cube_123"]
+        held = [fan.cone(top) for top in fan.max_cones]
+        assert fresh(fan).cone_keys()
+        calls = 0
+        rank = cones.matrix_rank
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return rank(*args)
+
+        monkeypatch.setattr(cones, "matrix_rank", counted)
+        assert fresh(fan).cone_keys() == recomputed_cone_keys(fan)
+        assert calls == 0 and held
+
+
+def engine_images(fan, gens=None):
+    """The image cones of every action of a corpus fan, or of the case's
+    action, from the engine's filled tables."""
+    acts = actions_for(fan) if gens is None else [normalize_action(fan, gens)]
+    out = []
+    for act in acts:
+        table = act.image_table()
+        table.fill((1 << len(table.img)) - 1)
+        out.append(table.img)
+    return out
+
+
+class TestMeetsInFace:
+    @pytest.mark.parametrize("case", sorted(FANS))
+    def test_maximal_cones_and_engine_images(self, case):
+        fan = FANS[case]
+        gens = TABLE_CASES[case][1] if case in TABLE_CASES else None
+        groups = [[fan.cone(top) for top in fan.max_cones]] + engine_images(fan, gens)
+        for group in groups:
+            for a, b in combinations_with_replacement(group, 2):
+                want = recomputed_meets_in_face(a, b)
+                assert a.meets_in_face(b) == b.meets_in_face(a) == want, (a, b)
+                assert a.meets_in_face(b) == want
+
+    def test_the_verdict_is_kept_on_both_cones(self, monkeypatch):
+        a = Cone.from_generators([(1, 0), (1, 7)], 2)
+        b = Cone.from_generators([(1, 3), (1, -5)], 2)
+        calls = 0
+        meet = Cone.meet_generators
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return meet(self, other)
+
+        monkeypatch.setattr(Cone, "meet_generators", counted)
+        first = a.meets_in_face(b)
+        assert [b.meets_in_face(a), a.meets_in_face(b)] == [first, first]
+        assert first == recomputed_meets_in_face(a, b) is False
+        assert calls == 2  # one by meets_in_face, one by the reference
+
+    @pytest.mark.parametrize("d, e", [(2, 3), (3, 2), (1, 4)])
+    def test_an_ambient_mismatch_raises_even_after_a_kept_verdict(self, d, e):
+        # the zero cone has the generators () in every ambient
+        zero_d, zero_e = Cone.zero(d), Cone.zero(e)
+        assert zero_d.meets_in_face(zero_d) and zero_e.meets_in_face(zero_e)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            zero_d.meets_in_face(zero_e)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            Cone.full(d).meets_in_face(zero_e)

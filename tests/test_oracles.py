@@ -6,12 +6,13 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from test_quotients import DIFFERENTIAL_CASES
+from test_quotients import DIFFERENTIAL_CASES, ENUMERATION_CASES
 
 from toricgit import oracles
 from toricgit.cones import Cone
 from toricgit.cox import cox_presentation, lift_open, quasitorus_action
-from toricgit.fans import Fan, enumerate_open_subsets, key_order
+from toricgit.corpus import actions_for, corpus_fans
+from toricgit.fans import Fan, _open_masks, bits, enumerate_open_subsets, key_order
 from toricgit.intlat import IntMatrix, quotient_lattice_map
 from toricgit.oracles import (
     brute_max_saturated_inside,
@@ -491,3 +492,33 @@ class TestDifferentialAgainstKeySets:
         engine = t_maximal_subsets(fan, normalize_action(fan, gens))
         assert sorted(u.mask for u in brute) == sorted(u.mask for u in engine)
         assert {u.keys for u in brute} == {u.keys for u in engine}
+
+
+def quadratic_t_maximal(fan, act):
+    """brute_t_maximal before its superset index, as masks: every good
+    against every good."""
+    goods = [u for u in _open_masks(fan, 2 ** 20) if oracles._chart_family(act, u) is not None]
+    out = [
+        u for u in goods
+        if not any(
+            u != v and not u & ~v
+            and oracles._is_union_of(oracles._orbit_labels(act, v), u)
+            for v in goods
+        )
+    ]
+    return sorted(out, key=lambda u: list(bits(u)))
+
+
+class TestBruteMaximalAgainstTheQuadraticFilter:
+    @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+    def test_enumeration_cases(self, case):
+        fan, gens = ENUMERATION_CASES[case]
+        act = normalize_action(fan, gens)
+        got = [u.mask for u in brute_t_maximal(fan, act)]
+        assert got and got == quadratic_t_maximal(fan, act)
+
+    def test_every_action_of_every_corpus_fan(self):
+        for fan in corpus_fans():
+            for act in actions_for(fan):
+                got = [u.mask for u in brute_t_maximal(fan, act)]
+                assert got and got == quadratic_t_maximal(fan, act), (fan, act)

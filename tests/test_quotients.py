@@ -1115,14 +1115,16 @@ def remark_actions(case):
         fan, gens = DIFFERENTIAL_CASES[case]
         return [(fan, normalize_action(fan, gens))]
     rays = {"corpus_p1xp1": {(1, 0), (-1, 0), (0, 1), (0, -1)},
-            "corpus_p112": {(1, 0), (0, 1), (-1, -2)}}[case]
+            "corpus_p112": {(1, 0), (0, 1), (-1, -2)},
+            "corpus_six_rays": {(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)}}[case]
     fan = next(f for f in corpus_fans() if set(f.rays) == rays)
     return [(fan, act) for act in actions_for(fan)]
 
 
 class TestRemarkSuiteAgainstKeySets:
     @pytest.mark.parametrize(
-        "case", sorted(DIFFERENTIAL_CASES) + ["corpus_p112", "corpus_p1xp1"]
+        "case",
+        sorted(DIFFERENTIAL_CASES) + ["corpus_p112", "corpus_p1xp1", "corpus_six_rays"],
     )
     def test_every_good_quotient_and_a_moved_copy(self, case):
         statements = Counter()
