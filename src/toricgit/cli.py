@@ -3,11 +3,14 @@
 Each command fills one `Report` (text lines, JSON body, exit code); a fact
 both formats carry is added in one call with its line and its field.  The
 text goes to stdout and, with --out PREFIX, to PREFIX.txt beside the JSON
-document PREFIX.json; both carry a version header.  Exit codes: 0 when all
-checks pass, 1 when a mathematical verdict is negative, 2 on input errors,
-with the offending line or field named in the report (a command line that
-argparse rejects included), and 3 when the library fails an invariant check
-of its own (a RuntimeError).  All sampling is seeded and reports are
+document PREFIX.json; both carry a version header.  An existing report file
+is rewritten in place and cut to length (`_rewrite`): truncating it on open
+would free its blocks first, which costs more than writing the report, and
+replacing it would break its links.  Exit codes: 0 when all checks pass,
+1 when a mathematical verdict is negative, 2 on input errors, with the
+offending line or field named in the report (a command line that argparse
+rejects included), and 3 when the library fails an invariant check of its
+own (a RuntimeError).  All sampling is seeded and reports are
 byte-identical for identical input and flags.  The parser is built once per
 process, on the first call of `main`.
 """
@@ -489,12 +492,23 @@ def _emit(head, rep, out):
     document.update(body=rep.body, result=result, exit_code=rep.exit_code)
     sys.stdout.write(text)
     if out:
-        with open(out + ".txt", "w", encoding="utf-8") as handle:
-            handle.write(text)
-        with open(out + ".json", "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _rewrite(out + ".txt", text)
+        _rewrite(out + ".json", json.dumps(document, indent=2, sort_keys=True) + "\n")
     return rep.exit_code
+
+
+def _rewrite(path, text):
+    """Write text to path in place: overwrite from the start, then cut the
+    file to the new length.  An existing file keeps its inode, so hard
+    links, symlinked prefixes and permissions survive; a new one is
+    created with mode 0o666 less the umask, as `open(path, "w")` would.  An
+    interrupted rewrite leaves the new text over the old tail, where an
+    interrupted truncating write leaves a short file; either way the
+    report has to be made again."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.truncate()
 
 
 def _input_error(message):

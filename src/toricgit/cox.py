@@ -11,7 +11,9 @@ sections of effective invariant divisors, and their witness verdicts are
 exact.  Polynomial sections are supported for witness checking too, but
 their zero sets are not unions of orbits, so their verdicts rest on
 seeded orbit points, all drawn inside `verify_globally_defined` from the
-generator its `seed` argument seeds.
+generator its `seed` argument seeds.  Each member's vanishing test is
+prepared once per call: a monomial's support, or a polynomial's terms
+scaled to integers, so each sampled point costs only its own products.
 """
 
 import random
@@ -285,27 +287,46 @@ def _unit_point(key, n):
     return tuple((0 if i in key else 1, 1) for i in range(n))
 
 
-def _nonzero_at(section, key, point):
-    """Is the section nonzero at point, an orbit point of the cone key?
+def _vanishing_test(section):
+    """The test `nonzero(key, point)`: is the section nonzero at point, an
+    orbit point of the cone key?  Prepared once per section, so each point
+    costs only its own arithmetic.
 
     A monomial is nonzero there exactly when its support misses key.  A
     polynomial is evaluated in integers: every term is multiplied by the
     common denominator of the coefficients and by each coordinate's
     denominator to its largest exponent in the polynomial, a positive
-    factor that leaves the sign of the sum alone."""
+    factor that leaves the sign of the sum alone.  Each term is prepared as
+    its scaled integer coefficient and one (coordinate, exponent, padding)
+    triple per coordinate of positive top exponent, the padding being top
+    minus exponent."""
     if isinstance(section, MonomialSection):
-        return not key & section.support()
+        support = section.support()
+        return lambda key, point: not key & support
     coeffs = [Fraction(c) for c, _ in section.terms]
     scale = lcm(*(c.denominator for c in coeffs))
     top = [max(col) for col in zip(*(e for _, e in section.terms))]
-    total = 0
-    for c, (_, exponents) in zip(coeffs, section.terms):
-        value = c.numerator * (scale // c.denominator)
-        for (num, den), a, t in zip(point, exponents, top):
-            if t:
-                value *= num ** a * den ** (t - a)
-        total += value
-    return total != 0
+    terms = [
+        (c.numerator * (scale // c.denominator),
+         tuple((i, a, t - a) for i, (a, t) in enumerate(zip(exponents, top)) if t))
+        for c, (_, exponents) in zip(coeffs, section.terms)
+    ]
+
+    def nonzero(key, point):
+        total = 0
+        for value, factors in terms:
+            for i, a, pad in factors:
+                num, den = point[i]
+                value *= num ** a * den ** pad
+            total += value
+        return total != 0
+
+    return nonzero
+
+
+def _nonzero_at(section, key, point):
+    """Is the section nonzero at point, an orbit point of the cone key?"""
+    return _vanishing_test(section)(key, point)
 
 
 # point pairs drawn for the sampled coverage check
@@ -317,14 +338,16 @@ def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=2
     affineness of its nonvanishing locus, and containment in the open
     set; plus coverage of point pairs by common members.
 
-    Each vanishing question is one `_nonzero_at` call, exact for a
-    monomial, so a monomial's verdicts draw nothing; affineness is decided
-    for monomials only.  A polynomial is contained if it vanishes at three
-    seeded points and the unit point of the orbit of every relevant cone
-    outside the open set.  Coverage takes every ordered pair of orbits for
-    a monomial family, and otherwise COVERAGE_SAMPLES seeded point pairs,
-    marking the report sampled.  All draws come from one generator seeded
-    by seed: containment points member by member, then coverage pairs."""
+    Each member's vanishing test (`_vanishing_test`) is prepared once, in
+    family order, so a member listed twice gets its own verdicts.  Every
+    vanishing question is one call of it, exact for a monomial, so a
+    monomial's verdicts draw nothing; affineness is decided for monomials
+    only.  A polynomial is contained if it vanishes at three seeded points
+    and the unit point of the orbit of every relevant cone outside the open
+    set.  Coverage takes every ordered pair of orbits for a monomial
+    family, and otherwise COVERAGE_SAMPLES seeded point pairs, marking the
+    report sampled.  All draws come from one generator seeded by seed:
+    containment points member by member, then coverage pairs."""
     if lifted.fan != pres.orthant_fan:
         raise ValueError("the open set must be a selection on the coordinate fan")
     family = tuple(family)
@@ -337,9 +360,10 @@ def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=2
     rng = random.Random(seed)
     sampled = any(isinstance(s, PolynomialSection) for s in family)
     outside = sorted(pres.relevant.keys - lifted.keys, key=sorted)
+    tests = [_vanishing_test(s) for s in family]
 
     members = []
-    for section in family:
+    for section, nonzero_at in zip(family, tests):
         exact = isinstance(section, MonomialSection)
         exponents = [section.exponents] if exact else [e for _, e in section.terms]
         declared = None if exact else section.declared_weight
@@ -348,12 +372,12 @@ def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=2
         for key in outside:
             points = [] if exact else [_orbit_point(key, n, rng) for _ in range(3)]
             points.append(_unit_point(key, n))
-            if any(_nonzero_at(section, key, p) for p in points):
+            if any(nonzero_at(key, p) for p in points):
                 contained = False
                 break
         affine = None
         if exact:
-            nonzero = [k for k in lifted.keys if _nonzero_at(section, k, _unit_point(k, n))]
+            nonzero = [k for k in lifted.keys if nonzero_at(k, _unit_point(k, n))]
             affine = frozenset().union(*nonzero) in nonzero
         members.append(
             SectionVerdict(
@@ -378,7 +402,7 @@ def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=2
     )
     coverage_witness = None
     for ka, pa, kb, pb in pairs:
-        if not any(_nonzero_at(s, ka, pa) and _nonzero_at(s, kb, pb) for s in family):
+        if not any(nonzero_at(ka, pa) and nonzero_at(kb, pb) for nonzero_at in tests):
             coverage_witness = (ka, kb)
             break
     coverage = coverage_witness is None

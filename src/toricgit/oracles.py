@@ -5,7 +5,7 @@ inclusion-maximal eligible charts are forced, so one pass settles the
 question.  Everything in this module instead recomputes answers straight
 from the definitions, sharing as little reasoning with the engine as
 possible: cone images go through the literal double-dual route, chart
-families are found by exhaustive search over all eligible subsets, orbit
+families are found by exhaustive search over the eligible charts, orbit
 identifications come from carrier faces of interior points, and affine
 chart rings are compared as monoids via Hilbert bases.  Randomized sweeps
 then cross-check the engine against these recomputations; nothing here
@@ -175,8 +175,9 @@ def chart_family(selection, act):
     one lineality space and meet in common faces after splitting it, and
     whose image-preimages jointly exhaust the selection.  Every chart of
     every valid family satisfies the first condition individually, so the
-    search may restrict to those candidates; the fallback enumerates all
-    candidate subsets.
+    search may restrict to those candidates.  When they are not pairwise
+    compatible, a branch-and-bound search over them (`_smallest_family`)
+    returns the smallest valid family, the least one of that size.
     """
     if act.fan != selection.fan:
         raise ValueError("action and selection live on different fans")
@@ -200,13 +201,53 @@ def _chart_family(act, mask):
         return None
     if all(_pair_compatible(act, a, b) for a, b in combinations(cands, 2)):
         return cands
-    for size in range(1, len(cands) + 1):
-        for sub in combinations(cands, size):
-            if _union(fibers[k] for k in sub) == mask and all(
-                _pair_compatible(act, a, b) for a, b in combinations(sub, 2)
-            ):
-                return sub
-    return None
+    return _smallest_family(act, mask, fibers)
+
+
+def _smallest_family(act, mask, fibers):
+    """The smallest pairwise compatible set of candidate charts whose fibers
+    cover mask, the lexicographically least sorted tuple among those of
+    that size (the first one `combinations` reaches size by size); None if
+    there is none.
+
+    Branch and bound on the lowest uncovered cone c: a node holds a
+    compatible set S of candidates, and its children add one candidate k
+    whose fiber contains c and which is compatible with all of S (a bit of
+    `allowed`, the AND of the members' partner masks).  Every
+    valid family F containing S holds a member whose fiber contains c, and
+    that member is not in S (S does not cover c) and is compatible with S
+    (F is pairwise compatible), so some child still lies inside F.
+    Following such children from the root reaches a cover S inside F, and
+    if F has the smallest size, S = F, since S is a valid family too.  A
+    node is cut only when S already has as many members as the best
+    family found, so it could only lead to a larger family.  So every
+    valid family of the smallest size is reached, and the least of them
+    is kept."""
+    partners = {
+        k: _union(
+            1 << j for j in fibers if j != k and _pair_compatible(act, min(j, k), max(j, k))
+        )
+        for k in fibers
+    }
+    best = None
+
+    def extend(chosen, allowed, covered):
+        nonlocal best
+        if covered == mask:
+            family = tuple(bits(chosen))
+            if best is None or (len(family), family) < (len(best), best):
+                best = family
+            return
+        if best is not None and chosen.bit_count() >= len(best):
+            return
+        rest = mask & ~covered
+        lowest = rest & -rest
+        for k in bits(allowed):
+            if fibers[k] & lowest:
+                extend(chosen | 1 << k, allowed & partners[k], covered | fibers[k])
+
+    extend(0, _union(1 << k for k in fibers), 0)
+    return best
 
 
 def oracle_good_quotient(selection, act):

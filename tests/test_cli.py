@@ -355,6 +355,79 @@ class TestFileOutput:
         assert doc["body"]["error"] == "the image of cone [] lies in no maximal image"
 
 
+class TestRewrittenReports:
+    """--out overwrites existing report files in place and cuts them to the
+    new length."""
+
+    def rewrite_twice(self, run, first, second, prefix):
+        """Write the longer report `first`, then `second`, to one prefix."""
+        run(*first, "--out", prefix)
+        sizes = [os.path.getsize(prefix + suffix) for suffix in (".txt", ".json")]
+        code, out = run(*second, "--out", prefix)
+        assert Path(prefix + ".txt").read_bytes() == out.encode("utf-8")
+        document = json.loads(Path(prefix + ".json").read_text(encoding="utf-8"))
+        assert document["exit_code"] == code
+        for suffix, size in zip((".txt", ".json"), sizes):
+            assert os.path.getsize(prefix + suffix) < size
+        return code, document
+
+    def test_a_shorter_report_leaves_no_tail(self, run, write, tmp_path):
+        command = ("cox", write(p2_doc()), "--family", "witnesses")
+        _, document = self.rewrite_twice(
+            run, (*command, "--seed", "20260817"), (*command, "--seed", "7"),
+            str(tmp_path / "report"),
+        )
+        assert document["seed"] == 7
+
+    def test_an_input_error_after_a_verdict(self, run, write, tmp_path):
+        code, document = self.rewrite_twice(
+            run,
+            ("quotient", write(c2_doc()), "--selection", "punctured"),
+            ("quotient", str(tmp_path / "absent.json")),
+            str(tmp_path / "report"),
+        )
+        assert code == 2
+        assert document["result"] == "input error"
+        assert set(document["body"]) == {"error"}
+
+    def test_links_and_permissions_survive(self, run, write, tmp_path):
+        # the prefix runs through a symlinked folder, report.txt is a
+        # symlink to a longer file, and report.json has a second hard link
+        path = write(p1_doc())
+        real = tmp_path / "real"
+        real.mkdir()
+        (tmp_path / "linked").symlink_to(real, target_is_directory=True)
+        prefix = str(tmp_path / "linked" / "report")
+        run("enumerate-maximal", path, "--out", prefix)
+        elsewhere = tmp_path / "elsewhere.txt"
+        elsewhere.write_text("x" * 10000, encoding="utf-8")
+        (real / "report.txt").unlink()
+        (real / "report.txt").symlink_to(elsewhere)
+        os.link(real / "report.json", tmp_path / "second.json")
+        (real / "report.json").chmod(0o640)
+        inodes = [os.stat(p).st_ino for p in (elsewhere, real / "report.json")]
+        code, out = run("check", path, "--out", prefix)
+        assert code == 0
+        assert (real / "report.txt").is_symlink()
+        assert elsewhere.read_text(encoding="utf-8") == out
+        assert [os.stat(p).st_ino for p in (elsewhere, real / "report.json")] == inodes
+        document = json.loads((tmp_path / "second.json").read_text(encoding="utf-8"))
+        assert document["command"] == "check"
+        assert (real / "report.json").stat().st_mode & 0o777 == 0o640
+
+    def test_new_files_are_created_with_the_umask(self, run, write, tmp_path):
+        prefix = tmp_path / "fresh"
+        mask = os.umask(0o022)
+        try:
+            code, out = run("check", write(p1_doc()), "--out", str(prefix))
+        finally:
+            os.umask(mask)
+        assert code == 0
+        assert Path(f"{prefix}.txt").read_text(encoding="utf-8") == out
+        for suffix in (".txt", ".json"):
+            assert Path(f"{prefix}{suffix}").stat().st_mode & 0o777 == 0o644
+
+
 class TestDeterminism:
     def test_sampled_verdicts_are_reproducible(self, run, write):
         path = write(p2_doc())

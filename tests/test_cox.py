@@ -21,6 +21,7 @@ from toricgit.cox import (
     WitnessReport,
     _nonzero_at,
     _orbit_point,
+    _vanishing_test,
     canonical_section,
     cox_presentation,
     image_zero_set,
@@ -298,7 +299,9 @@ class TestSections:
 
     def test_nonzero_at_orbit_points_matches_evaluation(self):
         # seeded sections against seeded orbit points; half of the
-        # polynomials get the constant term that makes them vanish there
+        # polynomials get the constant term that makes them vanish at the
+        # first point.  Each section's prepared test is then reused on
+        # further points of other orbits.
         rng = random.Random(20261018)
         n = 3
         checked = Counter()
@@ -317,11 +320,20 @@ class TestSections:
             sections.append(PolynomialSection(terms))
             value = sections[-1].evaluate(exact)
             sections.append(PolynomialSection(terms + ((-value, (0,) * n),)))
-            for section in sections:
-                want = section.evaluate(exact) != 0
-                assert _nonzero_at(section, key, point) == want, (section, key, point)
-                checked[want] += 1
-        assert checked[True] > 100 and checked[False] > 100
+            sections.append(PolynomialSection(tuple((int(c.numerator), e) for c, e in terms)))
+            prepared = [_vanishing_test(section) for section in sections]
+            points = [(key, point)]
+            for _ in range(2):
+                other = frozenset(i for i in range(n) if rng.random() < 0.3)
+                points.append((other, _orbit_point(other, n, rng)))
+            for key, point in points:
+                exact = tuple(Fraction(num, den) for num, den in point)
+                for section, nonzero in zip(sections, prepared):
+                    want = section.evaluate(exact) != 0
+                    assert nonzero(key, point) == want, (section, key, point)
+                    assert _nonzero_at(section, key, point) == want, (section, key, point)
+                    checked[isinstance(section, MonomialSection), want] += 1
+        assert min(checked.values()) > 100 and len(checked) == 4
 
     def test_orbit_points_keep_the_seeded_draws(self):
         key, n = fs(1), 4
@@ -543,6 +555,23 @@ class TestWitnessFamilies:
         b = verify_globally_defined(pres, lifted, family, [(1, 1)], seed=11)
         assert a == b
 
+    def test_a_member_listed_twice_keeps_its_verdicts(self):
+        # each copy gets its own prepared test and its own draws
+        pres = cox_presentation(C2)
+        lifted = lift_open(pres, SubfanSelection(C2, [fs(), fs(0), fs(1)]))
+        x, y = canonical_section(pres, (1, 0)), canonical_section(pres, (0, 1))
+        diff = PolynomialSection(((1, (1, 0)), (-1, (0, 1))), declared_weight=(1,))
+        once = verify_globally_defined(pres, lifted, [x, y], [(1, 1)])
+        twice = verify_globally_defined(pres, lifted, [x, y, x], [(1, 1)])
+        assert twice.members == once.members + once.members[:1]
+        assert (twice.coverage, twice.coverage_witness) == (once.coverage, once.coverage_witness)
+        for family in ([x, y, x], [x, diff, y, diff], [diff, diff]):
+            for seed in range(1, 11):
+                got = verify_globally_defined(pres, lifted, family, [(1, 1)], seed)
+                want = two_path_verify_globally_defined(pres, lifted, family, [(1, 1)], seed)
+                assert got == want, (family, seed)
+                assert got.members[-1] == got.members[family.index(family[-1])]
+
     def test_wrong_fan_selection_rejected(self):
         pres = cox_presentation(P2)
         with pytest.raises(ValueError):
@@ -685,8 +714,9 @@ def coordinate_families(pres):
 
 def extra_families(pres):
     """The chart monomials (each the product of the coordinates outside a
-    maximal cone) with their sum, and monomials beside a polynomial with a
-    declared weight, an inhomogeneous one, and a constant one."""
+    maximal cone) with their sum, monomials beside a polynomial with a
+    declared weight, an inhomogeneous one, and a constant one, and a family
+    listing a monomial and a polynomial twice each."""
     n = len(pres.fan.rays)
     e = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     square = tuple(2 * a for a in e[1])
@@ -707,6 +737,12 @@ def extra_families(pres):
         "constant": [
             canonical_section(pres, e[-1]),
             PolynomialSection(((3, (0,) * n),)),
+        ],
+        "repeated": [
+            canonical_section(pres, e[0]),
+            PolynomialSection(((1, e[0]), (1, e[1]))),
+            canonical_section(pres, e[0]),
+            PolynomialSection(((1, e[0]), (1, e[1]))),
         ],
     }
 

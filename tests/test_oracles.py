@@ -2,6 +2,7 @@
 recomputations, plus unit tests for the recomputation primitives."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -522,3 +523,89 @@ class TestBruteMaximalAgainstTheQuadraticFilter:
             for act in actions_for(fan):
                 got = [u.mask for u in brute_t_maximal(fan, act)]
                 assert got and got == quadratic_t_maximal(fan, act), (fan, act)
+
+
+def first_subset(mask, fibers, compatible):
+    """The subset loop of _chart_family before its branch-and-bound
+    search, kept as the reference: every subset of the candidates, size by
+    size in `combinations` order, until one covers the mask and is
+    pairwise compatible."""
+    cands = tuple(fibers)
+    for size in range(1, len(cands) + 1):
+        # the fibers of each subset, drawn in step with it
+        for sub, covers in zip(combinations(cands, size), combinations(fibers.values(), size)):
+            if oracles._union(covers) == mask and all(
+                compatible(a, b) for a, b in combinations(sub, 2)
+            ):
+                return sub
+    return None
+
+
+def subset_loop_chart_family(act, mask):
+    """_chart_family with the subset loop; returns the family and whether
+    the loop ran."""
+    fibers = {}
+    for k in bits(mask):
+        fiber = mask & oracles._contents(act, k, act.proj)
+        if fiber == act.fan.face_mask(k):
+            fibers[k] = fiber
+    cands = tuple(fibers)
+    if oracles._union(fibers.values()) != mask:
+        return None, False
+    compatible = lambda a, b: oracles._pair_compatible(act, a, b)
+    if all(compatible(a, b) for a, b in combinations(cands, 2)):
+        return cands, False
+    return first_subset(mask, fibers, compatible), True
+
+
+def searched_ideals(fan, act):
+    """Ideals whose candidate charts are not pairwise compatible, each
+    checked against the subset loop; returns how many found a family and
+    how many did not."""
+    found = Counter()
+    for u in _open_masks(fan, 2 ** 20):
+        got = oracles._chart_family(act, u)
+        want, searched = subset_loop_chart_family(act, u)
+        assert got == want, (fan, act, u)
+        if searched:
+            found[got is not None] += 1
+    return found
+
+
+class TestSmallestFamilyAgainstTheSubsetLoop:
+    def test_random_fibers_and_compatibilities(self, monkeypatch):
+        # ties between families of the smallest size occur here, and the
+        # search can meet a larger sorted tuple first: fibers {0,1} of chart
+        # 2 and {0,2} of chart 3 beside {1} of chart 1 give (2, 3) before
+        # (1, 3)
+        rng = random.Random(20261019)
+        compatible = {}
+        monkeypatch.setattr(oracles, "_pair_compatible", lambda act, a, b: compatible[a, b])
+        compatible.update(dict.fromkeys(combinations((1, 2, 3), 2), True))
+        assert oracles._smallest_family(None, 0b111, {1: 0b010, 2: 0b011, 3: 0b101}) == (1, 3)
+        found = Counter()
+        for _ in range(400):
+            mask = (1 << rng.randint(1, 6)) - 1
+            fibers = {
+                k: rng.randint(1, mask) for k in sorted(rng.sample(range(12), rng.randint(1, 8)))
+            }
+            compatible.clear()
+            for a, b in combinations(fibers, 2):
+                compatible[a, b] = rng.random() < 0.7
+            want = first_subset(mask, fibers, lambda a, b: compatible[a, b])
+            assert oracles._smallest_family(None, mask, fibers) == want, (mask, fibers)
+            found[want is not None] += 1
+        assert found[True] > 200 and found[False] > 50
+
+    @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+    def test_enumeration_cases(self, case):
+        fan, gens = ENUMERATION_CASES[case]
+        found = searched_ideals(fan, normalize_action(fan, gens))
+        assert found[True] > 0
+
+    def test_every_action_of_every_corpus_fan(self):
+        found = Counter()
+        for fan in corpus_fans():
+            for act in actions_for(fan):
+                found += searched_ideals(fan, act)
+        assert found[True] > 0
