@@ -324,11 +324,6 @@ def _vanishing_test(section):
     return nonzero
 
 
-def _nonzero_at(section, key, point):
-    """Is the section nonzero at point, an orbit point of the cone key?"""
-    return _vanishing_test(section)(key, point)
-
-
 # point pairs drawn for the sampled coverage check
 COVERAGE_SAMPLES = 100
 

@@ -106,11 +106,42 @@ outside B.
 
 The host of a good selection u is the first good selection, in
 enumeration order, that properly contains u and in which u is saturated;
-the T-maximal selections are the goods without one.  The candidates come
-from a superset index over the goods: bit j of holders[c] is set when the
-j-th good selection holds cone c, so the AND of holders over u's cones
-holds exactly the goods that contain u.  Each action memoizes the host of
-every good selection in its table.
+the T-maximal selections are the goods without one.  They come from the
+peel rule: for each good w in enumeration order and each maximal cone s
+of w (`Fan.up_masks()[s] & w == 1 << s`), w is recorded as the host of
+its peel u = w & ~fibres[w][s] unless an earlier good was.  A good
+quotient maps saturated open subsets onto open subsets, so the saturated
+open subsets are the preimages of open subfans of the target, each good
+with the restricted quotient (A. A'Campo-Neuen and J. Hausen, Tohoku
+Math. J. 51 (1999); J. Święcicka, Colloq. Math. 81 (1999)).  Good
+quotients are unique, so the restricted quotient has the same fibres as
+the engine's.  Write o_v for the orbit map of a good v: every cone of
+v's target fan is an orbit image, and o_v preserves faces.
+(a) Every peel is good and has w as a host.  s is a chart of w, and no
+    other chart image contains its image τ = o_w(s), so τ is a maximal
+    target cone.  Removing a maximal cone from a fan leaves an open
+    subfan, and u = o_w⁻¹(target ∖ {τ}) is its preimage: u is
+    face-closed, saturated in w, good, and misses s.
+(b) Every host v of u contains a peel host.  Since u is saturated in v
+    and u ≠ v, o_v(u) is an open subfan missing some target cone of v.
+    Take such a cone τ minimal under faces.  Then o_v(u) ∪ {τ} is an
+    open subfan, so its preimage w = u ∪ o_v⁻¹(τ) is good, lies in v,
+    and has the restriction of v's quotient, in which τ is maximal.  A
+    maximal cone s of w above a cone of o_v⁻¹(τ) has o_v(s) ⊇ τ, so
+    o_v(s) = τ, and w peeled at s is u.
+(c) The first recorded host is the first host.  `_open_masks` adds the
+    cones in `cone_keys()` order, each new ideal holding the new cone
+    and every earlier one lacking it.  So the enumeration order sorts
+    masks re-indexed by their `cone_keys()` positions, and a proper
+    subset comes before its superset.  This need not be the numeric
+    order of masks, since `numbering()` sorts cones by ray count and
+    `cone_keys()` by dimension.  Let v be u's first host.  By (b) it
+    contains a peel host, which is a host by (a), so not earlier than
+    v, and as a subset of v not later: it is v.  Every recorded host is
+    a host (a), so the first one recorded for u is v, and a good without
+    a host is never recorded.
+The action's table keeps the recorded hosts, built once, so a good is
+T-maximal exactly when it has no entry.
 
 A staged quotient by nested subtori (A. A'Campo-Neuen and J. Hausen,
 Tohoku Math. J. 51 (1999)) reads three lattice facts, and the smaller
@@ -207,7 +238,8 @@ class ImageTable:
     verdicts `good_quotient` was asked for, one Fan per distinct quotient
     target among those, so equal targets share its cone lists and cones
     (see target()), the good selections, and the host of each good
-    selection.  Whether two images meet in a face is no table fact: the
+    selection that has one, recorded once by the peel rule of the module
+    docstring.  Whether two images meet in a face is no table fact: the
     interned image cones keep it (`Cone.meets_in_face`).  For the staged
     quotients that start with this action, the table keeps the residual
     action's lattices, the composite projection's kernel and section and
@@ -248,7 +280,7 @@ class ImageTable:
         self.targets = {}  # (rank, rays, nonzero chart keys) -> Fan, see target()
         self.results = {}  # selection mask -> verdict, for masks good_quotient was asked
         self.goods = {}  # limit -> enumerate_good_subsets
-        self.hosts = {}  # good selection mask -> its host selection, or None
+        self.hosts = None  # good mask -> its host selection, for the goods that have one
         # staged quotients with this action first, keyed by IntMatrix values
         self.residuals = {}  # (proj_full, larger cochar basis) -> see residual()
         self.composites = {}  # composite projection -> (kernel, section)
@@ -688,36 +720,28 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     """
     goods = enumerate_good_subsets(fan, act, limit)
     table = act.image_table()
-    hosts = table.hosts
-    if any(u.mask not in hosts for u in goods):
-        holders = [0] * len(table.img)
-        for j, v in enumerate(goods):
-            for c in bits(v.mask):
-                holders[c] |= 1 << j
-        everyone = (1 << len(goods)) - 1
-        for k, u in enumerate(goods):
-            larger = everyone & ~(1 << k)
-            for c in bits(u.mask):
-                larger &= holders[c]
-            hosts[u.mask] = next(
-                (
-                    goods[j]
-                    for j in bits(larger)
-                    if _saturation(table.fibres[goods[j].mask], u.mask) == u.mask
-                ),
-                None,
-            )
-    return [u for u in goods if hosts[u.mask] is None]
+    if table.hosts is None:
+        # the peel rule of the module docstring
+        ups = fan.up_masks()
+        hosts = {}
+        for w in goods:
+            fibres = table.fibres[w.mask]
+            for s in bits(w.mask):
+                if ups[s] & w.mask == 1 << s:
+                    hosts.setdefault(w.mask & ~fibres[s], w)
+        table.hosts = hosts
+    return [u for u in goods if u.mask not in table.hosts]
 
 
 def host_of(selection, act, limit=2 ** 20):
     """The host of a good selection, None when it is T-maximal; a
     ValueError for a selection without a good quotient."""
     t_maximal_subsets(selection.fan, act, limit)
-    hosts = act.image_table().hosts
-    if selection.mask not in hosts:
+    table = act.image_table()
+    # after the enumeration the fibre record holds exactly the goods
+    if selection.mask not in table.fibres:
         raise ValueError("selection admits no good quotient")
-    return hosts[selection.mask]
+    return table.hosts.get(selection.mask)
 
 
 def max_saturated_inside(outer, inner, act):

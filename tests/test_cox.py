@@ -19,7 +19,6 @@ from toricgit.cox import (
     RoundTrip,
     SectionVerdict,
     WitnessReport,
-    _nonzero_at,
     _orbit_point,
     _vanishing_test,
     canonical_section,
@@ -331,7 +330,7 @@ class TestSections:
                 for section, nonzero in zip(sections, prepared):
                     want = section.evaluate(exact) != 0
                     assert nonzero(key, point) == want, (section, key, point)
-                    assert _nonzero_at(section, key, point) == want, (section, key, point)
+                    assert _vanishing_test(section)(key, point) == want, (section, key, point)
                     checked[isinstance(section, MonomialSection), want] += 1
         assert min(checked.values()) > 100 and len(checked) == 4
 
@@ -626,7 +625,7 @@ def two_path_verify_globally_defined(
             for key in sorted(pres.relevant.keys - lifted.keys, key=sorted):
                 points = [_orbit_point(key, n, rng) for _ in range(3)]
                 points.append(tuple((0 if i in key else 1, 1) for i in range(n)))
-                if any(_nonzero_at(section, key, p) for p in points):
+                if any(_vanishing_test(section)(key, p) for p in points):
                     contained = False
                     break
             members.append(
@@ -664,7 +663,7 @@ def two_path_verify_globally_defined(
                 ka, kb = rng.choice(keys), rng.choice(keys)
                 pa, pb = _orbit_point(ka, n, rng), _orbit_point(kb, n, rng)
                 if not any(
-                    _nonzero_at(m.section, ka, pa) and _nonzero_at(m.section, kb, pb)
+                    _vanishing_test(m.section)(ka, pa) and _vanishing_test(m.section)(kb, pb)
                     for m in members
                 ):
                     coverage = False

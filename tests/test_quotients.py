@@ -545,14 +545,21 @@ class TestDifferentialAgainstPairwiseEngine:
 NINE_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
 P1_CUBED_RAYS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 P1_CUBED_CONES = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+# a square cone over z = 1 and four simplicial cones below it: the square
+# has four rays but dimension 3, so cone_keys() and numbering() order the
+# cones differently
+PYRAMID_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, -1)]
+PYRAMID_CONES = [[0, 1, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]
 
 # beyond the differential cases: a surface fan where almost every ideal
-# fails as chart-fiber, and a rank-3 fan where the chart family
-# candidates outnumber the goods
+# fails as chart-fiber, a rank-3 fan where the chart family candidates
+# outnumber the goods, and a complete fan whose enumeration order is not
+# the numeric order of masks
 ENUMERATION_CASES = {
     **DIFFERENTIAL_CASES,
     "nine_ray_12": (Fan(2, NINE_RAYS, [[i, (i + 1) % 9] for i in range(9)]), [(1, 2)]),
     "p1_cubed_123": (Fan(3, P1_CUBED_RAYS, P1_CUBED_CONES), [(1, 2, 3)]),
+    "pyramid_123": (Fan(3, PYRAMID_RAYS, PYRAMID_CONES), [(1, 2, 3)]),
 }
 
 
@@ -820,8 +827,8 @@ class TestSaturationAgainstKeySets:
 
 
 def test_t_maximal_subsets_compares_no_selection_pairs(monkeypatch):
-    # the host search reads supersets off an index over the goods, so no
-    # pair of selections is ordered
+    # the peel rule reads each good's own fibres, so no pair of
+    # selections is ordered
     fan = Fan(3, P3_RAYS, P3_CONES)
     act = normalize_action(fan, [(1, 2, 3)])
     assert enumerate_good_subsets(fan, act)
@@ -909,6 +916,79 @@ TABLE_CASES = {
     "full_cube_123": (Fan(3, FULL_CUBE_RAYS, FULL_CUBE_FACETS), [(1, 2, 3)]),
 }
 TABLE_FIELDS = ("img", "lin", "cls", "members", "below", "above", "lin_le")
+
+
+def superset_index_hosts(fan, act):
+    """The host search before the peel rule, kept as the reference: bit j
+    of holders[c] is set when the j-th good holds cone c, so the AND of
+    holders over u's cones holds the goods containing u, and u's host is
+    the first of them in which u is saturated.  Returns the host mask, or
+    None, of every good mask."""
+    goods = enumerate_good_subsets(fan, act)
+    table = act.image_table()
+    holders = [0] * len(table.img)
+    for j, v in enumerate(goods):
+        for c in bits(v.mask):
+            holders[c] |= 1 << j
+    everyone = (1 << len(goods)) - 1
+    hosts = {}
+    for k, u in enumerate(goods):
+        larger = everyone & ~(1 << k)
+        for c in bits(u.mask):
+            larger &= holders[c]
+        hosts[u.mask] = next(
+            (
+                goods[j].mask
+                for j in bits(larger)
+                if quotients._saturation(table.fibres[goods[j].mask], u.mask) == u.mask
+            ),
+            None,
+        )
+    return hosts
+
+
+def assert_peel_hosts_match_the_superset_index(fan, reference_act, act):
+    want = superset_index_hosts(fan, reference_act)
+    goods = enumerate_good_subsets(fan, act)
+    assert [u.mask for u in goods] == list(want)
+    assert [u.mask for u in t_maximal_subsets(fan, act)] == [
+        u for u, host in want.items() if host is None
+    ]
+    for u in goods:
+        assert getattr(host_of(u, act), "mask", None) == want[u.mask], u
+    # the table holds a host for exactly the goods that are not T-maximal
+    assert set(act.image_table().hosts) == {u for u, host in want.items() if host is not None}
+
+
+class TestPeelHostsAgainstTheSupersetIndex:
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_table_cases(self, case):
+        fan, gens = TABLE_CASES[case]
+        assert_peel_hosts_match_the_superset_index(
+            fan, normalize_action(fan, gens), normalize_action(fan, gens)
+        )
+
+    def test_every_action_of_every_corpus_fan(self):
+        for fan in corpus_fans():
+            for reference_act, act in zip(actions_for(fan), actions_for(fan)):
+                assert_peel_hosts_match_the_superset_index(fan, reference_act, act)
+
+    def test_the_pyramid_fan_is_not_in_numeric_order(self):
+        # its 189 goods do not come in numeric mask order, and the good
+        # superset of {[],[0],[1],[0,1]} with the smallest mask, in which it
+        # is saturated, is not its host
+        fan, gens = ENUMERATION_CASES["pyramid_123"]
+        act = normalize_action(fan, gens)
+        assert validate_fan(fan).valid and is_complete(fan)
+        goods = enumerate_good_subsets(fan, act)
+        assert len(goods) == 189 and len(t_maximal_subsets(fan, act)) == 11
+        assert [u.mask for u in goods] != sorted(u.mask for u in goods)
+        u = SubfanSelection(fan, [(), (0,), (1,), (0, 1)])
+        hosts = [v for v in goods if u < v and is_saturated(u, v, act)]
+        assert host_of(u, act) == hosts[0] != min(hosts, key=lambda v: v.mask)
+        assert sorted(sorted(k) for k in hosts[0].keys) == [
+            [], [0], [0, 1], [0, 1, 2, 3], [0, 3], [1], [1, 2], [2], [2, 3], [3]
+        ]
 
 
 class TestRayMaskTable:
