@@ -33,7 +33,7 @@ from .fans import (
     is_simplicial,
 )
 from .intlat import IntMatrix, Sublattice
-from .oracles import oracle_orbit_labels, oracle_saturated
+from .oracles import mutually_generate, oracle_orbit_labels, oracle_saturated
 from .quotients import (
     Obstruction,
     QuotientFan,
@@ -89,6 +89,7 @@ __all__ = [
     "lift_open",
     "max_saturated_inside",
     "monoid_generators",
+    "mutually_generate",
     "normalize_action",
     "oracle_orbit_labels",
     "oracle_saturated",

@@ -14,9 +14,9 @@ is spanned by the +- pairs of its canonical generators.
 
 Faces are read off generator-facet incidences: a face shares the cone's
 lineality lattice, so its canonical generators are the cone's generators on
-which the facets through it vanish.  A cone keeps its face generator tuples
-and, filled on first use, each face's rank, so fans whose maximal cones are
-interned list their cones without a Hermite reduction per face.
+which the facets through it vanish.  A cone keeps its face generator
+tuples, which a fan reads to list its cones; it keeps no face dimensions,
+since a fan reads those off its face lattice (`Fan._lattice`).
 
 A cone also keeps whether it meets another cone in a common face
 (`meets_in_face`), and the other cone keeps the same verdict.  Each keys it
@@ -190,7 +190,7 @@ class Cone:
     """Rational polyhedral cone with synchronized generator/facet lists."""
 
     __slots__ = (
-        "ambient", "generators", "facets", "_faces", "_face_ranks", "_lin", "_meets",
+        "ambient", "generators", "facets", "_faces", "_face_gens", "_lin", "_meets",
         "__weakref__",
     )
 
@@ -200,7 +200,7 @@ class Cone:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_face_ranks", None)  # face generators -> rank
+        object.__setattr__(self, "_face_gens", None)
         object.__setattr__(self, "_lin", None)
         object.__setattr__(self, "_meets", {})  # (ambient, generators) -> verdict
 
@@ -325,8 +325,8 @@ class Cone:
     def face_generators(self):
         """Generator tuples of all faces (self and the lineality face included):
         the generators cut by facet zero sets until no new set appears.
-        Computed once per cone; the tuples key the face ranks."""
-        if self._face_ranks is None:
+        Computed once per cone."""
+        if self._face_gens is None:
             found = {self.generators: None}
             frontier = [self.generators]
             while frontier:
@@ -338,27 +338,18 @@ class Cone:
                             found[cut] = None
                             nxt.append(cut)
                 frontier = nxt
-            object.__setattr__(self, "_face_ranks", found)
-        return self._face_ranks.keys()
-
-    def face_rank(self, gens):
-        """Dimension of the face with generator tuple gens, one of
-        face_generators(); decided on first use and kept."""
-        self.face_generators()
-        got = self._face_ranks[gens]
-        if got is None:
-            got = self._face_ranks[gens] = matrix_rank(gens, self.ambient)
-        return got
+            object.__setattr__(self, "_face_gens", tuple(found))
+        return self._face_gens
 
     def faces(self):
         """All faces as cones, sorted by (dim, generators), so the cone itself
         comes last.  Only the proper faces are stored: an interned cone that
         held itself would outlive its last holder until a cyclic collection."""
         if self._faces is None:
-            out = [(self.face_rank(g), Cone.from_generators(g, self.ambient))
+            out = [Cone.from_generators(g, self.ambient)
                    for g in self.face_generators() if g != self.generators]
-            out.sort(key=lambda rc: (rc[0], rc[1].generators))
-            object.__setattr__(self, "_faces", tuple(c for _, c in out))
+            out.sort(key=lambda c: (c.dim(), c.generators))
+            object.__setattr__(self, "_faces", tuple(out))
         return self._faces + (self,)
 
     def carrier_generators(self, points):

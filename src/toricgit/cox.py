@@ -19,10 +19,9 @@ scaled to integers, so each sampled point costs only its own products.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
-from .fans import Fan, SubfanSelection, limit_of_generic_point
+from .fans import Fan, SubfanSelection, _union, limit_of_generic_point
 from .intlat import (
     IntMatrix,
     Sublattice,
@@ -37,9 +36,11 @@ from .intlat import (
 from .quotients import Obstruction, SubtorusAction, good_quotient
 
 
-def _faces(keys):
-    """Every coordinate face of the coordinate cones keys."""
-    return {frozenset(s) for k in keys for r in range(len(k) + 1) for s in combinations(k, r)}
+def _coordinate_faces(orthant, keys):
+    """The coordinate faces of the keys: the OR of their orthant face masks."""
+    _, bit = orthant.numbering()
+    faces = orthant.face_masks()
+    return SubfanSelection._of_mask(orthant, _union(faces[bit[k]] for k in keys))
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def cox_presentation(fan):
         ),
         class_rank=n - d,
         torsion_factors=tuple(m for m in snf.diag if m > 1),
-        relevant=SubfanSelection(orthant, _faces(fan.max_cones) | {frozenset()}),
+        relevant=_coordinate_faces(orthant, fan.max_cones + (frozenset(),)),
         h_cochar=h_cochar,
     )
 
@@ -152,7 +153,7 @@ def lift_open(pres, selection):
     inside the coordinate cone of some selected cone."""
     if selection.fan != pres.fan:
         raise ValueError("selection does not live on the presentation's fan")
-    return SubfanSelection(pres.orthant_fan, _faces(selection.keys))
+    return _coordinate_faces(pres.orthant_fan, selection.keys)
 
 
 def canonical_section(pres, exponents):

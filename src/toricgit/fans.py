@@ -10,11 +10,12 @@ face of tau) are surfaced through key inclusion.
 
 Each fan numbers its cones in key_order (`Fan.numbering`), a value-only
 numbering that equal fans share: a set of cones is the mask with bit i
-for cone i, and `Fan.face_mask(i)`, built on first use, holds the faces
-of cone i.  A SubfanSelection carries its `mask` beside its `keys`; face
-closure, enumeration and the quotient engine read masks; the engine and
-the oracles enumerate bare ideal masks (`_open_masks`) and build a
-selection only for a mask they keep.
+for cone i.  `Fan.face_masks()` and `Fan.up_masks()`, built with the keys
+in one pass (`Fan._lattice`), hold each cone's faces and the cones above
+it.  A SubfanSelection carries its `mask` beside its `keys`; face closure,
+enumeration and the quotient engine read masks; the engine and the
+oracles enumerate bare ideal masks (`_open_masks`) and build a selection
+only for a mask they keep.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,13 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _union(masks):
+    got = 0
+    for m in masks:
+        got |= m
+    return got
 
 
 @dataclass(frozen=True)
@@ -111,54 +119,60 @@ class Fan:
         c = self.cone(key)
         return [i for i in key if not (c.is_pointed() and self.rays[i] in c.generators)]
 
-    def cone_keys(self):
-        """All cones of the fan as ray-index keys, sorted by (dim, indices).
+    def _lattice(self):
+        """Build the cone keys, their numbering, the face and up masks and
+        the cone_keys() order in one pass over key_order.
 
-        Raises ValueError when a maximal cone has an interior ray: its key
-        would be no face key, so the listing would drop it.  Otherwise every
-        maximal cone is pointed with its rays as canonical generators, so a
-        key's rays are its face's generators, and the key's rank is the face
-        rank that the maximal cone keeps (`Cone.face_rank`): a fan whose
-        maximal cones are already interned reduces no key."""
+        The keys are the maximal cones' faces, read off generator-facet
+        incidences; an interior ray raises ValueError, as its cone's key
+        would be no face key.  On a fan (see validate_fan) cone j is a face
+        of cone i exactly when key j lies in key i.  Face lattices of pointed
+        cones are graded by dimension (G. M. Ziegler, Lectures on Polytopes,
+        2.2), so a cone's dimension, 0 for the zero cone, is one more than
+        its proper faces' largest, and no rank is computed."""
+        found = {frozenset(): None}
+        for top in self.max_cones:
+            interior = self._interior_rays(top)
+            if interior:
+                raise ValueError(f"ray {interior[0]} is interior to cone {sorted(top)}")
+            for gens in self.cone(top).face_generators():
+                found[frozenset(i for i in top if self.rays[i] in gens)] = None
+        keys = tuple(sorted(found, key=key_order))
+        bit = {k: i for i, k in enumerate(keys)}
+        faces, ups, dims = [], [1 << i for i in range(len(keys))], []
+        for i, key in enumerate(keys):
+            below, dim = 1 << i, 0
+            for j in range(i):
+                if keys[j] <= key:
+                    below |= 1 << j
+                    ups[j] |= 1 << i
+                    if dims[j] >= dim:
+                        dim = dims[j] + 1
+            faces.append(below)
+            dims.append(dim)
+        listing = tuple(sorted(keys, key=lambda k: (dims[bit[k]], sorted(k))))
+        object.__setattr__(self, "_numbering", (keys, bit))
+        object.__setattr__(self, "_faces", faces)
+        object.__setattr__(self, "_ups", ups)
+        object.__setattr__(self, "_keys", listing)
+
+    def cone_keys(self):
+        """All cones of the fan as ray-index keys, sorted by (dim, indices)."""
         if self._keys is None:
-            rank = {frozenset(): 0}
-            for top in self.max_cones:
-                interior = self._interior_rays(top)
-                if interior:
-                    raise ValueError(f"ray {interior[0]} is interior to cone {sorted(top)}")
-                cone = self.cone(top)
-                for gens in cone.face_generators():
-                    key = frozenset(i for i in top if self.rays[i] in gens)
-                    if key not in rank:
-                        rank[key] = cone.face_rank(gens)
-            keys = tuple(sorted(rank, key=lambda k: (rank[k], sorted(k))))
-            object.__setattr__(self, "_keys", keys)
+            self._lattice()
         return self._keys
 
     def numbering(self):
         """(keys, bit): the cones in key_order and each key's bit in a mask."""
         if self._numbering is None:
-            keys = tuple(sorted(self.cone_keys(), key=key_order))
-            object.__setattr__(self, "_faces", [None] * len(keys))
-            bit = {k: i for i, k in enumerate(keys)}
-            object.__setattr__(self, "_numbering", (keys, bit))
+            self._lattice()
         return self._numbering
-
-    def face_mask(self, i):
-        """Mask of the faces of cone i, which all precede it in key_order."""
-        keys, _ = self.numbering()
-        got = self._faces[i]
-        if got is None:
-            got = self._faces[i] = sum(1 << j for j in range(i + 1) if keys[j] <= keys[i])
-        return got
 
     def face_masks(self):
         """The face masks of all cones by index: the fan's own list, which
         readers must not change."""
-        keys, _ = self.numbering()
-        if None in self._faces:
-            for i in range(len(keys)):
-                self.face_mask(i)
+        if self._faces is None:
+            self._lattice()
         return self._faces
 
     def up_masks(self):
@@ -166,18 +180,8 @@ class Fan:
         masks: bit j of the i-th is set when cone i is a face of cone j.
         The fan's own list, which readers must not change."""
         if self._ups is None:
-            faces = self.face_masks()
-            ups = [0] * len(faces)
-            for j, f in enumerate(faces):
-                for i in bits(f):
-                    ups[i] |= 1 << j
-            object.__setattr__(self, "_ups", ups)
+            self._lattice()
         return self._ups
-
-    def faces_of(self, key):
-        """Keys of all faces of a fan cone, read off its face mask."""
-        keys, bit = self.numbering()
-        return tuple(keys[j] for j in bits(self.face_mask(bit[frozenset(key)])))
 
     def selection(self, keys):
         return SubfanSelection(self, keys)
@@ -232,7 +236,7 @@ class SubfanSelection:
         except KeyError as e:
             raise ValueError(f"{sorted(e.args[0])} is not a cone of the fan") from None
         for k in keys:
-            if fan.face_mask(bit[k]) & ~mask:
+            if fan.face_masks()[bit[k]] & ~mask:
                 f = next(f for f in fan.cone_keys() if f <= k and f not in keys)
                 raise ValueError(
                     f"selection not face-closed: {sorted(k)} without {sorted(f)}"
@@ -333,7 +337,7 @@ def _open_masks(fan, limit, within=-1):
         i = bit[k]
         if not within >> i & 1:
             continue
-        below = fan.face_mask(i) ^ 1 << i
+        below = fan.face_masks()[i] ^ 1 << i
         ideals += [ideal | 1 << i for ideal in ideals if ideal & below == below]
         if len(ideals) > limit:
             raise SizeGuardError(f"more than {limit} open subsets")
@@ -368,8 +372,6 @@ class FanAutomorphism:
         if any(img not in index for img in images):
             raise ValueError("matrix does not permute the rays")
         perm = tuple(index[img] for img in images)
-        if len(set(perm)) != len(perm):
-            raise ValueError("matrix does not permute the rays")
         mapped = {frozenset(perm[i] for i in t) for t in fan.max_cones}
         if mapped != set(fan.max_cones):
             raise ValueError("matrix does not preserve the cone set")

@@ -209,14 +209,17 @@ def smith_normal_form(A):
         D[i] = [-a for a in D[i]]
         L[i] = [-a for a in L[i]]
 
-    t = 0
-    while t < min(m, n):
-        # pivot: entry of minimal absolute value in the trailing block
+    def pivot(t):  # first nonzero entry of least absolute value in the trailing block
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
                     best = (i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        best = pivot(t)
         if best is None:
             break
         while True:
@@ -254,11 +257,7 @@ def smith_normal_form(A):
                     break
                 D[t] = [a + b for a, b in zip(D[t], D[fix])]
                 L[t] = [a + b for a, b in zip(L[t], L[fix])]
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                        best = (i, j)
+            best = pivot(t)
         if D[t][t] < 0:
             row_neg(t)
         t += 1

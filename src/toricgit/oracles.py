@@ -36,14 +36,15 @@ no memo held would die at once and cost a fresh double description each
 time it came up again.  So the inequality cone behind an image
 (`_image_dual`), the meet of two images (`_meet`), the cone of functionals
 vanishing on the cocharacters (`_perp_cone`) and its meet with a chart's
-dual (`_invariant_cone`) each have a helper of their own.
+dual (`_invariant_cone`) each have a helper of their own, and the ring
+check keeps the cones of its monoid comparison beside its verdict.
 """
 
 from functools import wraps
 from itertools import combinations
 
 from .cones import Cone, monoid_generators
-from .fans import SubfanSelection, _open_masks, bits, key_order
+from .fans import SubfanSelection, _open_masks, _union, bits, key_order
 from .intlat import (
     Sublattice,
     dot,
@@ -160,13 +161,6 @@ def _carriers(act, charts, mask, proj):
     return out
 
 
-def _union(masks):
-    got = 0
-    for m in masks:
-        got |= m
-    return got
-
-
 def chart_family(selection, act):
     """A family of chart cones witnessing a good quotient, or None.
 
@@ -194,7 +188,7 @@ def _chart_family(act, mask):
     fibers = {}
     for k in bits(mask):
         fiber = mask & _contents(act, k, act.proj)
-        if fiber == act.fan.face_mask(k):
+        if fiber == act.fan.face_masks()[k]:
             fibers[k] = fiber
     cands = tuple(fibers)
     if _union(fibers.values()) != mask:
@@ -222,7 +216,8 @@ def _smallest_family(act, mask, fibers):
     node is cut only when S already has as many members as the best
     family found, so it could only lead to a larger family.  So every
     valid family of the smallest size is reached, and the least of them
-    is kept."""
+    is kept.  Each node's children go on the stack in reverse, so nodes
+    are visited in depth-first order."""
     partners = {
         k: _union(
             1 << j for j in fibers if j != k and _pair_compatible(act, min(j, k), max(j, k))
@@ -230,23 +225,20 @@ def _smallest_family(act, mask, fibers):
         for k in fibers
     }
     best = None
-
-    def extend(chosen, allowed, covered):
-        nonlocal best
+    stack = [(0, _union(1 << k for k in fibers), 0)]
+    while stack:
+        chosen, allowed, covered = stack.pop()
         if covered == mask:
             family = tuple(bits(chosen))
             if best is None or (len(family), family) < (len(best), best):
                 best = family
-            return
+            continue
         if best is not None and chosen.bit_count() >= len(best):
-            return
+            continue
         rest = mask & ~covered
         lowest = rest & -rest
-        for k in bits(allowed):
-            if fibers[k] & lowest:
-                extend(chosen | 1 << k, allowed & partners[k], covered | fibers[k])
-
-    extend(0, _union(1 << k for k in fibers), 0)
+        stack += [(chosen | 1 << k, allowed & partners[k], covered | fibers[k])
+                  for k in reversed(list(bits(allowed))) if fibers[k] & lowest]
     return best
 
 
@@ -360,31 +352,35 @@ def _generates(targets, gens, cone, weight):
     """Is every target a nonnegative integer combination of the gens?
 
     Valid for pointed cones: the weight, interior to the dual, strictly
-    decreases along every subtraction, so the search terminates.
+    decreases along every subtraction, so the search terminates.  Its
+    path inside the cone is a stack of (vector, generators not yet tried);
+    reaching zero or a generated vector shows the whole path generated.
     """
     glist = sorted(gens)
     if any(dot(weight, g) <= 0 for g in glist):
         return False
-    memo = {}
-
-    def member(v):
-        if not any(v):
-            return True
-        got = memo.get(v)
-        if got is None:
-            got = False
+    known = {}
+    for target in targets:
+        stack = [(target, iter(glist))]
+        while target not in known:
+            v, untried = stack[-1]
+            if not any(v) or known.get(v):
+                known.update((u, True) for u, _ in stack)
+                continue
             wv = dot(weight, v)
-            for g in glist:
+            for g in untried:
                 if dot(weight, g) > wv:
                     continue
                 u = vsub(v, g)
-                if cone.contains(u) and member(u):
-                    got = True
+                if cone.contains(u) and known.get(u) is not False:
+                    stack.append((u, iter(glist)))
                     break
-            memo[v] = got
-        return got
-
-    return all(member(t) for t in targets)
+            else:
+                known[v] = False
+                stack.pop()
+        if not known[target]:
+            return False
+    return True
 
 
 def mutually_generate(gens_a, gens_b, ambient):
@@ -394,24 +390,30 @@ def mutually_generate(gens_a, gens_b, ambient):
     members lying inside it; monoid equality then reduces to mutual
     membership of the images in the pointed quotient.
     """
+    return _monoid_comparison(gens_a, gens_b, ambient)[0]
+
+
+def _monoid_comparison(gens_a, gens_b, ambient):
+    """mutually_generate's verdict and the cones it builds: those of both
+    sets and, once they agree, the pointed quotient cone and its dual."""
     ca = Cone.from_generators(list(gens_a), ambient)
     cb = Cone.from_generators(list(gens_b), ambient)
+    built = (ca, cb)
     if ca != cb:
-        return False
+        return False, built
     lin = ca.lineality_lattice()
     if not _lineality_generated(gens_a, lin, ambient):
-        return False
+        return False, built
     if not _lineality_generated(gens_b, lin, ambient):
-        return False
+        return False, built
     proj = quotient_lattice_map(lin)
     zero = (0,) * proj.rows
     pa = {tuple(proj.matvec(g)) for g in gens_a} - {zero}
     pb = {tuple(proj.matvec(g)) for g in gens_b} - {zero}
     pointed = Cone.from_generators(sorted(pa | pb), proj.rows)
     weight = pointed.dual().relative_interior_point()
-    return _generates(pa, pb, pointed, weight) and _generates(
-        pb, pa, pointed, weight
-    )
+    verdict = _generates(pa, pb, pointed, weight) and _generates(pb, pa, pointed, weight)
+    return verdict, built + (pointed, pointed.dual())
 
 
 @_memo
@@ -439,13 +441,13 @@ def invariant_monoid_generators(act, k, bound):
 
 
 @_memo
-def _chart_ring_matches(act, k, proj, bound):
+def _chart_ring_check(act, k, proj, bound):
     """Do chart k's invariant functions generate the same monoid as the
-    functions of its image under proj?"""
+    functions of its image under proj?  The verdict and the cones built."""
     downstairs = monoid_generators(_image_dual(act, k, proj), bound)
     pt = proj.transpose()
     pulled = [tuple(pt.matvec(w)) for w in downstairs]
-    return mutually_generate(
+    return _monoid_comparison(
         invariant_monoid_generators(act, k, bound), pulled, act.fan.rank
     )
 
@@ -482,14 +484,15 @@ def oracle_verify_quotient(q, act, bound=None):
             problems.append(
                 f"image of chart {sorted(ck)} disagrees with the target cone"
             )
-        if not _chart_ring_matches(act, k, pf, bound):
+        matches, _ = _chart_ring_check(act, k, pf, bound)
+        if not matches:
             problems.append(
                 f"invariant functions of chart {sorted(ck)} do not match the "
                 "target chart functions"
             )
         fiber = sel.mask & _contents(act, k, pf)
         covered |= fiber
-        if fiber != fan.face_mask(k):
+        if fiber != fan.face_masks()[k]:
             problems.append(
                 f"cones mapping into the image of chart {sorted(ck)} are not "
                 "exactly its faces"
@@ -516,7 +519,7 @@ def oracle_verify_quotient(q, act, bound=None):
     geometric = True
     for img_key, ck in charts:
         k = bit[ck]
-        sfaces = list(bits(fan.face_mask(k)))
+        sfaces = list(bits(fan.face_masks()[k]))
         mapped = {carrier.get(f) for f in sfaces} - {None}
         if len(mapped) != len(sfaces) or mapped != set(_image(act, k, pf).faces()):
             geometric = False

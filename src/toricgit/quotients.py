@@ -12,10 +12,10 @@ failure there certifies that no family exists.
 
 None of the facts this criterion reads depends on the selection, so each
 action keeps one ImageTable over its fan's cones, numbered as in the fans
-module (cone i is bit i of a selection mask, `Fan.face_mask(i)` its faces),
-with bit rows `below[i]` (the cones whose images img[i] contains),
-`above[i]` (those whose images contain img[i]) and `lin_le[i]` (those
-whose lineality lattices lin[i] contains).
+module (cone i is bit i of a selection mask, `Fan.face_masks()[i]` its
+faces), with bit rows `below[i]` (the cones whose images img[i]
+contains), `above[i]` (those whose images contain img[i]) and `lin_le[i]`
+(those whose lineality lattices lin[i] contains).
 
 The table reads the fan's rays, not its cones.  Every ray is projected
 once per action, img[i] is the cone generated by the images of cone i's
@@ -41,7 +41,7 @@ A selection is its mask M, and the criterion is mask algebra on it:
   obstruction;
 - i is a chart iff it is in lbar's lineality class (the table keeps a
   mask of each class, so only those cones are scanned) and
-  below[i] & M == face_mask(i);
+  below[i] & M == faces[i], the face mask of cone i;
 - the chart family is the charts i with above[i] & C == 1 << i, where C
   is the chart mask;
 - the uncovered cones are M & ~(OR of below[s] over the family); the

@@ -212,12 +212,16 @@ class TheoremReport:
     refused: bool
     diagnosis: str
     w_keys: tuple | None
-    open_in_source: bool
     quotient_exists: bool
     quotient_detail: str
     saturated_in_input: bool | None
     orbit_classes: tuple | None
     caveat: str
+
+    @property
+    def open_in_source(self):
+        """Is W open in the selection?  Always when W is built: unless refused."""
+        return not self.refused
 
     def conclusions_hold(self):
         return (
@@ -253,7 +257,6 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
             refused=True,
             diagnosis=diagnosis,
             w_keys=None,
-            open_in_source=False,
             quotient_exists=False,
             quotient_detail="",
             saturated_in_input=None,
@@ -269,7 +272,6 @@ def verify_theorem_conclusions(selection, data, limit=2 ** 20):
         refused=False,
         diagnosis="",
         w_keys=_sorted_keys(w.keys),
-        open_in_source=True,
         quotient_exists=exists,
         quotient_detail=detail,
         saturated_in_input=saturated,

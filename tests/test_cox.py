@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from test_memos import FANS
 
 from toricgit import cox, intlat
 from toricgit.corpus import corpus_fans
@@ -31,7 +32,7 @@ from toricgit.cox import (
     verify_globally_defined,
     zero_set_identity_holds,
 )
-from toricgit.fans import Fan, SubfanSelection, key_order
+from toricgit.fans import Fan, SubfanSelection, _open_masks, key_order
 from toricgit.intlat import (
     IntMatrix,
     Sublattice,
@@ -226,6 +227,32 @@ class TestRelevantSelection:
         assert fs(0, 1) not in pres.relevant.keys
         assert fs(2, 3) not in pres.relevant.keys
         assert fs(0, 2) in pres.relevant.keys
+
+
+def subset_faces(keys):
+    """Every coordinate face of the coordinate cones keys, by subsets."""
+    return {frozenset(s) for k in keys for r in range(len(k) + 1) for s in combinations(k, r)}
+
+
+LATTICE_FANS = {**FANS, "bare torus": Fan(0, [], [])}
+
+
+class TestCoordinateFacesFromFaceMasks:
+    # the relevant set and every lift are ORs of the orthant fan's face
+    # masks; the reference lists the subsets of each coordinate cone
+    @pytest.mark.parametrize("case", sorted(LATTICE_FANS))
+    def test_relevant_and_lifts_are_the_subset_faces(self, case):
+        fan = LATTICE_FANS[case]
+        pres = cox_presentation(fan)
+        orthant = pres.orthant_fan
+        assert pres.relevant == SubfanSelection(
+            orthant, subset_faces(fan.max_cones) | {frozenset()}
+        )
+        opens = _open_masks(fan, 2 ** 20)
+        rng = random.Random(len(opens))
+        for mask in [0, opens[-1]] + rng.sample(opens, min(25, len(opens))):
+            sel = SubfanSelection._of_mask(fan, mask)
+            assert lift_open(pres, sel) == SubfanSelection(orthant, subset_faces(sel.keys))
 
 
 class TestIsotropy:

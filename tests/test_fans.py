@@ -11,6 +11,7 @@ from toricgit.fans import (
     SizeGuardError,
     SubfanSelection,
     _open_masks,
+    bits,
     enumerate_open_subsets,
     is_complete,
     is_simplicial,
@@ -178,11 +179,13 @@ class TestOpenSubsets:
             keys = fan.cone_keys()
             if len(keys) > 13:
                 continue
+            (numbered, bit), faces = fan.numbering(), fan.face_masks()
             count = 0
             for r in range(len(keys) + 1):
                 for sub in combinations(keys, r):
                     chosen = set(sub)
-                    if all(all(f in chosen for f in fan.faces_of(k)) for k in chosen):
+                    if all(all(numbered[j] in chosen for j in bits(faces[bit[k]]))
+                           for k in chosen):
                         count += 1
             assert len(enumerate_open_subsets(fan)) == count
 
@@ -295,8 +298,8 @@ class TestConeNumbering:
     def test_face_masks_are_key_inclusion(self, fan):
         keys, _ = fan.numbering()
         for i, key in enumerate(keys):
-            assert fan.face_mask(i) == mask_of(fan, set_based_faces(fan, key))
-            assert set(fan.faces_of(key)) == set(set_based_faces(fan, key))
+            assert fan.face_masks()[i] == mask_of(fan, set_based_faces(fan, key))
+            assert {keys[j] for j in bits(fan.face_masks()[i])} == set(set_based_faces(fan, key))
 
     @pytest.mark.parametrize("fan", MASK_FANS)
     def test_enumeration_matches_the_set_based_order(self, fan):

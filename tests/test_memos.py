@@ -1,9 +1,11 @@
 """Facts kept on interned cones, against the routines that recompute them.
 
-`Fan.cone_keys` reads face generator tuples and face ranks that the
-maximal cones keep, and `Cone.meets_in_face` keeps its verdict on both
-cones.  The references below are the unmemoized routines, so a memo that
-a cone carries over from an earlier fan or table cannot change an answer.
+A fan's face lattice (`Fan.cone_keys`, its numbering, face and up masks)
+reads the face generator tuples that the maximal cones keep, and
+`Cone.meets_in_face` keeps its verdict on both cones.  The references
+below are the unmemoized routines, with one matrix rank per key and masks
+by the subset definition, so a memo that a cone carries over from an
+earlier fan or table cannot change an answer.
 """
 
 from itertools import combinations_with_replacement
@@ -14,7 +16,7 @@ from test_quotients import TABLE_CASES
 from toricgit import cones
 from toricgit.cones import Cone
 from toricgit.corpus import actions_for, corpus_fans
-from toricgit.fans import Fan
+from toricgit.fans import Fan, key_order
 from toricgit.intlat import dot, matrix_rank
 from toricgit.quotients import enumerate_good_subsets, good_quotient, normalize_action
 
@@ -47,6 +49,22 @@ def recomputed_cone_keys(fan):
     return tuple(sorted(found, key=lambda k: (rank[k], sorted(k))))
 
 
+def subset_masks(fan):
+    """Face and up masks over the key_order numbering by their definition:
+    cone j is a face of cone i exactly when key j lies in key i."""
+    keys = sorted(fan.cone_keys(), key=key_order)
+    faces = [sum(1 << j for j, f in enumerate(keys) if f <= k) for k in keys]
+    ups = [sum(1 << j for j, u in enumerate(keys) if k <= u) for k in keys]
+    return faces, ups
+
+
+def sheared(fan):
+    """The fan moved by the unimodular shear x0 += 101 x1: its maximal cones
+    are new values, which no other fan holds interned."""
+    rays = [(r[0] + 101 * r[1],) + r[1:] for r in fan.rays]
+    return Fan(fan.rank, rays, fan.max_cones)
+
+
 def recomputed_meets_in_face(a, b):
     meet = a.meet_generators(b)
     return all(c.carrier_generators(meet) == meet for c in (a, b))
@@ -75,9 +93,18 @@ class TestConeKeys:
         fan = FANS[case]
         want = recomputed_cone_keys(fresh(fan))
         assert fresh(fan).cone_keys() == want
-        # a second equal fan reads the ranks its maximal cones now keep
+        # a second equal fan reads the faces its maximal cones now keep
         assert fresh(fan).cone_keys() == want
         assert fan.cone_keys() == want
+
+    @pytest.mark.parametrize("case", sorted(FANS))
+    def test_face_and_up_masks_are_key_inclusion(self, case):
+        fan = FANS[case]
+        faces, ups = subset_masks(fan)
+        for built in (fresh(fan), fan):
+            assert built.numbering()[0] == tuple(sorted(built.cone_keys(), key=key_order))
+            assert built.face_masks() == faces
+            assert built.up_masks() == ups
 
     def test_target_fans_of_the_trivial_subtorus_on_six_rays(self):
         targets = trivial_targets()
@@ -87,21 +114,28 @@ class TestConeKeys:
             assert target.cone_keys() == want, target
             assert fresh(target).cone_keys() == want, target
 
-    def test_interned_charts_need_no_hermite_reduction(self, monkeypatch):
-        fan = FANS["full_cube_123"]
-        held = [fan.cone(top) for top in fan.max_cones]
-        assert fresh(fan).cone_keys()
-        calls = 0
-        rank = cones.matrix_rank
+    @pytest.mark.parametrize("case", ["full_cube_123", "p4_1234", "pyramid_123"])
+    def test_listing_a_fresh_fan_computes_no_rank(self, monkeypatch, case):
+        # the dimensions come from the face lattice, so even maximal cones
+        # that are built here by double description rank no face
+        fan = sheared(FANS[case])
+        calls = {"matrix_rank": 0, "dd_solve": 0}
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return rank(*args)
+        def counted(name):
+            real = getattr(cones, name)
 
-        monkeypatch.setattr(cones, "matrix_rank", counted)
-        assert fresh(fan).cone_keys() == recomputed_cone_keys(fan)
-        assert calls == 0 and held
+            def run(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(cones, name, counted(name))
+        keys = fan.cone_keys()
+        assert calls["matrix_rank"] == 0 and calls["dd_solve"] >= len(fan.max_cones)
+        monkeypatch.undo()
+        assert keys == recomputed_cone_keys(fan)
 
 
 def engine_images(fan, gens=None):

@@ -731,7 +731,6 @@ def reference_theorem_report(u, data):
         refused=False,
         diagnosis="",
         w_keys=sorted_keys(w.keys),
-        open_in_source=True,
         quotient_exists=exists,
         quotient_detail="good quotient exists" if exists else f"obstructed: {q.detail}",
         saturated_in_input=is_saturated(w, u, act),
