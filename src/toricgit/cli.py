@@ -223,7 +223,7 @@ def cmd_cox(rep, problem, args):
         tortext = f" torsion {_fmt_vec(tor)}" if tor else ""
         weights.append((f"weight of coordinate {i}: {_fmt_vec(w)}{tortext}", w))
     rep.rows("weights", weights)
-    faces = len(pres.relevant.keys)
+    faces = len(pres.coordinate_fan.cone_keys())
     rep.add(f"relevant selection: {faces} coordinate faces", relevant_faces=faces)
     isotropy = []
     for key in sorted(fan.max_cones, key=key_order):

@@ -6,14 +6,17 @@ divisor class group.  The grading of the coordinate ring by that group
 is the cokernel of the ray-pairing map; the grading, its torsion and the
 cocharacters of the quasitorus's torus part all come from one Smith form
 of the ray matrix.  The open subset upstairs is the union of coordinate
-charts indexed by the cones of the fan.  Monomials are the canonical
-sections of effective invariant divisors, and their witness verdicts are
-exact.  Polynomial sections are supported for witness checking too, but
-their zero sets are not unions of orbits, so their verdicts rest on
-seeded orbit points, all drawn inside `verify_globally_defined` from the
-generator its `seed` argument seeds.  Each member's vanishing test is
-prepared once per call: a monomial's support, or a polynomial's terms
-scaled to integers, so each sampled point costs only its own products.
+charts indexed by the cones of the fan: the coordinate fan, whose cones
+are the coordinate faces of the maximal cones, so its size grows with the
+maximal cones, not with the 2^n faces of the orthant.  Monomials are the
+canonical sections of effective invariant divisors, and their witness
+verdicts are exact.  Polynomial sections are supported for witness
+checking too, but their zero sets are not unions of orbits, so their
+verdicts rest on seeded orbit points, all drawn inside
+`verify_globally_defined` from the generator its `seed` argument seeds.
+Each member's vanishing test is prepared once per call: a monomial's
+support, or a polynomial's terms scaled to integers, so each sampled
+point costs only its own products.
 """
 
 import random
@@ -36,24 +39,23 @@ from .intlat import (
 from .quotients import Obstruction, SubtorusAction, good_quotient
 
 
-def _coordinate_faces(orthant, keys):
-    """The coordinate faces of the keys: the OR of their orthant face masks."""
-    _, bit = orthant.numbering()
-    faces = orthant.face_masks()
-    return SubfanSelection._of_mask(orthant, _union(faces[bit[k]] for k in keys))
+def _coordinate_faces(coordinates, keys):
+    """The coordinate faces of the keys: the OR of their coordinate-fan face masks."""
+    _, bit = coordinates.numbering()
+    faces = coordinates.face_masks()
+    return SubfanSelection._of_mask(coordinates, _union(faces[bit[k]] for k in keys))
 
 
 @dataclass(frozen=True)
 class CoxPresentation:
     fan: Fan
-    orthant_fan: Fan
+    coordinate_fan: Fan  # the coordinate cones of fan.max_cones
     ray_matrix: IntMatrix  # rows are the rays: the pairing map M -> Z^n
     ray_map: IntMatrix  # columns are the rays: Z^n -> N
     free_rows: IntMatrix  # free part of the grading, canonical form
     torsion_rows: tuple  # (modulus, row) pairs for the torsion part
     class_rank: int
     torsion_factors: tuple
-    relevant: SubfanSelection
     h_cochar: Sublattice  # cocharacters of the quasitorus torus part
 
     def degree(self, exponents):
@@ -103,7 +105,10 @@ class PolynomialSection:
 
 
 def cox_presentation(fan):
-    """Grading, relevant open subset, and quasitorus data of a fan.
+    """Grading, coordinate fan, and quasitorus data of a fan.
+
+    The coordinate fan's cones are exactly the relevant coordinate faces; its
+    lattice, built on first use, costs what the maximal cones' faces cost.
 
     Everything is read off one Smith form L·R·U = D of the n×d ray matrix
     R.  The rays span iff D has d nonzero entries.  Rows d.. of L then
@@ -120,14 +125,10 @@ def cox_presentation(fan):
     if len(snf.diag) < d or not all(snf.diag):
         raise ValueError("rays do not span the ambient space")
     h_cochar = Sublattice.from_rows(n, snf.left.entries[d:])
-    orthant = Fan(
-        n,
-        [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)],
-        [frozenset(range(n))] if n else [],
-    )
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     return CoxPresentation(
         fan=fan,
-        orthant_fan=orthant,
+        coordinate_fan=Fan(n, units, fan.max_cones),
         ray_matrix=ray_matrix,
         ray_map=ray_matrix.transpose(),
         free_rows=h_cochar.basis,
@@ -136,7 +137,6 @@ def cox_presentation(fan):
         ),
         class_rank=n - d,
         torsion_factors=tuple(m for m in snf.diag if m > 1),
-        relevant=_coordinate_faces(orthant, fan.max_cones + (frozenset(),)),
         h_cochar=h_cochar,
     )
 
@@ -144,7 +144,7 @@ def cox_presentation(fan):
 def quasitorus_action(pres):
     """Torus part of the quasitorus acting on affine n-space."""
     return SubtorusAction(
-        pres.orthant_fan, pres.h_cochar, quotient_lattice_map(pres.h_cochar)
+        pres.coordinate_fan, pres.h_cochar, quotient_lattice_map(pres.h_cochar)
     )
 
 
@@ -153,7 +153,7 @@ def lift_open(pres, selection):
     inside the coordinate cone of some selected cone."""
     if selection.fan != pres.fan:
         raise ValueError("selection does not live on the presentation's fan")
-    return _coordinate_faces(pres.orthant_fan, selection.keys)
+    return _coordinate_faces(pres.coordinate_fan, selection.keys)
 
 
 def canonical_section(pres, exponents):
@@ -178,7 +178,7 @@ def zero_set_identity_holds(pres, section):
     is located by a relative-interior point."""
     supp = section.support()
     down = image_zero_set(pres, section)
-    for key in pres.relevant.keys:
+    for key in pres.coordinate_fan.cone_keys():
         v = tuple(
             sum(pres.fan.rays[i][j] for i in key) for j in range(pres.fan.rank)
         )
@@ -192,13 +192,11 @@ def isotropy_at(pres, key):
     """Quasitorus isotropy of the distinguished point of a coordinate
     face: (free rank, torsion factors); finite iff the free rank is 0."""
     key = frozenset(key)
-    if key not in pres.relevant.keys:
+    if key not in pres.coordinate_fan.numbering()[1]:
         raise ValueError("coordinate face is not in the relevant selection")
     n, d = len(pres.fan.rays), pres.fan.rank
     columns = [pres.ray_matrix.column(j) for j in range(d)]
-    columns += [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n) if i not in key
-    ]
+    columns += [pres.coordinate_fan.rays[i] for i in range(n) if i not in key]
     return cokernel_diagnostics(IntMatrix.from_columns(columns, rows=n))
 
 
@@ -339,12 +337,12 @@ def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=2
     vanishing question is one call of it, exact for a monomial, so a
     monomial's verdicts draw nothing; affineness is decided for monomials
     only.  A polynomial is contained if it vanishes at three seeded points
-    and the unit point of the orbit of every relevant cone outside the open
-    set.  Coverage takes every ordered pair of orbits for a monomial
+    and the unit point of the orbit of every coordinate-fan cone outside the
+    open set.  Coverage takes every ordered pair of orbits for a monomial
     family, and otherwise COVERAGE_SAMPLES seeded point pairs, marking the
     report sampled.  All draws come from one generator seeded by seed:
     containment points member by member, then coverage pairs."""
-    if lifted.fan != pres.orthant_fan:
+    if lifted.fan != pres.coordinate_fan:
         raise ValueError("the open set must be a selection on the coordinate fan")
     family = tuple(family)
     if not all(isinstance(s, (MonomialSection, PolynomialSection)) for s in family):
@@ -355,7 +353,7 @@ def verify_globally_defined(pres, lifted, family, subtorus_generators=(), seed=2
     lifts = [lift.matvec(b) for b in lat.basis.entries]
     rng = random.Random(seed)
     sampled = any(isinstance(s, PolynomialSection) for s in family)
-    outside = sorted(pres.relevant.keys - lifted.keys, key=sorted)
+    outside = sorted(set(pres.coordinate_fan.cone_keys()) - lifted.keys, key=sorted)
     tests = [_vanishing_test(s) for s in family]
 
     members = []

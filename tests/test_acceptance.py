@@ -197,7 +197,7 @@ def test_criterion_09_quasitorus_presentations():
         pres2.class_rank == 1
         and pres2.torsion_factors == ()
         and pres2.weights() == ((1,), (1,), (1,))
-        and len(pres2.relevant.keys) == 7
+        and len(pres2.coordinate_fan.cone_keys()) == 7
         and all(
             isotropy_at(pres2, key) == (0, ()) for key in p2.max_cones
         )

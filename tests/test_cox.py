@@ -60,6 +60,14 @@ P3 = Fan(
     [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}],
 )
 
+# smooth complete surface fan, 20 rays in angular order, consecutive pairs
+# as maximal cones: its orthant would have 2^20 cones, its coordinate fan 41
+TWENTY_RAYS = (
+    [(1, 0)] + [(1, k) for k in range(1, 10)] + [(0, 1), (-1, 0)]
+    + [(-1, -k) for k in range(1, 8)] + [(0, -1)]
+)
+TWENTY = Fan(2, TWENTY_RAYS, [{i, (i + 1) % 20} for i in range(20)])
+
 
 def fs(*items):
     return frozenset(items)
@@ -212,21 +220,29 @@ class TestOneSmithForm:
 
 
 class TestRelevantSelection:
+    # the coordinate fan's cones are the relevant coordinate faces
+    def test_coordinate_fan_has_the_fans_maximal_cones_on_unit_rays(self):
+        for fan in presentation_fans():
+            n = len(fan.rays)
+            units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+            assert cox_presentation(fan).coordinate_fan == Fan(n, units, fan.max_cones)
+
     def test_projective_plane_omits_only_the_origin(self):
         pres = cox_presentation(P2)
         everything = {fs(*s) for s in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]}
-        assert pres.relevant.keys == everything
+        assert set(pres.coordinate_fan.cone_keys()) == everything
 
     def test_affine_plane_keeps_everything(self):
         pres = cox_presentation(C2)
-        assert pres.relevant.keys == set(pres.orthant_fan.cone_keys())
+        everything = {fs(), fs(0), fs(1), fs(0, 1)}
+        assert set(pres.coordinate_fan.cone_keys()) == everything
 
     def test_product_excludes_both_axis_pairs(self):
-        pres = cox_presentation(P1XP1)
-        assert len(pres.relevant.keys) == 9
-        assert fs(0, 1) not in pres.relevant.keys
-        assert fs(2, 3) not in pres.relevant.keys
-        assert fs(0, 2) in pres.relevant.keys
+        keys = cox_presentation(P1XP1).coordinate_fan.cone_keys()
+        assert len(keys) == 9
+        assert fs(0, 1) not in keys
+        assert fs(2, 3) not in keys
+        assert fs(0, 2) in keys
 
 
 def subset_faces(keys):
@@ -238,21 +254,19 @@ LATTICE_FANS = {**FANS, "bare torus": Fan(0, [], [])}
 
 
 class TestCoordinateFacesFromFaceMasks:
-    # the relevant set and every lift are ORs of the orthant fan's face
-    # masks; the reference lists the subsets of each coordinate cone
+    # the coordinate fan's cones are the subsets of each coordinate cone,
+    # and every lift is an OR of its face masks
     @pytest.mark.parametrize("case", sorted(LATTICE_FANS))
     def test_relevant_and_lifts_are_the_subset_faces(self, case):
         fan = LATTICE_FANS[case]
         pres = cox_presentation(fan)
-        orthant = pres.orthant_fan
-        assert pres.relevant == SubfanSelection(
-            orthant, subset_faces(fan.max_cones) | {frozenset()}
-        )
+        coordinates = pres.coordinate_fan
+        assert set(coordinates.cone_keys()) == subset_faces(fan.max_cones) | {frozenset()}
         opens = _open_masks(fan, 2 ** 20)
         rng = random.Random(len(opens))
         for mask in [0, opens[-1]] + rng.sample(opens, min(25, len(opens))):
             sel = SubfanSelection._of_mask(fan, mask)
-            assert lift_open(pres, sel) == SubfanSelection(orthant, subset_faces(sel.keys))
+            assert lift_open(pres, sel) == SubfanSelection(coordinates, subset_faces(sel.keys))
 
 
 class TestIsotropy:
@@ -265,7 +279,7 @@ class TestIsotropy:
     def test_smooth_fans_have_trivial_isotropy_everywhere(self):
         for fan in (P2, P1XP1, C2, P1):
             pres = cox_presentation(fan)
-            for key in pres.relevant.keys:
+            for key in pres.coordinate_fan.cone_keys():
                 assert isotropy_at(pres, key) == (0, ())
 
     def test_nonsmooth_affine_chart_isotropy(self):
@@ -275,13 +289,14 @@ class TestIsotropy:
     def test_isotropy_finite_everywhere_for_simplicial(self):
         for fan in (P2, P112, P1XP1, HALFQ):
             pres = cox_presentation(fan)
-            for key in pres.relevant.keys:
+            for key in pres.coordinate_fan.cone_keys():
                 free, _ = isotropy_at(pres, key)
                 assert free == 0
 
     def test_irrelevant_face_rejected(self):
         pres = cox_presentation(P2)
-        with pytest.raises(ValueError):
+        text = "^coordinate face is not in the relevant selection$"
+        with pytest.raises(ValueError, match=text):
             isotropy_at(pres, fs(0, 1, 2))
 
 
@@ -376,7 +391,8 @@ class TestLiftAndRoundTrip:
     def test_lift_of_full_selection_is_relevant(self):
         for fan in (P2, P112, P1XP1, C2):
             pres = cox_presentation(fan)
-            assert lift_open(pres, fan.full_selection()).keys == pres.relevant.keys
+            want = subset_faces(fan.max_cones) | {fs()}
+            assert lift_open(pres, fan.full_selection()).keys == want
 
     def test_lift_of_one_chart(self):
         pres = cox_presentation(P2)
@@ -410,6 +426,18 @@ class TestLiftAndRoundTrip:
         report = round_trip(pres, HALFQ.full_selection())
         assert not report.ok
         assert "sublattice" in report.detail
+
+    def test_twenty_ray_fan_lifts_on_its_forty_one_coordinate_faces(self):
+        pres = cox_presentation(TWENTY)
+        assert len(pres.coordinate_fan.cone_keys()) == 41
+        lifted = lift_open(pres, TWENTY.full_selection())
+        assert lifted.keys == subset_faces(TWENTY.max_cones) | {fs()}
+        assert len(lifted.keys) == 41
+        assert round_trip(pres, TWENTY.full_selection()) == RoundTrip(
+            True, True, "selection recovered"
+        )
+        for key in TWENTY.max_cones:
+            assert isotropy_at(pres, key) == (0, ())
 
     def test_quotient_upstairs_is_the_expected_projective_line(self):
         pres = cox_presentation(P1)
@@ -598,6 +626,28 @@ class TestWitnessFamilies:
                 assert got == want, (family, seed)
                 assert got.members[-1] == got.members[family.index(family[-1])]
 
+    # x0 + 7 x1 vanishes at x = (-7, 1) and 3 x0 - 11 x1 at y = (11, 3), both
+    # points of the dense orbit of C^2 minus the origin over P^1
+    P1_PAIR = (
+        PolynomialSection(((1, (1, 0)), (7, (0, 1)))),
+        PolynomialSection(((3, (1, 0)), (-11, (0, 1)))),
+    )
+
+    def test_no_member_is_nonzero_at_both_points_of_the_pair(self):
+        x, y = ((-7, 1), (1, 1)), ((11, 1), (3, 1))
+        tests = [_vanishing_test(s) for s in self.P1_PAIR]
+        assert [t(fs(), x) for t in tests] == [False, True]
+        assert [t(fs(), y) for t in tests] == [True, False]
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="sampled coverage; ROADMAP item 8"
+    )
+    def test_uncovered_pair_fails_coverage(self):
+        pres = cox_presentation(P1)
+        lifted = lift_open(pres, P1.full_selection())
+        report = verify_globally_defined(pres, lifted, self.P1_PAIR)
+        assert not report.coverage
+
     def test_wrong_fan_selection_rejected(self):
         pres = cox_presentation(P2)
         with pytest.raises(ValueError):
@@ -610,7 +660,7 @@ def two_path_verify_globally_defined(
     """The previous form of verify_globally_defined, kept as the reference:
     monomial families are decided combinatorially, and any polynomial
     member switches coverage and containment to seeded rational sampling."""
-    if lifted.fan != pres.orthant_fan:
+    if lifted.fan != pres.coordinate_fan:
         raise ValueError("the open set must be a selection on the coordinate fan")
     n = len(pres.fan.rays)
     lat = saturate(Sublattice.from_rows(pres.fan.rank, subtorus_generators))
@@ -630,7 +680,7 @@ def two_path_verify_globally_defined(
             hull = frozenset(chain.from_iterable(nonzero)) if nonzero else frozenset()
             affine = bool(nonzero) and hull in nonzero
             contained = all(
-                k in lifted.keys for k in pres.relevant.keys if not k & supp
+                k in lifted.keys for k in pres.coordinate_fan.cone_keys() if not k & supp
             )
             members.append(
                 SectionVerdict(
@@ -649,7 +699,8 @@ def two_path_verify_globally_defined(
                 or set(weights) <= {tuple(section.declared_weight)}
             )
             contained = True
-            for key in sorted(pres.relevant.keys - lifted.keys, key=sorted):
+            outside = set(pres.coordinate_fan.cone_keys()) - lifted.keys
+            for key in sorted(outside, key=sorted):
                 points = [_orbit_point(key, n, rng) for _ in range(3)]
                 points.append(tuple((0 if i in key else 1, 1) for i in range(n)))
                 if any(_vanishing_test(section)(key, p) for p in points):

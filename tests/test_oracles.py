@@ -48,6 +48,11 @@ P1XP1 = Fan(
     [{0, 2}, {0, 3}, {1, 2}, {1, 3}],
 )
 
+P3 = Fan(
+    3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}],
+)
+
 
 def punctured_plane():
     return C2.selection([frozenset(), frozenset({0}), frozenset({1})])
@@ -252,11 +257,15 @@ class TestQuotientCertificates:
             assert oracle_verify_quotient(q, act) == ()
 
     def test_cox_quotient_certificates(self):
-        for fan in (P2, P112, P1XP1):
+        # P^3 and the pyramid fan give rank-3 lifts; the pyramid fan is not
+        # simplicial, so its lift is the one quotient here that is not geometric
+        pyramid, _ = ENUMERATION_CASES["pyramid_123"]
+        for fan in (P2, P112, P1XP1, P3, pyramid):
             pres = cox_presentation(fan)
             act = quasitorus_action(pres)
             q = good_quotient(lift_open(pres, fan.full_selection()), act)
             assert isinstance(q, QuotientFan)
+            assert q.geometric == (fan is not pyramid)
             assert oracle_verify_quotient(q, act) == ()
 
     def test_tampered_orbit_map_detected(self):
