@@ -50,7 +50,10 @@ nonnegative combination of the others), and its canonical list is the
 sorted primitive inputs, the key's own vector set.  The second run would compute that very list:
 on route "g" it is the generator list, on route "i" the facet list (the
 dual of {x : v.x >= 0} is the cone the v generate).  Dependent inputs
-still take both runs.
+take both runs, unless the cone generated by the first run's list is
+interned: its facets are the second list.  On route "g" that cone is the
+dual, whose facets are the canonical generators; on route "i" it is the
+cone itself.
 """
 from __future__ import annotations
 
@@ -174,11 +177,14 @@ def _interned(route, vectors, ambient):
     if cone is None:
         # the first run reads the vectors as inequalities and yields the
         # other list; the second run reads that list back, unless the
-        # inputs are linearly independent (see the module docstring)
+        # inputs are linearly independent or the cone that list generates
+        # is interned (see the module docstring)
         lin, rays = dd_solve(vectors, ambient)
         other = _canonical_generators(lin, rays, ambient)
         if len(key[2]) == ambient - len(lin):
             own = tuple(sorted(key[2]))
+        elif (known := _INTERNED.get(("g", ambient, frozenset(other)))) is not None:
+            own = known.facets
         else:
             own = _canonical_generators(*dd_solve(other, ambient), ambient)
         cone = Cone(ambient, own, other) if route == "g" else Cone(ambient, other, own)

@@ -15,13 +15,16 @@ action keeps one ImageTable over its fan's cones, numbered as in the fans
 module (cone i is bit i of a selection mask, `Fan.face_masks()[i]` its
 faces), with bit rows `below[i]` (the cones whose images img[i]
 contains), `above[i]` (those whose images contain img[i]) and `lin_le[i]`
-(those whose lineality lattices lin[i] contains).
+(those whose lineality lattices lin[i] contains).  The first verdict
+that reads the rows builds all of them in one pass over every cone: an
+enumeration reads every row anyway, and a table built whole has no
+partial state to keep consistent.
 
 The table reads the fan's rays, not its cones.  Every ray is projected
 once per action, img[i] is the cone generated by the images of cone i's
-rays, and `inside[i]` masks the rays whose images lie in img[i].  Since
+rays, and the build masks the rays whose images lie in img[i].  Since
 img[j] is generated by the images of j's rays, img[i] contains img[j]
-exactly when all of j's rays are in inside[i], so each bit of below and
+exactly when all of j's rays are in that mask, so each bit of below and
 above is a subset test of two ray masks.  Equal lattices share a class,
 and containment of lineality lattices is decided once per pair of
 classes.  The ray image is the image of the fan cone: a linear map sends
@@ -217,63 +220,43 @@ class SubtorusAction:
 class ImageTable:
     """Everything the chart criterion reads about one action's fan cones.
 
-    Cone i is the fan's cone i (Fan.numbering), and `ray_masks[i]` masks
-    its rays.  Each ray is projected once (`ray_img`).  Per cone: the image
-    `img[i]`, generated by its rays' images; the mask `inside[i]` of the
-    rays whose images lie in img[i]; img[i]'s lineality lattice `lin[i]`
-    with class id `cls[i]` (equal ids for equal lattices).  Per class c:
-    its lattice `class_lin[c]`, the mask `class_le[c]` of the classes whose
-    lattices it contains, and the mask `members[c]` of the seen cones in
-    it.  Per ordered pair, bit j of the rows `below[i]`, `above[i]` and
-    `lin_le[i]` (each row holds its own bit).  `fill(mask)` projects the
-    cones of mask not yet `seen` and relates each to every seen cone by
-    bit tests: img[i] contains img[j] iff ray_masks[j] lies in inside[i],
-    and lin[i] contains lin[j] iff class_le[cls[i]] holds cls[j].  So a
-    cone costs one image and one membership test per ray outside it, a
-    pair of classes one lattice comparison, and a cone no selection
-    reaches is never projected.  The table also memoizes the split images
-    (generated, like img, by the images of the rays) and orbit-image
-    carrier faces per lineality class, the fibre masks of every good
-    selection decided (the enumeration keeps its goods only so), the
-    verdicts `good_quotient` was asked for, one Fan per distinct quotient
-    target among those, so equal targets share its cone lists and cones
-    (see target()), the good selections, and the host of each good
+    Cone i is the fan's cone i (Fan.numbering).  The rows, all None until
+    `build()`: per cone, the image `img[i]`, generated by its rays' images,
+    and img[i]'s lineality lattice `lin[i]` with class id `cls[i]` (equal
+    ids for equal lattices, numbered in index order); per class c, the mask
+    `members[c]` of its cones; per ordered pair, bit j of the rows
+    `below[i]`, `above[i]` and `lin_le[i]` (each row holds its own bit).
+    `build()` projects each ray and each cone once and relates every pair by
+    bit tests: img[i] contains img[j] iff j's rays all have images in
+    img[i], and lin[i] contains lin[j] iff the lattice of cls[i] contains
+    that of cls[j], decided once per pair of classes.  The table also
+    memoizes the split images (generated, like img, by the images of the
+    rays) and orbit-image carrier faces per lineality class, the fibre masks
+    of every good selection decided (the enumeration keeps its goods only
+    so), the verdicts `good_quotient` was asked for, one Fan per distinct
+    quotient target among those, so equal targets share its cone lists and
+    cones (see target()), the good selections, and the host of each good
     selection that has one, recorded once by the peel rule of the module
     docstring.  Whether two images meet in a face is no table fact: the
     interned image cones keep it (`Cone.meets_in_face`).  For the staged
     quotients that start with this action, the table keeps the residual
-    action's lattices, the composite projection's kernel and section and
-    the direct projection's kernel, each keyed by IntMatrix values and
-    never by an action (see the module docstring).
+    action's lattices, the composite projection's kernel and section and the
+    direct projection's kernel, each keyed by IntMatrix values and never by
+    an action (see the module docstring).
     """
 
     __slots__ = (
-        "fan", "proj", "faces", "ray_img", "ray_masks", "img", "lin", "cls",
-        "inside", "below", "above", "lin_le", "seen", "classes", "class_lin",
-        "class_le", "members", "split", "carriers", "fibres", "targets",
-        "results", "goods", "hosts", "residuals", "composites", "kernels",
+        "fan", "proj", "faces", "img", "lin", "cls", "members", "below", "above",
+        "lin_le", "split", "carriers", "fibres", "targets", "results", "goods",
+        "hosts", "residuals", "composites", "kernels",
     )
 
     def __init__(self, fan, proj):
-        keys, _ = fan.numbering()
-        n = len(keys)
         self.fan = fan
         self.proj = proj
         self.faces = fan.face_masks()
-        self.ray_img = [proj.matvec(r) for r in fan.rays]
-        self.ray_masks = [sum(1 << r for r in k) for k in keys]
-        self.img = [None] * n
-        self.lin = [None] * n
-        self.cls = [None] * n
-        self.inside = [0] * n
-        self.below = [1 << i for i in range(n)]
-        self.above = [1 << i for i in range(n)]
-        self.lin_le = [1 << i for i in range(n)]
-        self.seen = 0
-        self.classes = {}  # lineality basis -> class id
-        self.class_lin = []  # class id -> its lineality lattice
-        self.class_le = []  # class id -> mask of the class ids its lattice contains
-        self.members = []  # class id -> mask of the seen cones in the class
+        self.img = self.lin = self.cls = self.members = None  # see build()
+        self.below = self.above = self.lin_le = None
         self.split = {}  # class id -> (q2 @ proj, {i: split image})
         self.carriers = {}  # (class id, t, s) -> carrier face, see carrier()
         self.fibres = {}  # good selection mask -> its fibre masks, see _fibres()
@@ -286,55 +269,46 @@ class ImageTable:
         self.composites = {}  # composite projection -> (kernel, section)
         self.kernels = {}  # direct projection -> kernel lattice
 
-    def fill(self, mask):
-        """Project the unseen cones of mask; relate each to every seen cone."""
-        new = mask & ~self.seen
-        if not new:
+    def build(self):
+        """Fill every row in one pass; a built table is left as it is."""
+        if self.img is not None:
             return
         keys, _ = self.fan.numbering()
-        rank, ray_img = self.proj.rows, self.ray_img
-        rays, inside, cls, class_le = self.ray_masks, self.inside, self.cls, self.class_le
-        below, above, lin_le = self.below, self.above, self.lin_le
-        for i in bits(new):
-            img = self.img[i] = Cone.from_generators(
-                [ray_img[r] for r in sorted(keys[i])], rank
-            )
-            inside[i] = rays[i] | sum(
+        n = len(keys)
+        ray_img = [self.proj.matvec(r) for r in self.fan.rays]
+        rays = [sum(1 << r for r in k) for k in keys]
+        img = [
+            Cone.from_generators([ray_img[r] for r in sorted(k)], self.proj.rows)
+            for k in keys
+        ]
+        # inside[i] masks the rays whose images lie in img[i]
+        inside = [
+            rays[i] | sum(
                 1 << r for r, v in enumerate(ray_img)
-                if not rays[i] >> r & 1 and img.contains(v)
+                if not rays[i] >> r & 1 and img[i].contains(v)
             )
-            lin = self.lin[i] = img.lineality_lattice()
-            c = self.classes.get(lin.basis)
-            if c is None:
-                c = self._new_class(lin)
-            cls[i] = c
-            self.members[c] |= 1 << i
-            for j in bits(self.seen):
-                if not rays[j] & ~inside[i]:
-                    below[i] |= 1 << j
-                    above[j] |= 1 << i
-                if not rays[i] & ~inside[j]:
-                    below[j] |= 1 << i
-                    above[i] |= 1 << j
-                if class_le[c] >> cls[j] & 1:
-                    lin_le[i] |= 1 << j
-                if class_le[cls[j]] >> c & 1:
-                    lin_le[j] |= 1 << i
-            self.seen |= 1 << i
-
-    def _new_class(self, lin):
-        """The id of a new lineality class with lattice lin, compared once
-        with the lattice of every earlier class."""
-        c = self.classes[lin.basis] = len(self.class_lin)
-        self.members.append(0)
-        self.class_le.append(1 << c)
-        for d, other in enumerate(self.class_lin):
-            if lin.contains_lattice(other):
-                self.class_le[c] |= 1 << d
-            if other.contains_lattice(lin):
-                self.class_le[d] |= 1 << c
-        self.class_lin.append(lin)
-        return c
+            for i in range(n)
+        ]
+        below = [sum(1 << j for j in range(n) if not rays[j] & ~inside[i]) for i in range(n)]
+        above = [0] * n
+        for i in range(n):
+            for j in bits(below[i]):
+                above[j] |= 1 << i
+        lin = [c.lineality_lattice() for c in img]
+        classes = {}  # lineality basis -> class id
+        cls = [classes.setdefault(lat.basis, len(classes)) for lat in lin]
+        class_lin = [None] * len(classes)
+        members = [0] * len(classes)
+        for i, c in enumerate(cls):
+            class_lin[c] = lin[i]
+            members[c] |= 1 << i
+        # row c: the cones of every class whose lattice class c's contains
+        class_le = [
+            sum(m for m, other in zip(members, class_lin) if lat.contains_lattice(other))
+            for lat in class_lin
+        ]
+        self.img, self.lin, self.cls, self.members = img, lin, cls, members
+        self.below, self.above, self.lin_le = below, above, [class_le[c] for c in cls]
 
     def split_projection(self, lbar):
         """(q2 @ proj, split images by index), where q2 divides out the
@@ -489,9 +463,9 @@ def _decide(table, sel):
     (None, lbar, family) for a good selection, with lbar its common
     lineality cone and family its chart family ascending, or (code, a, b)
     for the obstruction _OBSTRUCTIONS[code] with witness cones a and b."""
+    table.build()
     if not sel:
         return None, None, ()
-    table.fill(sel)
     below, above, lin_le, faces = table.below, table.above, table.lin_le, table.faces
     for lbar in bits(sel):
         if lin_le[lbar] & sel == sel:
@@ -657,7 +631,8 @@ def is_saturated(inner, outer, act):
 def _family_closures(table):
     """The face closures of the sets of cones that pass the pairwise chart
     family tests of the module docstring, a set that holds every good
-    mask.  Reads every cone's row, so the table must be filled."""
+    mask."""
+    table.build()
     n = len(table.img)
     faces, below, cls = table.faces, table.below, table.cls
     compat = [0] * n
@@ -700,7 +675,6 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
                 if mask in table.results:  # asked for, and bad
                     continue
                 if candidates is None:
-                    table.fill((1 << len(table.img)) - 1)
                     candidates = _family_closures(table)
                 if mask not in candidates or _recorded_fibres(table, mask) is None:
                     continue

@@ -75,7 +75,8 @@ def _sorted_keys(keys):
 
 
 class SymmetryGroup:
-    """Finite group of fan automorphisms; group axioms are validated.
+    """Finite group of fan automorphisms; the constructor validates the
+    group axioms.
 
     Closure under inverses needs no check of its own.  The elements are
     invertible maps, so for each a the map x -> a∘x is injective; when the
@@ -118,6 +119,16 @@ class SymmetryGroup:
         return len(self.elements) == 1
 
     @classmethod
+    def _of_elements(cls, fan, elements):
+        """The group of elements known to form one, unchecked."""
+        group = object.__new__(cls)
+        object.__setattr__(group, "fan", fan)
+        object.__setattr__(
+            group, "elements", tuple(sorted(elements, key=lambda e: e.matrix.entries))
+        )
+        return group
+
+    @classmethod
     def trivial(cls, fan):
         return cls(fan, [FanAutomorphism(fan, IntMatrix.identity(fan.rank))])
 
@@ -128,7 +139,11 @@ def generate_symmetry_group(fan, matrices, limit=4096):
     Breadth-first from the identity, composing each new element with the
     generators only.  That reaches every product of generators, and in a
     finite group each inverse is one: g has finite order k, so g^-1 is
-    g^(k-1).
+    g^(k-1).  So the set reached holds the identity, its elements are
+    distinct, and it is closed under composition, since a product of two
+    products of generators is one.  It is a group by construction, and
+    the SymmetryGroup takes it unchecked; the search itself builds, and so
+    checks as a fan automorphism, one product per element and generator.
     """
     gens = [
         FanAutomorphism(fan, IntMatrix(tuple(tuple(r) for r in m), cols=fan.rank))
@@ -148,7 +163,7 @@ def generate_symmetry_group(fan, matrices, limit=4096):
                     if len(elements) > limit:
                         raise ValueError("symmetry group exceeds the size limit")
         frontier = fresh
-    return SymmetryGroup(fan, elements.values())
+    return SymmetryGroup._of_elements(fan, elements.values())
 
 
 @dataclass(frozen=True)

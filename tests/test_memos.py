@@ -140,12 +140,12 @@ class TestConeKeys:
 
 def engine_images(fan, gens=None):
     """The image cones of every action of a corpus fan, or of the case's
-    action, from the engine's filled tables."""
+    action, from the engine's built tables."""
     acts = actions_for(fan) if gens is None else [normalize_action(fan, gens)]
     out = []
     for act in acts:
         table = act.image_table()
-        table.fill((1 << len(table.img)) - 1)
+        table.build()
         out.append(table.img)
     return out
 

@@ -378,7 +378,7 @@ class TestIndependence:
         want = oracle_answers(fan, normalize_action(fan, gens), opens, quotients)
         assert want[1] == [()] * len(quotients)
         cold = normalize_action(fan, gens)
-        monkeypatch.setattr(ImageTable, "fill", refuse)
+        monkeypatch.setattr(ImageTable, "build", refuse)
         monkeypatch.setattr(Cone, "meets_in_face", refuse)
         monkeypatch.setattr(Cone, "meet_generators", refuse)
         with pytest.raises(AssertionError, match="engine route"):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import random
 from collections import Counter
 from itertools import combinations
 
@@ -746,8 +745,9 @@ def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeyp
         listing(P2, act, limit=4)
     assert str(got.value) == str(expected.value) == "more than 4 open subsets"
     table = act.image_table()
-    assert decided == [] and table.results == {} and table.seen == 0
-    assert table.fibres == {}
+    assert decided == [] and table.results == {} and table.fibres == {}
+    # the guard refuses before any cone is projected
+    assert all(getattr(table, field) is None for field in TABLE_FIELDS)
 
 
 # The saturation routines before fibre masks, kept as the reference: they
@@ -885,29 +885,29 @@ def test_quotient_fans_are_read_off_the_image_table(monkeypatch):
     assert built_on["source"] > 0 and built_on["other"] == 0
 
 
-def pairwise_fill(table, mask):
-    """ImageTable.fill before ray masks, kept as the reference: a cone's
+def pairwise_build(table):
+    """ImageTable.build before ray masks, kept as the reference: a cone's
     image is the image of its fan cone, and every pair of cones has both
     containments decided on the cones and lattices themselves."""
-    new = mask & ~table.seen
-    if not new:
+    if table.img is not None:
         return
     keys, _ = table.fan.numbering()
-    for i in bits(new):
-        table.img[i] = table.fan.cone(keys[i]).image(table.proj)
-        table.lin[i] = table.img[i].lineality_lattice()
-        c = table.cls[i] = table.classes.setdefault(table.lin[i].basis, len(table.classes))
-        if c == len(table.members):
-            table.members.append(0)
-        table.members[c] |= 1 << i
-        for j in bits(table.seen):
-            for a, b in ((i, j), (j, i)):
-                if table.img[a].contains_cone(table.img[b]):
-                    table.below[a] |= 1 << b
-                    table.above[b] |= 1 << a
-                if table.lin[a].contains_lattice(table.lin[b]):
-                    table.lin_le[a] |= 1 << b
-        table.seen |= 1 << i
+    n = len(keys)
+    table.img = [table.fan.cone(k).image(table.proj) for k in keys]
+    table.lin = [c.lineality_lattice() for c in table.img]
+    classes = {}
+    table.cls = [classes.setdefault(lin.basis, len(classes)) for lin in table.lin]
+    table.members = [
+        sum(1 << i for i, c in enumerate(table.cls) if c == d) for d in range(len(classes))
+    ]
+    table.below, table.above, table.lin_le = [0] * n, [0] * n, [0] * n
+    for a in range(n):
+        for b in range(n):
+            if table.img[a].contains_cone(table.img[b]):
+                table.below[a] |= 1 << b
+                table.above[b] |= 1 << a
+            if table.lin[a].contains_lattice(table.lin[b]):
+                table.lin_le[a] |= 1 << b
 
 
 # the complete fan over the faces of the cube [-1, 1]^3: six 4-ray facets
@@ -1003,26 +1003,24 @@ class TestRayMaskTable:
         assert validate_fan(fan).valid and is_complete(fan)
 
     @pytest.mark.parametrize("case", sorted(TABLE_CASES))
-    def test_fill_matches_the_pairwise_fill(self, case):
-        # filled incrementally from random sub-masks, then from the full mask
+    def test_build_matches_the_pairwise_build(self, case):
         fan, gens = TABLE_CASES[case]
         act = normalize_action(fan, gens)
         table = act.image_table()
         reference = quotients.ImageTable(fan, act.proj)
-        n = len(table.img)
-        rng = random.Random(f"table {case}")
-        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(4)]
-        for mask in masks + [(1 << n) - 1]:
-            table.fill(mask)
-            pairwise_fill(reference, mask)
-            assert table.seen == reference.seen
-            for field in TABLE_FIELDS:
-                assert getattr(table, field) == getattr(reference, field), field
+        table.build()
+        pairwise_build(reference)
+        for field in TABLE_FIELDS:
+            assert getattr(table, field) == getattr(reference, field), field
+        # a second build leaves every row as it is
+        rows = [getattr(table, field) for field in TABLE_FIELDS]
+        table.build()
+        assert all(getattr(table, f) is r for f, r in zip(TABLE_FIELDS, rows))
         # on a fan the ray images and the fan-cone images share interner keys
         assert all(a is b for a, b in zip(table.img, reference.img))
 
     @pytest.mark.parametrize("case", sorted(TABLE_CASES))
-    def test_listings_match_the_pairwise_fill(self, case, monkeypatch):
+    def test_listings_match_the_pairwise_build(self, case, monkeypatch):
         fan, gens = TABLE_CASES[case]
 
         def listings():
@@ -1035,13 +1033,13 @@ class TestRayMaskTable:
             )
 
         got = listings()
-        monkeypatch.setattr(quotients.ImageTable, "fill", pairwise_fill)
+        monkeypatch.setattr(quotients.ImageTable, "build", pairwise_build)
         assert got == listings()
 
     def test_enumeration_tests_rays_and_builds_maximal_fan_cones_only(self, monkeypatch):
         # one membership test per cone and ray outside it, no cone
         # containment, and no fan cone beyond those cone_keys reads; the
-        # pairwise fill made 314 membership tests here
+        # pairwise build made 332 membership tests here
         fan = Fan(2, NINE_RAYS, [[i, (i + 1) % 9] for i in range(9)])
         act = normalize_action(fan, [(1, 2)])
         calls = Counter()
@@ -1094,7 +1092,7 @@ def test_broken_table_invariants_raise_named_errors(forge, message):
     act = normalize_action(fan, [(1,)])
     table = act.image_table()
     full = fan.full_selection().mask
-    table.fill(full)
+    table.build()
     forge(table, full)
     with pytest.raises(RuntimeError, match=message):
         good_quotient(fan.full_selection(), act)

@@ -186,6 +186,44 @@ class TestClosureFromTheIdentity:
         for fan, matrices in generator_cases():
             generate_symmetry_group(fan, matrices)
 
+    def test_generated_groups_equal_the_checked_constructors(self):
+        for fan, matrices in generator_cases():
+            group = generate_symmetry_group(fan, matrices)
+            checked = SymmetryGroup(fan, group.elements)
+            assert group.fan is checked.fan, fan.rays
+            assert [e.matrix for e in group] == [e.matrix for e in checked], fan.rays
+
+    def test_the_search_builds_one_automorphism_per_element_and_generator(
+        self, monkeypatch
+    ):
+        # the hyperoctahedral group on (P1)^4 from a 4-cycle of the factors,
+        # a swap of two and one sign change; checking closure on every pair
+        # of its elements built 148,612 automorphisms
+        rays = [
+            tuple(s if j == i else 0 for j in range(4)) for i in range(4) for s in (1, -1)
+        ]
+        cones = [
+            [a, b, c, d] for a in (0, 1) for b in (2, 3) for c in (4, 5) for d in (6, 7)
+        ]
+        fan = Fan(4, rays, cones)
+        generators = [
+            ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+            ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+            ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ]
+        built = 0
+        init = FanAutomorphism.__init__
+
+        def counted(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+
+        monkeypatch.setattr(FanAutomorphism, "__init__", counted)
+        group = generate_symmetry_group(fan, generators)
+        assert len(group) == 384
+        assert built <= len(group) * len(generators) + len(generators) + 1
+
 
 class TestGroupActionData:
     def test_compatible_data_accepted(self):
