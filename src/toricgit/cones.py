@@ -425,9 +425,16 @@ def hilbert_basis(cone, bound=None):
 def monoid_generators(cone, bound=None):
     """Generators of cone ∩ Z^d for arbitrary cones: the saturated lineality
     basis as +- pairs plus a section-lifted Hilbert basis of the pointed part."""
+    return _monoid_generators(cone, bound)[0]
+
+
+def _monoid_generators(cone, bound=None):
+    """(monoid_generators(cone, bound), the pointed image of a cone with
+    lineality it took, None for a pointed cone).  A caller that keeps the
+    image keeps it interned, so the next call builds no cone."""
     lat = cone.lineality_lattice()
     if lat.rank == 0:
-        return hilbert_basis(cone, bound)
+        return hilbert_basis(cone, bound), None
     q = quotient_lattice_map(lat)
     s = right_inverse_of_surjection(q)
     img = cone.image(q)
@@ -437,4 +444,4 @@ def monoid_generators(cone, bound=None):
         gens.append(tuple(b))
         gens.append(vneg(b))
     gens.extend(lifted)
-    return tuple(sorted(gens))
+    return tuple(sorted(gens)), img

@@ -36,14 +36,16 @@ no memo held would die at once and cost a fresh double description each
 time it came up again.  So the inequality cone behind an image
 (`_image_dual`), the meet of two images (`_meet`), the cone of functionals
 vanishing on the cocharacters (`_perp_cone`) and its meet with a chart's
-dual (`_invariant_cone`) each have a helper of their own, and the ring
-check keeps the cones of its monoid comparison beside its verdict.
+dual (`_invariant_cone`) each have a helper of their own.  The ring check
+keeps the cones of its monoid comparison beside its verdict, and it and
+the invariant monoid (`_invariant_monoid`) keep the pointed image that
+`cones._monoid_generators` takes of a cone with lineality.
 """
 
 from functools import wraps
 from itertools import combinations
 
-from .cones import Cone, monoid_generators
+from .cones import Cone, _monoid_generators
 from .fans import SubfanSelection, _open_masks, _union, bits, key_order
 from .intlat import (
     Sublattice,
@@ -205,19 +207,27 @@ def _smallest_family(act, mask, fibers):
     there is none.
 
     Branch and bound on the lowest uncovered cone c: a node holds a
-    compatible set S of candidates, and its children add one candidate k
-    whose fiber contains c and which is compatible with all of S (a bit of
-    `allowed`, the AND of the members' partner masks).  Every
-    valid family F containing S holds a member whose fiber contains c, and
-    that member is not in S (S does not cover c) and is compatible with S
-    (F is pairwise compatible), so some child still lies inside F.
-    Following such children from the root reaches a cover S inside F, and
-    if F has the smallest size, S = F, since S is a valid family too.  A
-    node is cut only when S already has as many members as the best
-    family found, so it could only lead to a larger family.  So every
-    valid family of the smallest size is reached, and the least of them
-    is kept.  Each node's children go on the stack in reverse, so nodes
-    are visited in depth-first order."""
+    compatible set S of candidates and a mask `allowed` of the candidates
+    it may still add, each compatible with all of S.  Its children, in
+    ascending order, add one allowed candidate k whose fiber contains c,
+    and child j may not use the candidates that children 1..j-1 added (as
+    Knuth's Algorithm X branches on one column, D. E. Knuth, "Dancing
+    Links", arXiv cs/0011047; fibers may overlap, so the exclusion is
+    explicit).  Take a valid family F that contains S and whose other
+    members are all allowed.  Some member of F covers c, and it is not in
+    S, since S does not cover c.  The first child that adds a member k of
+    F keeps F: the earlier children added candidates outside F, and every
+    member of F is compatible with k, so F's other members stay allowed.
+    Every later child excludes k, so F is not below it.  From the root,
+    where every candidate is allowed, this reaches a cover S inside F
+    exactly once, and if F has the smallest size, S = F, since S is a
+    valid family too.  A node is cut when S already has as many members
+    as the best family found, so it could only lead to a larger family,
+    or when the fibers of its allowed candidates do not cover what S
+    leaves, so no family lies below it.  So every valid family of the
+    smallest size is reached, once, and the least of them is kept.  Each
+    node's children go on the stack in reverse, so nodes are visited in
+    depth-first order."""
     partners = {
         k: _union(
             1 << j for j in fibers if j != k and _pair_compatible(act, min(j, k), max(j, k))
@@ -235,10 +245,18 @@ def _smallest_family(act, mask, fibers):
             continue
         if best is not None and chosen.bit_count() >= len(best):
             continue
+        if (covered | _union(fibers[k] for k in bits(allowed))) != mask:
+            continue
         rest = mask & ~covered
         lowest = rest & -rest
-        stack += [(chosen | 1 << k, allowed & partners[k], covered | fibers[k])
-                  for k in reversed(list(bits(allowed))) if fibers[k] & lowest]
+        children = []
+        for k in bits(allowed):
+            if fibers[k] & lowest:
+                children.append(
+                    (chosen | 1 << k, allowed & partners[k], covered | fibers[k])
+                )
+                allowed &= ~(1 << k)
+        stack += reversed(children)
     return best
 
 
@@ -433,23 +451,29 @@ def _invariant_cone(act, k):
     return act.fan.cone(keys[k]).dual().intersect(_perp_cone(act))
 
 
-@_memo
 def invariant_monoid_generators(act, k, bound):
     """Generators of the monoid of cocharacter-invariant lattice functionals
     that are nonnegative on chart k."""
-    return monoid_generators(_invariant_cone(act, k), bound)
+    return _invariant_monoid(act, k, bound)[0]
+
+
+@_memo
+def _invariant_monoid(act, k, bound):
+    """invariant_monoid_generators' value and the pointed cone it took."""
+    return _monoid_generators(_invariant_cone(act, k), bound)
 
 
 @_memo
 def _chart_ring_check(act, k, proj, bound):
     """Do chart k's invariant functions generate the same monoid as the
     functions of its image under proj?  The verdict and the cones built."""
-    downstairs = monoid_generators(_image_dual(act, k, proj), bound)
+    downstairs, pointed = _monoid_generators(_image_dual(act, k, proj), bound)
     pt = proj.transpose()
     pulled = [tuple(pt.matvec(w)) for w in downstairs]
-    return _monoid_comparison(
+    verdict, built = _monoid_comparison(
         invariant_monoid_generators(act, k, bound), pulled, act.fan.rank
     )
+    return verdict, built + (pointed,)
 
 
 def oracle_verify_quotient(q, act, bound=None):

@@ -68,10 +68,9 @@ indices only: it returns lbar and the chart family of a good mask, or an
 obstruction code and the indices of its two witnesses.  `_render` turns
 that into the QuotientFan or the Obstruction text, and `good_quotient`
 is render after decide, memoized for the selections it is asked about,
-so only those get a quotient fan.  `enumerate_good_subsets` decides only
-the order ideals that can be good (below) on their bare masks and keeps
-a good one as its fibre masks (below) and a selection; a rejected ideal
-leaves no memo entry.
+so only those get a quotient fan.  `_decide` is the only verdict a
+selection is given: `enumerate_good_subsets` decides nothing, since the
+goods are the face closures of the chart family cliques (below).
 
 An open set with a good quotient is covered by saturated affine charts
 (J. Święcicka, "Quotients of toric varieties by actions of subtori",
@@ -86,37 +85,61 @@ members a and b of F
 3. have images not containing one another (bit b of below[a] and bit a
    of below[b] are clear);
 4. have below[a] & faces[b] & ~faces[a] == 0, and the same with a and b
-   swapped, since the cones of U below a are a's faces.
-`_family_closures` collects the face closures of the sets of cones
-satisfying 1-4 pairwise, so every good mask is among them, and
-`enumerate_good_subsets` skips every other ideal as bad; `_decide`
-remains the only verdict.  Each such set is an antichain under faces
-(2), so it is the set of maximal cones of its closure, and the clique
-search, which extends a set only by higher indices and ANDs the
-pairwise rows, visits each closure once and never makes more closures
-than there are ideals.
+   swapped, since the cones of U below a are a's faces;
+5. have images meeting in a common face (img[a].meets_in_face(img[b])),
+   or `_decide` would reject U.
+Call a set of cones passing 1-5 pairwise a clique.  Conversely, the face
+closure U of a clique F is good with chart family F, so `_good_families`
+maps the closure of every clique to the clique, and its keys are exactly
+the good masks:
+- lbar exists, in F's lineality class.  A cone t of U is a face of a
+  member s, so img[t] lies in img[s], and a linear space inside a cone
+  lies in its lineality space: lin[s] contains lin[t].  The members
+  share one lattice (1), so it contains every lattice of U, and the
+  first cone of U whose lattice contains all of them has exactly it.
+- Every member s is a chart: the cones of U are faces of members, and
+  those below s that are faces of another member are faces of s (4), so
+  below[s] & U == faces[s].
+- The family is F.  A chart c of U outside F is a proper face of a
+  member b, so b, a chart, has an image containing img[c], and c is not
+  in the family.  A chart c whose image contains a member s's is a face
+  of a member b, so img[b] contains img[s] and b == s (3); then c == s,
+  since a proper face c of s with s below it has below[c] & U !=
+  faces[c].  So no other chart's image contains a member's.
+- Nothing is uncovered, since every cone of U is a face of a member.
+- No pair of members fails to meet in a face (5).
+So `_decide(table, U)` returns (None, lbar, F).  A clique is an antichain
+under faces (2), so it is the set of maximal cones of its closure, and
+distinct cliques have distinct closures.  The clique search extends a
+set only by higher indices and ANDs the pairwise rows, so it visits each
+clique once and never makes more closures than there are order ideals.
+A fan with n cones has at most 2^n order ideals, so `_open_masks(fan,
+limit)` can refuse only when 2^n > limit; `enumerate_good_subsets` runs
+it then, and only as the size guard, before any cone is projected.  Once
+it passes, the ideals, and so the cliques, number at most limit.
 
 The engine's own form of the orbit map is the fibre masks, one routine
 `_fibres(table, mask, lbar, family)` for both the table's fibre record
 and `QuotientFan.fibres`: it groups the cones of a good mask by their
 orbit images, the memoized carrier faces above, so fibres[t] holds the
-selected cones with t's orbit image.  Saturation is mask algebra on
-them and reads the fibre record only, so it renders no quotient.  The
-saturation of a mask A inside the selection is the OR of the fibres of
-A's cones, so A is saturated exactly when that OR is A, and the largest
-saturated selection inside B removes the saturation of the cones
-outside B.
+selected cones with t's orbit image.  A good mask's record is built on
+demand, by `good_quotient` or `_recorded_fibres`, never by the
+enumeration.  Saturation is mask algebra on them and reads the fibre
+record only, so it renders no quotient.  The saturation of a mask A
+inside the selection is the OR of the fibres of A's cones, so A is
+saturated exactly when that OR is A, and the largest saturated selection
+inside B removes the saturation of the cones outside B.
 
 The host of a good selection u is the first good selection, in
 enumeration order, that properly contains u and in which u is saturated;
 the T-maximal selections are the goods without one.  They come from the
 peel rule: for each good w in enumeration order and each maximal cone s
-of w (`Fan.up_masks()[s] & w == 1 << s`), w is recorded as the host of
-its peel u = w & ~fibres[w][s] unless an earlier good was.  A good
-quotient maps saturated open subsets onto open subsets, so the saturated
-open subsets are the preimages of open subfans of the target, each good
-with the restricted quotient (A. A'Campo-Neuen and J. Hausen, Tohoku
-Math. J. 51 (1999); J. Święcicka, Colloq. Math. 81 (1999)).  Good
+of w, which is each member of its chart family (above), w is recorded as
+the host of its peel u = w & ~fibres[w][s] unless an earlier good was.
+A good quotient maps saturated open subsets onto open subsets, so the
+saturated open subsets are the preimages of open subfans of the target,
+each good with the restricted quotient (A. A'Campo-Neuen and J. Hausen,
+Tohoku Math. J. 51 (1999); J. Święcicka, Colloq. Math. 81 (1999)).  Good
 quotients are unique, so the restricted quotient has the same fibres as
 the engine's.  Write o_v for the orbit map of a good v: every cone of
 v's target fan is an orbit image, and o_v preserves faces.
@@ -134,15 +157,27 @@ v's target fan is an orbit image, and o_v preserves faces.
     o_v(s) = τ, and w peeled at s is u.
 (c) The first recorded host is the first host.  `_open_masks` adds the
     cones in `cone_keys()` order, each new ideal holding the new cone
-    and every earlier one lacking it.  So the enumeration order sorts
-    masks re-indexed by their `cone_keys()` positions, and a proper
-    subset comes before its superset.  This need not be the numeric
-    order of masks, since `numbering()` sorts cones by ray count and
+    and every earlier one lacking it.  So it lists the ideals sorted by
+    their masks re-indexed by `cone_keys()` positions, which is the key
+    `enumerate_good_subsets` sorts the goods by, and a proper subset
+    comes before its superset.  This need not be the numeric order of
+    masks, since `numbering()` sorts cones by ray count and
     `cone_keys()` by dimension.  Let v be u's first host.  By (b) it
     contains a peel host, which is a host by (a), so not earlier than
     v, and as a subset of v not later: it is v.  Every recorded host is
     a host (a), so the first one recorded for u is v, and a good without
     a host is never recorded.
+The peel reads no fibre record, by the top-fibre lemma: for a good w
+and a member s of its family, fibres[w][s] is top(s), the faces t of s
+with carrier(t, s) == carrier(s, s) (`_top_fibre`), which depends on s
+alone.  The orbit image of a cone t of w is the carrier face of its
+split image in any family chart c whose image holds t's, since the
+family images meet in common faces (see `_fibres`).  The only family
+image holding img[s] is s's own (3), so o_w(s) = carrier(s, s), the
+whole split image of s.  If o_w(t) = o_w(s), the chart c read for t has
+a face equal to s's split image, so img[c] contains img[s] and c == s;
+then t is below the chart s, so a face of it, with carrier(t, s) ==
+carrier(s, s).  Conversely, a face t of s has o_w(t) = carrier(t, s).
 The action's table keeps the recorded hosts, built once, so a good is
 T-maximal exactly when it has no entry.
 
@@ -232,23 +267,25 @@ class ImageTable:
     that of cls[j], decided once per pair of classes.  The table also
     memoizes the split images (generated, like img, by the images of the
     rays) and orbit-image carrier faces per lineality class, the fibre masks
-    of every good selection decided (the enumeration keeps its goods only
-    so), the verdicts `good_quotient` was asked for, one Fan per distinct
-    quotient target among those, so equal targets share its cone lists and
-    cones (see target()), the good selections, and the host of each good
-    selection that has one, recorded once by the peel rule of the module
-    docstring.  Whether two images meet in a face is no table fact: the
-    interned image cones keep it (`Cone.meets_in_face`).  For the staged
-    quotients that start with this action, the table keeps the residual
-    action's lattices, the composite projection's kernel and section and the
-    direct projection's kernel, each keyed by IntMatrix values and never by
-    an action (see the module docstring).
+    of the good selections that `good_quotient` and the saturation routines
+    read, each built on demand (the enumeration builds none), the verdicts
+    `good_quotient` was asked for, one Fan per distinct quotient target
+    among those, so equal targets share its cone lists and cones (see
+    target()), the chart family of every good mask, the good selections,
+    and the host of each good selection that has one, recorded once by the
+    peel rule of the module docstring.  Whether two images meet in a face
+    is no table fact: the interned image cones keep it
+    (`Cone.meets_in_face`).  For the staged quotients that start with this
+    action, the table keeps the residual action's lattices, the composite
+    projection's kernel and section and the direct projection's kernel,
+    each keyed by IntMatrix values and never by an action (see the module
+    docstring).
     """
 
     __slots__ = (
         "fan", "proj", "faces", "img", "lin", "cls", "members", "below", "above",
-        "lin_le", "split", "carriers", "fibres", "targets", "results", "goods",
-        "hosts", "residuals", "composites", "kernels",
+        "lin_le", "split", "carriers", "fibres", "targets", "results", "families",
+        "goods", "hosts", "residuals", "composites", "kernels",
     )
 
     def __init__(self, fan, proj):
@@ -259,9 +296,10 @@ class ImageTable:
         self.below = self.above = self.lin_le = None
         self.split = {}  # class id -> (q2 @ proj, {i: split image})
         self.carriers = {}  # (class id, t, s) -> carrier face, see carrier()
-        self.fibres = {}  # good selection mask -> its fibre masks, see _fibres()
+        self.fibres = {}  # good mask -> its fibre masks, on demand, see _fibres()
         self.targets = {}  # (rank, rays, nonzero chart keys) -> Fan, see target()
         self.results = {}  # selection mask -> verdict, for masks good_quotient was asked
+        self.families = None  # good mask -> its chart family, see _good_families()
         self.goods = {}  # limit -> enumerate_good_subsets
         self.hosts = None  # good mask -> its host selection, for the goods that have one
         # staged quotients with this action first, keyed by IntMatrix values
@@ -628,13 +666,13 @@ def is_saturated(inner, outer, act):
     return _saturation(_outer_fibres(inner, outer, act), inner.mask) == inner.mask
 
 
-def _family_closures(table):
-    """The face closures of the sets of cones that pass the pairwise chart
-    family tests of the module docstring, a set that holds every good
-    mask."""
+def _good_families(table):
+    """{mask: chart family} over every good mask, the family ascending as
+    `_decide` gives it: the face closures of the cliques of the clique
+    graph of the module docstring."""
     table.build()
     n = len(table.img)
-    faces, below, cls = table.faces, table.below, table.cls
+    faces, below, cls, img = table.faces, table.below, table.cls, table.img
     compat = [0] * n
     for a, b in combinations(range(n), 2):
         if (
@@ -642,44 +680,66 @@ def _family_closures(table):
             and not ((faces[a] | below[a]) >> b | (faces[b] | below[b]) >> a) & 1
             and not below[a] & faces[b] & ~faces[a]
             and not below[b] & faces[a] & ~faces[b]
+            and img[a].meets_in_face(img[b])
         ):
             compat[a] |= 1 << b
             compat[b] |= 1 << a
     # a clique grows only by higher indices, so each is visited once
-    closures = set()
-    stack = [(0, (1 << n) - 1)]
+    families = {}
+    stack = [(0, (), (1 << n) - 1)]
     while stack:
-        closure, extend = stack.pop()
-        closures.add(closure)
+        closure, family, extend = stack.pop()
+        families[closure] = family
         for a in bits(extend):
-            stack.append((closure | faces[a], extend & compat[a] & -(2 << a)))
-    return closures
+            stack.append(
+                (closure | faces[a], family + (a,), extend & compat[a] & -(2 << a))
+            )
+    return families
+
+
+def _top_fibre(table, s):
+    """The faces t of chart s with carrier(t, s) == carrier(s, s): s's fibre
+    in every good selection whose chart family holds s (the top-fibre lemma
+    of the module docstring)."""
+    own = table.carrier(s, s, s)
+    return sum(1 << t for t in bits(table.faces[s]) if table.carrier(t, s, s) == own)
 
 
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
-    """All face-closed selections admitting a good quotient.
+    """All face-closed selections admitting a good quotient, in enumeration
+    order.
 
-    The order ideals come in enumeration order; one that is not the face
-    closure of a candidate chart family (`_family_closures`) cannot be
-    good and is skipped, and every other one not yet decided is decided on
-    its bare mask.  Only a good one becomes a selection, with its fibre
-    masks kept in the action's table and no quotient fan built, so a
-    rejected ideal leaves no selection, message or memo entry behind.
+    The goods are the keys of `_good_families`, sorted by their masks
+    re-indexed by `cone_keys()` positions, which is the order of
+    `_open_masks` ((c) of the module docstring).  No selection is decided
+    and no fibre record is built: `good_quotient` and the saturation
+    routines build those on demand.  More than limit order ideals raise
+    SizeGuardError before any cone is projected.
     """
     table = _table(fan, act)
     if limit not in table.goods:
-        candidates = None
-        goods = []
-        for mask in _open_masks(fan, limit):
-            if mask not in table.fibres:
-                if mask in table.results:  # asked for, and bad
-                    continue
-                if candidates is None:
-                    candidates = _family_closures(table)
-                if mask not in candidates or _recorded_fibres(table, mask) is None:
-                    continue
-            goods.append(SubfanSelection._of_mask(fan, mask))
-        table.goods[limit] = goods
+        keys, bit = fan.numbering()
+        if 1 << len(keys) > limit:
+            _open_masks(fan, limit)  # the size guard; it cannot fire otherwise
+        if table.families is None:
+            table.families = _good_families(table)
+        families = table.families
+        position = [0] * len(keys)
+        for p, k in enumerate(fan.cone_keys()):
+            position[bit[k]] = 1 << p
+        # a good mask is the union of its family's face masks, so its
+        # re-indexed mask is the union of theirs
+        shifted = [sum(position[t] for t in bits(f)) for f in table.faces]
+
+        def reindexed(mask):
+            got = 0
+            for s in families[mask]:
+                got |= shifted[s]
+            return got
+
+        table.goods[limit] = [
+            SubfanSelection._of_mask(fan, mask) for mask in sorted(families, key=reindexed)
+        ]
     return list(table.goods[limit])
 
 
@@ -695,14 +755,14 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     goods = enumerate_good_subsets(fan, act, limit)
     table = act.image_table()
     if table.hosts is None:
-        # the peel rule of the module docstring
-        ups = fan.up_masks()
+        # the peel rule of the module docstring, at each chart by its top fibre
+        tops = {}
         hosts = {}
         for w in goods:
-            fibres = table.fibres[w.mask]
-            for s in bits(w.mask):
-                if ups[s] & w.mask == 1 << s:
-                    hosts.setdefault(w.mask & ~fibres[s], w)
+            for s in table.families[w.mask]:
+                if s not in tops:
+                    tops[s] = _top_fibre(table, s)
+                hosts.setdefault(w.mask & ~tops[s], w)
         table.hosts = hosts
     return [u for u in goods if u.mask not in table.hosts]
 
@@ -712,8 +772,7 @@ def host_of(selection, act, limit=2 ** 20):
     ValueError for a selection without a good quotient."""
     t_maximal_subsets(selection.fan, act, limit)
     table = act.image_table()
-    # after the enumeration the fibre record holds exactly the goods
-    if selection.mask not in table.fibres:
+    if selection.mask not in table.families:
         raise ValueError("selection admits no good quotient")
     return table.hosts.get(selection.mask)
 

@@ -78,6 +78,11 @@ class SymmetryGroup:
     """Finite group of fan automorphisms; the constructor validates the
     group axioms.
 
+    Closure is checked on the matrices: a.compose(b) is the automorphism of
+    the product a.matrix @ b.matrix, so it is an element exactly when that
+    product is an element's matrix, and no product is built and validated
+    as an automorphism.
+
     Closure under inverses needs no check of its own.  The elements are
     invertible maps, so for each a the map x -> a∘x is injective; when the
     finite set holds the identity and is closed under composition, that
@@ -99,7 +104,7 @@ class SymmetryGroup:
             raise ValueError("identity element missing")
         for a in elements:
             for b in elements:
-                if a.compose(b).matrix not in by_matrix:
+                if a.matrix @ b.matrix not in by_matrix:
                     raise ValueError("group not closed under composition")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(

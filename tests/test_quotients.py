@@ -596,33 +596,25 @@ class TestEnumerationRouteAgainstSelections:
             assert verdict(got) == verdict(want), sel
 
     @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
-    def test_candidates_lie_between_the_goods_and_the_ideals(self, case):
+    def test_family_keys_are_the_goods(self, case):
         fan, gens = ENUMERATION_CASES[case]
         act = normalize_action(fan, gens)
         goods = {u.mask for u in enumerate_good_subsets(fan, act)}
-        table = act.image_table()
-        candidates = quotients._family_closures(table)
-        ideals = set(_open_masks(fan, 2 ** 20))
-        assert goods <= candidates <= ideals
+        families = quotients._good_families(act.image_table())
+        assert set(families) == goods
         if case == "p1_cubed_123":
-            assert len(goods) == 917 and len(candidates) == 1107
+            assert len(goods) == 917
 
-    def test_enumeration_decides_only_the_candidates(self, monkeypatch):
-        # the pass over every ideal decided 5,779 of them here
+    def test_enumeration_decides_nothing(self, monkeypatch):
+        # the pass over every ideal decided 5,779 of them here, and the
+        # pass over the chart family candidates 70
         fan, gens = ENUMERATION_CASES["nine_ray_12"]
         act = normalize_action(fan, gens)
         assert len(_open_masks(fan, 2 ** 20)) == 5779
-        decide = quotients._decide
-        calls = 0
-
-        def counted(table, mask):
-            nonlocal calls
-            calls += 1
-            return decide(table, mask)
-
-        monkeypatch.setattr(quotients, "_decide", counted)
+        decided = []
+        monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
         assert len(enumerate_good_subsets(fan, act)) == 70
-        assert calls == 70
+        assert decided == [] and act.image_table().fibres == {}
 
 
 @pytest.mark.parametrize("case", ["p3_123", "cube_two_facets"])
@@ -710,10 +702,11 @@ def test_goods_render_on_demand_as_on_a_fresh_action(case):
     fan, gens = ENUMERATION_CASES[case]
     warm = normalize_action(fan, gens)
     goods = enumerate_good_subsets(fan, warm)
-    record = dict(warm.image_table().fibres)
-    assert set(record) == {u.mask for u in goods}
+    table = warm.image_table()
+    assert table.fibres == {}
     fresh = normalize_action(fan, gens)
     for u in goods:
+        record = quotients._recorded_fibres(table, u.mask)
         q = good_quotient(u, warm)
         want = good_quotient(u, fresh)
         assert isinstance(q, QuotientFan) and isinstance(want, QuotientFan), u
@@ -723,7 +716,7 @@ def test_goods_render_on_demand_as_on_a_fresh_action(case):
         assert (q.fan.rays, q.fan.max_cones, q.pre_lineality, q.proj_full) == (
             want.fan.rays, want.fan.max_cones, want.pre_lineality, want.proj_full
         ), u
-        assert record[u.mask] == q.fibres, u
+        assert record == want.fibres, u
         assert good_quotient(u, warm) is q
 
 
@@ -946,7 +939,9 @@ def superset_index_hosts(fan, act):
             (
                 goods[j].mask
                 for j in bits(larger)
-                if quotients._saturation(table.fibres[goods[j].mask], u.mask) == u.mask
+                if quotients._saturation(
+                    quotients._recorded_fibres(table, goods[j].mask), u.mask
+                ) == u.mask
             ),
             None,
         )
@@ -995,6 +990,65 @@ class TestPeelHostsAgainstTheSupersetIndex:
         assert sorted(sorted(k) for k in hosts[0].keys) == [
             [], [0], [0, 1], [0, 1, 2, 3], [0, 3], [1], [1, 2], [2], [2, 3], [3]
         ]
+
+
+def assert_families_are_the_verdicts(fan, act):
+    table = act.image_table()
+    families = quotients._good_families(table)
+    ideals = _open_masks(fan, 2 ** 20)
+    assert set(families) <= set(ideals)
+    for mask in ideals:
+        code, _, family = quotients._decide(table, mask)
+        if code is None:
+            assert families[mask] == family, mask
+        else:
+            assert mask not in families, mask
+
+
+class TestCliqueClosures:
+    # the face closure of every clique is good with the clique as its
+    # chart family, and every good is one
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_the_families_are_the_verdicts_on_every_ideal(self, case):
+        fan, gens = TABLE_CASES[case]
+        assert_families_are_the_verdicts(fan, normalize_action(fan, gens))
+
+    def test_every_action_of_every_corpus_fan(self):
+        for fan in corpus_fans():
+            for act in actions_for(fan):
+                assert_families_are_the_verdicts(fan, act)
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_a_charts_fibre_is_its_top_fibre_in_every_good(self, case):
+        fan, gens = TABLE_CASES[case]
+        table = normalize_action(fan, gens).image_table()
+        ups = fan.up_masks()
+        for w, family in quotients._good_families(table).items():
+            fibres = quotients._recorded_fibres(table, w)
+            maximal = tuple(s for s in bits(w) if ups[s] & w == 1 << s)
+            assert maximal == family, w
+            for s in maximal:
+                assert fibres[s] == quotients._top_fibre(table, s), (w, s)
+
+
+P1_SQUARED = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
+
+
+@pytest.mark.parametrize("fan, gens", [
+    (P1, [(1,)]), (P2, [(1, 1)]), (P1_SQUARED, [(1, 1)]),
+], ids=["p1", "p2", "p1_squared"])
+def test_the_guard_fires_exactly_above_the_ideal_count(fan, gens):
+    ideals = len(_open_masks(fan, 2 ** 20))
+    want = [u.mask for u in enumerate_good_subsets(fan, normalize_action(fan, gens))]
+    for limit in range(1, 2 ** len(fan.cone_keys()) + 1):
+        act = normalize_action(fan, gens)
+        if ideals > limit:
+            with pytest.raises(SizeGuardError, match=f"^more than {limit} open subsets$"):
+                enumerate_good_subsets(fan, act, limit)
+            table = act.image_table()
+            assert all(getattr(table, field) is None for field in TABLE_FIELDS)
+        else:
+            assert [u.mask for u in enumerate_good_subsets(fan, act, limit)] == want
 
 
 class TestRayMaskTable:

@@ -193,6 +193,25 @@ class TestClosureFromTheIdentity:
             assert group.fan is checked.fan, fan.rays
             assert [e.matrix for e in group] == [e.matrix for e in checked], fan.rays
 
+    def test_the_checked_constructor_builds_no_automorphism(self, monkeypatch):
+        # closure is checked on the element matrices; composing every pair
+        # built |G|^2 validated automorphisms
+        groups = [
+            generate_symmetry_group(fan, matrices) for fan, matrices in generator_cases()
+        ]
+        built = 0
+        init = FanAutomorphism.__init__
+
+        def counted(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+
+        monkeypatch.setattr(FanAutomorphism, "__init__", counted)
+        for group in groups:
+            SymmetryGroup(group.fan, group.elements)
+        assert built == 0
+
     def test_the_search_builds_one_automorphism_per_element_and_generator(
         self, monkeypatch
     ):
