@@ -19,8 +19,8 @@ definition-level route: the image of a cone (`_image`); the mask of the
 fan cones whose images lie in the image of cone k (`_contents`, each pair
 decided by `contains_cone`); whether two images meet in a common face;
 the face of chart k's image whose relative interior holds the image of
-cone t's interior point (`_carrier`); and, per chart, its invariant
-monoid and the ring check against its image.  Everything per selection
+cone t's interior point (`_carrier`); and, per chart, the ring check of
+its invariant monoid against its image.  Everything per selection
 is then set algebra on masks over the numbering: a chart's fiber is the
 selection mask AND its contents mask, coverage is one OR, the orbit
 labels of a good selection are classes of cones, one mask per label, and
@@ -30,16 +30,16 @@ Memo rule: a helper that remembers its results is wrapped in `_memo`, which
 keeps one table per helper in the action's `_cache`, keyed by every
 argument the value depends on (the projection itself, never a stand-in for
 it).  Nothing else touches `_cache`, so a verdict cannot depend on what the
-action was asked before.  A cone a helper builds is a memo value, so it
-lives as long as the action: the interner holds cones weakly, and a cone
-no memo held would die at once and cost a fresh double description each
-time it came up again.  So the inequality cone behind an image
-(`_image_dual`), the meet of two images (`_meet`), the cone of functionals
-vanishing on the cocharacters (`_perp_cone`) and its meet with a chart's
-dual (`_invariant_cone`) each have a helper of their own.  The ring check
-keeps the cones of its monoid comparison beside its verdict, and it and
-the invariant monoid (`_invariant_monoid`) keep the pointed image that
-`cones._monoid_generators` takes of a cone with lineality.
+action was asked before.  A memo value keeps the cones its helper built,
+so they live as long as the action: the interner holds cones weakly, and
+a cone no memo held would die at once and cost a fresh double description
+each time it came up again.  So the inequality cone behind an image
+(`_image_dual`) and the cone of functionals vanishing on the cocharacters
+(`_perp_cone`) have helpers of their own; `_meet_is_face` keeps the meet
+of two images beside its verdict; and the ring check keeps, beside its
+verdict, the cones of its monoid comparison, the chart's invariant cone
+(`_invariant_monoid`) and the pointed images that
+`cones._monoid_generators` takes of cones with lineality.
 """
 
 from functools import wraps
@@ -103,18 +103,12 @@ def _contents(act, k, proj):
 
 
 @_memo
-def _meet(act, a, b, proj):
-    """Intersection of the images of two cones under proj."""
-    return _image(act, a, proj).intersect(_image(act, b, proj))
-
-
-@_memo
 def _meet_is_face(act, a, b, proj):
-    """Do the images of two cones under proj meet in a common face?"""
-    meet = _meet(act, a, b, proj)
-    return meet.is_face_of(_image(act, a, proj)) and meet.is_face_of(
-        _image(act, b, proj)
-    )
+    """Do the images of two cones under proj meet in a common face?  The
+    verdict and the meet."""
+    image_a, image_b = _image(act, a, proj), _image(act, b, proj)
+    meet = image_a.intersect(image_b)
+    return meet.is_face_of(image_a) and meet.is_face_of(image_b), meet
 
 
 @_memo
@@ -130,7 +124,7 @@ def _pair_compatible(act, a, b):
     lin = _image(act, a, act.proj).lineality_lattice()
     if lin.basis != _image(act, b, act.proj).lineality_lattice().basis:
         return False
-    return _meet_is_face(act, a, b, _split_projection(act, lin))
+    return _meet_is_face(act, a, b, _split_projection(act, lin))[0]
 
 
 @_memo
@@ -444,36 +438,26 @@ def _perp_cone(act):
     return Cone.from_generators(gens, act.fan.rank)
 
 
-@_memo
-def _invariant_cone(act, k):
-    """The cocharacter-invariant functionals nonnegative on chart k."""
-    keys, _ = act.fan.numbering()
-    return act.fan.cone(keys[k]).dual().intersect(_perp_cone(act))
-
-
-def invariant_monoid_generators(act, k, bound):
-    """Generators of the monoid of cocharacter-invariant lattice functionals
-    that are nonnegative on chart k."""
-    return _invariant_monoid(act, k, bound)[0]
-
-
-@_memo
 def _invariant_monoid(act, k, bound):
-    """invariant_monoid_generators' value and the pointed cone it took."""
-    return _monoid_generators(_invariant_cone(act, k), bound)
+    """Generators of the monoid of cocharacter-invariant lattice functionals
+    that are nonnegative on chart k, and the cones built: the cone of those
+    functionals and the pointed image `_monoid_generators` took of it."""
+    keys, _ = act.fan.numbering()
+    cone = act.fan.cone(keys[k]).dual().intersect(_perp_cone(act))
+    gens, pointed = _monoid_generators(cone, bound)
+    return gens, (cone, pointed)
 
 
 @_memo
 def _chart_ring_check(act, k, proj, bound):
     """Do chart k's invariant functions generate the same monoid as the
     functions of its image under proj?  The verdict and the cones built."""
+    upstairs, invariant = _invariant_monoid(act, k, bound)
     downstairs, pointed = _monoid_generators(_image_dual(act, k, proj), bound)
     pt = proj.transpose()
     pulled = [tuple(pt.matvec(w)) for w in downstairs]
-    verdict, built = _monoid_comparison(
-        invariant_monoid_generators(act, k, bound), pulled, act.fan.rank
-    )
-    return verdict, built + (pointed,)
+    verdict, built = _monoid_comparison(upstairs, pulled, act.fan.rank)
+    return verdict, built + (pointed,) + invariant
 
 
 def oracle_verify_quotient(q, act, bound=None):
@@ -526,7 +510,7 @@ def oracle_verify_quotient(q, act, bound=None):
         missing = keys[(uncovered & -uncovered).bit_length() - 1]
         problems.append(f"cone {sorted(missing)} is covered by no chart")
     for (ka, a), (kb, b) in combinations(charts, 2):
-        if not _meet_is_face(act, bit[a], bit[b], pf):
+        if not _meet_is_face(act, bit[a], bit[b], pf)[0]:
             problems.append(
                 f"images of charts {sorted(a)} and {sorted(b)} do not meet "
                 "in a common face"

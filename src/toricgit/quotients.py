@@ -57,20 +57,28 @@ witnesses are those of a pairwise scan over the sorted selection.  A good
 selection's quotient is read off the family's split images: the target
 rays are their generators, and the orbit image of t is the carrier face
 of t's split image in the lowest family chart covering t.  No cone of the
-target fan is built.  That carrier face depends only on the lineality
-class, t and the chart, so the table memoizes it under those three, as it
-does the split images.  Whether two chart images meet in a face is kept
-on the interned image cones themselves (`Cone.meets_in_face`), so every
-table, and every selection, that meets the same two images shares it.
+target fan is built.  The split images depend on the lineality class,
+and a family chart's class is lbar's, so the carrier face depends only on
+t and the chart and is kept under those two.  Whether two chart images
+meet in a face is kept on the interned image cones themselves
+(`Cone.meets_in_face`), so every table, and every selection, that meets
+the same two images shares it.
+
+Memo rule: the table keeps its inputs, its rows, the verdicts
+`good_quotient` was asked for, and one memo store.  Every other fact the
+engine derives per action is a function wrapped in `_kept`, which keeps
+fn(table, *args) in table.memos[fn][args], keyed by exactly the arguments
+its value depends on.  The action's `_cache` belongs to the oracles.
 
 The criterion is one routine, `_decide(table, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
 obstruction code and the indices of its two witnesses.  `_render` turns
 that into the QuotientFan or the Obstruction text, and `good_quotient`
-is render after decide, memoized for the selections it is asked about,
-so only those get a quotient fan.  `_decide` is the only verdict a
-selection is given: `enumerate_good_subsets` decides nothing, since the
-goods are the face closures of the chart family cliques (below).
+is render after decide, kept in the table's verdicts for the selections
+it is asked about, so only those get a quotient fan.  `_decide` is the
+only verdict a selection is given: `enumerate_good_subsets` decides
+nothing, since the goods are the face closures of the chart family
+cliques (below).
 
 An open set with a good quotient is covered by saturated affine charts
 (J. Święcicka, "Quotients of toric varieties by actions of subtori",
@@ -119,13 +127,14 @@ it then, and only as the size guard, before any cone is projected.  Once
 it passes, the ideals, and so the cliques, number at most limit.
 
 The engine's own form of the orbit map is the fibre masks, one routine
-`_fibres(table, mask, lbar, family)` for both the table's fibre record
-and `QuotientFan.fibres`: it groups the cones of a good mask by their
-orbit images, the memoized carrier faces above, so fibres[t] holds the
-selected cones with t's orbit image.  A good mask's record is built on
-demand, by `good_quotient` or `_recorded_fibres`, never by the
-enumeration.  Saturation is mask algebra on them and reads the fibre
-record only, so it renders no quotient.  The saturation of a mask A
+`_fibres(table, mask, family)` for `QuotientFan.fibres` and the
+saturation routines: it groups the cones of a good mask by their orbit
+images, the kept carrier faces above, so fibres[t] holds the selected
+cones with t's orbit image.  The saturation routines read a rendered
+quotient's fibres from the verdicts, and otherwise decide the mask and
+group its fibres without storing them (`_recorded_fibres`); the
+enumeration groups none.  Saturation is mask algebra on the fibres, so
+it renders no quotient.  The saturation of a mask A
 inside the selection is the OR of the fibres of A's cones, so A is
 saturated exactly when that OR is A, and the largest saturated selection
 inside B removes the saturation of the cones outside B.
@@ -178,23 +187,26 @@ whole split image of s.  If o_w(t) = o_w(s), the chart c read for t has
 a face equal to s's split image, so img[c] contains img[s] and c == s;
 then t is below the chart s, so a face of it, with carrier(t, s) ==
 carrier(s, s).  Conversely, a face t of s has o_w(t) = carrier(t, s).
-The action's table keeps the recorded hosts, built once, so a good is
+`_hosts` keeps the recorded hosts, built once per action, so a good is
 T-maximal exactly when it has no entry.
 
 A staged quotient by nested subtori (A. A'Campo-Neuen and J. Hausen,
-Tohoku Math. J. 51 (1999)) reads three lattice facts, and the smaller
+Tohoku Math. J. 51 (1999)) reads two lattice facts, and the smaller
 action's table keeps each of them once per distinct value: the residual
 action on the first-stage target (its cocharacter lattice, projection and
-saturation flag), the kernel and section of the composite projection, and
-the kernel of the direct projection.  Their keys are IntMatrix values,
-never actions: a key holding the larger action would make a cycle from
-that action through its table and back, which only the cyclic collector
-frees, and would keep the dead action's cones interned.  The residual
-action itself is built afresh for each comparison around the kept lattice
-facts.
+saturation flag), and the kernel and section of the composite projection.
+Their keys are IntMatrix values, never actions: a key holding the larger
+action would make a cycle from that action through its table and back,
+which only the cyclic collector frees, and would keep the dead action's
+cones interned.  The residual action itself is built afresh for each
+comparison around the kept lattice facts.  The comparison computes no
+second kernel: both kernels are saturated, so the direct projection's
+equals the composite's exactly when it kills the composite kernel's
+basis and has the same rank, cols minus the direct projection's rank.
 """
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 
 from .cones import Cone
@@ -208,6 +220,7 @@ from .fans import (
 from .intlat import (
     Sublattice,
     kernel_lattice,
+    matrix_rank,
     quotient_lattice_map,
     split_surjection,
 )
@@ -255,7 +268,8 @@ class SubtorusAction:
 class ImageTable:
     """Everything the chart criterion reads about one action's fan cones.
 
-    Cone i is the fan's cone i (Fan.numbering).  The rows, all None until
+    The inputs are the fan, the projection and the fan's face masks.  Cone
+    i is the fan's cone i (Fan.numbering).  The rows, all None until
     `build()`: per cone, the image `img[i]`, generated by its rays' images,
     and img[i]'s lineality lattice `lin[i]` with class id `cls[i]` (equal
     ids for equal lattices, numbered in index order); per class c, the mask
@@ -264,28 +278,21 @@ class ImageTable:
     `build()` projects each ray and each cone once and relates every pair by
     bit tests: img[i] contains img[j] iff j's rays all have images in
     img[i], and lin[i] contains lin[j] iff the lattice of cls[i] contains
-    that of cls[j], decided once per pair of classes.  The table also
-    memoizes the split images (generated, like img, by the images of the
-    rays) and orbit-image carrier faces per lineality class, the fibre masks
-    of the good selections that `good_quotient` and the saturation routines
-    read, each built on demand (the enumeration builds none), the verdicts
-    `good_quotient` was asked for, one Fan per distinct quotient target
-    among those, so equal targets share its cone lists and cones (see
-    target()), the chart family of every good mask, the good selections,
-    and the host of each good selection that has one, recorded once by the
-    peel rule of the module docstring.  Whether two images meet in a face
-    is no table fact: the interned image cones keep it
-    (`Cone.meets_in_face`).  For the staged quotients that start with this
-    action, the table keeps the residual action's lattices, the composite
-    projection's kernel and section and the direct projection's kernel,
-    each keyed by IntMatrix values and never by an action (see the module
-    docstring).
+    that of cls[j], decided once per pair of classes.
+
+    `results` holds the verdicts `good_quotient` was asked for.  Every
+    other fact the engine derives from the table is a `_kept` function of
+    the table, kept in `memos` under that function and its arguments: the
+    split projection and images per lineality class, the carrier faces per
+    cone and chart, the target fans, the staged quotients' lattice facts,
+    the chart families of the goods, the top fibres, the goods per limit
+    and the host table.  Whether two images meet in a face is no table
+    fact: the interned image cones keep it (`Cone.meets_in_face`).
     """
 
     __slots__ = (
         "fan", "proj", "faces", "img", "lin", "cls", "members", "below", "above",
-        "lin_le", "split", "carriers", "fibres", "targets", "results", "families",
-        "goods", "hosts", "residuals", "composites", "kernels",
+        "lin_le", "memos", "results",
     )
 
     def __init__(self, fan, proj):
@@ -294,18 +301,8 @@ class ImageTable:
         self.faces = fan.face_masks()
         self.img = self.lin = self.cls = self.members = None  # see build()
         self.below = self.above = self.lin_le = None
-        self.split = {}  # class id -> (q2 @ proj, {i: split image})
-        self.carriers = {}  # (class id, t, s) -> carrier face, see carrier()
-        self.fibres = {}  # good mask -> its fibre masks, on demand, see _fibres()
-        self.targets = {}  # (rank, rays, nonzero chart keys) -> Fan, see target()
+        self.memos = {}  # _kept function -> {its arguments: its value}
         self.results = {}  # selection mask -> verdict, for masks good_quotient was asked
-        self.families = None  # good mask -> its chart family, see _good_families()
-        self.goods = {}  # limit -> enumerate_good_subsets
-        self.hosts = None  # good mask -> its host selection, for the goods that have one
-        # staged quotients with this action first, keyed by IntMatrix values
-        self.residuals = {}  # (proj_full, larger cochar basis) -> see residual()
-        self.composites = {}  # composite projection -> (kernel, section)
-        self.kernels = {}  # direct projection -> kernel lattice
 
     def build(self):
         """Fill every row in one pass; a built table is left as it is."""
@@ -348,74 +345,72 @@ class ImageTable:
         self.img, self.lin, self.cls, self.members = img, lin, cls, members
         self.below, self.above, self.lin_le = below, above, [class_le[c] for c in cls]
 
-    def split_projection(self, lbar):
-        """(q2 @ proj, split images by index), where q2 divides out the
-        lineality lattice of cone lbar; shared by its lineality class."""
-        got = self.split.get(self.cls[lbar])
+
+def _kept(fn):
+    """Keep fn(table, *args) in table.memos[fn][args]: the engine's one memo
+    rule, one store per function, keyed by the arguments its value depends
+    on.  No kept function returns None."""
+
+    @wraps(fn)
+    def kept(table, *args):
+        memo = table.memos.get(fn)
+        if memo is None:
+            memo = table.memos[fn] = {}
+        got = memo.get(args)
         if got is None:
-            q2 = quotient_lattice_map(self.lin[lbar])
-            got = self.split[self.cls[lbar]] = (q2 @ self.proj, {})
+            got = memo[args] = fn(table, *args)
         return got
 
-    def split_image(self, i, lbar):
-        proj_full, images = self.split_projection(lbar)
-        got = images.get(i)
-        if got is None:
-            keys, _ = self.fan.numbering()
-            got = images[i] = Cone.from_generators(
-                [proj_full.matvec(self.fan.rays[r]) for r in sorted(keys[i])],
-                proj_full.rows,
-            )
-        return got
+    return kept
 
-    def target(self, rank, rays, cones):
-        """The target Fan(rank, rays, cones), one per distinct fan: rays a
-        sorted tuple, cones a frozenset of keys, where the zero cone's key,
-        which a Fan drops, adds nothing."""
-        key = (rank, rays, cones - {frozenset()})
-        got = self.targets.get(key)
-        if got is None:
-            got = self.targets[key] = Fan(rank, rays, cones)
-        return got
 
-    def residual(self, proj_full, basis):
-        """(cochar, proj, input_saturated) of the residual action on a first
-        stage quotient with projection proj_full, by the larger subtorus
-        whose cocharacter basis is basis: `normalize_action` on the images."""
-        key = (proj_full, basis)
-        got = self.residuals.get(key)
-        if got is None:
-            got = self.residuals[key] = _normalized(
-                proj_full.rows, [proj_full.matvec(b) for b in basis.entries]
-            )
-        return got
+@_kept
+def _split_projection(table, c):
+    """q2 @ proj, where q2 divides out the lineality lattice of class c,
+    read off its highest member."""
+    return quotient_lattice_map(table.lin[table.members[c].bit_length() - 1]) @ table.proj
 
-    def composite(self, proj):
-        """(kernel, section) of a composite stage projection, a surjection."""
-        got = self.composites.get(proj)
-        if got is None:
-            got = self.composites[proj] = split_surjection(proj)
-        return got
 
-    def kernel(self, proj):
-        """Kernel lattice of a direct projection, surjective or not."""
-        got = self.kernels.get(proj)
-        if got is None:
-            got = self.kernels[proj] = kernel_lattice(proj)
-        return got
+@_kept
+def _split_image(table, i, c):
+    """The image of cone i under the split projection of class c, generated
+    by the images of its rays."""
+    proj_full = _split_projection(table, c)
+    keys, _ = table.fan.numbering()
+    return Cone.from_generators(
+        [proj_full.matvec(table.fan.rays[r]) for r in sorted(keys[i])], proj_full.rows
+    )
 
-    def carrier(self, t, s, lbar):
-        """Generators of the carrier face, in the split image of chart s, of
-        the split image of cone t, split by lbar's lineality class: t's
-        orbit image when s is t's family chart."""
-        key = (self.cls[lbar], t, s)
-        got = self.carriers.get(key)
-        if got is None:
-            point = self.split_image(t, lbar).relative_interior_point()
-            got = self.carriers[key] = self.split_image(s, lbar).carrier_generators(
-                [point]
-            )
-        return got
+
+@_kept
+def _carrier(table, t, s):
+    """Generators of the carrier face, in the split image of chart s, of the
+    split image of cone t, both split by s's lineality class: t's orbit
+    image when s is t's family chart, whose class is lbar's."""
+    c = table.cls[s]
+    point = _split_image(table, t, c).relative_interior_point()
+    return _split_image(table, s, c).carrier_generators([point])
+
+
+@_kept
+def _target(table, rank, rays, cones):
+    """The target Fan(rank, rays, cones), one per distinct fan: rays a
+    sorted tuple, cones a frozenset of nonzero cone keys."""
+    return Fan(rank, rays, cones)
+
+
+@_kept
+def _residual(table, proj_full, basis):
+    """(cochar, proj, input_saturated) of the residual action on a first
+    stage quotient with projection proj_full, by the larger subtorus whose
+    cocharacter basis is basis: `normalize_action` on the images."""
+    return _normalized(proj_full.rows, [proj_full.matvec(b) for b in basis.entries])
+
+
+@_kept
+def _composite(table, proj):
+    """(kernel, section) of a composite stage projection, a surjection."""
+    return split_surjection(proj)
 
 
 def normalize_action(fan, generators):
@@ -479,10 +474,9 @@ def good_quotient(selection, act):
     table = _table(selection.fan, act)
     got = table.results.get(selection.mask)
     if got is None:
-        decision = _decide(table, selection.mask)
-        got = table.results[selection.mask] = _render(table, selection, decision)
-        if decision[0] is None:
-            table.fibres.setdefault(selection.mask, got.fibres)
+        got = table.results[selection.mask] = _render(
+            table, selection, _decide(table, selection.mask)
+        )
     return got
 
 
@@ -574,7 +568,7 @@ def _quotient(table, selection, lbar, family):
             selection,
             Sublattice.from_rows(proj.rows, []),
             proj,
-            table.target(proj.rows, (), frozenset()),
+            _target(table, proj.rows, (), frozenset()),
             chart_map={},
             orbit_map={},
             fibres={},
@@ -582,11 +576,12 @@ def _quotient(table, selection, lbar, family):
         )
     keys, _ = table.fan.numbering()
     faces = table.faces
-    proj_full, _ = table.split_projection(lbar)
-    chart_gens = [table.split_image(s, lbar).generators for s in family]
+    c = table.cls[lbar]
+    proj_full = _split_projection(table, c)
+    chart_gens = [_split_image(table, s, c).generators for s in family]
     rays = tuple(sorted({g for gens in chart_gens for g in gens}))
     ray_index = {g: i for i, g in enumerate(rays)}
-    carriers, fibres = _fibres(table, selection.mask, lbar, family)
+    carriers, fibres = _fibres(table, selection.mask, family)
     chart_map = {
         frozenset(ray_index[g] for g in gens): keys[s]
         for s, gens in zip(family, chart_gens)
@@ -603,7 +598,7 @@ def _quotient(table, selection, lbar, family):
         selection,
         table.lin[lbar],
         proj_full,
-        table.target(proj_full.rows, rays, frozenset(chart_map)),
+        _target(table, proj_full.rows, rays, frozenset(k for k in chart_map if k)),
         chart_map=chart_map,
         orbit_map={
             keys[t]: frozenset(ray_index[g] for g in c) for t, c in carriers.items()
@@ -613,8 +608,8 @@ def _quotient(table, selection, lbar, family):
     )
 
 
-def _fibres(table, mask, lbar, family):
-    """(carriers, fibres) of a good mask that _decide gave lbar and family:
+def _fibres(table, mask, family):
+    """(carriers, fibres) of a good mask that _decide gave family:
     carriers[t] generates t's orbit image, read in the lowest family chart
     covering t (the images meet in common faces, so any would do), and
     fibres[t] masks the cones of mask with that orbit image."""
@@ -623,24 +618,24 @@ def _fibres(table, mask, lbar, family):
     carriers, fibre = {}, {}
     for t in bits(mask):
         cover = above[t] & covered
-        c = carriers[t] = table.carrier(t, (cover & -cover).bit_length() - 1, lbar)
+        c = carriers[t] = _carrier(table, t, (cover & -cover).bit_length() - 1)
         fibre[c] = fibre.get(c, 0) | 1 << t
     return carriers, {t: fibre[c] for t, c in carriers.items()}
 
 
 def _recorded_fibres(table, mask):
-    """The fibre record of mask, which decides mask when not yet recorded;
-    None, and no record, when mask has no good quotient."""
-    got = table.fibres.get(mask)
-    if got is None:
-        code, lbar, family = _decide(table, mask)
-        if code is None:
-            got = table.fibres[mask] = _fibres(table, mask, lbar, family)[1]
-    return got
+    """The fibre masks of mask: its rendered quotient's when `good_quotient`
+    has one, else decided and grouped afresh and stored nowhere; None when
+    mask has no good quotient."""
+    got = table.results.get(mask)
+    if got is not None:
+        return got.fibres if isinstance(got, QuotientFan) else None
+    code, _, family = _decide(table, mask)
+    return _fibres(table, mask, family)[1] if code is None else None
 
 
 def _outer_fibres(inner, outer, act):
-    """The fibre record of outer, for an inner selection inside it."""
+    """The fibre masks of outer, for an inner selection inside it."""
     if not inner <= outer:
         raise ValueError("inner selection must lie inside the outer one")
     fibres = _recorded_fibres(_table(outer.fan, act), outer.mask)
@@ -666,10 +661,13 @@ def is_saturated(inner, outer, act):
     return _saturation(_outer_fibres(inner, outer, act), inner.mask) == inner.mask
 
 
+@_kept
 def _good_families(table):
-    """{mask: chart family} over every good mask, the family ascending as
-    `_decide` gives it: the face closures of the cliques of the clique
-    graph of the module docstring."""
+    """{mask: chart family} over every good mask in enumeration order, the
+    family ascending as `_decide` gives it: the face closures of the
+    cliques of the clique graph of the module docstring, sorted by their
+    masks re-indexed by `cone_keys()` positions, the order of `_open_masks`
+    ((c) of the module docstring)."""
     table.build()
     n = len(table.img)
     faces, below, cls, img = table.faces, table.below, table.cls, table.img
@@ -694,53 +692,64 @@ def _good_families(table):
             stack.append(
                 (closure | faces[a], family + (a,), extend & compat[a] & -(2 << a))
             )
-    return families
+    _, bit = table.fan.numbering()
+    position = [0] * n
+    for p, k in enumerate(table.fan.cone_keys()):
+        position[bit[k]] = 1 << p
+    # a good mask is the union of its family's face masks, so its
+    # re-indexed mask is the union of theirs
+    shifted = [sum(position[t] for t in bits(f)) for f in faces]
+
+    def reindexed(item):
+        got = 0
+        for s in item[1]:
+            got |= shifted[s]
+        return got
+
+    return dict(sorted(families.items(), key=reindexed))
 
 
+@_kept
 def _top_fibre(table, s):
     """The faces t of chart s with carrier(t, s) == carrier(s, s): s's fibre
     in every good selection whose chart family holds s (the top-fibre lemma
     of the module docstring)."""
-    own = table.carrier(s, s, s)
-    return sum(1 << t for t in bits(table.faces[s]) if table.carrier(t, s, s) == own)
+    own = _carrier(table, s, s)
+    return sum(1 << t for t in bits(table.faces[s]) if _carrier(table, t, s) == own)
+
+
+@_kept
+def _goods(table, limit):
+    """The good selections in enumeration order, after the size guard:
+    more than limit order ideals raise SizeGuardError before any cone is
+    projected."""
+    fan = table.fan
+    if 1 << len(table.faces) > limit:
+        _open_masks(fan, limit)  # the size guard; it cannot fire otherwise
+    return [SubfanSelection._of_mask(fan, mask) for mask in _good_families(table)]
+
+
+@_kept
+def _hosts(table):
+    """Good mask -> the mask of its host, for the goods that have one: the
+    peel rule of the module docstring, at each chart by its top fibre."""
+    hosts = {}
+    for w, family in _good_families(table).items():
+        for s in family:
+            hosts.setdefault(w & ~_top_fibre(table, s), w)
+    return hosts
 
 
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
     """All face-closed selections admitting a good quotient, in enumeration
     order.
 
-    The goods are the keys of `_good_families`, sorted by their masks
-    re-indexed by `cone_keys()` positions, which is the order of
-    `_open_masks` ((c) of the module docstring).  No selection is decided
-    and no fibre record is built: `good_quotient` and the saturation
-    routines build those on demand.  More than limit order ideals raise
+    The goods are the keys of `_good_families`.  No selection is decided
+    and no quotient is rendered: `good_quotient` and the saturation
+    routines decide on demand.  More than limit order ideals raise
     SizeGuardError before any cone is projected.
     """
-    table = _table(fan, act)
-    if limit not in table.goods:
-        keys, bit = fan.numbering()
-        if 1 << len(keys) > limit:
-            _open_masks(fan, limit)  # the size guard; it cannot fire otherwise
-        if table.families is None:
-            table.families = _good_families(table)
-        families = table.families
-        position = [0] * len(keys)
-        for p, k in enumerate(fan.cone_keys()):
-            position[bit[k]] = 1 << p
-        # a good mask is the union of its family's face masks, so its
-        # re-indexed mask is the union of theirs
-        shifted = [sum(position[t] for t in bits(f)) for f in table.faces]
-
-        def reindexed(mask):
-            got = 0
-            for s in families[mask]:
-                got |= shifted[s]
-            return got
-
-        table.goods[limit] = [
-            SubfanSelection._of_mask(fan, mask) for mask in sorted(families, key=reindexed)
-        ]
-    return list(table.goods[limit])
+    return list(_goods(_table(fan, act), limit))
 
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):
@@ -752,29 +761,21 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     have that property (J. Włodarczyk, "Embeddings in toric varieties and
     prevarieties", J. Algebraic Geom. 2 (1993)), so the variants coincide.
     """
-    goods = enumerate_good_subsets(fan, act, limit)
-    table = act.image_table()
-    if table.hosts is None:
-        # the peel rule of the module docstring, at each chart by its top fibre
-        tops = {}
-        hosts = {}
-        for w in goods:
-            for s in table.families[w.mask]:
-                if s not in tops:
-                    tops[s] = _top_fibre(table, s)
-                hosts.setdefault(w.mask & ~tops[s], w)
-        table.hosts = hosts
-    return [u for u in goods if u.mask not in table.hosts]
+    table = _table(fan, act)
+    goods = _goods(table, limit)
+    hosts = _hosts(table)
+    return [u for u in goods if u.mask not in hosts]
 
 
 def host_of(selection, act, limit=2 ** 20):
     """The host of a good selection, None when it is T-maximal; a
     ValueError for a selection without a good quotient."""
-    t_maximal_subsets(selection.fan, act, limit)
-    table = act.image_table()
-    if selection.mask not in table.families:
+    table = _table(selection.fan, act)
+    _goods(table, limit)  # the size guard
+    if selection.mask not in _good_families(table):
         raise ValueError("selection admits no good quotient")
-    return table.hosts.get(selection.mask)
+    host = _hosts(table).get(selection.mask)
+    return None if host is None else SubfanSelection._of_mask(selection.fan, host)
 
 
 def max_saturated_inside(outer, inner, act):
@@ -815,7 +816,7 @@ def staged_quotient(selection, act_small, act_large):
         )
     table = act_small.image_table()
     residual = SubtorusAction(
-        first.fan, *table.residual(first.proj_full, act_large.cochar.basis)
+        first.fan, *_residual(table, first.proj_full, act_large.cochar.basis)
     )
     second = good_quotient(first.fan.full_selection(), residual)
     if isinstance(second, Obstruction) or isinstance(direct, Obstruction):
@@ -828,8 +829,11 @@ def staged_quotient(selection, act_small, act_large):
             consistent=both_fail,
             detail="consistent nonexistence" if both_fail else "one side exists",
         )
-    kernel, section = table.composite(second.proj_full @ first.proj_full)
-    if kernel.basis != table.kernel(direct.proj_full).basis:
+    kernel, section = _composite(table, second.proj_full @ first.proj_full)
+    proj = direct.proj_full  # both kernels are saturated (module docstring)
+    if any(any(proj.matvec(b)) for b in kernel.basis.entries) or (
+        proj.cols - matrix_rank(proj.entries, proj.cols) != kernel.rank
+    ):
         return StagedComparison(
             first, second, direct, equal=False, consistent=False,
             detail="composite and direct projections have different kernels",

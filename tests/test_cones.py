@@ -628,7 +628,7 @@ for _ in range(2):
         # the staged quotients' lattice facts live on the actions' tables,
         # so a second pass on fresh objects recomputes every one of them
         counts = self.cold_pass_counts("intlat", "smith_normal_form")
-        assert counts[0] == counts[1] <= 422
+        assert counts[0] == counts[1] <= 395
 
     def test_a_sweep_leaves_no_action_in_cyclic_garbage(self):
         # memo keys are values: a key holding an action would make a cycle

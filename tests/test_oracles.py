@@ -7,7 +7,14 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from test_quotients import DIFFERENTIAL_CASES, ENUMERATION_CASES, face_keys
+from test_quotients import (
+    DIFFERENTIAL_CASES,
+    ENUMERATION_CASES,
+    P3_CONES,
+    P3_RAYS,
+    TABLE_CASES,
+    face_keys,
+)
 
 from toricgit import oracles
 from toricgit.cones import Cone
@@ -19,7 +26,6 @@ from toricgit.oracles import (
     brute_max_saturated_inside,
     brute_t_maximal,
     chart_family,
-    invariant_monoid_generators,
     mutually_generate,
     oracle_good_quotient,
     oracle_orbit_labels,
@@ -30,6 +36,7 @@ from toricgit.quotients import (
     ImageTable,
     Obstruction,
     QuotientFan,
+    enumerate_good_subsets,
     good_quotient,
     is_saturated,
     max_saturated_inside,
@@ -233,7 +240,7 @@ class TestMonoidComparison:
         act = normalize_action(C2, [(1, 1)])
         _, bit = C2.numbering()
         sigma = bit[frozenset({0})]
-        assert invariant_monoid_generators(act, sigma, None) == ((1, -1),)
+        assert oracles._invariant_monoid(act, sigma, None)[0] == ((1, -1),)
 
 
 class TestQuotientCertificates:
@@ -320,7 +327,7 @@ class TestCertificateFailures:
         )
 
     def test_meet_not_a_face(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_meet_is_face", lambda *args: False)
+        monkeypatch.setattr(oracles, "_meet_is_face", lambda *args: (False, None))
         assert self.verify() == (
             "images of charts [0] and [1] do not meet in a common face",
         )
@@ -473,6 +480,23 @@ def keyset_saturated(inner, outer, labels):
     return all(t in inner.keys for t in outer.keys if labels[t] in inside)
 
 
+# the engine against the oracles on every ideal of fans up to rank 3, and
+# on the small rank-4 fans of the differential cases; P^4 with (1,2,3,4)
+# is a CI step
+RANK3_CASES = {
+    **ENUMERATION_CASES,
+    "full_cube_123": TABLE_CASES["full_cube_123"],
+    "p3_sum_zero": (Fan(3, P3_RAYS, P3_CONES), [(1, -1, 0), (0, 1, -1)]),
+}
+# goods and T-maximal sets
+RANK3_COUNTS = {
+    "p1_cubed_123": (917, 67),
+    "full_cube_123": (2317, 38),
+    "pyramid_123": (189, 11),
+    "p3_sum_zero": (23, 13),
+}
+
+
 class TestDifferentialAgainstKeySets:
     @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
     def test_families_labels_and_saturation(self, case):
@@ -495,13 +519,27 @@ class TestDifferentialAgainstKeySets:
                     assert oracle_saturated(inner, outer, act) == want, (inner, outer)
         assert 0 < goods < len(opens)
 
-    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    @pytest.mark.parametrize("case", sorted(RANK3_CASES))
     def test_brute_maximal_sets_are_the_engines(self, case):
-        fan, gens = DIFFERENTIAL_CASES[case]
+        fan, gens = RANK3_CASES[case]
         brute = brute_t_maximal(fan, normalize_action(fan, gens))
-        engine = t_maximal_subsets(fan, normalize_action(fan, gens))
+        act = normalize_action(fan, gens)
+        engine = t_maximal_subsets(fan, act)
         assert sorted(u.mask for u in brute) == sorted(u.mask for u in engine)
         assert {u.keys for u in brute} == {u.keys for u in engine}
+        if case in RANK3_COUNTS:
+            goods = enumerate_good_subsets(fan, act)
+            assert (len(goods), len(engine)) == RANK3_COUNTS[case]
+
+    @pytest.mark.parametrize("case", sorted(RANK3_CASES))
+    def test_the_oracles_agree_with_the_engine_on_every_ideal(self, case):
+        fan, gens = RANK3_CASES[case]
+        act = normalize_action(fan, gens)
+        for sel in enumerate_open_subsets(fan):
+            q = good_quotient(sel, act)
+            assert oracle_good_quotient(sel, act) == isinstance(q, QuotientFan), sel
+            if isinstance(q, QuotientFan):
+                assert oracle_verify_quotient(q, act) == (), sel
 
 
 def quadratic_t_maximal(fan, act):

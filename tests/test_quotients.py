@@ -312,13 +312,20 @@ class TestStagedFailures:
     @pytest.mark.parametrize("field, value, detail", [
         ("proj_full", IntMatrix([[1, 0]]),
          "composite and direct projections have different kernels"),
+        # two rows of rank one: the kernel is not the row count short of full
+        ("proj_full", IntMatrix([[1, 0], [2, 0]]),
+         "composite and direct projections have different kernels"),
         ("proj_full", IntMatrix([[2, 0], [0, 2]]),
+         "no unimodular identification of the targets"),
+        # three rows of rank two: the kernels agree, the targets cannot
+        ("proj_full", IntMatrix([[1, 0], [0, 1], [1, 1]]),
          "no unimodular identification of the targets"),
         ("fan", Fan(2, [(-1, 0), (0, -1), (1, 1)], [{0, 1}, {1, 2}, {0, 2}]),
          "target fans have different rays"),
         ("fan", Fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}]),
          "target fans have different maximal cones"),
-    ], ids=["kernels", "unimodular", "rays", "maximal cones"])
+    ], ids=["kernels", "kernels rank below rows", "unimodular",
+            "unimodular rank below rows", "rays", "maximal cones"])
     def test_forged_target(self, monkeypatch, field, value, detail):
         rep = forged_staged(
             monkeypatch, lambda q: dataclasses.replace(q, **{field: value})
@@ -613,8 +620,9 @@ class TestEnumerationRouteAgainstSelections:
         assert len(_open_masks(fan, 2 ** 20)) == 5779
         decided = []
         monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
+        grouped = count_fibre_groupings(monkeypatch)
         assert len(enumerate_good_subsets(fan, act)) == 70
-        assert decided == [] and act.image_table().fibres == {}
+        assert decided == [] and act.image_table().results == {} and grouped == []
 
 
 @pytest.mark.parametrize("case", ["p3_123", "cube_two_facets"])
@@ -654,6 +662,19 @@ def test_enumeration_builds_selections_only_for_goods(monkeypatch):
     goods = enumerate_good_subsets(fan, act)
     assert len(goods) == 70
     assert built == {"selection": 70}
+
+
+def count_fibre_groupings(monkeypatch):
+    """List of the masks `quotients._fibres` groups from now on."""
+    grouped = []
+    real = quotients._fibres
+
+    def counted(table, mask, family):
+        grouped.append(mask)
+        return real(table, mask, family)
+
+    monkeypatch.setattr(quotients, "_fibres", counted)
+    return grouped
 
 
 def count_constructions(monkeypatch, *classes):
@@ -698,12 +719,14 @@ def test_saturation_over_goods_builds_no_quotient_fan(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
-def test_goods_render_on_demand_as_on_a_fresh_action(case):
+def test_goods_render_on_demand_as_on_a_fresh_action(case, monkeypatch):
     fan, gens = ENUMERATION_CASES[case]
     warm = normalize_action(fan, gens)
+    grouped = count_fibre_groupings(monkeypatch)
     goods = enumerate_good_subsets(fan, warm)
     table = warm.image_table()
-    assert table.fibres == {}
+    # the enumeration renders nothing
+    assert table.results == {} and grouped == []
     fresh = normalize_action(fan, gens)
     for u in goods:
         record = quotients._recorded_fibres(table, u.mask)
@@ -718,6 +741,8 @@ def test_goods_render_on_demand_as_on_a_fresh_action(case):
         ), u
         assert record == want.fibres, u
         assert good_quotient(u, warm) is q
+        # once rendered, the fibres are the quotient's own
+        assert quotients._recorded_fibres(table, u.mask) is q.fibres, u
 
 
 @pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
@@ -734,11 +759,12 @@ def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeyp
     act = normalize_action(P2, [(1, 1)])
     decided = []
     monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
+    grouped = count_fibre_groupings(monkeypatch)
     with pytest.raises(SizeGuardError) as got:
         listing(P2, act, limit=4)
     assert str(got.value) == str(expected.value) == "more than 4 open subsets"
     table = act.image_table()
-    assert decided == [] and table.results == {} and table.fibres == {}
+    assert decided == [] and table.results == {} and grouped == []
     # the guard refuses before any cone is projected
     assert all(getattr(table, field) is None for field in TABLE_FIELDS)
 
@@ -958,7 +984,8 @@ def assert_peel_hosts_match_the_superset_index(fan, reference_act, act):
     for u in goods:
         assert getattr(host_of(u, act), "mask", None) == want[u.mask], u
     # the table holds a host for exactly the goods that are not T-maximal
-    assert set(act.image_table().hosts) == {u for u, host in want.items() if host is not None}
+    hosts = quotients._hosts(act.image_table())
+    assert set(hosts) == {u for u, host in want.items() if host is not None}
 
 
 class TestPeelHostsAgainstTheSupersetIndex:
