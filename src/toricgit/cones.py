@@ -12,14 +12,45 @@ q, gives both that lattice, as the kernel of q, and the section that lifts
 the reduced rays.  A cone's lineality lattice needs no Smith form at all: it
 is spanned by the +- pairs of its canonical generators.
 
+Double description (`dd_solve`; K. Fukuda and A. Prodon, "Double
+description method revisited", LNCS 1120 (1996)) adds inequalities one at
+a time to a pair (lin, rays): a basis of the lineality space of the cone
+cut out so far, and one vector on each of its extreme rays modulo that
+space.  Each ray keeps its incidences as one int, bit j set when the j-th
+inequality vanishes there, and each step pairs every ray with the new
+inequality a once.  When a cuts the lineality space, one direction b0 of
+it is peeled off and every other vector is moved into a's hyperplane; the
+moved rays keep their bits and gain a's, and b0 is tight at every earlier
+inequality, since those vanish on the lineality space.  Otherwise the
+rays on a's positive side stay, those on its hyperplane gain a's bit, and
+each adjacent pair p, m with a.p > 0 > a.m gives the ray (a.p) m - (a.m) p,
+tight exactly where both p and m are (both pairings with an earlier
+inequality are nonnegative) and at a.  Two rays are adjacent iff no third
+ray is tight wherever both are, the combinatorial test.  It asks only
+that the rays lie one on each extreme ray modulo the lineality space and
+that the masks are their incidences, so a step may start from any such
+state (`_dd_add`): `dd_solve` starts from the whole space, and a cone's
+canonical lists are one too, for the cone its facets cut out.  One vector
+of each +- pair of its generators spans the lineality space, the other
+generators lie one on each extreme ray modulo it, and the masks are their
+incidences with the facets (`Cone._double_description`).
+
 Faces are read off generator-facet incidences: a face shares the cone's
 lineality lattice, so its canonical generators are the cone's generators on
 which the facets through it vanish.  A cone keeps its face generator
 tuples, which a fan reads to list its cones; it keeps no face dimensions,
 since a fan reads those off its face lattice (`Fan._lattice`).
 
-A cone also keeps whether it meets another cone in a common face
-(`meets_in_face`), and the other cone keeps the same verdict.  Each keys it
+Whether cones A and B meet in a common face takes one step from A's
+canonical lists with B's facets, and the meet M it describes is left raw.
+The facets of A vanishing on all of M are the bits of A's facets common
+to the masks of M's rays (the lineality space vanishes on every
+inequality), and they cut out the carrier face of M in A, the smallest
+face of A holding M; its generators are those of A on which they vanish.
+M lies in that face F, so M is a face of A iff F lies in M, that is in B.
+The bits of B's facets decide the same for B.  So the meet takes no
+canonical form, no Smith form and no interner entry.  A cone keeps the
+verdict (`meets_in_face`), and the other cone keeps it too.  Each keys it
 by the other's ambient and canonical generators: a value that names the
 cone without holding it, so the memo adds no reference between cones.  The
 ambient belongs in the key, since the zero cone has the generators () in
@@ -93,56 +124,74 @@ HILBERT_BOX_LIMIT = 2 ** 20  # lattice points a Hilbert-basis box may hold
 def dd_solve(ineqs, ambient):
     """Minimal generators of {x : a.x >= 0 for all a in ineqs}.
 
-    Incremental double description with the combinatorial adjacency test.
-    Returns (lineality basis rows, extreme rays); rays are primitive and the
-    two lists together generate the solution cone.
+    Incremental double description with the combinatorial adjacency test,
+    from the whole space: one `_dd_add` run.  Returns (lineality basis
+    rows, extreme rays); rays are primitive and the two lists together
+    generate the solution cone.
     """
     lin = [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
-    rays = []
-    processed = []
+    lin, rays, _, _ = _dd_add(lin, [], [], 0, ineqs)
+    return lin, rays
+
+
+def _dd_add(lin, rays, tight, count, ineqs):
+    """Add the inequalities ineqs to a double description (lin, rays) of the
+    cone cut out by count earlier ones, where tight[k] masks the earlier
+    inequalities vanishing at rays[k] (bit j for the j-th).  Returns the
+    four for the cone cut out by all of them; zero inputs are skipped and
+    take no bit.  The inputs must be a lineality basis and one vector on
+    each extreme ray modulo the lineality space, which makes the adjacency
+    test valid (see the module docstring)."""
     for raw in ineqs:
         a = primitive(raw)
         if not any(a):
             continue
+        bit = 1 << count
+        count += 1
         lin_pairing = [dot(a, b) for b in lin]
         if any(lin_pairing):
-            # the constraint cuts the lineality space: peel one direction off
+            # the constraint cuts the lineality space: peel one direction
+            # off; every old ray becomes tight at a, and b0 is tight at
+            # every earlier inequality and not at a
             i0 = next(i for i, v in enumerate(lin_pairing) if v != 0)
             b0 = lin[i0] if lin_pairing[i0] > 0 else vneg(lin[i0])
             ab0 = abs(lin_pairing[i0])
-            new_lin = []
-            for i, (b, ab) in enumerate(zip(lin, lin_pairing)):
-                if i == i0:
-                    continue
-                new_lin.append(b if ab == 0 else primitive(vsub(vscale(ab0, b), vscale(ab, b0))))
-            new_rays = []
-            for r in rays:
+            lin = [
+                b if ab == 0 else primitive(vsub(vscale(ab0, b), vscale(ab, b0)))
+                for i, (b, ab) in enumerate(zip(lin, lin_pairing)) if i != i0
+            ]
+            kept = {}
+            for r, t in zip(rays, tight):
                 ar = dot(a, r)
-                new_rays.append(r if ar == 0 else primitive(vsub(vscale(ab0, r), vscale(ar, b0))))
-            new_rays.append(b0)
-            lin = new_lin
-            rays = list(dict.fromkeys(new_rays))
+                if ar:
+                    r = primitive(vsub(vscale(ab0, r), vscale(ar, b0)))
+                kept.setdefault(r, t | bit)
+            kept[b0] = bit - 1
         else:
-            plus = [r for r in rays if dot(a, r) > 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            minus = [r for r in rays if dot(a, r) < 0]
-            if minus:
-                tight = {
-                    r: frozenset(j for j, aj in enumerate(processed) if dot(aj, r) == 0)
-                    for r in rays
-                }
-                combos = []
-                for p in plus:
-                    for m in minus:
-                        t = tight[p] & tight[m]
-                        if any(r is not p and r is not m and t <= tight[r] for r in rays):
-                            continue  # not adjacent
-                        w = primitive(vsub(vscale(dot(a, p), m), vscale(dot(a, m), p)))
+            paired = [(r, t, dot(a, r)) for r, t in zip(rays, tight)]
+            plus = [ray for ray in paired if ray[2] > 0]
+            minus = [ray for ray in paired if ray[2] < 0]
+            if not minus:
+                tight = [t if ar else t | bit for _, t, ar in paired]
+                continue
+            kept = {r: t for r, t, _ in plus}
+            kept.update((r, t | bit) for r, t, ar in paired if not ar)
+            for p, tp, ap in plus:
+                for m, tm, am in minus:
+                    t = tp & tm
+                    # p and m hold t; they are adjacent iff no third ray does
+                    holders = 0
+                    for x in tight:
+                        if t & x == t:
+                            holders += 1
+                            if holders > 2:
+                                break
+                    else:
+                        w = primitive(vsub(vscale(ap, m), vscale(am, p)))
                         if any(w):
-                            combos.append(w)
-                rays = list(dict.fromkeys(plus + zero + combos))
-        processed.append(a)
-    return lin, rays
+                            kept.setdefault(w, t | bit)
+        rays, tight = list(kept), list(kept.values())
+    return lin, rays, tight, count
 
 
 def _canonical_generators(lin_rows, rays, ambient):
@@ -196,7 +245,7 @@ class Cone:
     """Rational polyhedral cone with synchronized generator/facet lists."""
 
     __slots__ = (
-        "ambient", "generators", "facets", "_faces", "_face_gens", "_lin", "_meets",
+        "ambient", "generators", "facets", "_faces", "_face_gens", "_lin", "_dd", "_meets",
         "__weakref__",
     )
 
@@ -208,6 +257,7 @@ class Cone:
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_face_gens", None)
         object.__setattr__(self, "_lin", None)
+        object.__setattr__(self, "_dd", None)
         object.__setattr__(self, "_meets", {})  # (ambient, generators) -> verdict
 
     def __setattr__(self, name, value):
@@ -289,31 +339,53 @@ class Cone:
             raise ValueError("ambient mismatch")
         return Cone.from_inequalities(self.facets + other.facets, self.ambient)
 
-    def meet_generators(self, other):
-        """Canonical generators of the intersection with other, from one
-        double description of the stacked facets: `intersect(other)
-        .generators` without the second run that builds the facet list."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return _canonical_generators(
-            *dd_solve(self.facets + other.facets, self.ambient), self.ambient
-        )
-
     def meets_in_face(self, other):
-        """True iff the intersection with other is a face of both cones.
-        The meet lies in both, so it is a face of one exactly when it is
-        its own carrier face there (see is_face_of).  The verdict is
+        """True iff the intersection M with other is a face of both cones.
+        One `_dd_add` run adds other's facets to this cone's own lists, and
+        M is a face of either cone exactly when its carrier face there lies
+        in the other cone (see the module docstring).  The verdict is
         symmetric and is kept on both cones, each keyed by the other's
         ambient and generators, which name it but do not hold it."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         got = self._meets.get((other.ambient, other.generators))
         if got is None:
-            meet = self.meet_generators(other)
-            got = all(c.carrier_generators(meet) == meet for c in (self, other))
+            k = len(self.facets)
+            _, _, tight, _ = _dd_add(*self._double_description(), k, other.facets)
+            common = -1  # the inequalities vanishing on all of M
+            for t in tight:
+                common &= t
+            got = self._carrier_within(common, other) and other._carrier_within(
+                common >> k, self
+            )
             self._meets[(other.ambient, other.generators)] = got
             other._meets[(self.ambient, self.generators)] = got
         return got
+
+    def _double_description(self):
+        """(lin, rays, tight), a double description of the cone cut out by
+        its facets for `_dd_add`: one vector of each +- lineality pair of
+        the canonical generators, the other generators, and per ray the
+        mask of the facets vanishing there (bit j for facets[j]).  Computed
+        once per cone; `_dd_add` changes none of the three."""
+        if self._dd is None:
+            gens = set(self.generators)
+            lin = tuple(g for g in self.generators if vneg(g) in gens and g > vneg(g))
+            rays = tuple(g for g in self.generators if vneg(g) not in gens)
+            tight = tuple(
+                sum(1 << j for j, phi in enumerate(self.facets) if not dot(phi, r))
+                for r in rays
+            )
+            object.__setattr__(self, "_dd", (lin, rays, tight))
+        return self._dd
+
+    def _carrier_within(self, tight, other):
+        """True iff other contains the face of this cone on which the facets
+        of the mask tight vanish (bit j for facets[j])."""
+        cut = [phi for j, phi in enumerate(self.facets) if tight >> j & 1]
+        return all(
+            other.contains(g) for g in self.generators if not any(dot(phi, g) for phi in cut)
+        )
 
     def image(self, pi):
         """Image cone under an integer matrix Z^ambient -> Z^rows."""

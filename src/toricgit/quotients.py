@@ -56,10 +56,13 @@ Every scan runs in ascending index order, which is key_order, so the
 witnesses are those of a pairwise scan over the sorted selection.  A good
 selection's quotient is read off the family's split images: the target
 rays are their generators, and the orbit image of t is the carrier face
-of t's split image in the lowest family chart covering t.  No cone of the
-target fan is built.  The split images depend on the lineality class,
-and a family chart's class is lbar's, so the carrier face depends only on
-t and the chart and is kept under those two.  Whether two chart images
+of t's split image in the lowest family chart covering t.  That face is
+read at t's point, the split projection of the sum of t's rays, which
+lies in the relative interior of t's split image, so only the charts'
+split images are built, and no cone of the target fan.  The split
+projection depends on the lineality class, and a family chart's class is
+lbar's, so the carrier face depends only on t and the chart and is kept
+under those two.  Whether two chart images
 meet in a face is kept on the interned image cones themselves
 (`Cone.meets_in_face`), so every table, and every selection, that meets
 the same two images shares it.
@@ -121,10 +124,12 @@ under faces (2), so it is the set of maximal cones of its closure, and
 distinct cliques have distinct closures.  The clique search extends a
 set only by higher indices and ANDs the pairwise rows, so it visits each
 clique once and never makes more closures than there are order ideals.
-A fan with n cones has at most 2^n order ideals, so `_open_masks(fan,
-limit)` can refuse only when 2^n > limit; `enumerate_good_subsets` runs
-it then, and only as the size guard, before any cone is projected.  Once
-it passes, the ideals, and so the cliques, number at most limit.
+The size guard counts the order ideals without listing them
+(`_count_ideals(fan, limit)`, which refuses as `_open_masks(fan, limit)`
+does, exactly when there are more than limit).  A fan with n cones has at
+most 2^n order ideals, so `enumerate_good_subsets` counts only when 2^n >
+limit, before any cone is projected.  Once the guard passes, the ideals,
+and so the cliques, number at most limit.
 
 The engine's own form of the orbit map is the fibre masks, one routine
 `_fibres(table, mask, family)` for `QuotientFan.fibres` and the
@@ -178,15 +183,18 @@ v's target fan is an orbit image, and o_v preserves faces.
     a host is never recorded.
 The peel reads no fibre record, by the top-fibre lemma: for a good w
 and a member s of its family, fibres[w][s] is top(s), the faces t of s
-with carrier(t, s) == carrier(s, s) (`_top_fibre`), which depends on s
-alone.  The orbit image of a cone t of w is the carrier face of its
-split image in any family chart c whose image holds t's, since the
-family images meet in common faces (see `_fibres`).  The only family
-image holding img[s] is s's own (3), so o_w(s) = carrier(s, s), the
-whole split image of s.  If o_w(t) = o_w(s), the chart c read for t has
-a face equal to s's split image, so img[c] contains img[s] and c == s;
-then t is below the chart s, so a face of it, with carrier(t, s) ==
-carrier(s, s).  Conversely, a face t of s has o_w(t) = carrier(t, s).
+whose point lies in the relative interior of s's split image
+(`_top_fibre`), which depends on s alone.  The orbit image of a cone t
+of w is the carrier face of its split image in any family chart c whose
+image holds t's, since the family images meet in common faces (see
+`_fibres`).  The only family image holding img[s] is s's own (3), so
+o_w(s) = carrier(s, s), the whole split image of s.  If o_w(t) = o_w(s),
+the chart c read for t has a face equal to s's split image, so img[c]
+contains img[s] and c == s; then t is below the chart s, so a face of
+it, whose carrier face carrier(t, s) is the whole split image of s: its
+point lies in that image's relative interior.  Conversely, a face t of s
+has o_w(t) = carrier(t, s), the whole split image exactly when t's point
+lies in its relative interior.
 `_hosts` keeps the recorded hosts, built once per action, so a good is
 T-maximal exactly when it has no entry.
 
@@ -213,7 +221,7 @@ from .cones import Cone
 from .fans import (
     Fan,
     SubfanSelection,
-    _open_masks,
+    _count_ideals,
     bits,
     key_order,
 )
@@ -383,13 +391,26 @@ def _split_image(table, i, c):
 
 
 @_kept
+def _point(table, t, c):
+    """The split projection of class c of the sum of cone t's rays: a point
+    in the relative interior of t's split image, since every strictly
+    positive combination of a cone's generators lies there."""
+    keys, _ = table.fan.numbering()
+    total = [0] * table.fan.rank
+    for r in keys[t]:
+        total = [x + y for x, y in zip(total, table.fan.rays[r])]
+    return _split_projection(table, c).matvec(total)
+
+
+@_kept
 def _carrier(table, t, s):
     """Generators of the carrier face, in the split image of chart s, of the
     split image of cone t, both split by s's lineality class: t's orbit
-    image when s is t's family chart, whose class is lbar's."""
+    image when s is t's family chart, whose class is lbar's.  It is the
+    carrier face of t's point, which lies in the relative interior of t's
+    split image."""
     c = table.cls[s]
-    point = _split_image(table, t, c).relative_interior_point()
-    return _split_image(table, s, c).carrier_generators([point])
+    return _split_image(table, s, c).carrier_generators([_point(table, t, c)])
 
 
 @_kept
@@ -711,11 +732,15 @@ def _good_families(table):
 
 @_kept
 def _top_fibre(table, s):
-    """The faces t of chart s with carrier(t, s) == carrier(s, s): s's fibre
-    in every good selection whose chart family holds s (the top-fibre lemma
-    of the module docstring)."""
-    own = _carrier(table, s, s)
-    return sum(1 << t for t in bits(table.faces[s]) if _carrier(table, t, s) == own)
+    """The faces t of chart s whose point lies in the relative interior of
+    s's split image: s's fibre in every good selection whose chart family
+    holds s (the top-fibre lemma of the module docstring)."""
+    c = table.cls[s]
+    image = _split_image(table, s, c)
+    return sum(
+        1 << t for t in bits(table.faces[s])
+        if image.contains_in_relative_interior(_point(table, t, c))
+    )
 
 
 @_kept
@@ -725,7 +750,7 @@ def _goods(table, limit):
     projected."""
     fan = table.fan
     if 1 << len(table.faces) > limit:
-        _open_masks(fan, limit)  # the size guard; it cannot fire otherwise
+        _count_ideals(fan, limit)  # the size guard; it cannot fire otherwise
     return [SubfanSelection._of_mask(fan, mask) for mask in _good_families(table)]
 
 

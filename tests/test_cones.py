@@ -42,6 +42,7 @@ from toricgit.intlat import (
     saturate,
     vneg,
     vscale,
+    vsub,
 )
 
 
@@ -199,7 +200,6 @@ class TestIntersect:
             a = Cone.from_generators(random_vectors(rng, rng.randint(1, 5), d), d)
             b = Cone.from_generators(random_vectors(rng, rng.randint(1, 5), d), d)
             c = a.intersect(b)
-            assert a.meet_generators(b) == c.generators
             assert a.meets_in_face(b) == (c.is_face_of(a) and c.is_face_of(b))
             pts = random_vectors(rng, 100, d, -6, 6)
             for p in pts:
@@ -620,8 +620,10 @@ for _ in range(2):
         return [runs for _, runs in passes]
 
     def test_each_sweep_pass_starts_cold(self):
-        # a strong cache would make the second pass run no double description
-        counts = self.cold_pass_counts("cones", "dd_solve")
+        # a strong cache would make the second pass run no double description;
+        # every run is counted, the cold ones of dd_solve and the warm ones
+        # of meets_in_face
+        counts = self.cold_pass_counts("cones", "_dd_add")
         assert counts[0] == counts[1] <= 134
 
     def test_each_sweep_pass_runs_the_same_smith_forms(self):
@@ -900,3 +902,130 @@ class TestConeProperties:
             for other in c.faces():
                 if g not in other.generators:
                     assert not all(other.contains(p) for p in points)
+
+
+def frozenset_dd_solve(ineqs, ambient):
+    """Reference double description: the same steps as `dd_solve`, with each
+    ray's tight inequalities a frozenset rebuilt from dot products at every
+    cut, and each pairing recomputed where it is read."""
+    lin = [tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)]
+    rays = []
+    processed = []
+    for raw in ineqs:
+        a = primitive(raw)
+        if not any(a):
+            continue
+        lin_pairing = [dot(a, b) for b in lin]
+        if any(lin_pairing):
+            i0 = next(i for i, v in enumerate(lin_pairing) if v != 0)
+            b0 = lin[i0] if lin_pairing[i0] > 0 else vneg(lin[i0])
+            ab0 = abs(lin_pairing[i0])
+            new_lin = []
+            for i, (b, ab) in enumerate(zip(lin, lin_pairing)):
+                if i == i0:
+                    continue
+                new_lin.append(b if ab == 0 else primitive(vsub(vscale(ab0, b), vscale(ab, b0))))
+            new_rays = []
+            for r in rays:
+                ar = dot(a, r)
+                new_rays.append(r if ar == 0 else primitive(vsub(vscale(ab0, r), vscale(ar, b0))))
+            new_rays.append(b0)
+            lin = new_lin
+            rays = list(dict.fromkeys(new_rays))
+        else:
+            plus = [r for r in rays if dot(a, r) > 0]
+            zero = [r for r in rays if dot(a, r) == 0]
+            minus = [r for r in rays if dot(a, r) < 0]
+            if minus:
+                tight = {
+                    r: frozenset(j for j, aj in enumerate(processed) if dot(aj, r) == 0)
+                    for r in rays
+                }
+                combos = []
+                for p in plus:
+                    for m in minus:
+                        t = tight[p] & tight[m]
+                        if any(r is not p and r is not m and t <= tight[r] for r in rays):
+                            continue
+                        w = primitive(vsub(vscale(dot(a, p), m), vscale(dot(a, m), p)))
+                        if any(w):
+                            combos.append(w)
+                rays = list(dict.fromkeys(plus + zero + combos))
+        processed.append(a)
+    return lin, rays
+
+
+def incidence_masks(points, ineqs):
+    """Per point, the mask of the nonzero inequalities vanishing there,
+    numbered in input order with the zero ones skipped."""
+    ineqs = [a for a in ineqs if any(a)]
+    return [sum(1 << j for j, a in enumerate(ineqs) if not dot(a, p)) for p in points]
+
+
+class TestBitMaskDoubleDescription:
+    def test_identical_lists_on_seeded_inputs(self):
+        # from the whole space every first cut peels the lineality, and
+        # short lists leave some of it uncut
+        rng = random.Random(2024)
+        for _ in range(3000):
+            d = rng.randint(1, 5)
+            vectors = random_vectors(rng, rng.randint(0, 9), d, -3, 3)
+            assert dd_solve(vectors, d) == frozenset_dd_solve(vectors, d), vectors
+
+    def test_the_masks_are_the_incidences(self):
+        rng = random.Random(2025)
+        for _ in range(500):
+            d = rng.randint(1, 5)
+            vectors = random_vectors(rng, rng.randint(0, 9), d, -3, 3)
+            start = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
+            lin, rays, tight, count = cones._dd_add(start, [], [], 0, vectors)
+            assert tight == incidence_masks(rays, vectors)
+            assert count == sum(1 for v in vectors if any(v))
+            assert not any(dot(a, b) for a in vectors for b in lin)
+
+    def test_a_warm_start_from_a_cones_lists_describes_the_meet(self):
+        # a cone's canonical lists are a double description of the cone its
+        # facets cut out, so adding another cone's facets yields the meet
+        rng = random.Random(2026)
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            a, b = (
+                rng.choice([Cone.from_generators, Cone.from_inequalities])(
+                    random_vectors(rng, rng.randint(0, 5), d, -2, 2), d
+                )
+                for _ in range(2)
+            )
+            lin, rays, tight = a._double_description()
+            assert list(tight) == incidence_masks(rays, a.facets)
+            lin, rays, tight, count = cones._dd_add(
+                lin, rays, tight, len(a.facets), b.facets
+            )
+            assert count == len(a.facets) + len(b.facets)
+            assert list(tight) == incidence_masks(rays, a.facets + b.facets)
+            assert _canonical_generators(lin, rays, d) == a.intersect(b).generators
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones in Z^d, d <= 4, each by either route: lower-dimensional,
+    with lineality or both."""
+    d = draw(st.integers(1, 4))
+    vectors = st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=5)
+    routes = st.sampled_from(["g", "i"])
+    return d, [(draw(routes), draw(vectors)) for _ in range(2)]
+
+
+class TestMeetsInFaceProperty:
+    @PROPERTY
+    @given(cone_pairs(), st.booleans())
+    def test_the_verdict_is_its_definition(self, drawn, swapped):
+        # each pair is built in an empty interner, so no verdict is kept yet,
+        # and either cone runs the double description
+        d, inputs = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_INTERNED", weakref.WeakValueDictionary())
+            a, b = (TestInterner.BUILD[route](vectors, d) for route, vectors in inputs)
+            got = b.meets_in_face(a) if swapped else a.meets_in_face(b)
+            meet = a.intersect(b)
+            assert got == (meet.is_face_of(a) and meet.is_face_of(b))
+            assert a.meets_in_face(b) == b.meets_in_face(a) == got

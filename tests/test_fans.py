@@ -4,12 +4,14 @@ import random
 from itertools import combinations, product
 
 import pytest
+from test_memos import FANS
 
 from toricgit.fans import (
     Fan,
     FanAutomorphism,
     SizeGuardError,
     SubfanSelection,
+    _count_ideals,
     _open_masks,
     bits,
     enumerate_open_subsets,
@@ -188,6 +190,42 @@ class TestOpenSubsets:
                            for k in chosen):
                         count += 1
             assert len(enumerate_open_subsets(fan)) == count
+
+
+def refusal(routine, fan, limit):
+    """The SizeGuardError message of routine(fan, limit), None if it passes."""
+    try:
+        routine(fan, limit)
+    except SizeGuardError as e:
+        return str(e)
+    return None
+
+
+def projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan(n, rays, [[j for j in range(n + 1) if j != i] for i in range(n + 1)])
+
+
+class TestCountIdeals:
+    @pytest.mark.parametrize("case", sorted(FANS))
+    def test_the_count_is_the_length_of_the_listing(self, case):
+        fan = FANS[case]
+        assert _count_ideals(fan, 2 ** 20) == len(_open_masks(fan, 2 ** 20))
+
+    @pytest.mark.parametrize(
+        "fan", [P1, P2, P1XP1, FANS["nine_ray_12"]], ids=["P1", "P2", "P1xP1", "nine-ray"]
+    )
+    def test_the_same_refusal_at_every_limit(self, fan):
+        count = len(_open_masks(fan, 2 ** 20))
+        for limit in range(1, count + 2):
+            want = refusal(_open_masks, fan, limit)
+            assert refusal(_count_ideals, fan, limit) == want, limit
+            assert (want is None) == (limit >= count)
+
+    def test_p5_is_counted_under_a_larger_limit_and_refused_under_the_default(self):
+        p5 = projective_space(5)
+        assert _count_ideals(p5, 2 ** 23) == 7828353
+        assert refusal(_count_ideals, p5, 2 ** 20) == "more than 1048576 open subsets"
 
 
 P3 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
