@@ -306,7 +306,7 @@ def cmd_verify_theorem(rep, problem, args):
     sel = select(problem, args.selection)
     rep.add(f"selection: {args.selection} = {_fmt_keys(sel.keys)}")
     rep.add(f"symmetry group order: {len(data.sym)}")
-    report = verify_theorem_conclusions(sel, data, limit=args.max_subsets)
+    report = verify_theorem_conclusions(sel, data)
     rep.exit_code = 0 if report.conclusions_hold() else 1
     if report.refused:
         rep.add(f"refused: {report.diagnosis}", refused=True, diagnosis=report.diagnosis)
@@ -473,7 +473,7 @@ def build_parser():
     p.add_argument("--family", default=None)
     p = command("w-set", "intersection of symmetry translates")
     p.add_argument("--selection", default="all")
-    p = command("verify-theorem", "conclusion checker for one selection", max_subsets=True)
+    p = command("verify-theorem", "conclusion checker for one selection")
     p.add_argument("--selection", default="all")
     command("verify-corollary", "both corollary sweeps", max_subsets=True)
     p = command("eq1-check", "removed-piece identity crosscheck")

@@ -215,7 +215,7 @@ def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
 
             data = GroupActionData(act, SymmetryGroup.trivial(fan))
             for u in tmax:
-                report = verify_theorem_conclusions(u, data, limit=limit)
+                report = verify_theorem_conclusions(u, data)
                 if report.refused or not report.conclusions_hold():
                     legs["theorem_failures"].append(
                         f"{tag} keys={_keys(u)}: "

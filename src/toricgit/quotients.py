@@ -146,10 +146,8 @@ inside B removes the saturation of the cones outside B.
 
 The host of a good selection u is the first good selection, in
 enumeration order, that properly contains u and in which u is saturated;
-the T-maximal selections are the goods without one.  They come from the
-peel rule: for each good w in enumeration order and each maximal cone s
-of w, which is each member of its chart family (above), w is recorded as
-the host of its peel u = w & ~fibres[w][s] unless an earlier good was.
+the T-maximal selections are the goods without one.  The peels of a good
+w are its masks u = w & ~fibres[w][s] at the members s of its family.
 A good quotient maps saturated open subsets onto open subsets, so the
 saturated open subsets are the preimages of open subfans of the target,
 each good with the restricted quotient (A. A'Campo-Neuen and J. Hausen,
@@ -169,18 +167,16 @@ v's target fan is an orbit image, and o_v preserves faces.
     and has the restriction of v's quotient, in which τ is maximal.  A
     maximal cone s of w above a cone of o_v⁻¹(τ) has o_v(s) ⊇ τ, so
     o_v(s) = τ, and w peeled at s is u.
-(c) The first recorded host is the first host.  `_open_masks` adds the
-    cones in `cone_keys()` order, each new ideal holding the new cone
-    and every earlier one lacking it.  So it lists the ideals sorted by
-    their masks re-indexed by `cone_keys()` positions, which is the key
-    `enumerate_good_subsets` sorts the goods by, and a proper subset
-    comes before its superset.  This need not be the numeric order of
-    masks, since `numbering()` sorts cones by ray count and
-    `cone_keys()` by dimension.  Let v be u's first host.  By (b) it
-    contains a peel host, which is a host by (a), so not earlier than
-    v, and as a subset of v not later: it is v.  Every recorded host is
-    a host (a), so the first one recorded for u is v, and a good without
-    a host is never recorded.
+(c) The first host is a peel host.  `_open_masks` adds the cones in
+    `cone_keys()` order, each new ideal holding the new cone and every
+    earlier one lacking it.  So it lists the ideals sorted by their masks
+    re-indexed by `cone_keys()` positions, the enumeration key
+    (`_shifted`) that `enumerate_good_subsets` sorts the goods by, and a
+    proper subset comes before its superset.  This need not be the
+    numeric order of masks, since `numbering()` sorts cones by ray count
+    and `cone_keys()` by dimension.  Let v be u's first host.  By (b) it
+    contains a peel host, which is a host by (a), so not earlier than v,
+    and as a subset of v not later: it is v.
 The peel reads no fibre record, by the top-fibre lemma: for a good w
 and a member s of its family, fibres[w][s] is top(s), the faces t of s
 whose point lies in the relative interior of s's split image
@@ -195,8 +191,23 @@ it, whose carrier face carrier(t, s) is the whole split image of s: its
 point lies in that image's relative interior.  Conversely, a face t of s
 has o_w(t) = carrier(t, s), the whole split image exactly when t's point
 lies in its relative interior.
-`_hosts` keeps the recorded hosts, built once per action, so a good is
-T-maximal exactly when it has no entry.
+
+The peel test finds u's host from u alone.  Call s a witness for a good
+u with family F when faces[s] & ~u == top(s) and s passes 1-5 with every
+member of F that is not a face of s.  Then u has a host exactly when it
+has a witness, and its host is the first u | top(s) over its witnesses.
+- (⇐) {s} ∪ (F ∖ faces(s)) is a clique.  Its closure w = u | top(s) is
+  good with s in its family, and peeling w at s gives back u, so (a).
+- (⇒) By (b) and (c) the first host is a peel host w, peeled at a member
+  s of its family F_w; faces[s] lies in w, so faces[s] & ~u == top(s).
+  The family of u = w & ~top(s) lies in (F_w ∖ {s}) ∪ faces(s): a
+  maximal cone of u that is no face of s is below a member b ≠ s of F_w,
+  which is no face of s (2), so not in top(s): it is b.  So s is a
+  witness, and by (⇐) no witness gives an earlier host.
+As f is a face of s exactly when s is in up[f], the witnesses lie in
+~u & AND over f in F of (compat[f] | up[f]) (`_compatible`,
+`_witnesses`), and u | top(s) = u | faces[s] has the key key(u) |
+`_shifted`[s].
 
 A staged quotient by nested subtori (A. A'Campo-Neuen and J. Hausen,
 Tohoku Math. J. 51 (1999)) reads two lattice facts, and the smaller
@@ -222,6 +233,7 @@ from .fans import (
     Fan,
     SubfanSelection,
     _count_ideals,
+    _union,
     bits,
     key_order,
 )
@@ -283,19 +295,17 @@ class ImageTable:
     ids for equal lattices, numbered in index order); per class c, the mask
     `members[c]` of its cones; per ordered pair, bit j of the rows
     `below[i]`, `above[i]` and `lin_le[i]` (each row holds its own bit).
-    `build()` projects each ray and each cone once and relates every pair by
-    bit tests: img[i] contains img[j] iff j's rays all have images in
-    img[i], and lin[i] contains lin[j] iff the lattice of cls[i] contains
-    that of cls[j], decided once per pair of classes.
+    `build()` fills them in one pass, by the ray masks of the module docstring.
 
     `results` holds the verdicts `good_quotient` was asked for.  Every
     other fact the engine derives from the table is a `_kept` function of
     the table, kept in `memos` under that function and its arguments: the
     split projection and images per lineality class, the carrier faces per
     cone and chart, the target fans, the staged quotients' lattice facts,
-    the chart families of the goods, the top fibres, the goods per limit
-    and the host table.  Whether two images meet in a face is no table
-    fact: the interned image cones keep it (`Cone.meets_in_face`).
+    the compatibility rows, the enumeration keys, the chart families of
+    the goods, the top fibres and the guarded goods per limit.  Whether two
+    images meet in a face is no table fact: the interned image cones keep
+    it (`Cone.meets_in_face`).
     """
 
     __slots__ = (
@@ -683,12 +693,9 @@ def is_saturated(inner, outer, act):
 
 
 @_kept
-def _good_families(table):
-    """{mask: chart family} over every good mask in enumeration order, the
-    family ascending as `_decide` gives it: the face closures of the
-    cliques of the clique graph of the module docstring, sorted by their
-    masks re-indexed by `cone_keys()` positions, the order of `_open_masks`
-    ((c) of the module docstring)."""
+def _compatible(table):
+    """compat[a]: the mask of the cones b that pass the clique tests 1-5 of
+    the module docstring with a.  The relation is symmetric."""
     table.build()
     n = len(table.img)
     faces, below, cls, img = table.faces, table.below, table.cls, table.img
@@ -703,9 +710,29 @@ def _good_families(table):
         ):
             compat[a] |= 1 << b
             compat[b] |= 1 << a
+    return compat
+
+
+@_kept
+def _shifted(table):
+    """The enumeration key of each cone's face mask, re-indexed by
+    `cone_keys()` positions ((c) of the module docstring); a union's key is
+    the union of the keys."""
+    _, bit = table.fan.numbering()
+    position = {bit[k]: 1 << p for p, k in enumerate(table.fan.cone_keys())}
+    return [_union(position[t] for t in bits(f)) for f in table.faces]
+
+
+@_kept
+def _good_families(table):
+    """{mask: chart family} over every good mask in enumeration order, the
+    family ascending as `_decide` gives it: the face closures of the
+    cliques of the clique graph of the module docstring, sorted by their
+    enumeration keys."""
+    faces, compat, shifted = table.faces, _compatible(table), _shifted(table)
     # a clique grows only by higher indices, so each is visited once
     families = {}
-    stack = [(0, (), (1 << n) - 1)]
+    stack = [(0, (), (1 << len(faces)) - 1)]
     while stack:
         closure, family, extend = stack.pop()
         families[closure] = family
@@ -713,21 +740,9 @@ def _good_families(table):
             stack.append(
                 (closure | faces[a], family + (a,), extend & compat[a] & -(2 << a))
             )
-    _, bit = table.fan.numbering()
-    position = [0] * n
-    for p, k in enumerate(table.fan.cone_keys()):
-        position[bit[k]] = 1 << p
-    # a good mask is the union of its family's face masks, so its
-    # re-indexed mask is the union of theirs
-    shifted = [sum(position[t] for t in bits(f)) for f in faces]
-
-    def reindexed(item):
-        got = 0
-        for s in item[1]:
-            got |= shifted[s]
-        return got
-
-    return dict(sorted(families.items(), key=reindexed))
+    return dict(
+        sorted(families.items(), key=lambda item: _union(shifted[s] for s in item[1]))
+    )
 
 
 @_kept
@@ -743,26 +758,23 @@ def _top_fibre(table, s):
     )
 
 
+def _witnesses(table, u, family):
+    """The witnesses of the good mask u with chart family `family`, in
+    index order: one top-fibre test per cone the module docstring allows."""
+    faces, ups, compat = table.faces, table.fan.up_masks(), _compatible(table)
+    candidates = ((1 << len(faces)) - 1) & ~u
+    for f in family:
+        candidates &= compat[f] | ups[f]
+    return (s for s in bits(candidates) if faces[s] & ~u == _top_fibre(table, s))
+
+
 @_kept
 def _goods(table, limit):
-    """The good selections in enumeration order, after the size guard:
-    more than limit order ideals raise SizeGuardError before any cone is
-    projected."""
-    fan = table.fan
+    """`_good_families` after the size guard: more than limit order ideals
+    raise SizeGuardError before any cone is projected."""
     if 1 << len(table.faces) > limit:
-        _count_ideals(fan, limit)  # the size guard; it cannot fire otherwise
-    return [SubfanSelection._of_mask(fan, mask) for mask in _good_families(table)]
-
-
-@_kept
-def _hosts(table):
-    """Good mask -> the mask of its host, for the goods that have one: the
-    peel rule of the module docstring, at each chart by its top fibre."""
-    hosts = {}
-    for w, family in _good_families(table).items():
-        for s in family:
-            hosts.setdefault(w & ~_top_fibre(table, s), w)
-    return hosts
+        _count_ideals(table.fan, limit)  # the size guard; it cannot fire otherwise
+    return _good_families(table)
 
 
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
@@ -774,12 +786,12 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
     routines decide on demand.  More than limit order ideals raise
     SizeGuardError before any cone is projected.
     """
-    return list(_goods(_table(fan, act), limit))
+    return [SubfanSelection._of_mask(fan, mask) for mask in _goods(_table(fan, act), limit)]
 
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):
     """Selections with good quotient not properly saturated in a larger one:
-    the good selections without a host.
+    the good selections without a witness, so without a host.
 
     The 2-maximal variant also asks any two quotient points to share an
     affine neighbourhood.  Quotients here are toric, and toric varieties
@@ -787,20 +799,25 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     prevarieties", J. Algebraic Geom. 2 (1993)), so the variants coincide.
     """
     table = _table(fan, act)
-    goods = _goods(table, limit)
-    hosts = _hosts(table)
-    return [u for u in goods if u.mask not in hosts]
+    return [
+        SubfanSelection._of_mask(fan, u) for u, family in _goods(table, limit).items()
+        if next(_witnesses(table, u, family), None) is None
+    ]
 
 
-def host_of(selection, act, limit=2 ** 20):
+def host_of(selection, act):
     """The host of a good selection, None when it is T-maximal; a
-    ValueError for a selection without a good quotient."""
+    ValueError for a selection without a good quotient.  It decides the
+    selection and tests its witnesses, and lists no goods."""
     table = _table(selection.fan, act)
-    _goods(table, limit)  # the size guard
-    if selection.mask not in _good_families(table):
+    u = selection.mask
+    code, _, family = _decide(table, u)
+    if code is not None:
         raise ValueError("selection admits no good quotient")
-    host = _hosts(table).get(selection.mask)
-    return None if host is None else SubfanSelection._of_mask(selection.fan, host)
+    shifted = _shifted(table)
+    key = _union(shifted[f] for f in family)
+    s = min(_witnesses(table, u, family), key=lambda s: key | shifted[s], default=None)
+    return None if s is None else SubfanSelection._of_mask(selection.fan, u | table.faces[s])
 
 
 def max_saturated_inside(outer, inner, act):
@@ -832,12 +849,8 @@ def staged_quotient(selection, act_small, act_large):
     direct = good_quotient(selection, act_large)
     if isinstance(first, Obstruction):
         return StagedComparison(
-            first,
-            None,
-            direct,
-            equal=None,
-            consistent=isinstance(direct, Obstruction),
-            detail="no first-stage quotient",
+            first, None, direct, equal=None,
+            consistent=isinstance(direct, Obstruction), detail="no first-stage quotient",
         )
     table = act_small.image_table()
     residual = SubtorusAction(
@@ -847,52 +860,35 @@ def staged_quotient(selection, act_small, act_large):
     if isinstance(second, Obstruction) or isinstance(direct, Obstruction):
         both_fail = isinstance(second, Obstruction) and isinstance(direct, Obstruction)
         return StagedComparison(
-            first,
-            second,
-            direct,
-            equal=None,
-            consistent=both_fail,
+            first, second, direct, equal=None, consistent=both_fail,
             detail="consistent nonexistence" if both_fail else "one side exists",
         )
+
+    def differ(detail):
+        return StagedComparison(
+            first, second, direct, equal=False, consistent=False, detail=detail
+        )
+
     kernel, section = _composite(table, second.proj_full @ first.proj_full)
     proj = direct.proj_full  # both kernels are saturated (module docstring)
     if any(any(proj.matvec(b)) for b in kernel.basis.entries) or (
         proj.cols - matrix_rank(proj.entries, proj.cols) != kernel.rank
     ):
-        return StagedComparison(
-            first, second, direct, equal=False, consistent=False,
-            detail="composite and direct projections have different kernels",
-        )
+        return differ("composite and direct projections have different kernels")
     phi = direct.proj_full @ section
     if not phi.is_unimodular():
-        return StagedComparison(
-            first, second, direct, equal=False, consistent=False,
-            detail="no unimodular identification of the targets",
-        )
+        return differ("no unimodular identification of the targets")
     mapped_rays = [tuple(phi.matvec(r)) for r in second.fan.rays]
     if set(mapped_rays) != set(direct.fan.rays):
-        return StagedComparison(
-            first, second, direct, equal=False, consistent=False,
-            detail="target fans have different rays",
-        )
-    to_direct = {
-        i: direct.fan.rays.index(r) for i, r in enumerate(mapped_rays)
-    }
-    mapped_cones = {
-        frozenset(to_direct[i] for i in c) for c in second.fan.max_cones
-    }
+        return differ("target fans have different rays")
+    to_direct = {i: direct.fan.rays.index(r) for i, r in enumerate(mapped_rays)}
+    mapped_cones = {frozenset(to_direct[i] for i in c) for c in second.fan.max_cones}
     if mapped_cones != set(direct.fan.max_cones):
-        return StagedComparison(
-            first, second, direct, equal=False, consistent=False,
-            detail="target fans have different maximal cones",
-        )
+        return differ("target fans have different maximal cones")
     for t in sorted(selection.keys, key=key_order):
         staged_key = second.orbit_map[first.orbit_map[t]]
         if frozenset(to_direct[i] for i in staged_key) != direct.orbit_map[t]:
-            return StagedComparison(
-                first, second, direct, equal=False, consistent=False,
-                detail=f"orbit maps disagree at cone {sorted(t)}",
-            )
+            return differ(f"orbit maps disagree at cone {sorted(t)}")
     return StagedComparison(
         first, second, direct, equal=True, consistent=True, detail="targets agree"
     )

@@ -249,26 +249,25 @@ class TheoremReport:
         )
 
 
-def verify_theorem_conclusions(selection, data, limit=2 ** 20):
+def verify_theorem_conclusions(selection, data):
     """Check the quotient and saturation conclusions on W = w_set(selection).
 
-    The input must be torus-maximal for the subtorus action; anything
-    else is refused with a diagnosis.  The report also carries the
-    induced finite action on the quotient fan as an orbit partition,
-    read off W's cones by (b) of the module docstring, and a caveat when
-    the symmetry part is nontrivial.
+    The input must be torus-maximal for the subtorus action, that is good
+    and without a host (`host_of`); anything else is refused with a
+    diagnosis.  The report also carries the induced finite action on the
+    quotient fan as an orbit partition, read off W's cones by (b) of the
+    module docstring, and a caveat when the symmetry part is nontrivial.
     """
     fan = selection.fan
     act = data.act
     if fan != act.fan:
         raise ValueError("selection lives on a different fan")
-    maximal = {u.mask for u in t_maximal_subsets(fan, act, limit=limit)}
-    if selection.mask not in maximal:
-        q = good_quotient(selection, act)
-        if isinstance(q, Obstruction):
+    q = good_quotient(selection, act)
+    larger = None if isinstance(q, Obstruction) else host_of(selection, act)
+    if isinstance(q, Obstruction) or larger is not None:
+        if larger is None:
             diagnosis = f"selection admits no good quotient: {q.detail}"
         else:
-            larger = host_of(selection, act, limit)
             diagnosis = (
                 "selection is properly saturated inside the larger good subset "
                 f"{sorted(sorted(k) for k in larger.keys)}"
@@ -325,7 +324,7 @@ def verify_corollary(fan, data, limit=2 ** 20):
         raise ValueError("fan is not simplicial")
     maximal = t_maximal_subsets(fan, act, limit=limit)
     maximal_reports = tuple(
-        (_sorted_keys(u.keys), verify_theorem_conclusions(u, data, limit=limit))
+        (_sorted_keys(u.keys), verify_theorem_conclusions(u, data))
         for u in maximal
     )
     w_sets = [w_set(u, data) for u in maximal]

@@ -467,6 +467,15 @@ class TestOptions:
             assert f"input error: unrecognized arguments: {flag} {path}" in lines
             assert lines[-1] == "result: input error"
 
+    def test_verify_theorem_takes_no_enumeration_guard(self, run, write):
+        # the conclusion checker finds hosts by the local peel test, which
+        # lists no open subsets, so it has no guard to set
+        path = write(p1_doc())
+        code, out = run("verify-theorem", path, "--selection", "chart", "--max-subsets", "3")
+        assert code == 2
+        assert "input error: unrecognized arguments: --max-subsets 3" in out
+        assert out.rstrip().endswith("result: input error")
+
     def test_out_into_a_missing_directory(self, run, write, tmp_path):
         prefix = str(tmp_path / "no" / "such" / "x")
         code, out = run("check", write(p1_doc()), "--out", prefix)

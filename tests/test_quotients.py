@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 from collections import Counter
 from itertools import combinations
 
@@ -664,6 +665,22 @@ def test_enumeration_builds_selections_only_for_goods(monkeypatch):
     assert built == {"selection": 70}
 
 
+def test_t_maximal_subsets_builds_selections_only_for_its_results(monkeypatch):
+    fan = Fan(4, P4_RAYS, P4_CONES)
+    act = normalize_action(fan, [(1, 2, 3, 4)])
+    built = Counter()
+    of_mask = SubfanSelection._of_mask.__func__
+
+    def counted_of_mask(cls, fan, mask):
+        built["selection"] += 1
+        return of_mask(cls, fan, mask)
+
+    monkeypatch.setattr(SubfanSelection, "_of_mask", classmethod(counted_of_mask))
+    assert len(t_maximal_subsets(fan, act)) == 9
+    assert len(quotients._good_families(act.image_table())) == 2644
+    assert built == {"selection": 9}
+
+
 def count_fibre_groupings(monkeypatch):
     """List of the masks `quotients._fibres` groups from now on."""
     grouped = []
@@ -983,9 +1000,60 @@ def assert_peel_hosts_match_the_superset_index(fan, reference_act, act):
     ]
     for u in goods:
         assert getattr(host_of(u, act), "mask", None) == want[u.mask], u
-    # the table holds a host for exactly the goods that are not T-maximal
-    hosts = quotients._hosts(act.image_table())
-    assert set(hosts) == {u for u, host in want.items() if host is not None}
+
+
+def refuse_every_listing(monkeypatch):
+    """Make the clique listing, the guarded listing and the ideal count
+    raise from now on."""
+
+    def refused(*args):
+        raise AssertionError("a listing or the size guard was reached")
+
+    for name in ("_good_families", "_goods", "_count_ideals"):
+        monkeypatch.setattr(quotients, name, refused)
+    monkeypatch.setattr("toricgit.fans._count_ideals", refused)
+
+
+class TestHostOfIsLocal:
+    # the peel test decides the selection and tests its witnesses: no list
+    # of goods, no ideal count and no limit
+    def test_no_limit_is_taken(self):
+        for routine in (host_of, verify_theorem_conclusions):
+            assert "limit" not in inspect.signature(routine).parameters
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_table_cases_without_a_listing(self, case, monkeypatch):
+        fan, gens = TABLE_CASES[case]
+        want = superset_index_hosts(fan, normalize_action(fan, gens))
+        act = normalize_action(fan, gens)
+        refuse_every_listing(monkeypatch)
+        for u, host in want.items():
+            got = host_of(SubfanSelection._of_mask(fan, u), act)
+            assert getattr(got, "mask", None) == host, u
+
+    def test_p5_above_the_guard(self, monkeypatch):
+        # P5 has 7,828,353 ideals, more than the default limit of 2**20
+        rays, cones = projective_space(5)
+        fan = Fan(5, rays, cones)
+        act = normalize_action(fan, [(1, 2, 3, 4, 5)])
+        refuse_every_listing(monkeypatch)
+        u = SubfanSelection(fan, [(), *((i,) for i in range(1, 6))])
+        w = host_of(u, act)
+        assert u < w and isinstance(good_quotient(w, act), QuotientFan)
+        assert is_saturated(u, w, act)
+        assert sorted(sorted(k) for k in w.keys) == [[], [0], [1], [2], [3], [4], [5]]
+        data = GroupActionData(act, SymmetryGroup.trivial(fan))
+        report = verify_theorem_conclusions(u, data)
+        assert report.refused and report.diagnosis == (
+            "selection is properly saturated inside the larger good subset "
+            "[[], [0], [1], [2], [3], [4], [5]]"
+        )
+        # following the hosts ends at a T-maximal set, which is not refused
+        while (host := host_of(w, act)) is not None:
+            assert w < host
+            w = host
+        report = verify_theorem_conclusions(w, data)
+        assert not report.refused and report.conclusions_hold()
 
 
 class TestPeelHostsAgainstTheSupersetIndex:
