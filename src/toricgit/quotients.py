@@ -11,18 +11,18 @@ the chart, so the inclusion-maximal-image charts are forced, and a
 failure there certifies that no family exists.
 
 None of the facts this criterion reads depends on the selection, so each
-action keeps one ImageTable over its fan's cones, numbered as in the fans
-module (cone i is bit i of a selection mask, `Fan.face_masks()[i]` its
-faces), with bit rows `below[i]` (the cones whose images img[i]
-contains), `above[i]` (those whose images contain img[i]) and `lin_le[i]`
-(those whose lineality lattices lin[i] contains).  The first verdict
-that reads the rows builds all of them in one pass over every cone: an
-enumeration reads every row anyway, and a table built whole has no
-partial state to keep consistent.
+action keeps one set of rows over its fan's cones (`_rows`), numbered as
+in the fans module (cone i is bit i of a selection mask,
+`Fan.face_masks()[i]` its faces), with bit rows `below[i]` (the cones
+whose images img[i] contains), `above[i]` (those whose images contain
+img[i]) and `lin_le[i]` (those whose lineality lattices lin[i] contains).
+The first verdict that reads the rows builds all of them in one pass over
+every cone: an enumeration reads every row anyway, and rows built whole
+have no partial state to keep consistent.
 
-The table reads the fan's rays, not its cones.  Every ray is projected
+The rows read the fan's rays, not its cones.  Every ray is projected
 once per action, img[i] is the cone generated by the images of cone i's
-rays, and the build masks the rays whose images lie in img[i].  Since
+rays, and the pass masks the rays whose images lie in img[i].  Since
 img[j] is generated by the images of j's rays, img[i] contains img[j]
 exactly when all of j's rays are in that mask, so each bit of below and
 above is a subset test of two ray masks.  Equal lattices share a class,
@@ -42,7 +42,7 @@ A selection is its mask M, and the criterion is mask algebra on it:
 - the common lineality cone lbar is the first i in M with
   lin_le[i] & M == M; without one, the first incomparable pair is the
   obstruction;
-- i is a chart iff it is in lbar's lineality class (the table keeps a
+- i is a chart iff it is in lbar's lineality class (the rows keep a
   mask of each class, so only those cones are scanned) and
   below[i] & M == faces[i], the face mask of cone i;
 - the chart family is the charts i with above[i] & C == 1 << i, where C
@@ -64,20 +64,21 @@ projection depends on the lineality class, and a family chart's class is
 lbar's, so the carrier face depends only on t and the chart and is kept
 under those two.  Whether two chart images
 meet in a face is kept on the interned image cones themselves
-(`Cone.meets_in_face`), so every table, and every selection, that meets
+(`Cone.meets_in_face`), so every action, and every selection, that meets
 the same two images shares it.
 
-Memo rule: the table keeps its inputs, its rows, the verdicts
-`good_quotient` was asked for, and one memo store.  Every other fact the
-engine derives per action is a function wrapped in `_kept`, which keeps
-fn(table, *args) in table.memos[fn][args], keyed by exactly the arguments
-its value depends on.  The action's `_cache` belongs to the oracles.
+Memo rule: besides its inputs, the action keeps the verdicts
+`good_quotient` was asked for (`results`) and one memo store (`memos`).
+Every fact the engine derives per action, the rows included, is a
+function wrapped in `_kept`, which keeps fn(act, *args) in
+act.memos[fn][args], keyed by exactly the arguments its value depends on.
+The action's `_cache` belongs to the oracles.
 
-The criterion is one routine, `_decide(table, mask)`, that works on cone
+The criterion is one routine, `_decide(act, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
 obstruction code and the indices of its two witnesses.  `_render` turns
 that into the QuotientFan or the Obstruction text, and `good_quotient`
-is render after decide, kept in the table's verdicts for the selections
+is render after decide, kept in the action's verdicts for the selections
 it is asked about, so only those get a quotient fan.  `_decide` is the
 only verdict a selection is given: `enumerate_good_subsets` decides
 nothing, since the goods are the face closures of the chart family
@@ -119,7 +120,7 @@ the good masks:
   faces[c].  So no other chart's image contains a member's.
 - Nothing is uncovered, since every cone of U is a face of a member.
 - No pair of members fails to meet in a face (5).
-So `_decide(table, U)` returns (None, lbar, F).  A clique is an antichain
+So `_decide(act, U)` returns (None, lbar, F).  A clique is an antichain
 under faces (2), so it is the set of maximal cones of its closure, and
 distinct cliques have distinct closures.  The clique search extends a
 set only by higher indices and ANDs the pairwise rows, so it visits each
@@ -132,7 +133,7 @@ limit, before any cone is projected.  Once the guard passes, the ideals,
 and so the cliques, number at most limit.
 
 The engine's own form of the orbit map is the fibre masks, one routine
-`_fibres(table, mask, family)` for `QuotientFan.fibres` and the
+`_fibres(act, mask, family)` for `QuotientFan.fibres` and the
 saturation routines: it groups the cones of a good mask by their orbit
 images, the kept carrier faces above, so fibres[t] holds the selected
 cones with t's orbit image.  The saturation routines read a rendered
@@ -211,11 +212,11 @@ As f is a face of s exactly when s is in up[f], the witnesses lie in
 
 A staged quotient by nested subtori (A. A'Campo-Neuen and J. Hausen,
 Tohoku Math. J. 51 (1999)) reads two lattice facts, and the smaller
-action's table keeps each of them once per distinct value: the residual
+action's memos keep each of them once per distinct value: the residual
 action on the first-stage target (its cocharacter lattice, projection and
 saturation flag), and the kernel and section of the composite projection.
 Their keys are IntMatrix values, never actions: a key holding the larger
-action would make a cycle from that action through its table and back,
+action would make a cycle from that action through its memos and back,
 which only the cyclic collector frees, and would keep the dead action's
 cones interned.  The residual action itself is built afresh for each
 comparison around the kept lattice facts.  The comparison computes no
@@ -224,6 +225,7 @@ equals the composite's exactly when it kills the composite kernel's
 basis and has the same rank, cols minus the direct projection's rank.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations
@@ -249,12 +251,13 @@ from .intlat import (
 class SubtorusAction:
     """Subtorus with saturated cocharacter lattice L and projection N -> N/L.
 
-    `_table` holds the engine's ImageTable, built on first use; `_cache`
-    is the oracles' own memo, which the engine never reads.  Since each
-    action carries its own tables, actions compare by identity.
+    The engine keeps its per-action state here: `memos`, the store of its
+    `_kept` facts, and `results`, the verdicts `good_quotient` was asked
+    for.  `_cache` is the oracles' own memo, which the engine never reads.
+    Since each action carries its own memos, actions compare by identity.
     """
 
-    __slots__ = ("fan", "cochar", "proj", "input_saturated", "_table", "_cache")
+    __slots__ = ("fan", "cochar", "proj", "input_saturated", "memos", "results", "_cache")
 
     def __init__(self, fan, cochar, proj, input_saturated=True):
         if not cochar.saturated:
@@ -263,7 +266,8 @@ class SubtorusAction:
         object.__setattr__(self, "cochar", cochar)
         object.__setattr__(self, "proj", proj)
         object.__setattr__(self, "input_saturated", bool(input_saturated))
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "memos", {})  # _kept function -> {its arguments: its value}
+        object.__setattr__(self, "results", {})  # selection mask -> verdict
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -278,160 +282,124 @@ class SubtorusAction:
     def is_full(self):
         return self.cochar.rank == self.fan.rank
 
-    def image_table(self):
-        """The engine's ImageTable for this action, built on first use."""
-        if self._table is None:
-            object.__setattr__(self, "_table", ImageTable(self.fan, self.proj))
-        return self._table
-
-
-class ImageTable:
-    """Everything the chart criterion reads about one action's fan cones.
-
-    The inputs are the fan, the projection and the fan's face masks.  Cone
-    i is the fan's cone i (Fan.numbering).  The rows, all None until
-    `build()`: per cone, the image `img[i]`, generated by its rays' images,
-    and img[i]'s lineality lattice `lin[i]` with class id `cls[i]` (equal
-    ids for equal lattices, numbered in index order); per class c, the mask
-    `members[c]` of its cones; per ordered pair, bit j of the rows
-    `below[i]`, `above[i]` and `lin_le[i]` (each row holds its own bit).
-    `build()` fills them in one pass, by the ray masks of the module docstring.
-
-    `results` holds the verdicts `good_quotient` was asked for.  Every
-    other fact the engine derives from the table is a `_kept` function of
-    the table, kept in `memos` under that function and its arguments: the
-    split projection and images per lineality class, the carrier faces per
-    cone and chart, the target fans, the staged quotients' lattice facts,
-    the compatibility rows, the enumeration keys, the chart families of
-    the goods, the top fibres and the guarded goods per limit.  Whether two
-    images meet in a face is no table fact: the interned image cones keep
-    it (`Cone.meets_in_face`).
-    """
-
-    __slots__ = (
-        "fan", "proj", "faces", "img", "lin", "cls", "members", "below", "above",
-        "lin_le", "memos", "results",
-    )
-
-    def __init__(self, fan, proj):
-        self.fan = fan
-        self.proj = proj
-        self.faces = fan.face_masks()
-        self.img = self.lin = self.cls = self.members = None  # see build()
-        self.below = self.above = self.lin_le = None
-        self.memos = {}  # _kept function -> {its arguments: its value}
-        self.results = {}  # selection mask -> verdict, for masks good_quotient was asked
-
-    def build(self):
-        """Fill every row in one pass; a built table is left as it is."""
-        if self.img is not None:
-            return
-        keys, _ = self.fan.numbering()
-        n = len(keys)
-        ray_img = [self.proj.matvec(r) for r in self.fan.rays]
-        rays = [sum(1 << r for r in k) for k in keys]
-        img = [
-            Cone.from_generators([ray_img[r] for r in sorted(k)], self.proj.rows)
-            for k in keys
-        ]
-        # inside[i] masks the rays whose images lie in img[i]
-        inside = [
-            rays[i] | sum(
-                1 << r for r, v in enumerate(ray_img)
-                if not rays[i] >> r & 1 and img[i].contains(v)
-            )
-            for i in range(n)
-        ]
-        below = [sum(1 << j for j in range(n) if not rays[j] & ~inside[i]) for i in range(n)]
-        above = [0] * n
-        for i in range(n):
-            for j in bits(below[i]):
-                above[j] |= 1 << i
-        lin = [c.lineality_lattice() for c in img]
-        classes = {}  # lineality basis -> class id
-        cls = [classes.setdefault(lat.basis, len(classes)) for lat in lin]
-        class_lin = [None] * len(classes)
-        members = [0] * len(classes)
-        for i, c in enumerate(cls):
-            class_lin[c] = lin[i]
-            members[c] |= 1 << i
-        # row c: the cones of every class whose lattice class c's contains
-        class_le = [
-            sum(m for m, other in zip(members, class_lin) if lat.contains_lattice(other))
-            for lat in class_lin
-        ]
-        self.img, self.lin, self.cls, self.members = img, lin, cls, members
-        self.below, self.above, self.lin_le = below, above, [class_le[c] for c in cls]
-
 
 def _kept(fn):
-    """Keep fn(table, *args) in table.memos[fn][args]: the engine's one memo
+    """Keep fn(act, *args) in act.memos[fn][args]: the engine's one memo
     rule, one store per function, keyed by the arguments its value depends
     on.  No kept function returns None."""
 
     @wraps(fn)
-    def kept(table, *args):
-        memo = table.memos.get(fn)
+    def kept(act, *args):
+        memo = act.memos.get(fn)
         if memo is None:
-            memo = table.memos[fn] = {}
+            memo = act.memos[fn] = {}
         got = memo.get(args)
         if got is None:
-            got = memo[args] = fn(table, *args)
+            got = memo[args] = fn(act, *args)
         return got
 
     return kept
 
 
+Rows = namedtuple("Rows", "img lin cls members below above lin_le")
+
+
 @_kept
-def _split_projection(table, c):
+def _rows(act):
+    """Everything the chart criterion reads about the action's fan cones,
+    built in one pass by the ray masks of the module docstring.  Cone i is
+    the fan's cone i (Fan.numbering).  Per cone: the image `img[i]`,
+    generated by its rays' images, and img[i]'s lineality lattice `lin[i]`
+    with class id `cls[i]` (equal ids for equal lattices, numbered in index
+    order).  Per class c: the mask `members[c]` of its cones.  Per ordered
+    pair: bit j of the rows `below[i]`, `above[i]` and `lin_le[i]` (each
+    row holds its own bit)."""
+    fan, proj = act.fan, act.proj
+    keys, _ = fan.numbering()
+    n = len(keys)
+    ray_img = [proj.matvec(r) for r in fan.rays]
+    rays = [sum(1 << r for r in k) for k in keys]
+    img = [Cone.from_generators([ray_img[r] for r in sorted(k)], proj.rows) for k in keys]
+    # inside[i] masks the rays whose images lie in img[i]
+    inside = [
+        rays[i] | sum(
+            1 << r for r, v in enumerate(ray_img)
+            if not rays[i] >> r & 1 and img[i].contains(v)
+        )
+        for i in range(n)
+    ]
+    below = [sum(1 << j for j in range(n) if not rays[j] & ~inside[i]) for i in range(n)]
+    above = [0] * n
+    for i in range(n):
+        for j in bits(below[i]):
+            above[j] |= 1 << i
+    lin = [c.lineality_lattice() for c in img]
+    classes = {}  # lineality basis -> class id
+    cls = [classes.setdefault(lat.basis, len(classes)) for lat in lin]
+    class_lin = [None] * len(classes)
+    members = [0] * len(classes)
+    for i, c in enumerate(cls):
+        class_lin[c] = lin[i]
+        members[c] |= 1 << i
+    # row c: the cones of every class whose lattice class c's contains
+    class_le = [
+        sum(m for m, other in zip(members, class_lin) if lat.contains_lattice(other))
+        for lat in class_lin
+    ]
+    return Rows(img, lin, cls, members, below, above, [class_le[c] for c in cls])
+
+
+@_kept
+def _split_projection(act, c):
     """q2 @ proj, where q2 divides out the lineality lattice of class c,
     read off its highest member."""
-    return quotient_lattice_map(table.lin[table.members[c].bit_length() - 1]) @ table.proj
+    rows = _rows(act)
+    return quotient_lattice_map(rows.lin[rows.members[c].bit_length() - 1]) @ act.proj
 
 
 @_kept
-def _split_image(table, i, c):
+def _split_image(act, i, c):
     """The image of cone i under the split projection of class c, generated
     by the images of its rays."""
-    proj_full = _split_projection(table, c)
-    keys, _ = table.fan.numbering()
+    proj_full = _split_projection(act, c)
+    keys, _ = act.fan.numbering()
     return Cone.from_generators(
-        [proj_full.matvec(table.fan.rays[r]) for r in sorted(keys[i])], proj_full.rows
+        [proj_full.matvec(act.fan.rays[r]) for r in sorted(keys[i])], proj_full.rows
     )
 
 
 @_kept
-def _point(table, t, c):
+def _point(act, t, c):
     """The split projection of class c of the sum of cone t's rays: a point
     in the relative interior of t's split image, since every strictly
     positive combination of a cone's generators lies there."""
-    keys, _ = table.fan.numbering()
-    total = [0] * table.fan.rank
+    keys, _ = act.fan.numbering()
+    total = [0] * act.fan.rank
     for r in keys[t]:
-        total = [x + y for x, y in zip(total, table.fan.rays[r])]
-    return _split_projection(table, c).matvec(total)
+        total = [x + y for x, y in zip(total, act.fan.rays[r])]
+    return _split_projection(act, c).matvec(total)
 
 
 @_kept
-def _carrier(table, t, s):
+def _carrier(act, t, s):
     """Generators of the carrier face, in the split image of chart s, of the
     split image of cone t, both split by s's lineality class: t's orbit
     image when s is t's family chart, whose class is lbar's.  It is the
     carrier face of t's point, which lies in the relative interior of t's
     split image."""
-    c = table.cls[s]
-    return _split_image(table, s, c).carrier_generators([_point(table, t, c)])
+    c = _rows(act).cls[s]
+    return _split_image(act, s, c).carrier_generators([_point(act, t, c)])
 
 
 @_kept
-def _target(table, rank, rays, cones):
+def _target(act, rank, rays, cones):
     """The target Fan(rank, rays, cones), one per distinct fan: rays a
     sorted tuple, cones a frozenset of nonzero cone keys."""
     return Fan(rank, rays, cones)
 
 
 @_kept
-def _residual(table, proj_full, basis):
+def _residual(act, proj_full, basis):
     """(cochar, proj, input_saturated) of the residual action on a first
     stage quotient with projection proj_full, by the larger subtorus whose
     cocharacter basis is basis: `normalize_action` on the images."""
@@ -439,7 +407,7 @@ def _residual(table, proj_full, basis):
 
 
 @_kept
-def _composite(table, proj):
+def _composite(act, proj):
     """(kernel, section) of a composite stage projection, a surjection."""
     return split_surjection(proj)
 
@@ -494,19 +462,18 @@ class QuotientFan:
         )
 
 
-def _table(fan, act):
+def _check_fan(fan, act):
     if act.fan != fan:
         raise ValueError("action and selection live on different fans")
-    return act.image_table()
 
 
 def good_quotient(selection, act):
     """QuotientFan for the selection, or an Obstruction naming a witness."""
-    table = _table(selection.fan, act)
-    got = table.results.get(selection.mask)
+    _check_fan(selection.fan, act)
+    got = act.results.get(selection.mask)
     if got is None:
-        got = table.results[selection.mask] = _render(
-            table, selection, _decide(table, selection.mask)
+        got = act.results[selection.mask] = _render(
+            act, selection, _decide(act, selection.mask)
         )
     return got
 
@@ -521,15 +488,16 @@ _OBSTRUCTIONS = (
 _INCOMPARABLE, _DROPPED, _CHART_FIBER, _NON_FAN = range(len(_OBSTRUCTIONS))
 
 
-def _decide(table, sel):
+def _decide(act, sel):
     """The chart criterion on the selection mask sel, in cone indices only:
     (None, lbar, family) for a good selection, with lbar its common
     lineality cone and family its chart family ascending, or (code, a, b)
     for the obstruction _OBSTRUCTIONS[code] with witness cones a and b."""
-    table.build()
+    rows = _rows(act)
     if not sel:
         return None, None, ()
-    below, above, lin_le, faces = table.below, table.above, table.lin_le, table.faces
+    below, above, lin_le, cls = rows.below, rows.above, rows.lin_le, rows.cls
+    faces = act.fan.face_masks()
     for lbar in bits(sel):
         if lin_le[lbar] & sel == sel:
             break
@@ -537,7 +505,7 @@ def _decide(table, sel):
         for a, b in combinations(bits(sel), 2):
             if not (lin_le[a] >> b) & 1 and not (lin_le[b] >> a) & 1:
                 return _INCOMPARABLE, a, b
-        keys, _ = table.fan.numbering()
+        keys, _ = act.fan.numbering()
         first = keys[(sel & -sel).bit_length() - 1]
         raise RuntimeError(
             f"lineality spaces of the images from cone {sorted(first)} "
@@ -545,7 +513,7 @@ def _decide(table, sel):
         )
 
     charts = 0
-    for i in bits(sel & table.members[table.cls[lbar]]):
+    for i in bits(sel & rows.members[cls[lbar]]):
         if below[i] & sel == faces[i]:
             charts |= 1 << i
     family = tuple(i for i in bits(charts) if above[i] & charts == 1 << i)
@@ -559,15 +527,15 @@ def _decide(table, sel):
             if not above[m] & sel & ~below[m]:
                 break
         else:
-            keys, _ = table.fan.numbering()
+            keys, _ = act.fan.numbering()
             raise RuntimeError(
                 f"the image of cone {sorted(keys[t])} lies in no maximal image"
             )
-        if table.cls[m] != table.cls[lbar]:
+        if cls[m] != cls[lbar]:
             return _DROPPED, m, lbar
         strays = below[m] & sel & ~faces[m]
         if not strays:
-            keys, _ = table.fan.numbering()
+            keys, _ = act.fan.numbering()
             raise RuntimeError(
                 f"cone {sorted(keys[m])} has a maximal image but is no chart "
                 "and no cone maps into it beyond its faces"
@@ -575,44 +543,45 @@ def _decide(table, sel):
         return _CHART_FIBER, m, (strays & -strays).bit_length() - 1
 
     for a, b in combinations(family, 2):
-        if not table.img[a].meets_in_face(table.img[b]):
+        if not rows.img[a].meets_in_face(rows.img[b]):
             return _NON_FAN, a, b
     return None, lbar, family
 
 
-def _render(table, selection, decision):
+def _render(act, selection, decision):
     """The Obstruction or the QuotientFan that _decide's decision names."""
     code, a, b = decision
     if code is not None:
-        keys, _ = table.fan.numbering()
+        keys, _ = act.fan.numbering()
         kind, detail = _OBSTRUCTIONS[code]
         return Obstruction(
             kind, detail.format(sorted(keys[a]), sorted(keys[b])), (keys[a], keys[b])
         )
-    return _quotient(table, selection, a, b)
+    return _quotient(act, selection, a, b)
 
 
-def _quotient(table, selection, lbar, family):
-    proj = table.proj
+def _quotient(act, selection, lbar, family):
+    proj = act.proj
     if not selection.mask:
         return QuotientFan(
             selection,
             Sublattice.from_rows(proj.rows, []),
             proj,
-            _target(table, proj.rows, (), frozenset()),
+            _target(act, proj.rows, (), frozenset()),
             chart_map={},
             orbit_map={},
             fibres={},
             geometric=True,
         )
-    keys, _ = table.fan.numbering()
-    faces = table.faces
-    c = table.cls[lbar]
-    proj_full = _split_projection(table, c)
-    chart_gens = [_split_image(table, s, c).generators for s in family]
+    keys, _ = act.fan.numbering()
+    faces = act.fan.face_masks()
+    rows = _rows(act)
+    c = rows.cls[lbar]
+    proj_full = _split_projection(act, c)
+    chart_gens = [_split_image(act, s, c).generators for s in family]
     rays = tuple(sorted({g for gens in chart_gens for g in gens}))
     ray_index = {g: i for i, g in enumerate(rays)}
-    carriers, fibres = _fibres(table, selection.mask, family)
+    carriers, fibres = _fibres(act, selection.mask, family)
     chart_map = {
         frozenset(ray_index[g] for g in gens): keys[s]
         for s, gens in zip(family, chart_gens)
@@ -627,9 +596,9 @@ def _quotient(table, selection, lbar, family):
     )
     return QuotientFan(
         selection,
-        table.lin[lbar],
+        rows.lin[lbar],
         proj_full,
-        _target(table, proj_full.rows, rays, frozenset(k for k in chart_map if k)),
+        _target(act, proj_full.rows, rays, frozenset(k for k in chart_map if k)),
         chart_map=chart_map,
         orbit_map={
             keys[t]: frozenset(ray_index[g] for g in c) for t, c in carriers.items()
@@ -639,37 +608,38 @@ def _quotient(table, selection, lbar, family):
     )
 
 
-def _fibres(table, mask, family):
+def _fibres(act, mask, family):
     """(carriers, fibres) of a good mask that _decide gave family:
     carriers[t] generates t's orbit image, read in the lowest family chart
     covering t (the images meet in common faces, so any would do), and
     fibres[t] masks the cones of mask with that orbit image."""
-    above = table.above
+    above = _rows(act).above
     covered = sum(1 << s for s in family)
     carriers, fibre = {}, {}
     for t in bits(mask):
         cover = above[t] & covered
-        c = carriers[t] = _carrier(table, t, (cover & -cover).bit_length() - 1)
+        c = carriers[t] = _carrier(act, t, (cover & -cover).bit_length() - 1)
         fibre[c] = fibre.get(c, 0) | 1 << t
     return carriers, {t: fibre[c] for t, c in carriers.items()}
 
 
-def _recorded_fibres(table, mask):
+def _recorded_fibres(act, mask):
     """The fibre masks of mask: its rendered quotient's when `good_quotient`
     has one, else decided and grouped afresh and stored nowhere; None when
     mask has no good quotient."""
-    got = table.results.get(mask)
+    got = act.results.get(mask)
     if got is not None:
         return got.fibres if isinstance(got, QuotientFan) else None
-    code, _, family = _decide(table, mask)
-    return _fibres(table, mask, family)[1] if code is None else None
+    code, _, family = _decide(act, mask)
+    return _fibres(act, mask, family)[1] if code is None else None
 
 
 def _outer_fibres(inner, outer, act):
     """The fibre masks of outer, for an inner selection inside it."""
     if not inner <= outer:
         raise ValueError("inner selection must lie inside the outer one")
-    fibres = _recorded_fibres(_table(outer.fan, act), outer.mask)
+    _check_fan(outer.fan, act)
+    fibres = _recorded_fibres(act, outer.mask)
     if fibres is None:
         raise ValueError("outer selection admits no good quotient")
     return fibres
@@ -693,14 +663,13 @@ def is_saturated(inner, outer, act):
 
 
 @_kept
-def _compatible(table):
+def _compatible(act):
     """compat[a]: the mask of the cones b that pass the clique tests 1-5 of
     the module docstring with a.  The relation is symmetric."""
-    table.build()
-    n = len(table.img)
-    faces, below, cls, img = table.faces, table.below, table.cls, table.img
-    compat = [0] * n
-    for a, b in combinations(range(n), 2):
+    rows = _rows(act)
+    faces, below, cls, img = act.fan.face_masks(), rows.below, rows.cls, rows.img
+    compat = [0] * len(faces)
+    for a, b in combinations(range(len(faces)), 2):
         if (
             cls[a] == cls[b]
             and not ((faces[a] | below[a]) >> b | (faces[b] | below[b]) >> a) & 1
@@ -714,22 +683,22 @@ def _compatible(table):
 
 
 @_kept
-def _shifted(table):
+def _shifted(act):
     """The enumeration key of each cone's face mask, re-indexed by
     `cone_keys()` positions ((c) of the module docstring); a union's key is
     the union of the keys."""
-    _, bit = table.fan.numbering()
-    position = {bit[k]: 1 << p for p, k in enumerate(table.fan.cone_keys())}
-    return [_union(position[t] for t in bits(f)) for f in table.faces]
+    _, bit = act.fan.numbering()
+    position = {bit[k]: 1 << p for p, k in enumerate(act.fan.cone_keys())}
+    return [_union(position[t] for t in bits(f)) for f in act.fan.face_masks()]
 
 
 @_kept
-def _good_families(table):
+def _good_families(act):
     """{mask: chart family} over every good mask in enumeration order, the
     family ascending as `_decide` gives it: the face closures of the
     cliques of the clique graph of the module docstring, sorted by their
     enumeration keys."""
-    faces, compat, shifted = table.faces, _compatible(table), _shifted(table)
+    faces, compat, shifted = act.fan.face_masks(), _compatible(act), _shifted(act)
     # a clique grows only by higher indices, so each is visited once
     families = {}
     stack = [(0, (), (1 << len(faces)) - 1)]
@@ -746,35 +715,36 @@ def _good_families(table):
 
 
 @_kept
-def _top_fibre(table, s):
+def _top_fibre(act, s):
     """The faces t of chart s whose point lies in the relative interior of
     s's split image: s's fibre in every good selection whose chart family
     holds s (the top-fibre lemma of the module docstring)."""
-    c = table.cls[s]
-    image = _split_image(table, s, c)
+    c = _rows(act).cls[s]
+    image = _split_image(act, s, c)
     return sum(
-        1 << t for t in bits(table.faces[s])
-        if image.contains_in_relative_interior(_point(table, t, c))
+        1 << t for t in bits(act.fan.face_masks()[s])
+        if image.contains_in_relative_interior(_point(act, t, c))
     )
 
 
-def _witnesses(table, u, family):
+def _witnesses(act, u, family, faces, ups, compat):
     """The witnesses of the good mask u with chart family `family`, in
-    index order: one top-fibre test per cone the module docstring allows."""
-    faces, ups, compat = table.faces, table.fan.up_masks(), _compatible(table)
+    index order: one top-fibre test per cone the module docstring allows,
+    so none when it allows none.  faces, ups and compat are the fan's face
+    and up masks and `_compatible(act)`, which the caller reads once."""
     candidates = ((1 << len(faces)) - 1) & ~u
     for f in family:
         candidates &= compat[f] | ups[f]
-    return (s for s in bits(candidates) if faces[s] & ~u == _top_fibre(table, s))
+    return (s for s in bits(candidates) if faces[s] & ~u == _top_fibre(act, s))
 
 
 @_kept
-def _goods(table, limit):
+def _goods(act, limit):
     """`_good_families` after the size guard: more than limit order ideals
     raise SizeGuardError before any cone is projected."""
-    if 1 << len(table.faces) > limit:
-        _count_ideals(table.fan, limit)  # the size guard; it cannot fire otherwise
-    return _good_families(table)
+    if 1 << len(act.fan.face_masks()) > limit:
+        _count_ideals(act.fan, limit)  # the size guard; it cannot fire otherwise
+    return _good_families(act)
 
 
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
@@ -786,7 +756,8 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
     routines decide on demand.  More than limit order ideals raise
     SizeGuardError before any cone is projected.
     """
-    return [SubfanSelection._of_mask(fan, mask) for mask in _goods(_table(fan, act), limit)]
+    _check_fan(fan, act)
+    return [SubfanSelection._of_mask(fan, mask) for mask in _goods(act, limit)]
 
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):
@@ -798,10 +769,12 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     have that property (J. Włodarczyk, "Embeddings in toric varieties and
     prevarieties", J. Algebraic Geom. 2 (1993)), so the variants coincide.
     """
-    table = _table(fan, act)
+    _check_fan(fan, act)
+    goods = _goods(act, limit)
+    faces, ups, compat = act.fan.face_masks(), act.fan.up_masks(), _compatible(act)
     return [
-        SubfanSelection._of_mask(fan, u) for u, family in _goods(table, limit).items()
-        if next(_witnesses(table, u, family), None) is None
+        SubfanSelection._of_mask(fan, u) for u, family in goods.items()
+        if next(_witnesses(act, u, family, faces, ups, compat), None) is None
     ]
 
 
@@ -809,15 +782,16 @@ def host_of(selection, act):
     """The host of a good selection, None when it is T-maximal; a
     ValueError for a selection without a good quotient.  It decides the
     selection and tests its witnesses, and lists no goods."""
-    table = _table(selection.fan, act)
+    _check_fan(selection.fan, act)
     u = selection.mask
-    code, _, family = _decide(table, u)
+    code, _, family = _decide(act, u)
     if code is not None:
         raise ValueError("selection admits no good quotient")
-    shifted = _shifted(table)
+    faces, shifted = act.fan.face_masks(), _shifted(act)
     key = _union(shifted[f] for f in family)
-    s = min(_witnesses(table, u, family), key=lambda s: key | shifted[s], default=None)
-    return None if s is None else SubfanSelection._of_mask(selection.fan, u | table.faces[s])
+    witnesses = _witnesses(act, u, family, faces, act.fan.up_masks(), _compatible(act))
+    s = min(witnesses, key=lambda s: key | shifted[s], default=None)
+    return None if s is None else SubfanSelection._of_mask(selection.fan, u | faces[s])
 
 
 def max_saturated_inside(outer, inner, act):
@@ -852,9 +826,8 @@ def staged_quotient(selection, act_small, act_large):
             first, None, direct, equal=None,
             consistent=isinstance(direct, Obstruction), detail="no first-stage quotient",
         )
-    table = act_small.image_table()
     residual = SubtorusAction(
-        first.fan, *_residual(table, first.proj_full, act_large.cochar.basis)
+        first.fan, *_residual(act_small, first.proj_full, act_large.cochar.basis)
     )
     second = good_quotient(first.fan.full_selection(), residual)
     if isinstance(second, Obstruction) or isinstance(direct, Obstruction):
@@ -869,7 +842,7 @@ def staged_quotient(selection, act_small, act_large):
             first, second, direct, equal=False, consistent=False, detail=detail
         )
 
-    kernel, section = _composite(table, second.proj_full @ first.proj_full)
+    kernel, section = _composite(act_small, second.proj_full @ first.proj_full)
     proj = direct.proj_full  # both kernels are saturated (module docstring)
     if any(any(proj.matvec(b)) for b in kernel.basis.entries) or (
         proj.cols - matrix_rank(proj.entries, proj.cols) != kernel.rank
@@ -908,7 +881,7 @@ def remark_suite(q, act):
     cone (`Fan.up_masks`); a set of target cones is closed when it holds
     the up-set of each of its cones; (ii) is saturation by q's fibres; and
     a saturated open is the preimage of an image ideal, whose verdict
-    comes from the action's table without a selection when `good_quotient`
+    is read from the action's `results` without a selection when `good_quotient`
     already decided it.  The violations come in the order of the principal
     opens (by size, then keys), which are sorted only when one of them
     violates.
@@ -923,7 +896,7 @@ def remark_suite(q, act):
     each cone lies in its own fibre."""
     violations = []
     fan, sel = q.source.fan, q.source.mask
-    table = _table(fan, act)
+    _check_fan(fan, act)
     keys, _ = fan.numbering()
     faces = fan.face_masks()
     qkeys, qbit = q.fan.numbering()
@@ -961,7 +934,7 @@ def remark_suite(q, act):
         if any(faces[t] & ~pre for t in bits(pre)):
             failed[g] = "(iii) preimage of an open image set is not an open selection"
             continue
-        sub = table.results.get(pre)
+        sub = act.results.get(pre)
         if sub is None:
             sub = good_quotient(SubfanSelection._of_mask(fan, pre), act)
         if isinstance(sub, Obstruction):

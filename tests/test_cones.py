@@ -627,19 +627,19 @@ for _ in range(2):
         assert counts[0] == counts[1] <= 134
 
     def test_each_sweep_pass_runs_the_same_smith_forms(self):
-        # the staged quotients' lattice facts live on the actions' tables,
+        # the staged quotients' lattice facts live on the actions' memos,
         # so a second pass on fresh objects recomputes every one of them
         counts = self.cold_pass_counts("intlat", "smith_normal_form")
         assert counts[0] == counts[1] <= 395
 
     def test_a_sweep_leaves_no_action_in_cyclic_garbage(self):
         # memo keys are values: a key holding an action would make a cycle
-        # from the action through its table, found here as saved garbage
+        # from the action through its memos, found here as saved garbage
         script = """
 import gc
 from toricgit import corpus
 from toricgit.fans import Fan
-from toricgit.quotients import ImageTable, SubtorusAction
+from toricgit.quotients import Rows, SubtorusAction
 
 p112 = Fan(2, [(1, 0), (0, 1), (-1, -2)], [{0, 1}, {1, 2}, {0, 2}])
 gc.collect()
@@ -647,7 +647,7 @@ gc.disable()
 gc.set_debug(gc.DEBUG_SAVEALL)
 clean = corpus.run_sweep(fans=[p112]).clean()
 gc.collect()
-held = [o for o in gc.garbage if isinstance(o, (SubtorusAction, ImageTable))]
+held = [o for o in gc.garbage if isinstance(o, (SubtorusAction, Rows))]
 print(int(clean), len(held))
 """
         assert self.run_fresh(script) == [(1, 0)]

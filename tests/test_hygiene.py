@@ -58,8 +58,8 @@ def test_the_scan_finds_a_cache_touch():
     assert cache_touches(source) == [1, 2]
 
 
-# The engine keeps its memos in the action's image table; `_cache` is left
-# to the oracles, so they stay independent of the code they audit.
+# The engine keeps its memos in the action's `memos`; `_cache` is left to
+# the oracles, so they stay independent of the code they audit.
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "oracles.py"])
 def test_only_the_oracles_touch_the_action_cache(module):
     assert cache_touches((PACKAGE / module).read_text(encoding="utf-8")) == []

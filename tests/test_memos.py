@@ -5,7 +5,7 @@ reads the face generator tuples that the maximal cones keep, and
 `Cone.meets_in_face` keeps its verdict on both cones.  The references
 below are the unmemoized routines, with one matrix rank per key, masks
 by the subset definition and the meet by `intersect` and `is_face_of`, so
-a memo that a cone carries over from an earlier fan or table cannot
+a memo that a cone carries over from an earlier fan or action cannot
 change an answer.
 """
 
@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 import pytest
 from test_quotients import TABLE_CASES
 
-from toricgit import cones
+from toricgit import cones, quotients
 from toricgit.cones import Cone
 from toricgit.corpus import actions_for, corpus_fans
 from toricgit.fans import Fan, key_order
@@ -141,14 +141,9 @@ class TestConeKeys:
 
 def engine_images(fan, gens=None):
     """The image cones of every action of a corpus fan, or of the case's
-    action, from the engine's built tables."""
+    action, from the engine's rows."""
     acts = actions_for(fan) if gens is None else [normalize_action(fan, gens)]
-    out = []
-    for act in acts:
-        table = act.image_table()
-        table.build()
-        out.append(table.img)
-    return out
+    return [quotients._rows(act).img for act in acts]
 
 
 class TestMeetsInFace:

@@ -33,7 +33,6 @@ from toricgit.oracles import (
     oracle_verify_quotient,
 )
 from toricgit.quotients import (
-    ImageTable,
     Obstruction,
     QuotientFan,
     enumerate_good_subsets,
@@ -370,7 +369,7 @@ def refuse(*args, **kwargs):
 
 
 class TestIndependence:
-    """The oracles answer alike with the engine's image table and the cones'
+    """The oracles answer alike with the engine's rows and the cones'
     meet-in-face routine made to raise: they reach neither."""
 
     @pytest.mark.parametrize("fan", [P1XP1, SIX_RAYS], ids=["P1xP1", "six-ray"])
@@ -385,7 +384,7 @@ class TestIndependence:
         want = oracle_answers(fan, normalize_action(fan, gens), opens, quotients)
         assert want[1] == [()] * len(quotients)
         cold = normalize_action(fan, gens)
-        monkeypatch.setattr(ImageTable, "build", refuse)
+        monkeypatch.setattr("toricgit.quotients._rows", refuse)
         monkeypatch.setattr(Cone, "meets_in_face", refuse)
         with pytest.raises(AssertionError, match="engine route"):
             good_quotient(fan.full_selection(), normalize_action(fan, gens))

@@ -366,9 +366,9 @@ class TestRemarkSuite:
         assert remark_suite(q, act) == ()
 
 
-# The engine before the image table, kept as the reference for the mask
+# The engine before the per-action rows, kept as the reference for the mask
 # algebra: every fact is recomputed pairwise on the selection's own cones,
-# and the scans run in key_order, which is the table's index order.
+# and the scans run in key_order, which is the rows' index order.
 def pairwise_good_quotient(selection, act, images):
     fan = selection.fan
     keys = sorted(selection.keys, key=key_order)
@@ -494,12 +494,21 @@ CUBE_RAYS = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)
              if x == 1 or y == 1]
 CUBE_FACETS = [[i for i, r in enumerate(CUBE_RAYS) if r[axis] == 1] for axis in (0, 1)]
 
+# a square cone over z = 1 and four simplicial cones below it: the square
+# has four rays but dimension 3, so cone_keys() and numbering() order the
+# cones differently
+PYRAMID_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, -1)]
+PYRAMID_CONES = [[0, 1, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]
+
 # Together these reach every verdict branch: chart-fiber everywhere,
 # non-fan-images on P3 with (1,2,3), on the cube facets and on the P4 cone
 # with a line (rank-3 target, where the meet of two chart images can be a
 # face of one image only), and both mixed-lineality branches (incomparable
 # lineality spaces, and a maximal image dropping the common one) on the
-# two cases with rank-2 targets that follow.
+# two cases with rank-2 targets after them.  The two pyramid cases are the
+# only fan here whose numbering() and cone_keys() orders disagree; they
+# reach chart-fiber, a maximal image dropping the common lineality space,
+# and non-fan-images.
 DIFFERENTIAL_CASES = {
     "p2_diagonal": (Fan(2, P2.rays, P2.max_cones), [(1, 1)]),
     "p3_123": (Fan(3, P3_RAYS, P3_CONES), [(1, 2, 3)]),
@@ -508,6 +517,8 @@ DIFFERENTIAL_CASES = {
     "p4_cone_line": (Fan(4, P4_RAYS, [P4_CONES[4]]), [(-2, 1, 0, -1)]),
     "p3_two_cones_110": (Fan(3, P3_RAYS, [P3_CONES[1], P3_CONES[3]]), [(1, 1, 0)]),
     "p4_cone_rank2": (Fan(4, P4_RAYS, [P4_CONES[4]]), [(1, 0, 0, 1), (0, 1, 1, 0)]),
+    "pyramid_011": (Fan(3, PYRAMID_RAYS, PYRAMID_CONES), [(0, 1, 1)]),
+    "pyramid_12m2": (Fan(3, PYRAMID_RAYS, PYRAMID_CONES), [(1, 2, -2)]),
 }
 
 
@@ -558,11 +569,6 @@ class TestDifferentialAgainstPairwiseEngine:
 NINE_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
 P1_CUBED_RAYS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 P1_CUBED_CONES = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-# a square cone over z = 1 and four simplicial cones below it: the square
-# has four rays but dimension 3, so cone_keys() and numbering() order the
-# cones differently
-PYRAMID_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, -1)]
-PYRAMID_CONES = [[0, 1, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]
 
 # beyond the differential cases: a surface fan where almost every ideal
 # fails as chart-fiber, a rank-3 fan where the chart family candidates
@@ -608,7 +614,7 @@ class TestEnumerationRouteAgainstSelections:
         fan, gens = ENUMERATION_CASES[case]
         act = normalize_action(fan, gens)
         goods = {u.mask for u in enumerate_good_subsets(fan, act)}
-        families = quotients._good_families(act.image_table())
+        families = quotients._good_families(act)
         assert set(families) == goods
         if case == "p1_cubed_123":
             assert len(goods) == 917
@@ -623,7 +629,7 @@ class TestEnumerationRouteAgainstSelections:
         monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
         grouped = count_fibre_groupings(monkeypatch)
         assert len(enumerate_good_subsets(fan, act)) == 70
-        assert decided == [] and act.image_table().results == {} and grouped == []
+        assert decided == [] and act.results == {} and grouped == []
 
 
 @pytest.mark.parametrize("case", ["p3_123", "cube_two_facets"])
@@ -677,7 +683,7 @@ def test_t_maximal_subsets_builds_selections_only_for_its_results(monkeypatch):
 
     monkeypatch.setattr(SubfanSelection, "_of_mask", classmethod(counted_of_mask))
     assert len(t_maximal_subsets(fan, act)) == 9
-    assert len(quotients._good_families(act.image_table())) == 2644
+    assert len(quotients._good_families(act)) == 2644
     assert built == {"selection": 9}
 
 
@@ -686,9 +692,9 @@ def count_fibre_groupings(monkeypatch):
     grouped = []
     real = quotients._fibres
 
-    def counted(table, mask, family):
+    def counted(act, mask, family):
         grouped.append(mask)
-        return real(table, mask, family)
+        return real(act, mask, family)
 
     monkeypatch.setattr(quotients, "_fibres", counted)
     return grouped
@@ -741,12 +747,11 @@ def test_goods_render_on_demand_as_on_a_fresh_action(case, monkeypatch):
     warm = normalize_action(fan, gens)
     grouped = count_fibre_groupings(monkeypatch)
     goods = enumerate_good_subsets(fan, warm)
-    table = warm.image_table()
     # the enumeration renders nothing
-    assert table.results == {} and grouped == []
+    assert warm.results == {} and grouped == []
     fresh = normalize_action(fan, gens)
     for u in goods:
-        record = quotients._recorded_fibres(table, u.mask)
+        record = quotients._recorded_fibres(warm, u.mask)
         q = good_quotient(u, warm)
         want = good_quotient(u, fresh)
         assert isinstance(q, QuotientFan) and isinstance(want, QuotientFan), u
@@ -759,7 +764,7 @@ def test_goods_render_on_demand_as_on_a_fresh_action(case, monkeypatch):
         assert record == want.fibres, u
         assert good_quotient(u, warm) is q
         # once rendered, the fibres are the quotient's own
-        assert quotients._recorded_fibres(table, u.mask) is q.fibres, u
+        assert quotients._recorded_fibres(warm, u.mask) is q.fibres, u
 
 
 @pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
@@ -780,10 +785,9 @@ def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeyp
     with pytest.raises(SizeGuardError) as got:
         listing(P2, act, limit=4)
     assert str(got.value) == str(expected.value) == "more than 4 open subsets"
-    table = act.image_table()
-    assert decided == [] and table.results == {} and grouped == []
+    assert decided == [] and act.results == {} and grouped == []
     # the guard refuses before any cone is projected
-    assert all(getattr(table, field) is None for field in TABLE_FIELDS)
+    assert not rows_kept(act)
 
 
 # The saturation routines before fibre masks, kept as the reference: they
@@ -921,29 +925,31 @@ def test_quotient_fans_are_read_off_the_image_table(monkeypatch):
     assert built_on["source"] > 0 and built_on["other"] == 0
 
 
-def pairwise_build(table):
-    """ImageTable.build before ray masks, kept as the reference: a cone's
+def pairwise_rows(act):
+    """`quotients._rows` before ray masks, kept as the reference: a cone's
     image is the image of its fan cone, and every pair of cones has both
     containments decided on the cones and lattices themselves."""
-    if table.img is not None:
-        return
-    keys, _ = table.fan.numbering()
+    keys, _ = act.fan.numbering()
     n = len(keys)
-    table.img = [table.fan.cone(k).image(table.proj) for k in keys]
-    table.lin = [c.lineality_lattice() for c in table.img]
+    img = [act.fan.cone(k).image(act.proj) for k in keys]
+    lin = [c.lineality_lattice() for c in img]
     classes = {}
-    table.cls = [classes.setdefault(lin.basis, len(classes)) for lin in table.lin]
-    table.members = [
-        sum(1 << i for i, c in enumerate(table.cls) if c == d) for d in range(len(classes))
-    ]
-    table.below, table.above, table.lin_le = [0] * n, [0] * n, [0] * n
+    cls = [classes.setdefault(lat.basis, len(classes)) for lat in lin]
+    members = [sum(1 << i for i, c in enumerate(cls) if c == d) for d in range(len(classes))]
+    below, above, lin_le = [0] * n, [0] * n, [0] * n
     for a in range(n):
         for b in range(n):
-            if table.img[a].contains_cone(table.img[b]):
-                table.below[a] |= 1 << b
-                table.above[b] |= 1 << a
-            if table.lin[a].contains_lattice(table.lin[b]):
-                table.lin_le[a] |= 1 << b
+            if img[a].contains_cone(img[b]):
+                below[a] |= 1 << b
+                above[b] |= 1 << a
+            if lin[a].contains_lattice(lin[b]):
+                lin_le[a] |= 1 << b
+    return quotients.Rows(img, lin, cls, members, below, above, lin_le)
+
+
+def rows_kept(act):
+    """The entries the action's memos hold for `quotients._rows`."""
+    return act.memos.get(quotients._rows.__wrapped__, {})
 
 
 # the complete fan over the faces of the cube [-1, 1]^3: six 4-ray facets
@@ -957,7 +963,6 @@ TABLE_CASES = {
     "p4_1234": (Fan(4, P4_RAYS, P4_CONES), [(1, 2, 3, 4)]),
     "full_cube_123": (Fan(3, FULL_CUBE_RAYS, FULL_CUBE_FACETS), [(1, 2, 3)]),
 }
-TABLE_FIELDS = ("img", "lin", "cls", "members", "below", "above", "lin_le")
 
 
 def superset_index_hosts(fan, act):
@@ -967,8 +972,7 @@ def superset_index_hosts(fan, act):
     the first of them in which u is saturated.  Returns the host mask, or
     None, of every good mask."""
     goods = enumerate_good_subsets(fan, act)
-    table = act.image_table()
-    holders = [0] * len(table.img)
+    holders = [0] * len(fan.cone_keys())
     for j, v in enumerate(goods):
         for c in bits(v.mask):
             holders[c] |= 1 << j
@@ -983,7 +987,7 @@ def superset_index_hosts(fan, act):
                 goods[j].mask
                 for j in bits(larger)
                 if quotients._saturation(
-                    quotients._recorded_fibres(table, goods[j].mask), u.mask
+                    quotients._recorded_fibres(act, goods[j].mask), u.mask
                 ) == u.mask
             ),
             None,
@@ -1088,12 +1092,11 @@ class TestPeelHostsAgainstTheSupersetIndex:
 
 
 def assert_families_are_the_verdicts(fan, act):
-    table = act.image_table()
-    families = quotients._good_families(table)
+    families = quotients._good_families(act)
     ideals = _open_masks(fan, 2 ** 20)
     assert set(families) <= set(ideals)
     for mask in ideals:
-        code, _, family = quotients._decide(table, mask)
+        code, _, family = quotients._decide(act, mask)
         if code is None:
             assert families[mask] == family, mask
         else:
@@ -1116,14 +1119,14 @@ class TestCliqueClosures:
     @pytest.mark.parametrize("case", sorted(TABLE_CASES))
     def test_a_charts_fibre_is_its_top_fibre_in_every_good(self, case):
         fan, gens = TABLE_CASES[case]
-        table = normalize_action(fan, gens).image_table()
+        act = normalize_action(fan, gens)
         ups = fan.up_masks()
-        for w, family in quotients._good_families(table).items():
-            fibres = quotients._recorded_fibres(table, w)
+        for w, family in quotients._good_families(act).items():
+            fibres = quotients._recorded_fibres(act, w)
             maximal = tuple(s for s in bits(w) if ups[s] & w == 1 << s)
             assert maximal == family, w
             for s in maximal:
-                assert fibres[s] == quotients._top_fibre(table, s), (w, s)
+                assert fibres[s] == quotients._top_fibre(act, s), (w, s)
 
 
 P1_SQUARED = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
@@ -1140,8 +1143,7 @@ def test_the_guard_fires_exactly_above_the_ideal_count(fan, gens):
         if ideals > limit:
             with pytest.raises(SizeGuardError, match=f"^more than {limit} open subsets$"):
                 enumerate_good_subsets(fan, act, limit)
-            table = act.image_table()
-            assert all(getattr(table, field) is None for field in TABLE_FIELDS)
+            assert not rows_kept(act)
         else:
             assert [u.mask for u in enumerate_good_subsets(fan, act, limit)] == want
 
@@ -1155,18 +1157,14 @@ class TestRayMaskTable:
     def test_build_matches_the_pairwise_build(self, case):
         fan, gens = TABLE_CASES[case]
         act = normalize_action(fan, gens)
-        table = act.image_table()
-        reference = quotients.ImageTable(fan, act.proj)
-        table.build()
-        pairwise_build(reference)
-        for field in TABLE_FIELDS:
-            assert getattr(table, field) == getattr(reference, field), field
-        # a second build leaves every row as it is
-        rows = [getattr(table, field) for field in TABLE_FIELDS]
-        table.build()
-        assert all(getattr(table, f) is r for f, r in zip(TABLE_FIELDS, rows))
+        rows = quotients._rows(act)
+        reference = pairwise_rows(act)
+        for field in quotients.Rows._fields:
+            assert getattr(rows, field) == getattr(reference, field), field
+        # the rows are kept: a second read returns them as they are
+        assert quotients._rows(act) is rows and list(rows_kept(act).values()) == [rows]
         # on a fan the ray images and the fan-cone images share interner keys
-        assert all(a is b for a, b in zip(table.img, reference.img))
+        assert all(a is b for a, b in zip(rows.img, reference.img))
 
     @pytest.mark.parametrize("case", sorted(TABLE_CASES))
     def test_listings_match_the_pairwise_build(self, case, monkeypatch):
@@ -1182,7 +1180,7 @@ class TestRayMaskTable:
             )
 
         got = listings()
-        monkeypatch.setattr(quotients.ImageTable, "build", pairwise_build)
+        monkeypatch.setattr(quotients, "_rows", quotients._kept(pairwise_rows))
         assert got == listings()
 
     def test_enumeration_tests_rays_and_builds_maximal_fan_cones_only(self, monkeypatch):
@@ -1216,19 +1214,25 @@ class TestRayMaskTable:
         assert built and built <= set(fan.max_cones)
 
 
-# the face masks live on the fan, so each case forges a fresh copy of P1
-def forge_none_is_a_chart(table, full):
-    table.fan._faces[:] = [full] * len(table.img)
+# the face masks live on the fan, so each case forges a fresh copy of P1;
+# the rows are forged in place of the action's kept ones
+def forge_rows(act, **rows):
+    kept = rows_kept(act)
+    kept[()] = kept[()]._replace(**rows)
 
 
-def forge_no_maximal_image(table, full):
-    forge_none_is_a_chart(table, full)
-    table.below = [1 << i for i in range(len(table.img))]
+def forge_none_is_a_chart(act, full):
+    act.fan._faces[:] = [full] * len(act.fan._faces)
 
 
-def forge_cyclic_lineality(table, full):
+def forge_no_maximal_image(act, full):
+    forge_none_is_a_chart(act, full)
+    forge_rows(act, below=[1 << i for i in range(len(act.fan._faces))])
+
+
+def forge_cyclic_lineality(act, full):
     # each lattice contains the next one only: pairwise comparable, no largest
-    table.lin_le = [1 << i | 1 << (i + 1) % 3 for i in range(3)]
+    forge_rows(act, lin_le=[1 << i | 1 << (i + 1) % 3 for i in range(3)])
 
 
 @pytest.mark.parametrize("forge, message", [
@@ -1239,12 +1243,40 @@ def forge_cyclic_lineality(table, full):
 def test_broken_table_invariants_raise_named_errors(forge, message):
     fan = Fan(1, P1.rays, P1.max_cones)
     act = normalize_action(fan, [(1,)])
-    table = act.image_table()
     full = fan.full_selection().mask
-    table.build()
-    forge(table, full)
+    quotients._rows(act)
+    forge(act, full)
     with pytest.raises(RuntimeError, match=message):
         good_quotient(fan.full_selection(), act)
+
+
+def test_every_engine_fact_is_kept_on_the_action_by_one_memo_rule():
+    # the action holds the engine's state: its verdicts and one memo store,
+    # whose every key is a function wrapped by `_kept`, the rows included
+    assert quotients.SubtorusAction.__slots__ == (
+        "fan", "cochar", "proj", "input_saturated", "memos", "results", "_cache"
+    )
+    kept_code = quotients._kept(lambda act: act).__code__
+    kept = {
+        f.__wrapped__ for f in vars(quotients).values()
+        if getattr(f, "__code__", None) is kept_code
+    }
+    fan, gens = ENUMERATION_CASES["pyramid_123"]
+    act = normalize_action(fan, gens)
+    large = normalize_action(fan, [*gens, (0, 0, 1)])
+    goods = enumerate_good_subsets(fan, act)
+    assert len(t_maximal_subsets(fan, act)) == 11
+    for u in goods:
+        host_of(u, act)
+        assert isinstance(good_quotient(u, act), QuotientFan)
+        assert is_saturated(u, u, act)
+        staged_quotient(u, act, large)
+    assert set(act.memos) <= kept and set(large.memos) <= kept
+    assert {quotients._residual.__wrapped__, quotients._composite.__wrapped__} <= set(
+        act.memos
+    )
+    assert len(rows_kept(act)) == 1
+    assert set(act.results) == {u.mask for u in goods}
 
 
 def test_dropped_fan_and_action_are_freed_without_a_cyclic_collection():
