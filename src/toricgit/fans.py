@@ -12,11 +12,13 @@ Each fan numbers its cones in key_order (`Fan.numbering`), a value-only
 numbering that equal fans share: a set of cones is the mask with bit i
 for cone i.  `Fan.face_masks()` and `Fan.up_masks()`, built with the keys
 in one pass (`Fan._lattice`), hold each cone's faces and the cones above
-it.  A SubfanSelection carries its `mask` beside its `keys`; face closure,
-enumeration and the quotient engine read masks; the oracles enumerate
-bare ideal masks (`_open_masks`) and build a selection only for a mask
-they keep, and the engine's size guard counts the ideals without listing
-them (`_count_ideals`).
+it.  A SubfanSelection is its `mask`: equality, hashing, `len` and `in`
+read it, and its frozenset of `keys` is built on the first read, so the
+many selections that enumeration lists and nobody prints never build one.
+Face closure, enumeration and the quotient engine read masks; the oracles
+enumerate bare ideal masks (`_open_masks`) and build a selection only for
+a mask they keep, and the engine's size guard counts the ideals without
+listing them (`_count_ideals`).
 """
 
 from dataclasses import dataclass
@@ -188,10 +190,10 @@ class Fan:
         return SubfanSelection(self, keys)
 
     def full_selection(self):
-        return SubfanSelection(self, self.cone_keys())
+        return SubfanSelection._of_mask(self, (1 << len(self.numbering()[0])) - 1)
 
     def empty_selection(self):
-        return SubfanSelection(self, ())
+        return SubfanSelection._of_mask(self, 0)
 
 
 def validate_fan(fan):
@@ -221,13 +223,13 @@ def validate_fan(fan):
     return FanValidation(not problems, tuple(problems), witness)
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class SubfanSelection:
-    """Face-closed set of fan cones (a torus-invariant open subset) and its mask."""
+    """Face-closed set of fan cones (a torus-invariant open subset), held as
+    its mask over `Fan.numbering()`.  Equality, hashing, `len` and `in` read
+    the mask; the frozenset of cone keys, `keys`, is built on its first read
+    and kept, unless the selection was made from keys, which it keeps."""
 
-    fan: Fan
-    keys: frozenset
-    mask: int
+    __slots__ = ("fan", "mask", "_keys")
 
     def __init__(self, fan, keys):
         keys = frozenset(frozenset(k) for k in keys)
@@ -243,24 +245,45 @@ class SubfanSelection:
                     f"selection not face-closed: {sorted(k)} without {sorted(f)}"
                 )
         object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
     def _of_mask(cls, fan, mask):
         """The selection of a mask known to be face-closed, unchecked."""
-        keys, _ = fan.numbering()
         sel = object.__new__(cls)
         object.__setattr__(sel, "fan", fan)
-        object.__setattr__(sel, "keys", frozenset(keys[i] for i in bits(mask)))
         object.__setattr__(sel, "mask", mask)
+        object.__setattr__(sel, "_keys", None)
         return sel
 
+    def __setattr__(self, name, value):
+        raise AttributeError("SubfanSelection is immutable")
+
+    @property
+    def keys(self):
+        """The selected cones as a frozenset of keys."""
+        if self._keys is None:
+            numbered, _ = self.fan.numbering()
+            object.__setattr__(self, "_keys", frozenset(numbered[i] for i in bits(self.mask)))
+        return self._keys
+
+    def __eq__(self, other):
+        # the numbering is a bijection that equal fans share, so equal
+        # masks on equal fans are equal key sets
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and (self.fan is other.fan or self.fan == other.fan)
+
+    def __hash__(self):
+        return hash((self.fan, self.mask))
+
     def __contains__(self, key):
-        return frozenset(key) in self.keys
+        i = self.fan.numbering()[1].get(frozenset(key))
+        return i is not None and self.mask >> i & 1 == 1
 
     def __len__(self):
-        return len(self.keys)
+        return self.mask.bit_count()
 
     def _same_fan(self, other):
         """Bit i names the same cone in both masks only on one fan."""
@@ -401,7 +424,7 @@ def limit_of_generic_point(fan, v):
 class FanAutomorphism:
     """Unimodular lattice map permuting the rays and the cone set."""
 
-    __slots__ = ("fan", "matrix", "ray_perm")
+    __slots__ = ("fan", "matrix", "ray_perm", "_cone_perm")
 
     def __init__(self, fan, matrix):
         if matrix.rows != fan.rank or matrix.cols != fan.rank:
@@ -419,6 +442,7 @@ class FanAutomorphism:
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "ray_perm", perm)
+        object.__setattr__(self, "_cone_perm", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FanAutomorphism is immutable")
@@ -431,9 +455,13 @@ class FanAutomorphism:
 
     def apply_mask(self, mask):
         """Image of a mask over the fan's numbering: bit i goes to the
-        index of apply_key(keys[i])."""
-        keys, bit = self.fan.numbering()
-        return sum(1 << bit[self.apply_key(keys[i])] for i in bits(mask))
+        index of apply_key(keys[i]), read from the cone permutation that
+        the first call builds."""
+        if self._cone_perm is None:
+            keys, bit = self.fan.numbering()
+            object.__setattr__(self, "_cone_perm", tuple(bit[self.apply_key(k)] for k in keys))
+        perm = self._cone_perm
+        return sum(1 << perm[i] for i in bits(mask))
 
     def compose(self, other):
         """self after other."""

@@ -21,6 +21,7 @@ from toricgit.fans import (
     validate_fan,
 )
 from toricgit.intlat import IntMatrix, right_inverse_of_surjection
+from toricgit.quotients import enumerate_good_subsets, normalize_action
 from toricgit.symmetry import generate_symmetry_group
 
 P1 = Fan(1, [(1,), (-1,)], [{0}, {1}])
@@ -394,6 +395,103 @@ class TestConeNumbering:
             assert u.union(v).mask == u.mask | v.mask
             assert u.intersection(v).keys == u.keys & v.keys
             assert u.intersection(v).mask == u.mask & v.mask
+
+
+# every open subset of these is checked; the rank-four fan has too many
+SELECTION_FANS = COMPLETE + INCOMPLETE + [P3, CUBE_TWO_FACETS]
+SELECTION_IDS = ["P1", "P2", "P1xP1", "P112", "point", "A1", "C2", "square", "torus",
+                 "P3", "cube-two-facets"]
+
+
+def keys_of(fan, mask):
+    """The cone keys of a mask, read off the numbering."""
+    numbered, _ = fan.numbering()
+    return [numbered[i] for i in bits(mask)]
+
+
+def both_ways(fan):
+    """Each open subset as an unchecked mask selection and as the selection
+    validated from its keys, paired; no mask selection's keys are read."""
+    return [(u, SubfanSelection(fan, keys_of(fan, u.mask)))
+            for u in enumerate_open_subsets(fan)]
+
+
+class TestSelectionsAreTheirMasks:
+    @pytest.mark.parametrize("fan", SELECTION_FANS, ids=SELECTION_IDS)
+    def test_a_mask_selection_is_the_validated_selection(self, fan):
+        pairs = both_ways(fan)
+        for u, v in pairs:
+            assert u == v and v == u and hash(u) == hash(v)
+            assert not u != v
+        assert len({u for u, _ in pairs} | {v for _, v in pairs}) == len(pairs)
+
+    @pytest.mark.parametrize("fan", SELECTION_FANS, ids=SELECTION_IDS)
+    def test_len_in_and_repr_agree(self, fan):
+        strays = [frozenset(range(len(fan.rays) + 1)), frozenset({-1}), (len(fan.rays),)]
+        for u, v in both_ways(fan):
+            assert len(u) == len(v) == len(keys_of(fan, u.mask))
+            for key in list(fan.cone_keys()) + strays:
+                assert (key in u) is (key in v) is (frozenset(key) in v.keys)
+                assert (tuple(key) in u) is (key in v)
+            assert repr(u) == repr(v)
+
+    @pytest.mark.parametrize("fan", SELECTION_FANS, ids=SELECTION_IDS)
+    def test_order_union_and_intersection_agree(self, fan):
+        pairs = both_ways(fan)
+        rng = random.Random(len(pairs))
+        drawn = [(rng.choice(pairs), rng.choice(pairs)) for _ in range(300)]
+        for (u, v), (x, y) in drawn + [(p, p) for p in pairs]:
+            assert (u <= x) is (v <= y) is (v.keys <= y.keys)
+            assert (u < x) is (v < y) is (v.keys < y.keys)
+            assert u.union(x) == v.union(y) == SubfanSelection(fan, v.keys | y.keys)
+            assert u.intersection(x) == v.intersection(y) == SubfanSelection(
+                fan, v.keys & y.keys
+            )
+            assert repr(u.union(x)) == repr(v.union(y))
+            assert repr(u.intersection(x)) == repr(v.intersection(y))
+
+    @pytest.mark.parametrize("fan", SELECTION_FANS, ids=SELECTION_IDS)
+    def test_keys_are_built_once_and_kept(self, fan):
+        for u, v in both_ways(fan):
+            first = u.keys
+            assert u.keys is first and first == v.keys
+            assert v.keys is v.keys
+
+    def test_listed_goods_hold_no_key_set_until_read(self):
+        goods = enumerate_good_subsets(P3, normalize_action(P3, [(1, 2, 3)]))
+        assert goods and all(u._keys is None for u in goods)
+        for u in goods:
+            keys = u.keys
+            assert u._keys is keys and keys == frozenset(keys_of(P3, u.mask))
+
+    @pytest.mark.parametrize("fan", SELECTION_FANS, ids=SELECTION_IDS)
+    def test_full_and_empty_selections_are_the_validated_ones(self, fan):
+        full, empty = fan.full_selection(), fan.empty_selection()
+        assert full == SubfanSelection(fan, fan.cone_keys())
+        assert hash(full) == hash(SubfanSelection(fan, fan.cone_keys()))
+        assert full.keys == frozenset(fan.cone_keys())
+        assert empty == SubfanSelection(fan, ()) and hash(empty) == hash(SubfanSelection(fan, ()))
+        assert empty.keys == frozenset() and empty.mask == 0
+
+    def test_an_equal_fan_gives_equal_selections_with_equal_hashes(self):
+        twin = Fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 2}, {1, 2}, {0, 1}])
+        assert twin is not P2 and twin == P2
+        for u, v in both_ways(P2):
+            w = SubfanSelection._of_mask(twin, u.mask)
+            assert w == u == v and hash(w) == hash(u) == hash(v)
+
+    def test_selections_of_different_fans_differ(self):
+        # {(), (0)} on P2 and on C2: the same mask and keys, not the same set
+        p2, c2 = SubfanSelection._of_mask(P2, 0b11), SubfanSelection._of_mask(C2, 0b11)
+        assert p2.keys == c2.keys and p2 != c2
+        assert p2 != p2.mask and p2 != p2.keys
+
+    def test_a_selection_is_immutable(self):
+        sel = P1.full_selection()
+        for name in ("fan", "mask", "keys", "_keys"):
+            with pytest.raises(AttributeError):
+                setattr(sel, name, None)
+        assert sel == SubfanSelection(P1, P1.cone_keys())
 
 
 class TestOrbits:
