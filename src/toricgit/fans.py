@@ -226,8 +226,9 @@ def validate_fan(fan):
 class SubfanSelection:
     """Face-closed set of fan cones (a torus-invariant open subset), held as
     its mask over `Fan.numbering()`.  Equality, hashing, `len` and `in` read
-    the mask; the frozenset of cone keys, `keys`, is built on its first read
-    and kept, unless the selection was made from keys, which it keeps."""
+    the mask.  The frozenset of cone keys, `keys`, is the one the
+    constructor validated, or else is built from the mask on its first
+    read and kept."""
 
     __slots__ = ("fan", "mask", "_keys")
 
