@@ -68,23 +68,47 @@ are held weakly: a cone lives as long as some fan, table, memo or face list
 holds it, so memory stays bounded without a size setting and work that
 builds fresh objects starts cold.
 
-A miss on linearly independent inputs costs one double description.  The
-first run returns a basis `lin` of {x : v.x = 0 for every input v}, the
-kernel of the input matrix, so the inputs span a space of rank
-`ambient - len(lin)`.  When that rank equals the number k of distinct
-primitive inputs, the k inputs are linearly independent: no two are
-parallel or opposite, and none is a combination of the others.  Then the
-cone they generate is pointed (x and -x in it would give a nonnegative
+A miss on d linearly independent inputs in Z^d costs no double
+description, and on fewer linearly independent inputs it costs one.  When
+the k distinct primitive inputs are linearly independent (no two are
+parallel or opposite, and none is a combination of the others), the cone
+they generate is pointed (x and -x in it would give a nonnegative
 combination of the inputs, not all coefficients zero, summing to zero)
 and simplicial, its extreme rays are exactly the inputs (none is a
 nonnegative combination of the others), and its canonical list is the
-sorted primitive inputs, the key's own vector set.  The second run would compute that very list:
-on route "g" it is the generator list, on route "i" the facet list (the
-dual of {x : v.x >= 0} is the cone the v generate).  Dependent inputs
-take both runs, unless the cone generated by the first run's list is
-interned: its facets are the second list.  On route "g" that cone is the
-dual, whose facets are the canonical generators; on route "i" it is the
-cone itself.
+sorted primitive inputs, the key's own vector set.  On route "g" that is
+the generator list, on route "i" the facet list (the dual of
+{x : v.x >= 0} is the cone the v generate).  So only the other list is
+left to find.
+
+For k = d it has a closed form.  Let V be the matrix with rows the inputs
+v_1..v_d, det V != 0.  The columns c_j of sign(det V) adj(V) satisfy
+v_i.c_j = |det V| if i = j and 0 otherwise, since V adj(V) = det(V) I.
+The cone C the v_i generate is full-dimensional and simplicial, so each of
+its d facets contains all but one ray v_j, and its inner normal is the
+line orthogonal to the other d - 1 (linearly independent) rays, pointing
+to v_j's side: the ray of c_j.  So C's facets are the primitive c_j,
+sorted, and by the dual reading the same list is the generator list of
+the cone cut out by the v_i.  One fraction-free Gauss-Jordan elimination
+of [V | I] (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968), the
+elimination of `IntMatrix.det` continued above the pivots) divides
+exactly at each step, since every entry is a minor of [V | I], and ends
+at [D I | D V^-1] with D = +-det V.  Its right block times sign(D) is
+|det V| V^-1 = sign(det V) adj(V).  A zero pivot column tells dependent
+inputs, which fall through to the general route.  The empty input needs
+no elimination: its other list is the canonical list of the whole space,
+the +- standard basis.  Neither case runs a double description or a
+Smith form.
+
+For k < d the first run returns a basis `lin` of {x : v.x = 0 for every
+input v}, the kernel of the input matrix, so the inputs span a space of
+rank `ambient - len(lin)`, and the inputs are independent when that rank
+equals k.  The second run would compute the known list, so it is skipped.
+Dependent inputs take both runs, unless the cone generated by the first
+run's list is interned: its facets are the second list.  On route "g"
+that cone is the dual, whose facets are the canonical generators; on
+route "i" it is the cone itself.
 """
 from __future__ import annotations
 
@@ -214,28 +238,62 @@ def _canonical_generators(lin_rows, rays, ambient):
     return tuple(sorted(gens))
 
 
+def _simplicial_other(own, ambient):
+    """The other canonical list of the cone whose own list is own, in
+    closed form, when own is empty or holds ambient linearly independent
+    vectors; None otherwise.  The empty input's other list is the +-
+    standard basis.  For a basis V (rows v_1..v_d) it is the primitive
+    columns of sign(det V) adj(V), read off one fraction-free Gauss-Jordan
+    elimination of [V | I] (see the module docstring)."""
+    if not own:
+        units = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
+        return tuple(sorted(units + [vneg(u) for u in units]))
+    if len(own) != ambient:
+        return None
+    n = ambient
+    m = [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(own)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None  # dependent: det V = 0
+        m[k], m[p] = m[p], m[k]
+        pivot = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = pivot
+    sign = 1 if prev > 0 else -1
+    return tuple(sorted(primitive([sign * m[i][n + j] for i in range(n)]) for j in range(n)))
+
+
 _INTERNED = weakref.WeakValueDictionary()  # (route, ambient, vectors) -> Cone
 
 
 def _interned(route, vectors, ambient):
     """The canonical cone generated by (route "g") or cut out by (route "i")
-    the vectors, from the interner or from at most two double descriptions."""
+    the vectors, from the interner, in closed form, or from at most two
+    double descriptions."""
     vectors = [tuple(int(x) for x in v) for v in vectors if any(v)]
     key = (route, ambient, frozenset(primitive(v) for v in vectors))
     cone = _INTERNED.get(key)
     if cone is None:
-        # the first run reads the vectors as inequalities and yields the
-        # other list; the second run reads that list back, unless the
-        # inputs are linearly independent or the cone that list generates
-        # is interned (see the module docstring)
-        lin, rays = dd_solve(vectors, ambient)
-        other = _canonical_generators(lin, rays, ambient)
-        if len(key[2]) == ambient - len(lin):
-            own = tuple(sorted(key[2]))
-        elif (known := _INTERNED.get(("g", ambient, frozenset(other)))) is not None:
-            own = known.facets
-        else:
-            own = _canonical_generators(*dd_solve(other, ambient), ambient)
+        # no input or a basis of Z^ambient: both lists in closed form;
+        # otherwise the first run reads the vectors as inequalities and
+        # yields the other list, and the second run reads that list back,
+        # unless the inputs are linearly independent or the cone that list
+        # generates is interned (see the module docstring)
+        own = tuple(sorted(key[2]))
+        other = _simplicial_other(own, ambient)
+        if other is None:
+            lin, rays = dd_solve(vectors, ambient)
+            other = _canonical_generators(lin, rays, ambient)
+            if len(own) != ambient - len(lin):
+                known = _INTERNED.get(("g", ambient, frozenset(other)))
+                own = known.facets if known is not None else _canonical_generators(
+                    *dd_solve(other, ambient), ambient
+                )
         cone = Cone(ambient, own, other) if route == "g" else Cone(ambient, other, own)
         _INTERNED[key] = cone
     return cone

@@ -8,11 +8,13 @@ cocharacters of the quasitorus's torus part all come from one Smith form
 of the ray matrix.  The open subset upstairs is the union of coordinate
 charts indexed by the cones of the fan: the coordinate fan, whose cones
 are the coordinate faces of the maximal cones, so its size grows with the
-maximal cones, not with the 2^n faces of the orthant.  Monomials are the
-canonical sections of effective invariant divisors, and their witness
-verdicts are exact.  Polynomial sections are supported for witness
-checking too, but their zero sets are not unions of orbits, so their
-verdicts rest on seeded orbit points, all drawn inside
+maximal cones, not with the 2^n faces of the orthant.  Its rays are unit
+vectors, so every coordinate cone is simplicial and its faces are the
+subsets of its key: the coordinate fan's lattice builds no cone.
+Monomials are the canonical sections of effective invariant divisors,
+and their witness verdicts are exact.  Polynomial sections are supported
+for witness checking too, but their zero sets are not unions of orbits,
+so their verdicts rest on seeded orbit points, all drawn inside
 `verify_globally_defined` from the generator its `seed` argument seeds.
 Each member's vanishing test is prepared once per call: a monomial's
 support, or a polynomial's terms scaled to integers, so each sampled
@@ -108,7 +110,8 @@ def cox_presentation(fan):
     """Grading, coordinate fan, and quasitorus data of a fan.
 
     The coordinate fan's cones are exactly the relevant coordinate faces; its
-    lattice, built on first use, costs what the maximal cones' faces cost.
+    lattice, built on first use, reads them off subsets of the maximal
+    cones' keys (unit rays are linearly independent) and builds no cone.
 
     Everything is read off one Smith form L·R·U = D of the n×d ray matrix
     R.  The rays span iff D has d nonzero entries.  Rows d.. of L then

@@ -12,9 +12,14 @@ Each fan numbers its cones in key_order (`Fan.numbering`), a value-only
 numbering that equal fans share: a set of cones is the mask with bit i
 for cone i.  `Fan.face_masks()` and `Fan.up_masks()`, built with the keys
 in one pass (`Fan._lattice`), hold each cone's faces and the cones above
-it.  A SubfanSelection is its `mask`: equality, hashing, `len` and `in`
-read it, and its frozenset of `keys` is built on the first read, so the
-many selections that enumeration lists and nobody prints never build one.
+it.  A simplicial cone's face lattice is the Boolean lattice of its rays
+(every subset of linearly independent rays spans a face), so the maximal
+cones of a simplicial fan give their faces without a cone being built;
+only a non-simplicial maximal cone is built to read its faces off its
+generator-facet incidences.  A SubfanSelection is its `mask`: equality,
+hashing, `len` and `in` read it, and its frozenset of `keys` is built on
+the first read, so the many selections that enumeration lists and nobody
+prints never build one.
 Face closure, enumeration and the quotient engine read masks; the oracles
 enumerate bare ideal masks (`_open_masks`) and build a selection only for
 a mask they keep, and the engine's size guard counts the ideals without
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cones import Cone, SizeGuardError
-from .intlat import dot, primitive
+from .intlat import dot, matrix_rank, primitive
 
 ConeKey = frozenset
 
@@ -126,15 +131,24 @@ class Fan:
         """Build the cone keys, their numbering, the face and up masks and
         the cone_keys() order in one pass over key_order.
 
-        The keys are the maximal cones' faces, read off generator-facet
-        incidences; an interior ray raises ValueError, as its cone's key
-        would be no face key.  On a fan (see validate_fan) cone j is a face
-        of cone i exactly when key j lies in key i.  Face lattices of pointed
-        cones are graded by dimension (G. M. Ziegler, Lectures on Polytopes,
-        2.2), so a cone's dimension, 0 for the zero cone, is one more than
-        its proper faces' largest, and no rank is computed."""
+        The keys are the maximal cones' faces.  A maximal cone whose rays
+        are linearly independent (one rank decides it) is simplicial: its
+        face lattice is the Boolean lattice of its rays, so its faces are
+        the subsets of its key and no cone is built.  Any other maximal
+        cone's faces are read off generator-facet incidences; an interior
+        ray raises ValueError, as its cone's key would be no face key.  On a
+        fan (see validate_fan) cone j is a face of cone i exactly when key j
+        lies in key i.  Face lattices of pointed cones are graded by
+        dimension (G. M. Ziegler, Lectures on Polytopes, 2.2), so a cone's
+        dimension, 0 for the zero cone, is one more than its proper faces'
+        largest, and no face's rank is computed."""
         found = {frozenset(): None}
         for top in self.max_cones:
+            if matrix_rank([self.rays[i] for i in top], self.rank) == len(top):
+                for size in range(1, len(top) + 1):
+                    for face in combinations(top, size):
+                        found[frozenset(face)] = None
+                continue
             interior = self._interior_rays(top)
             if interior:
                 raise ValueError(f"ray {interior[0]} is interior to cone {sorted(top)}")

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -29,7 +30,7 @@ from toricgit.cones import (
     hilbert_basis,
     monoid_generators,
 )
-from toricgit import cones, fans
+from toricgit import cones, fans, intlat
 from toricgit.fans import Fan, limit_of_generic_point, validate_fan
 from toricgit.intlat import (
     IntMatrix,
@@ -624,13 +625,13 @@ for _ in range(2):
         # every run is counted, the cold ones of dd_solve and the warm ones
         # of meets_in_face
         counts = self.cold_pass_counts("cones", "_dd_add")
-        assert counts[0] == counts[1] <= 134
+        assert counts[0] == counts[1] <= 117
 
     def test_each_sweep_pass_runs_the_same_smith_forms(self):
         # the staged quotients' lattice facts live on the actions' memos,
         # so a second pass on fresh objects recomputes every one of them
         counts = self.cold_pass_counts("intlat", "smith_normal_form")
-        assert counts[0] == counts[1] <= 395
+        assert counts[0] == counts[1] <= 387
 
     def test_a_sweep_leaves_no_action_in_cyclic_garbage(self):
         # memo keys are values: a key holding an action would make a cycle
@@ -743,16 +744,17 @@ class TestOneDoubleDescriptionForIndependentInputs:
     @pytest.mark.parametrize("route", ["g", "i"])
     @pytest.mark.parametrize("vectors, d, runs", [
         ([(977, 1, 0), (0, 983, 1)], 3, 1),
-        ([(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 0, 0)], 3, 1),  # one ray, twice
-        ([], 3, 1),
+        ([(2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 0, 0)], 3, 0),  # one ray, twice
+        ([], 3, 0),
         ([(1, 0), (0, 1), (1, 1)], 2, 2),
         ([(1, 0), (-1, 0)], 2, 2),
         ([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 3, 1),
         ([(1, 1, 0), (0, 1, 1), (1, 2, 1)], 3, 2),
     ])
-    def test_a_miss_runs_one_double_description_iff_independent(
+    def test_a_miss_runs_none_for_a_basis_and_one_iff_independent(
         self, monkeypatch, route, vectors, d, runs
     ):
+        # no input and a basis of Z^d take the closed form
         monkeypatch.setattr(cones, "_INTERNED", weakref.WeakValueDictionary())
         calls = 0
         solve = cones.dd_solve
@@ -789,6 +791,50 @@ class TestOneDoubleDescriptionForIndependentInputs:
             got = TestInterner.BUILD[route](vectors, d)
         assert (got.generators, got.facets) == want and calls <= 1
         assert held.facets == (want[0] if route == "g" else want[1])
+
+
+@st.composite
+def square_sets(draw):
+    """d vectors in Z^d for 1 <= d <= 4, or no vector for 0 <= d <= 4."""
+    d = draw(st.integers(0, 4))
+    if d == 0 or draw(st.integers(0, 5)) == 0:
+        return [], d
+    return draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d, max_size=d)), d
+
+
+class TestClosedFormForABasis:
+    @PROPERTY
+    @given(square_sets(), st.sampled_from(["g", "i"]))
+    @example(([], 0), "g")
+    @example(([], 0), "i")
+    def test_no_input_and_a_basis_take_no_double_description(self, drawn, route):
+        # the closed form runs no double description and no Smith form;
+        # dependent vectors take the general route to the same lists
+        vectors, d = drawn
+        want = direct_lists(route, vectors, d)
+        nonzero = [v for v in vectors if any(v)]
+        closed = not nonzero or len(nonzero) == d and IntMatrix(nonzero, cols=d).det() != 0
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def run(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_INTERNED", weakref.WeakValueDictionary())
+            mp.setattr(cones, "dd_solve", counted(cones, "dd_solve"))
+            mp.setattr(intlat, "smith_normal_form", counted(intlat, "smith_normal_form"))
+            got = TestInterner.BUILD[route](vectors, d)
+        assert (got.generators, got.facets) == want
+        if closed:
+            assert calls == Counter()
+        else:
+            assert calls["dd_solve"] >= 1
 
 
 def four_smith_canonical_generators(lin_rows, rays, ambient):

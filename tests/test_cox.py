@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from test_memos import FANS
+from test_memos import FANS, lattice_routes, recomputed_cone_keys
 
 from toricgit import cox, intlat
 from toricgit.corpus import corpus_fans
@@ -226,6 +226,16 @@ class TestRelevantSelection:
             n = len(fan.rays)
             units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
             assert cox_presentation(fan).coordinate_fan == Fan(n, units, fan.max_cones)
+
+    def test_coordinate_fan_lattices_build_no_cone(self):
+        # unit rays are linearly independent, so every coordinate cone is
+        # simplicial and its faces are the subsets of its key
+        for fan in presentation_fans() + (TWENTY,):
+            coordinates = cox_presentation(fan).coordinate_fan
+            keys, built = lattice_routes(coordinates)
+            assert not built, fan.rays
+            again = Fan(coordinates.rank, coordinates.rays, coordinates.max_cones)
+            assert keys == recomputed_cone_keys(again), fan.rays
 
     def test_projective_plane_omits_only_the_origin(self):
         pres = cox_presentation(P2)

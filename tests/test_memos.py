@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 import pytest
 from test_quotients import TABLE_CASES
 
-from toricgit import cones, quotients
+from toricgit import cones, fans, quotients
 from toricgit.cones import Cone
 from toricgit.corpus import actions_for, corpus_fans
 from toricgit.fans import Fan, key_order
@@ -116,27 +116,84 @@ class TestConeKeys:
             assert fresh(target).cone_keys() == want, target
 
     @pytest.mark.parametrize("case", ["full_cube_123", "p4_1234", "pyramid_123"])
-    def test_listing_a_fresh_fan_computes_no_rank(self, monkeypatch, case):
-        # the dimensions come from the face lattice, so even maximal cones
-        # that are built here by double description rank no face
+    def test_listing_a_fresh_fan_ranks_only_its_maximal_cones(self, monkeypatch, case):
+        # the dimensions come from the face lattice, so no face is ranked;
+        # one rank per maximal cone tells the simplicial ones, whose faces
+        # are subsets of their keys, and only the others are built here by
+        # double description
         fan = sheared(FANS[case])
-        calls = {"matrix_rank": 0, "dd_solve": 0}
+        non_simplicial = len(non_simplicial_tops(fan))
+        calls = {"matrix_rank": 0, "dd_solve": 0, "top_rank": 0}
 
-        def counted(name):
-            real = getattr(cones, name)
+        def counted(module, name, tally):
+            real = getattr(module, name)
 
             def run(*args):
-                calls[name] += 1
+                calls[tally] += 1
                 return real(*args)
 
             return run
 
-        for name in calls:
-            monkeypatch.setattr(cones, name, counted(name))
+        monkeypatch.setattr(cones, "matrix_rank", counted(cones, "matrix_rank", "matrix_rank"))
+        monkeypatch.setattr(cones, "dd_solve", counted(cones, "dd_solve", "dd_solve"))
+        monkeypatch.setattr(fans, "matrix_rank", counted(fans, "matrix_rank", "top_rank"))
         keys = fan.cone_keys()
-        assert calls["matrix_rank"] == 0 and calls["dd_solve"] >= len(fan.max_cones)
+        assert calls["matrix_rank"] == 0 and calls["top_rank"] == len(fan.max_cones)
+        assert non_simplicial <= calls["dd_solve"] <= 2 * non_simplicial
         monkeypatch.undo()
         assert keys == recomputed_cone_keys(fan)
+
+
+def lattice_routes(fan):
+    """`fan.cone_keys()` and the keys of the maximal cones that listing
+    built; the fan must be fresh, so that no earlier call built them."""
+    built = set()
+    cone = Fan.cone
+
+    def spied(self, key):
+        if self is fan:
+            built.add(frozenset(key))
+        return cone(self, key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fan, "cone", spied)
+        keys = fan.cone_keys()
+    return keys, built
+
+
+def non_simplicial_tops(fan):
+    return {top for top in fan.max_cones
+            if matrix_rank([fan.rays[i] for i in top], fan.rank) < len(top)}
+
+
+class TestSimplicialLattice:
+    # a maximal cone with linearly independent rays gives the subsets of
+    # its key as faces and builds no cone; only the others are built
+    @pytest.mark.parametrize("case, move", [
+        (case, move) for case in sorted(FANS) for move in (fresh, sheared)
+        if move is fresh or FANS[case].rank > 1  # a shear needs two coordinates
+    ])
+    def test_keys_and_routes(self, case, move):
+        fan = move(FANS[case])
+        keys, built = lattice_routes(fan)
+        assert built == non_simplicial_tops(fan)
+        assert keys == recomputed_cone_keys(move(FANS[case]))
+
+    def test_the_pyramid_takes_both_routes(self):
+        fan = sheared(FANS["pyramid_123"])
+        _, built = lattice_routes(fan)
+        assert len(built) == 1 and len(fan.max_cones) == 5
+
+    @pytest.mark.parametrize("move", [fresh, sheared])
+    def test_an_interior_ray_of_a_non_simplicial_cone_still_raises(self, move):
+        # cone [0, 1, 2] is simplicial and listed first; ray 5 is
+        # -e0 - e1 + e2, inside the non-simplicial cone [2, 3, 4, 5]
+        fan = move(Fan(
+            3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (-1, -1, 1)],
+            [{0, 1, 2}, {2, 3, 4, 5}],
+        ))
+        with pytest.raises(ValueError, match=r"^ray 5 is interior to cone \[2, 3, 4, 5\]$"):
+            fan.cone_keys()
 
 
 def engine_images(fan, gens=None):
