@@ -49,12 +49,22 @@ inequality), and they cut out the carrier face of M in A, the smallest
 face of A holding M; its generators are those of A on which they vanish.
 M lies in that face F, so M is a face of A iff F lies in M, that is in B.
 The bits of B's facets decide the same for B.  So the meet takes no
-canonical form, no Smith form and no interner entry.  A cone keeps the
-verdict (`meets_in_face`), and the other cone keeps it too.  Each keys it
-by the other's ambient and canonical generators: a value that names the
-cone without holding it, so the memo adds no reference between cones.  The
-ambient belongs in the key, since the zero cone has the generators () in
-every ambient.
+canonical form, no Smith form and no interner entry.
+
+When one side is a ray R = cone(u), with u its one canonical generator,
+the meet takes no step at all.  R is pointed and u primitive, and the
+other cone C meets R in R when C contains u, else in the origin.  In the
+first case M = R is a face of R, and it is a face of C exactly when the
+carrier face F of u in C, the smallest face of C holding R, is R.  Then
+F is pointed with the one extreme ray R, so its canonical generators
+are (u,); conversely, generators (u,) make F = R.  In the second case the
+origin is a face of R, and a face of C exactly when C is pointed.
+
+A cone keeps the verdict (`meets_in_face`), and the other cone keeps it
+too.  Each keys it by the other's ambient and canonical generators: a
+value that names the cone without holding it, so the memo adds no
+reference between cones.  The ambient belongs in the key, since the zero
+cone has the generators () in every ambient.
 
 Canonical cones are interned by value.  `Cone.from_generators` and
 `Cone.from_inequalities` look their input up under the key (route, ambient,
@@ -68,16 +78,16 @@ are held weakly: a cone lives as long as some fan, table, memo or face list
 holds it, so memory stays bounded without a size setting and work that
 builds fresh objects starts cold.
 
-A miss on d linearly independent inputs in Z^d costs no double
-description, and on fewer linearly independent inputs it costs one.  When
-the k distinct primitive inputs are linearly independent (no two are
-parallel or opposite, and none is a combination of the others), the cone
-they generate is pointed (x and -x in it would give a nonnegative
-combination of the inputs, not all coefficients zero, summing to zero)
-and simplicial, its extreme rays are exactly the inputs (none is a
-nonnegative combination of the others), and its canonical list is the
-sorted primitive inputs, the key's own vector set.  On route "g" that is
-the generator list, on route "i" the facet list (the dual of
+A miss on no input, on one input or on d linearly independent inputs in
+Z^d costs no double description, and on 2 <= k < d linearly independent
+inputs it costs one.  When the k distinct primitive inputs are linearly
+independent (no two are parallel or opposite, and none is a combination
+of the others), the cone they generate is pointed (x and -x in it would
+give a nonnegative combination of the inputs, not all coefficients zero,
+summing to zero) and simplicial, its extreme rays are exactly the inputs
+(none is a nonnegative combination of the others), and its canonical
+list is the sorted primitive inputs, the key's own vector set.  On route
+"g" that is the generator list, on route "i" the facet list (the dual of
 {x : v.x >= 0} is the cone the v generate).  So only the other list is
 left to find.
 
@@ -101,14 +111,28 @@ no elimination: its other list is the canonical list of the whole space,
 the +- standard basis.  Neither case runs a double description or a
 Smith form.
 
-For k < d the first run returns a basis `lin` of {x : v.x = 0 for every
-input v}, the kernel of the input matrix, so the inputs span a space of
-rank `ambient - len(lin)`, and the inputs are independent when that rank
-equals k.  The second run would compute the known list, so it is skipped.
-Dependent inputs take both runs, unless the cone generated by the first
-run's list is interned: its facets are the second list.  On route "g"
-that cone is the dual, whose facets are the canonical generators; on
-route "i" it is the cone itself.
+For k = 1 < d, with v the one primitive input, the other list is the
+canonical list of the half-space H = {x : v.x >= 0}: the dual of the ray
+on route "g", the cone itself on route "i".  H's lineality space is the
+hyperplane orthogonal to v, and the integer functionals vanishing on it
+are the integer multiples of v, since v is primitive.  So the Hermite
+basis of that annihilator, the q that `_canonical_generators` takes from
+any double description of H, is the one row e v, with e = +-1 making its
+pivot positive.  One Smith form of q gives its kernel, the saturated
+lineality lattice, whose Hermite basis gives the +- pairs, and a section
+s with q.s = 1.  q maps H onto the half-line of the sign e, whose
+primitive generator (e) lifts to e s.  So the other list is +- the
+kernel basis and e s, sorted, with no double description and no
+`kernel_lattice`.
+
+Any other input takes the general route.  Its first run returns a basis
+`lin` of {x : v.x = 0 for every input v}, the kernel of the input matrix,
+so the inputs span a space of rank `ambient - len(lin)`, and the inputs
+are independent when that rank equals k.  The second run would compute
+the known list, so it is skipped.  Dependent inputs take both runs,
+unless the cone generated by the first run's list is interned: its
+facets are the second list.  On route "g" that cone is the dual, whose
+facets are the canonical generators; on route "i" it is the cone itself.
 """
 from __future__ import annotations
 
@@ -238,18 +262,34 @@ def _canonical_generators(lin_rows, rays, ambient):
     return tuple(sorted(gens))
 
 
+def _ray_other(v, ambient):
+    """The other canonical list of the cone whose own list is the one
+    primitive vector v: +- the Hermite basis of v's orthogonal lattice and
+    e s, where e = +-1 makes the pivot of q = e v positive and s is a
+    section of q, both read off one Smith form of q (see the module
+    docstring)."""
+    sign = 1 if next(x for x in v if x) > 0 else -1
+    lat, s = split_surjection(IntMatrix._of((vscale(sign, v),), ambient))
+    gens = {vscale(sign, s.column(0))}
+    for b in lat.basis.entries:
+        gens.add(b)
+        gens.add(vneg(b))
+    return tuple(sorted(gens))
+
+
 def _simplicial_other(own, ambient):
     """The other canonical list of the cone whose own list is own, in
-    closed form, when own is empty or holds ambient linearly independent
-    vectors; None otherwise.  The empty input's other list is the +-
-    standard basis.  For a basis V (rows v_1..v_d) it is the primitive
-    columns of sign(det V) adj(V), read off one fraction-free Gauss-Jordan
-    elimination of [V | I] (see the module docstring)."""
+    closed form, when own is empty, one vector or ambient linearly
+    independent vectors; None otherwise.  The empty input's other list is
+    the +- standard basis, and one vector's is `_ray_other`'s.  For a
+    basis V (rows v_1..v_d) it is the primitive columns of sign(det V)
+    adj(V), read off one fraction-free Gauss-Jordan elimination of [V | I]
+    (see the module docstring)."""
     if not own:
         units = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
         return tuple(sorted(units + [vneg(u) for u in units]))
     if len(own) != ambient:
-        return None
+        return _ray_other(own[0], ambient) if len(own) == 1 else None
     n = ambient
     m = [list(v) + [int(i == j) for j in range(n)] for i, v in enumerate(own)]
     prev = 1
@@ -279,8 +319,8 @@ def _interned(route, vectors, ambient):
     key = (route, ambient, frozenset(primitive(v) for v in vectors))
     cone = _INTERNED.get(key)
     if cone is None:
-        # no input or a basis of Z^ambient: both lists in closed form;
-        # otherwise the first run reads the vectors as inequalities and
+        # no input, one vector or a basis of Z^ambient: both lists in closed
+        # form; otherwise the first run reads the vectors as inequalities and
         # yields the other list, and the second run reads that list back,
         # unless the inputs are linearly independent or the cone that list
         # generates is interned (see the module docstring)
@@ -399,23 +439,34 @@ class Cone:
 
     def meets_in_face(self, other):
         """True iff the intersection M with other is a face of both cones.
-        One `_dd_add` run adds other's facets to this cone's own lists, and
-        M is a face of either cone exactly when its carrier face there lies
-        in the other cone (see the module docstring).  The verdict is
-        symmetric and is kept on both cones, each keyed by the other's
-        ambient and generators, which name it but do not hold it."""
+        When one side is a ray cone(u), M is that ray or the origin, so the
+        verdict is whether the other cone has the face cone(u), or is
+        pointed.  Otherwise one `_dd_add` run adds other's facets to this
+        cone's own lists, and M is a face of either cone exactly when its
+        carrier face there lies in the other cone (see the module
+        docstring).  The verdict is symmetric and is kept on both cones,
+        each keyed by the other's ambient and generators, which name it
+        but do not hold it."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         got = self._meets.get((other.ambient, other.generators))
         if got is None:
-            k = len(self.facets)
-            _, _, tight, _ = _dd_add(*self._double_description(), k, other.facets)
-            common = -1  # the inequalities vanishing on all of M
-            for t in tight:
-                common &= t
-            got = self._carrier_within(common, other) and other._carrier_within(
-                common >> k, self
-            )
+            if len(self.generators) == 1 or len(other.generators) == 1:
+                ray, cone = (self, other) if len(self.generators) == 1 else (other, self)
+                u = ray.generators[0]
+                if cone.contains(u):
+                    got = cone.carrier_generators([u]) == (u,)
+                else:
+                    got = cone.is_pointed()
+            else:
+                k = len(self.facets)
+                _, _, tight, _ = _dd_add(*self._double_description(), k, other.facets)
+                common = -1  # the inequalities vanishing on all of M
+                for t in tight:
+                    common &= t
+                got = self._carrier_within(common, other) and other._carrier_within(
+                    common >> k, self
+                )
             self._meets[(other.ambient, other.generators)] = got
             other._meets[(self.ambient, self.generators)] = got
         return got

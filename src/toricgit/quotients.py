@@ -54,25 +54,48 @@ A selection is its mask M, and the criterion is mask algebra on it:
 
 Every scan runs in ascending index order, which is key_order, so the
 witnesses are those of a pairwise scan over the sorted selection.  A good
-selection's quotient is read off the family's split images: the target
-rays are their generators, and the orbit image of t is the carrier face
-of t's split image in the lowest family chart covering t.  That face is
-read at t's point, the split projection of the sum of t's rays, which
-lies in the relative interior of t's split image, so only the charts'
-split images are built, and no cone of the target fan.  The split
-projection depends on the lineality class, and a family chart's class is
+selection's quotient is read off the family's split images, the images
+of its charts under q2 @ proj, where q2 (`quotient_lattice_map`) divides
+out the saturated lineality lattice L of lbar's class: the target rays
+are their generators, and the orbit image of t is the carrier face of
+t's split image in the lowest family chart s covering t.  No split image
+is built; each is read off the action's own image img[s].  L is the
+lineality lattice of img[s], and q2 is the Hermite basis of L's
+annihilator, the very q that `_canonical_generators` takes on img[s]
+(Hermite bases are unique; see the cones module docstring).  So img[s]'s
+canonical generators are +- a basis of L, which q2 kills, and the reduced
+rays g, each lifted by a section of q2 from w = q2.g, the primitive
+vector on one extreme ray of the pointed split image q2(img[s]).
+Dividing out the lineality space loses nothing: the faces of img[s] and
+of q2(img[s]) correspond by taking images, and a point lies in the
+relative interior of a face exactly when its image lies in that of the
+face's image (Cox-Little-Schenck, Toric Varieties, section 1.2).  Let p
+be t's point, the projection of the sum of t's rays (`_point`), which
+lies in the relative interior of img[t], so q2.p lies in that of t's
+split image.  The carrier face of p in img[s] maps onto the carrier face
+of q2.p in the split image, which is the carrier face of t's split
+image, and its generators mapped by q2, zeros dropped and sorted, are
+that face's canonical generators (`_carrier`).  The chart itself gives
+its whole split image, `_carrier(act, s, s)`.  A family chart's class is
 lbar's, so the carrier face depends only on t and the chart and is kept
-under those two.  Whether two chart images
-meet in a face is kept on the interned image cones themselves
-(`Cone.meets_in_face`), so every action, and every selection, that meets
-the same two images shares it.
+under those two, and q2 and q2 @ proj are kept per class (`_split`).  So
+no cone is built beyond the images, and no cone of the target fan.
+Whether two chart images meet in a face is kept on the interned image
+cones themselves (`Cone.meets_in_face`), so every action, and every
+selection, that meets the same two images shares it.
 
 Memo rule: besides its inputs, the action keeps the verdicts
 `good_quotient` was asked for (`results`) and one memo store (`memos`).
 Every fact the engine derives per action, the rows included, is a
 function wrapped in `_kept`, which keeps fn(act, *args) in
 act.memos[fn][args], keyed by exactly the arguments its value depends on.
-The action's `_cache` belongs to the oracles.
+The kept facts are the rows (`_rows`); per lineality class, q2 and
+q2 @ proj (`_split`); per cone, its point (`_point`); per cone and
+chart, the carrier face (`_carrier`); per chart, its top fibre
+(`_top_fibre`); the clique rows (`_compatible`), the enumeration keys
+(`_shifted`) and the goods (`_good_families`, `_goods`); and per value,
+the target fans (`_target`) and the staged lattice facts (`_residual`,
+`_composite`).  The action's `_cache` belongs to the oracles.
 
 The criterion is one routine, `_decide(act, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
@@ -180,18 +203,20 @@ v's target fan is an orbit image, and o_v preserves faces.
     and as a subset of v not later: it is v.
 The peel reads no fibre record, by the top-fibre lemma: for a good w
 and a member s of its family, fibres[w][s] is top(s), the faces t of s
-whose point lies in the relative interior of s's split image
-(`_top_fibre`), which depends on s alone.  The orbit image of a cone t
-of w is the carrier face of its split image in any family chart c whose
-image holds t's, since the family images meet in common faces (see
-`_fibres`).  The only family image holding img[s] is s's own (3), so
-o_w(s) = carrier(s, s), the whole split image of s.  If o_w(t) = o_w(s),
-the chart c read for t has a face equal to s's split image, so img[c]
+whose point lies in the relative interior of img[s] (`_top_fibre`),
+which depends on s alone.  The orbit image of a cone t of w is the
+carrier face of its split image in any family chart c whose image holds
+t's, since the family images meet in common faces (see `_fibres`).  The
+only family image holding img[s] is s's own (3), so o_w(s) =
+carrier(s, s), the whole split image of s.  If o_w(t) = o_w(s), the
+chart c read for t has a face equal to s's split image, so img[c]
 contains img[s] and c == s; then t is below the chart s, so a face of
 it, whose carrier face carrier(t, s) is the whole split image of s: its
-point lies in that image's relative interior.  Conversely, a face t of s
-has o_w(t) = carrier(t, s), the whole split image exactly when t's point
-lies in its relative interior.
+split point lies in that image's relative interior.  Conversely, a face
+t of s has o_w(t) = carrier(t, s), the whole split image exactly when
+t's split point lies in its relative interior, that is when t's point
+lies in the relative interior of img[s], by the correspondence of
+relative interiors under q2 above.
 
 The peel test finds u's host from u alone.  Call s a witness for a good
 u with family F when faces[s] & ~u == top(s) and s passes 1-5 with every
@@ -350,45 +375,36 @@ def _rows(act):
 
 
 @_kept
-def _split_projection(act, c):
-    """q2 @ proj, where q2 divides out the lineality lattice of class c,
-    read off its highest member."""
+def _split(act, c):
+    """(q2, q2 @ proj) of lineality class c: q2 divides out the class's
+    lineality lattice, read off its highest member."""
     rows = _rows(act)
-    return quotient_lattice_map(rows.lin[rows.members[c].bit_length() - 1]) @ act.proj
+    q2 = quotient_lattice_map(rows.lin[rows.members[c].bit_length() - 1])
+    return q2, q2 @ act.proj
 
 
 @_kept
-def _split_image(act, i, c):
-    """The image of cone i under the split projection of class c, generated
-    by the images of its rays."""
-    proj_full = _split_projection(act, c)
-    keys, _ = act.fan.numbering()
-    return Cone.from_generators(
-        [proj_full.matvec(act.fan.rays[r]) for r in sorted(keys[i])], proj_full.rows
-    )
-
-
-@_kept
-def _point(act, t, c):
-    """The split projection of class c of the sum of cone t's rays: a point
-    in the relative interior of t's split image, since every strictly
-    positive combination of a cone's generators lies there."""
+def _point(act, t):
+    """The projection of the sum of cone t's rays: a point in the relative
+    interior of img[t], since every strictly positive combination of a
+    cone's generators lies there."""
     keys, _ = act.fan.numbering()
     total = [0] * act.fan.rank
     for r in keys[t]:
         total = [x + y for x, y in zip(total, act.fan.rays[r])]
-    return _split_projection(act, c).matvec(total)
+    return act.proj.matvec(total)
 
 
 @_kept
 def _carrier(act, t, s):
-    """Generators of the carrier face, in the split image of chart s, of the
-    split image of cone t, both split by s's lineality class: t's orbit
-    image when s is t's family chart, whose class is lbar's.  It is the
-    carrier face of t's point, which lies in the relative interior of t's
-    split image."""
-    c = _rows(act).cls[s]
-    return _split_image(act, s, c).carrier_generators([_point(act, t, c)])
+    """Generators of the carrier face of t's point in img[s], mapped by the
+    q2 of s's lineality class, zeros dropped and sorted: the carrier face,
+    in the split image of chart s, of the split image of cone t (module
+    docstring), so t's orbit image when s is t's family chart."""
+    rows = _rows(act)
+    q2 = _split(act, rows.cls[s])[0]
+    face = rows.img[s].carrier_generators([_point(act, t)])
+    return tuple(sorted(w for w in map(q2.matvec, face) if any(w)))
 
 
 @_kept
@@ -576,9 +592,8 @@ def _quotient(act, selection, lbar, family):
     keys, _ = act.fan.numbering()
     faces = act.fan.face_masks()
     rows = _rows(act)
-    c = rows.cls[lbar]
-    proj_full = _split_projection(act, c)
-    chart_gens = [_split_image(act, s, c).generators for s in family]
+    proj_full = _split(act, rows.cls[lbar])[1]
+    chart_gens = [_carrier(act, s, s) for s in family]
     rays = tuple(sorted({g for gens in chart_gens for g in gens}))
     ray_index = {g: i for i, g in enumerate(rays)}
     carriers, fibres = _fibres(act, selection.mask, family)
@@ -717,13 +732,12 @@ def _good_families(act):
 @_kept
 def _top_fibre(act, s):
     """The faces t of chart s whose point lies in the relative interior of
-    s's split image: s's fibre in every good selection whose chart family
-    holds s (the top-fibre lemma of the module docstring)."""
-    c = _rows(act).cls[s]
-    image = _split_image(act, s, c)
+    img[s]: s's fibre in every good selection whose chart family holds s
+    (the top-fibre lemma of the module docstring)."""
+    image = _rows(act).img[s]
     return sum(
         1 << t for t in bits(act.fan.face_masks()[s])
-        if image.contains_in_relative_interior(_point(act, t, c))
+        if image.contains_in_relative_interior(_point(act, t))
     )
 
 

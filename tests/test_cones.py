@@ -748,13 +748,13 @@ class TestOneDoubleDescriptionForIndependentInputs:
         ([], 3, 0),
         ([(1, 0), (0, 1), (1, 1)], 2, 2),
         ([(1, 0), (-1, 0)], 2, 2),
-        ([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 3, 1),
+        ([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 3, 0),  # one ray
         ([(1, 1, 0), (0, 1, 1), (1, 2, 1)], 3, 2),
     ])
     def test_a_miss_runs_none_for_a_basis_and_one_iff_independent(
         self, monkeypatch, route, vectors, d, runs
     ):
-        # no input and a basis of Z^d take the closed form
+        # no input, one ray and a basis of Z^d take the closed form
         monkeypatch.setattr(cones, "_INTERNED", weakref.WeakValueDictionary())
         calls = 0
         solve = cones.dd_solve
@@ -793,6 +793,18 @@ class TestOneDoubleDescriptionForIndependentInputs:
         assert held.facets == (want[0] if route == "g" else want[1])
 
 
+def counted_calls(mp, calls, *targets):
+    """Count the calls of each (module, name) in calls[name] under mp."""
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def run(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        mp.setattr(module, name, run)
+
+
 @st.composite
 def square_sets(draw):
     """d vectors in Z^d for 1 <= d <= 4, or no vector for 0 <= d <= 4."""
@@ -807,34 +819,54 @@ class TestClosedFormForABasis:
     @given(square_sets(), st.sampled_from(["g", "i"]))
     @example(([], 0), "g")
     @example(([], 0), "i")
+    @example(([(2, -4), (1, -2)], 2), "g")
+    @example(([(0, 3, 0), (0, 0, 0), (0, 1, 0)], 3), "i")
     def test_no_input_and_a_basis_take_no_double_description(self, drawn, route):
-        # the closed form runs no double description and no Smith form;
-        # dependent vectors take the general route to the same lists
+        # the closed form for no input and a basis runs no double
+        # description and no Smith form, and one ray's runs one Smith form;
+        # other dependent vectors take the general route to the same lists
         vectors, d = drawn
         want = direct_lists(route, vectors, d)
         nonzero = [v for v in vectors if any(v)]
         closed = not nonzero or len(nonzero) == d and IntMatrix(nonzero, cols=d).det() != 0
+        ray = len({primitive(v) for v in nonzero}) == 1
         calls = Counter()
-
-        def counted(module, name):
-            real = getattr(module, name)
-
-            def run(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return run
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cones, "_INTERNED", weakref.WeakValueDictionary())
-            mp.setattr(cones, "dd_solve", counted(cones, "dd_solve"))
-            mp.setattr(intlat, "smith_normal_form", counted(intlat, "smith_normal_form"))
+            counted_calls(mp, calls, (cones, "dd_solve"), (intlat, "smith_normal_form"))
             got = TestInterner.BUILD[route](vectors, d)
         assert (got.generators, got.facets) == want
         if closed:
             assert calls == Counter()
+        elif ray:
+            assert calls == Counter({"smith_normal_form": 1})
         else:
             assert calls["dd_solve"] >= 1
+
+
+class TestClosedFormForOneRay:
+    @PROPERTY
+    @given(st.integers(1, 5).flatmap(
+        lambda d: st.tuples(st.tuples(*[st.integers(-6, 6)] * d).filter(any), st.just(d))
+    ), st.sampled_from(["g", "i"]), st.integers(1, 3))
+    @example(((0, 0, -3), 3), "g", 1)
+    @example(((5, -10, 0, 15, 0), 5), "i", 2)
+    def test_one_ray_takes_one_smith_form(self, drawn, route, scale):
+        # the closed form is the general route's second list, and the
+        # cone's lists are the two double descriptions' on either route
+        v, d = drawn
+        u = primitive(v)
+        if d > 1:
+            assert cones._ray_other(u, d) == _canonical_generators(*dd_solve([v], d), d)
+        want = direct_lists(route, [v], d)
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_INTERNED", weakref.WeakValueDictionary())
+            counted_calls(mp, calls, (cones, "dd_solve"), (intlat, "smith_normal_form"))
+            got = TestInterner.BUILD[route]([vscale(scale, v), v], d)
+        assert (got.generators, got.facets) == want
+        # in Z^1 one vector is a basis, which takes no Smith form
+        assert calls == (Counter({"smith_normal_form": 1}) if d > 1 else Counter())
 
 
 def four_smith_canonical_generators(lin_rows, rays, ambient):
@@ -1075,3 +1107,65 @@ class TestMeetsInFaceProperty:
             meet = a.intersect(b)
             assert got == (meet.is_face_of(a) and meet.is_face_of(b))
             assert a.meets_in_face(b) == b.meets_in_face(a) == got
+
+
+def warm_step_meets_in_face(a, b):
+    """The meet verdict of one warm `_dd_add` step from a's own lists with
+    b's facets, as `Cone.meets_in_face` takes it for two cones that are
+    not rays."""
+    k = len(a.facets)
+    _, _, tight, _ = cones._dd_add(*a._double_description(), k, b.facets)
+    common = -1
+    for t in tight:
+        common &= t
+    return a._carrier_within(common, b) and b._carrier_within(common >> k, a)
+
+
+@st.composite
+def rays_and_cones(draw):
+    """A ray cone(u) and a cone C in Z^d, d <= 4: C by either route, or
+    with a line, or inside the last coordinate hyperplane; u is drawn
+    freely or as a sum of some of C's generators."""
+    d = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * d)
+    kind = draw(st.sampled_from(["any", "with a line", "lower-dimensional"]))
+    vectors = draw(st.lists(vector, max_size=5))
+    route = draw(st.sampled_from(["g", "i"])) if kind == "any" else "g"
+    if kind == "with a line":
+        line = draw(vector.filter(any))
+        vectors += [line, vneg(line)]
+    elif kind == "lower-dimensional":
+        vectors = [v[:-1] + (0,) for v in vectors]
+    picks = draw(st.lists(st.integers(0, 6), max_size=3))
+    return d, kind, route, vectors, picks, draw(vector.filter(any))
+
+
+class TestRayMeetRule:
+    @PROPERTY
+    @given(rays_and_cones(), st.booleans())
+    def test_the_rule_is_the_warm_step_verdict(self, drawn, swapped):
+        # each pair is built in an empty interner, so no verdict is kept
+        # yet, and the rule runs no `_dd_add` step in either order
+        d, kind, route, vectors, picks, free = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_INTERNED", weakref.WeakValueDictionary())
+            c = TestInterner.BUILD[route](vectors, d)
+            inside = [0] * d
+            for p in picks:
+                if c.generators:
+                    inside = [x + y for x, y in zip(inside, c.generators[p % len(c.generators)])]
+            ray = Cone.from_generators([inside if any(inside) else free], d)
+            want = warm_step_meets_in_face(c, ray)
+            assert want == warm_step_meets_in_face(ray, c)
+            meet = c.intersect(ray)
+            assert want == (meet.is_face_of(c) and meet.is_face_of(ray))
+            calls = Counter()
+            counted_calls(mp, calls, (cones, "_dd_add"))
+            got = c.meets_in_face(ray) if swapped else ray.meets_in_face(c)
+            assert calls == Counter()
+        assert got == want
+        assert c.meets_in_face(ray) == ray.meets_in_face(c) == got
+        if kind == "with a line":
+            assert not c.is_pointed()
+        elif kind == "lower-dimensional":
+            assert c.dim() < d

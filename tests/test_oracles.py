@@ -12,11 +12,13 @@ from test_quotients import (
     ENUMERATION_CASES,
     P3_CONES,
     P3_RAYS,
+    PYRAMID_CONES,
+    PYRAMID_RAYS,
     TABLE_CASES,
     face_keys,
 )
 
-from toricgit import oracles
+from toricgit import oracles, quotients
 from toricgit.cones import Cone
 from toricgit.cox import cox_presentation, lift_open, quasitorus_action
 from toricgit.corpus import actions_for, corpus_fans
@@ -538,6 +540,122 @@ class TestDifferentialAgainstKeySets:
             assert oracle_good_quotient(sel, act) == isinstance(q, QuotientFan), sel
             if isinstance(q, QuotientFan):
                 assert oracle_verify_quotient(q, act) == (), sel
+
+
+# the route the engine took before it read top fibres and carriers off the
+# action's own images, kept as the reference: each cone's image under the
+# split projection q2 @ proj of a lineality class is built as a cone, and
+# each cone's point is split by that class.  split[c] is class c's split
+# projection.
+def reference_split_projections(act):
+    rows = quotients._rows(act)
+    return [quotient_lattice_map(rows.lin[m.bit_length() - 1]) @ act.proj for m in rows.members]
+
+
+def reference_split_image(act, i, proj):
+    keys, _ = act.fan.numbering()
+    return Cone.from_generators(
+        [proj.matvec(act.fan.rays[r]) for r in sorted(keys[i])], proj.rows
+    )
+
+
+def reference_split_point(act, t, proj):
+    keys, _ = act.fan.numbering()
+    total = [0] * act.fan.rank
+    for r in keys[t]:
+        total = [x + y for x, y in zip(total, act.fan.rays[r])]
+    return proj.matvec(total)
+
+
+def reference_top_fibre(act, s, split):
+    proj = split[quotients._rows(act).cls[s]]
+    image = reference_split_image(act, s, proj)
+    return sum(
+        1 << t for t in bits(act.fan.face_masks()[s])
+        if image.contains_in_relative_interior(reference_split_point(act, t, proj))
+    )
+
+
+def reference_carrier(act, t, s, split):
+    proj = split[quotients._rows(act).cls[s]]
+    return reference_split_image(act, s, proj).carrier_generators(
+        [reference_split_point(act, t, proj)]
+    )
+
+
+def reference_rendering(act, mask, lbar, family, split):
+    """(chart_map, orbit_map, fibres, geometric) of a good nonempty mask on
+    the split route."""
+    keys, _ = act.fan.numbering()
+    faces, rows = act.fan.face_masks(), quotients._rows(act)
+    proj = split[rows.cls[lbar]]
+    chart_gens = [reference_split_image(act, s, proj).generators for s in family]
+    index = {g: i for i, g in enumerate(sorted({g for gens in chart_gens for g in gens}))}
+    covered = sum(1 << s for s in family)
+    carriers, fibre = {}, {}
+    for t in bits(mask):
+        cover = rows.above[t] & covered
+        c = carriers[t] = reference_carrier(act, t, (cover & -cover).bit_length() - 1, split)
+        fibre[c] = fibre.get(c, 0) | 1 << t
+    fibres = {t: fibre[c] for t, c in carriers.items()}
+    return (
+        {frozenset(index[g] for g in gens): keys[s] for s, gens in zip(family, chart_gens)},
+        {keys[t]: frozenset(index[g] for g in c) for t, c in carriers.items()},
+        fibres,
+        all(fibres[f] & faces[s] == 1 << f for s in family for f in bits(faces[s])),
+    )
+
+
+def assert_the_split_route(act):
+    """Every top fibre of act, and every good's fibres and rendered quotient,
+    equal the split route's.  Returns the number of goods whose lineality
+    class is not zero."""
+    fan = act.fan
+    split = reference_split_projections(act)
+    for s in range(len(fan.face_masks())):
+        assert quotients._top_fibre(act, s) == reference_top_fibre(act, s, split), s
+    lined = 0
+    for sel in enumerate_good_subsets(fan, act):
+        if not sel.mask:
+            continue  # no chart: the empty quotient reads no carrier
+        _, lbar, family = quotients._decide(act, sel.mask)
+        want = reference_rendering(act, sel.mask, lbar, family, split)
+        assert quotients._fibres(act, sel.mask, family)[1] == want[2], sel
+        q = good_quotient(sel, act)
+        got = (q.chart_map, q.orbit_map, q.fibres)
+        assert [list(m.items()) for m in got] == [list(m.items()) for m in want[:3]], sel
+        assert q.geometric == want[3], sel
+        lined += q.pre_lineality.rank > 0
+    return lined
+
+
+# RANK3_CASES and the pyramid under every rank-3 subtorus of the
+# differential cases, named as RANK3_CASES names those it already has
+SPLIT_ROUTE_CASES = {
+    **{
+        "pyramid_" + "".join(map(str, gens[0])).replace("-", "m"):
+            (Fan(3, PYRAMID_RAYS, PYRAMID_CONES), gens)
+        for fan, gens in DIFFERENTIAL_CASES.values() if fan.rank == 3
+    },
+    **RANK3_CASES,
+}
+
+
+class TestSplitRouteReference:
+    @pytest.mark.parametrize("case", sorted(SPLIT_ROUTE_CASES))
+    def test_cases(self, case):
+        fan, gens = SPLIT_ROUTE_CASES[case]
+        lined = assert_the_split_route(normalize_action(fan, gens))
+        # every other case has goods that split a nonzero lineality class
+        assert lined > 0 or case in ("cube_two_facets", "p4_cone_line")
+
+    def test_corpus_actions(self):
+        # the rank-2 fans under a line have charts whose image is the whole
+        # target line, so some goods split a nonzero lineality class
+        lined = sum(
+            assert_the_split_route(act) for fan in corpus_fans() for act in actions_for(fan)
+        )
+        assert lined > 0
 
 
 def quadratic_t_maximal(fan, act):
