@@ -22,8 +22,7 @@ the first read, so the many selections that enumeration lists and nobody
 prints never build one.
 Face closure, enumeration and the quotient engine read masks; the oracles
 enumerate bare ideal masks (`_open_masks`) and build a selection only for
-a mask they keep, and the engine's size guard counts the ideals without
-listing them (`_count_ideals`).
+a mask they keep.
 """
 
 from dataclasses import dataclass
@@ -381,46 +380,6 @@ def _open_masks(fan, limit, within=-1):
         if len(ideals) > limit:
             raise SizeGuardError(f"more than {limit} open subsets")
     return ideals
-
-
-def _count_ideals(fan, limit):
-    """The number of order ideals of the cone poset, the length of
-    `_open_masks(fan, limit)`, with the same SizeGuardError when it exceeds
-    limit, but no ideal listed.
-
-    The ideals of a set P of cones that miss its lowest cone x are the
-    ideals of P without the cones above x, and those that hold x are the
-    faces of x joined to an ideal of P without the faces of x, so N(P) =
-    N(P minus up(x)) + N(P minus down(x)) and N of the empty set is 1.
-    Equal sets recur, so each is counted once, under its mask, from an
-    explicit stack: the recursion may be as deep as there are cones.
-    Counting stops with the error as soon as the count must exceed limit.
-    That is so once a part counts more than limit, since a set counts at
-    least as many ideals as each of its two parts.  It is also so once
-    more than 2 * limit masks are kept: the unshared recursion is a tree
-    whose every inner node has two children and whose leaves are the
-    ideals, one each, so k distinct masks come from a tree of at least k
-    nodes and more than k/2 ideals."""
-    faces, ups = fan.face_masks(), fan.up_masks()
-    full = (1 << len(faces)) - 1
-    counts = {0: 1}
-    stack = [full]
-    while stack:
-        p = stack[-1]
-        x = (p & -p).bit_length() - 1
-        miss, hold = p & ~ups[x], p & ~faces[x]
-        a, b = counts.get(miss), counts.get(hold)
-        if a is None or b is None:
-            if a is None:
-                stack.append(miss)
-            if b is None and hold != miss:
-                stack.append(hold)
-            continue
-        stack.pop()
-        counts[p] = a + b
-        if a + b > limit or len(counts) > 2 * limit:
-            raise SizeGuardError(f"more than {limit} open subsets")
-    return counts[full]
 
 
 def limit_of_generic_point(fan, v):

@@ -93,7 +93,7 @@ The kept facts are the rows (`_rows`); per lineality class, q2 and
 q2 @ proj (`_split`); per cone, its point (`_point`); per cone and
 chart, the carrier face (`_carrier`); per chart, its top fibre
 (`_top_fibre`); the clique rows (`_compatible`), the enumeration keys
-(`_shifted`) and the goods (`_good_families`, `_goods`); and per value,
+(`_shifted`) and, per limit, the goods (`_good_families`); and per value,
 the target fans (`_target`) and the staged lattice facts (`_residual`,
 `_composite`).  The action's `_cache` belongs to the oracles.
 
@@ -147,13 +147,13 @@ So `_decide(act, U)` returns (None, lbar, F).  A clique is an antichain
 under faces (2), so it is the set of maximal cones of its closure, and
 distinct cliques have distinct closures.  The clique search extends a
 set only by higher indices and ANDs the pairwise rows, so it visits each
-clique once and never makes more closures than there are order ideals.
-The size guard counts the order ideals without listing them
-(`_count_ideals(fan, limit)`, which refuses as `_open_masks(fan, limit)`
-does, exactly when there are more than limit).  A fan with n cones has at
-most 2^n order ideals, so `enumerate_good_subsets` counts only when 2^n >
-limit, before any cone is projected.  Once the guard passes, the ideals,
-and so the cliques, number at most limit.
+clique once, and every clique it holds, visited or waiting on its stack,
+is a distinct good.  So the search is its own size guard: it raises
+SizeGuardError once the cliques it holds number more than limit, which
+is exactly when the goods number more than limit.  It checks after
+pushing each node's children, so it has visited at most limit nodes and
+holds at most limit + n cliques for a fan with n cones when it refuses.
+The rows and `_compatible` come first, one pass over the pairs of cones.
 
 The engine's own form of the orbit map is the fibre masks, one routine
 `_fibres(act, mask, family)` for `QuotientFan.fibres` and the
@@ -255,11 +255,10 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations
 
-from .cones import Cone
+from .cones import Cone, SizeGuardError
 from .fans import (
     Fan,
     SubfanSelection,
-    _count_ideals,
     _union,
     bits,
     key_order,
@@ -708,11 +707,11 @@ def _shifted(act):
 
 
 @_kept
-def _good_families(act):
+def _good_families(act, limit):
     """{mask: chart family} over every good mask in enumeration order, the
     family ascending as `_decide` gives it: the face closures of the
     cliques of the clique graph of the module docstring, sorted by their
-    enumeration keys."""
+    enumeration keys.  More than limit goods raise SizeGuardError."""
     faces, compat, shifted = act.fan.face_masks(), _compatible(act), _shifted(act)
     # a clique grows only by higher indices, so each is visited once
     families = {}
@@ -724,6 +723,9 @@ def _good_families(act):
             stack.append(
                 (closure | faces[a], family + (a,), extend & compat[a] & -(2 << a))
             )
+        # every clique held, visited or stacked, is a distinct good
+        if len(families) + len(stack) > limit:
+            raise SizeGuardError(f"more than {limit} good subsets")
     return dict(
         sorted(families.items(), key=lambda item: _union(shifted[s] for s in item[1]))
     )
@@ -752,26 +754,17 @@ def _witnesses(act, u, family, faces, ups, compat):
     return (s for s in bits(candidates) if faces[s] & ~u == _top_fibre(act, s))
 
 
-@_kept
-def _goods(act, limit):
-    """`_good_families` after the size guard: more than limit order ideals
-    raise SizeGuardError before any cone is projected."""
-    if 1 << len(act.fan.face_masks()) > limit:
-        _count_ideals(act.fan, limit)  # the size guard; it cannot fire otherwise
-    return _good_families(act)
-
-
 def enumerate_good_subsets(fan, act, limit=2 ** 20):
     """All face-closed selections admitting a good quotient, in enumeration
     order.
 
     The goods are the keys of `_good_families`.  No selection is decided
     and no quotient is rendered: `good_quotient` and the saturation
-    routines decide on demand.  More than limit order ideals raise
-    SizeGuardError before any cone is projected.
+    routines decide on demand.  More than limit goods raise SizeGuardError
+    once the clique search has found them.
     """
     _check_fan(fan, act)
-    return [SubfanSelection._of_mask(fan, mask) for mask in _goods(act, limit)]
+    return [SubfanSelection._of_mask(fan, mask) for mask in _good_families(act, limit)]
 
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):
@@ -782,9 +775,10 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     affine neighbourhood.  Quotients here are toric, and toric varieties
     have that property (J. Włodarczyk, "Embeddings in toric varieties and
     prevarieties", J. Algebraic Geom. 2 (1993)), so the variants coincide.
+    It lists the goods first, so more than limit goods raise SizeGuardError.
     """
     _check_fan(fan, act)
-    goods = _goods(act, limit)
+    goods = _good_families(act, limit)
     faces, ups, compat = act.fan.face_masks(), act.fan.up_masks(), _compatible(act)
     return [
         SubfanSelection._of_mask(fan, u) for u, family in goods.items()

@@ -469,7 +469,7 @@ class TestOptions:
 
     def test_verify_theorem_takes_no_enumeration_guard(self, run, write):
         # the conclusion checker finds hosts by the local peel test, which
-        # lists no open subsets, so it has no guard to set
+        # lists no goods, so it has no guard to set
         path = write(p1_doc())
         code, out = run("verify-theorem", path, "--selection", "chart", "--max-subsets", "3")
         assert code == 2

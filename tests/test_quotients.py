@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import inspect
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from toricgit.fans import (
     validate_fan,
 )
 from toricgit.intlat import IntMatrix, Sublattice, quotient_lattice_map
+from toricgit.oracles import oracle_verify_quotient
 from toricgit.quotients import (
     Obstruction,
     QuotientFan,
@@ -614,7 +616,7 @@ class TestEnumerationRouteAgainstSelections:
         fan, gens = ENUMERATION_CASES[case]
         act = normalize_action(fan, gens)
         goods = {u.mask for u in enumerate_good_subsets(fan, act)}
-        families = quotients._good_families(act)
+        families = quotients._good_families(act, 2 ** 20)
         assert set(families) == goods
         if case == "p1_cubed_123":
             assert len(goods) == 917
@@ -683,7 +685,7 @@ def test_t_maximal_subsets_builds_selections_only_for_its_results(monkeypatch):
 
     monkeypatch.setattr(SubfanSelection, "_of_mask", classmethod(counted_of_mask))
     assert len(t_maximal_subsets(fan, act)) == 9
-    assert len(quotients._good_families(act)) == 2644
+    assert len(quotients._good_families(act, 2 ** 20)) == 2644
     assert built == {"selection": 9}
 
 
@@ -776,18 +778,14 @@ def test_listings_reject_a_fan_other_than_the_actions(listing):
 
 @pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
 def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeypatch):
-    with pytest.raises(SizeGuardError) as expected:
-        enumerate_open_subsets(P2, limit=4)
+    assert len(enumerate_good_subsets(P2, normalize_action(P2, [(1, 1)]))) > 4
     act = normalize_action(P2, [(1, 1)])
     decided = []
     monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
     grouped = count_fibre_groupings(monkeypatch)
-    with pytest.raises(SizeGuardError) as got:
+    with pytest.raises(SizeGuardError, match="^more than 4 good subsets$"):
         listing(P2, act, limit=4)
-    assert str(got.value) == str(expected.value) == "more than 4 open subsets"
     assert decided == [] and act.results == {} and grouped == []
-    # the guard refuses before any cone is projected
-    assert not rows_kept(act)
 
 
 # The saturation routines before fibre masks, kept as the reference: they
@@ -1008,20 +1006,17 @@ def assert_peel_hosts_match_the_superset_index(fan, reference_act, act):
 
 
 def refuse_every_listing(monkeypatch):
-    """Make the clique listing, the guarded listing and the ideal count
-    raise from now on."""
+    """Make the clique listing, and so its size guard, raise from now on."""
 
     def refused(*args):
-        raise AssertionError("a listing or the size guard was reached")
+        raise AssertionError("the clique listing was reached")
 
-    for name in ("_good_families", "_goods", "_count_ideals"):
-        monkeypatch.setattr(quotients, name, refused)
-    monkeypatch.setattr("toricgit.fans._count_ideals", refused)
+    monkeypatch.setattr(quotients, "_good_families", refused)
 
 
 class TestHostOfIsLocal:
     # the peel test decides the selection and tests its witnesses: no list
-    # of goods, no ideal count and no limit
+    # of goods and no limit
     def test_no_limit_is_taken(self):
         for routine in (host_of, verify_theorem_conclusions):
             assert "limit" not in inspect.signature(routine).parameters
@@ -1037,7 +1032,7 @@ class TestHostOfIsLocal:
             assert getattr(got, "mask", None) == host, u
 
     def test_p5_above_the_guard(self, monkeypatch):
-        # P5 has 7,828,353 ideals, more than the default limit of 2**20
+        # P5 has 2,506,660 goods, more than the default limit of 2**20
         rays, cones = projective_space(5)
         fan = Fan(5, rays, cones)
         act = normalize_action(fan, [(1, 2, 3, 4, 5)])
@@ -1093,7 +1088,7 @@ class TestPeelHostsAgainstTheSupersetIndex:
 
 
 def assert_families_are_the_verdicts(fan, act):
-    families = quotients._good_families(act)
+    families = quotients._good_families(act, 2 ** 20)
     ideals = _open_masks(fan, 2 ** 20)
     assert set(families) <= set(ideals)
     for mask in ideals:
@@ -1122,7 +1117,7 @@ class TestCliqueClosures:
         fan, gens = TABLE_CASES[case]
         act = normalize_action(fan, gens)
         ups = fan.up_masks()
-        for w, family in quotients._good_families(act).items():
+        for w, family in quotients._good_families(act, 2 ** 20).items():
             fibres = quotients._recorded_fibres(act, w)
             maximal = tuple(s for s in bits(w) if ups[s] & w == 1 << s)
             assert maximal == family, w
@@ -1133,20 +1128,88 @@ class TestCliqueClosures:
 P1_SQUARED = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
 
 
+def families_kept(act):
+    """The entries the action's memos hold for `quotients._good_families`."""
+    return act.memos.get(quotients._good_families.__wrapped__, {})
+
+
 @pytest.mark.parametrize("fan, gens", [
-    (P1, [(1,)]), (P2, [(1, 1)]), (P1_SQUARED, [(1, 1)]),
-], ids=["p1", "p2", "p1_squared"])
-def test_the_guard_fires_exactly_above_the_ideal_count(fan, gens):
-    ideals = len(_open_masks(fan, 2 ** 20))
+    (P1, [(1,)]), (P2, [(1, 1)]), (P1_SQUARED, [(1, 1)]), ENUMERATION_CASES["nine_ray_12"],
+], ids=["p1", "p2", "p1_squared", "nine_ray_12"])
+def test_the_guard_fires_exactly_above_the_good_count(fan, gens):
     want = [u.mask for u in enumerate_good_subsets(fan, normalize_action(fan, gens))]
-    for limit in range(1, 2 ** len(fan.cone_keys()) + 1):
+    for limit in range(1, len(want) + 2):
         act = normalize_action(fan, gens)
-        if ideals > limit:
-            with pytest.raises(SizeGuardError, match=f"^more than {limit} open subsets$"):
+        if len(want) > limit:
+            with pytest.raises(SizeGuardError, match=f"^more than {limit} good subsets$"):
                 enumerate_good_subsets(fan, act, limit)
-            assert not rows_kept(act)
+            assert not families_kept(act)
         else:
             assert [u.mask for u in enumerate_good_subsets(fan, act, limit)] == want
+
+
+@pytest.mark.parametrize("n, limit", [(5, 1000), (6, 10_000)])
+def test_the_refusal_comes_after_at_most_limit_nodes(n, limit, monkeypatch):
+    # P5 has 2,506,660 goods; P6 more than 12 million maximal cliques
+    rays, cones = projective_space(n)
+    fan = Fan(n, rays, cones)
+    act = normalize_action(fan, [tuple(range(1, n + 1))])
+    # the clique search reads the extensions of each node it visits once
+    visited = []
+    real = quotients.bits
+
+    def counted(mask):
+        if sys._getframe(1).f_code is quotients._good_families.__wrapped__.__code__:
+            visited.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(quotients, "bits", counted)
+    with pytest.raises(SizeGuardError, match=f"^more than {limit} good subsets$"):
+        t_maximal_subsets(fan, act, limit)
+    assert 0 < len(visited) <= limit
+    assert not families_kept(act)
+
+
+def surface_fan(m):
+    """The complete smooth fan on (0,-1), (1,j) for -m <= j < m, (0,1) and
+    (-1,0), in that cyclic order."""
+    rays = [(0, -1)] + [(1, j) for j in range(-m, m)] + [(0, 1), (-1, 0)]
+    return Fan(2, rays, [[i, (i + 1) % len(rays)] for i in range(len(rays))])
+
+
+P1_FOURTH_RAYS = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+P1_FOURTH_CONES = [[a, b, c, d] for a in (0, 1) for b in (2, 3) for c in (4, 5) for d in (6, 7)]
+
+
+def goods_from_maximal(fan, act):
+    """The union, over the T-maximal w, of the preimages under w's orbit map
+    of every open subfan of w's target: by the paper, every good mask."""
+    goods = set()
+    for w in t_maximal_subsets(fan, act):
+        q = good_quotient(w, act)
+        for sub in enumerate_open_subsets(q.fan):
+            goods.add(
+                SubfanSelection(fan, [t for t in w.keys if q.orbit_map[t] in sub.keys]).mask
+            )
+    return goods
+
+
+# more than 2**20 order ideals each, but few goods
+@pytest.mark.parametrize("fan, gens, counts", [
+    (surface_fan(9), [(1, 2)], (390, 347)),
+    (surface_fan(19), [(1, 2)], (1590, 1507)),
+    (Fan(4, P1_FOURTH_RAYS, P1_FOURTH_CONES), [(1, 0, 1, 0), (0, 1, 0, 1)], (1900, 121)),
+], ids=["surface_21_rays", "surface_41_rays", "p1_fourth_rank2"])
+def test_small_searches_beyond_the_ideal_count_answer(fan, gens, counts):
+    assert validate_fan(fan).valid and is_complete(fan)
+    with pytest.raises(SizeGuardError):
+        _open_masks(fan, 2 ** 20)
+    act = normalize_action(fan, gens)
+    goods = enumerate_good_subsets(fan, act)
+    tmax = t_maximal_subsets(fan, act)
+    assert (len(goods), len(tmax)) == counts
+    assert goods_from_maximal(fan, act) == {u.mask for u in goods}
+    assert [w for w in tmax if oracle_verify_quotient(good_quotient(w, act), act)] == []
 
 
 class TestRayMaskTable:
