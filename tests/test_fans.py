@@ -4,6 +4,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from test_memos import FANS
 
 from toricgit.fans import (
     Fan,
@@ -175,7 +176,9 @@ class TestOpenSubsets:
         with pytest.raises(SizeGuardError):
             enumerate_open_subsets(P2, limit=4)
 
-    @pytest.mark.parametrize("fan", [P1, P2, P1XP1], ids=["P1", "P2", "P1xP1"])
+    @pytest.mark.parametrize(
+        "fan", [P1, P2, P1XP1, FANS["nine_ray_12"]], ids=["P1", "P2", "P1xP1", "nine-ray"]
+    )
     def test_the_guard_fires_exactly_above_the_count(self, fan):
         count = len(_open_masks(fan, 2 ** 20))
         for limit in range(1, count + 2):
@@ -184,6 +187,17 @@ class TestOpenSubsets:
                     _open_masks(fan, limit)
             else:
                 assert len(_open_masks(fan, limit)) == count
+
+    @pytest.mark.parametrize("case", sorted(FANS))
+    def test_the_corpus_listing_is_refused_just_below_its_length(self, case):
+        fan = FANS[case]
+        ideals = _open_masks(fan, 2 ** 20)
+        assert _open_masks(fan, len(ideals)) == ideals
+        assert [sel.mask for sel in enumerate_open_subsets(fan, limit=len(ideals))] == ideals
+        with pytest.raises(
+            SizeGuardError, match=f"^more than {len(ideals) - 1} open subsets$"
+        ):
+            _open_masks(fan, len(ideals) - 1)
 
     def test_matches_brute_force_on_small_fans(self):
         for fan in [P1, A1, C2, P2, P1XP1]:
