@@ -145,15 +145,16 @@ the good masks:
 - No pair of members fails to meet in a face (5).
 So `_decide(act, U)` returns (None, lbar, F).  A clique is an antichain
 under faces (2), so it is the set of maximal cones of its closure, and
-distinct cliques have distinct closures.  The clique search extends a
-set only by higher indices and ANDs the pairwise rows, so it visits each
-clique once, and every clique it holds, visited or waiting on its stack,
-is a distinct good.  So the search is its own size guard: it raises
-SizeGuardError once the cliques it holds number more than limit, which
-is exactly when the goods number more than limit.  It checks after
-pushing each node's children, so it has visited at most limit nodes and
-holds at most limit + n cliques for a fan with n cones when it refuses.
-The rows and `_compatible` come first, one pass over the pairs of cones.
+distinct cliques have distinct closures.  The goods' clique search
+(`_good_families`) extends a set only by higher indices and ANDs the
+pairwise rows, so it visits each clique once, and every clique it holds,
+visited or waiting on its stack, is a distinct good.  So the search is
+its own size guard: it raises SizeGuardError once the cliques it holds
+number more than limit, which is exactly when the goods number more than
+limit.  It checks after pushing each node's children, so it has visited
+at most limit nodes and holds at most limit + n cliques for a fan with n
+cones when it refuses.  The rows and `_compatible` come first, one pass
+over the pairs of cones.
 
 The engine's own form of the orbit map is the fibre masks, one routine
 `_fibres(act, mask, family)` for `QuotientFan.fibres` and the
@@ -234,6 +235,52 @@ As f is a face of s exactly when s is in up[f], the witnesses lie in
 ~u & AND over f in F of (compat[f] | up[f]) (`_compatible`,
 `_witnesses`), and u | top(s) = u | faces[s] has the key key(u) |
 `_shifted`[s].
+
+The family of a T-maximal set is a maximal clique: no cone outside it
+passes 1-5 with every member.  Let u be T-maximal with family F, and
+suppose a cone c passes 1-5 with every member of F.
+- c is not in u: every cone of u is a face of a member, and c is no face
+  of a member (2).  So F ∪ {c} is a clique, and its closure
+  w = u | faces[c] is good with that family and properly contains u.
+- Let V be the saturation of u in w.  The orbit images of a chart's
+  faces are the faces of its image (see `_quotient`), so o_w(u) is the
+  face closure of the maximal target cones o_w(f), f in F, an open
+  subfan, and V, its preimage, is good with the restricted quotient, as
+  in (a).
+- Every f in F is maximal in V.  A cone of V properly above f is not in
+  u, as it would be a face of a member other than f, which 2 forbids, so
+  it is a face of c, and then so is f, which 2 forbids.  So F lies in
+  V's family, its maximal cones.
+- A member m of V's family has the whole split image of m as its orbit
+  image (the top-fibre lemma), a maximal cone of V's target o_w(u), so
+  the whole split image of some f in F.  Both images hold the lineality
+  lattice that q2 divides out, so img[m] == img[f], and 3, between the
+  members m and f of V's family, gives m == f.
+- So V has the family F, and V = u.  Then u is saturated in the good
+  w, which properly contains it: w is a host, and u is not T-maximal.
+Conversely the closure of a maximal clique is good, and it is T-maximal
+exactly when it has no witness.  So the T-maximal sets are the closures
+of the maximal cliques without a witness, and `t_maximal_subsets` lists
+no other good.  It lists the maximal cliques by Bron-Kerbosch with
+Tomita pivoting (C. Bron and J. Kerbosch, Comm. ACM 16 (1973);
+E. Tomita, A. Tanaka and H. Takahashi, Theoret. Comput. Sci. 363
+(2006)).  A node holds a clique R, the candidates P, each compatible
+with every member of R and left for its subtree to add, and the excluded
+X, compatible with every member but added in an earlier branch.  R is a
+maximal clique exactly when P and X are empty.  A node picks the pivot u
+in P | X with the most candidates compatible with it, and branches on
+each candidate v not compatible with u, moving v from P to X after its
+branch.  A maximal clique K above R with K ∖ R in P holds such a v, as
+otherwise K ∪ {u} would be a larger clique (u is not compatible with
+itself, so not in K), so no maximal clique is lost.  A later sibling's
+subtree never adds an earlier sibling's v, which every clique of the
+earlier subtree holds, so every node holds a distinct clique, whose
+closure is a distinct good: the search visits at most as many nodes as
+there are goods.  Its guard counts nodes, so it refuses nothing whose
+goods number at most limit.  At a leaf R's bits ascending are the chart
+family of its closure, as `_decide` gives it, the survivors of the
+witness test are sorted by their enumeration keys, and their order is
+the goods' order.
 
 A staged quotient by nested subtori (A. A'Campo-Neuen and J. Hausen,
 Tohoku Math. J. 51 (1999)) reads two lattice facts, and the smaller
@@ -713,22 +760,23 @@ def _good_families(act, limit):
     cliques of the clique graph of the module docstring, sorted by their
     enumeration keys.  More than limit goods raise SizeGuardError."""
     faces, compat, shifted = act.fan.face_masks(), _compatible(act), _shifted(act)
-    # a clique grows only by higher indices, so each is visited once
-    families = {}
-    stack = [(0, (), (1 << len(faces)) - 1)]
+    # a clique grows only by higher indices, so each is visited once; its
+    # enumeration key grows with it
+    families = []
+    stack = [(0, 0, (), (1 << len(faces)) - 1)]
     while stack:
-        closure, family, extend = stack.pop()
-        families[closure] = family
+        key, closure, family, extend = stack.pop()
+        families.append((key, closure, family))
         for a in bits(extend):
-            stack.append(
-                (closure | faces[a], family + (a,), extend & compat[a] & -(2 << a))
-            )
+            stack.append((
+                key | shifted[a], closure | faces[a], family + (a,),
+                extend & compat[a] & -(2 << a),
+            ))
         # every clique held, visited or stacked, is a distinct good
         if len(families) + len(stack) > limit:
             raise SizeGuardError(f"more than {limit} good subsets")
-    return dict(
-        sorted(families.items(), key=lambda item: _union(shifted[s] for s in item[1]))
-    )
+    families.sort()  # distinct goods have distinct keys
+    return {closure: family for _, closure, family in families}
 
 
 @_kept
@@ -769,21 +817,53 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):
     """Selections with good quotient not properly saturated in a larger one:
-    the good selections without a witness, so without a host.
+    the closures of the maximal cliques without a witness, so without a
+    host, in enumeration order.
+
+    The maximal cliques of the `_compatible` rows are listed by
+    Bron-Kerbosch with Tomita pivoting, one stack of (clique, closure,
+    candidates, excluded) masks; a node with neither candidates nor
+    excluded cones holds a maximal clique, whose bits ascending are its
+    closure's chart family.  No good beyond those closures is listed (see
+    the module docstring).  Every node holds a distinct clique, so a
+    distinct good: popping a node after limit visited ones raises
+    SizeGuardError, which never happens when the goods number at most
+    limit.
 
     The 2-maximal variant also asks any two quotient points to share an
     affine neighbourhood.  Quotients here are toric, and toric varieties
     have that property (J. Włodarczyk, "Embeddings in toric varieties and
     prevarieties", J. Algebraic Geom. 2 (1993)), so the variants coincide.
-    It lists the goods first, so more than limit goods raise SizeGuardError.
     """
     _check_fan(fan, act)
-    goods = _good_families(act, limit)
-    faces, ups, compat = act.fan.face_masks(), act.fan.up_masks(), _compatible(act)
-    return [
-        SubfanSelection._of_mask(fan, u) for u, family in goods.items()
-        if next(_witnesses(act, u, family, faces, ups, compat), None) is None
-    ]
+    faces, ups = act.fan.face_masks(), act.fan.up_masks()
+    compat, shifted = _compatible(act), _shifted(act)
+    found = []  # (enumeration key, closure) of each maximal clique kept
+    visited = 0
+    stack = [(0, 0, (1 << len(faces)) - 1, 0)]
+    while stack:
+        clique, closure, cands, excluded = stack.pop()
+        if visited == limit:
+            raise SizeGuardError(f"more than {limit} clique search nodes")
+        visited += 1
+        if not cands:
+            if not excluded:
+                family = tuple(bits(clique))
+                if next(_witnesses(act, closure, family, faces, ups, compat), None) is None:
+                    found.append((_union(shifted[s] for s in family), closure))
+            continue
+        most = -1
+        for u in bits(cands | excluded):
+            n = (cands & compat[u]).bit_count()
+            if n > most:
+                most, pivot = n, u
+        for v in bits(cands & ~compat[pivot]):
+            c = compat[v]
+            stack.append((clique | 1 << v, closure | faces[v], cands & c, excluded & c))
+            cands &= ~(1 << v)
+            excluded |= 1 << v
+    found.sort()  # distinct goods have distinct keys
+    return [SubfanSelection._of_mask(fan, u) for _, u in found]
 
 
 def host_of(selection, act):

@@ -4,7 +4,9 @@ recomputations, plus unit tests for the recomputation primitives."""
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 from test_quotients import (
@@ -16,6 +18,8 @@ from test_quotients import (
     PYRAMID_RAYS,
     TABLE_CASES,
     face_keys,
+    families_kept,
+    peel_filter_t_maximal,
 )
 
 from toricgit import oracles, quotients
@@ -540,6 +544,72 @@ class TestDifferentialAgainstKeySets:
             assert oracle_good_quotient(sel, act) == isinstance(q, QuotientFan), sel
             if isinstance(q, QuotientFan):
                 assert oracle_verify_quotient(q, act) == (), sel
+
+
+# RANK3_CASES with the table cases: every differential and enumeration
+# case, P^4 with (1,2,3,4) and the full cube fan
+MAXIMAL_CLIQUE_CASES = {**RANK3_CASES, **TABLE_CASES}
+
+
+def maximal_cliques(act):
+    """The chart families of the goods that no further cone passes the
+    clique tests with, ascending."""
+    compat = quotients._compatible(act)
+    everyone = (1 << len(compat)) - 1
+    return sorted(
+        family for family in quotients._good_families(act, 2 ** 20).values()
+        if not reduce(and_, (compat[f] for f in family), everyone)
+    )
+
+
+def assert_the_maximal_cliques_are_the_peel_filter(fan, act, reference_act, monkeypatch):
+    """The maximal-clique route on act equals the per-good peel filter on
+    reference_act, sets and order, lists no good, and peel-tests each
+    maximal clique once."""
+    tested = []
+    witnesses = quotients._witnesses
+
+    def recorded(act, u, family, *rows):
+        tested.append(family)
+        return witnesses(act, u, family, *rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(quotients, "_witnesses", recorded)
+        got = [u.mask for u in t_maximal_subsets(fan, act)]
+    assert not families_kept(act)
+    assert got and got == [u.mask for u in peel_filter_t_maximal(fan, reference_act)]
+    assert sorted(tested) == maximal_cliques(reference_act)
+
+
+class TestMaximalCliquesAgainstThePeelFilter:
+    @pytest.mark.parametrize("case", sorted(MAXIMAL_CLIQUE_CASES))
+    def test_cases(self, case, monkeypatch):
+        fan, gens = MAXIMAL_CLIQUE_CASES[case]
+        assert_the_maximal_cliques_are_the_peel_filter(
+            fan, normalize_action(fan, gens), normalize_action(fan, gens), monkeypatch
+        )
+
+    def test_every_action_of_every_corpus_fan(self, monkeypatch):
+        pairs = [
+            (fan, act, reference_act) for fan in corpus_fans()
+            for act, reference_act in zip(actions_for(fan), actions_for(fan))
+        ]
+        assert len(pairs) == 192
+        for fan, act, reference_act in pairs:
+            assert_the_maximal_cliques_are_the_peel_filter(fan, act, reference_act, monkeypatch)
+
+    def test_the_baseline_counts(self):
+        # maximal cliques and T-maximal sets on P^4 and (P1)^3
+        for case, counts in (("p4_1234", (199, 9)), ("p1_cubed_123", (192, 67))):
+            fan, gens = MAXIMAL_CLIQUE_CASES[case]
+            act = normalize_action(fan, gens)
+            assert (len(maximal_cliques(act)), len(t_maximal_subsets(fan, act))) == counts
+
+    def test_every_action_of_every_corpus_fan_against_the_brute_search(self):
+        for fan in corpus_fans():
+            for act in actions_for(fan):
+                brute = {u.mask for u in brute_t_maximal(fan, act)}
+                assert {u.mask for u in t_maximal_subsets(fan, act)} == brute, (fan, act)
 
 
 # the route the engine took before it read top fibres and carriers off the

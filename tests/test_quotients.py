@@ -1,5 +1,6 @@
 """Good-quotient tests: frozen examples, saturation, maximality, staging."""
 
+import contextlib
 import dataclasses
 import gc
 import inspect
@@ -776,6 +777,10 @@ def test_listings_reject_a_fan_other_than_the_actions(listing):
         listing(P1, act)
 
 
+# what each listing's guard counts
+GUARD_UNITS = {enumerate_good_subsets: "good subsets", t_maximal_subsets: "clique search nodes"}
+
+
 @pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
 def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeypatch):
     assert len(enumerate_good_subsets(P2, normalize_action(P2, [(1, 1)]))) > 4
@@ -783,7 +788,7 @@ def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeyp
     decided = []
     monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
     grouped = count_fibre_groupings(monkeypatch)
-    with pytest.raises(SizeGuardError, match="^more than 4 good subsets$"):
+    with pytest.raises(SizeGuardError, match=f"^more than 4 {GUARD_UNITS[listing]}$"):
         listing(P2, act, limit=4)
     assert decided == [] and act.results == {} and grouped == []
 
@@ -1148,26 +1153,84 @@ def test_the_guard_fires_exactly_above_the_good_count(fan, gens):
             assert [u.mask for u in enumerate_good_subsets(fan, act, limit)] == want
 
 
+@contextlib.contextmanager
+def count_clique_search_nodes():
+    """Count the nodes `t_maximal_subsets` visits inside the block: the runs
+    of the line each node runs once, after the guard let it in.  Yields the
+    list of runs."""
+    fn = quotients.t_maximal_subsets
+    lines, first = inspect.getsourcelines(fn)
+    (line,) = [first + i for i, text in enumerate(lines) if text.strip() == "if not cands:"]
+    visited = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            visited.append(line)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        yield visited
+    finally:
+        sys.settrace(previous)
+
+
 @pytest.mark.parametrize("n, limit", [(5, 1000), (6, 10_000)])
-def test_the_refusal_comes_after_at_most_limit_nodes(n, limit, monkeypatch):
-    # P5 has 2,506,660 goods; P6 more than 12 million maximal cliques
+def test_the_refusal_comes_after_at_most_limit_nodes(n, limit):
+    # P5 has 15,332 maximal cliques; P6 more than 12 million
     rays, cones = projective_space(n)
     fan = Fan(n, rays, cones)
     act = normalize_action(fan, [tuple(range(1, n + 1))])
-    # the clique search reads the extensions of each node it visits once
-    visited = []
-    real = quotients.bits
-
-    def counted(mask):
-        if sys._getframe(1).f_code is quotients._good_families.__wrapped__.__code__:
-            visited.append(mask)
-        return real(mask)
-
-    monkeypatch.setattr(quotients, "bits", counted)
-    with pytest.raises(SizeGuardError, match=f"^more than {limit} good subsets$"):
-        t_maximal_subsets(fan, act, limit)
+    with count_clique_search_nodes() as visited:
+        with pytest.raises(SizeGuardError, match=f"^more than {limit} clique search nodes$"):
+            t_maximal_subsets(fan, act, limit)
     assert 0 < len(visited) <= limit
     assert not families_kept(act)
+
+
+@pytest.mark.parametrize("fan, gens", [
+    (P1, [(1,)]), (P2, [(1, 1)]), (P1_SQUARED, [(1, 1)]), ENUMERATION_CASES["nine_ray_12"],
+], ids=["p1", "p2", "p1_squared", "nine_ray_12"])
+def test_the_maximal_sets_answer_at_a_limit_of_the_good_count(fan, gens):
+    # every clique search node holds a distinct clique, so a distinct good
+    goods = enumerate_good_subsets(fan, normalize_action(fan, gens))
+    want = [u.mask for u in peel_filter_t_maximal(fan, normalize_action(fan, gens))]
+    act = normalize_action(fan, gens)
+    with count_clique_search_nodes() as visited:
+        got = t_maximal_subsets(fan, act, len(goods))
+    assert [u.mask for u in got] == want
+    assert 0 < len(visited) <= len(goods)
+    # and the guard counts exactly those nodes
+    fewer = len(visited) - 1
+    with pytest.raises(SizeGuardError, match=f"^more than {fewer} clique search nodes$"):
+        t_maximal_subsets(fan, normalize_action(fan, gens), fewer)
+
+
+def test_the_pivot_keeps_the_clique_search_small():
+    # P4 with (1,2,3,4): 2,644 goods, 199 maximal cliques, 9 T-maximal sets;
+    # branching on every candidate would visit all 2,644 cliques
+    fan = Fan(4, P4_RAYS, P4_CONES)
+    act = normalize_action(fan, [(1, 2, 3, 4)])
+    with count_clique_search_nodes() as visited:
+        assert len(t_maximal_subsets(fan, act)) == 9
+    assert len(visited) == 380
+
+
+def peel_filter_t_maximal(fan, act):
+    """`t_maximal_subsets` before the maximal cliques, kept as the
+    reference: every listed good is peel-tested, and the goods without a
+    witness are kept in enumeration order."""
+    faces, ups = fan.face_masks(), fan.up_masks()
+    compat = quotients._compatible(act)
+    return [
+        SubfanSelection._of_mask(fan, u)
+        for u, family in quotients._good_families(act, 2 ** 20).items()
+        if next(quotients._witnesses(act, u, family, faces, ups, compat), None) is None
+    ]
 
 
 def surface_fan(m):
@@ -1210,6 +1273,32 @@ def test_small_searches_beyond_the_ideal_count_answer(fan, gens, counts):
     assert (len(goods), len(tmax)) == counts
     assert goods_from_maximal(fan, act) == {u.mask for u in goods}
     assert [w for w in tmax if oracle_verify_quotient(good_quotient(w, act), act)] == []
+
+
+def test_p5_gives_eleven_maximal_sets_without_listing_goods(monkeypatch):
+    # 2,506,660 goods, more than the default limit, but 15,332 maximal cliques
+    rays, cones = projective_space(5)
+    fan = Fan(5, rays, cones)
+    act = normalize_action(fan, [(1, 2, 3, 4, 5)])
+    refuse_every_listing(monkeypatch)
+    tmax = t_maximal_subsets(fan, act)
+    assert len(tmax) == 11
+    shifted = quotients._shifted(act)
+    keys = [quotients._union(shifted[t] for t in bits(w.mask)) for w in tmax]
+    assert keys == sorted(set(keys))  # enumeration order
+    # the oracle's chart ring check refuses a Hilbert-basis box of 21^5
+    # points, past its guard, on every chart of a rank-4 target
+    boxed = 0
+    for w in tmax:
+        assert host_of(w, act) is None
+        q = good_quotient(w, act)
+        try:
+            assert oracle_verify_quotient(q, act) == (), w
+        except SizeGuardError as e:
+            assert str(e) == "Hilbert-basis box of 4084101 points exceeds 1048576", w
+            assert q.fan.rank == 4, w
+            boxed += 1
+    assert boxed == 9
 
 
 class TestRayMaskTable:
