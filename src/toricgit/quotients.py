@@ -760,23 +760,22 @@ def _good_families(act, limit):
     cliques of the clique graph of the module docstring, sorted by their
     enumeration keys.  More than limit goods raise SizeGuardError."""
     faces, compat, shifted = act.fan.face_masks(), _compatible(act), _shifted(act)
-    # a clique grows only by higher indices, so each is visited once; its
-    # enumeration key grows with it
-    families = []
-    stack = [(0, 0, (), (1 << len(faces)) - 1)]
+    # a clique grows only by higher indices, so each is visited once
+    families = {}
+    stack = [(0, (), (1 << len(faces)) - 1)]
     while stack:
-        key, closure, family, extend = stack.pop()
-        families.append((key, closure, family))
+        closure, family, extend = stack.pop()
+        families[closure] = family
         for a in bits(extend):
-            stack.append((
-                key | shifted[a], closure | faces[a], family + (a,),
-                extend & compat[a] & -(2 << a),
-            ))
+            stack.append(
+                (closure | faces[a], family + (a,), extend & compat[a] & -(2 << a))
+            )
         # every clique held, visited or stacked, is a distinct good
         if len(families) + len(stack) > limit:
             raise SizeGuardError(f"more than {limit} good subsets")
-    families.sort()  # distinct goods have distinct keys
-    return {closure: family for _, closure, family in families}
+    return dict(
+        sorted(families.items(), key=lambda item: _union(shifted[s] for s in item[1]))
+    )
 
 
 @_kept
@@ -843,7 +842,7 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
     stack = [(0, 0, (1 << len(faces)) - 1, 0)]
     while stack:
         clique, closure, cands, excluded = stack.pop()
-        if visited == limit:
+        if visited >= limit:
             raise SizeGuardError(f"more than {limit} clique search nodes")
         visited += 1
         if not cands:

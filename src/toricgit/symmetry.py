@@ -56,7 +56,7 @@ from .fans import (
     is_complete,
     is_simplicial,
 )
-from .intlat import IntMatrix, matrix_rank
+from .intlat import IntMatrix
 from .quotients import (
     Obstruction,
     QuotientFan,
@@ -78,18 +78,10 @@ class SymmetryGroup:
     """Finite group of fan automorphisms; the constructor validates the
     group axioms.
 
-    Closure is checked without building a product as an automorphism:
-    a.compose(b) is the automorphism of a.matrix @ b.matrix, so it is an
-    element exactly when that product is an element's matrix.  When the
-    rays span the lattice (one `matrix_rank`), the check compares ray
-    permutations instead of matrices.  The product sends ray i to
-    a.matrix applied to ray b.ray_perm[i], which is ray
-    a.ray_perm[b.ray_perm[i]], so its permutation is
-    tuple(a.ray_perm[i] for i in b.ray_perm).  Two linear maps that agree
-    on a spanning set are equal, so the product equals an element's matrix
-    exactly when its permutation is that element's, and distinct elements
-    have distinct permutations.  When the rays span less, the matrix
-    products are compared.
+    Closure is checked on the matrices: a.compose(b) is the automorphism of
+    the product a.matrix @ b.matrix, so it is an element exactly when that
+    product is an element's matrix, and no product is built and validated
+    as an automorphism.
 
     Closure under inverses needs no check of its own.  The elements are
     invertible maps, so for each a the map x -> a∘x is injective; when the
@@ -110,13 +102,10 @@ class SymmetryGroup:
             raise ValueError("duplicate group elements")
         if IntMatrix.identity(fan.rank) not in by_matrix:
             raise ValueError("identity element missing")
-        if matrix_rank(fan.rays, fan.rank) == fan.rank:
-            perms = {e.ray_perm for e in elements}
-            closed = all(tuple(a[i] for i in b) in perms for a in perms for b in perms)
-        else:
-            closed = all(a.matrix @ b.matrix in by_matrix for a in elements for b in elements)
-        if not closed:
-            raise ValueError("group not closed under composition")
+        for a in elements:
+            for b in elements:
+                if a.matrix @ b.matrix not in by_matrix:
+                    raise ValueError("group not closed under composition")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(
             self, "elements", tuple(sorted(elements, key=lambda e: e.matrix.entries))

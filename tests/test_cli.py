@@ -242,6 +242,11 @@ class TestEnumerateMaximal:
         assert code == 2
         assert "input error" in out
 
+    def test_a_negative_subset_guard_is_refused(self, run, write):
+        code, out = run("enumerate-maximal", write(p1_doc()), "--max-subsets", "-1")
+        assert code == 2
+        assert "input error: more than -1 clique search nodes" in out
+
 
 class TestCox:
     def test_presentation_report(self, run, write):

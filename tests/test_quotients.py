@@ -1179,16 +1179,48 @@ def count_clique_search_nodes():
         sys.settrace(previous)
 
 
+@contextlib.contextmanager
+def count_good_search_nodes(monkeypatch):
+    """Count the nodes the goods' clique search visits inside the block: it
+    reads the extensions of each node it visits once.  Yields the list of
+    reads."""
+    visited = []
+    real = quotients.bits
+
+    def counted(mask):
+        if sys._getframe(1).f_code is quotients._good_families.__wrapped__.__code__:
+            visited.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(quotients, "bits", counted)
+    yield visited
+
+
 @pytest.mark.parametrize("n, limit", [(5, 1000), (6, 10_000)])
-def test_the_refusal_comes_after_at_most_limit_nodes(n, limit):
-    # P5 has 15,332 maximal cliques; P6 more than 12 million
+@pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
+def test_the_refusal_comes_after_at_most_limit_nodes(listing, n, limit, monkeypatch):
+    # P5 has 2,506,660 goods and 15,332 maximal cliques; P6 more than 12
+    # million maximal cliques
     rays, cones = projective_space(n)
     fan = Fan(n, rays, cones)
     act = normalize_action(fan, [tuple(range(1, n + 1))])
-    with count_clique_search_nodes() as visited:
-        with pytest.raises(SizeGuardError, match=f"^more than {limit} clique search nodes$"):
-            t_maximal_subsets(fan, act, limit)
+    if listing is t_maximal_subsets:
+        counting = count_clique_search_nodes()
+    else:
+        counting = count_good_search_nodes(monkeypatch)
+    with counting as visited:
+        with pytest.raises(SizeGuardError, match=f"^more than {limit} {GUARD_UNITS[listing]}$"):
+            listing(fan, act, limit)
     assert 0 < len(visited) <= limit
+    assert not families_kept(act)
+
+
+@pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
+def test_a_negative_limit_is_refused(listing):
+    # P2 answers at any limit of at least its goods; a negative one refuses
+    act = normalize_action(P2, [(1, 1)])
+    with pytest.raises(SizeGuardError, match=f"^more than -1 {GUARD_UNITS[listing]}$"):
+        listing(P2, act, -1)
     assert not families_kept(act)
 
 
@@ -1222,15 +1254,21 @@ def test_the_pivot_keeps_the_clique_search_small():
 
 def peel_filter_t_maximal(fan, act):
     """`t_maximal_subsets` before the maximal cliques, kept as the
-    reference: every listed good is peel-tested, and the goods without a
-    witness are kept in enumeration order."""
+    reference: every good is peel-tested as the goods' clique search
+    reaches it, and the goods without a witness are kept in enumeration
+    order.  It holds only the survivors and has no guard, so it also runs
+    where the goods number more than `enumerate_good_subsets` lists."""
     faces, ups = fan.face_masks(), fan.up_masks()
-    compat = quotients._compatible(act)
-    return [
-        SubfanSelection._of_mask(fan, u)
-        for u, family in quotients._good_families(act, 2 ** 20).items()
-        if next(quotients._witnesses(act, u, family, faces, ups, compat), None) is None
-    ]
+    compat, shifted = quotients._compatible(act), quotients._shifted(act)
+    kept = []
+    stack = [(0, (), (1 << len(faces)) - 1)]
+    while stack:
+        u, family, extend = stack.pop()
+        if next(quotients._witnesses(act, u, family, faces, ups, compat), None) is None:
+            kept.append((quotients._union(shifted[s] for s in family), u))
+        for a in bits(extend):
+            stack.append((u | faces[a], family + (a,), extend & compat[a] & -(2 << a)))
+    return [SubfanSelection._of_mask(fan, u) for _, u in sorted(kept)]
 
 
 def surface_fan(m):
@@ -1283,22 +1321,11 @@ def test_p5_gives_eleven_maximal_sets_without_listing_goods(monkeypatch):
     refuse_every_listing(monkeypatch)
     tmax = t_maximal_subsets(fan, act)
     assert len(tmax) == 11
-    shifted = quotients._shifted(act)
-    keys = [quotients._union(shifted[t] for t in bits(w.mask)) for w in tmax]
-    assert keys == sorted(set(keys))  # enumeration order
-    # the oracle's chart ring check refuses a Hilbert-basis box of 21^5
-    # points, past its guard, on every chart of a rank-4 target
-    boxed = 0
+    # the per-good peel filter over all the goods gives the same, in order
+    want = peel_filter_t_maximal(fan, normalize_action(fan, [(1, 2, 3, 4, 5)]))
+    assert [w.mask for w in tmax] == [w.mask for w in want]
     for w in tmax:
         assert host_of(w, act) is None
-        q = good_quotient(w, act)
-        try:
-            assert oracle_verify_quotient(q, act) == (), w
-        except SizeGuardError as e:
-            assert str(e) == "Hilbert-basis box of 4084101 points exceeds 1048576", w
-            assert q.fan.rank == 4, w
-            boxed += 1
-    assert boxed == 9
 
 
 class TestRayMaskTable:
