@@ -10,9 +10,9 @@ identifications come from carrier faces of interior points, and affine
 chart rings are compared as monoids via Hilbert bases.  Randomized sweeps
 then cross-check the engine against these recomputations; nothing here
 may shortcut through the code paths it is meant to audit.  The oracles do
-share the interner of canonical cones (see `cones`) and the fan's cone
-numbering (`Fan.numbering`, cone i is bit i of a mask): both are
-representation, not verdicts.
+share the interner of canonical cones (see `cones`), the fan's cone
+numbering (`Fan.numbering`, cone i is bit i of a mask) and the memo rule
+(`quotients._kept`): all are representation, not verdicts.
 
 Each geometric fact is computed once per action and projection, by the
 definition-level route: the image of a cone (`_image`); the mask of the
@@ -26,11 +26,11 @@ selection mask AND its contents mask, coverage is one OR, the orbit
 labels of a good selection are classes of cones, one mask per label, and
 saturation asks whether a mask is a union of those classes.
 
-Memo rule: a helper that remembers its results is wrapped in `_memo`, which
-keeps one table per helper in the action's `_cache`, keyed by every
-argument the value depends on (the projection itself, never a stand-in for
-it).  Nothing else touches `_cache`, so a verdict cannot depend on what the
-action was asked before.  A memo value keeps the cones its helper built,
+The oracles keep their facts by the library's one memo rule (see the
+`quotients` docstring): a helper that remembers its results is wrapped in
+`quotients._kept`, keyed by every argument the value depends on (the
+projection itself, never a stand-in for it), in tables of its own that
+the engine never reads.  A memo value keeps the cones its helper built,
 so they live as long as the action: the interner holds cones weakly, and
 a cone no memo held would die at once and cost a fresh double description
 each time it came up again.  So the inequality cone behind an image
@@ -42,7 +42,6 @@ verdict, the cones of its monoid comparison, the chart's invariant cone
 `cones._monoid_generators` takes of cones with lineality.
 """
 
-from functools import wraps
 from itertools import combinations
 
 from .cones import Cone, _monoid_generators
@@ -55,28 +54,10 @@ from .intlat import (
     vneg,
     vsub,
 )
-
-_MISSING = object()
-
-
-def _memo(fn):
-    """Remember fn(act, *args) in act._cache, in one table per helper keyed
-    by the tuple of the other arguments."""
-
-    @wraps(fn)
-    def remembered(act, *args):
-        table = act._cache.get(fn)
-        if table is None:
-            table = act._cache[fn] = {}
-        got = table.get(args, _MISSING)
-        if got is _MISSING:
-            got = table[args] = fn(act, *args)
-        return got
-
-    return remembered
+from .quotients import _kept
 
 
-@_memo
+@_kept
 def _image_dual(act, i, proj):
     """The cone cut out by the images of fan cone i's generators under proj:
     the dual of their image."""
@@ -85,13 +66,13 @@ def _image_dual(act, i, proj):
     return Cone.from_inequalities(rows, proj.rows)
 
 
-@_memo
+@_kept
 def _image(act, i, proj):
     """Image of fan cone i under the projection proj, via the double dual."""
     return _image_dual(act, i, proj).dual()
 
 
-@_memo
+@_kept
 def _contents(act, k, proj):
     """Mask of the fan cones whose images under proj lie in the image of
     cone k."""
@@ -102,7 +83,7 @@ def _contents(act, k, proj):
     )
 
 
-@_memo
+@_kept
 def _meet_is_face(act, a, b, proj):
     """Do the images of two cones under proj meet in a common face?  The
     verdict and the meet."""
@@ -111,13 +92,13 @@ def _meet_is_face(act, a, b, proj):
     return meet.is_face_of(image_a) and meet.is_face_of(image_b), meet
 
 
-@_memo
+@_kept
 def _split_projection(act, lin):
     """The action's projection followed by the quotient map by lin."""
     return quotient_lattice_map(lin) @ act.proj
 
 
-@_memo
+@_kept
 def _pair_compatible(act, a, b):
     """Do the two images share a lineality space and meet in a common face
     once it is split off?"""
@@ -127,7 +108,7 @@ def _pair_compatible(act, a, b):
     return _meet_is_face(act, a, b, _split_projection(act, lin))[0]
 
 
-@_memo
+@_kept
 def _carrier(act, t, k, proj):
     """The face of cone k's image under proj whose relative interior holds
     the image of cone t's relative-interior point; None outside the image."""
@@ -178,7 +159,7 @@ def chart_family(selection, act):
     return tuple(keys[k] for k in family)
 
 
-@_memo
+@_kept
 def _chart_family(act, mask):
     """The chart family of a selection mask, as ascending cone indices."""
     fibers = {}
@@ -282,7 +263,7 @@ def _label_classes(selection, act):
     return _orbit_labels(act, selection.mask)
 
 
-@_memo
+@_kept
 def _orbit_labels(act, mask):
     """Label -> mask of its cones, for a mask with a chart family."""
     labels = _carriers(act, _chart_family(act, mask), mask, act.proj)
@@ -428,7 +409,7 @@ def _monoid_comparison(gens_a, gens_b, ambient):
     return verdict, built + (pointed, pointed.dual())
 
 
-@_memo
+@_kept
 def _perp_cone(act):
     """The lattice functionals vanishing on the cocharacters, as a cone."""
     gens = []
@@ -448,7 +429,7 @@ def _invariant_monoid(act, k, bound):
     return gens, (cone, pointed)
 
 
-@_memo
+@_kept
 def _chart_ring_check(act, k, proj, bound):
     """Do chart k's invariant functions generate the same monoid as the
     functions of its image under proj?  The verdict and the cones built."""

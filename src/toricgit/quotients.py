@@ -84,18 +84,22 @@ Whether two chart images meet in a face is kept on the interned image
 cones themselves (`Cone.meets_in_face`), so every action, and every
 selection, that meets the same two images shares it.
 
-Memo rule: besides its inputs, the action keeps the verdicts
-`good_quotient` was asked for (`results`) and one memo store (`memos`).
-Every fact the engine derives per action, the rows included, is a
-function wrapped in `_kept`, which keeps fn(act, *args) in
-act.memos[fn][args], keyed by exactly the arguments its value depends on.
-The kept facts are the rows (`_rows`); per lineality class, q2 and
-q2 @ proj (`_split`); per cone, its point (`_point`); per cone and
-chart, the carrier face (`_carrier`); per chart, its top fibre
-(`_top_fibre`); the clique rows (`_compatible`), the enumeration keys
-(`_shifted`) and, per limit, the goods (`_good_families`); and per value,
-the target fans (`_target`) and the staged lattice facts (`_residual`,
-`_composite`).  The action's `_cache` belongs to the oracles.
+Memo rule, one for the engine and the oracles: besides its inputs, the
+action keeps the verdicts `good_quotient` was asked for (`results`) and
+one memo store (`memos`).  Every fact the engine or the oracles derive
+per action is a function wrapped in `_kept`, which keeps fn(act, *args)
+in act.memos[fn][args], keyed by exactly the arguments its value depends
+on, so no value depends on what the action was asked before.  A kept
+value may be None, as the oracles' chart family of a bad mask is.  The
+keys are the functions themselves, so the oracles' tables stay apart
+from the engine's, even where two functions share a name, and neither
+side reads the other's.  The engine's kept facts are the rows (`_rows`);
+per lineality class, q2 and q2 @ proj (`_split`); per cone, its point
+(`_point`); per cone and chart, the carrier face (`_carrier`); per chart,
+its top fibre (`_top_fibre`); the clique rows (`_compatible`) and the
+enumeration keys (`_shifted`); and per value, the target fans (`_target`)
+and the staged lattice facts (`_residual`, `_composite`).  The goods'
+listing (`_goods`) keeps nothing: its caller owns the list.
 
 The criterion is one routine, `_decide(act, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
@@ -124,9 +128,8 @@ members a and b of F
 5. have images meeting in a common face (img[a].meets_in_face(img[b])),
    or `_decide` would reject U.
 Call a set of cones passing 1-5 pairwise a clique.  Conversely, the face
-closure U of a clique F is good with chart family F, so `_good_families`
-maps the closure of every clique to the clique, and its keys are exactly
-the good masks:
+closure U of a clique F is good with chart family F, so the closures of
+the cliques, which `_goods` lists, are exactly the good masks:
 - lbar exists, in F's lineality class.  A cone t of U is a face of a
   member s, so img[t] lies in img[s], and a linear space inside a cone
   lies in its lineality space: lin[s] contains lin[t].  The members
@@ -146,15 +149,18 @@ the good masks:
 So `_decide(act, U)` returns (None, lbar, F).  A clique is an antichain
 under faces (2), so it is the set of maximal cones of its closure, and
 distinct cliques have distinct closures.  The goods' clique search
-(`_good_families`) extends a set only by higher indices and ANDs the
-pairwise rows, so it visits each clique once, and every clique it holds,
-visited or waiting on its stack, is a distinct good.  So the search is
+(`_goods`) extends a set only by higher indices and ANDs the pairwise
+rows, so it visits each clique once, and every clique it holds, visited
+or waiting on its stack, is a distinct good.  So the search is
 its own size guard: it raises SizeGuardError once the cliques it holds
 number more than limit, which is exactly when the goods number more than
 limit.  It checks after pushing each node's children, so it has visited
 at most limit nodes and holds at most limit + n cliques for a fan with n
 cones when it refuses.  The rows and `_compatible` come first, one pass
-over the pairs of cones.
+over the pairs of cones.  Each node carries its closure's enumeration
+key, the union of its members' keys (`_shifted`), and distinct goods
+have distinct keys, so one sort of the (key, closure) pairs puts the
+goods in enumeration order.
 
 The engine's own form of the orbit map is the fibre masks, one routine
 `_fibres(act, mask, family)` for `QuotientFan.fibres` and the
@@ -322,13 +328,13 @@ from .intlat import (
 class SubtorusAction:
     """Subtorus with saturated cocharacter lattice L and projection N -> N/L.
 
-    The engine keeps its per-action state here: `memos`, the store of its
-    `_kept` facts, and `results`, the verdicts `good_quotient` was asked
-    for.  `_cache` is the oracles' own memo, which the engine never reads.
-    Since each action carries its own memos, actions compare by identity.
+    The per-action state lives here: `memos`, the one store of the `_kept`
+    facts of the engine and the oracles, and `results`, the verdicts
+    `good_quotient` was asked for.  Since each action carries its own
+    memos, actions compare by identity.
     """
 
-    __slots__ = ("fan", "cochar", "proj", "input_saturated", "memos", "results", "_cache")
+    __slots__ = ("fan", "cochar", "proj", "input_saturated", "memos", "results")
 
     def __init__(self, fan, cochar, proj, input_saturated=True):
         if not cochar.saturated:
@@ -339,7 +345,6 @@ class SubtorusAction:
         object.__setattr__(self, "input_saturated", bool(input_saturated))
         object.__setattr__(self, "memos", {})  # _kept function -> {its arguments: its value}
         object.__setattr__(self, "results", {})  # selection mask -> verdict
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SubtorusAction is immutable")
@@ -354,18 +359,21 @@ class SubtorusAction:
         return self.cochar.rank == self.fan.rank
 
 
+_MISSING = object()
+
+
 def _kept(fn):
-    """Keep fn(act, *args) in act.memos[fn][args]: the engine's one memo
-    rule, one store per function, keyed by the arguments its value depends
-    on.  No kept function returns None."""
+    """Keep fn(act, *args) in act.memos[fn][args]: the library's one memo
+    rule (module docstring), one table per function, keyed by the arguments
+    its value depends on.  A kept value may be None."""
 
     @wraps(fn)
     def kept(act, *args):
         memo = act.memos.get(fn)
         if memo is None:
             memo = act.memos[fn] = {}
-        got = memo.get(args)
-        if got is None:
+        got = memo.get(args, _MISSING)
+        if got is _MISSING:
             got = memo[args] = fn(act, *args)
         return got
 
@@ -753,29 +761,26 @@ def _shifted(act):
     return [_union(position[t] for t in bits(f)) for f in act.fan.face_masks()]
 
 
-@_kept
-def _good_families(act, limit):
-    """{mask: chart family} over every good mask in enumeration order, the
-    family ascending as `_decide` gives it: the face closures of the
+def _goods(act, limit):
+    """Every good mask in enumeration order: the face closures of the
     cliques of the clique graph of the module docstring, sorted by their
     enumeration keys.  More than limit goods raise SizeGuardError."""
     faces, compat, shifted = act.fan.face_masks(), _compatible(act), _shifted(act)
     # a clique grows only by higher indices, so each is visited once
-    families = {}
-    stack = [(0, (), (1 << len(faces)) - 1)]
+    found = []  # (enumeration key, closure) of each clique visited
+    stack = [(0, 0, (1 << len(faces)) - 1)]
     while stack:
-        closure, family, extend = stack.pop()
-        families[closure] = family
+        closure, key, extend = stack.pop()
+        found.append((key, closure))
         for a in bits(extend):
             stack.append(
-                (closure | faces[a], family + (a,), extend & compat[a] & -(2 << a))
+                (closure | faces[a], key | shifted[a], extend & compat[a] & -(2 << a))
             )
         # every clique held, visited or stacked, is a distinct good
-        if len(families) + len(stack) > limit:
+        if len(found) + len(stack) > limit:
             raise SizeGuardError(f"more than {limit} good subsets")
-    return dict(
-        sorted(families.items(), key=lambda item: _union(shifted[s] for s in item[1]))
-    )
+    found.sort()  # distinct goods have distinct keys
+    return [u for _, u in found]
 
 
 @_kept
@@ -805,13 +810,14 @@ def enumerate_good_subsets(fan, act, limit=2 ** 20):
     """All face-closed selections admitting a good quotient, in enumeration
     order.
 
-    The goods are the keys of `_good_families`.  No selection is decided
-    and no quotient is rendered: `good_quotient` and the saturation
-    routines decide on demand.  More than limit goods raise SizeGuardError
-    once the clique search has found them.
+    The goods are the clique closures `_goods` lists, and nothing of the
+    listing is kept.  No selection is decided and no quotient is rendered:
+    `good_quotient` and the saturation routines decide on demand.  More
+    than limit goods raise SizeGuardError once the clique search has found
+    them.
     """
     _check_fan(fan, act)
-    return [SubfanSelection._of_mask(fan, mask) for mask in _good_families(act, limit)]
+    return [SubfanSelection._of_mask(fan, mask) for mask in _goods(act, limit)]
 
 
 def t_maximal_subsets(fan, act, limit=2 ** 20):

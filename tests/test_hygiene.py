@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is referenced, only
-the oracles touch an action's `_cache` memo and only through `_memo`, only
-`cones` calls the `Cone` constructor, and every public definition is used
-inside the package or exported."""
+`quotients._kept` touches an action's memo store and no module names a
+second one, only `cones` calls the `Cone` constructor, and every public
+definition is used inside the package or exported."""
 
 import ast
 from pathlib import Path
@@ -44,41 +44,43 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def cache_touches(source):
-    """Lines that read or write an attribute named `_cache`."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == "_cache")
+def memo_store_touches(source):
+    """Lines that read or write an attribute named `memos` outside the body
+    of a top-level `_kept`, and lines that name `_cache` as an attribute, a
+    variable or a string."""
+    tree = ast.parse(source)
+    kept = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_kept"]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "memos":
+            if not any(node.lineno in body for body in kept):
+                found.add(node.lineno)
+        elif (
+            (isinstance(node, ast.Attribute) and node.attr == "_cache")
+            or (isinstance(node, ast.Name) and node.id == "_cache")
+            or (isinstance(node, ast.Constant) and node.value == "_cache")
+        ):
+            found.add(node.lineno)
+    return sorted(found)
 
 
-def test_the_scan_finds_a_cache_touch():
+def test_the_scan_finds_a_memo_store_touch():
     source = (
-        "x = act._cache.get(key)\nact._cache[key] = 1\n"
-        "object.__setattr__(act, '_cache', {})\ny = act.cache\n"
+        "def _kept(fn):\n    return act.memos.get(fn)\n"
+        "x = act.memos[fn]\ny = act._cache.get(key)\n"
+        "object.__setattr__(act, '_cache', {})\n_cache = {}\n"
+        "object.__setattr__(act, 'memos', {})\nz = act.memo\n"
     )
-    assert cache_touches(source) == [1, 2]
+    assert memo_store_touches(source) == [3, 4, 5, 6]
 
 
-# The engine keeps its memos in the action's `memos`; `_cache` is left to
-# the oracles, so they stay independent of the code they audit.
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "oracles.py"])
-def test_only_the_oracles_touch_the_action_cache(module):
-    assert cache_touches((PACKAGE / module).read_text(encoding="utf-8")) == []
-
-
-def memo_body_lines(source):
-    """Line span of the oracles' `_memo` decorator."""
-    memo = next(node for node in ast.parse(source).body
-                if isinstance(node, ast.FunctionDef) and node.name == "_memo")
-    return range(memo.lineno, memo.end_lineno + 1)
-
-
-# Inside the oracles every memo goes through `_memo`, one table per helper
-# keyed by its arguments, so no hand-written string-tagged key comes back.
-def test_only_the_memo_decorator_touches_the_cache_in_the_oracles():
-    source = (PACKAGE / "oracles.py").read_text(encoding="utf-8")
-    touches = cache_touches(source)
-    assert touches
-    assert [line for line in touches if line not in memo_body_lines(source)] == []
+# Every per-action fact of the engine and the oracles goes through
+# `quotients._kept`, one table per function keyed by its arguments, so no
+# hand-written key and no second store comes back.
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_memo_rule_touches_the_memo_store(module):
+    assert memo_store_touches((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def cone_constructor_calls(source):

@@ -10,13 +10,14 @@ from itertools import combinations
 
 import pytest
 
-from toricgit import quotients
+from toricgit import oracles, quotients
 from toricgit.cones import Cone, SizeGuardError
 from toricgit.corpus import actions_for, corpus_fans
 from toricgit.fans import (
     Fan,
     SubfanSelection,
     _open_masks,
+    _union,
     bits,
     enumerate_open_subsets,
     is_complete,
@@ -25,7 +26,7 @@ from toricgit.fans import (
     validate_fan,
 )
 from toricgit.intlat import IntMatrix, Sublattice, quotient_lattice_map
-from toricgit.oracles import oracle_verify_quotient
+from toricgit.oracles import brute_t_maximal, chart_family, oracle_verify_quotient
 from toricgit.quotients import (
     Obstruction,
     QuotientFan,
@@ -56,6 +57,13 @@ def face_keys(fan, key):
     """Keys of the faces of a fan cone, read off its face mask."""
     keys, bit = fan.numbering()
     return tuple(keys[j] for j in bits(fan.face_masks()[bit[frozenset(key)]]))
+
+
+def maximal_cones(fan, mask):
+    """The cones of mask below no other cone of it, ascending: for a good
+    mask, its chart family (see the `quotients` docstring)."""
+    ups = fan.up_masks()
+    return tuple(s for s in bits(mask) if ups[s] & mask == 1 << s)
 
 
 def c2_punctured():
@@ -613,12 +621,18 @@ class TestEnumerationRouteAgainstSelections:
             assert verdict(got) == verdict(want), sel
 
     @pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
-    def test_family_keys_are_the_goods(self, case):
+    def test_the_goods_are_the_clique_closures(self, case):
+        # each good, listed once, is the face closure of its maximal cones,
+        # which pass the clique tests pairwise
         fan, gens = ENUMERATION_CASES[case]
         act = normalize_action(fan, gens)
-        goods = {u.mask for u in enumerate_good_subsets(fan, act)}
-        families = quotients._good_families(act, 2 ** 20)
-        assert set(families) == goods
+        goods = [u.mask for u in enumerate_good_subsets(fan, act)]
+        faces, compat = fan.face_masks(), quotients._compatible(act)
+        assert len(set(goods)) == len(goods)
+        for w in goods:
+            family = maximal_cones(fan, w)
+            assert _union(faces[s] for s in family) == w
+            assert all(compat[a] >> b & 1 for a, b in combinations(family, 2)), w
         if case == "p1_cubed_123":
             assert len(goods) == 917
 
@@ -686,7 +700,7 @@ def test_t_maximal_subsets_builds_selections_only_for_its_results(monkeypatch):
 
     monkeypatch.setattr(SubfanSelection, "_of_mask", classmethod(counted_of_mask))
     assert len(t_maximal_subsets(fan, act)) == 9
-    assert len(quotients._good_families(act, 2 ** 20)) == 2644
+    assert len(quotients._goods(act, 2 ** 20)) == 2644
     assert built == {"selection": 9}
 
 
@@ -1016,7 +1030,7 @@ def refuse_every_listing(monkeypatch):
     def refused(*args):
         raise AssertionError("the clique listing was reached")
 
-    monkeypatch.setattr(quotients, "_good_families", refused)
+    monkeypatch.setattr(quotients, "_goods", refused)
 
 
 class TestHostOfIsLocal:
@@ -1093,15 +1107,17 @@ class TestPeelHostsAgainstTheSupersetIndex:
 
 
 def assert_families_are_the_verdicts(fan, act):
-    families = quotients._good_families(act, 2 ** 20)
+    # the goods are the ideals with a verdict, and the chart family of each
+    # is its maximal cones
+    goods = {u.mask for u in enumerate_good_subsets(fan, act)}
     ideals = _open_masks(fan, 2 ** 20)
-    assert set(families) <= set(ideals)
+    assert goods <= set(ideals)
     for mask in ideals:
         code, _, family = quotients._decide(act, mask)
         if code is None:
-            assert families[mask] == family, mask
+            assert mask in goods and family == maximal_cones(fan, mask), mask
         else:
-            assert mask not in families, mask
+            assert mask not in goods, mask
 
 
 class TestCliqueClosures:
@@ -1121,21 +1137,13 @@ class TestCliqueClosures:
     def test_a_charts_fibre_is_its_top_fibre_in_every_good(self, case):
         fan, gens = TABLE_CASES[case]
         act = normalize_action(fan, gens)
-        ups = fan.up_masks()
-        for w, family in quotients._good_families(act, 2 ** 20).items():
+        for w in quotients._goods(act, 2 ** 20):
             fibres = quotients._recorded_fibres(act, w)
-            maximal = tuple(s for s in bits(w) if ups[s] & w == 1 << s)
-            assert maximal == family, w
-            for s in maximal:
+            for s in maximal_cones(fan, w):
                 assert fibres[s] == quotients._top_fibre(act, s), (w, s)
 
 
 P1_SQUARED = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
-
-
-def families_kept(act):
-    """The entries the action's memos hold for `quotients._good_families`."""
-    return act.memos.get(quotients._good_families.__wrapped__, {})
 
 
 @pytest.mark.parametrize("fan, gens", [
@@ -1148,7 +1156,6 @@ def test_the_guard_fires_exactly_above_the_good_count(fan, gens):
         if len(want) > limit:
             with pytest.raises(SizeGuardError, match=f"^more than {limit} good subsets$"):
                 enumerate_good_subsets(fan, act, limit)
-            assert not families_kept(act)
         else:
             assert [u.mask for u in enumerate_good_subsets(fan, act, limit)] == want
 
@@ -1188,7 +1195,7 @@ def count_good_search_nodes(monkeypatch):
     real = quotients.bits
 
     def counted(mask):
-        if sys._getframe(1).f_code is quotients._good_families.__wrapped__.__code__:
+        if sys._getframe(1).f_code is quotients._goods.__code__:
             visited.append(mask)
         return real(mask)
 
@@ -1212,7 +1219,6 @@ def test_the_refusal_comes_after_at_most_limit_nodes(listing, n, limit, monkeypa
         with pytest.raises(SizeGuardError, match=f"^more than {limit} {GUARD_UNITS[listing]}$"):
             listing(fan, act, limit)
     assert 0 < len(visited) <= limit
-    assert not families_kept(act)
 
 
 @pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
@@ -1221,7 +1227,17 @@ def test_a_negative_limit_is_refused(listing):
     act = normalize_action(P2, [(1, 1)])
     with pytest.raises(SizeGuardError, match=f"^more than -1 {GUARD_UNITS[listing]}$"):
         listing(P2, act, -1)
-    assert not families_kept(act)
+
+
+def test_the_goods_listing_keeps_nothing_but_what_it_reads():
+    # answered or refused, the listing leaves the rows, the clique rows and
+    # the enumeration keys in the memos, and no entry for the goods
+    read = {f.__wrapped__ for f in (quotients._rows, quotients._compatible, quotients._shifted)}
+    answered, refused = normalize_action(P2, [(1, 1)]), normalize_action(P2, [(1, 1)])
+    assert len(enumerate_good_subsets(P2, answered)) > 4
+    with pytest.raises(SizeGuardError):
+        enumerate_good_subsets(P2, refused, 4)
+    assert set(answered.memos) == set(refused.memos) == read
 
 
 @pytest.mark.parametrize("fan, gens", [
@@ -1431,14 +1447,15 @@ def test_broken_table_invariants_raise_named_errors(forge, message):
 
 
 def test_every_engine_fact_is_kept_on_the_action_by_one_memo_rule():
-    # the action holds the engine's state: its verdicts and one memo store,
-    # whose every key is a function wrapped by `_kept`, the rows included
+    # the action holds its verdicts and one memo store, whose every key is
+    # a function of the engine or the oracles wrapped by `_kept`, the rows
+    # included
     assert quotients.SubtorusAction.__slots__ == (
-        "fan", "cochar", "proj", "input_saturated", "memos", "results", "_cache"
+        "fan", "cochar", "proj", "input_saturated", "memos", "results"
     )
     kept_code = quotients._kept(lambda act: act).__code__
     kept = {
-        f.__wrapped__ for f in vars(quotients).values()
+        f.__wrapped__ for module in (quotients, oracles) for f in vars(module).values()
         if getattr(f, "__code__", None) is kept_code
     }
     fan, gens = ENUMERATION_CASES["pyramid_123"]
@@ -1451,12 +1468,33 @@ def test_every_engine_fact_is_kept_on_the_action_by_one_memo_rule():
         assert isinstance(good_quotient(u, act), QuotientFan)
         assert is_saturated(u, u, act)
         staged_quotient(u, act, large)
+    assert all(chart_family(u, act) for u in goods[1:])
+    tmax = t_maximal_subsets(fan, act)
+    assert all(oracle_verify_quotient(good_quotient(w, act), act) == () for w in tmax)
+    assert {w.mask for w in brute_t_maximal(fan, act)} == {w.mask for w in tmax}
     assert set(act.memos) <= kept and set(large.memos) <= kept
+    assert {
+        oracles._chart_family.__wrapped__, oracles._carrier.__wrapped__,
+        oracles._chart_ring_check.__wrapped__, quotients._carrier.__wrapped__,
+    } <= set(act.memos)
     assert {quotients._residual.__wrapped__, quotients._composite.__wrapped__} <= set(
         act.memos
     )
     assert len(rows_kept(act)) == 1
     assert set(act.results) == {u.mask for u in goods}
+
+
+def test_a_kept_none_is_computed_once():
+    # the oracles keep None for a mask without a chart family
+    calls = []
+
+    @quotients._kept
+    def nothing(act, x):
+        calls.append(x)
+
+    act = normalize_action(P1, [(1,)])
+    assert nothing(act, 1) is None and nothing(act, 1) is None
+    assert calls == [1] and act.memos == {nothing.__wrapped__: {(1,): None}}
 
 
 def test_dropped_fan_and_action_are_freed_without_a_cyclic_collection():
