@@ -2,10 +2,22 @@
 quotient maps.
 
 Everything works over plain Python integers (arbitrary precision); no
-fractions and no floating point anywhere.  Ranks, inverses, kernels and
-solutions all come from the two integer normal forms, `hermite_rows` and
-`smith_normal_form`.  Vectors are tuples read as column vectors, matrices act
-on the left.
+fractions and no floating point anywhere.  Sections, kernels, saturations and
+quotient maps come from the two integer normal forms, `hermite_rows` and
+`smith_normal_form`; `matrix_rank` is a fraction-free row elimination
+(E. H. Bareiss, Math. Comp. 22 (1968)) and needs neither.  Vectors are tuples
+read as column vectors, matrices act on the left.
+
+Most matrices the library sends here are tiny, and the common shapes take
+short paths with the same output.  A Hermite form of at most one nonzero row
+is that row with its pivot made positive.  The Smith form of a one-row
+matrix runs the general elimination's own steps with the parts that cannot
+act on one row left out: the row loop and the divisibility repair scan only
+rows below the pivot, and there are none.  So it picks the same pivots,
+swaps and subtracts the same columns of R in the same order, and negates
+the one row of L exactly when the general path does; L, diag and R are the
+general path's entry for entry.  Canonical cone generators are lifted by a
+section read off R, so R must not change.
 """
 from __future__ import annotations
 
@@ -178,8 +190,50 @@ def smith_normal_form(A):
     """Smith decomposition of an integer matrix.
 
     Row/column elimination with the usual divisibility repair; the diagonal
-    is the canonical invariant-factor chain.
+    is the canonical invariant-factor chain.  A one-row matrix takes the
+    same steps without the row loop (see the module docstring).
     """
+    if A.rows == 1 and A.cols:
+        return _smith_row(A)
+    return _smith_elimination(A)
+
+
+def _smith_row(A):
+    """`_smith_elimination` of a nonempty row: its pivot and column steps
+    on the row and on R, kept as a list of columns; L is (1) or (-1)."""
+    n = A.cols
+    d = list(A.entries[0])
+    rc = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of R
+    best = None
+    for j, x in enumerate(d):
+        if x and (best is None or abs(x) < abs(d[best])):
+            best = j
+    while best is not None:
+        if best:
+            d[0], d[best] = d[best], d[0]
+            rc[0], rc[best] = rc[best], rc[0]
+        p, c0 = d[0], rc[0]
+        best = None
+        for j in range(1, n):
+            x = d[j]
+            if x:
+                q = x // p
+                if q:
+                    x -= q * p
+                    d[j] = x
+                    rc[j] = [a - q * b for a, b in zip(rc[j], c0)]
+                if x and (best is None or abs(x) < abs(d[best])):
+                    best = j
+        # a nonzero remainder is smaller than |p|, so the least one is the
+        # next pivot, as the general path's search of the whole row finds
+    sign = -1 if d[0] < 0 else 1
+    return SmithDecomposition(
+        IntMatrix._of(((sign,),), 1), (sign * d[0],), IntMatrix._of(tuple(zip(*rc)), n)
+    )
+
+
+def _smith_elimination(A):
+    """The general Smith elimination, for any shape."""
     m, n = A.rows, A.cols
     D = [list(r) for r in A.entries]
     L = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -280,8 +334,15 @@ def hermite_rows(rows, cols):
     pivot i on and keeps every column already reduced by rows above i.
     Bottom-up, reducing by row 1 would undo the reduction by row 2 of the
     column of pivot 2, and the result would depend on the input rows.
+    At most one nonzero row is its own basis, once its pivot is positive.
     """
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
+    work = [r for r in rows if any(r)]
+    if len(work) <= 1:
+        if not work:
+            return ()
+        r = tuple(work[0])
+        return (r,) if next(x for x in r if x) > 0 else (tuple(-x for x in r),)
+    work = [list(r) for r in work]
     basis = []
     for col in range(cols):
         live = [r for r in work if r[col] != 0]
@@ -413,11 +474,13 @@ def _section(A):
     snf = smith_normal_form(A)
     if any(d != 1 for d in snf.diag) or len(snf.diag) < m:
         raise ValueError("matrix is not a lattice surjection")
-    # A = left^-1 [I 0] right^-1, so s = right [I; 0] left
-    block = IntMatrix._of(
-        tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(n)), m
+    # A = left^-1 [I 0] right^-1, so s = right [I; 0] left: the first m
+    # columns of right times left (dot stops at the shorter of row and column)
+    left_cols = tuple(zip(*snf.left.entries))
+    s = IntMatrix._of(
+        tuple(tuple(dot(row, c) for c in left_cols) for row in snf.right.entries), m
     )
-    return snf.right @ block @ snf.left, snf.right
+    return s, snf.right
 
 
 def right_inverse_of_surjection(A):
@@ -434,5 +497,26 @@ def split_surjection(A):
 
 
 def matrix_rank(rows, cols):
-    """Rank of a list of integer row vectors: the length of their Hermite basis."""
-    return len(hermite_rows(rows, cols))
+    """Rank of integer row vectors of length cols, by fraction-free row
+    elimination: each step clears one column from the other rows and
+    divides every new row by its content, so the entries stay small."""
+    work = [r for r in rows if any(r)]
+    rank = 0
+    while work:
+        p = work.pop()
+        rank += 1
+        j = next(j for j, x in enumerate(p) if x)
+        a = p[j]
+        rest = []
+        for r in work:
+            b = r[j]
+            if b:
+                r = [a * x - b * y for x, y in zip(r, p)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [x // g for x in r]
+            rest.append(r)
+        work = rest
+    return rank

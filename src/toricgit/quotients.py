@@ -494,7 +494,7 @@ def _normalized(rank, generators):
     # the canonical kernel basis of the generators' span is the quotient map
     # by its saturation, and that map's kernel is the saturation
     proj = kernel_lattice(raw.basis).basis
-    lat = split_surjection(proj)[0]
+    lat = kernel_lattice(proj)
     return lat, proj, raw.basis == lat.basis
 
 

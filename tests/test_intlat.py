@@ -1,4 +1,5 @@
 """Exact lattice algebra: frozen examples plus randomized oracle sweeps."""
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from toricgit.intlat import (
     right_inverse_of_surjection,
     saturate,
     smith_normal_form,
+    split_surjection,
     vgcd,
 )
 
@@ -232,3 +234,76 @@ def test_saturation_is_decided_once_per_lattice(monkeypatch):
     # the kept flag is no part of the value
     assert fine == Sublattice.from_rows(3, [(1, 2, 1), (0, 1, 1)])
     assert hash(coarse) == hash(Sublattice.from_rows(2, [(-2, 0)]))
+
+
+def _box(rows, cols):
+    """Every rows x cols matrix with entries in [-2, 2], in lexicographic order."""
+    for flat in itertools.product(range(-2, 3), repeat=rows * cols):
+        yield IntMatrix([flat[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+
+
+def _exact_outputs(A):
+    """Every value the kernels return on A, as one tuple of nested int tuples;
+    None where a routine refuses A."""
+    snf = smith_normal_form(A)
+    try:
+        lat, s = split_surjection(A)
+        split = (lat.basis.entries, s.entries)
+    except ValueError:
+        split = None
+    try:
+        pi = quotient_lattice_map(Sublattice.from_rows(A.cols, A.entries)).entries
+    except ValueError:
+        pi = None
+    return (
+        A.entries,
+        snf.left.entries,
+        snf.diag,
+        snf.right.entries,
+        hermite_rows(A.entries, A.cols),
+        matrix_rank(A.entries, A.cols),
+        kernel_lattice(A).basis.entries,
+        split,
+        pi,
+    )
+
+
+def _digest_corpus():
+    shapes = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+    for rows, cols in shapes:
+        yield from _box(rows, cols)
+    rng = random.Random(20261021)
+    for rows, cols in [(3, 3), (2, 4)]:
+        for _ in range(200):
+            yield IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+
+
+# sha256 of the outputs above on every matrix of _digest_corpus, as the
+# general Smith elimination and Hermite reduction give them on every shape.
+# Canonical cone generators are lifted by sections read off R, so a short
+# path that changes one entry of L, diag, R, a Hermite basis, a kernel, a
+# section or a quotient map would change reports; it changes this digest.
+EXACT_OUTPUT_DIGEST = "445aeaeb9538723741510f83f4468fee23237648345819fd4b4644359a6c1f79"
+
+
+def test_small_matrix_kernels_return_the_pinned_bytes():
+    h = hashlib.sha256()
+    count = 0
+    for A in _digest_corpus():
+        h.update(repr(_exact_outputs(A)).encode())
+        count += 1
+    assert count == 5 + 25 + 125 + 625 + 25 + 625 + 15625 + 125 + 15625 + 400
+    assert h.hexdigest() == EXACT_OUTPUT_DIGEST
+
+
+def test_one_row_smith_path_is_the_general_elimination():
+    from toricgit.intlat import _smith_elimination
+
+    rng = random.Random(5)
+    longer = [IntMatrix([[rng.randint(-60, 60) for _ in range(rng.randint(2, 6))]])
+              for _ in range(300)]
+    for A in itertools.chain(*(_box(1, cols) for cols in range(5)), longer):
+        fast, general = smith_normal_form(A), _smith_elimination(A)
+        assert fast.left.entries == general.left.entries, A
+        assert fast.diag == general.diag, A
+        assert fast.right.entries == general.right.entries, A

@@ -106,6 +106,16 @@ class TestSymmetryGroup:
         with pytest.raises(ValueError, match="group not closed under composition"):
             SymmetryGroup(P2, [ident, rot])  # rot squared is missing
 
+    def test_closure_is_checked_on_matrices_when_the_rays_do_not_span(self):
+        # the shear fixes the only ray, so its square permutes the rays like
+        # an element, yet its matrix is no element's
+        ray = Fan(2, [(1, 0)], [{0}])
+        ident = FanAutomorphism(ray, IntMatrix.identity(2))
+        shear = FanAutomorphism(ray, IntMatrix(((1, 1), (0, 1))))
+        assert ident.ray_perm == shear.ray_perm == (0,)
+        with pytest.raises(ValueError, match="group not closed under composition"):
+            SymmetryGroup(ray, [ident, shear])
+
     def test_duplicates_rejected(self):
         ident = FanAutomorphism(P1, IntMatrix.identity(1))
         with pytest.raises(ValueError):
