@@ -4,8 +4,8 @@ quotient maps.
 Everything works over plain Python integers (arbitrary precision); no
 fractions and no floating point anywhere.  Sections, kernels, saturations and
 quotient maps come from the two integer normal forms, `hermite_rows` and
-`smith_normal_form`; `matrix_rank` is a fraction-free row elimination
-(E. H. Bareiss, Math. Comp. 22 (1968)) and needs neither.  Vectors are tuples
+`smith_normal_form`; `matrix_rank` is a fraction-free row elimination that
+divides each new row by its content, and needs neither.  Vectors are tuples
 read as column vectors, matrices act on the left.
 
 Most matrices the library sends here are tiny, and the common shapes take

@@ -56,7 +56,7 @@ from .fans import (
     is_complete,
     is_simplicial,
 )
-from .intlat import IntMatrix, matrix_rank
+from .intlat import IntMatrix
 from .quotients import (
     Obstruction,
     QuotientFan,
@@ -81,12 +81,7 @@ class SymmetryGroup:
     Closure is checked on the matrices: a.compose(b) is the automorphism of
     the product a.matrix @ b.matrix, so it is an element exactly when that
     product is an element's matrix, and no product is built and validated
-    as an automorphism.  When the rays span the lattice, a linear map is
-    fixed by the images of the rays, so the product is an element's matrix
-    exactly when the ray permutation of a after b is that element's, and
-    closure is checked on those tuples instead.  Rays that do not span fix
-    no map: a shear fixing the one ray of a fan in Z^2 permutes the rays
-    like the identity, so there the matrices are compared.
+    as an automorphism.
 
     Closure under inverses needs no check of its own.  The elements are
     invertible maps, so for each a the map x -> a∘x is injective; when the
@@ -107,17 +102,10 @@ class SymmetryGroup:
             raise ValueError("duplicate group elements")
         if IntMatrix.identity(fan.rank) not in by_matrix:
             raise ValueError("identity element missing")
-        if matrix_rank(fan.rays, fan.rank) == fan.rank:
-            perms = {e.ray_perm for e in elements}
-            closed = all(
-                tuple(map(a.ray_perm.__getitem__, b.ray_perm)) in perms
-                for a in elements
-                for b in elements
-            )
-        else:
-            closed = all(a.matrix @ b.matrix in by_matrix for a in elements for b in elements)
-        if not closed:
-            raise ValueError("group not closed under composition")
+        for a in elements:
+            for b in elements:
+                if a.matrix @ b.matrix not in by_matrix:
+                    raise ValueError("group not closed under composition")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(
             self, "elements", tuple(sorted(elements, key=lambda e: e.matrix.entries))

@@ -106,7 +106,7 @@ class TestSymmetryGroup:
         with pytest.raises(ValueError, match="group not closed under composition"):
             SymmetryGroup(P2, [ident, rot])  # rot squared is missing
 
-    def test_closure_is_checked_on_matrices_when_the_rays_do_not_span(self):
+    def test_closure_is_checked_on_matrices_not_ray_permutations(self):
         # the shear fixes the only ray, so its square permutes the rays like
         # an element, yet its matrix is no element's
         ray = Fan(2, [(1, 0)], [{0}])
