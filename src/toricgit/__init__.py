@@ -51,7 +51,6 @@ from .symmetry import (
     GroupActionData,
     SymmetryGroup,
     eq1_crosscheck,
-    generate_symmetry_group,
     verify_corollary,
     verify_theorem_conclusions,
     w_set,
@@ -79,7 +78,6 @@ __all__ = [
     "enumerate_good_subsets",
     "enumerate_open_subsets",
     "eq1_crosscheck",
-    "generate_symmetry_group",
     "good_quotient",
     "hilbert_basis",
     "is_complete",

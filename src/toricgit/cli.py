@@ -34,6 +34,7 @@ from .cox import (
     verify_globally_defined,
 )
 from .fans import is_complete, is_simplicial, key_order
+from .intlat import Sublattice
 from .oracles import oracle_verify_quotient
 from .problemfile import (
     MonomialSpec,
@@ -49,8 +50,8 @@ from .quotients import (
 )
 from .symmetry import (
     GroupActionData,
+    SymmetryGroup,
     eq1_crosscheck,
-    generate_symmetry_group,
     verify_corollary,
     verify_theorem_conclusions,
     w_set,
@@ -127,7 +128,7 @@ def _add_fan(rep, fan, prefix, field):
 
 def _action(rep, problem):
     act = normalize_action(problem.fan, problem.subtorus)
-    if not act.input_saturated:
+    if Sublattice.from_rows(act.fan.rank, problem.subtorus).basis != act.cochar.basis:
         rep.add(
             "note: subtorus generators spanned a non-saturated lattice; "
             "the saturation is used"
@@ -138,7 +139,7 @@ def _action(rep, problem):
 def _group_data(rep, problem):
     """The subtorus action and the symmetry group acting together."""
     act = _action(rep, problem)
-    return GroupActionData(act, generate_symmetry_group(problem.fan, problem.symmetries))
+    return GroupActionData(act, SymmetryGroup(problem.fan, problem.symmetries))
 
 
 def cmd_check(rep, problem, args):
@@ -545,6 +546,10 @@ def main(argv=None):
         if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
             out = None
             raise ValueError(f"--out {args.out}: names a directory, not a file prefix")
+        taken = [p for p in (f"{out}.txt", f"{out}.json") if out and os.path.isdir(p)]
+        if taken:
+            out = None
+            raise ValueError(f"--out {args.out}: {taken[0]} is a directory")
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         problem = load_problem(args.file) if "file" in args else None

@@ -137,6 +137,7 @@ facets are the canonical generators; on route "i" it is the cone itself.
 from __future__ import annotations
 
 import weakref
+from itertools import product
 
 from .intlat import (
     IntMatrix,
@@ -588,13 +589,9 @@ def hilbert_basis(cone, bound=None):
     if box > HILBERT_BOX_LIMIT:
         raise SizeGuardError(f"Hilbert-basis box of {box} points exceeds {HILBERT_BOX_LIMIT}")
     weight = cone.dual().relative_interior_point()
-    points = []
-    stack = [()]
-    for _ in range(d):
-        stack = [p + (x,) for p in stack for x in range(-need, need + 1)]
-    for p in stack:
-        if any(p) and cone.contains(p):
-            points.append(p)
+    points = [
+        p for p in product(range(-need, need + 1), repeat=d) if any(p) and cone.contains(p)
+    ]
     points.sort(key=lambda p: (dot(weight, p), p))
     basis = []
     for p in points:

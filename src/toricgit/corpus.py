@@ -38,7 +38,6 @@ from .symmetry import (
     GroupActionData,
     SymmetryGroup,
     eq1_crosscheck,
-    generate_symmetry_group,
     is_invariant,
     verify_theorem_conclusions,
 )
@@ -243,7 +242,7 @@ def run_sweep(seed=20260817, fans=None, limit=2 ** 20, bound=None):
 
             groups = [("", data)]
             if symmetric:
-                sym = generate_symmetry_group(fan, [negation])
+                sym = SymmetryGroup(fan, [negation])
                 groups.append(("reflected ", GroupActionData(act, sym)))
             for label, gdata in groups:
                 invariant = [u for u in goods if is_invariant(gdata, u.mask)]

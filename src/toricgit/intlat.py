@@ -422,9 +422,15 @@ class Sublattice:
 
 def kernel_lattice(A):
     """Saturated sublattice {v in Z^cols : A v = 0}."""
-    snf = smith_normal_form(A)
+    return _kernel(smith_normal_form(A))
+
+
+def _kernel(snf):
+    """The kernel lattice of a Smith decomposition's matrix: the columns of
+    its right factor past the nonzero diagonal."""
+    n = snf.right.rows
     r = sum(1 for d in snf.diag if d != 0)
-    return Sublattice.from_rows(A.cols, (snf.right.column(j) for j in range(r, A.cols)))
+    return Sublattice.from_rows(n, (snf.right.column(j) for j in range(r, n)))
 
 
 def saturate(L):
@@ -433,30 +439,23 @@ def saturate(L):
     Double orthogonal complement; both steps are kernel lattices, which are
     saturated by construction.
     """
-    if L.rank == 0:
-        return L
-    perp = kernel_lattice(L.basis)
-    if perp.rank == 0:
-        return Sublattice(L.ambient, IntMatrix.identity(L.ambient))
-    return kernel_lattice(perp.basis)
+    return kernel_lattice(kernel_lattice(L.basis).basis)
 
 
 def quotient_lattice_map(L):
     """Surjection pi: Z^n -> Z^(n-k) with kernel exactly the saturated L.
 
-    Raises ValueError for an unsaturated input (the quotient would have
-    torsion, which a lattice map cannot carry).
+    The rows of pi are the Hermite basis of the vectors orthogonal to L, a
+    kernel lattice read off one Smith form of L's basis, whose diagonal
+    also decides saturation.  Raises ValueError for an unsaturated input
+    (the quotient would have torsion, which a lattice map cannot carry).
     """
-    n, k = L.ambient, L.rank
-    if k == 0:
-        return IntMatrix.identity(n)
-    snf = smith_normal_form(L.basis.transpose())  # columns span L
+    if L.rank == 0:
+        return IntMatrix.identity(L.ambient)
+    snf = smith_normal_form(L.basis)
     if any(d != 1 for d in snf.diag):
         raise ValueError("quotient by an unsaturated sublattice has torsion")
-    # left @ basis^T has only the first k rows nonzero; the lower rows of left
-    # therefore kill L, stay surjective, and have kernel exactly L.
-    pi_rows = snf.left.entries[k:]
-    return IntMatrix._of(hermite_rows(pi_rows, n), n)
+    return _kernel(snf).basis
 
 
 def cokernel_diagnostics(A):

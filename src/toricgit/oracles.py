@@ -54,7 +54,7 @@ from .intlat import (
     vneg,
     vsub,
 )
-from .quotients import _kept
+from .quotients import _check_fan, _kept
 
 
 @_kept
@@ -150,8 +150,7 @@ def chart_family(selection, act):
     compatible, a branch-and-bound search over them (`_smallest_family`)
     returns the smallest valid family, the least one of that size.
     """
-    if act.fan != selection.fan:
-        raise ValueError("action and selection live on different fans")
+    _check_fan(selection.fan, act)
     family = _chart_family(act, selection.mask)
     if family is None:
         return None
@@ -299,8 +298,7 @@ def brute_t_maximal(fan, act, limit=2 ** 20):
     exactly when u & ~goods[j] is empty.  So each u meets only its
     supersets, not every good, and the filter keeps the same goods.
     """
-    if act.fan != fan:
-        raise ValueError("action and selection live on different fans")
+    _check_fan(fan, act)
     ideals = _open_masks(fan, limit)
     goods = [u for u in ideals if _chart_family(act, u) is not None]
     holders = [0] * len(fan.numbering()[0])
@@ -458,8 +456,7 @@ def oracle_verify_quotient(q, act, bound=None):
     problems = []
     sel = q.source
     fan = sel.fan
-    if act.fan != fan:
-        raise ValueError("action and selection live on different fans")
+    _check_fan(fan, act)
     keys, bit = fan.numbering()
     pf = q.proj_full
     if _split_projection(act, q.pre_lineality) != pf:

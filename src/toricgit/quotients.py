@@ -334,15 +334,14 @@ class SubtorusAction:
     memos, actions compare by identity.
     """
 
-    __slots__ = ("fan", "cochar", "proj", "input_saturated", "memos", "results")
+    __slots__ = ("fan", "cochar", "proj", "memos", "results")
 
-    def __init__(self, fan, cochar, proj, input_saturated=True):
+    def __init__(self, fan, cochar, proj):
         if not cochar.saturated:
             raise ValueError("cocharacter lattice must be saturated")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "cochar", cochar)
         object.__setattr__(self, "proj", proj)
-        object.__setattr__(self, "input_saturated", bool(input_saturated))
         object.__setattr__(self, "memos", {})  # _kept function -> {its arguments: its value}
         object.__setattr__(self, "results", {})  # selection mask -> verdict
 
@@ -470,9 +469,9 @@ def _target(act, rank, rays, cones):
 
 @_kept
 def _residual(act, proj_full, basis):
-    """(cochar, proj, input_saturated) of the residual action on a first
-    stage quotient with projection proj_full, by the larger subtorus whose
-    cocharacter basis is basis: `normalize_action` on the images."""
+    """(cochar, proj) of the residual action on a first stage quotient
+    with projection proj_full, by the larger subtorus whose cocharacter
+    basis is basis: `normalize_action` on the images."""
     return _normalized(proj_full.rows, [proj_full.matvec(b) for b in basis.entries])
 
 
@@ -488,14 +487,13 @@ def normalize_action(fan, generators):
 
 
 def _normalized(rank, generators):
-    """(cochar, proj, input_saturated) of the action of the generators' span
-    on a fan of the given rank."""
+    """(cochar, proj) of the action of the generators' span on a fan of
+    the given rank."""
     raw = Sublattice.from_rows(rank, generators)
     # the canonical kernel basis of the generators' span is the quotient map
     # by its saturation, and that map's kernel is the saturation
     proj = kernel_lattice(raw.basis).basis
-    lat = kernel_lattice(proj)
-    return lat, proj, raw.basis == lat.basis
+    return kernel_lattice(proj), proj
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """W-sets under fan symmetries and the associated conclusion checkers.
 
 The acting group is generated by a subtorus of the big torus together
-with a finite group of fan automorphisms normalizing it.  The W-set of
-an open selection is the intersection of its symmetry translates.  The
-checkers report, honestly and with caveats where the finite part makes
+with a finite group of fan automorphisms normalizing it, the closure of
+its generator matrices (`SymmetryGroup`).  The W-set of an open
+selection is the intersection of its symmetry translates.  The checkers
+report, honestly and with caveats where the finite part makes
 the group disconnected: existence of a good quotient of the W-set,
 torus-saturation inside the input, the induced finite action on the
 quotient fan, a sweep over all torus-maximal subsets of a complete
@@ -75,40 +76,43 @@ def _sorted_keys(keys):
 
 
 class SymmetryGroup:
-    """Finite group of fan automorphisms; the constructor validates the
-    group axioms.
+    """Finite group of fan automorphisms: the closure of generator matrices.
 
-    Closure is checked on the matrices: a.compose(b) is the automorphism of
-    the product a.matrix @ b.matrix, so it is an element exactly when that
-    product is an element's matrix, and no product is built and validated
-    as an automorphism.
-
-    Closure under inverses needs no check of its own.  The elements are
-    invertible maps, so for each a the map x -> a∘x is injective; when the
-    finite set holds the identity and is closed under composition, that
-    map is a bijection of the set onto itself, and the x it sends to the
-    identity is a's inverse.
+    Breadth-first from the identity, composing each new element with the
+    generators only.  That reaches every product of generators, and in a
+    finite group each inverse is one: g has finite order k, so g^-1 is
+    g^(k-1).  So the set reached holds the identity, its elements are
+    distinct, and it is closed under composition, since a product of two
+    products of generators is one: it is a group by construction.  Each
+    generator and each product is built, and so checked, as a fan
+    automorphism, one product per element and generator.  A closure with
+    more than `limit` elements is refused.
     """
 
     __slots__ = ("fan", "elements")
 
-    def __init__(self, fan, elements):
-        elements = tuple(elements)
-        for e in elements:
-            if e.fan != fan:
-                raise ValueError("element acts on a different fan")
-        by_matrix = {e.matrix: e for e in elements}
-        if len(by_matrix) != len(elements):
-            raise ValueError("duplicate group elements")
-        if IntMatrix.identity(fan.rank) not in by_matrix:
-            raise ValueError("identity element missing")
-        for a in elements:
-            for b in elements:
-                if a.matrix @ b.matrix not in by_matrix:
-                    raise ValueError("group not closed under composition")
+    def __init__(self, fan, matrices, limit=4096):
+        gens = [
+            FanAutomorphism(fan, IntMatrix(tuple(tuple(r) for r in m), cols=fan.rank))
+            for m in matrices
+        ]
+        identity = FanAutomorphism(fan, IntMatrix.identity(fan.rank))
+        elements = {identity.matrix: identity}
+        frontier = [identity]
+        while frontier:
+            fresh = []
+            for a in frontier:
+                for g in gens:
+                    c = a.compose(g)
+                    if c.matrix not in elements:
+                        elements[c.matrix] = c
+                        fresh.append(c)
+                        if len(elements) > limit:
+                            raise ValueError("symmetry group exceeds the size limit")
+            frontier = fresh
         object.__setattr__(self, "fan", fan)
         object.__setattr__(
-            self, "elements", tuple(sorted(elements, key=lambda e: e.matrix.entries))
+            self, "elements", tuple(sorted(elements.values(), key=lambda e: e.matrix.entries))
         )
 
     def __setattr__(self, name, value):
@@ -124,51 +128,8 @@ class SymmetryGroup:
         return len(self.elements) == 1
 
     @classmethod
-    def _of_elements(cls, fan, elements):
-        """The group of elements known to form one, unchecked."""
-        group = object.__new__(cls)
-        object.__setattr__(group, "fan", fan)
-        object.__setattr__(
-            group, "elements", tuple(sorted(elements, key=lambda e: e.matrix.entries))
-        )
-        return group
-
-    @classmethod
     def trivial(cls, fan):
-        return cls(fan, [FanAutomorphism(fan, IntMatrix.identity(fan.rank))])
-
-
-def generate_symmetry_group(fan, matrices, limit=4096):
-    """Close a list of fan-preserving matrices into a SymmetryGroup.
-
-    Breadth-first from the identity, composing each new element with the
-    generators only.  That reaches every product of generators, and in a
-    finite group each inverse is one: g has finite order k, so g^-1 is
-    g^(k-1).  So the set reached holds the identity, its elements are
-    distinct, and it is closed under composition, since a product of two
-    products of generators is one.  It is a group by construction, and
-    the SymmetryGroup takes it unchecked; the search itself builds, and so
-    checks as a fan automorphism, one product per element and generator.
-    """
-    gens = [
-        FanAutomorphism(fan, IntMatrix(tuple(tuple(r) for r in m), cols=fan.rank))
-        for m in matrices
-    ]
-    identity = FanAutomorphism(fan, IntMatrix.identity(fan.rank))
-    elements = {identity.matrix: identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                c = a.compose(g)
-                if c.matrix not in elements:
-                    elements[c.matrix] = c
-                    fresh.append(c)
-                    if len(elements) > limit:
-                        raise ValueError("symmetry group exceeds the size limit")
-        frontier = fresh
-    return SymmetryGroup._of_elements(fan, elements.values())
+        return cls(fan, [])
 
 
 @dataclass(frozen=True)

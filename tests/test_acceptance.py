@@ -33,7 +33,7 @@ from toricgit.quotients import (
 )
 from toricgit.symmetry import (
     GroupActionData,
-    generate_symmetry_group,
+    SymmetryGroup,
     verify_theorem_conclusions,
 )
 
@@ -236,7 +236,7 @@ def test_criterion_10_theorem_checker(sweep):
 
     p1 = projective_line()
     act = normalize_action(p1, [(1,)])
-    sym = generate_symmetry_group(p1, [((-1,),)])
+    sym = SymmetryGroup(p1, [((-1,),)])
     data = GroupActionData(act, sym)
     chart = SubfanSelection(p1, [frozenset(), frozenset({0})])
     report = verify_theorem_conclusions(chart, data)

@@ -501,6 +501,19 @@ class TestOptions:
         assert list(folder.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "problem.json"]
 
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_out_report_file_naming_a_directory(self, run, write, tmp_path, suffix):
+        path = write(p1_doc())
+        prefix = str(tmp_path / "rep")
+        (tmp_path / ("rep" + suffix)).mkdir()
+        code, out = run("check", path, "--out", prefix)
+        assert code == 2
+        assert f"input error: --out {prefix}: {prefix}{suffix} is a directory" in out
+        assert out.rstrip().endswith("result: input error")
+        assert "result: pass" not in out
+        assert list((tmp_path / ("rep" + suffix)).iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json", "rep" + suffix]
+
 
 class TestCommandLine:
     def test_unknown_command_is_an_input_error(self, run, write):

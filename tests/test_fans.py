@@ -21,7 +21,7 @@ from toricgit.fans import (
 )
 from toricgit.intlat import IntMatrix, right_inverse_of_surjection
 from toricgit.quotients import enumerate_good_subsets, normalize_action
-from toricgit.symmetry import generate_symmetry_group
+from toricgit.symmetry import SymmetryGroup
 
 P1 = Fan(1, [(1,), (-1,)], [{0}, {1}])
 A1 = Fan(1, [(1,)], [{0}])
@@ -510,17 +510,17 @@ AUTOMORPHISM_GENERATORS = [
 
 class TestAutomorphisms:
     def test_group_orders(self):
-        orders = [len(generate_symmetry_group(fan, gens))
+        orders = [len(SymmetryGroup(fan, gens))
                   for fan, gens in AUTOMORPHISM_GENERATORS]
         assert orders == [2, 6, 2, 8, 2]
 
     def test_p1_elements(self):
-        mats = {a.matrix.entries for a in generate_symmetry_group(P1, [((-1,),)])}
+        mats = {a.matrix.entries for a in SymmetryGroup(P1, [((-1,),)])}
         assert mats == {((1,),), ((-1,),)}
 
     def test_closed_under_composition_and_inverse(self):
         for fan, gens in AUTOMORPHISM_GENERATORS:
-            autos = generate_symmetry_group(fan, gens).elements
+            autos = SymmetryGroup(fan, gens).elements
             pool = {a.matrix for a in autos}
             identity = IntMatrix.identity(fan.rank)
             for a, b in product(autos, repeat=2):
@@ -542,5 +542,5 @@ class TestAutomorphisms:
             FanAutomorphism(P2, IntMatrix(((2, 0), (0, 1))))
 
     def test_point_fan(self):
-        autos = generate_symmetry_group(POINT, []).elements
+        autos = SymmetryGroup(POINT, []).elements
         assert len(autos) == 1 and autos[0].matrix == IntMatrix.identity(0)

@@ -102,7 +102,7 @@ class TestChartFamilySearch:
 
     def test_fan_mismatch_rejected(self):
         act = normalize_action(P1, [(1,)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^action and selection live on different fans$"):
             chart_family(C2.full_selection(), act)
 
 
@@ -254,6 +254,11 @@ class TestQuotientCertificates:
         act = normalize_action(C2, [(1, 1)])
         q = good_quotient(punctured_plane(), act)
         assert oracle_verify_quotient(q, act) == ()
+
+    def test_an_action_on_another_fan_is_refused(self):
+        q = good_quotient(punctured_plane(), normalize_action(C2, [(1, 1)]))
+        with pytest.raises(ValueError, match="^action and selection live on different fans$"):
+            oracle_verify_quotient(q, normalize_action(P1, [(1,)]))
 
     def test_trivial_action_certificates(self):
         act = normalize_action(P1, [])

@@ -78,13 +78,14 @@ class TestNormalizeAction:
     def test_span_is_saturated(self):
         act = normalize_action(C2, [(2, 2)])
         assert act.cochar.basis.entries == ((1, 1),)
-        assert not act.input_saturated
+        assert Sublattice.from_rows(2, [(2, 2)]).basis != act.cochar.basis
 
     def test_a_saturated_rank_three_span_is_recognised(self):
         # three Hermite rows: the saturation's basis must come out identical
         p4 = Fan(4, P4_RAYS, P4_CONES)
-        act = normalize_action(p4, [(1, 0, -3, 0), (0, 1, 1, 0), (0, 0, 2, 1)])
-        assert act.input_saturated
+        gens = [(1, 0, -3, 0), (0, 1, 1, 0), (0, 0, 2, 1)]
+        act = normalize_action(p4, gens)
+        assert Sublattice.from_rows(4, gens).basis == act.cochar.basis
 
     def test_full_torus(self):
         act = normalize_action(C2, [(1, 0), (0, 1)])
@@ -93,7 +94,8 @@ class TestNormalizeAction:
     def test_trivial(self):
         act = normalize_action(C2, [])
         assert act.proj == IntMatrix.identity(2)
-        assert act.is_trivial() and act.input_saturated
+        assert act.is_trivial()
+        assert Sublattice.from_rows(2, []).basis == act.cochar.basis
 
     def test_projection_kills_exactly_l(self):
         act = diag_action()
@@ -1451,7 +1453,7 @@ def test_every_engine_fact_is_kept_on_the_action_by_one_memo_rule():
     # a function of the engine or the oracles wrapped by `_kept`, the rows
     # included
     assert quotients.SubtorusAction.__slots__ == (
-        "fan", "cochar", "proj", "input_saturated", "memos", "results"
+        "fan", "cochar", "proj", "memos", "results"
     )
     kept_code = quotients._kept(lambda act: act).__code__
     kept = {

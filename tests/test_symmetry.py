@@ -38,7 +38,6 @@ from toricgit.symmetry import (
     SymmetryGroup,
     TheoremReport,
     eq1_crosscheck,
-    generate_symmetry_group,
     is_invariant,
     verify_corollary,
     verify_theorem_conclusions,
@@ -70,7 +69,7 @@ def is_identity(gamma):
 
 
 def p1_sym():
-    return generate_symmetry_group(P1, [NEG1])
+    return SymmetryGroup(P1, [NEG1])
 
 
 def p1_full_torus_data(sym=None):
@@ -80,7 +79,7 @@ def p1_full_torus_data(sym=None):
 
 def p1xp1_data():
     act = normalize_action(P1XP1, [(1, 0)])
-    return GroupActionData(act, generate_symmetry_group(P1XP1, [FLIP_FIRST]))
+    return GroupActionData(act, SymmetryGroup(P1XP1, [FLIP_FIRST]))
 
 
 class TestSymmetryGroup:
@@ -92,52 +91,42 @@ class TestSymmetryGroup:
         g = p1_sym()
         assert len(g) == 2
         assert {e.matrix.entries for e in g} == {((1,),), ((-1,),)}
-        rot = generate_symmetry_group(P2, [ROT3])
+        rot = SymmetryGroup(P2, [ROT3])
         assert len(rot) == 3
 
-    def test_identity_required(self):
-        neg = FanAutomorphism(P1, IntMatrix(NEG1))
-        with pytest.raises(ValueError):
-            SymmetryGroup(P1, [neg])
+    def test_one_rotation_closes_to_three_elements_with_the_identity(self):
+        rot = SymmetryGroup(P2, [ROT3])
+        assert len(rot) == 3 and any(is_identity(e) for e in rot)
+        assert {e.matrix for e in rot} == {
+            IntMatrix.identity(2), IntMatrix(ROT3), IntMatrix(ROT3) @ IntMatrix(ROT3)
+        }
 
-    def test_closure_required(self):
-        ident = FanAutomorphism(P2, IntMatrix.identity(2))
-        rot = FanAutomorphism(P2, IntMatrix(ROT3))
-        with pytest.raises(ValueError, match="group not closed under composition"):
-            SymmetryGroup(P2, [ident, rot])  # rot squared is missing
-
-    def test_closure_is_checked_on_matrices_not_ray_permutations(self):
-        # the shear fixes the only ray, so its square permutes the rays like
-        # an element, yet its matrix is no element's
-        ray = Fan(2, [(1, 0)], [{0}])
-        ident = FanAutomorphism(ray, IntMatrix.identity(2))
-        shear = FanAutomorphism(ray, IntMatrix(((1, 1), (0, 1))))
-        assert ident.ray_perm == shear.ray_perm == (0,)
-        with pytest.raises(ValueError, match="group not closed under composition"):
-            SymmetryGroup(ray, [ident, shear])
-
-    def test_duplicates_rejected(self):
-        ident = FanAutomorphism(P1, IntMatrix.identity(1))
-        with pytest.raises(ValueError):
-            SymmetryGroup(P1, [ident, ident])
+    def test_a_repeated_generator_gives_the_same_group(self):
+        once = SymmetryGroup(P2, [ROT3, SWAP2])
+        twice = SymmetryGroup(P2, [ROT3, SWAP2, ROT3, SWAP2])
+        assert len(once) == 6
+        assert [e.matrix for e in once] == [e.matrix for e in twice]
 
     def test_generation_size_guard(self):
         with pytest.raises(ValueError):
-            generate_symmetry_group(P2, [ROT3], limit=2)
+            SymmetryGroup(P2, [ROT3], limit=2)
 
     def test_infinite_closure_stops_at_the_size_limit(self):
-        # a shear fixing the only ray has infinite order
+        # a shear fixing the only ray has infinite order: its powers permute
+        # the rays like the identity, and their matrices are all distinct
         ray = Fan(2, [(1, 0)], [{0}])
+        shear = FanAutomorphism(ray, IntMatrix(((1, 1), (0, 1))))
+        assert shear.ray_perm == (0,)
         with pytest.raises(ValueError, match="symmetry group exceeds the size limit"):
-            generate_symmetry_group(ray, [((1, 1), (0, 1))], limit=8)
+            SymmetryGroup(ray, [((1, 1), (0, 1))], limit=8)
 
     def test_nonpreserving_matrix_rejected(self):
         with pytest.raises(ValueError):
-            generate_symmetry_group(P2, [((1, 1), (0, 1))])
+            SymmetryGroup(P2, [((1, 1), (0, 1))])
 
 
 def closure_with_inverses(fan, matrices):
-    """generate_symmetry_group's element matrices as they were closed before
+    """SymmetryGroup's element matrices as they were closed before
     the closure from the identity, kept as the reference: every element is
     composed with each new one on both sides, and new ones are inverted."""
     identity = FanAutomorphism(fan, IntMatrix.identity(fan.rank))
@@ -182,7 +171,7 @@ class TestClosureFromTheIdentity:
         cases = generator_cases()
         assert len(cases) >= 5
         for fan, matrices in cases:
-            group = generate_symmetry_group(fan, matrices)
+            group = SymmetryGroup(fan, matrices)
             assert [e.matrix.entries for e in group] == closure_with_inverses(
                 fan, matrices
             ), fan.rays
@@ -194,33 +183,17 @@ class TestClosureFromTheIdentity:
 
         monkeypatch.setattr("toricgit.intlat.smith_normal_form", forbidden)
         for fan, matrices in generator_cases():
-            generate_symmetry_group(fan, matrices)
+            SymmetryGroup(fan, matrices)
 
-    def test_generated_groups_equal_the_checked_constructors(self):
+    def test_every_closure_is_a_group(self):
         for fan, matrices in generator_cases():
-            group = generate_symmetry_group(fan, matrices)
-            checked = SymmetryGroup(fan, group.elements)
-            assert group.fan is checked.fan, fan.rays
-            assert [e.matrix for e in group] == [e.matrix for e in checked], fan.rays
-
-    def test_the_checked_constructor_builds_no_automorphism(self, monkeypatch):
-        # closure is checked on the element matrices; composing every pair
-        # built |G|^2 validated automorphisms
-        groups = [
-            generate_symmetry_group(fan, matrices) for fan, matrices in generator_cases()
-        ]
-        built = 0
-        init = FanAutomorphism.__init__
-
-        def counted(self, *args):
-            nonlocal built
-            built += 1
-            init(self, *args)
-
-        monkeypatch.setattr(FanAutomorphism, "__init__", counted)
-        for group in groups:
-            SymmetryGroup(group.fan, group.elements)
-        assert built == 0
+            group = SymmetryGroup(fan, matrices)
+            pool = {e.matrix for e in group}
+            assert len(pool) == len(group), fan.rays
+            assert IntMatrix.identity(fan.rank) in pool, fan.rays
+            for a in group:
+                for b in group:
+                    assert a.matrix @ b.matrix in pool, fan.rays
 
     def test_the_search_builds_one_automorphism_per_element_and_generator(
         self, monkeypatch
@@ -249,7 +222,7 @@ class TestClosureFromTheIdentity:
             init(self, *args)
 
         monkeypatch.setattr(FanAutomorphism, "__init__", counted)
-        group = generate_symmetry_group(fan, generators)
+        group = SymmetryGroup(fan, generators)
         assert len(group) == 384
         assert built <= len(group) * len(generators) + len(generators) + 1
 
@@ -261,7 +234,7 @@ class TestGroupActionData:
 
     def test_factor_swap_breaks_compatibility(self):
         act = normalize_action(P1XP1, [(1, 0)])
-        swap = generate_symmetry_group(P1XP1, [((0, 1), (1, 0))])
+        swap = SymmetryGroup(P1XP1, [((0, 1), (1, 0))])
         with pytest.raises(ValueError):
             GroupActionData(act, swap)
 
@@ -405,7 +378,7 @@ class TestCorollaryChecker:
 
     def test_rotation_on_projective_plane_with_trivial_torus(self):
         data = GroupActionData(
-            normalize_action(P2, []), generate_symmetry_group(P2, [ROT3])
+            normalize_action(P2, []), SymmetryGroup(P2, [ROT3])
         )
         report = verify_corollary(P2, data)
         assert len(report.maximal_reports) == 1  # only the full selection
@@ -418,7 +391,7 @@ class TestCorollaryChecker:
 
     def test_empty_selection_is_vacuously_saturated(self):
         data = GroupActionData(
-            normalize_action(P2, []), generate_symmetry_group(P2, [ROT3])
+            normalize_action(P2, []), SymmetryGroup(P2, [ROT3])
         )
         report = verify_corollary(P2, data)
         empty_rows = [row for row in report.invariant_reports if row[0] == ()]
@@ -664,7 +637,7 @@ KEYSET_CASES = {
 def keyset_case(case):
     fan, gens, matrices = KEYSET_CASES[case]
     data = GroupActionData(
-        normalize_action(fan, gens), generate_symmetry_group(fan, matrices)
+        normalize_action(fan, gens), SymmetryGroup(fan, matrices)
     )
     return fan, data, enumerate_open_subsets(fan)
 
@@ -842,7 +815,7 @@ def reference_case(case):
         return keyset_case(case)
     fan, gens = NEGATION_CASES[case]
     data = GroupActionData(
-        normalize_action(fan, gens), generate_symmetry_group(fan, [negation(fan.rank)])
+        normalize_action(fan, gens), SymmetryGroup(fan, [negation(fan.rank)])
     )
     return fan, data, enumerate_open_subsets(fan)
 
@@ -983,9 +956,11 @@ CUBE = Fan(
 
 
 class TestInputBoundaries:
-    def test_group_element_of_another_fan(self):
-        with pytest.raises(ValueError, match="^element acts on a different fan$"):
-            SymmetryGroup(P2, [FanAutomorphism(P1, IntMatrix.identity(1))])
+    def test_group_generator_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="^matrix shape differs from lattice rank$"):
+            SymmetryGroup(P2, [((1, 0),)])
+        with pytest.raises(ValueError, match="^cols does not match row width$"):
+            SymmetryGroup(P2, [NEG1])
 
     def test_w_set_of_another_fan(self):
         with pytest.raises(ValueError, match="^selection lives on a different fan$"):
