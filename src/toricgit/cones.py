@@ -250,7 +250,13 @@ def _canonical_generators(lin_rows, rays, ambient):
         return tuple(sorted({primitive(r) for r in rays if any(r)}))
     # q, the Hermite basis of the annihilator of the lineality rows, is the
     # quotient map by their saturated lattice (see the module docstring)
-    q = kernel_lattice(IntMatrix(lin_rows, cols=ambient)).basis
+    return _lifted(kernel_lattice(IntMatrix(lin_rows, cols=ambient)).basis, rays)
+
+
+def _lifted(q, rays):
+    """+- the Hermite basis of the kernel of the quotient map q, and
+    s . primitive(q . r) for each ray r that q does not kill, sorted: s is a
+    section of q, and both are read off one Smith form of q."""
     lat, s = split_surjection(q)
     gens = set()
     for b in lat.basis.entries:
@@ -265,17 +271,12 @@ def _canonical_generators(lin_rows, rays, ambient):
 
 def _ray_other(v, ambient):
     """The other canonical list of the cone whose own list is the one
-    primitive vector v: +- the Hermite basis of v's orthogonal lattice and
-    e s, where e = +-1 makes the pivot of q = e v positive and s is a
-    section of q, both read off one Smith form of q (see the module
+    primitive vector v: `_lifted` at q = e v and the ray v, where e = +-1
+    makes the pivot of q positive, so +- the Hermite basis of v's
+    orthogonal lattice and the lift e s of q.v's sign (see the module
     docstring)."""
     sign = 1 if next(x for x in v if x) > 0 else -1
-    lat, s = split_surjection(IntMatrix._of((vscale(sign, v),), ambient))
-    gens = {vscale(sign, s.column(0))}
-    for b in lat.basis.entries:
-        gens.add(b)
-        gens.add(vneg(b))
-    return tuple(sorted(gens))
+    return _lifted(IntMatrix._of((vscale(sign, v),), ambient), [v])
 
 
 def _simplicial_other(own, ambient):

@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fans import Fan, SubfanSelection, validate_fan
+from .fans import Fan, FanAutomorphism, SubfanSelection, validate_fan
+from .intlat import IntMatrix
 
 FORMAT_NAME = "toricgit-problem"
 FORMAT_VERSION = 1
@@ -200,6 +201,11 @@ def parse_problem(text):
             _int_matrix(m, f"symmetries[{i}]", rank, rank)
             for i, m in enumerate(doc["symmetries"])
         )
+        for i, m in enumerate(symmetries):
+            try:
+                FanAutomorphism(fan, IntMatrix(m, cols=rank))
+            except ValueError as e:
+                raise ProblemFileError(f"symmetries[{i}]", str(e)) from None
 
     selections = {}
     if "selections" in doc:

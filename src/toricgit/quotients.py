@@ -85,31 +85,32 @@ cones themselves (`Cone.meets_in_face`), so every action, and every
 selection, that meets the same two images shares it.
 
 Memo rule, one for the engine and the oracles: besides its inputs, the
-action keeps the verdicts `good_quotient` was asked for (`results`) and
-one memo store (`memos`).  Every fact the engine or the oracles derive
-per action is a function wrapped in `_kept`, which keeps fn(act, *args)
-in act.memos[fn][args], keyed by exactly the arguments its value depends
-on, so no value depends on what the action was asked before.  A kept
-value may be None, as the oracles' chart family of a bad mask is.  The
-keys are the functions themselves, so the oracles' tables stay apart
-from the engine's, even where two functions share a name, and neither
-side reads the other's.  The engine's kept facts are the rows (`_rows`);
-per lineality class, q2 and q2 @ proj (`_split`); per cone, its point
-(`_point`); per cone and chart, the carrier face (`_carrier`); per chart,
-its top fibre (`_top_fibre`); the clique rows (`_compatible`) and the
-enumeration keys (`_shifted`); and per value, the target fans (`_target`)
-and the staged lattice facts (`_residual`, `_composite`).  The goods'
-listing (`_goods`) keeps nothing: its caller owns the list.
+action holds one store (`memos`).  Every fact the engine or the oracles
+derive per action is a function wrapped in `_kept`, which keeps
+fn(act, *args) in act.memos[fn][args], keyed by exactly the arguments
+its value depends on, so no value depends on what the action was asked
+before.  A kept value may be None, as the fibres and the oracles' chart
+family of a bad mask are.  The keys are the functions themselves, so the
+oracles' tables stay apart from the engine's, even where two functions
+share a name, and neither side reads the other's.  The engine's kept
+facts are the rows (`_rows`); per lineality class, q2 and q2 @ proj
+(`_split`); per cone, its point (`_point`); per cone and chart, the
+carrier face (`_carrier`); per chart, its top fibre (`_top_fibre`); per
+selection mask, its decision (`_decide`), fibres (`_fibres`) and verdict
+(`_verdict`); the clique rows (`_compatible`) and the enumeration keys
+(`_shifted`); and per value, the target fans (`_target`) and the staged
+lattice facts (`_residual`, `_composite`).  The goods' listing
+(`_goods`) keeps nothing: its caller owns the list.
 
 The criterion is one routine, `_decide(act, mask)`, that works on cone
 indices only: it returns lbar and the chart family of a good mask, or an
-obstruction code and the indices of its two witnesses.  `_render` turns
+obstruction code and the indices of its two witnesses.  `_verdict` turns
 that into the QuotientFan or the Obstruction text, and `good_quotient`
-is render after decide, kept in the action's verdicts for the selections
-it is asked about, so only those get a quotient fan.  `_decide` is the
-only verdict a selection is given: `enumerate_good_subsets` decides
-nothing, since the goods are the face closures of the chart family
-cliques (below).
+is the verdict of the selection's mask, so only the masks it is asked
+about get a quotient fan.  A mask is decided once per action, whoever
+asks: `good_quotient`, `host_of` and the saturation routines all read
+the kept decision.  The listings decide nothing, since the goods are the
+face closures of the chart family cliques (below).
 
 An open set with a good quotient is covered by saturated affine charts
 (J. Święcicka, "Quotients of toric varieties by actions of subtori",
@@ -162,15 +163,14 @@ key, the union of its members' keys (`_shifted`), and distinct goods
 have distinct keys, so one sort of the (key, closure) pairs puts the
 goods in enumeration order.
 
-The engine's own form of the orbit map is the fibre masks, one routine
-`_fibres(act, mask, family)` for `QuotientFan.fibres` and the
-saturation routines: it groups the cones of a good mask by their orbit
-images, the kept carrier faces above, so fibres[t] holds the selected
-cones with t's orbit image.  The saturation routines read a rendered
-quotient's fibres from the verdicts, and otherwise decide the mask and
-group its fibres without storing them (`_recorded_fibres`); the
-enumeration groups none.  Saturation is mask algebra on the fibres, so
-it renders no quotient.  The saturation of a mask A
+The engine's own form of the orbit map is the fibre masks, one kept fact
+`_fibres(act, mask)` for `QuotientFan.fibres` and the saturation
+routines: it groups the cones of a good mask by their orbit images, the
+kept carrier faces above, so fibres[t] holds the selected cones with t's
+orbit image.  A rendered quotient's fibres are that kept dict itself,
+and the saturation routines read it whether or not the mask has been
+rendered; the enumeration groups none.  Saturation is mask algebra on
+the fibres, so it renders no quotient.  The saturation of a mask A
 inside the selection is the OR of the fibres of A's cones, so A is
 saturated exactly when that OR is A, and the largest saturated selection
 inside B removes the saturation of the cones outside B.
@@ -329,12 +329,12 @@ class SubtorusAction:
     """Subtorus with saturated cocharacter lattice L and projection N -> N/L.
 
     The per-action state lives here: `memos`, the one store of the `_kept`
-    facts of the engine and the oracles, and `results`, the verdicts
-    `good_quotient` was asked for.  Since each action carries its own
-    memos, actions compare by identity.
+    facts of the engine and the oracles, the verdicts `good_quotient` was
+    asked for among them.  Since each action carries its own memos,
+    actions compare by identity.
     """
 
-    __slots__ = ("fan", "cochar", "proj", "memos", "results")
+    __slots__ = ("fan", "cochar", "proj", "memos")
 
     def __init__(self, fan, cochar, proj):
         if not cochar.saturated:
@@ -343,7 +343,6 @@ class SubtorusAction:
         object.__setattr__(self, "cochar", cochar)
         object.__setattr__(self, "proj", proj)
         object.__setattr__(self, "memos", {})  # _kept function -> {its arguments: its value}
-        object.__setattr__(self, "results", {})  # selection mask -> verdict
 
     def __setattr__(self, name, value):
         raise AttributeError("SubtorusAction is immutable")
@@ -538,12 +537,7 @@ def _check_fan(fan, act):
 def good_quotient(selection, act):
     """QuotientFan for the selection, or an Obstruction naming a witness."""
     _check_fan(selection.fan, act)
-    got = act.results.get(selection.mask)
-    if got is None:
-        got = act.results[selection.mask] = _render(
-            act, selection, _decide(act, selection.mask)
-        )
-    return got
+    return _verdict(act, selection.mask)
 
 
 # obstruction code -> (kind, detail over the sorted keys of witnesses a, b)
@@ -556,6 +550,7 @@ _OBSTRUCTIONS = (
 _INCOMPARABLE, _DROPPED, _CHART_FIBER, _NON_FAN = range(len(_OBSTRUCTIONS))
 
 
+@_kept
 def _decide(act, sel):
     """The chart criterion on the selection mask sel, in cone indices only:
     (None, lbar, family) for a good selection, with lbar its common
@@ -616,21 +611,25 @@ def _decide(act, sel):
     return None, lbar, family
 
 
-def _render(act, selection, decision):
-    """The Obstruction or the QuotientFan that _decide's decision names."""
-    code, a, b = decision
-    if code is not None:
-        keys, _ = act.fan.numbering()
-        kind, detail = _OBSTRUCTIONS[code]
-        return Obstruction(
-            kind, detail.format(sorted(keys[a]), sorted(keys[b])), (keys[a], keys[b])
-        )
-    return _quotient(act, selection, a, b)
+@_kept
+def _verdict(act, mask):
+    """The Obstruction or the QuotientFan of the selection mask, on the
+    selection `SubfanSelection._of_mask(act.fan, mask)`."""
+    code, a, b = _decide(act, mask)
+    if code is None:
+        return _quotient(act, mask, a, b)
+    keys, _ = act.fan.numbering()
+    kind, detail = _OBSTRUCTIONS[code]
+    return Obstruction(
+        kind, detail.format(sorted(keys[a]), sorted(keys[b])), (keys[a], keys[b])
+    )
 
 
-def _quotient(act, selection, lbar, family):
+def _quotient(act, mask, lbar, family):
     proj = act.proj
-    if not selection.mask:
+    selection = SubfanSelection._of_mask(act.fan, mask)
+    carriers, fibres = _fibres(act, mask)
+    if not mask:
         return QuotientFan(
             selection,
             Sublattice.from_rows(proj.rows, []),
@@ -638,7 +637,7 @@ def _quotient(act, selection, lbar, family):
             _target(act, proj.rows, (), frozenset()),
             chart_map={},
             orbit_map={},
-            fibres={},
+            fibres=fibres,
             geometric=True,
         )
     keys, _ = act.fan.numbering()
@@ -648,7 +647,6 @@ def _quotient(act, selection, lbar, family):
     chart_gens = [_carrier(act, s, s) for s in family]
     rays = tuple(sorted({g for gens in chart_gens for g in gens}))
     ray_index = {g: i for i, g in enumerate(rays)}
-    carriers, fibres = _fibres(act, selection.mask, family)
     chart_map = {
         frozenset(ray_index[g] for g in gens): keys[s]
         for s, gens in zip(family, chart_gens)
@@ -675,11 +673,16 @@ def _quotient(act, selection, lbar, family):
     )
 
 
-def _fibres(act, mask, family):
-    """(carriers, fibres) of a good mask that _decide gave family:
-    carriers[t] generates t's orbit image, read in the lowest family chart
-    covering t (the images meet in common faces, so any would do), and
-    fibres[t] masks the cones of mask with that orbit image."""
+@_kept
+def _fibres(act, mask):
+    """(carriers, fibres) of the mask, None when it has no good quotient:
+    carriers[t] generates t's orbit image, read in the lowest chart of the
+    family `_decide` gives covering t (the images meet in common faces, so
+    any would do), and fibres[t] masks the cones of mask with that orbit
+    image."""
+    code, _, family = _decide(act, mask)
+    if code is not None:
+        return None
     above = _rows(act).above
     covered = sum(1 << s for s in family)
     carriers, fibre = {}, {}
@@ -690,26 +693,15 @@ def _fibres(act, mask, family):
     return carriers, {t: fibre[c] for t, c in carriers.items()}
 
 
-def _recorded_fibres(act, mask):
-    """The fibre masks of mask: its rendered quotient's when `good_quotient`
-    has one, else decided and grouped afresh and stored nowhere; None when
-    mask has no good quotient."""
-    got = act.results.get(mask)
-    if got is not None:
-        return got.fibres if isinstance(got, QuotientFan) else None
-    code, _, family = _decide(act, mask)
-    return _fibres(act, mask, family)[1] if code is None else None
-
-
 def _outer_fibres(inner, outer, act):
     """The fibre masks of outer, for an inner selection inside it."""
     if not inner <= outer:
         raise ValueError("inner selection must lie inside the outer one")
     _check_fan(outer.fan, act)
-    fibres = _recorded_fibres(act, outer.mask)
-    if fibres is None:
+    got = _fibres(act, outer.mask)
+    if got is None:
         raise ValueError("outer selection admits no good quotient")
-    return fibres
+    return got[1]
 
 
 def _saturation(fibres, mask):
@@ -871,8 +863,8 @@ def t_maximal_subsets(fan, act, limit=2 ** 20):
 
 def host_of(selection, act):
     """The host of a good selection, None when it is T-maximal; a
-    ValueError for a selection without a good quotient.  It decides the
-    selection and tests its witnesses, and lists no goods."""
+    ValueError for a selection without a good quotient.  It reads the
+    selection's kept decision and tests its witnesses, and lists no goods."""
     _check_fan(selection.fan, act)
     u = selection.mask
     code, _, family = _decide(act, u)
@@ -971,11 +963,10 @@ def remark_suite(q, act):
     orbit images over the target's.  An orbit closure is the up-set of a
     cone (`Fan.up_masks`); a set of target cones is closed when it holds
     the up-set of each of its cones; (ii) is saturation by q's fibres; and
-    a saturated open is the preimage of an image ideal, whose verdict
-    is read from the action's `results` without a selection when `good_quotient`
-    already decided it.  The violations come in the order of the principal
-    opens (by size, then keys), which are sorted only when one of them
-    violates.
+    a saturated open is the preimage of an image ideal, whose verdict is
+    the kept `_verdict` of its mask.  The violations come in the order of
+    the principal opens (by size, then keys), which are sorted only when
+    one of them violates.
 
     The remark's last statement, that the trace P & C of a saturated open
     P on a closed invariant set C is saturated in C, is not checked, as it
@@ -1025,9 +1016,7 @@ def remark_suite(q, act):
         if any(faces[t] & ~pre for t in bits(pre)):
             failed[g] = "(iii) preimage of an open image set is not an open selection"
             continue
-        sub = act.results.get(pre)
-        if sub is None:
-            sub = good_quotient(SubfanSelection._of_mask(fan, pre), act)
+        sub = _verdict(act, pre)
         if isinstance(sub, Obstruction):
             failed[g] = (
                 "(iii) restriction to a saturated open is not a good quotient: "

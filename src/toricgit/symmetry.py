@@ -191,13 +191,13 @@ _DISCONNECTED_CAVEAT = (
 @dataclass(frozen=True)
 class TheoremReport:
     refused: bool
-    diagnosis: str
-    w_keys: tuple | None
-    quotient_exists: bool
-    quotient_detail: str
-    saturated_in_input: bool | None
-    orbit_classes: tuple | None
-    caveat: str
+    diagnosis: str = ""
+    w_keys: tuple | None = None
+    quotient_exists: bool = False
+    quotient_detail: str = ""
+    saturated_in_input: bool | None = None
+    orbit_classes: tuple | None = None
+    caveat: str = ""
 
     @property
     def open_in_source(self):
@@ -236,11 +236,6 @@ def verify_theorem_conclusions(selection, data):
         return TheoremReport(
             refused=True,
             diagnosis=diagnosis,
-            w_keys=None,
-            quotient_exists=False,
-            quotient_detail="",
-            saturated_in_input=None,
-            orbit_classes=None,
             caveat="" if data.sym.is_trivial() else _DISCONNECTED_CAVEAT,
         )
     w = w_set(selection, data)
@@ -250,7 +245,6 @@ def verify_theorem_conclusions(selection, data):
     saturated = is_saturated(w, selection, act)
     return TheoremReport(
         refused=False,
-        diagnosis="",
         w_keys=_sorted_keys(w.keys),
         quotient_exists=exists,
         quotient_detail=detail,
@@ -314,12 +308,12 @@ def verify_corollary(fan, data, limit=2 ** 20):
 @dataclass(frozen=True)
 class Eq1Report:
     hypothesis_ok: bool
-    diagnosis: str
-    u_keys: tuple | None
-    left: tuple | None
-    right: tuple | None
-    equal: bool | None
-    witness: tuple | None
+    diagnosis: str = ""
+    u_keys: tuple | None = None
+    left: tuple | None = None
+    right: tuple | None = None
+    equal: bool | None = None
+    witness: tuple | None = None
 
     def holds(self):
         return bool(self.hypothesis_ok and self.equal)
@@ -343,21 +337,12 @@ def eq1_crosscheck(xprime, x, data):
     if xprime.fan != act.fan or x.fan != act.fan:
         raise ValueError("selection lives on a different fan")
     if not x <= xprime:
-        return Eq1Report(
-            False, "inner selection is not contained in the outer one",
-            None, None, None, None, None,
-        )
+        return Eq1Report(False, "inner selection is not contained in the outer one")
     q = good_quotient(xprime, act)
     if isinstance(q, Obstruction):
-        return Eq1Report(
-            False, f"outer selection admits no good quotient: {q.detail}",
-            None, None, None, None, None,
-        )
+        return Eq1Report(False, f"outer selection admits no good quotient: {q.detail}")
     if not is_invariant(data, xprime.mask) or not is_invariant(data, x.mask):
-        return Eq1Report(
-            False, "selections are not symmetry-invariant",
-            None, None, None, None, None,
-        )
+        return Eq1Report(False, "selections are not symmetry-invariant")
     u = max_saturated_inside(xprime, x, act)
     left = w_set(u, data).mask
     w_removed = _translates_meet(xprime.mask & ~x.mask, data.sym)
@@ -367,7 +352,6 @@ def eq1_crosscheck(xprime, x, data):
     first = next(bits(difference), None)
     return Eq1Report(
         hypothesis_ok=True,
-        diagnosis="",
         u_keys=_sorted_keys(u.keys),
         left=_sorted_keys(keys[i] for i in bits(left)),
         right=_sorted_keys(keys[i] for i in bits(right)),

@@ -44,10 +44,14 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
+# the names of the second stores an action once held beside its memos
+SECOND_STORES = {"_cache", "results"}
+
+
 def memo_store_touches(source):
     """Lines that read or write an attribute named `memos` outside the body
-    of a top-level `_kept`, and lines that name `_cache` as an attribute, a
-    variable or a string."""
+    of a top-level `_kept`, and lines that name a second store (`_cache`,
+    `results`) as an attribute, a variable or a string."""
     tree = ast.parse(source)
     kept = [range(node.lineno, node.end_lineno + 1) for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name == "_kept"]
@@ -57,9 +61,9 @@ def memo_store_touches(source):
             if not any(node.lineno in body for body in kept):
                 found.add(node.lineno)
         elif (
-            (isinstance(node, ast.Attribute) and node.attr == "_cache")
-            or (isinstance(node, ast.Name) and node.id == "_cache")
-            or (isinstance(node, ast.Constant) and node.value == "_cache")
+            (isinstance(node, ast.Attribute) and node.attr in SECOND_STORES)
+            or (isinstance(node, ast.Name) and node.id in SECOND_STORES)
+            or (isinstance(node, ast.Constant) and node.value in SECOND_STORES)
         ):
             found.add(node.lineno)
     return sorted(found)
@@ -71,8 +75,10 @@ def test_the_scan_finds_a_memo_store_touch():
         "x = act.memos[fn]\ny = act._cache.get(key)\n"
         "object.__setattr__(act, '_cache', {})\n_cache = {}\n"
         "object.__setattr__(act, 'memos', {})\nz = act.memo\n"
+        "w = act.results.get(mask)\nobject.__setattr__(act, 'results', {})\n"
+        "act.results[mask] = w\nv = act.result\n"
     )
-    assert memo_store_touches(source) == [3, 4, 5, 6]
+    assert memo_store_touches(source) == [3, 4, 5, 6, 9, 10, 11]
 
 
 # Every per-action fact of the engine and the oracles goes through

@@ -697,7 +697,7 @@ def assert_the_split_route(act):
             continue  # no chart: the empty quotient reads no carrier
         _, lbar, family = quotients._decide(act, sel.mask)
         want = reference_rendering(act, sel.mask, lbar, family, split)
-        assert quotients._fibres(act, sel.mask, family)[1] == want[2], sel
+        assert quotients._fibres(act, sel.mask)[1] == want[2], sel
         q = good_quotient(sel, act)
         got = (q.chart_map, q.orbit_map, q.fibres)
         assert [list(m.items()) for m in got] == [list(m.items()) for m in want[:3]], sel

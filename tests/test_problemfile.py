@@ -161,6 +161,28 @@ class TestFanFields:
         assert "primitive" in err.message
 
 
+class TestSymmetries:
+    # every matrix must be an automorphism of the fan, checked where it is read
+    def test_matrix_must_be_unimodular(self):
+        err = rejected(doc(symmetries=[[[0, 1], [1, 0]], [[2, 0], [0, 1]]]))
+        assert (err.path, err.message) == ("symmetries[1]", "matrix is not unimodular")
+
+    def test_matrix_must_permute_the_rays(self):
+        err = rejected(doc(symmetries=[[[1, 1], [0, 1]]]))
+        assert (err.path, err.message) == ("symmetries[0]", "matrix does not permute the rays")
+
+    def test_matrix_must_preserve_the_cone_set(self):
+        # swapping the axes sends the cone on rays 1, 2 to rays 0, 3
+        err = rejected(doc(
+            rays=[[1, 0], [0, 1], [-1, 0], [0, -1]],
+            max_cones=[[0, 1], [1, 2], [2, 3]],
+            symmetries=[[[0, 1], [1, 0]]],
+        ))
+        assert (err.path, err.message) == (
+            "symmetries[0]", "matrix does not preserve the cone set"
+        )
+
+
 class TestSelections:
     def test_reserved_name(self):
         err = rejected(doc(selections={"all": [[]]}))

@@ -648,7 +648,7 @@ class TestEnumerationRouteAgainstSelections:
         monkeypatch.setattr(quotients, "_decide", lambda *args: decided.append(args))
         grouped = count_fibre_groupings(monkeypatch)
         assert len(enumerate_good_subsets(fan, act)) == 70
-        assert decided == [] and act.results == {} and grouped == []
+        assert decided == [] and kept_table(act, quotients._verdict) == {} and grouped == []
 
 
 @pytest.mark.parametrize("case", ["p3_123", "cube_two_facets"])
@@ -707,13 +707,13 @@ def test_t_maximal_subsets_builds_selections_only_for_its_results(monkeypatch):
 
 
 def count_fibre_groupings(monkeypatch):
-    """List of the masks `quotients._fibres` groups from now on."""
+    """List of the masks whose fibres are asked for from now on."""
     grouped = []
     real = quotients._fibres
 
-    def counted(act, mask, family):
+    def counted(act, mask):
         grouped.append(mask)
-        return real(act, mask, family)
+        return real(act, mask)
 
     monkeypatch.setattr(quotients, "_fibres", counted)
     return grouped
@@ -767,10 +767,10 @@ def test_goods_render_on_demand_as_on_a_fresh_action(case, monkeypatch):
     grouped = count_fibre_groupings(monkeypatch)
     goods = enumerate_good_subsets(fan, warm)
     # the enumeration renders nothing
-    assert warm.results == {} and grouped == []
+    assert kept_table(warm, quotients._verdict) == {} and grouped == []
     fresh = normalize_action(fan, gens)
     for u in goods:
-        record = quotients._recorded_fibres(warm, u.mask)
+        record = quotients._fibres(warm, u.mask)[1]
         q = good_quotient(u, warm)
         want = good_quotient(u, fresh)
         assert isinstance(q, QuotientFan) and isinstance(want, QuotientFan), u
@@ -782,8 +782,8 @@ def test_goods_render_on_demand_as_on_a_fresh_action(case, monkeypatch):
         ), u
         assert record == want.fibres, u
         assert good_quotient(u, warm) is q
-        # once rendered, the fibres are the quotient's own
-        assert quotients._recorded_fibres(warm, u.mask) is q.fibres, u
+        # the rendered fibres are the kept ones
+        assert record is q.fibres, u
 
 
 @pytest.mark.parametrize("listing", [enumerate_good_subsets, t_maximal_subsets])
@@ -806,7 +806,7 @@ def test_listings_trip_the_enumeration_guard_before_any_verdict(listing, monkeyp
     grouped = count_fibre_groupings(monkeypatch)
     with pytest.raises(SizeGuardError, match=f"^more than 4 {GUARD_UNITS[listing]}$"):
         listing(P2, act, limit=4)
-    assert decided == [] and act.results == {} and grouped == []
+    assert decided == [] and kept_table(act, quotients._verdict) == {} and grouped == []
 
 
 # The saturation routines before fibre masks, kept as the reference: they
@@ -967,9 +967,14 @@ def pairwise_rows(act):
     return quotients.Rows(img, lin, cls, members, below, above, lin_le)
 
 
+def kept_table(act, fn):
+    """The entries the action's memos hold for the `_kept` function fn."""
+    return act.memos.get(fn.__wrapped__, {})
+
+
 def rows_kept(act):
     """The entries the action's memos hold for `quotients._rows`."""
-    return act.memos.get(quotients._rows.__wrapped__, {})
+    return kept_table(act, quotients._rows)
 
 
 # the complete fan over the faces of the cube [-1, 1]^3: six 4-ray facets
@@ -1007,7 +1012,7 @@ def superset_index_hosts(fan, act):
                 goods[j].mask
                 for j in bits(larger)
                 if quotients._saturation(
-                    quotients._recorded_fibres(act, goods[j].mask), u.mask
+                    quotients._fibres(act, goods[j].mask)[1], u.mask
                 ) == u.mask
             ),
             None,
@@ -1140,7 +1145,7 @@ class TestCliqueClosures:
         fan, gens = TABLE_CASES[case]
         act = normalize_action(fan, gens)
         for w in quotients._goods(act, 2 ** 20):
-            fibres = quotients._recorded_fibres(act, w)
+            fibres = quotients._fibres(act, w)[1]
             for s in maximal_cones(fan, w):
                 assert fibres[s] == quotients._top_fibre(act, s), (w, s)
 
@@ -1449,12 +1454,10 @@ def test_broken_table_invariants_raise_named_errors(forge, message):
 
 
 def test_every_engine_fact_is_kept_on_the_action_by_one_memo_rule():
-    # the action holds its verdicts and one memo store, whose every key is
-    # a function of the engine or the oracles wrapped by `_kept`, the rows
-    # included
-    assert quotients.SubtorusAction.__slots__ == (
-        "fan", "cochar", "proj", "memos", "results"
-    )
+    # the action holds one memo store, whose every key is a function of
+    # the engine or the oracles wrapped by `_kept`, the rows and the
+    # verdicts included
+    assert quotients.SubtorusAction.__slots__ == ("fan", "cochar", "proj", "memos")
     kept_code = quotients._kept(lambda act: act).__code__
     kept = {
         f.__wrapped__ for module in (quotients, oracles) for f in vars(module).values()
@@ -1483,7 +1486,23 @@ def test_every_engine_fact_is_kept_on_the_action_by_one_memo_rule():
         act.memos
     )
     assert len(rows_kept(act)) == 1
-    assert set(act.results) == {u.mask for u in goods}
+    assert set(kept_table(act, quotients._verdict)) == {(u.mask,) for u in goods}
+
+
+def test_a_mask_is_decided_once_whoever_asks():
+    # the verdict, the host search and both saturation routines read one
+    # kept decision of the outer mask, and the quotient's fibres are the
+    # kept ones
+    fan, gens = ENUMERATION_CASES["pyramid_123"]
+    act = normalize_action(fan, gens)
+    u = SubfanSelection(fan, [(), (0,), (1,), (0, 1)])
+    v = SubfanSelection(fan, [(), (0,)])
+    q = good_quotient(u, act)
+    assert isinstance(q, QuotientFan) and host_of(u, act) is not None
+    # u's cones share one orbit image, so nothing inside v is saturated
+    assert not is_saturated(v, u, act) and max_saturated_inside(u, v, act).mask == 0
+    assert list(kept_table(act, quotients._decide)) == [(u.mask,)]
+    assert quotients._fibres(act, u.mask)[1] is good_quotient(u, act).fibres
 
 
 def test_a_kept_none_is_computed_once():
